@@ -23,21 +23,17 @@ from .syntax import (
     DefinitionEnvironment,
     Eq,
     Expression,
-    FalseExpr,
     FlexVar,
     FomlError,
-    Forall,
     Implies,
-    InternalError,
     Nabla,
     Obligation,
-    OpApp,
     Prime,
-    RigidVar,
     and_,
     contains_node,
     expand_definitions,
     fresh_name,
+    map_children,
     or_,
 )
 
@@ -51,20 +47,8 @@ def distribute_prime(
     fragment); violations are reported, they are never silently kept.
     """
 
-    def dist(e: Expression) -> Expression:
+    def reject(e: Expression) -> None:
         match e:
-            case Prime(body):
-                return push(body)
-            case RigidVar() | FlexVar() | FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(dist(a) for a in args))
-            case Eq(lhs, rhs):
-                return Eq(dist(lhs), dist(rhs))
-            case Implies(lhs, rhs):
-                return Implies(dist(lhs), dist(rhs))
-            case Forall(var, body):
-                return Forall(var, dist(body))
             case Nabla():
                 raise FomlError(
                     "nabla inside an action formula cannot be distributed")
@@ -72,35 +56,22 @@ def distribute_prime(
                 raise FomlError(
                     "defined operator in an action formula; expand "
                     "definitions first")
-        raise InternalError(f"unknown expression node {e!r}")
+
+    def dist(e: Expression) -> Expression:
+        reject(e)
+        if isinstance(e, Prime):
+            return push(e.body)
+        return map_children(e, dist)
 
     def push(e: Expression) -> Expression:
         # push(e) is the distributed form of (e)'
+        reject(e)
         match e:
-            case RigidVar():
-                return e
             case FlexVar():
                 return Prime(e)
-            case FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(push(a) for a in args))
-            case Eq(lhs, rhs):
-                return Eq(push(lhs), push(rhs))
-            case Implies(lhs, rhs):
-                return Implies(push(lhs), push(rhs))
-            case Forall(var, body):
-                return Forall(var, push(body))
             case Prime():
                 raise FomlError("prime cannot be nested")
-            case Nabla():
-                raise FomlError(
-                    "nabla inside an action formula cannot be distributed")
-            case DefApp():
-                raise FomlError(
-                    "defined operator in an action formula; expand "
-                    "definitions first")
-        raise InternalError(f"unknown expression node {e!r}")
+        return map_children(e, push)
 
     return dist(e)
 
@@ -135,22 +106,9 @@ def coalesce_action(e: Expression, primed: PrimedVars) -> Expression:
         case Prime():
             raise FomlError(
                 f"prime not distributed down to a flexible variable: {e}")
-        case RigidVar() | FlexVar() | FalseExpr():
-            return e
-        case OpApp(op, args):
-            return OpApp(op, tuple(coalesce_action(a, primed)
-                                   for a in args))
-        case Eq(lhs, rhs):
-            return Eq(coalesce_action(lhs, primed),
-                      coalesce_action(rhs, primed))
-        case Implies(lhs, rhs):
-            return Implies(coalesce_action(lhs, primed),
-                           coalesce_action(rhs, primed))
-        case Forall(var, body):
-            return Forall(var, coalesce_action(body, primed))
         case Nabla() | DefApp():
             raise FomlError(f"not an action formula: {e}")
-    raise InternalError(f"unknown expression node {e!r}")
+    return map_children(e, coalesce_action, primed)
 
 
 @dataclass(frozen=True)

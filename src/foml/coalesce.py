@@ -13,8 +13,8 @@ flexible variables stay in place and become free first-order variables.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Union
 
@@ -31,14 +31,11 @@ from .syntax import (
     FALSE,
     DefApp,
     DefinitionEnvironment,
-    Eq,
     Expression,
-    FalseExpr,
-    FlexVar,
     FomlError,
     Forall,
     Implies,
-    InternalError,
+    Interner,
     Nabla,
     Obligation,
     OpApp,
@@ -48,6 +45,7 @@ from .syntax import (
     free_rigid_vars,
     fresh_name,
     is_rigid,
+    map_children,
     not_,
 )
 
@@ -91,60 +89,20 @@ class SymbolEntry:
     entries: Optional[tuple[EpsilonEntry, ...]] = None
 
 
-def _digest(key) -> str:
-    return hashlib.blake2b(repr(key).encode(), digest_size=4).hexdigest()
-
-
-@dataclass
-class SymbolTable:
-    """Bijection between coalescing keys and fresh operator symbols.
+class SymbolTable(Interner):
+    """Bijection between coalescing keys and fresh operator symbols
+    `c<n>__<digest>`.
 
     Confined to one obligation's translation; freeze conceptually once the
     translation is done.
     """
 
-    env: DefinitionEnvironment
-    entries: dict = field(default_factory=dict)
-    _taken: set = field(default_factory=set)
-    _leibniz: Optional[LeibnizTable] = None
+    def __init__(self, env: DefinitionEnvironment):
+        super().__init__("c", env)
 
-    @property
+    @cached_property
     def leibniz(self) -> LeibnizTable:
-        if self._leibniz is None:
-            self._leibniz = compute_leibniz(self.env)
-        return self._leibniz
-
-    def in_order(self) -> tuple[SymbolEntry, ...]:
-        return tuple(self.entries.values())
-
-    def _fresh(self, key) -> str:
-        base = f"c{len(self.entries)}__{_digest(key)}"
-        name = base
-        k = 1
-        while name in self._taken or self.env.kind(name) is not None:
-            name = f"{base}_{k}"
-            k += 1
-        self._taken.add(name)
-        return name
-
-    def intern_modal(self, key: ModalKey, zvars: tuple[str, ...],
-                     node: Expression) -> SymbolEntry:
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = SymbolEntry(self._fresh(key), key.nvars, key,
-                                zvars, node=node)
-            self.entries[key] = entry
-        return entry
-
-    def intern_def(self, key: DefKey, zvars: tuple[str, ...], op: str,
-                   eps: tuple[EpsilonEntry, ...]) -> SymbolEntry:
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = SymbolEntry(self._fresh(key),
-                                len(eps) + key.nvars, key,
-                                zvars, op=op, entries=eps)
-            self.entries[key] = entry
-        return entry
+        return compute_leibniz(self.env)
 
     def as_ops(self) -> dict[str, int]:
         return {e.name: e.arity for e in self.in_order()}
@@ -187,21 +145,14 @@ def coalesce_fol(
 
     def go(e: Expression, binders: tuple[str, ...]) -> Expression:
         match e:
-            case RigidVar() | FlexVar() | FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(go(a, binders) for a in args))
-            case Eq(lhs, rhs):
-                return Eq(go(lhs, binders), go(rhs, binders))
-            case Implies(lhs, rhs):
-                return Implies(go(lhs, binders), go(rhs, binders))
             case Forall(var, body):
                 return Forall(var, go(body, (var,) + binders))
             case Nabla(body) | Prime(body):
                 kind = "nabla" if isinstance(e, Nabla) else "prime"
                 z = _select_zvars(binders, free_rigid_vars(body), config)
                 key = ModalKey(kind, len(z), alpha_key(e, z))
-                entry = table.intern_modal(key, z, e)
+                entry = table.entry(key, lambda name: SymbolEntry(
+                    name, len(z), key, z, node=e))
                 return OpApp(entry.name,
                              tuple(RigidVar(x) for x in z))
             case DefApp(op, args):
@@ -218,11 +169,12 @@ def coalesce_fol(
                     else alpha_key(ent, z)
                     for ent in eps)
                 key = DefKey(op, len(z), canon)
-                entry = table.intern_def(key, z, op, eps)
+                entry = table.entry(key, lambda name: SymbolEntry(
+                    name, len(eps) + len(z), key, z, op=op, entries=eps))
                 new_args = tuple(go(a, binders) for a in args) + tuple(
                     RigidVar(x) for x in z)
                 return OpApp(entry.name, new_args)
-        raise InternalError(f"unknown expression node {e!r}")
+        return map_children(e, go, binders)
 
     return go(e, binders)
 
@@ -262,45 +214,15 @@ def rewrite_rigid_box(
     replacement would change the value rather than just the truth.
     """
 
-    def form(e: Expression) -> Expression:
-        match e:
-            case Nabla(body):
-                if is_rigid(body, env):
-                    if reflexive:
-                        return body
-                    return Implies(not_(Nabla(FALSE)), body)
-                return Nabla(form(body))
-            case Implies(lhs, rhs):
-                return Implies(form(lhs), form(rhs))
-            case Forall(var, body):
-                return Forall(var, form(body))
-            case Prime(body):
-                return Prime(form(body))
-            case _:
-                return term(e)
+    def go(e: Expression, at_formula: bool) -> Expression:
+        if at_formula and isinstance(e, Nabla) and is_rigid(e.body, env):
+            return e.body if reflexive else Implies(not_(Nabla(FALSE)), e.body)
+        # The children of these nodes are formula positions, even when the
+        # node itself sits at a term position.
+        return map_children(
+            e, go, isinstance(e, (Implies, Forall, Nabla, Prime)))
 
-    def term(e: Expression) -> Expression:
-        match e:
-            case RigidVar() | FlexVar() | FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(term(a) for a in args))
-            case DefApp(op, args):
-                return DefApp(op, tuple(term(a) for a in args))
-            case Eq(lhs, rhs):
-                return Eq(term(lhs), term(rhs))
-            case Implies(lhs, rhs):
-                # truth-only context even when the node sits under a term
-                return Implies(form(lhs), form(rhs))
-            case Forall(var, body):
-                return Forall(var, form(body))
-            case Nabla(body):
-                return Nabla(form(body))
-            case Prime(body):
-                return Prime(form(body))
-        raise InternalError(f"unknown expression node {e!r}")
-
-    return form(e)
+    return go(e, True)
 
 
 def build_witness_structure(

@@ -13,8 +13,7 @@ obligation mentions prime).
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .models import KripkeModel, PropModel, Value
 from .syntax import (
@@ -22,11 +21,10 @@ from .syntax import (
     DefinitionEnvironment,
     Eq,
     Expression,
-    FalseExpr,
     FlexVar,
     Forall,
     Implies,
-    InternalError,
+    Interner,
     Nabla,
     Obligation,
     OpApp,
@@ -36,6 +34,7 @@ from .syntax import (
     contains_node,
     free_flex_vars,
     is_rigid,
+    map_children,
 )
 
 
@@ -45,33 +44,15 @@ class AtomEntry:
     source: Expression  # representative first-order subexpression
 
 
-@dataclass
-class AtomTable:
-    """Alpha-canonical first-order subexpression -> fresh atom name."""
+class AtomTable(Interner):
+    """Alpha-canonical first-order subexpression -> fresh atom name
+    `a<n>__<digest>`."""
 
-    env: DefinitionEnvironment
-    entries: dict = field(default_factory=dict)
-    _taken: set = field(default_factory=set)
+    def __init__(self, env: DefinitionEnvironment):
+        super().__init__("a", env)
 
     def intern(self, e: Expression) -> AtomEntry:
-        key = alpha_key(e)
-        entry = self.entries.get(key)
-        if entry is None:
-            digest = hashlib.blake2b(repr(key).encode(),
-                                     digest_size=4).hexdigest()
-            base = f"a{len(self.entries)}__{digest}"
-            name = base
-            k = 1
-            while name in self._taken or self.env.kind(name) is not None:
-                name = f"{base}_{k}"
-                k += 1
-            self._taken.add(name)
-            entry = AtomEntry(name, e)
-            self.entries[key] = entry
-        return entry
-
-    def in_order(self) -> tuple[AtomEntry, ...]:
-        return tuple(self.entries.values())
+        return self.entry(alpha_key(e), lambda name: AtomEntry(name, e))
 
 
 def coalesce_ml(
@@ -79,20 +60,9 @@ def coalesce_ml(
 ) -> Expression:
     """Propositional modal abstraction of e."""
     match e:
-        case FlexVar():
-            return e
-        case FalseExpr():
-            return e
-        case Implies(lhs, rhs):
-            return Implies(coalesce_ml(lhs, env, table),
-                           coalesce_ml(rhs, env, table))
-        case Nabla(body):
-            return Nabla(coalesce_ml(body, env, table))
-        case Prime(body):
-            return Prime(coalesce_ml(body, env, table))
         case RigidVar() | OpApp() | DefApp() | Eq() | Forall():
             return FlexVar(table.intern(e).name)
-    raise InternalError(f"unknown expression node {e!r}")
+    return map_children(e, coalesce_ml, env, table)
 
 
 def hypotheses(

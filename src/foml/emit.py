@@ -12,7 +12,6 @@ sequent is encoded as unsatisfiability of hypotheses plus negated goal.
 """
 from __future__ import annotations
 
-import hashlib
 import re
 import subprocess
 import tempfile
@@ -27,6 +26,7 @@ from .prover import MLSequent, check_ml_formula
 from .semantics import eval_fol
 from .syntax import (
     FALSE,
+    DefApp,
     DefinitionEnvironment,
     Eq,
     Expression,
@@ -36,6 +36,7 @@ from .syntax import (
     Forall,
     Implies,
     InternalError,
+    Interner,
     Nabla,
     OpApp,
     Prime,
@@ -43,6 +44,7 @@ from .syntax import (
     alpha_key,
     collect_signature,
     free_rigid_vars,
+    map_children,
 )
 
 
@@ -65,72 +67,50 @@ class FolIR:
     goal: Expression
 
 
-def _is_formula_shaped(e: Expression) -> bool:
-    return isinstance(e, (Eq, Implies, Forall))
-
-
 def stratify(
     hypotheses: tuple[Expression, ...],
     goal: Expression,
     env: DefinitionEnvironment,
 ) -> FolIR:
     """Split the sequent into strictly stratified formulas plus
-    definitional symbols for formula-shaped subterms."""
-    defs: list[DefSymbol] = []
-    interned: dict = {}
-    taken: set[str] = set()
+    definitional symbols for formula-shaped subterms.  A symbol is interned
+    after the symbols its body uses, so `FolIR.defs` lists every symbol
+    after its dependencies."""
+    defs = Interner("q", env)
 
     def name_for(e: Expression) -> Expression:
         params = free_rigid_vars(e)
         key = alpha_key(e, params)
-        sym = interned.get((key, len(params)))
+        sym = defs.entries.get(key)
         if sym is None:
-            body = form(e)  # may intern nested definitional symbols
-            digest = hashlib.blake2b(repr(key).encode(),
-                                     digest_size=4).hexdigest()
-            base = f"q{len(defs)}__{digest}"
-            sym = base
-            k = 1
-            while sym in taken or env.kind(sym) is not None:
-                sym = f"{base}_{k}"
-                k += 1
-            taken.add(sym)
-            interned[(key, len(params))] = sym
-            defs.append(DefSymbol(sym, params, body))
-        return OpApp(sym, tuple(RigidVar(x) for x in params))
+            body = form(e)  # interns nested definitional symbols first
+            sym = defs.entry(key, lambda name: DefSymbol(name, params, body))
+        return OpApp(sym.name, tuple(RigidVar(x) for x in params))
 
     def form(e: Expression) -> Expression:
         match e:
-            case Eq(lhs, rhs):
-                return Eq(term(lhs), term(rhs))
-            case Implies(lhs, rhs):
-                return Implies(form(lhs), form(rhs))
-            case Forall(var, body):
-                return Forall(var, form(body))
-            case FalseExpr():
-                return e
-            case _:
-                return term(e)
+            case Eq():
+                return map_children(e, term)
+            case Implies() | Forall():
+                return map_children(e, form)
+        return term(e)
 
     def term(e: Expression) -> Expression:
         match e:
-            case RigidVar() | FlexVar() | FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(term(a) for a in args))
             case Eq() | Implies() | Forall():
                 return name_for(e)
-            case _:
+            case Nabla() | Prime() | DefApp():
                 raise FomlError(f"not a first-order expression: {e}")
+        return map_children(e, term)
 
     new_hyps = tuple(form(h) for h in hypotheses)
     new_goal = form(goal)
 
     ops, rigid, flex = collect_signature(
         hypotheses + (goal,), env)
-    for d in defs:
+    for d in defs.in_order():
         ops[d.name] = len(d.params)
-    return FolIR(ops=ops, consts=rigid + flex, defs=tuple(defs),
+    return FolIR(ops=ops, consts=rigid + flex, defs=defs.in_order(),
                  hypotheses=new_hyps, goal=new_goal)
 
 
@@ -311,33 +291,16 @@ def emit_tptp(ir: FolIR) -> str:
 
 def extend_with_defs(s: FOLStructure, ir: FolIR) -> FOLStructure:
     """Interpret the definitional symbols over a given structure (their
-    axioms pin them uniquely)."""
+    axioms pin them uniquely), in the dependency order of `ir.defs`."""
     tables = dict(s.op_interp)
-
-    def ensure(d: DefSymbol) -> None:
-        if d.name in tables:
-            return
-        # bodies may use definitional symbols introduced later in the list
-        for sub_d in ir.defs:
-            if sub_d.name != d.name and _mentions(d.body, sub_d.name):
-                ensure(sub_d)
+    for d in ir.defs:
         base = FOLStructure(s.universe, s.tt, s.ff, dict(tables), s.xi)
         table = {}
         for argvals in product(s.universe, repeat=len(d.params)):
             val = eval_fol(base, d.body, dict(zip(d.params, argvals)))
             table[argvals] = s.tt if val == s.tt else s.ff
         tables[d.name] = table
-
-    for d in ir.defs:
-        ensure(d)
     return FOLStructure(s.universe, s.tt, s.ff, tables, s.xi)
-
-
-def _mentions(e: Expression, name: str) -> bool:
-    from .syntax import walk
-
-    return any(isinstance(sub, OpApp) and sub.op == name
-               for sub in walk(e))
 
 
 def encoding_satisfied(s: FOLStructure, ir: FolIR) -> bool:

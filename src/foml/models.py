@@ -8,6 +8,7 @@ condition (a set of values maps to tt iff it is included in {tt}).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .parser import ProblemError, SAtom, SList, SNode, read_sexprs
@@ -25,6 +26,20 @@ def _parse_atom_value(text: str) -> Value:
 
 def _fmt(v: Value) -> str:
     return str(v)
+
+
+def _successors(model: Union[KripkeModel, PropModel], w: Value,
+                relation: frozenset) -> list[Value]:
+    """States t with (w, t) in relation, in a fixed order.  Models are
+    immutable, so each relation's lists are built on first use and kept
+    with the model."""
+    cache = model.__dict__.setdefault("_successor_lists", {})
+    lists = cache.get(relation)
+    if lists is None:
+        lists = cache[relation] = {}
+        for (s, t) in sorted(relation, key=str):
+            lists.setdefault(s, []).append(t)
+    return lists.get(w, [])
 
 
 @dataclass(frozen=True, eq=True)
@@ -58,12 +73,15 @@ class KripkeModel:
                 if val not in udom or any(a not in udom for a in args):
                     raise FomlError(f"table for {op!r} leaves the universe")
 
-    def successors(self, w: Value, relation: frozenset) -> list[Value]:
-        return [t for (s, t) in sorted(relation, key=str) if s == w]
+    successors = _successors
 
     def prime_is_function(self) -> bool:
         """True iff primeR is a total function on states (TLA next-state
         reading, under which term-level prime is evaluated directly)."""
+        return self._prime_is_function
+
+    @cached_property
+    def _prime_is_function(self) -> bool:
         if self.primeR is None:
             return False
         counts = {w: 0 for w in self.states}
@@ -72,9 +90,8 @@ class KripkeModel:
         return all(c == 1 for c in counts.values())
 
     def prime_successor(self, w: Value) -> Value:
-        for (s, t) in self.primeR:
-            if s == w:
-                return t
+        for t in self.successors(w, self.primeR):
+            return t
         raise FomlError(f"state {w!r} has no prime successor")
 
 
@@ -101,6 +118,8 @@ class PropModel:
     primeR: Optional[frozenset[tuple[Value, Value]]] = None
     tt: Value = "tt"
     ff: Value = "ff"
+
+    successors = _successors
 
     def atoms(self) -> tuple[str, ...]:
         seen: list[str] = []

@@ -29,6 +29,7 @@ from .syntax import (
     InternalError,
     Nabla,
     Prime,
+    children,
     walk,
 )
 
@@ -88,14 +89,8 @@ def _closure(seq: MLSequent) -> list[Expression]:
     def visit(e: Expression) -> None:
         if e in seen:
             return
-        match e:
-            case Implies(lhs, rhs):
-                visit(lhs)
-                visit(rhs)
-            case Nabla(body) | Prime(body):
-                visit(body)
-            case _:
-                pass
+        for c in children(e):
+            visit(c)
         seen.add(e)
         out.append(e)
 

@@ -1,10 +1,13 @@
 """Exact evaluation of expressions in finite models.
 
-Three evaluators, one per language level:
+One evaluator gives the Kripke semantics.  `eval_expr` applies it to the
+full language at a state of a Kripke model; `eval_fol` and `eval_ml` are
+views of it restricted to a fragment, and raise EvalError when evaluation
+reaches a node outside the fragment:
 
-  eval_expr : full language in a Kripke model at a state
-  eval_fol  : first-order fragment in a first-order structure
-  eval_ml   : propositional modal fragment in a propositional model
+  eval_fol : first-order fragment in a first-order structure, read as a
+             single state at which every variable takes its xi value
+  eval_ml  : propositional modal fragment in a propositional model
 
 The implication / quantifier / equality clauses treat any value other than
 tt as false-like, so no coercion of non-boolean values is performed
@@ -13,15 +16,16 @@ universe.  A nabla node maps the set of body values at accessible states to
 tt iff that set is included in {tt}, and to ff otherwise.
 
 Prime is evaluated over the model's second accessibility relation.  When
-that relation is a total function on states, prime is evaluated in the
-next-state reading (the value of the body at the unique successor), which
-is the reading under which prime distribution laws are value-preserving;
-otherwise it collapses exactly like nabla.  The two readings agree on
-truth (being tt) whenever both apply.
+that relation is a total function on states, eval_expr evaluates prime in
+the next-state reading (the value of the body at the unique successor),
+which is the reading under which prime distribution laws are
+value-preserving; otherwise, and always in eval_ml, it collapses exactly
+like nabla.  The two readings agree on truth (being tt) whenever both
+apply.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .models import FOLStructure, KripkeModel, PropModel, Value
 from .syntax import (
@@ -34,7 +38,6 @@ from .syntax import (
     FomlError,
     Forall,
     Implies,
-    InternalError,
     Nabla,
     Obligation,
     OpApp,
@@ -57,67 +60,7 @@ def eval_expr(
 ) -> Value:
     """Value of e at state w of m.  `bindings` overlays m.xi and is how
     quantifiers (and witness constructions) rebind rigid variables."""
-    prime_fn = m.prime_is_function()
-
-    def go(e: Expression, w: Value, bnd: dict[str, Value]) -> Value:
-        match e:
-            case RigidVar(name):
-                if name in bnd:
-                    return bnd[name]
-                try:
-                    return m.xi[name]
-                except KeyError:
-                    raise EvalError(f"rigid variable {name!r} has no value")
-            case FlexVar(name):
-                try:
-                    return m.zeta[(name, w)]
-                except KeyError:
-                    raise EvalError(
-                        f"flexible variable {name!r} has no value at "
-                        f"state {w!r}")
-            case OpApp(op, args):
-                vals = tuple(go(a, w, bnd) for a in args)
-                try:
-                    return m.op_interp[op][vals]
-                except KeyError:
-                    raise EvalError(f"operator {op!r} not interpreted")
-            case DefApp(op, args):
-                d = env.definition(op)
-                return go(substitute(d.body, dict(zip(d.params, args))),
-                          w, bnd)
-            case Eq(lhs, rhs):
-                return m.tt if go(lhs, w, bnd) == go(rhs, w, bnd) else m.ff
-            case FalseExpr():
-                return m.ff
-            case Implies(lhs, rhs):
-                if go(lhs, w, bnd) != m.tt or go(rhs, w, bnd) == m.tt:
-                    return m.tt
-                return m.ff
-            case Forall(var, body):
-                for d_ in m.universe:
-                    inner = dict(bnd)
-                    inner[var] = d_
-                    if go(body, w, inner) != m.tt:
-                        return m.ff
-                return m.tt
-            case Nabla(body):
-                for w2 in m.successors(w, m.R):
-                    if go(body, w2, bnd) != m.tt:
-                        return m.ff
-                return m.tt
-            case Prime(body):
-                if m.primeR is None:
-                    raise EvalError(
-                        "prime evaluated in a model without primeR")
-                if prime_fn:
-                    return go(body, m.prime_successor(w), bnd)
-                for w2 in m.successors(w, m.primeR):
-                    if go(body, w2, bnd) != m.tt:
-                        return m.ff
-                return m.tt
-        raise InternalError(f"unknown expression node {e!r}")
-
-    return go(e, w, dict(bindings or {}))
+    return _evaluate(m, w, e, env, bindings, True, True, "an expression")
 
 
 def eval_fol(
@@ -128,78 +71,93 @@ def eval_fol(
     """Value of a first-order expression in structure s.  Both rigid and
     flexible variables are looked up in s.xi (the extended variable set);
     modal and defined-operator nodes are rejected."""
-
-    def go(e: Expression, bnd: dict[str, Value]) -> Value:
-        match e:
-            case RigidVar(name):
-                if name in bnd:
-                    return bnd[name]
-                try:
-                    return s.xi[name]
-                except KeyError:
-                    raise EvalError(f"variable {name!r} has no value")
-            case FlexVar(name):
-                try:
-                    return s.xi[name]
-                except KeyError:
-                    raise EvalError(f"variable {name!r} has no value")
-            case OpApp(op, args):
-                vals = tuple(go(a, bnd) for a in args)
-                try:
-                    return s.op_interp[op][vals]
-                except KeyError:
-                    raise EvalError(f"operator {op!r} not interpreted")
-            case Eq(lhs, rhs):
-                return s.tt if go(lhs, bnd) == go(rhs, bnd) else s.ff
-            case FalseExpr():
-                return s.ff
-            case Implies(lhs, rhs):
-                if go(lhs, bnd) != s.tt or go(rhs, bnd) == s.tt:
-                    return s.tt
-                return s.ff
-            case Forall(var, body):
-                for d_ in s.universe:
-                    inner = dict(bnd)
-                    inner[var] = d_
-                    if go(body, inner) != s.tt:
-                        return s.ff
-                return s.tt
-            case Nabla() | Prime() | DefApp():
-                raise EvalError(
-                    f"not a first-order expression: {e}")
-        raise InternalError(f"unknown expression node {e!r}")
-
-    return go(e, dict(bindings or {}))
+    return _evaluate(s, 0, e, None, bindings, True, False,
+                     "a first-order expression")
 
 
 def eval_ml(k: PropModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
-    match e:
-        case FlexVar(name):
-            try:
-                return k.zeta[(name, w)]
-            except KeyError:
-                raise EvalError(f"atom {name!r} has no value at {w!r}")
-        case FalseExpr():
-            return k.ff
-        case Implies(lhs, rhs):
-            if eval_ml(k, w, lhs) != k.tt or eval_ml(k, w, rhs) == k.tt:
-                return k.tt
-            return k.ff
-        case Nabla(body):
-            for (s, t) in k.R:
-                if s == w and eval_ml(k, t, body) != k.tt:
-                    return k.ff
-            return k.tt
-        case Prime(body):
-            if k.primeR is None:
-                raise EvalError("prime atom in a model without primeR")
-            for (s, t) in k.primeR:
-                if s == w and eval_ml(k, t, body) != k.tt:
-                    return k.ff
-            return k.tt
-    raise EvalError(f"not a propositional modal formula: {e}")
+    return _evaluate(k, w, e, None, None, False, True,
+                     "a propositional modal formula")
+
+
+def _evaluate(
+    m: Union[KripkeModel, FOLStructure, PropModel],
+    w: Value,
+    e: Expression,
+    env: Optional[DefinitionEnvironment],
+    bindings: Optional[Mapping[str, Value]],
+    first_order: bool,
+    modal: bool,
+    fragment: str,
+) -> Value:
+    """The semantics restricted to a fragment: `first_order` admits rigid
+    variables, operators, equality and quantifiers, `modal` admits the
+    modalities, and defined operators need both.  Without `modal`, m has
+    no states and flexible variables are read from m.xi; without
+    `first_order`, prime keeps the relational reading."""
+
+    def go(e: Expression, w: Value, bnd: dict[str, Value]) -> Value:
+        match e:
+            case Implies(lhs, rhs):
+                if go(lhs, w, bnd) != m.tt or go(rhs, w, bnd) == m.tt:
+                    return m.tt
+                return m.ff
+            case FalseExpr():
+                return m.ff
+            case FlexVar(name):
+                try:
+                    return m.zeta[(name, w)] if modal else m.xi[name]
+                except KeyError:
+                    raise EvalError(
+                        f"flexible variable {name!r} has no value at "
+                        f"state {w!r}")
+            case Eq(lhs, rhs) if first_order:
+                return m.tt if go(lhs, w, bnd) == go(rhs, w, bnd) else m.ff
+            case RigidVar(name) if first_order:
+                if name in bnd:
+                    return bnd[name]
+                try:
+                    return m.xi[name]
+                except KeyError:
+                    raise EvalError(f"rigid variable {name!r} has no value")
+            case OpApp(op, args) if first_order:
+                vals = tuple([go(a, w, bnd) for a in args])
+                try:
+                    return m.op_interp[op][vals]
+                except KeyError:
+                    raise EvalError(f"operator {op!r} not interpreted")
+            case Nabla(body) if modal:
+                for w2 in m.successors(w, m.R):
+                    if go(body, w2, bnd) != m.tt:
+                        return m.ff
+                return m.tt
+            case Forall(var, body) if first_order:
+                for d_ in m.universe:
+                    inner = dict(bnd)
+                    inner[var] = d_
+                    if go(body, w, inner) != m.tt:
+                        return m.ff
+                return m.tt
+            case Prime(body) if modal:
+                if m.primeR is None:
+                    raise EvalError(
+                        "prime evaluated in a model without primeR")
+                if first_order and m.prime_is_function():
+                    return go(body, m.prime_successor(w), bnd)
+                for w2 in m.successors(w, m.primeR):
+                    if go(body, w2, bnd) != m.tt:
+                        return m.ff
+                return m.tt
+            case DefApp(op, args) if first_order and modal:
+                d = env.definition(op)
+                return go(substitute(d.body, dict(zip(d.params, args))),
+                          w, bnd)
+            case _:
+                raise EvalError(f"not {fragment}: {e}")
+
+    return go(e, w, dict(bindings or {}))
 
 
 def holds(m: KripkeModel, w: Value, e: Expression,

@@ -6,11 +6,20 @@ equality, FALSE, implication, universal quantification over rigid variables,
 and the two modalities (nabla and prime).  Every surface connective
 (true/not/and/or/iff/exists/delta) is desugared to this core at parse time,
 so all later passes only ever see these ten constructors.
+
+`children` and `map_children` are the single place that knows the shape of
+every node kind.  A pass matches only the kinds it treats specially and
+hands every other node to `map_children`, so adding a node kind means
+extending those two functions plus the ones that must render every kind
+exactly: `alpha_key`, the printer and the evaluator.
+
+Fresh symbols of the translations are named by one `Interner`.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 
 class FomlError(Exception):
@@ -148,6 +157,36 @@ def children(e: Expression) -> tuple[Expression, ...]:
     raise InternalError(f"unknown expression node {e!r}")
 
 
+def map_children(
+    e: Expression, f: Callable[..., Expression], *args: Any
+) -> Expression:
+    """e rebuilt with each child c replaced by f(c, *args), children taken
+    left to right in the order of `children(e)`.  Leaves come back as is.
+
+    Passes hand their context (binders, a substitution, a table) over as
+    `args` rather than closing over it: that saves a closure call per node
+    and a stack frame per tree level.
+    """
+    match e:
+        case Implies(lhs, rhs):
+            return Implies(f(lhs, *args), f(rhs, *args))
+        case Eq(lhs, rhs):
+            return Eq(f(lhs, *args), f(rhs, *args))
+        case RigidVar() | FlexVar() | FalseExpr():
+            return e
+        case OpApp(op, a):
+            return OpApp(op, tuple([f(x, *args) for x in a]))
+        case DefApp(op, a):
+            return DefApp(op, tuple([f(x, *args) for x in a]))
+        case Forall(var, body):
+            return Forall(var, f(body, *args))
+        case Nabla(body):
+            return Nabla(f(body, *args))
+        case Prime(body):
+            return Prime(f(body, *args))
+    raise InternalError(f"unknown expression node {e!r}")
+
+
 def walk(e: Expression) -> Iterator[Expression]:
     """Yield e and all its subexpressions, depth-first, left to right."""
     yield e
@@ -216,20 +255,6 @@ def substitute(e: Expression, sigma: Mapping[str, Expression]) -> Expression:
         match e:
             case RigidVar(name):
                 return sigma.get(name, e)
-            case FlexVar() | FalseExpr():
-                return e
-            case OpApp(op, args):
-                return OpApp(op, tuple(go(a, sigma) for a in args))
-            case DefApp(op, args):
-                return DefApp(op, tuple(go(a, sigma) for a in args))
-            case Eq(lhs, rhs):
-                return Eq(go(lhs, sigma), go(rhs, sigma))
-            case Implies(lhs, rhs):
-                return Implies(go(lhs, sigma), go(rhs, sigma))
-            case Nabla(body):
-                return Nabla(go(body, sigma))
-            case Prime(body):
-                return Prime(go(body, sigma))
             case Forall(var, body):
                 body_free = set(free_rigid_vars(body))
                 live = {
@@ -249,7 +274,7 @@ def substitute(e: Expression, sigma: Mapping[str, Expression]) -> Expression:
                     live[var] = RigidVar(var2)
                     return Forall(var2, go(body, live))
                 return Forall(var, go(body, live))
-        raise InternalError(f"unknown expression node {e!r}")
+        return map_children(e, go, sigma)
 
     return go(e, dict(sigma))
 
@@ -423,6 +448,39 @@ class Obligation:
         return self.hypotheses + (self.goal,)
 
 
+class Interner:
+    """Table from keys to entries named by fresh symbols.
+
+    The n-th key interned (from 0) is named `<prefix><n>__<digest>`, the
+    digest being a 4-byte blake2b of `repr(key)`.  When the environment
+    already declares that name, `_1`, `_2`, ... is appended until it does
+    not.  The number keeps the names of one table pairwise distinct.
+    """
+
+    def __init__(self, prefix: str, env: DefinitionEnvironment):
+        self.prefix = prefix
+        self.env = env
+        self.entries: dict = {}
+
+    def entry(self, key, make: Callable[[str], Any]) -> Any:
+        """The entry under key; on first sight, make(fresh name)."""
+        entry = self.entries.get(key)
+        if entry is None:
+            digest = hashlib.blake2b(repr(key).encode(),
+                                     digest_size=4).hexdigest()
+            base = f"{self.prefix}{len(self.entries)}__{digest}"
+            name = base
+            k = 1
+            while self.env.kind(name) is not None:
+                name = f"{base}_{k}"
+                k += 1
+            entry = self.entries[key] = make(name)
+        return entry
+
+    def in_order(self) -> tuple:
+        return tuple(self.entries.values())
+
+
 def expand_definitions(
     e: Expression, env: DefinitionEnvironment
 ) -> Expression:
@@ -442,27 +500,7 @@ def expand_definitions(
                 ),
             )
             return expand_definitions(inst, env)
-        case RigidVar() | FlexVar() | FalseExpr():
-            return e
-        case OpApp(op, args):
-            return OpApp(
-                op, tuple(expand_definitions(a, env) for a in args)
-            )
-        case Eq(lhs, rhs):
-            return Eq(
-                expand_definitions(lhs, env), expand_definitions(rhs, env)
-            )
-        case Implies(lhs, rhs):
-            return Implies(
-                expand_definitions(lhs, env), expand_definitions(rhs, env)
-            )
-        case Forall(var, body):
-            return Forall(var, expand_definitions(body, env))
-        case Nabla(body):
-            return Nabla(expand_definitions(body, env))
-        case Prime(body):
-            return Prime(expand_definitions(body, env))
-    raise InternalError(f"unknown expression node {e!r}")
+    return map_children(e, expand_definitions, env)
 
 
 def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
@@ -482,8 +520,6 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
                 return False
             case Nabla() | Prime():
                 return False
-            case FalseExpr():
-                return True
             case Forall(var, body):
                 if var in param_rigid:
                     inner = {

@@ -29,7 +29,9 @@ from foml.syntax import (
     TRUE,
     alpha_key,
     and_,
+    children,
     exists_,
+    map_children,
     not_,
     or_,
 )
@@ -298,3 +300,33 @@ class TestFreshNames:
         out = fresh_name(base, avoid)
         assert out not in avoid
         assert out.startswith(base)
+
+
+# One instance of each of the ten node kinds.
+NODES = [
+    RigidVar("x"),
+    FlexVar("v"),
+    OpApp("g", (RigidVar("x"), FlexVar("v"))),
+    DefApp("d", (FlexVar("v"), FALSE, RigidVar("y"))),
+    Eq(RigidVar("x"), FlexVar("v")),
+    FALSE,
+    Implies(Nabla(FALSE), FlexVar("v")),
+    Forall("a", Eq(RigidVar("a"), RigidVar("x"))),
+    Nabla(FlexVar("v")),
+    Prime(FlexVar("v")),
+]
+
+
+class TestMapChildren:
+    def test_covers_every_node_kind(self):
+        assert len({type(e) for e in NODES}) == 10
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_identity_rebuilds_an_equal_node(self, e):
+        assert map_children(e, lambda c: c) == e
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_visits_exactly_the_children_in_order(self, e):
+        seen = []
+        map_children(e, lambda c, tag: seen.append((c, tag)) or c, "t")
+        assert seen == [(c, "t") for c in children(e)]

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 64 usage error, 65 malformed input, 70 internal invariant
-violation.  `prove-ml` instead reports its verdict through the exit code:
-0 proved, 1 countermodel, 2 resource limit.
+violation or any other crash.  `prove-ml` instead reports its verdict
+through the exit code: 0 proved, 1 countermodel, 2 resource limit.
 """
 from __future__ import annotations
 
@@ -306,15 +306,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemError as exc:
-        print(f"foml: {exc}", file=sys.stderr)
-        return EX_DATAERR
     except InternalError as exc:
         print(f"foml: internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
     except FomlError as exc:
         print(f"foml: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except Exception as exc:
+        # Any other exception (RecursionError on a deeply nested input,
+        # say) is a crash too; exit 1 or 2 would read as a prove-ml verdict.
+        print(f"foml: internal error: {exc!r}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

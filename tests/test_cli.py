@@ -189,3 +189,18 @@ class TestExitCodes:
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "coalesce-fol", "/no/such/file.foml")
         assert code == 65
+
+    def test_crash_on_wide_conjunction_is_70(self, capsys, tmp_path):
+        # 200 conjoined equalities nest past the recursion limit.  The
+        # crash must exit 70, never 1, which prove-ml uses for
+        # "countermodel".
+        eqs = " ".join(f"(= v{i % 4} 0)" for i in range(200))
+        path = tmp_path / "wide.foml"
+        path.write_text("(declare-op 0 0) "
+                        + " ".join(f"(declare-flex v{i})" for i in range(4))
+                        + f"\n(goal (and {eqs}))\n")
+        code, out, err = run(capsys, "prove-ml", str(path))
+        assert code == 70
+        assert out == ""
+        assert err.startswith("foml: internal error: RecursionError")
+        assert err.count("\n") == 1

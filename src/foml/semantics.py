@@ -60,7 +60,8 @@ def eval_expr(
 ) -> Value:
     """Value of e at state w of m.  `bindings` overlays m.xi and is how
     quantifiers (and witness constructions) rebind rigid variables."""
-    return _evaluate(m, w, e, env, bindings, True, True, "an expression")
+    return _evaluate(m, w, e, env, bindings, "an expression",
+                     first_order=True, modal=True)
 
 
 def eval_fol(
@@ -71,15 +72,15 @@ def eval_fol(
     """Value of a first-order expression in structure s.  Both rigid and
     flexible variables are looked up in s.xi (the extended variable set);
     modal and defined-operator nodes are rejected."""
-    return _evaluate(s, 0, e, None, bindings, True, False,
-                     "a first-order expression")
+    return _evaluate(s, 0, e, None, bindings, "a first-order expression",
+                     first_order=True, modal=False)
 
 
 def eval_ml(k: PropModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
-    return _evaluate(k, w, e, None, None, False, True,
-                     "a propositional modal formula")
+    return _evaluate(k, w, e, None, None, "a propositional modal formula",
+                     first_order=False, modal=True)
 
 
 def _evaluate(
@@ -88,9 +89,10 @@ def _evaluate(
     e: Expression,
     env: Optional[DefinitionEnvironment],
     bindings: Optional[Mapping[str, Value]],
+    fragment: str,
+    *,
     first_order: bool,
     modal: bool,
-    fragment: str,
 ) -> Value:
     """The semantics restricted to a fragment: `first_order` admits rigid
     variables, operators, equality and quantifiers, `modal` admits the

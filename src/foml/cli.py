@@ -45,6 +45,11 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
+# A pass built on `syntax.map_children` takes two stack frames per tree
+# level, so commands run with twice Python's default recursion limit.
+# That keeps the reach the one-frame passes had at the default limit.
+RECURSION_LIMIT = 2000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -304,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         return args.func(args)
     except InternalError as exc:
@@ -317,6 +324,8 @@ def main(argv=None) -> int:
         # say) is a crash too; exit 1 or 2 would read as a prove-ml verdict.
         print(f"foml: internal error: {exc!r}", file=sys.stderr)
         return EX_SOFTWARE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

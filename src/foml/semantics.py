@@ -60,8 +60,7 @@ def eval_expr(
 ) -> Value:
     """Value of e at state w of m.  `bindings` overlays m.xi and is how
     quantifiers (and witness constructions) rebind rigid variables."""
-    return _evaluate(m, w, e, env, bindings, "an expression",
-                     first_order=True, modal=True)
+    return _evaluate(m, w, e, env, bindings, first_order=True, modal=True)
 
 
 def eval_fol(
@@ -72,15 +71,21 @@ def eval_fol(
     """Value of a first-order expression in structure s.  Both rigid and
     flexible variables are looked up in s.xi (the extended variable set);
     modal and defined-operator nodes are rejected."""
-    return _evaluate(s, 0, e, None, bindings, "a first-order expression",
-                     first_order=True, modal=False)
+    return _evaluate(s, 0, e, None, bindings, first_order=True, modal=False)
 
 
 def eval_ml(k: PropModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
-    return _evaluate(k, w, e, None, None, "a propositional modal formula",
-                     first_order=False, modal=True)
+    return _evaluate(k, w, e, None, None, first_order=False, modal=True)
+
+
+# What each (first_order, modal) view admits, for its error messages.
+_FRAGMENT = {
+    (True, True): "an expression",
+    (True, False): "a first-order expression",
+    (False, True): "a propositional modal formula",
+}
 
 
 def _evaluate(
@@ -89,7 +94,6 @@ def _evaluate(
     e: Expression,
     env: Optional[DefinitionEnvironment],
     bindings: Optional[Mapping[str, Value]],
-    fragment: str,
     *,
     first_order: bool,
     modal: bool,
@@ -113,8 +117,8 @@ def _evaluate(
                     return m.zeta[(name, w)] if modal else m.xi[name]
                 except KeyError:
                     raise EvalError(
-                        f"flexible variable {name!r} has no value at "
-                        f"state {w!r}")
+                        f"flexible variable {name!r} has no value"
+                        + (f" at state {w!r}" if modal else ""))
             case Eq(lhs, rhs) if first_order:
                 return m.tt if go(lhs, w, bnd) == go(rhs, w, bnd) else m.ff
             case RigidVar(name) if first_order:
@@ -146,6 +150,10 @@ def _evaluate(
                 if m.primeR is None:
                     raise EvalError(
                         "prime evaluated in a model without primeR")
+                # Only eval_ml keeps the relational reading, because a
+                # PropModel has no prime_is_function.  Its values are all
+                # truth values, on which the two readings agree wherever
+                # both apply.
                 if first_order and m.prime_is_function():
                     return go(body, m.prime_successor(w), bnd)
                 for w2 in m.successors(w, m.primeR):
@@ -157,7 +165,7 @@ def _evaluate(
                 return go(substitute(d.body, dict(zip(d.params, args))),
                           w, bnd)
             case _:
-                raise EvalError(f"not {fragment}: {e}")
+                raise EvalError(f"not {_FRAGMENT[first_order, modal]}: {e}")
 
     return go(e, w, dict(bindings or {}))
 

@@ -31,9 +31,21 @@ class InternalError(FomlError):
 
 
 class Expression:
-    """Base class for AST nodes.  All nodes are immutable and hashable."""
+    """Base class for AST nodes.  All nodes are immutable and hashable.
 
-    __slots__ = ()
+    A node caches its hash, because hashing a tree costs its size and the
+    prover and the tables key dictionaries by deep subexpressions.  The
+    value is the one a frozen dataclass computes from its fields."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple([getattr(self, f) for f in self.__match_args__]))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         from .printer import print_expr
@@ -95,6 +107,10 @@ class Nabla(Expression):
 class Prime(Expression):
     body: Expression
 
+
+for _node in (RigidVar, FlexVar, OpApp, DefApp, Eq, FalseExpr, Implies,
+              Forall, Nabla, Prime):
+    _node.__hash__ = Expression.__hash__
 
 FALSE = FalseExpr()
 

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from foml import cli
 from foml.cli import main
 
 BOX = ("(declare-op 0 0)\n(declare-flex v)\n"
@@ -190,17 +193,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "coalesce-fol", "/no/such/file.foml")
         assert code == 65
 
-    def test_crash_on_wide_conjunction_is_70(self, capsys, tmp_path):
-        # 200 conjoined equalities nest past the recursion limit.  The
-        # crash must exit 70, never 1, which prove-ml uses for
-        # "countermodel".
+    @pytest.mark.parametrize("exc", [
+        RecursionError("maximum recursion depth exceeded"),
+        KeyError("s9"),
+    ])
+    def test_crash_is_70(self, capsys, box_file, monkeypatch, exc):
+        # An exception that escapes a subcommand is a crash.  It must exit
+        # 70 with one line, never 1 or 2, which prove-ml uses for verdicts.
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "prove_ml", crash)
+        code, out, err = run(capsys, "prove-ml", box_file)
+        assert code == 70
+        assert out == ""
+        assert err.startswith("foml: internal error: ")
+        assert err.count("\n") == 1
+
+    def test_wide_conjunction_gets_a_verdict(self, capsys, tmp_path):
+        # 200 conjoined equalities nest 600 implications deep.  prove-ml
+        # used to crash on them and exit 1, the countermodel code.
         eqs = " ".join(f"(= v{i % 4} 0)" for i in range(200))
         path = tmp_path / "wide.foml"
         path.write_text("(declare-op 0 0) "
                         + " ".join(f"(declare-flex v{i})" for i in range(4))
                         + f"\n(goal (and {eqs}))\n")
+        limit = sys.getrecursionlimit()
         code, out, err = run(capsys, "prove-ml", str(path))
-        assert code == 70
-        assert out == ""
-        assert err.startswith("foml: internal error: RecursionError")
-        assert err.count("\n") == 1
+        assert sys.getrecursionlimit() == limit
+        assert code == 1
+        assert out.startswith("countermodel (goal fails at state ")
+        assert err == ""

@@ -144,6 +144,12 @@ class TestEvalFol:
         with pytest.raises(EvalError):
             eval_fol(self.S, Nabla(FALSE))
 
+    def test_missing_variable_names_no_state(self):
+        # A first-order structure has no states to name in the message.
+        with pytest.raises(EvalError, match=r"^flexible variable 'w' has "
+                           r"no value$"):
+            eval_fol(self.S, FlexVar("w"))
+
     def test_agreement_with_kripke_eval_on_rigid_fragment(self):
         for i in range(150):
             rng = rng_for(34, i)

@@ -57,9 +57,6 @@ class LeibnizTable:
     def __getitem__(self, op: str) -> tuple[bool, ...]:
         return self.positions[op]
 
-    def is_leibniz(self, op: str, i: int) -> bool:
-        return self.positions[op][i]
-
 
 def _vars_in_non_leibniz_positions(
     e: Expression, computed: dict[str, tuple[bool, ...]]

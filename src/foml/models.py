@@ -7,7 +7,7 @@ condition (a set of values maps to tt iff it is included in {tt}).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
@@ -285,11 +285,3 @@ def kripke_as_propmodel(m: KripkeModel) -> PropModel:
     """Inverse view, for reading back printed prover countermodels."""
     return PropModel(states=m.states, R=m.R, zeta=dict(m.zeta),
                      primeR=m.primeR, tt=m.tt, ff=m.ff)
-
-
-def with_xi(m: KripkeModel, extra: Mapping[str, Value]) -> KripkeModel:
-    if not extra:
-        return m
-    xi = dict(m.xi)
-    xi.update(extra)
-    return replace(m, xi=xi)

@@ -330,3 +330,11 @@ class TestMapChildren:
         seen = []
         map_children(e, lambda c, tag: seen.append((c, tag)) or c, "t")
         assert seen == [(c, "t") for c in children(e)]
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_hash_is_the_dataclass_field_hash(self, e):
+        # Cached, but the same value, so set and dict orders stay as they
+        # were; a rebuilt equal node hashes equal.
+        fields = tuple(getattr(e, f) for f in e.__match_args__)
+        assert hash(e) == hash(fields) == hash(e)
+        assert hash(map_children(e, lambda c: c)) == hash(e)

@@ -2,7 +2,8 @@
 
 The golden-shape tests compare translations only up to renaming of fresh
 symbols; these snapshots pin the exact bytes, fresh names included, of the
-translation, emission and Leibniz subcommands on `demo/*.foml`.
+translation, emission, Leibniz and prover subcommands on `demo/*.foml`
+(the prover's countermodels included).
 
 Regenerate `snapshots/demo_cli.json` (only when an output change is
 intended) with
@@ -33,6 +34,9 @@ COMMANDS = (
     ("emit", "--emit=tptp"),
     ("emit", "--emit=mlseq"),
     ("leibniz",),
+    ("prove-ml",),
+    ("prove-ml", "--frame", "k4"),
+    ("prove-ml", "--frame", "s4"),
 )
 
 

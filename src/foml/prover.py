@@ -5,18 +5,21 @@ The procedure enumerates Hintikka types (truth assignments to the closure
 of the sequent that respect the propositional clauses, make every global
 hypothesis true, and satisfy the local reflexivity law for T/S4 frames),
 then repeatedly eliminates types whose falsified box-formulas have no
-surviving witness successor.  The canonical relation between surviving
-types realizes every surviving type, is reflexive/transitive exactly when
-the frame class requires it, and makes the hypotheses true at every world,
-so the sequent is provable iff no surviving type falsifies the goal.
+surviving witness successor.  A type is an int whose bit i is the truth
+value of closure[i].  For each modality, a type's need mask holds the
+bodies of its true boxes, plus those boxes themselves on K4/S4 frames; the
+canonical relation links t to u iff u has every bit of t's need mask.  It
+realizes every surviving type, is reflexive/transitive exactly when the
+frame class requires it, and makes the hypotheses true at every world, so
+the sequent is provable iff no surviving type falsifies the goal.
 Returned countermodels are restricted to the reachable part and re-checked
 with the evaluator before being reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Union
+from itertools import compress, product
+from typing import Union
 
 from .models import PropModel, Value
 from .semantics import eval_ml
@@ -113,136 +116,102 @@ def prove_ml(
         check_ml_formula(e)
 
     closure = _closure(seq)
-    index = {e: i for i, e in enumerate(closure)}
-    free = [e for e in closure
+    bit = {e: 1 << i for i, e in enumerate(closure)}
+    free = [bit[e] for e in closure
             if isinstance(e, (FlexVar, Nabla, Prime))]
     if len(free) > limits.max_free_bits:
         return ResourceOut(
             f"{len(free)} free valuation bits exceed the limit "
             f"{limits.max_free_bits}")
 
-    hyp_idx = [index[h] for h in seq.hypotheses]
-    goal_idx = index[seq.goal]
-    boxes = {
-        "nabla": [e for e in closure if isinstance(e, Nabla)],
-        "prime": [e for e in closure if isinstance(e, Prime)],
-    }
-    frame_of = {"nabla": seq.frame_nabla, "prime": seq.frame_prime}
+    implies = [(bit[e], bit[e.lhs], bit[e.rhs])
+               for e in closure if isinstance(e, Implies)]
+    hyps = sum({bit[h] for h in seq.hypotheses})  # distinct bits: a union
+    # Per modality: the (box, body) bit pairs, and whether the frame is
+    # transitive (k4/s4) or reflexive (t/s4).
+    mods = [([(bit[e], bit[e.body]) for e in closure if isinstance(e, kind)],
+             frame in ("k4", "s4"), frame in ("t", "s4"))
+            for kind, frame in ((Nabla, seq.frame_nabla),
+                                (Prime, seq.frame_prime))]
 
-    def derive(bits: dict[Expression, bool]) -> Optional[tuple[bool, ...]]:
-        vals: list[bool] = []
-        for e in closure:
-            match e:
-                case FlexVar() | Nabla() | Prime():
-                    v = bits[e]
-                case FalseExpr():
-                    v = False
-                case Implies(lhs, rhs):
-                    v = (not vals[index[lhs]]) or vals[index[rhs]]
-                case _:
-                    raise InternalError(f"non-ML node {e!r} in closure")
-            vals.append(v)
-        for i in hyp_idx:
-            if not vals[i]:
-                return None
-        for mod in ("nabla", "prime"):
-            if frame_of[mod] in ("t", "s4"):
-                for b in boxes[mod]:
-                    if vals[index[b]] and not vals[index[b.body]]:
-                        return None
-        return tuple(vals)
-
-    types: list[tuple[bool, ...]] = []
-    for assignment in product((False, True), repeat=len(free)):
-        t = derive(dict(zip(free, assignment)))
-        if t is not None:
-            types.append(t)
-            if len(types) > limits.max_types:
+    # reqs[t] holds, per modality, the need mask (the bits every successor
+    # of t must have) and the bodies of the boxes t falsifies.  On a
+    # reflexive frame a type must be its own successor.
+    reqs: dict[int, list[tuple[int, int]]] = {}
+    for assignment in product((0, 1), repeat=len(free)):
+        t = sum(compress(free, assignment))
+        for b, lhs, rhs in implies:
+            if not t & lhs or t & rhs:
+                t |= b
+        if t & hyps != hyps:
+            continue
+        req = []
+        for pairs, transitive, reflexive in mods:
+            need = want = 0
+            for box, body in pairs:
+                if t & box:
+                    need |= (body | box) if transitive else body
+                else:
+                    want |= body
+            if reflexive and t & need != need:
+                break
+            req.append((need, want))
+        else:
+            reqs[t] = req
+            if len(reqs) > limits.max_types:
                 return ResourceOut(
                     f"more than {limits.max_types} candidate types")
 
-    def related(mod: str, t: tuple, u: tuple) -> bool:
-        transitive = frame_of[mod] in ("k4", "s4")
-        for b in boxes[mod]:
-            if t[index[b]]:
-                if not u[index[b.body]]:
-                    return False
-                if transitive and not u[index[b]]:
-                    return False
-        return True
-
-    # Eliminate types whose falsified boxes have no surviving witness.
-    alive = list(types)
-    changed = True
+    # Eliminate, round by round, every type with a falsified box whose
+    # body all its surviving successors share.
+    alive, changed = list(reqs), True
     while changed:
-        changed = False
-        kept = []
-        for t in alive:
-            ok = True
-            for mod in ("nabla", "prime"):
-                for b in boxes[mod]:
-                    if t[index[b]]:
-                        continue
-                    if not any(
-                        related(mod, t, u) and not u[index[b.body]]
-                        for u in alive
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                kept.append(t)
-            else:
-                changed = True
-        alive = kept
+        kept = [t for t in alive if not any(
+            want & _shared(alive, need) for need, want in reqs[t] if want)]
+        alive, changed = kept, len(kept) < len(alive)
 
-    witness = next((t for t in alive if not t[goal_idx]), None)
+    witness = next((t for t in alive if not t & bit[seq.goal]), None)
     if witness is None:
         return Proved()
 
-    model, state = _extract_model(
-        witness, alive, closure, index, boxes, related)
-    _verify(seq, model, state)
-    return Countermodel(model, state)
+    atoms = [(e.name, bit[e]) for e in closure if isinstance(e, FlexVar)]
+    model = _extract_model(witness, alive, reqs, mods, atoms)
+    _verify(seq, model, 0)
+    return Countermodel(model, 0)
 
 
-def _extract_model(root, alive, closure, index, boxes, related):
-    reachable = [root]
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for mod in ("nabla", "prime"):
-                if not boxes[mod]:
-                    continue
-                for u in alive:
-                    if u not in reachable and related(mod, t, u):
-                        reachable.append(u)
-                        nxt.append(u)
-        frontier = nxt
+def _shared(types: list[int], need: int) -> int:
+    """The bits common to every type with all bits of `need` (-1: none)."""
+    common = -1
+    for u in types:
+        if u & need == need:
+            common &= u
+    return common
 
-    pos = {id(t): i for i, t in enumerate(reachable)}
-    states = tuple(range(len(reachable)))
-    atoms = [e for e in closure if isinstance(e, FlexVar)]
-    zeta = {
-        (a.name, pos[id(t)]): "tt" if t[index[a]] else "ff"
-        for a in atoms
-        for t in reachable
-    }
-    rel = {}
-    for mod in ("nabla", "prime"):
-        rel[mod] = frozenset(
-            (pos[id(t)], pos[id(u)])
-            for t in reachable
-            for u in reachable
-            if related(mod, t, u))
-    prime_rel = rel["prime"] if boxes["prime"] else None
-    return (
-        PropModel(states=states, R=rel["nabla"], zeta=zeta,
-                  primeR=prime_rel),
-        0,
-    )
+
+def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
+    """The part of the canonical model reachable from `root`, breadth
+    first, with states numbered in order of first reach."""
+    order, seen = [root], {root}
+    for t in order:
+        for (pairs, _, _), (need, _) in zip(mods, reqs[t]):
+            if not pairs:
+                continue
+            for u in alive:
+                if u not in seen and u & need == need:
+                    seen.add(u)
+                    order.append(u)
+
+    zeta = {(name, i): "tt" if t & b else "ff"
+            for name, b in atoms
+            for i, t in enumerate(order)}
+    R, primeR = (
+        frozenset((i, j) for i, t in enumerate(order)
+                  for need in [reqs[t][m][0]]
+                  for j, u in enumerate(order) if u & need == need)
+        for m in (0, 1))
+    return PropModel(states=tuple(range(len(order))), R=R, zeta=zeta,
+                     primeR=primeR if mods[1][0] else None)
 
 
 def _verify(seq: MLSequent, model: PropModel, state) -> None:

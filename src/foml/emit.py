@@ -17,7 +17,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .models import FOLStructure
 from .parser import ProblemError, SAtom, SList, SNode, read_sexprs
@@ -155,46 +155,85 @@ _SMT_RESERVED = {
 _TPTP_RESERVED = {"tt", "ff", "fof", "axiom", "conjecture"}
 
 
-def emit_smt(ir: FolIR) -> str:
-    sym = SymbolMap(r"[a-zA-Z~!@$%^&*_+=<>.?/-][0-9a-zA-Z~!@$%^&*_+=<>.?/-]*",
-                    _SMT_RESERVED, "s_")
+@dataclass(frozen=True)
+class _Spelling:
+    """How one first-order format spells formulas and terms; `implies`,
+    `eq` and `neg` are format templates."""
+
+    false: str
+    var: str  # bound-variable prefix, numbered by binder depth
+    implies: str
+    eq: str
+    neg: str
+    app: Callable[[str, list[str]], str]  # operator, arguments
+    forall: Callable[[list[str], str], str]  # bound variables, body
+
+
+_SMT = _Spelling(
+    "false", "bv", "(=> {} {})", "(= {} {})", "(not {})",
+    lambda op, args: f"({op} {' '.join(args)})",
+    lambda vs, body: f"(forall ({' '.join(f'({v} U)' for v in vs)}) {body})")
+
+_TPTP = _Spelling(
+    "$false", "X", "({} => {})", "({} = {})", "~{}",
+    lambda op, args: f"{op}({','.join(args)})",
+    lambda vs, body: f"(! [{','.join(vs)}] : {body})")
+
+
+def _render(ir: FolIR, sp: _Spelling,
+            sym: SymbolMap) -> tuple[list[str], list[str], str]:
+    """The definitional axioms, the hypotheses and the goal of `ir`,
+    spelled by `sp`.  Symbols reach `sym` in order of first use, with the
+    arguments of a term before its operator."""
 
     def form(e: Expression, bound: dict[str, str], depth: int) -> str:
         match e:
             case FalseExpr():
-                return "false"
+                return sp.false
             case Implies(lhs, rhs):
-                return (f"(=> {form(lhs, bound, depth)} "
-                        f"{form(rhs, bound, depth)})")
+                return sp.implies.format(form(lhs, bound, depth),
+                                         form(rhs, bound, depth))
             case Forall(var, body):
-                bv = f"bv{depth}"
-                inner = dict(bound)
-                inner[var] = bv
-                return (f"(forall (({bv} U)) "
-                        f"{form(body, inner, depth + 1)})")
+                bv = f"{sp.var}{depth}"
+                return sp.forall(
+                    [bv], form(body, {**bound, var: bv}, depth + 1))
             case Eq(lhs, rhs):
-                return (f"(= {term(lhs, bound, depth)} "
-                        f"{term(rhs, bound, depth)})")
-            case _:
-                return f"(= {term(e, bound, depth)} tt)"
+                return sp.eq.format(term(lhs, bound), term(rhs, bound))
+        return sp.eq.format(term(e, bound), "tt")
 
-    def term(e: Expression, bound: dict[str, str], depth: int) -> str:
+    def term(e: Expression, bound: dict[str, str]) -> str:
         match e:
-            case RigidVar(name):
-                return bound[name] if name in bound else sym[name]
-            case FlexVar(name):
+            case RigidVar(name) if name in bound:
+                return bound[name]
+            case RigidVar(name) | FlexVar(name):
                 return sym[name]
             case FalseExpr():
                 return "ff"
             case OpApp(op, args):
                 if not args:
                     return sym[op]
-                inner = " ".join(term(a, bound, depth) for a in args)
-                return f"({sym[op]} {inner})"
-            case _:
-                raise InternalError(
-                    f"unstratified node in term position: {e}")
+                inner = [term(a, bound) for a in args]
+                return sp.app(sym[op], inner)
+        raise InternalError(f"unstratified node in term position: {e}")
 
+    axioms = []
+    for d in ir.defs:
+        bound = {p: f"{sp.var}{i}" for i, p in enumerate(d.params)}
+        body = form(d.body, bound, len(d.params))
+        app = term(OpApp(d.name, tuple(RigidVar(p) for p in d.params)),
+                   bound)
+        for ax in (sp.implies.format(body, sp.eq.format(app, "tt")),
+                   sp.implies.format(sp.neg.format(body),
+                                     sp.eq.format(app, "ff"))):
+            axioms.append(
+                sp.forall(list(bound.values()), ax) if d.params else ax)
+    return (axioms, [form(h, {}, 0) for h in ir.hypotheses],
+            form(ir.goal, {}, 0))
+
+
+def emit_smt(ir: FolIR) -> str:
+    sym = SymbolMap(r"[a-zA-Z~!@$%^&*_+=<>.?/-][0-9a-zA-Z~!@$%^&*_+=<>.?/-]*",
+                    _SMT_RESERVED, "s_")
     lines = [
         "(set-logic UF)",
         "(declare-sort U 0)",
@@ -207,85 +246,20 @@ def emit_smt(ir: FolIR) -> str:
         lines.append(f"(declare-fun {sym[op]} ({doms}) U)")
     for c in ir.consts:
         lines.append(f"(declare-const {sym[c]} U)")
-    for d in ir.defs:
-        bound = {p: f"bv{i}" for i, p in enumerate(d.params)}
-        depth = len(d.params)
-        body = form(d.body, bound, depth)
-        app = sym[d.name]
-        if d.params:
-            args = " ".join(bound[p] for p in d.params)
-            app = f"({app} {args})"
-        pos = f"(=> {body} (= {app} tt))"
-        neg = f"(=> (not {body}) (= {app} ff))"
-        for ax in (pos, neg):
-            if d.params:
-                binders = " ".join(f"({bound[p]} U)" for p in d.params)
-                ax = f"(forall ({binders}) {ax})"
-            lines.append(f"(assert {ax})")
-    for h in ir.hypotheses:
-        lines.append(f"(assert {form(h, {}, 0)})")
-    lines.append(f"(assert (not {form(ir.goal, {}, 0)}))")
+    axioms, hyps, goal = _render(ir, _SMT, sym)
+    lines += [f"(assert {f})" for f in axioms + hyps]
+    lines.append(f"(assert (not {goal}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
 def emit_tptp(ir: FolIR) -> str:
     sym = SymbolMap(r"[a-z][a-zA-Z0-9_]*", _TPTP_RESERVED, "s_")
-
-    def form(e: Expression, bound: dict[str, str], depth: int) -> str:
-        match e:
-            case FalseExpr():
-                return "$false"
-            case Implies(lhs, rhs):
-                return (f"({form(lhs, bound, depth)} => "
-                        f"{form(rhs, bound, depth)})")
-            case Forall(var, body):
-                bv = f"X{depth}"
-                inner = dict(bound)
-                inner[var] = bv
-                return f"(! [{bv}] : {form(body, inner, depth + 1)})"
-            case Eq(lhs, rhs):
-                return (f"({term(lhs, bound, depth)} = "
-                        f"{term(rhs, bound, depth)})")
-            case _:
-                return f"({term(e, bound, depth)} = tt)"
-
-    def term(e: Expression, bound: dict[str, str], depth: int) -> str:
-        match e:
-            case RigidVar(name):
-                return bound[name] if name in bound else sym[name]
-            case FlexVar(name):
-                return sym[name]
-            case FalseExpr():
-                return "ff"
-            case OpApp(op, args):
-                if not args:
-                    return sym[op]
-                inner = ",".join(term(a, bound, depth) for a in args)
-                return f"{sym[op]}({inner})"
-            case _:
-                raise InternalError(
-                    f"unstratified node in term position: {e}")
-
+    axioms, hyps, goal = _render(ir, _TPTP, sym)
     lines = ["fof(tt_not_ff, axiom, tt != ff)."]
-    k = 0
-    for d in ir.defs:
-        app = OpApp(d.name, tuple(RigidVar(p) for p in d.params))
-        bound = {p: f"X{i}" for i, p in enumerate(d.params)}
-        depth = len(d.params)
-        body = form(d.body, bound, depth)
-        app_t = term(app, bound, depth)
-        pos = f"({body} => ({app_t} = tt))"
-        neg = f"(~{body} => ({app_t} = ff))"
-        for ax in (pos, neg):
-            if d.params:
-                binders = ",".join(bound[p] for p in d.params)
-                ax = f"(! [{binders}] : {ax})"
-            lines.append(f"fof(def_{k}, axiom, {ax}).")
-            k += 1
-    for i, h in enumerate(ir.hypotheses):
-        lines.append(f"fof(hyp_{i}, axiom, {form(h, {}, 0)}).")
-    lines.append(f"fof(goal, conjecture, {form(ir.goal, {}, 0)}).")
+    lines += [f"fof(def_{k}, axiom, {ax})." for k, ax in enumerate(axioms)]
+    lines += [f"fof(hyp_{i}, axiom, {h})." for i, h in enumerate(hyps)]
+    lines.append(f"fof(goal, conjecture, {goal}).")
     return "\n".join(lines) + "\n"
 
 

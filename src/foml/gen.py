@@ -21,7 +21,12 @@ from .coalesce_ml import (
 from .leibniz import compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
 from .prover import MLSequent
-from .search import SearchBounds, find_fol_countermodel, fol_signature_of
+from .search import (
+    SearchBounds,
+    find_fol_countermodel,
+    fol_signature_of,
+    needs_prime,
+)
 from .semantics import eval_expr, eval_fol, eval_ml
 from .syntax import (
     FALSE,
@@ -231,14 +236,6 @@ class FuzzReport:
         return not self.discrepancies
 
 
-def _needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
-    # conservative: an expression can smuggle a prime inside an argument
-    # that the definition body drops; the witness interpretation still
-    # evaluates it, so go by syntactic occurrence everywhere
-    return any(contains_node(e, Prime) for e in exprs) or any(
-        contains_node(d.body, Prime) for d in env.definitions)
-
-
 def fol_witness_check(rng: random.Random,
                       max_universe: int = 3,
                       max_states: int = 3) -> Optional[str]:
@@ -247,7 +244,7 @@ def fol_witness_check(rng: random.Random,
     exactly the value of the original expression at that state."""
     env = random_env(rng)
     e = random_expr(rng, env, depth=3)
-    need_prime = _needs_prime(env, e)
+    need_prime = needs_prime(env, e)
     m = random_model(rng, env, max_universe, max_states,
                      need_prime=need_prime)
     w = rng.choice(m.states)
@@ -271,7 +268,7 @@ def ml_witness_check(rng: random.Random,
     stability hypotheses holding at every state."""
     env = random_env(rng)
     e = random_expr(rng, env, depth=3)
-    need_prime = _needs_prime(env, e)
+    need_prime = needs_prime(env, e)
     m = random_model(rng, env, max_universe, max_states,
                      need_prime=need_prime)
     table = AtomTable(env)
@@ -347,7 +344,7 @@ def _argument_lemma_check(rng, env, dname, args, i) -> Optional[str]:
     while fresh in free or env.kind(fresh) is not None:
         k += 1
         fresh = f"w{k}"
-    need_prime = _needs_prime(env, *args)
+    need_prime = needs_prime(env, *args)
     m = random_model(rng, env, need_prime=need_prime)
     w = rng.choice(m.states)
     val = eval_expr(m, w, args[i], env)

@@ -72,6 +72,15 @@ class KripkeModel:
             for args, val in table.items():
                 if val not in udom or any(a not in udom for a in args):
                     raise FomlError(f"table for {op!r} leaves the universe")
+        sdom = set(self.states)
+        for section, named in (
+                ("R", {w for pair in self.R for w in pair}),
+                ("primeR", {w for pair in self.primeR or () for w in pair}),
+                ("zeta", {w for (_, w) in self.zeta})):
+            stray = sorted(named - sdom, key=str)
+            if stray:
+                raise FomlError(
+                    f"{section} names undeclared state {stray[0]!r}")
 
     successors = _successors
 

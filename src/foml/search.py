@@ -125,6 +125,13 @@ def enumerate_models(
                                     states, R, zeta, primeR=pR)
 
 
+def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
+    """Whether a prime occurs in `exprs` or in any definition body; by
+    occurrence, since an argument the body drops is still evaluated."""
+    return any(contains_node(e, Prime) for e in exprs) or any(
+        contains_node(d.body, Prime) for d in env.definitions)
+
+
 def find_countermodel(
     ob: Obligation,
     bounds: SearchBounds = SearchBounds(),
@@ -133,11 +140,8 @@ def find_countermodel(
     """Exhaustive bounded search for a model satisfying every hypothesis at
     every state while falsifying the goal at some state."""
     ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
-    needs_prime = any(
-        contains_node(e, Prime) for e in ob.all_exprs()) or any(
-        contains_node(d.body, Prime) for d in ob.env.definitions)
     prime = None
-    if needs_prime:
+    if needs_prime(ob.env, *ob.all_exprs()):
         prime = "functional" if functional_prime else "relational"
     examined = 0
     for m in enumerate_models(ops, rigid, flex, bounds.max_universe,

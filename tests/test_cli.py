@@ -131,6 +131,25 @@ class TestSubcommands:
         assert code == 0
         assert "vacuously" in out
 
+    @pytest.mark.parametrize("section,stray", [
+        ("(R (s0 s0) (s0 s7))", "R names undeclared state 's7'"),
+        ("(R (s0 s0)) (primeR (s0 s0) (s9 s0))",
+         "primeR names undeclared state 's9'"),
+        ("(R (s0 s0)) (zeta (v s0 0) (v s5 1))",
+         "zeta names undeclared state 's5'"),
+    ])
+    def test_check_model_rejects_undeclared_states(self, capsys, tmp_path,
+                                                   box_file, section,
+                                                   stray):
+        model = tmp_path / "stray.model"
+        model.write_text(
+            "(model (universe 0 1) (tt 0) (ff 1) (op 0 (row 1))"
+            f" (states s0) {section})")
+        code, out, err = run(capsys, "check-model", str(model), box_file)
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1 and stray in err
+
     def test_fuzz(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "1",
                            "--iters", "50")

@@ -198,3 +198,22 @@ class TestLimits:
             goal = Implies(Nabla(FlexVar(f"a{i}")), goal)
         v = prove_ml(seq(goal), ProverLimits(max_free_bits=8))
         assert isinstance(v, ResourceOut)
+
+    def test_too_many_candidate_types(self):
+        atoms = [FlexVar(f"a{i}") for i in range(4)]
+        goal = FALSE
+        for a in atoms:
+            goal = Implies(a, goal)
+        # four free atoms and no hypothesis: 16 candidate types
+        v = prove_ml(seq(goal), ProverLimits(max_types=3))
+        assert v == ResourceOut("more than 3 candidate types")
+        assert prove_ml(seq(goal), ProverLimits(max_types=15)) == \
+            ResourceOut("more than 15 candidate types")
+        assert isinstance(prove_ml(seq(goal), ProverLimits(max_types=16)),
+                          Countermodel)
+        # assignments a hypothesis rules out are not candidates: 8 remain
+        assert isinstance(
+            prove_ml(seq(goal, atoms[0]), ProverLimits(max_types=8)),
+            Countermodel)
+        assert prove_ml(seq(goal, atoms[0]), ProverLimits(max_types=7)) == \
+            ResourceOut("more than 7 candidate types")

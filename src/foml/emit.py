@@ -212,7 +212,7 @@ def _render(ir: FolIR, sp: _Spelling,
             case OpApp(op, args):
                 if not args:
                     return sym[op]
-                inner = [term(a, bound) for a in args]
+                inner = [term(a, bound) for a in args]  # before sym[op]
                 return sp.app(sym[op], inner)
         raise InternalError(f"unstratified node in term position: {e}")
 

@@ -190,10 +190,11 @@ def _shared(types: list[int], need: int) -> int:
 
 
 def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
-    """The part of the canonical model reachable from `root`, breadth
-    first, with states numbered in order of first reach."""
+    """The part of the canonical model reachable from `root` through the
+    modalities that have boxes, breadth first, with states numbered in
+    order of first reach; primeR only when prime has boxes."""
     order, seen = [root], {root}
-    for t in order:
+    for t in order:  # grows while walked: a FIFO queue
         for (pairs, _, _), (need, _) in zip(mods, reqs[t]):
             if not pairs:
                 continue

@@ -20,9 +20,12 @@ from foml.semantics import (
     holds,
 )
 from foml.syntax import (
+    DefApp,
     Eq,
     FlexVar,
+    FomlError,
     Forall,
+    Implies,
     Nabla,
     OpApp,
     Prime,
@@ -175,6 +178,31 @@ class TestEvalMl:
         k = PropModel(states=(0,), R=frozenset(), zeta={})
         with pytest.raises(EvalError):
             eval_ml(k, 0, Eq(RigidVar("x"), RigidVar("x")))
+
+
+class TestLazyEvaluation:
+    """Fragment and lookup errors come from the node when evaluation
+    reaches it, never from an up-front pass over the expression."""
+
+    K = PropModel(states=(0,), R=frozenset(), zeta={})
+    X = RigidVar("x")
+    UNKNOWN = DefApp("nowhere", (RigidVar("x"),))
+
+    def test_unreached_out_of_fragment_nodes(self):
+        assert eval_ml(self.K, 0, Implies(FALSE, Eq(self.X, self.X))) == "tt"
+        assert eval_fol(TestEvalFol.S, Implies(FALSE, Nabla(FALSE))) == 0
+
+    def test_unreached_unknown_definition(self):
+        m = tiny_model()
+        assert eval_expr(m, 0, Implies(FALSE, self.UNKNOWN), ENV) == m.tt
+
+    def test_reached_nodes_raise(self):
+        with pytest.raises(EvalError):
+            eval_ml(self.K, 0, Implies(true_(), Eq(self.X, self.X)))
+        with pytest.raises(EvalError):
+            eval_fol(TestEvalFol.S, Implies(true_(), Nabla(FALSE)))
+        with pytest.raises(FomlError, match="no definition named"):
+            eval_expr(tiny_model(), 0, Implies(true_(), self.UNKNOWN), ENV)
 
 
 class TestModelFiles:

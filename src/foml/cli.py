@@ -37,7 +37,7 @@ from .prover import (
     ProverLimits,
     prove_ml,
 )
-from .semantics import eval_expr, holds_globally
+from .semantics import compile_expr
 from .syntax import FomlError, InternalError, Obligation
 from .gen import run_fuzz
 
@@ -177,12 +177,14 @@ def cmd_check_model(args) -> int:
     m = parse_model(_read(args.model))
     ob = parse_problem(_read(args.file))
     for h in ob.hypotheses:
-        if not holds_globally(m, h, ob.env):
+        hyp = compile_expr(h, ob.env)
+        if any(hyp(m, w, {}) != m.tt for w in m.states):
             print(f"hypothesis fails somewhere: {print_expr(h)}")
             print("obligation vacuously satisfied by this model")
             return 0
+    goal = compile_expr(ob.goal, ob.env)
     for w in m.states:
-        if eval_expr(m, w, ob.goal, ob.env) != m.tt:
+        if goal(m, w, {}) != m.tt:
             print(f"goal fails at state {w} (countermodel)")
             return 1
     print("obligation satisfied at every state")

@@ -23,7 +23,7 @@ from .models import FOLStructure
 from .parser import ProblemError, SAtom, SList, SNode, read_sexprs
 from .printer import print_expr
 from .prover import MLSequent, check_ml_formula
-from .semantics import eval_fol
+from .semantics import compile_fol, eval_fol
 from .syntax import (
     FALSE,
     DefApp,
@@ -116,20 +116,27 @@ def stratify(
 
 class SymbolMap:
     """Deterministic source-name to emitted-name mapping, preserving names
-    when the target format allows them."""
+    when the target format allows them.  No symbol is given a name of the
+    form `<bound_var><digits>`, which the format's binders use: a free
+    symbol spelled like a bound variable would be captured by it."""
 
-    def __init__(self, pattern: str, reserved: set[str], fallback: str):
+    def __init__(self, pattern: str, reserved: set[str], fallback: str,
+                 bound_var: str):
         self.pattern = re.compile(pattern)
+        self.bound = re.compile(re.escape(bound_var) + "[0-9]+")
         self.reserved = set(reserved)
         self.fallback = fallback
         self.map: dict[str, str] = {}
         self.used: set[str] = set(reserved)
 
+    def _taken(self, name: str) -> bool:
+        return name in self.used or self.bound.fullmatch(name) is not None
+
     def __getitem__(self, name: str) -> str:
         out = self.map.get(name)
         if out is not None:
             return out
-        if self.pattern.fullmatch(name) and name not in self.used:
+        if self.pattern.fullmatch(name) and not self._taken(name):
             out = name
         else:
             cleaned = re.sub(r"[^a-zA-Z0-9_]", "_", name).lstrip("_")
@@ -138,7 +145,7 @@ class SymbolMap:
             cleaned = cleaned[0].lower() + cleaned[1:]
             out = cleaned
             k = 1
-            while out in self.used:
+            while self._taken(out):
                 out = f"{cleaned}_{k}"
                 k += 1
         self.used.add(out)
@@ -233,7 +240,7 @@ def _render(ir: FolIR, sp: _Spelling,
 
 def emit_smt(ir: FolIR) -> str:
     sym = SymbolMap(r"[a-zA-Z~!@$%^&*_+=<>.?/-][0-9a-zA-Z~!@$%^&*_+=<>.?/-]*",
-                    _SMT_RESERVED, "s_")
+                    _SMT_RESERVED, "s_", _SMT.var)
     lines = [
         "(set-logic UF)",
         "(declare-sort U 0)",
@@ -254,7 +261,7 @@ def emit_smt(ir: FolIR) -> str:
 
 
 def emit_tptp(ir: FolIR) -> str:
-    sym = SymbolMap(r"[a-z][a-zA-Z0-9_]*", _TPTP_RESERVED, "s_")
+    sym = SymbolMap(r"[a-z][a-zA-Z0-9_]*", _TPTP_RESERVED, "s_", _TPTP.var)
     axioms, hyps, goal = _render(ir, _TPTP, sym)
     lines = ["fof(tt_not_ff, axiom, tt != ff)."]
     lines += [f"fof(def_{k}, axiom, {ax})." for k, ax in enumerate(axioms)]
@@ -269,9 +276,10 @@ def extend_with_defs(s: FOLStructure, ir: FolIR) -> FOLStructure:
     tables = dict(s.op_interp)
     for d in ir.defs:
         base = FOLStructure(s.universe, s.tt, s.ff, dict(tables), s.xi)
+        body = compile_fol(d.body)
         table = {}
         for argvals in product(s.universe, repeat=len(d.params)):
-            val = eval_fol(base, d.body, dict(zip(d.params, argvals)))
+            val = body(base, 0, dict(zip(d.params, argvals)))
             table[argvals] = s.tt if val == s.tt else s.ff
         tables[d.name] = table
     return FOLStructure(s.universe, s.tt, s.ff, tables, s.xi)

@@ -27,7 +27,7 @@ from .search import (
     fol_signature_of,
     needs_prime,
 )
-from .semantics import eval_expr, eval_fol, eval_ml
+from .semantics import compile_expr, compile_ml, eval_expr, eval_fol
 from .syntax import (
     FALSE,
     DefApp,
@@ -276,15 +276,17 @@ def ml_witness_check(rng: random.Random,
     if contains_node(me, Eq, Forall, OpApp, DefApp, RigidVar):
         return f"impure propositional output for {e}"
     k = build_witness_propmodel(m, table, env)
+    abstraction, original = compile_ml(me), compile_expr(e, env)
     for w in m.states:
-        got = eval_ml(k, w, me) == k.tt
-        want = eval_expr(m, w, e, env) == m.tt
+        got = abstraction(k, w, {}) == k.tt
+        want = original(m, w, {}) == m.tt
         if got != want:
             return (f"propositional witness mismatch for {e} at state "
                     f"{w}: original {want}, abstraction {got}")
     for h in hypotheses(table, env, include_prime=need_prime):
+        hyp = compile_ml(h)
         for w in m.states:
-            if eval_ml(k, w, h) != k.tt:
+            if hyp(k, w, {}) != k.tt:
                 return f"stability hypothesis {h} fails at state {w}"
     return None
 
@@ -370,9 +372,10 @@ def distribute_check(rng: random.Random) -> Optional[str]:
     e = expand_definitions(random_action_formula(rng, env), env)
     m = random_model(rng, env, need_prime=True, functional_prime=True)
     d = distribute_prime(e, env)
+    before, after = compile_expr(e, env), compile_expr(d, env)
     for sub_w in m.states:
-        a = eval_expr(m, sub_w, e, env)
-        b = eval_expr(m, sub_w, d, env)
+        a = before(m, sub_w, {})
+        b = after(m, sub_w, {})
         if a != b:
             return (f"prime distribution changed the value of {e} at "
                     f"state {sub_w}: {a} != {b}")
@@ -427,12 +430,13 @@ def action_refutation_check(rng: random.Random) -> Optional[str]:
     cf = coalesce_action(c, primed)
     env2 = env.extended(flex=primed.new_flex_names())
 
+    action = compile_expr(c, env)
     # direction A: sampled Kripke refutations map to structure refutations
     for _ in range(30):
         m = random_model(rng, env, max_universe=2, max_states=2,
                          need_prime=True, functional_prime=True)
         w = rng.choice(m.states)
-        if eval_expr(m, w, c, env) == m.tt:
+        if action(m, w, {}) == m.tt:
             continue
         s = action_witness_structure(m, w, primed, env)
         if eval_fol(s, cf) == s.tt:
@@ -447,7 +451,7 @@ def action_refutation_check(rng: random.Random) -> Optional[str]:
                                              max_models=3000))
     if res.found:
         m2 = lift_fol_structure(res.model, primed.mapping, env)
-        if eval_expr(m2, 0, c, env) == m2.tt:
+        if action(m2, 0, {}) == m2.tt:
             return (f"structure refutation of {cf} did not lift back "
                     f"to a Kripke refutation of {c}")
     return None

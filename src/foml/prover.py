@@ -22,7 +22,7 @@ from itertools import compress, product
 from typing import Union
 
 from .models import PropModel, Value
-from .semantics import eval_ml
+from .semantics import compile_ml, eval_ml
 from .syntax import (
     Expression,
     FalseExpr,
@@ -217,8 +217,9 @@ def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
 
 def _verify(seq: MLSequent, model: PropModel, state) -> None:
     for h in seq.hypotheses:
+        hyp = compile_ml(h)
         for w in model.states:
-            if eval_ml(model, w, h) != model.tt:
+            if hyp(model, w, {}) != model.tt:
                 raise InternalError(
                     "countermodel fails a global hypothesis")
     if eval_ml(model, state, seq.goal) == model.tt:

@@ -13,7 +13,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .models import FOLStructure, KripkeModel, PropModel, Value
-from .semantics import countermodel_state, eval_fol
+from .semantics import compile_fol, countermodel_checker
 from .syntax import (
     DefinitionEnvironment,
     Expression,
@@ -143,13 +143,14 @@ def find_countermodel(
     prime = None
     if needs_prime(ob.env, *ob.all_exprs()):
         prime = "functional" if functional_prime else "relational"
+    countermodel_state = countermodel_checker(ob)
     examined = 0
     for m in enumerate_models(ops, rigid, flex, bounds.max_universe,
                               bounds.max_states, prime):
         examined += 1
         if examined > bounds.max_models:
             return SearchResult("resource-out", examined=examined - 1)
-        w = countermodel_state(m, ob)
+        w = countermodel_state(m)
         if w is not None:
             return SearchResult("found", model=m, state=w,
                                 examined=examined)
@@ -179,13 +180,15 @@ def find_fol_countermodel(
 ) -> SearchResult:
     """Bounded search for a first-order structure satisfying the hypotheses
     and falsifying the goal (shared valuation of free variables)."""
+    hyps = [compile_fol(h) for h in hypotheses]
+    concl = compile_fol(goal)
     examined = 0
     for s in enumerate_fol_structures(ops, variables, bounds.max_universe):
         examined += 1
         if examined > bounds.max_models:
             return SearchResult("resource-out", examined=examined - 1)
-        if all(eval_fol(s, h) == s.tt for h in hypotheses) \
-                and eval_fol(s, goal) != s.tt:
+        if all(h(s, 0, {}) == s.tt for h in hyps) \
+                and concl(s, 0, {}) != s.tt:
             return SearchResult("found", model=s, examined=examined)
     return SearchResult("none", examined=examined)
 

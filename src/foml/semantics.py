@@ -1,13 +1,20 @@
 """Exact evaluation of expressions in finite models.
 
-One evaluator gives the Kripke semantics.  `eval_expr` applies it to the
-full language at a state of a Kripke model; `eval_fol` and `eval_ml` are
-views of it restricted to a fragment, and raise EvalError when evaluation
-reaches a node outside the fragment:
+One semantics, the Kripke semantics, compiled once per expression.
+`_compile` walks an expression once and returns a closure of (model,
+state, bindings); evaluating it in another model or at another state runs
+only the closures.  `compile_expr` compiles the full language for Kripke
+models; `compile_fol` and `compile_ml` compile views restricted to a
+fragment, whose closures raise EvalError when evaluation reaches a node
+outside the fragment:
 
-  eval_fol : first-order fragment in a first-order structure, read as a
-             single state at which every variable takes its xi value
-  eval_ml  : propositional modal fragment in a propositional model
+  compile_fol : first-order fragment in a first-order structure, read as
+                a single state at which every variable takes its xi value
+  compile_ml  : propositional modal fragment in a propositional model
+
+`eval_expr`, `eval_fol` and `eval_ml` compile and call once.  Callers that
+evaluate one expression in many models or states compile it themselves,
+as `countermodel_checker` does for an obligation.
 
 The implication / quantifier / equality clauses treat any value other than
 tt as false-like, so no coercion of non-boolean values is performed
@@ -25,7 +32,7 @@ apply.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .models import FOLStructure, KripkeModel, PropModel, Value
 from .syntax import (
@@ -51,6 +58,13 @@ class EvalError(FomlError):
     pass
 
 
+# A compiled expression: (model, state, bindings) -> value.  `bindings`
+# overlays the model's xi for rigid variables and is never mutated.
+Evaluator = Callable[
+    [Union[KripkeModel, FOLStructure, PropModel], Value, Mapping[str, Value]],
+    Value]
+
+
 def eval_expr(
     m: KripkeModel,
     w: Value,
@@ -60,7 +74,7 @@ def eval_expr(
 ) -> Value:
     """Value of e at state w of m.  `bindings` overlays m.xi and is how
     quantifiers (and witness constructions) rebind rigid variables."""
-    return _evaluate(m, w, e, env, bindings, first_order=True, modal=True)
+    return compile_expr(e, env)(m, w, bindings or {})
 
 
 def eval_fol(
@@ -71,13 +85,30 @@ def eval_fol(
     """Value of a first-order expression in structure s.  Both rigid and
     flexible variables are looked up in s.xi (the extended variable set);
     modal and defined-operator nodes are rejected."""
-    return _evaluate(s, 0, e, None, bindings, first_order=True, modal=False)
+    return compile_fol(e)(s, 0, bindings or {})
 
 
 def eval_ml(k: PropModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
-    return _evaluate(k, w, e, None, None, first_order=False, modal=True)
+    return compile_ml(e)(k, w, {})
+
+
+def compile_expr(e: Expression, env: DefinitionEnvironment) -> Evaluator:
+    """`eval_expr` of e as a function of (m, w, bindings)."""
+    return _compile(e, env, True, True)
+
+
+def compile_fol(e: Expression) -> Evaluator:
+    """`eval_fol` of e as a function of (s, state, bindings); the state is
+    ignored."""
+    return _compile(e, None, True, False)
+
+
+def compile_ml(e: Expression) -> Evaluator:
+    """`eval_ml` of e as a function of (k, w, bindings); the bindings are
+    ignored."""
+    return _compile(e, None, False, True)
 
 
 # What each (first_order, modal) view admits, for its error messages.
@@ -88,86 +119,162 @@ _FRAGMENT = {
 }
 
 
-def _evaluate(
-    m: Union[KripkeModel, FOLStructure, PropModel],
-    w: Value,
+def _compile(
     e: Expression,
     env: Optional[DefinitionEnvironment],
-    bindings: Optional[Mapping[str, Value]],
-    *,
     first_order: bool,
     modal: bool,
-) -> Value:
-    """The semantics restricted to a fragment: `first_order` admits rigid
-    variables, operators, equality and quantifiers, `modal` admits the
-    modalities, and defined operators need both.  Without `modal`, m has
-    no states and flexible variables are read from m.xi; without
-    `first_order`, prime keeps the relational reading."""
+) -> Evaluator:
+    """The semantics restricted to a fragment, compiled in one walk over e:
+    `first_order` admits rigid variables, operators, equality and
+    quantifiers, `modal` admits the modalities, and defined operators need
+    both.  Without `modal`, m has no states and flexible variables are read
+    from m.xi; without `first_order`, prime keeps the relational reading.
 
-    def go(e: Expression, w: Value, bnd: dict[str, Value]) -> Value:
-        match e:
-            case Implies(lhs, rhs):
-                if go(lhs, w, bnd) != m.tt or go(rhs, w, bnd) == m.tt:
-                    return m.tt
-                return m.ff
-            case FalseExpr():
-                return m.ff
-            case FlexVar(name):
-                try:
-                    return m.zeta[(name, w)] if modal else m.xi[name]
-                except KeyError:
-                    raise EvalError(
-                        f"flexible variable {name!r} has no value"
-                        + (f" at state {w!r}" if modal else ""))
-            case Eq(lhs, rhs) if first_order:
-                return m.tt if go(lhs, w, bnd) == go(rhs, w, bnd) else m.ff
-            case RigidVar(name) if first_order:
-                if name in bnd:
-                    return bnd[name]
-                try:
-                    return m.xi[name]
-                except KeyError:
-                    raise EvalError(f"rigid variable {name!r} has no value")
-            case OpApp(op, args) if first_order:
-                vals = tuple([go(a, w, bnd) for a in args])
-                try:
-                    return m.op_interp[op][vals]
-                except KeyError:
-                    raise EvalError(f"operator {op!r} not interpreted")
-            case Nabla(body) if modal:
-                for w2 in m.successors(w, m.R):
-                    if go(body, w2, bnd) != m.tt:
-                        return m.ff
-                return m.tt
-            case Forall(var, body) if first_order:
-                for d_ in m.universe:
-                    inner = dict(bnd)
-                    inner[var] = d_
-                    if go(body, w, inner) != m.tt:
-                        return m.ff
-                return m.tt
-            case Prime(body) if modal:
-                if m.primeR is None:
-                    raise EvalError(
-                        "prime evaluated in a model without primeR")
-                # Only eval_ml keeps the relational reading, because a
-                # PropModel has no prime_is_function.  Its values are all
-                # truth values, on which the two readings agree wherever
-                # both apply.
-                if first_order and m.prime_is_function():
-                    return go(body, m.prime_successor(w), bnd)
-                for w2 in m.successors(w, m.primeR):
-                    if go(body, w2, bnd) != m.tt:
-                        return m.ff
-                return m.tt
-            case DefApp(op, args) if first_order and modal:
-                d = env.definition(op)
-                return go(substitute(d.body, dict(zip(d.params, args))),
-                          w, bnd)
-            case _:
-                raise EvalError(f"not {_FRAGMENT[first_order, modal]}: {e}")
+    Nothing raises here.  A node outside the fragment, an unknown
+    definition or a missing value raises when evaluation reaches it, so
+    evaluation short-circuits exactly as a tree walk would."""
+    match e:
+        case Implies(lhs, rhs):
+            return _implies(_compile(lhs, env, first_order, modal),
+                            _compile(rhs, env, first_order, modal))
+        case FalseExpr():
+            return _false
+        case FlexVar(name):
+            return _flex(name, modal)
+        case Eq(lhs, rhs) if first_order:
+            return _eq(_compile(lhs, env, first_order, modal),
+                       _compile(rhs, env, first_order, modal))
+        case RigidVar(name) if first_order:
+            return _rigid(name)
+        case OpApp(op, args) if first_order:
+            return _opapp(op, tuple([_compile(a, env, first_order, modal)
+                                     for a in args]))
+        case Nabla(body) if modal:
+            return _nabla(_compile(body, env, first_order, modal))
+        case Forall(var, body) if first_order:
+            return _forall(var, _compile(body, env, first_order, modal))
+        case Prime(body) if modal:
+            # Only eval_ml keeps the relational reading, because a
+            # PropModel has no prime_is_function.  Its values are all
+            # truth values, on which the two readings agree wherever both
+            # apply.
+            return _prime(_compile(body, env, first_order, modal),
+                          next_state=first_order)
+        case DefApp(op, args) if first_order and modal:
+            return _defapp(op, args, env)
+    return _outside(e, _FRAGMENT[first_order, modal])
 
-    return go(e, w, dict(bindings or {}))
+
+# One closure factory per node kind, so that compiling a node allocates
+# only the cells its own closure reads.
+
+def _implies(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
+    def implies(m, w, bnd):
+        if lhs(m, w, bnd) != m.tt or rhs(m, w, bnd) == m.tt:
+            return m.tt
+        return m.ff
+    return implies
+
+
+def _false(m, w, bnd):
+    return m.ff
+
+
+def _flex(name: str, modal: bool) -> Evaluator:
+    def flex(m, w, bnd):
+        try:
+            return m.zeta[(name, w)] if modal else m.xi[name]
+        except KeyError:
+            raise EvalError(f"flexible variable {name!r} has no value"
+                            + (f" at state {w!r}" if modal else ""))
+    return flex
+
+
+def _eq(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
+    def eq(m, w, bnd):
+        return m.tt if lhs(m, w, bnd) == rhs(m, w, bnd) else m.ff
+    return eq
+
+
+def _rigid(name: str) -> Evaluator:
+    def rigid(m, w, bnd):
+        if name in bnd:
+            return bnd[name]
+        try:
+            return m.xi[name]
+        except KeyError:
+            raise EvalError(f"rigid variable {name!r} has no value")
+    return rigid
+
+
+def _opapp(op: str, args: tuple[Evaluator, ...]) -> Evaluator:
+    def opapp(m, w, bnd):
+        vals = tuple([a(m, w, bnd) for a in args]) if args else ()
+        try:
+            return m.op_interp[op][vals]
+        except KeyError:
+            raise EvalError(f"operator {op!r} not interpreted")
+    return opapp
+
+
+def _nabla(body: Evaluator) -> Evaluator:
+    def nabla(m, w, bnd):
+        for w2 in m.successors(w, m.R):
+            if body(m, w2, bnd) != m.tt:
+                return m.ff
+        return m.tt
+    return nabla
+
+
+def _forall(var: str, body: Evaluator) -> Evaluator:
+    def forall(m, w, bnd):
+        # One overlay serves every element: no closure keeps `bnd`.
+        inner = dict(bnd)
+        for d in m.universe:
+            inner[var] = d
+            if body(m, w, inner) != m.tt:
+                return m.ff
+        return m.tt
+    return forall
+
+
+def _prime(body: Evaluator, next_state: bool) -> Evaluator:
+    def prime(m, w, bnd):
+        if m.primeR is None:
+            raise EvalError("prime evaluated in a model without primeR")
+        if next_state and m.prime_is_function():
+            return body(m, m.prime_successor(w), bnd)
+        for w2 in m.successors(w, m.primeR):
+            if body(m, w2, bnd) != m.tt:
+                return m.ff
+        return m.tt
+    return prime
+
+
+def _defapp(op: str, args: tuple[Expression, ...],
+            env: DefinitionEnvironment) -> Evaluator:
+    # The instantiated body depends only on the syntax, never on the
+    # model, state or bindings, so it is substituted and compiled on first
+    # use and kept.  Binding the parameters to argument values instead
+    # would be unsound: a flexible argument under a modality changes value
+    # with the state.
+    compiled: Optional[Evaluator] = None
+
+    def defapp(m, w, bnd):
+        nonlocal compiled
+        if compiled is None:
+            d = env.definition(op)
+            body = substitute(d.body, dict(zip(d.params, args)))
+            compiled = _compile(body, env, True, True)
+        return compiled(m, w, bnd)
+    return defapp
+
+
+def _outside(e: Expression, fragment: str) -> Evaluator:
+    def outside(m, w, bnd):
+        raise EvalError(f"not {fragment}: {e}")
+    return outside
 
 
 def holds(m: KripkeModel, w: Value, e: Expression,
@@ -175,17 +282,26 @@ def holds(m: KripkeModel, w: Value, e: Expression,
     return eval_expr(m, w, e, env) == m.tt
 
 
-def holds_globally(m: KripkeModel, e: Expression,
-                   env: DefinitionEnvironment) -> bool:
-    return all(holds(m, w, e, env) for w in m.states)
-
-
 def countermodel_state(m: KripkeModel, ob: Obligation) -> Optional[Value]:
     """State of m at which the obligation's goal fails, provided every
     hypothesis holds at every state; None when m is not a countermodel."""
-    if not all(holds_globally(m, h, ob.env) for h in ob.hypotheses):
+    return countermodel_checker(ob)(m)
+
+
+def countermodel_checker(
+        ob: Obligation) -> Callable[[KripkeModel], Optional[Value]]:
+    """`countermodel_state` for one obligation over many models: its
+    expressions are compiled once, here."""
+    hyps = [compile_expr(h, ob.env) for h in ob.hypotheses]
+    goal = compile_expr(ob.goal, ob.env)
+
+    def state(m: KripkeModel) -> Optional[Value]:
+        for h in hyps:
+            for w in m.states:
+                if h(m, w, {}) != m.tt:
+                    return None
+        for w in m.states:
+            if goal(m, w, {}) != m.tt:
+                return w
         return None
-    for w in m.states:
-        if not holds(m, w, ob.goal, ob.env):
-            return w
-    return None
+    return state

@@ -68,6 +68,17 @@ class TestVerdictsThroughEncodings:
     def test_cst_star_case_is_valid(self):
         assert not ir_not_valid(coalesced_ir(CST_VALID))
 
+    def test_free_symbol_is_not_captured_by_a_binder(self):
+        # SMT binders are spelled bv<depth>; a free variable named bv0
+        # must not keep its name, or the binder captures it and the
+        # emitted script turns unsatisfiable although the goal is invalid.
+        ir = coalesced_ir("(declare-op 0 0) (declare-flex bv0)"
+                          "(goal (forall a (= a bv0)))")
+        assert ir_not_valid(ir)
+        text = emit_smt(ir)
+        assert "(declare-const bv0_1 U)" in text
+        assert "(assert (not (forall ((bv0 U)) (= bv0 bv0_1))))" in text
+
 
 class TestBoolificationSoundness:
     def test_encoding_matches_direct_evaluation(self):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from foml import semantics
 from foml import (
     DefinitionEnvironment,
     FALSE,
@@ -34,7 +37,10 @@ from foml.syntax import (
     is_rigid,
     not_,
     true_,
+    walk,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def tiny_model(nstates=2, R=None, zeta=None, primeR=None):
@@ -256,6 +262,23 @@ class TestCountermodelSearch:
             "(declare-op 0 0) (declare-flex v) (goal (= v 0))")
         res = find_countermodel(ob, SearchBounds(2, 2, max_models=2))
         assert res.status == "resource-out"
+
+    def test_definition_bodies_are_substituted_once(self, monkeypatch):
+        # Each application node instantiates its definition once per
+        # search, not once per model and state it is evaluated at.
+        ob = parse_problem((DEMO / "cst.foml").read_text())
+        real = semantics.substitute
+        calls = []
+
+        def counting(e, sigma):
+            calls.append(e)
+            return real(e, sigma)
+
+        monkeypatch.setattr(semantics, "substitute", counting)
+        assert find_countermodel(ob, SearchBounds(2, 2)).found
+        applications = sum(isinstance(n, DefApp)
+                           for e in ob.all_exprs() for n in walk(e))
+        assert 0 < len(calls) <= applications
 
     def test_enumeration_is_deterministic(self):
         first = list(enumerate_models({"0": 0}, ("x",), ("v",), 2, 2))

@@ -131,9 +131,9 @@ def _compile(
     both.  Without `modal`, m has no states and flexible variables are read
     from m.xi; without `first_order`, prime keeps the relational reading.
 
-    Nothing raises here.  A node outside the fragment, an unknown
-    definition or a missing value raises when evaluation reaches it, so
-    evaluation short-circuits exactly as a tree walk would."""
+    No evaluation error is raised here: a node outside the fragment, an
+    unknown definition or a missing value raises when evaluation reaches
+    it, so evaluation short-circuits exactly as a tree walk would."""
     match e:
         case Implies(lhs, rhs):
             return _implies(_compile(lhs, env, first_order, modal),

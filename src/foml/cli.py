@@ -7,6 +7,7 @@ through the exit code: 0 proved, 1 countermodel, 2 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -308,9 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the tree costs about as much as translating a small
+    # problem, so in-process callers build it once.  Parsing leaves no
+    # state on it: each call gets a fresh namespace, and argparse looks up
+    # sys.stdout, sys.stderr and the terminal width when it prints.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:

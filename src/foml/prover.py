@@ -206,13 +206,20 @@ def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
     zeta = {(name, i): "tt" if t & b else "ff"
             for name, b in atoms
             for i, t in enumerate(order)}
-    R, primeR = (
-        frozenset((i, j) for i, t in enumerate(order)
-                  for need in [reqs[t][m][0]]
-                  for j, u in enumerate(order) if u & need == need)
-        for m in (0, 1))
-    return PropModel(states=tuple(range(len(order))), R=R, zeta=zeta,
-                     primeR=primeR if mods[1][0] else None)
+
+    def relation(m: int) -> frozenset:
+        rows: dict[int, list[int]] = {}  # need mask -> its successors
+        pairs: list[tuple[int, int]] = []
+        for i, t in enumerate(order):
+            need = reqs[t][m][0]
+            if need not in rows:
+                rows[need] = [j for j, u in enumerate(order)
+                              if u & need == need]
+            pairs.extend((i, j) for j in rows[need])
+        return frozenset(pairs)
+
+    return PropModel(states=tuple(range(len(order))), R=relation(0),
+                     zeta=zeta, primeR=relation(1) if mods[1][0] else None)
 
 
 def _verify(seq: MLSequent, model: PropModel, state) -> None:

@@ -132,20 +132,21 @@ def not_(e: Expression) -> Expression:
 def and_(*es: Expression) -> Expression:
     if not es:
         return TRUE
-    if len(es) == 1:
-        return es[0]
-    # a /\ b  ==  ~(a => ~b)
-    rest = and_(*es[1:])
-    return not_(Implies(es[0], not_(rest)))
+    # a /\ b  ==  ~(a => ~b), nested to the right
+    acc = es[-1]
+    for e in reversed(es[:-1]):
+        acc = not_(Implies(e, not_(acc)))
+    return acc
 
 
 def or_(*es: Expression) -> Expression:
     if not es:
         return FALSE
-    if len(es) == 1:
-        return es[0]
-    # a \/ b  ==  ~a => b
-    return Implies(not_(es[0]), or_(*es[1:]))
+    # a \/ b  ==  ~a => b, nested to the right
+    acc = es[-1]
+    for e in reversed(es[:-1]):
+        acc = Implies(not_(e), acc)
+    return acc
 
 
 def iff_(a: Expression, b: Expression) -> Expression:
@@ -204,10 +205,15 @@ def map_children(
 
 
 def walk(e: Expression) -> Iterator[Expression]:
-    """Yield e and all its subexpressions, depth-first, left to right."""
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """Yield e and all its subexpressions, depth-first, left to right.
+
+    The walk keeps its own stack, so depth is bounded by memory, not by
+    the recursion limit."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
 
 
 def free_rigid_vars(e: Expression) -> tuple[str, ...]:

@@ -195,6 +195,61 @@ class TestDeterminism:
         assert one == two
 
 
+class TestRepeatedCalls:
+    """`main` reuses one argument parser per process; no call leaves state
+    that changes what a later call prints."""
+
+    @staticmethod
+    def first(capsys, *argv):
+        # What the call prints on a freshly built parser.
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    @staticmethod
+    def exits(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    def test_parser_is_built_once(self, capsys, box_file):
+        run(capsys, "coalesce-ml", box_file)
+        parser = cli._parser()
+        run(capsys, "emit", box_file, "--emit=tptp")
+        assert cli._parser() is parser
+
+    def test_frame_flag_does_not_carry_over(self, capsys, tmp_path):
+        path = tmp_path / "four.mlseq"
+        path.write_text("(mlseq (global-hypotheses)"
+                        " (goal (=> (nabla a) (nabla (nabla a)))))")
+        plain = self.first(capsys, "prove-ml", str(path))
+        assert plain[0] == 1
+        assert run(capsys, "prove-ml", "--frame", "k4", str(path)) == (
+            0, "proved\n", "")
+        assert run(capsys, "prove-ml", str(path)) == plain
+
+    def test_emit_format_does_not_carry_over(self, capsys, box_file):
+        plain = self.first(capsys, "emit", box_file)
+        assert "(check-sat)" in plain[1]
+        assert "conjecture" in run(capsys, "emit", "--emit", "tptp",
+                                   box_file)[1]
+        assert run(capsys, "emit", box_file) == plain
+
+    @pytest.mark.parametrize("argv,code", [
+        (("fuzz", "--bounds", "3"), 64),
+        (("no-such-command",), 64),
+        (("emit", "--help"), 0),
+    ], ids=["bad-bounds", "unknown-command", "help"])
+    def test_usage_and_help_after_use(self, capsys, box_file, argv, code):
+        cli._parser.cache_clear()
+        fresh = self.exits(capsys, *argv)
+        assert fresh[0] == code
+        assert (fresh[1] + fresh[2]).startswith("usage: foml")
+        run(capsys, "fuzz", "--seed", "1", "--iters", "2")
+        run(capsys, "coalesce-fol", box_file)
+        assert self.exits(capsys, *argv) == fresh
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self, capsys):
         with pytest.raises(SystemExit) as exc:

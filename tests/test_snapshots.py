@@ -81,6 +81,13 @@ def test_cli_output_is_byte_identical(expected, demo, command):
     assert _run(_argv(demo, command)) == expected[_key(demo, command)]
 
 
+def test_replay_in_reverse_matches(expected):
+    # One process runs every case again, last first: no call may leave
+    # state (in the shared argument parser, say) that a later one sees.
+    for demo, command in reversed(CASES):
+        assert _run(_argv(demo, command)) == expected[_key(demo, command)]
+
+
 GOAL_DEMOS = [d for d in DEMOS if "(goal" in (ROOT / "demo" / d).read_text()]
 SEARCH_BOUNDS = ((2, 2), (2, 3), (3, 2))
 SEARCH_CASES = [(d, b) for d in GOAL_DEMOS for b in SEARCH_BOUNDS]

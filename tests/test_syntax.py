@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from foml.syntax import (
     FlexVar,
     Forall,
     Implies,
+    InternalError,
     Nabla,
     OpApp,
     Prime,
@@ -34,6 +37,7 @@ from foml.syntax import (
     map_children,
     not_,
     or_,
+    walk,
 )
 
 
@@ -338,3 +342,66 @@ class TestMapChildren:
         fields = tuple(getattr(e, f) for f in e.__match_args__)
         assert hash(e) == hash(fields) == hash(e)
         assert hash(map_children(e, lambda c: c)) == hash(e)
+
+
+def _walk_reference(e):
+    yield e
+    for c in children(e):
+        yield from _walk_reference(c)
+
+
+def _and_reference(*es):
+    if not es:
+        return TRUE
+    if len(es) == 1:
+        return es[0]
+    return not_(Implies(es[0], not_(_and_reference(*es[1:]))))
+
+
+def _or_reference(*es):
+    if not es:
+        return FALSE
+    if len(es) == 1:
+        return es[0]
+    return Implies(not_(es[0]), _or_reference(*es[1:]))
+
+
+class TestDepthIndependence:
+    """`walk`, `and_` and `or_` work at any size under the default
+    recursion limit, and agree with their recursive definitions."""
+
+    def test_walk_matches_the_recursive_preorder(self):
+        for seed in range(300):
+            rng = rng_for(7, seed)
+            e = random_expr(rng, random_env(rng), depth=4)
+            assert list(walk(e)) == list(_walk_reference(e))
+
+    def test_walk_is_lazy(self):
+        # A node's children are read only when the walk resumes past it.
+        it = walk(Nabla("not a node"))
+        assert next(it) == Nabla("not a node")
+        assert next(it) == "not a node"
+        with pytest.raises(InternalError):
+            next(it)
+
+    def test_deep_chain_walks_at_the_default_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        e = FlexVar("v")
+        for _ in range(10_000):
+            e = Nabla(e)
+        nodes = list(walk(e))
+        assert len(nodes) == 10_001
+        assert nodes[-1] == FlexVar("v")
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_and_or_match_the_nested_definition(self, n):
+        es = [FlexVar(f"v{i}") for i in range(n)]
+        assert and_(*es) == _and_reference(*es)
+        assert or_(*es) == _or_reference(*es)
+
+    def test_wide_builds_at_the_default_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        es = [FlexVar(f"v{i}") for i in range(5000)]
+        # and_ adds five nodes per extra conjunct, or_ three per disjunct.
+        assert sum(1 for _ in walk(and_(*es))) == 5000 + 5 * 4999
+        assert sum(1 for _ in walk(or_(*es))) == 5000 + 3 * 4999

@@ -346,6 +346,7 @@ def parse_mlseq(text: str) -> MLSequent:
     frames = {"nabla": "k", "prime": "k"}
     hyps: tuple[Expression, ...] = ()
     goal: Optional[Expression] = None
+    seen: set[str] = set()
     for section in top.items[1:]:
         if not isinstance(section, SList) or not section.items \
                 or not isinstance(section.items[0], SAtom):
@@ -353,6 +354,7 @@ def parse_mlseq(text: str) -> MLSequent:
                                section.line, section.col)
         head = section.items[0].text
         body = section.items[1:]
+        key = head
         if head == "frame":
             if len(body) != 2 or not all(isinstance(b, SAtom)
                                          for b in body):
@@ -363,6 +365,7 @@ def parse_mlseq(text: str) -> MLSequent:
                 raise ProblemError("(frame nabla|prime k|t|k4|s4)",
                                    section.line, section.col)
             frames[mod] = cls
+            key = f"frame {mod}"
         elif head == "global-hypotheses":
             hyps = tuple(_parse_ml_expr(n) for n in body)
         elif head == "goal":
@@ -373,6 +376,10 @@ def parse_mlseq(text: str) -> MLSequent:
         else:
             raise ProblemError(f"unknown mlseq section {head!r}",
                                section.line, section.col)
+        if key in seen:
+            raise ProblemError(f"duplicate ({key} ...) section",
+                               section.line, section.col)
+        seen.add(key)
     if goal is None:
         raise ProblemError("mlseq has no goal")
     return MLSequent(hypotheses=hyps, goal=goal,

@@ -12,8 +12,12 @@ canonical relation links t to u iff u has every bit of t's need mask.  It
 realizes every surviving type, is reflexive/transitive exactly when the
 frame class requires it, and makes the hypotheses true at every world, so
 the sequent is provable iff no surviving type falsifies the goal.
-Returned countermodels are restricted to the reachable part and re-checked
-with the evaluator before being reported.
+A countermodel is not that canonical model but a witness model grown from
+a goal-falsifying type: each falsified box of a state gets one successor,
+the first surviving type with the state's need mask and without the box's
+body, closed under the frame's reflexivity and transitivity.  Every
+countermodel is re-checked for its frame classes and with the evaluator
+before being reported.
 """
 from __future__ import annotations
 
@@ -190,39 +194,75 @@ def _shared(types: list[int], need: int) -> int:
 
 
 def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
-    """The part of the canonical model reachable from `root` through the
-    modalities that have boxes, breadth first, with states numbered in
-    order of first reach; primeR only when prime has boxes."""
-    order, seen = [root], {root}
-    for t in order:  # grows while walked: a FIFO queue
-        for (pairs, _, _), (need, _) in zip(mods, reqs[t]):
-            if not pairs:
-                continue
-            for u in alive:
-                if u not in seen and u & need == need:
-                    seen.add(u)
+    """A witness model from `root`: on each modality with boxes, every
+    falsified box of a state gets one successor, the first surviving type
+    with all of the state's need mask and without the box's body.  States
+    are numbered breadth first in order of first reach.  Transitive
+    frames take the closure of these edges and reflexive frames add a
+    loop at every state; both stay inside the canonical relation, so
+    every true box still holds.  A modality without boxes relates every
+    pair of states; primeR only when prime has boxes."""
+    order, index = [root], {root: 0}
+    succ: list[list[list[int]]] = [[], []]  # per modality, per state
+    for i, t in enumerate(order):  # grows while walked: a FIFO queue
+        for m, (need, want) in enumerate(reqs[t]):
+            out = []
+            while want:
+                b = want & -want  # lowest falsified body first
+                want ^= b
+                u = next(u for u in alive if u & need == need and not u & b)
+                if u not in index:
+                    index[u] = len(order)
                     order.append(u)
+                out.append(index[u])
+            succ[m].append(out)
 
     zeta = {(name, i): "tt" if t & b else "ff"
             for name, b in atoms
             for i, t in enumerate(order)}
+    states = range(len(order))
 
     def relation(m: int) -> frozenset:
-        rows: dict[int, list[int]] = {}  # need mask -> its successors
-        pairs: list[tuple[int, int]] = []
-        for i, t in enumerate(order):
-            need = reqs[t][m][0]
-            if need not in rows:
-                rows[need] = [j for j, u in enumerate(order)
-                              if u & need == need]
-            pairs.extend((i, j) for j in rows[need])
-        return frozenset(pairs)
+        pairs, transitive, reflexive = mods[m]
+        if not pairs:
+            return frozenset(product(states, repeat=2))
+        rel = set()
+        for i in states:
+            reach = {i} if reflexive else set()
+            todo = list(succ[m][i])
+            while todo:
+                j = todo.pop()
+                if j not in reach:
+                    reach.add(j)
+                    if transitive:
+                        todo.extend(succ[m][j])
+            rel.update((i, j) for j in reach)
+        return frozenset(rel)
 
-    return PropModel(states=tuple(range(len(order))), R=relation(0),
-                     zeta=zeta, primeR=relation(1) if mods[1][0] else None)
+    return PropModel(states=tuple(states), R=relation(0), zeta=zeta,
+                     primeR=relation(1) if mods[1][0] else None)
 
 
 def _verify(seq: MLSequent, model: PropModel, state) -> None:
+    """Raise InternalError unless the model lies in the sequent's frame
+    classes, makes every hypothesis true at every state and the goal
+    false at `state`."""
+    rels = [("R", model.R, seq.frame_nabla)]
+    if model.primeR is not None:
+        rels.append(("primeR", model.primeR, seq.frame_prime))
+    for name, rel, frame in rels:
+        if frame == "k":
+            continue
+        succ: dict = {w: set() for w in model.states}
+        for v, w in rel:
+            succ[v].add(w)
+        if frame in ("t", "s4") and any(w not in succ[w] for w in succ):
+            raise InternalError(
+                f"countermodel {name} is not reflexive on frame {frame}")
+        if frame in ("k4", "s4") and any(
+                not succ[w] <= ws for ws in succ.values() for w in ws):
+            raise InternalError(
+                f"countermodel {name} is not transitive on frame {frame}")
     for h in seq.hypotheses:
         hyp = compile_ml(h)
         for w in model.states:

@@ -64,6 +64,25 @@ class TestSubcommands:
         assert run(capsys, "prove-ml", str(path))[0] == 1
         assert run(capsys, "prove-ml", str(path), "--frame=t")[0] == 0
 
+    @pytest.mark.parametrize("section, text", [
+        ("global-hypotheses",
+         "(mlseq (global-hypotheses p) (global-hypotheses q) (goal p))"),
+        ("goal", "(mlseq (global-hypotheses p) (goal q) (goal p))"),
+        ("frame nabla",
+         "(mlseq (frame nabla t) (frame nabla k) (goal (=> (nabla p) p)))"),
+        ("frame prime",
+         "(mlseq (frame prime t) (frame prime k) (goal (=> (prime p) p)))"),
+    ])
+    def test_prove_ml_rejects_a_repeated_section(self, capsys, tmp_path,
+                                                 section, text):
+        # a second section must not silently replace the first
+        path = tmp_path / "twice.mlseq"
+        path.write_text(text)
+        code, out, err = run(capsys, "prove-ml", str(path))
+        assert code == 65
+        assert out == ""
+        assert f"duplicate ({section} ...) section" in err
+
     def test_leibniz(self, capsys, tmp_path):
         path = tmp_path / "defs.foml"
         path.write_text(

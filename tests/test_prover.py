@@ -3,12 +3,21 @@ import pytest
 from foml import parse_problem
 from foml.coalesce_ml import coalesce_obligation_ml, ml_atoms_of
 from foml.gen import random_ml_sequent, rng_for
+from foml.models import (
+    PropModel,
+    kripke_as_propmodel,
+    parse_model,
+    propmodel_as_kripke,
+    serialize_model,
+)
 from foml.prover import (
+    FRAMES,
     Countermodel,
     MLSequent,
     Proved,
     ProverLimits,
     ResourceOut,
+    _verify,
     prove_ml,
 )
 from foml.search import enumerate_propmodels
@@ -18,6 +27,7 @@ from foml.syntax import (
     FlexVar,
     FomlError,
     Implies,
+    InternalError,
     Nabla,
     Prime,
     contains_node,
@@ -28,6 +38,32 @@ p, q = FlexVar("p"), FlexVar("q")
 
 def seq(goal, *hyps, frame="k", prime_frame="k"):
     return MLSequent(tuple(hyps), goal, frame, prime_frame)
+
+
+def reflexive(rel, states) -> bool:
+    return all((w, w) in rel for w in states)
+
+
+def transitive(rel) -> bool:
+    return all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c)
+
+
+def in_frame_class(rel, states, frame) -> bool:
+    return ((frame not in ("t", "s4") or reflexive(rel, states))
+            and (frame not in ("k4", "s4") or transitive(rel)))
+
+
+def chain(n: int, drop=None, frame="k") -> MLSequent:
+    """Hypotheses p_i => nabla p_(i+1) except link `drop`; the goal is
+    p_0 => nabla^(n-1) p_(n-1)."""
+    ps = [FlexVar(f"p{i}") for i in range(n)]
+    goal = ps[-1]
+    for _ in range(n - 1):
+        goal = Nabla(goal)
+    return MLSequent(
+        tuple(Implies(ps[i], Nabla(ps[i + 1]))
+              for i in range(n - 1) if i != drop),
+        Implies(ps[0], goal), frame, "k")
 
 
 def oracle_countermodel_exists(s: MLSequent, max_states=3) -> bool:
@@ -168,13 +204,6 @@ class TestAgreementWithEnumeration:
                 assert eval_ml(v.model, v.state, s.goal) != v.model.tt
 
     def test_countermodels_live_in_the_frame_class(self):
-        def reflexive(rel, states):
-            return all((w, w) in rel for w in states)
-
-        def transitive(rel):
-            return all((a, d) in rel
-                       for (a, b) in rel for (c, d) in rel if b == c)
-
         for i in range(300):
             rng = rng_for(73, i)
             s = random_ml_sequent(rng)
@@ -189,6 +218,81 @@ class TestAgreementWithEnumeration:
                     assert reflexive(rel, v.model.states), (s, frame)
                 if frame in ("k4", "s4"):
                     assert transitive(rel), (s, frame)
+
+
+class TestWitnessCountermodels:
+    """Countermodels as the CLI prints them, re-read from text and
+    checked with the evaluator alone."""
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_printed_countermodels_reread_and_refute(self, frame):
+        checked = 0
+        for i in range(300):
+            s = random_ml_sequent(rng_for(74, i))
+            with_prime = any(contains_node(e, Prime)
+                             for e in s.hypotheses + (s.goal,))
+            for prime_frame in FRAMES if with_prime else ("k",):
+                s = MLSequent(s.hypotheses, s.goal, frame, prime_frame)
+                v = prove_ml(s)
+                if not isinstance(v, Countermodel):
+                    continue
+                text = serialize_model(propmodel_as_kripke(v.model))
+                k = kripke_as_propmodel(parse_model(text))
+                assert in_frame_class(k.R, k.states, frame), (s, text)
+                if k.primeR is not None:
+                    assert in_frame_class(k.primeR, k.states,
+                                          prime_frame), (s, text)
+                for h in s.hypotheses:
+                    for w in k.states:
+                        assert eval_ml(k, w, h) == k.tt, (s, text)
+                assert eval_ml(k, v.state, s.goal) == k.ff, (s, text)
+                checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_chain_countermodel_has_at_most_n_states(self, n):
+        # the canonical model's reachable part had 288, 864 and 5184
+        v = prove_ml(chain(n, drop=n // 2))
+        assert isinstance(v, Countermodel)
+        assert len(v.model.states) <= n
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_one_witness_per_falsified_box(self, frame):
+        # the goal fails only where nabla p and nabla q are both false:
+        # the root gets one successor per box, besides itself on t/s4
+        either = Implies(Implies(Nabla(p), FALSE), Nabla(q))
+        v = prove_ml(seq(either, frame=frame))
+        assert isinstance(v, Countermodel)
+        succ = {w for u, w in v.model.R if u == v.state} - {v.state}
+        assert len(succ) <= 2
+
+
+class TestVerifyFrameClass:
+    def model(self, R, primeR=None) -> PropModel:
+        return PropModel(states=(0, 1), R=frozenset(R),
+                         zeta={("p", 0): "ff", ("p", 1): "ff"},
+                         primeR=primeR)
+
+    def test_non_reflexive_relation_on_t(self):
+        m = self.model({(0, 1), (1, 1)})
+        _verify(seq(p), m, 0)
+        with pytest.raises(InternalError, match="not reflexive"):
+            _verify(seq(p, frame="t"), m, 0)
+
+    def test_non_transitive_relation_on_k4(self):
+        m = self.model({(0, 1), (1, 0)})
+        _verify(seq(p), m, 0)
+        with pytest.raises(InternalError, match="not transitive"):
+            _verify(seq(p, frame="k4"), m, 0)
+        with pytest.raises(InternalError, match="not"):
+            _verify(seq(p, frame="s4"), m, 0)
+
+    def test_prime_relation_checked_against_its_own_frame(self):
+        loops = {(0, 0), (1, 1)}
+        m = self.model(loops, primeR=frozenset({(0, 1)}))
+        _verify(seq(p, frame="s4"), m, 0)
+        with pytest.raises(InternalError, match="primeR is not reflexive"):
+            _verify(seq(p, frame="s4", prime_frame="t"), m, 0)
 
 
 class TestLimits:

@@ -119,7 +119,7 @@ def _load_sequent(args) -> MLSequent:
 
 def cmd_prove_ml(args) -> int:
     seq = _load_sequent(args)
-    verdict = prove_ml(seq, ProverLimits(max_free_bits=args.max_bits))
+    verdict = prove_ml(seq, ProverLimits(max_steps=args.max_steps))
     if isinstance(verdict, Proved):
         print("proved")
         return 0
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--frame", choices=("k", "t", "k4", "s4"))
     sp.add_argument("--prime-frame", choices=("k", "t", "k4", "s4"))
-    sp.add_argument("--max-bits", type=int, default=18)
+    sp.add_argument("--max-steps", type=int,
+                    default=ProverLimits.max_steps)
 
     sp = add("leibniz", cmd_leibniz,
              help="print the Leibniz position table")

@@ -212,21 +212,39 @@ def parse_model(text: str) -> KripkeModel:
                      _parse_atom_value(_atom_text(lst.items[1], "a state"))))
         return frozenset(rel)
 
+    def put(table: dict, key, value, section: str, row: str,
+            node: SNode) -> None:
+        # a repeated key must not silently replace the first
+        if key in table:
+            raise ProblemError(f"duplicate ({section} ({row} ...)) row",
+                               node.line, node.col)
+        table[key] = value
+
+    seen: set[str] = set()
     for section in top.items[1:]:
         lst = _expect_list(section, "a model section")
         if not lst.items:
             raise ProblemError("empty model section", lst.line, lst.col)
         head = _atom_text(lst.items[0], "a section name")
         body = lst.items[1:]
+        key = head
         if head == "universe":
             universe = tuple(
                 _parse_atom_value(_atom_text(n, "a value")) for n in body)
-        elif head == "tt":
-            tt = _parse_atom_value(_atom_text(body[0], "a value"))
-        elif head == "ff":
-            ff = _parse_atom_value(_atom_text(body[0], "a value"))
+        elif head in ("tt", "ff"):
+            if len(body) != 1:
+                raise ProblemError(f"({head} value)", lst.line, lst.col)
+            value = _parse_atom_value(_atom_text(body[0], "a value"))
+            if head == "tt":
+                tt = value
+            else:
+                ff = value
         elif head == "op":
+            if not body:
+                raise ProblemError("(op name (row args.. value) ...)",
+                                   lst.line, lst.col)
             name = _atom_text(body[0], "an operator name")
+            key = f"op {name}"
             table: dict[tuple[Value, ...], Value] = {}
             for row in body[1:]:
                 r = _expect_list(row, "(row args.. value)")
@@ -236,13 +254,19 @@ def parse_model(text: str) -> KripkeModel:
                         for n in r.items[1:]]
                 if not vals:
                     raise ProblemError("row needs a value", r.line, r.col)
-                table[tuple(vals[:-1])] = vals[-1]
+                args = tuple(vals[:-1])
+                put(table, args, vals[-1], key,
+                    " ".join(["row", *map(_fmt, args)]), r)
             ops[name] = table
         elif head == "xi":
             for row in body:
                 r = _expect_list(row, "(x value)")
-                xi[_atom_text(r.items[0], "a variable")] = \
-                    _parse_atom_value(_atom_text(r.items[1], "a value"))
+                if len(r.items) != 2:
+                    raise ProblemError("(xi (x value) ...)", r.line, r.col)
+                x = _atom_text(r.items[0], "a variable")
+                put(xi, x,
+                    _parse_atom_value(_atom_text(r.items[1], "a value")),
+                    head, x, r)
         elif head == "states":
             states = tuple(
                 _parse_atom_value(_atom_text(n, "a state")) for n in body)
@@ -259,10 +283,14 @@ def parse_model(text: str) -> KripkeModel:
                 v = _atom_text(r.items[0], "a flexible variable")
                 w = _parse_atom_value(_atom_text(r.items[1], "a state"))
                 val = _parse_atom_value(_atom_text(r.items[2], "a value"))
-                zeta[(v, w)] = val
+                put(zeta, (v, w), val, head, f"{v} {_fmt(w)}", r)
         else:
             raise ProblemError(f"unknown model section {head!r}",
                                lst.line, lst.col)
+        if key in seen:
+            raise ProblemError(f"duplicate ({key} ...) section",
+                               lst.line, lst.col)
+        seen.add(key)
 
     if tt is None or ff is None or not universe or not states or R is None:
         raise ProblemError(

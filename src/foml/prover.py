@@ -1,29 +1,51 @@
 """Decision procedure for propositional (multi-)modal logic with global
 hypotheses, over the K / T / K4 / S4 frame classes per modality.
 
-The procedure enumerates Hintikka types (truth assignments to the closure
-of the sequent that respect the propositional clauses, make every global
-hypothesis true, and satisfy the local reflexivity law for T/S4 frames),
-then repeatedly eliminates types whose falsified box-formulas have no
-surviving witness successor.  A type is an int whose bit i is the truth
-value of closure[i].  For each modality, a type's need mask holds the
-bodies of its true boxes, plus those boxes themselves on K4/S4 frames; the
-canonical relation links t to u iff u has every bit of t's need mask.  It
-realizes every surviving type, is reflexive/transitive exactly when the
-frame class requires it, and makes the hypotheses true at every world, so
-the sequent is provable iff no surviving type falsifies the goal.
-A countermodel is not that canonical model but a witness model grown from
-a goal-falsifying type: each falsified box of a state gets one successor,
-the first surviving type with the state's need mask and without the box's
-body, closed under the frame's reflexivity and transitivity.  Every
-countermodel is re-checked for its frame classes and with the evaluator
-before being reported.
+A Hintikka type is a truth assignment to the closure of the sequent that
+respects the propositional clauses, makes every global hypothesis true,
+and satisfies the local reflexivity law for T/S4 frames.  A type is an
+int whose bit i is the truth value of closure[i].  For each modality, a
+type's need mask holds the bodies of its true boxes, plus those boxes
+themselves on K4/S4 frames; the canonical relation links t to u iff u has
+every bit of t's need mask.  A type survives when each of its falsified
+boxes has a surviving successor without the box's body; the surviving
+types make a canonical model that is reflexive/transitive exactly when
+the frame class requires it and makes the hypotheses true at every
+world, so the sequent is provable iff no surviving type falsifies the
+goal.
+
+Types are eliminated lazily, with global caching.  A key is a
+requirement (must, b): the types with every bit of `must` (the
+hypotheses plus a need mask) and without bit b.  Each key generates its
+candidate types on demand, depth first over the free bits (atoms and
+boxes) in closure order with 0 before 1, pruning a partial assignment as
+soon as a three-valued pass over the implications above its last bit
+shows it breaks the key or the reflexivity law.  One key is shared by
+every type that has the requirement, on either modality, and its live
+candidate is the first one not known to be dead.  The search starts at
+the root key (the hypotheses, without the goal) and expands only the
+live candidates of keys it reaches; a type dies when one of its keys
+runs out of candidates, and a death moves on every key whose live
+candidate it was, which can kill more types.  The sequent is provable
+iff the root key runs out.  A type only dies when it has no surviving
+witness, and the live expanded types are closed under live candidates,
+so each key's live candidate is its first surviving type.
+
+A countermodel is not the canonical model but a witness model grown from
+the root key's live candidate: each falsified box of a state gets one
+successor, its key's live candidate, closed under the frame's
+reflexivity and transitivity.  Every countermodel is re-checked for its
+frame classes and with the evaluator before being reported.
+
+Two limits bound the search: `max_types` caps the distinct types the
+keys generate, and `max_steps` caps the partial assignments the
+generators pop.  Hitting either gives ResourceOut, never a wrong verdict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from typing import Union
+from itertools import product
+from typing import Optional, Union
 
 from .models import PropModel, Value
 from .semantics import compile_ml, eval_ml
@@ -56,8 +78,8 @@ class MLSequent:
 
 @dataclass(frozen=True)
 class ProverLimits:
-    max_free_bits: int = 18
     max_types: int = 8000
+    max_steps: int = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,12 +129,149 @@ def _closure(seq: MLSequent) -> list[Expression]:
     return out
 
 
+class _OutOfLimits(Exception):
+    """Carries the ResourceOut reason."""
+
+
+class _Key:
+    """A requirement's candidate generator, its live candidate (None once
+    every candidate is dead), and the expanded types that need it."""
+
+    __slots__ = ("gen", "live", "deps")
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.live: Optional[int] = None
+        self.deps: list[int] = []
+
+
+class _Search:
+    """Lazy type elimination over one sequent's closure (see the module
+    docstring).  `free` lists the free bits in closure order; `up[i]`
+    the (bit, lhs, rhs) implications whose value can change when free
+    bit i is set, children first; `bodies[i]` the body of free bit i
+    when it is a box on a reflexive frame, else 0; `start` the (true,
+    false) masks known before any free bit is set."""
+
+    __slots__ = ("free", "up", "bodies", "start", "hyps", "mods",
+                 "max_types", "max_steps", "steps", "built", "dead", "keys",
+                 "watch", "queue", "reqs")
+
+    def __init__(self, free, up, bodies, start, hyps, mods, limits):
+        self.free, self.up, self.bodies = free, up, bodies
+        self.start, self.hyps, self.mods = start, hyps, mods
+        self.max_types, self.max_steps = limits.max_types, limits.max_steps
+        self.steps = 0
+        self.built: set[int] = set()
+        self.dead: set[int] = set()
+        self.keys: dict[tuple[int, int], _Key] = {}
+        self.watch: dict[int, list[_Key]] = {}
+        self.queue: list[int] = []
+        # per expanded type and modality: the need mask and the bodies
+        # of the falsified boxes
+        self.reqs: dict[int, list[tuple[int, int]]] = {}
+
+    def types(self, must: int, must_not: int):
+        """The types with every bit of `must` and none of `must_not`, in
+        enumeration order: depth first over the free bits, 0 before 1."""
+        T, F = self.start
+        if F & must or T & must_not:
+            return
+        free, up, bodies, n = self.free, self.up, self.bodies, len(self.free)
+        stack = [(0, T, F)]
+        while stack:
+            i, T, F = stack.pop()
+            self.steps += 1
+            if self.steps > self.max_steps:
+                raise _OutOfLimits(
+                    f"more than {self.max_steps} search steps "
+                    f"({len(self.built)} types built)")
+            if i == n:
+                yield T
+                continue
+            x, ups, body = free[i], up[i], bodies[i]
+            i += 1
+            for T, F in ((T | x, F), (T, F | x)):  # pushed 1 first
+                for b, lhs, rhs in ups:  # three-valued implication
+                    if F & lhs or T & rhs:
+                        T |= b
+                    elif T & lhs and F & rhs:
+                        F |= b
+                # a box's body comes before it in the closure, so it is
+                # decided: on a reflexive frame a true box needs it true
+                if not (F & must or T & must_not or T & x and F & body):
+                    stack.append((i, T, F))
+
+    def key(self, must: int, b: int) -> _Key:
+        key = self.keys.get((must, b))
+        if key is None:
+            key = self.keys[must, b] = _Key(self.types(must, b))
+            self.advance(key)
+        return key
+
+    def advance(self, key: _Key) -> None:
+        """Move `key` to its next candidate not known to be dead."""
+        dead, built = self.dead, self.built
+        for c in key.gen:
+            if c in dead:
+                continue
+            if c not in built:
+                built.add(c)
+                if len(built) > self.max_types:
+                    raise _OutOfLimits(
+                        f"more than {self.max_types} candidate types "
+                        f"(after {self.steps} search steps)")
+            key.live = c
+            self.watch.setdefault(c, []).append(key)
+            if c not in self.reqs:
+                self.queue.append(c)
+            return
+        key.live = None
+
+    def expand(self, t: int) -> None:
+        """Record t's requirements and the keys that witness them; t dies
+        if one of them has no live candidate."""
+        req = self.reqs[t] = []
+        for pairs, transitive, _ in self.mods:
+            need = want = 0
+            for box, body in pairs:
+                if t & box:
+                    need |= (body | box) if transitive else body
+                else:
+                    want |= body
+            req.append((need, want))
+        hyps = self.hyps
+        for need, want in req:
+            while want:
+                b = want & -want
+                want ^= b
+                key = self.key(hyps | need, b)
+                if key.live is None:
+                    self.kill(t)
+                    return
+                key.deps.append(t)
+
+    def kill(self, t: int) -> None:
+        """Mark t dead and move on every key whose live candidate it
+        was; a key that runs out kills the types that need it."""
+        todo = [t]
+        while todo:
+            t = todo.pop()
+            if t in self.dead:
+                continue
+            self.dead.add(t)
+            for key in self.watch.pop(t, ()):
+                self.advance(key)
+                if key.live is None:
+                    todo.extend(key.deps)
+
+
 def prove_ml(
     seq: MLSequent, limits: ProverLimits = ProverLimits()
 ) -> Verdict:
     """Proved iff the sequent's global consequence holds over the declared
     frame classes; otherwise a verified countermodel, or ResourceOut when
-    the type space exceeds the limits (never a wrong verdict)."""
+    the search exceeds the limits (never a wrong verdict)."""
     for f in (seq.frame_nabla, seq.frame_prime):
         if f not in FRAMES:
             raise FomlError(f"unknown frame class {f!r}")
@@ -121,87 +280,82 @@ def prove_ml(
 
     closure = _closure(seq)
     bit = {e: 1 << i for i, e in enumerate(closure)}
-    free = [bit[e] for e in closure
-            if isinstance(e, (FlexVar, Nabla, Prime))]
-    if len(free) > limits.max_free_bits:
-        return ResourceOut(
-            f"{len(free)} free valuation bits exceed the limit "
-            f"{limits.max_free_bits}")
+    # below[b]: the free bits that closure bit b depends on through
+    # implications alone; up[x]: the implications above free bit x
+    free: list[int] = []
+    below: dict[int, int] = {}
+    up: dict[int, list[tuple[int, int, int]]] = {}
+    T = F = 0
+    frames = (seq.frame_nabla, seq.frame_prime)
+    boxes: tuple[list, list] = ([], [])
+    bodies: list[int] = []
+    atoms = []
+    for e in closure:
+        b = bit[e]
+        if isinstance(e, Implies):
+            lhs, rhs = bit[e.lhs], bit[e.rhs]
+            below[b] = m = below[lhs] | below[rhs]
+            if not m:  # constant: decided before any free bit
+                if F & lhs or T & rhs:
+                    T |= b
+                else:
+                    F |= b
+            while m:
+                x = m & -m
+                m ^= x
+                up[x].append((b, lhs, rhs))
+        elif isinstance(e, FalseExpr):
+            below[b] = 0
+            F |= b
+        else:
+            below[b] = b
+            up[b] = []
+            free.append(b)
+            if isinstance(e, FlexVar):
+                atoms.append((e.name, b))
+                bodies.append(0)
+            else:
+                m = isinstance(e, Prime)
+                boxes[m].append((b, bit[e.body]))
+                bodies.append(bit[e.body] if frames[m] in ("t", "s4")
+                              else 0)
 
-    implies = [(bit[e], bit[e.lhs], bit[e.rhs])
-               for e in closure if isinstance(e, Implies)]
     hyps = sum({bit[h] for h in seq.hypotheses})  # distinct bits: a union
     # Per modality: the (box, body) bit pairs, and whether the frame is
     # transitive (k4/s4) or reflexive (t/s4).
-    mods = [([(bit[e], bit[e.body]) for e in closure if isinstance(e, kind)],
-             frame in ("k4", "s4"), frame in ("t", "s4"))
-            for kind, frame in ((Nabla, seq.frame_nabla),
-                                (Prime, seq.frame_prime))]
-
-    # reqs[t] holds, per modality, the need mask (the bits every successor
-    # of t must have) and the bodies of the boxes t falsifies.  On a
-    # reflexive frame a type must be its own successor.
-    reqs: dict[int, list[tuple[int, int]]] = {}
-    for assignment in product((0, 1), repeat=len(free)):
-        t = sum(compress(free, assignment))
-        for b, lhs, rhs in implies:
-            if not t & lhs or t & rhs:
-                t |= b
-        if t & hyps != hyps:
-            continue
-        req = []
-        for pairs, transitive, reflexive in mods:
-            need = want = 0
-            for box, body in pairs:
-                if t & box:
-                    need |= (body | box) if transitive else body
-                else:
-                    want |= body
-            if reflexive and t & need != need:
-                break
-            req.append((need, want))
-        else:
-            reqs[t] = req
-            if len(reqs) > limits.max_types:
-                return ResourceOut(
-                    f"more than {limits.max_types} candidate types")
-
-    # Eliminate, round by round, every type with a falsified box whose
-    # body all its surviving successors share.
-    alive, changed = list(reqs), True
-    while changed:
-        kept = [t for t in alive if not any(
-            want & _shared(alive, need) for need, want in reqs[t] if want)]
-        alive, changed = kept, len(kept) < len(alive)
-
-    witness = next((t for t in alive if not t & bit[seq.goal]), None)
-    if witness is None:
+    mods = [(pairs, frame in ("k4", "s4"), frame in ("t", "s4"))
+            for pairs, frame in zip(boxes, frames)]
+    s = _Search(free, [up[x] for x in free], bodies, (T, F), hyps, mods,
+                limits)
+    try:
+        root = s.key(hyps, bit[seq.goal])
+        while s.queue and root.live is not None:
+            t = s.queue.pop()
+            if t not in s.reqs:
+                s.expand(t)
+    except _OutOfLimits as out:
+        return ResourceOut(str(out))
+    if root.live is None:
         return Proved()
 
-    atoms = [(e.name, bit[e]) for e in closure if isinstance(e, FlexVar)]
-    model = _extract_model(witness, alive, reqs, mods, atoms)
+    keys, hyps = s.keys, s.hyps
+    model = _extract_model(root.live, s.reqs,
+                           lambda need, b: keys[hyps | need, b].live,
+                           mods, atoms)
     _verify(seq, model, 0)
     return Countermodel(model, 0)
 
 
-def _shared(types: list[int], need: int) -> int:
-    """The bits common to every type with all bits of `need` (-1: none)."""
-    common = -1
-    for u in types:
-        if u & need == need:
-            common &= u
-    return common
-
-
-def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
+def _extract_model(root, reqs, witness, mods, atoms) -> PropModel:
     """A witness model from `root`: on each modality with boxes, every
-    falsified box of a state gets one successor, the first surviving type
-    with all of the state's need mask and without the box's body.  States
-    are numbered breadth first in order of first reach.  Transitive
-    frames take the closure of these edges and reflexive frames add a
-    loop at every state; both stay inside the canonical relation, so
-    every true box still holds.  A modality without boxes relates every
-    pair of states; primeR only when prime has boxes."""
+    falsified box of a state gets one successor, `witness(need, body)`:
+    the first surviving type with all of the state's need mask and
+    without the box's body.  States are numbered breadth first in
+    order of first reach.  Transitive frames take the closure of these
+    edges and reflexive frames add a loop at every state; both stay
+    inside the canonical relation, so every true box still holds.  A
+    modality without boxes relates every pair of states; primeR only
+    when prime has boxes."""
     order, index = [root], {root: 0}
     succ: list[list[list[int]]] = [[], []]  # per modality, per state
     for i, t in enumerate(order):  # grows while walked: a FIFO queue
@@ -210,7 +364,7 @@ def _extract_model(root, alive, reqs, mods, atoms) -> PropModel:
             while want:
                 b = want & -want  # lowest falsified body first
                 want ^= b
-                u = next(u for u in alive if u & need == need and not u & b)
+                u = witness(need, b)
                 if u not in index:
                     index[u] = len(order)
                     order.append(u)

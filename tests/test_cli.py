@@ -1,9 +1,17 @@
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from foml import cli
 from foml.cli import main
+from foml.emit import emit_mlseq, parse_mlseq
+from foml.gen import random_ml_formula
+from foml.models import kripke_as_propmodel, parse_model
+from foml.prover import FRAMES, MLSequent
+from foml.semantics import eval_ml
 
 BOX = ("(declare-op 0 0)\n(declare-flex v)\n"
        "(goal (=> (= v 0) (nabla (= v 0))))\n")
@@ -169,6 +177,75 @@ class TestSubcommands:
         assert out == ""
         assert err.count("\n") == 1 and stray in err
 
+    HEAD = "(model (universe 0 1) (tt 0) (ff 1)"
+
+    @pytest.mark.parametrize("sections, message", [
+        ("(universe 0 1) (states s0) (R)", "duplicate (universe ...)"),
+        ("(tt 0) (states s0) (R)", "duplicate (tt ...)"),
+        ("(ff 1) (states s0) (R)", "duplicate (ff ...)"),
+        ("(states s0) (states s0 s1) (R)", "duplicate (states ...)"),
+        ("(states s0 s1) (R (s0 s1)) (R)", "duplicate (R ...)"),
+        ("(states s0) (R) (primeR (s0 s0)) (primeR)",
+         "duplicate (primeR ...)"),
+        ("(xi (x 0)) (xi (y 1)) (states s0) (R)", "duplicate (xi ...)"),
+        ("(states s0) (R) (zeta (v s0 0)) (zeta (w s0 0))",
+         "duplicate (zeta ...)"),
+        ("(op c (row 0)) (op c (row 1)) (states s0) (R)",
+         "duplicate (op c ...) section"),
+        ("(op f (row 0 0) (row 1 1) (row 0 1)) (states s0) (R)",
+         "duplicate (op f (row 0 ...)) row"),
+        ("(xi (x 0) (x 1)) (states s0) (R)", "duplicate (xi (x ...)) row"),
+        ("(states s0) (R) (zeta (v s0 0) (v s0 1))",
+         "duplicate (zeta (v s0 ...)) row"),
+    ])
+    def test_check_model_rejects_a_repeated_section_or_row(
+            self, capsys, tmp_path, box_file, sections, message):
+        # a repeated section or row must not silently replace the first
+        model = tmp_path / "twice.model"
+        model.write_text(f"{self.HEAD} {sections})")
+        code, out, err = run(capsys, "check-model", str(model), box_file)
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_check_model_first_relation_is_not_overridden(self, capsys,
+                                                          tmp_path):
+        # with R = {(0, 1)}, nabla false fails at state 0; a second (R)
+        # used to replace it and make the goal hold everywhere
+        model = tmp_path / "twice.model"
+        model.write_text("(model (universe tt ff) (tt tt) (ff ff)"
+                         " (states 0 1) (R (0 1)) (R) (zeta))")
+        prob = tmp_path / "nf.foml"
+        prob.write_text("(declare-flex p) (goal (nabla false))")
+        code, out, err = run(capsys, "check-model", str(model), str(prob))
+        assert (code, out) == (65, "")
+        assert "line 1, col 64: duplicate (R ...) section" in err
+
+    @pytest.mark.parametrize("section, message", [
+        ("(tt)", "line 1, col 8: (tt value)"),
+        ("(ff)", "line 1, col 8: (ff value)"),
+        ("(op)", "line 1, col 8: (op name (row args.. value) ...)"),
+        ("(xi (x))", "line 1, col 12: (xi (x value) ...)"),
+    ])
+    def test_check_model_rejects_short_sections(self, capsys, tmp_path,
+                                                box_file, section, message):
+        # these used to exit 70 with an IndexError
+        model = tmp_path / "short.model"
+        model.write_text(f"(model {section} (universe 0 1) (states s0) (R))")
+        code, out, err = run(capsys, "check-model", str(model), box_file)
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_serialized_operator_tables_parse_back(self):
+        from foml.models import serialize_model
+
+        text = (f"{self.HEAD} (op 0 (row 0)) (op f (row 0 1) (row 1 0))"
+                " (xi (x 0) (y 1)) (states s0 s1) (R (s0 s1))"
+                " (zeta (v s0 0) (v s1 1)))")
+        m = parse_model(text)
+        assert parse_model(serialize_model(m)) == m
+
     def test_fuzz(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "1",
                            "--iters", "50")
@@ -317,3 +394,43 @@ class TestExitCodes:
         assert code == 1
         assert out.startswith("countermodel (goal fails at state ")
         assert err == ""
+
+
+VERDICT_LINES = {0: "proved", 1: "countermodel (goal fails at state ",
+                 2: "resource limit: "}
+
+
+@st.composite
+def ml_sequents(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    prime = draw(st.booleans())
+    atoms = ["p", "q", "r"][: rng.randrange(1, 4)]
+    hyps = tuple(random_ml_formula(rng, atoms, 2, prime)
+                 for _ in range(rng.randrange(0, 3)))
+    goal = random_ml_formula(rng, atoms, rng.randrange(1, 4), prime)
+    return MLSequent(hyps, goal, draw(st.sampled_from(FRAMES)),
+                     draw(st.sampled_from(FRAMES)))
+
+
+class TestProveMlProperty:
+    @given(ml_sequents())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_verdicts_are_well_formed(self, tmp_path, seq):
+        path = tmp_path / "seq.mlseq"
+        path.write_text(emit_mlseq(seq))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["prove-ml", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in VERDICT_LINES and err == ""
+        first, _, rest = out.partition("\n")
+        assert first.startswith(VERDICT_LINES[code])
+        if code == 1:
+            k = kripke_as_propmodel(parse_model(rest))
+            state = int(first[len(VERDICT_LINES[1]):-1])
+            s = parse_mlseq(path.read_text())
+            assert eval_ml(k, state, s.goal) == k.ff
+            for h in s.hypotheses:
+                for w in k.states:
+                    assert eval_ml(k, w, h) == k.tt

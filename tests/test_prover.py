@@ -1,3 +1,5 @@
+from itertools import compress, product
+
 import pytest
 
 from foml import parse_problem
@@ -17,6 +19,8 @@ from foml.prover import (
     Proved,
     ProverLimits,
     ResourceOut,
+    _closure,
+    _extract_model,
     _verify,
     prove_ml,
 )
@@ -296,28 +300,130 @@ class TestVerifyFrameClass:
 
 
 class TestLimits:
+    """Each limit at the last value that runs out and the first that
+    decides: chain(5) is proved after 13031 search steps and 585 types,
+    chain(6, drop=3) refuted after 450 steps and 5 types."""
+
     def test_resource_out(self):
-        goal = p
-        for i in range(30):
-            goal = Implies(Nabla(FlexVar(f"a{i}")), goal)
-        v = prove_ml(seq(goal), ProverLimits(max_free_bits=8))
-        assert isinstance(v, ResourceOut)
+        s = chain(5, drop=None)
+        assert prove_ml(s, ProverLimits(max_steps=13030)) == ResourceOut(
+            "more than 13030 search steps (584 types built)")
+        assert isinstance(prove_ml(s, ProverLimits(max_steps=13031)),
+                          Proved)
+        s = chain(6, drop=3)
+        assert prove_ml(s, ProverLimits(max_steps=449)) == ResourceOut(
+            "more than 449 search steps (5 types built)")
+        assert isinstance(prove_ml(s, ProverLimits(max_steps=450)),
+                          Countermodel)
 
     def test_too_many_candidate_types(self):
-        atoms = [FlexVar(f"a{i}") for i in range(4)]
-        goal = FALSE
-        for a in atoms:
-            goal = Implies(a, goal)
-        # four free atoms and no hypothesis: 16 candidate types
-        v = prove_ml(seq(goal), ProverLimits(max_types=3))
-        assert v == ResourceOut("more than 3 candidate types")
-        assert prove_ml(seq(goal), ProverLimits(max_types=15)) == \
-            ResourceOut("more than 15 candidate types")
-        assert isinstance(prove_ml(seq(goal), ProverLimits(max_types=16)),
+        s = chain(5, drop=None)
+        assert prove_ml(s, ProverLimits(max_types=584)) == ResourceOut(
+            "more than 584 candidate types (after 13031 search steps)")
+        assert isinstance(prove_ml(s, ProverLimits(max_types=585)), Proved)
+        s = chain(6, drop=3)
+        assert prove_ml(s, ProverLimits(max_types=4)) == ResourceOut(
+            "more than 4 candidate types (after 345 search steps)")
+        assert isinstance(prove_ml(s, ProverLimits(max_types=5)),
                           Countermodel)
-        # assignments a hypothesis rules out are not candidates: 8 remain
-        assert isinstance(
-            prove_ml(seq(goal, atoms[0]), ProverLimits(max_types=8)),
-            Countermodel)
-        assert prove_ml(seq(goal, atoms[0]), ProverLimits(max_types=7)) == \
-            ResourceOut("more than 7 candidate types")
+
+
+def _reference_prove(s: MLSequent):
+    """The exhaustive procedure: every type over all 2^free assignments,
+    then round-by-round elimination of the types with a falsified box
+    that no surviving successor witnesses; same witness extraction."""
+    closure = _closure(s)
+    bit = {e: 1 << i for i, e in enumerate(closure)}
+    free = [bit[e] for e in closure
+            if isinstance(e, (FlexVar, Nabla, Prime))]
+    implies = [(bit[e], bit[e.lhs], bit[e.rhs])
+               for e in closure if isinstance(e, Implies)]
+    hyps = sum({bit[h] for h in s.hypotheses})
+    mods = [([(bit[e], bit[e.body]) for e in closure if isinstance(e, kind)],
+             frame in ("k4", "s4"), frame in ("t", "s4"))
+            for kind, frame in ((Nabla, s.frame_nabla),
+                                (Prime, s.frame_prime))]
+    reqs = {}
+    for assignment in product((0, 1), repeat=len(free)):
+        t = sum(compress(free, assignment))
+        for b, lhs, rhs in implies:
+            if not t & lhs or t & rhs:
+                t |= b
+        if t & hyps != hyps:
+            continue
+        req = []
+        for pairs, transitive, reflexive in mods:
+            need = want = 0
+            for box, body in pairs:
+                if t & box:
+                    need |= (body | box) if transitive else body
+                else:
+                    want |= body
+            if reflexive and t & need != need:
+                break
+            req.append((need, want))
+        else:
+            reqs[t] = req
+
+    def witness(need, b, alive):
+        return next((u for u in alive if u & need == need and not u & b),
+                    None)
+
+    alive, changed = list(reqs), True
+    while changed:
+        kept = [t for t in alive if all(
+            witness(need, 1 << b, alive) is not None
+            for need, want in reqs[t]
+            for b in range(want.bit_length()) if want >> b & 1)]
+        alive, changed = kept, len(kept) < len(alive)
+    root = witness(0, bit[s.goal], alive)
+    if root is None:
+        return Proved()
+    atoms = [(e.name, bit[e]) for e in closure if isinstance(e, FlexVar)]
+    model = _extract_model(root, reqs,
+                           lambda need, b: witness(need, b, alive),
+                           mods, atoms)
+    _verify(s, model, 0)
+    return Countermodel(model, 0)
+
+
+def printed(v) -> str:
+    if isinstance(v, Countermodel):
+        return serialize_model(propmodel_as_kripke(v.model))
+    return repr(v)
+
+
+class TestAgainstExhaustiveElimination:
+    def test_same_verdicts_and_countermodels(self):
+        # on every frame pair; the prime frame only matters with a prime
+        kinds = set()
+        for i in range(400):
+            base = random_ml_sequent(rng_for(75, i))
+            with_prime = any(contains_node(e, Prime)
+                             for e in base.hypotheses + (base.goal,))
+            for frame in FRAMES:
+                for prime_frame in FRAMES if with_prime else ("k",):
+                    s = MLSequent(base.hypotheses, base.goal, frame,
+                                  prime_frame)
+                    v = prove_ml(s)
+                    assert printed(v) == printed(_reference_prove(s)), s
+                    kinds.add(v.kind)
+        assert kinds == {"proved", "countermodel"}
+
+    def test_wide_implication_is_refuted_by_one_state(self):
+        # the shape of the benchmark's `wide` items: 28 free bits
+        goal = FlexVar("z")
+        for i in range(27):
+            goal = Implies(FlexVar(f"w{i}"), goal)
+        v = prove_ml(seq(goal))
+        assert isinstance(v, Countermodel)
+        assert v.model.states == (0,)
+        assert v.model.zeta[("z", 0)] == "ff"
+
+    def test_k_chain_of_six_is_proved(self):
+        assert isinstance(prove_ml(chain(6, drop=None)), Proved)
+
+    def test_k_chain_of_six_without_its_middle_link(self):
+        v = prove_ml(chain(6, drop=2))
+        assert isinstance(v, Countermodel)
+        assert len(v.model.states) <= 5

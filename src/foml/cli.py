@@ -35,7 +35,6 @@ from .prover import (
     Countermodel,
     MLSequent,
     Proved,
-    ProverLimits,
     prove_ml,
 )
 from .semantics import compile_expr
@@ -119,7 +118,7 @@ def _load_sequent(args) -> MLSequent:
 
 def cmd_prove_ml(args) -> int:
     seq = _load_sequent(args)
-    verdict = prove_ml(seq, ProverLimits(max_steps=args.max_steps))
+    verdict = prove_ml(seq)
     if isinstance(verdict, Proved):
         print("proved")
         return 0
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--frame", choices=("k", "t", "k4", "s4"))
     sp.add_argument("--prime-frame", choices=("k", "t", "k4", "s4"))
-    sp.add_argument("--max-steps", type=int,
-                    default=ProverLimits.max_steps)
 
     sp = add("leibniz", cmd_leibniz,
              help="print the Leibniz position table")

@@ -16,20 +16,23 @@ goal.
 
 Types are eliminated lazily, with global caching.  A key is a
 requirement (must, b): the types with every bit of `must` (the
-hypotheses plus a need mask) and without bit b.  Each key generates its
-candidate types on demand, depth first over the free bits (atoms and
-boxes) in closure order with 0 before 1, pruning a partial assignment as
-soon as a three-valued pass over the implications above its last bit
-shows it breaks the key or the reflexivity law.  One key is shared by
-every type that has the requirement, on either modality, and its live
-candidate is the first one not known to be dead.  The search starts at
-the root key (the hypotheses, without the goal) and expands only the
-live candidates of keys it reaches; a type dies when one of its keys
-runs out of candidates, and a death moves on every key whose live
-candidate it was, which can kill more types.  The sequent is provable
-iff the root key runs out.  A type only dies when it has no surviving
-witness, and the live expanded types are closed under live candidates,
-so each key's live candidate is its first surviving type.
+hypotheses plus a need mask) and without bit b.  The candidates come
+from one search tree that all keys share: a node sets the free bits
+(atoms and boxes) up to some point in closure order, and is grown once,
+with a three-valued pass over the implications above its last bit that
+cuts the children breaking a hypothesis or the reflexivity law.  A key
+walks the tree depth first with 0 before 1, skipping the nodes that
+already break its requirement, so its candidates come in enumeration
+order.  One key is shared by every type that has the requirement, on
+either modality, and its live candidate is the first one not known to
+be dead.  The search starts at the root key (the hypotheses, without
+the goal) and expands only the live candidates of keys it reaches; a
+type dies when one of its keys runs out of candidates, and a death
+moves on every key whose live candidate it was, which can kill more
+types.  The sequent is provable iff the root key runs out.  A type
+only dies when it has no surviving witness, and the live expanded types
+are closed under live candidates, so each key's live candidate is its
+first surviving type.
 
 A countermodel is not the canonical model but a witness model grown from
 the root key's live candidate: each falsified box of a state gets one
@@ -38,8 +41,10 @@ reflexivity and transitivity.  Every countermodel is re-checked for its
 frame classes and with the evaluator before being reported.
 
 Two limits bound the search: `max_types` caps the distinct types the
-keys generate, and `max_steps` caps the partial assignments the
-generators pop.  Hitting either gives ResourceOut, never a wrong verdict.
+keys generate, and `max_steps` caps the tree nodes grown.  A tree over
+n free bits has at most 2^n - 1 nodes to grow, so the default step
+limit is never reached with up to 18.  Hitting either limit gives
+ResourceOut, never a wrong verdict.
 """
 from __future__ import annotations
 
@@ -79,7 +84,7 @@ class MLSequent:
 @dataclass(frozen=True)
 class ProverLimits:
     max_types: int = 8000
-    max_steps: int = 1 << 20
+    max_steps: int = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -150,18 +155,21 @@ class _Search:
     docstring).  `free` lists the free bits in closure order; `up[i]`
     the (bit, lhs, rhs) implications whose value can change when free
     bit i is set, children first; `bodies[i]` the body of free bit i
-    when it is a box on a reflexive frame, else 0; `start` the (true,
-    false) masks known before any free bit is set."""
+    when it is a box on a reflexive frame, else 0.  `tree` is the root
+    of the search tree that every key walks: a node at depth i is
+    [T, F, kids], the (true, false) masks known once the first i free
+    bits are set and its children, None until grown."""
 
-    __slots__ = ("free", "up", "bodies", "start", "hyps", "mods",
-                 "max_types", "max_steps", "steps", "built", "dead", "keys",
+    __slots__ = ("free", "up", "bodies", "hyps", "mods", "max_types",
+                 "max_steps", "steps", "tree", "built", "dead", "keys",
                  "watch", "queue", "reqs")
 
     def __init__(self, free, up, bodies, start, hyps, mods, limits):
         self.free, self.up, self.bodies = free, up, bodies
-        self.start, self.hyps, self.mods = start, hyps, mods
+        self.hyps, self.mods = hyps, mods
         self.max_types, self.max_steps = limits.max_types, limits.max_steps
         self.steps = 0
+        self.tree = [*start, None]
         self.built: set[int] = set()
         self.dead: set[int] = set()
         self.keys: dict[tuple[int, int], _Key] = {}
@@ -173,34 +181,52 @@ class _Search:
 
     def types(self, must: int, must_not: int):
         """The types with every bit of `must` and none of `must_not`, in
-        enumeration order: depth first over the free bits, 0 before 1."""
-        T, F = self.start
-        if F & must or T & must_not:
-            return
-        free, up, bodies, n = self.free, self.up, self.bodies, len(self.free)
-        stack = [(0, T, F)]
+        enumeration order: depth first over the tree, 0 before 1."""
+        n = len(self.free)
+        stack = [(0, self.tree)]
         while stack:
-            i, T, F = stack.pop()
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise _OutOfLimits(
-                    f"more than {self.max_steps} search steps "
-                    f"({len(self.built)} types built)")
+            i, node = stack.pop()
+            T, F, kids = node
+            if F & must or T & must_not:
+                continue
             if i == n:
                 yield T
                 continue
-            x, ups, body = free[i], up[i], bodies[i]
+            if kids is None:
+                kids = node[2] = self.grow(i, T, F)
             i += 1
-            for T, F in ((T | x, F), (T, F | x)):  # pushed 1 first
-                for b, lhs, rhs in ups:  # three-valued implication
-                    if F & lhs or T & rhs:
-                        T |= b
-                    elif T & lhs and F & rhs:
-                        F |= b
-                # a box's body comes before it in the closure, so it is
-                # decided: on a reflexive frame a true box needs it true
-                if not (F & must or T & must_not or T & x and F & body):
-                    stack.append((i, T, F))
+            for kid in kids:  # the 0-child last, so it comes out first
+                stack.append((i, kid))
+
+    def grow(self, i: int, T: int, F: int) -> list:
+        """The children of a node at depth i: free bit i set to 1, then
+        to 0, each kept unless it breaks a hypothesis or the reflexivity
+        law.  One search step.  Every key's `must` holds the hypotheses,
+        so the cut changes no walk; it keeps dead nodes out of memory."""
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise _OutOfLimits(
+                f"more than {self.max_steps} search steps "
+                f"({len(self.built)} types built)")
+        x, ups, body = self.free[i], self.up[i], self.bodies[i]
+        hyps, kids = self.hyps, []
+        for T, F in ((T | x, F), (T, F | x)):
+            for b, lhs, rhs in ups:  # three-valued implication
+                if F & lhs or T & rhs:
+                    T |= b
+                elif T & lhs and F & rhs:
+                    F |= b
+            # a box's body comes before it in the closure, so it is
+            # decided: on a reflexive frame a true box needs it true
+            if not (F & hyps or T & x and F & body):
+                kids.append([T, F, None])
+        return kids
+
+    def close(self) -> None:
+        """Free the tree now: each generator's frame refers back to the
+        search, a cycle that would otherwise wait for the collector."""
+        for key in self.keys.values():
+            key.gen.close()
 
     def key(self, must: int, b: int) -> _Key:
         key = self.keys.get((must, b))
@@ -335,6 +361,8 @@ def prove_ml(
                 s.expand(t)
     except _OutOfLimits as out:
         return ResourceOut(str(out))
+    finally:
+        s.close()
     if root.live is None:
         return Proved()
 

@@ -4,7 +4,7 @@ import pytest
 
 from foml import parse_problem
 from foml.coalesce_ml import coalesce_obligation_ml, ml_atoms_of
-from foml.gen import random_ml_sequent, rng_for
+from foml.gen import random_ml_formula, random_ml_sequent, rng_for
 from foml.models import (
     PropModel,
     kripke_as_propmodel,
@@ -68,6 +68,43 @@ def chain(n: int, drop: int) -> MLSequent:
         tuple(Implies(ps[i], Nabla(ps[i + 1]))
               for i in range(n - 1) if i != drop),
         Implies(ps[0], goal))
+
+
+def xor_clash(n: int) -> MLSequent:
+    """Proved, with 2n + 4 free bits, and hard for keys that each search
+    alone.  A first hypothesis sets the boxes nabla(x_i => x_(i+1)),
+    i < n, early in the search order; six XOR hypotheses over them and
+    the atoms all end in the last atom, so the three-valued pass cuts
+    no branch before it; the goal fails only where a box is false and
+    every successor falsifies the first XOR, written in the other
+    order, which no successor can."""
+    def neg(a):
+        return Implies(a, FALSE)
+
+    def xor(a, b):
+        return Implies(Implies(a, b), neg(Implies(b, a)))
+
+    xs = [FlexVar(f"x{i}") for i in range(n + 3)]
+    boxes = [Nabla(Implies(xs[i], xs[i + 1])) for i in range(n)]
+    order = boxes[-1]
+    for b in reversed(boxes):
+        order = Implies(b, order)
+    rng = rng_for(5, n)
+    picks = [rng.sample(xs[:-1] + boxes, 6) for _ in range(6)]
+    xors = []
+    for vs in picks:
+        c = xs[-1]
+        for v in vs:
+            c = xor(v, c)
+        xors.append(c)
+    first = xs[-1]
+    for v in reversed(picks[0]):
+        first = xor(v, first)
+    all_boxes = boxes[0]
+    for b in boxes[1:]:
+        all_boxes = neg(Implies(all_boxes, neg(b)))
+    return MLSequent((order, *xors),
+                     Implies(Nabla(neg(first)), all_boxes))
 
 
 def oracle_countermodel_exists(s: MLSequent, max_states=3) -> bool:
@@ -301,29 +338,28 @@ class TestVerifyFrameClass:
 
 class TestLimits:
     """Each limit at the last value that runs out and the first that
-    decides: chain(5) is proved after 13031 search steps and 585 types,
-    chain(6, drop=3) refuted after 450 steps and 5 types."""
+    decides: chain(5) is proved after 938 search steps and 585 types,
+    chain(6, drop=3) refuted after 57 steps and 5 types."""
 
     def test_resource_out(self):
         s = chain(5, drop=None)
-        assert prove_ml(s, ProverLimits(max_steps=13030)) == ResourceOut(
-            "more than 13030 search steps (584 types built)")
-        assert isinstance(prove_ml(s, ProverLimits(max_steps=13031)),
-                          Proved)
+        assert prove_ml(s, ProverLimits(max_steps=937)) == ResourceOut(
+            "more than 937 search steps (584 types built)")
+        assert isinstance(prove_ml(s, ProverLimits(max_steps=938)), Proved)
         s = chain(6, drop=3)
-        assert prove_ml(s, ProverLimits(max_steps=449)) == ResourceOut(
-            "more than 449 search steps (5 types built)")
-        assert isinstance(prove_ml(s, ProverLimits(max_steps=450)),
+        assert prove_ml(s, ProverLimits(max_steps=56)) == ResourceOut(
+            "more than 56 search steps (4 types built)")
+        assert isinstance(prove_ml(s, ProverLimits(max_steps=57)),
                           Countermodel)
 
     def test_too_many_candidate_types(self):
         s = chain(5, drop=None)
         assert prove_ml(s, ProverLimits(max_types=584)) == ResourceOut(
-            "more than 584 candidate types (after 13031 search steps)")
+            "more than 584 candidate types (after 938 search steps)")
         assert isinstance(prove_ml(s, ProverLimits(max_types=585)), Proved)
         s = chain(6, drop=3)
         assert prove_ml(s, ProverLimits(max_types=4)) == ResourceOut(
-            "more than 4 candidate types (after 345 search steps)")
+            "more than 4 candidate types (after 57 search steps)")
         assert isinstance(prove_ml(s, ProverLimits(max_types=5)),
                           Countermodel)
 
@@ -387,6 +423,17 @@ def _reference_prove(s: MLSequent):
     return Countermodel(model, 0)
 
 
+def larger_ml_sequent(rng) -> MLSequent:
+    """Five to seven atoms, a goal of depth 4-5 and up to three
+    hypotheses of depth 2-3: mostly within 18 free bits."""
+    atoms = [f"p{i}" for i in range(rng.randrange(5, 8))]
+    prime = rng.random() < 0.3
+    hyps = tuple(random_ml_formula(rng, atoms, rng.randrange(2, 4), prime)
+                 for _ in range(rng.randrange(0, 4)))
+    goal = random_ml_formula(rng, atoms, rng.randrange(4, 6), prime)
+    return MLSequent(hyps, goal)
+
+
 def printed(v) -> str:
     if isinstance(v, Countermodel):
         return serialize_model(propmodel_as_kripke(v.model))
@@ -409,6 +456,41 @@ class TestAgainstExhaustiveElimination:
                     assert printed(v) == printed(_reference_prove(s)), s
                     kinds.add(v.kind)
         assert kinds == {"proved", "countermodel"}
+
+    def test_larger_sequents(self):
+        # the keys share one search tree, whose inner nodes over `free`
+        # bits number at most 2^free - 1: so no step-limit resource-out
+        # below the old 18-bit limit.  A type-limit one means the
+        # exhaustive procedure had more than 8000 types too, since
+        # every type built is one of them.
+        compared = 0
+        for i in range(150):
+            base = larger_ml_sequent(rng_for(79, i))
+            free = sum(isinstance(e, (FlexVar, Nabla, Prime))
+                       for e in _closure(base))
+            if free > 18:
+                continue
+            limits = ProverLimits(max_steps=(1 << free) - 1)
+            with_prime = any(contains_node(e, Prime)
+                             for e in base.hypotheses + (base.goal,))
+            for frame in FRAMES:
+                for prime_frame in FRAMES if with_prime else ("k",):
+                    s = MLSequent(base.hypotheses, base.goal, frame,
+                                  prime_frame)
+                    v = prove_ml(s, limits)
+                    assert not isinstance(v, ResourceOut) or (
+                        v.reason.startswith("more than 8000 candidate")), s
+                    if free <= 10:
+                        assert printed(v) == printed(_reference_prove(s)), s
+                        compared += 1
+        assert compared > 500
+
+    def test_keys_share_one_search_tree(self):
+        # 12 free bits; with a search per key this took 8127 steps
+        s = xor_clash(4)
+        v = prove_ml(s, ProverLimits(max_steps=(1 << 12) - 1))
+        assert isinstance(v, Proved)
+        assert isinstance(_reference_prove(s), Proved)
 
     def test_wide_implication_is_refuted_by_one_state(self):
         # the shape of the benchmark's `wide` items: 28 free bits

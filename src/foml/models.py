@@ -81,6 +81,14 @@ class KripkeModel:
             if stray:
                 raise FomlError(
                     f"{section} names undeclared state {stray[0]!r}")
+        for x, val in self.xi.items():
+            if val not in udom:
+                raise FomlError(f"xi gives {x} the value {_fmt(val)}, "
+                                "outside the universe")
+        for (v, w), val in self.zeta.items():
+            if val not in udom:
+                raise FomlError(f"zeta gives {v} at state {_fmt(w)} the "
+                                f"value {_fmt(val)}, outside the universe")
 
     successors = _successors
 

@@ -5,11 +5,24 @@ Enumeration order is fixed (universe size, then state count, then valuation
 deterministic and the first countermodel found is reproducible.  Absence of
 a countermodel within bounds is reported distinctly from running into the
 examination cap.
+
+`find_countermodel` examines one model per orbit of the permutations of
+the states: the orbit's lex-leader, its first member in the enumeration
+order (zeta values in key order, then the R mask, then the primeR mask).
+Renaming states never changes whether a model is a countermodel, so the
+first countermodel is the one the full enumeration finds first, and
+`examined` and `max_models` count orbit representatives.  The leaders
+are drawn hierarchically: a zeta assignment is kept when no permutation
+maps it to an earlier one, R ranges over the relations least under the
+permutations that fix zeta, and primeR over those least under the
+permutations that fix both.  `enumerate_models` remains the full
+labelled enumeration, the oracle the search is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .models import FOLStructure, KripkeModel, PropModel, Value
@@ -81,21 +94,16 @@ def _relations(states: tuple[Value, ...]) -> Iterator[frozenset]:
         yield frozenset(p for p, keep in zip(pairs, mask) if keep)
 
 
-def _functions(states: tuple[Value, ...]) -> Iterator[frozenset]:
-    for image in product(states, repeat=len(states)):
-        yield frozenset(zip(states, image))
-
-
 def enumerate_models(
     ops: Mapping[str, int],
     rigid: Sequence[str],
     flex: Sequence[str],
     max_universe: int = 2,
     max_states: int = 2,
-    prime: Optional[str] = None,  # None | "relational" | "functional"
+    prime: bool = False,
 ) -> Iterator[KripkeModel]:
     """All Kripke models over the given signature, universes {tt,ff} and
-    upward, up to the given bounds."""
+    upward, up to the given bounds; with `prime`, every primeR too."""
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
         tt, ff = 0, 1
@@ -110,16 +118,95 @@ def enumerate_models(
                                              repeat=len(flex_keys)):
                         zeta = dict(zip(flex_keys, zeta_vals))
                         for R in _relations(states):
-                            if prime is None:
+                            if not prime:
                                 yield KripkeModel(
                                     universe, tt, ff, op_interp, xi,
                                     states, R, zeta)
                                 continue
-                            prime_space = (
-                                _functions(states)
-                                if prime == "functional"
-                                else _relations(states))
-                            for pR in prime_space:
+                            for pR in _relations(states):
+                                yield KripkeModel(
+                                    universe, tt, ff, op_interp, xi,
+                                    states, R, zeta, primeR=pR)
+
+
+Perm = tuple[int, ...]
+
+
+def _least_fixers(vals: tuple, maps: Sequence[tuple[Perm, tuple[int, ...]]]
+                  ) -> Optional[tuple[Perm, ...]]:
+    """The permutations that fix `vals`, or None when one of them maps it
+    to an earlier tuple.  `maps` pairs each permutation with the indices
+    that apply it: `vals` permuted is `vals[i] for i in indices`."""
+    fixers = []
+    for p, indices in maps:
+        image = tuple([vals[i] for i in indices])
+        if image < vals:
+            return None
+        if image == vals:
+            fixers.append(p)
+    return tuple(fixers)
+
+
+@cache
+def _leader_relations(nstates: int, group: tuple[Perm, ...]
+                      ) -> tuple[tuple[frozenset, tuple[Perm, ...]], ...]:
+    """The relations of `_relations(range(nstates))`, in its order, that
+    no permutation in `group` maps to an earlier one, each with the
+    members of `group` that fix it.  A group is given without its
+    identity, in `permutations` order."""
+    states = range(nstates)
+    pairs = [(s, t) for s in states for t in states]
+    maps = [(p, tuple([p[s] * nstates + p[t] for s, t in pairs]))
+            for p in group]
+    leaders = []
+    for mask in product((False, True), repeat=len(pairs)):
+        fixers = _least_fixers(mask, maps)
+        if fixers is not None:
+            leaders.append(
+                (frozenset(p for p, keep in zip(pairs, mask) if keep),
+                 fixers))
+    return tuple(leaders)
+
+
+def _orbit_leaders(
+    ops: Mapping[str, int],
+    rigid: Sequence[str],
+    flex: Sequence[str],
+    max_universe: int,
+    max_states: int,
+    prime: bool,
+) -> Iterator[KripkeModel]:
+    """The models of `enumerate_models`, in its order, that come first in
+    their orbit under the permutations of the states."""
+    for usize in range(2, max_universe + 1):
+        universe = tuple(range(usize))
+        tt, ff = 0, 1
+        for nstates in range(1, max_states + 1):
+            states = tuple(range(nstates))
+            flex_keys = [(v, w) for v in flex for w in states]
+            group = tuple(permutations(states))[1:]
+            zeta_maps = [(p, tuple([i * nstates + p[w]
+                                    for i in range(len(flex))
+                                    for w in states]))
+                         for p in group]
+            for xi_vals in product(universe, repeat=len(rigid)):
+                xi = dict(zip(rigid, xi_vals))
+                for tables in _lazy_product(_tables_space(ops, universe)):
+                    op_interp = dict(zip(ops, tables))
+                    for zeta_vals in product(universe,
+                                             repeat=len(flex_keys)):
+                        zeta_fixers = _least_fixers(zeta_vals, zeta_maps)
+                        if zeta_fixers is None:
+                            continue
+                        zeta = dict(zip(flex_keys, zeta_vals))
+                        for R, fixers in _leader_relations(nstates,
+                                                           zeta_fixers):
+                            if not prime:
+                                yield KripkeModel(
+                                    universe, tt, ff, op_interp, xi,
+                                    states, R, zeta)
+                                continue
+                            for pR, _ in _leader_relations(nstates, fixers):
                                 yield KripkeModel(
                                     universe, tt, ff, op_interp, xi,
                                     states, R, zeta, primeR=pR)
@@ -135,18 +222,16 @@ def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
 def find_countermodel(
     ob: Obligation,
     bounds: SearchBounds = SearchBounds(),
-    functional_prime: bool = False,
 ) -> SearchResult:
-    """Exhaustive bounded search for a model satisfying every hypothesis at
-    every state while falsifying the goal at some state."""
+    """Exhaustive bounded search, one model per state-permutation orbit,
+    for a model satisfying every hypothesis at every state while
+    falsifying the goal at some state."""
     ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
-    prime = None
-    if needs_prime(ob.env, *ob.all_exprs()):
-        prime = "functional" if functional_prime else "relational"
+    prime = needs_prime(ob.env, *ob.all_exprs())
     countermodel_state = countermodel_checker(ob)
     examined = 0
-    for m in enumerate_models(ops, rigid, flex, bounds.max_universe,
-                              bounds.max_states, prime):
+    for m in _orbit_leaders(ops, rigid, flex, bounds.max_universe,
+                            bounds.max_states, prime):
         examined += 1
         if examined > bounds.max_models:
             return SearchResult("resource-out", examined=examined - 1)

@@ -1,6 +1,7 @@
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,8 +9,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from foml import cli
 from foml.cli import main
 from foml.emit import emit_mlseq, parse_mlseq
-from foml.gen import random_ml_formula
-from foml.models import kripke_as_propmodel, parse_model
+from foml.gen import random_ml_formula, random_model
+from foml.models import (
+    KripkeModel,
+    kripke_as_propmodel,
+    parse_model,
+    serialize_model,
+)
+from foml.parser import parse_problem
 from foml.prover import FRAMES, MLSequent
 from foml.semantics import eval_ml
 
@@ -176,6 +183,25 @@ class TestSubcommands:
         assert code == 65
         assert out == ""
         assert err.count("\n") == 1 and stray in err
+
+    @pytest.mark.parametrize("section,message", [
+        ("(xi (x 7)) (zeta (v s0 0))",
+         "xi gives x the value 7, outside the universe"),
+        ("(zeta (v s0 7))",
+         "zeta gives v at state s0 the value 7, outside the universe"),
+    ])
+    def test_check_model_rejects_values_outside_universe(
+            self, capsys, tmp_path, box_file, section, message):
+        # The stray 7 reads as not tt, so unless validation rejects it the
+        # model passes as satisfying the box obligation.
+        model = tmp_path / "stray.model"
+        model.write_text(
+            "(model (universe 0 1) (tt 0) (ff 1) (op 0 (row 0))"
+            f" (states s0) (R (s0 s0)) {section})")
+        code, out, err = run(capsys, "check-model", str(model), box_file)
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
     HEAD = "(model (universe 0 1) (tt 0) (ff 1)"
 
@@ -434,3 +460,80 @@ class TestProveMlProperty:
             for h in s.hypotheses:
                 for w in k.states:
                     assert eval_ml(k, w, h) == k.tt
+
+
+CHECK_PROBLEM = ("(declare-op 0 0) (declare-op f 1) (declare-rigid x)"
+                 " (declare-flex v)\n(assume (= (f x) (f x)))\n"
+                 "(goal (=> (= v x) (nabla (prime (= (f v) 0)))))\n")
+
+
+def _rename_states(m: KripkeModel, names: dict) -> KripkeModel:
+    return replace(
+        m, states=tuple(names[w] for w in m.states),
+        R=frozenset((names[s], names[t]) for s, t in m.R),
+        primeR=frozenset((names[s], names[t]) for s, t in m.primeR),
+        zeta={(v, names[w]): val for (v, w), val in m.zeta.items()})
+
+
+@st.composite
+def mutated_models(draw):
+    """(kind, model text, mutated model text) for CHECK_PROBLEM."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = random_model(rng, parse_problem(CHECK_PROBLEM).env, need_prime=True)
+    kind = draw(st.sampled_from(
+        ("value", "drop", "duplicate", "rename", "rename-all")))
+    if kind == "value":
+        stray = draw(st.sampled_from((7, -1, "w")))
+        section = draw(st.sampled_from(("xi", "zeta", "op")))
+        if section == "xi":
+            bad = replace(m, xi={"x": stray})
+        elif section == "zeta":
+            key = draw(st.sampled_from(sorted(m.zeta)))
+            bad = replace(m, zeta={**m.zeta, key: stray})
+        else:
+            args = draw(st.sampled_from(sorted(m.op_interp["f"])))
+            bad = replace(m, op_interp={
+                **m.op_interp, "f": {**m.op_interp["f"], args: stray}})
+        return kind, serialize_model(m), serialize_model(bad)
+    if kind.startswith("rename"):
+        pool = draw(st.permutations(list(m.states) + ["s0", "s1", "s2"]))
+        names = dict(zip(m.states, pool))
+        bad = (_rename_states(m, names) if kind == "rename-all"
+               else replace(m, states=tuple(names[w] for w in m.states)))
+        return kind, serialize_model(m), serialize_model(bad)
+    text = serialize_model(m)
+    sections = text[len("(model\n  "):-len(")\n")].split("\n  ")
+    i = draw(st.integers(0, len(sections) - 1))
+    if kind == "drop":
+        del sections[i]
+    else:
+        sections.insert(i, sections[i])
+    return kind, text, "(model " + " ".join(sections) + ")\n"
+
+
+class TestCheckModelProperty:
+    @given(mutated_models())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_models_exit_cleanly(self, tmp_path, case):
+        kind, original, mutated = case
+        problem = tmp_path / "problem.foml"
+        problem.write_text(CHECK_PROBLEM)
+        codes = []
+        for text in (original, mutated):
+            path = tmp_path / "m.model"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["check-model", str(path), str(problem)])
+            err = err.getvalue()
+            assert code in (0, 1, 65), err
+            assert "Traceback" not in err and "internal error" not in err
+            assert (err == "") == (code != 65) == (out.getvalue() != "")
+            codes.append(code)
+        assert codes[0] in (0, 1)
+        if kind in ("value", "duplicate"):
+            assert codes[1] == 65
+        if kind == "rename-all":
+            # Renaming states consistently gives an isomorphic model.
+            assert codes[1] == codes[0]

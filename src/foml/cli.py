@@ -23,13 +23,20 @@ from .emit import (
     emit_mlseq,
     emit_smt,
     emit_tptp,
-    parse_mlseq,
+    parse_mlseq_forms,
     run_solver,
     stratify,
 )
 from .leibniz import compute_leibniz, format_table
 from .models import parse_model, propmodel_as_kripke, serialize_model
-from .parser import ProblemError, parse_file, parse_problem
+from .parser import (
+    ProblemError,
+    form_head,
+    parse_file,
+    parse_forms,
+    parse_problem,
+    read_sexprs,
+)
 from .printer import print_expr, print_problem
 from .prover import (
     Countermodel,
@@ -103,22 +110,21 @@ def cmd_coalesce_ml(args) -> int:
     return 0
 
 
-def _load_sequent(args) -> MLSequent:
-    text = _read(args.file)
-    if text.lstrip().startswith("(mlseq"):
-        seq = parse_mlseq(text)
-        frame_nabla = args.frame or seq.frame_nabla
-        frame_prime = args.prime_frame or seq.frame_prime
-        return MLSequent(seq.hypotheses, seq.goal, frame_nabla, frame_prime)
-    ob = parse_problem(text)
-    res = coalesce_obligation_ml(ob)
-    return MLSequent(res.hypotheses + res.stability, res.goal,
-                     args.frame or "k", args.prime_frame or "k")
+def _load_sequent(text: str) -> MLSequent:
+    """The sequent of an mlseq text, or of a problem text after modal
+    coalescing; the head of the first form tells which the text is."""
+    forms = read_sexprs(text)
+    if forms and form_head(forms[0]) == "mlseq":
+        return parse_mlseq_forms(forms)
+    res = coalesce_obligation_ml(parse_forms(forms).obligation())
+    return MLSequent(res.hypotheses + res.stability, res.goal)
 
 
 def cmd_prove_ml(args) -> int:
-    seq = _load_sequent(args)
-    verdict = prove_ml(seq)
+    seq = _load_sequent(_read(args.file))
+    verdict = prove_ml(MLSequent(seq.hypotheses, seq.goal,
+                                 args.frame or seq.frame_nabla,
+                                 args.prime_frame or seq.frame_prime))
     if isinstance(verdict, Proved):
         print("proved")
         return 0
@@ -207,13 +213,7 @@ def cmd_emit(args) -> int:
     fmt = args.emit
     text = _read(args.file)
     if fmt == "mlseq":
-        if text.lstrip().startswith("(mlseq"):
-            out = emit_mlseq(parse_mlseq(text))
-        else:
-            ob = parse_problem(text)
-            res = coalesce_obligation_ml(ob)
-            out = emit_mlseq(MLSequent(res.hypotheses + res.stability,
-                                       res.goal))
+        out = emit_mlseq(_load_sequent(text))
     else:
         ob = _apply_rigid_box(parse_problem(text), args.rewrite_rigid_box)
         res = coalesce_obligation_fol(ob, _config(args))
@@ -233,10 +233,14 @@ def cmd_emit(args) -> int:
 
 def _bounds(text: str) -> tuple[int, int]:
     try:
-        u, s = text.split(",")
-        return int(u), int(s)
+        u, s = map(int, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected --bounds=U,S")
+    # a model needs the two truth values and at least one state
+    if u < 2 or s < 1:
+        raise argparse.ArgumentTypeError(
+            "--bounds=U,S needs U >= 2 and S >= 1")
+    return u, s
 
 
 def build_parser() -> argparse.ArgumentParser:

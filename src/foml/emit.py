@@ -20,9 +20,9 @@ from itertools import product
 from typing import Callable, Optional
 
 from .models import FOLStructure
-from .parser import ProblemError, SAtom, SList, SNode, read_sexprs
+from .parser import ProblemError, SAtom, SNode, form_head, read_sexprs
 from .printer import print_expr
-from .prover import MLSequent, check_ml_formula
+from .prover import FRAMES, MLSequent, check_ml_formula
 from .semantics import compile_fol, eval_fol
 from .syntax import (
     FALSE,
@@ -322,9 +322,9 @@ def _parse_ml_expr(node: SNode) -> Expression:
             raise ProblemError(f"bad atom {node.text!r}",
                                node.line, node.col)
         return FlexVar(node.text)
-    if not node.items or not isinstance(node.items[0], SAtom):
+    head = form_head(node)
+    if head is None:
         raise ProblemError("malformed formula", node.line, node.col)
-    head = node.items[0].text
     rest = node.items[1:]
     if head == "=>" and len(rest) == 2:
         return Implies(_parse_ml_expr(rest[0]), _parse_ml_expr(rest[1]))
@@ -336,34 +336,34 @@ def _parse_ml_expr(node: SNode) -> Expression:
 
 
 def parse_mlseq(text: str) -> MLSequent:
-    nodes = read_sexprs(text)
-    if len(nodes) != 1 or not isinstance(nodes[0], SList):
+    return parse_mlseq_forms(read_sexprs(text))
+
+
+def parse_mlseq_forms(forms: list[SNode]) -> MLSequent:
+    """Interpret the forms of an mlseq file, as read by read_sexprs."""
+    if len(forms) != 1 or isinstance(forms[0], SAtom):
         raise ProblemError("expected exactly one (mlseq ...) form")
-    top = nodes[0]
-    if not top.items or not isinstance(top.items[0], SAtom) \
-            or top.items[0].text != "mlseq":
+    top = forms[0]
+    if form_head(top) != "mlseq":
         raise ProblemError("expected (mlseq ...)", top.line, top.col)
     frames = {"nabla": "k", "prime": "k"}
     hyps: tuple[Expression, ...] = ()
     goal: Optional[Expression] = None
     seen: set[str] = set()
     for section in top.items[1:]:
-        if not isinstance(section, SList) or not section.items \
-                or not isinstance(section.items[0], SAtom):
+        head = form_head(section)
+        if head is None:
             raise ProblemError("malformed mlseq section",
                                section.line, section.col)
-        head = section.items[0].text
         body = section.items[1:]
         key = head
         if head == "frame":
-            if len(body) != 2 or not all(isinstance(b, SAtom)
-                                         for b in body):
+            if len(body) != 2 or not all(isinstance(b, SAtom) for b in body) \
+                    or body[0].text not in frames \
+                    or body[1].text not in FRAMES:
                 raise ProblemError("(frame nabla|prime k|t|k4|s4)",
                                    section.line, section.col)
             mod, cls = body[0].text, body[1].text
-            if mod not in frames or cls not in ("k", "t", "k4", "s4"):
-                raise ProblemError("(frame nabla|prime k|t|k4|s4)",
-                                   section.line, section.col)
             frames[mod] = cls
             key = f"frame {mod}"
         elif head == "global-hypotheses":

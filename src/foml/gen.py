@@ -383,7 +383,7 @@ def distribute_check(rng: random.Random) -> Optional[str]:
 
 
 def action_witness_structure(
-    m: KripkeModel, w: Value, primed, env: DefinitionEnvironment
+    m: KripkeModel, w: Value, primed: PrimedVars, env: DefinitionEnvironment
 ) -> FOLStructure:
     """Structure extracted from a functional-prime model at a state: primed
     constants take the flexible variable's value at the successor state."""
@@ -392,8 +392,7 @@ def action_witness_structure(
         if (v, w) in m.zeta:
             xi[v] = m.zeta[(v, w)]
     w2 = m.prime_successor(w)
-    mapping = primed.mapping if isinstance(primed, PrimedVars) else primed
-    for v, pname in mapping.items():
+    for v, pname in primed.mapping.items():
         xi[pname] = m.zeta[(v, w2)]
     return FOLStructure(m.universe, m.tt, m.ff, dict(m.op_interp), xi)
 
@@ -471,7 +470,6 @@ def run_fuzz(
     seed: int,
     iterations: int,
     checks: Sequence[str] = ("fol-witness", "ml-witness"),
-    stop_at_first: bool = False,
     max_universe: int = 3,
     max_states: int = 3,
 ) -> FuzzReport:
@@ -491,6 +489,4 @@ def run_fuzz(
             if problem is not None:
                 report.discrepancies.append(
                     f"[{name}] seed={seed} iteration={i}: {problem}")
-                if stop_at_first:
-                    return report
     return report

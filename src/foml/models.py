@@ -11,13 +11,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .parser import ProblemError, SAtom, SList, SNode, read_sexprs
+from .parser import (
+    ProblemError,
+    SNode,
+    expect_atom,
+    expect_list,
+    read_sexprs,
+)
 from .syntax import FomlError
 
 Value = Union[int, str]
 
 
-def _parse_atom_value(text: str) -> Value:
+def _value(node: SNode, what: str) -> Value:
+    text = expect_atom(node, what).text
     try:
         return int(text)
     except ValueError:
@@ -178,46 +185,32 @@ def serialize_model(m: KripkeModel) -> str:
     return f"(model\n  {body})\n"
 
 
-def _expect_list(node: SNode, what: str) -> SList:
-    if not isinstance(node, SList):
-        raise ProblemError(f"expected {what}", node.line, node.col)
-    return node
-
-
-def _atom_text(node: SNode, what: str) -> str:
-    if not isinstance(node, SAtom):
-        raise ProblemError(f"expected {what}", node.line, node.col)
-    return node.text
-
-
 def parse_model(text: str) -> KripkeModel:
     nodes = read_sexprs(text)
     if len(nodes) != 1:
         raise ProblemError("model file must contain exactly one (model ...)")
-    top = _expect_list(nodes[0], "(model ...)")
-    if not top.items or _atom_text(top.items[0], "model") != "model":
+    top = expect_list(nodes[0], "(model ...)")
+    if not top.items or expect_atom(top.items[0], "model").text != "model":
         raise ProblemError("model file must start with (model ...)",
                            top.line, top.col)
 
     universe: tuple[Value, ...] = ()
-    tt: Optional[Value] = None
-    ff: Optional[Value] = None
+    truth: dict[str, Value] = {}  # "tt" and "ff"
     ops: dict[str, dict[tuple[Value, ...], Value]] = {}
     xi: dict[str, Value] = {}
     states: tuple[Value, ...] = ()
-    R: Optional[frozenset] = None
+    relations: dict[str, frozenset] = {}  # "R" and "primeR"
     zeta: dict[tuple[str, Value], Value] = {}
-    primeR: Optional[frozenset] = None
 
     def pairs(items) -> frozenset:
         rel = set()
         for it in items:
-            lst = _expect_list(it, "a state pair")
+            lst = expect_list(it, "a state pair")
             if len(lst.items) != 2:
                 raise ProblemError("state pair needs two states",
                                    lst.line, lst.col)
-            rel.add((_parse_atom_value(_atom_text(lst.items[0], "a state")),
-                     _parse_atom_value(_atom_text(lst.items[1], "a state"))))
+            rel.add((_value(lst.items[0], "a state"),
+                     _value(lst.items[1], "a state")))
         return frozenset(rel)
 
     def put(table: dict, key, value, section: str, row: str,
@@ -230,36 +223,30 @@ def parse_model(text: str) -> KripkeModel:
 
     seen: set[str] = set()
     for section in top.items[1:]:
-        lst = _expect_list(section, "a model section")
+        lst = expect_list(section, "a model section")
         if not lst.items:
             raise ProblemError("empty model section", lst.line, lst.col)
-        head = _atom_text(lst.items[0], "a section name")
+        head = expect_atom(lst.items[0], "a section name").text
         body = lst.items[1:]
         key = head
         if head == "universe":
-            universe = tuple(
-                _parse_atom_value(_atom_text(n, "a value")) for n in body)
+            universe = tuple(_value(n, "a value") for n in body)
         elif head in ("tt", "ff"):
             if len(body) != 1:
                 raise ProblemError(f"({head} value)", lst.line, lst.col)
-            value = _parse_atom_value(_atom_text(body[0], "a value"))
-            if head == "tt":
-                tt = value
-            else:
-                ff = value
+            truth[head] = _value(body[0], "a value")
         elif head == "op":
             if not body:
                 raise ProblemError("(op name (row args.. value) ...)",
                                    lst.line, lst.col)
-            name = _atom_text(body[0], "an operator name")
+            name = expect_atom(body[0], "an operator name").text
             key = f"op {name}"
             table: dict[tuple[Value, ...], Value] = {}
             for row in body[1:]:
-                r = _expect_list(row, "(row args.. value)")
-                if not r.items or _atom_text(r.items[0], "row") != "row":
+                r = expect_list(row, "(row args.. value)")
+                if not r.items or expect_atom(r.items[0], "row").text != "row":
                     raise ProblemError("expected (row ...)", r.line, r.col)
-                vals = [_parse_atom_value(_atom_text(n, "a value"))
-                        for n in r.items[1:]]
+                vals = [_value(n, "a value") for n in r.items[1:]]
                 if not vals:
                     raise ProblemError("row needs a value", r.line, r.col)
                 args = tuple(vals[:-1])
@@ -268,29 +255,24 @@ def parse_model(text: str) -> KripkeModel:
             ops[name] = table
         elif head == "xi":
             for row in body:
-                r = _expect_list(row, "(x value)")
+                r = expect_list(row, "(x value)")
                 if len(r.items) != 2:
                     raise ProblemError("(xi (x value) ...)", r.line, r.col)
-                x = _atom_text(r.items[0], "a variable")
-                put(xi, x,
-                    _parse_atom_value(_atom_text(r.items[1], "a value")),
-                    head, x, r)
+                x = expect_atom(r.items[0], "a variable").text
+                put(xi, x, _value(r.items[1], "a value"), head, x, r)
         elif head == "states":
-            states = tuple(
-                _parse_atom_value(_atom_text(n, "a state")) for n in body)
-        elif head == "R":
-            R = pairs(body)
-        elif head == "primeR":
-            primeR = pairs(body)
+            states = tuple(_value(n, "a state") for n in body)
+        elif head in ("R", "primeR"):
+            relations[head] = pairs(body)
         elif head == "zeta":
             for row in body:
-                r = _expect_list(row, "(v state value)")
+                r = expect_list(row, "(v state value)")
                 if len(r.items) != 3:
                     raise ProblemError("(zeta (v state value) ...)",
                                        r.line, r.col)
-                v = _atom_text(r.items[0], "a flexible variable")
-                w = _parse_atom_value(_atom_text(r.items[1], "a state"))
-                val = _parse_atom_value(_atom_text(r.items[2], "a value"))
+                v = expect_atom(r.items[0], "a flexible variable").text
+                w = _value(r.items[1], "a state")
+                val = _value(r.items[2], "a value")
                 put(zeta, (v, w), val, head, f"{v} {_fmt(w)}", r)
         else:
             raise ProblemError(f"unknown model section {head!r}",
@@ -300,11 +282,12 @@ def parse_model(text: str) -> KripkeModel:
                                lst.line, lst.col)
         seen.add(key)
 
-    if tt is None or ff is None or not universe or not states or R is None:
+    if len(truth) != 2 or not universe or not states or "R" not in relations:
         raise ProblemError(
             "model file needs universe, tt, ff, states and R sections")
-    m = KripkeModel(universe=universe, tt=tt, ff=ff, op_interp=ops, xi=xi,
-                    states=states, R=R, zeta=zeta, primeR=primeR)
+    m = KripkeModel(universe=universe, tt=truth["tt"], ff=truth["ff"],
+                    op_interp=ops, xi=xi, states=states, R=relations["R"],
+                    zeta=zeta, primeR=relations.get("primeR"))
     m.validate()
     return m
 

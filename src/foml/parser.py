@@ -21,8 +21,9 @@ spot, so parsed ASTs contain only core nodes.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .syntax import (
     FALSE,
@@ -80,54 +81,38 @@ class SList:
 SNode = Union[SAtom, SList]
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
+# One token per match: a parenthesis, an atom, a comment (skipped) or a
+# newline (counted).  Other whitespace is stepped over by the scan itself.
+# `\s` is the same set as `str.isspace`, and only "\n" ends a line.
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*|\n")
 
 
 def read_sexprs(text: str) -> list[SNode]:
     """Read all top-level s-expressions in text."""
     stack: list[tuple[list[SNode], int, int]] = []
-    top: list[SNode] = []
-    for tok, line, col in _tokenize(text):
-        if tok == "(":
-            stack.append(([], line, col))
-        elif tok == ")":
+    items: list[SNode] = []
+    line, newline = 1, -1  # newline: offset of the last "\n" read
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        c = tok[0]
+        if c == "\n":
+            line += 1
+            newline = m.start()
+        elif c == "(":
+            stack.append((items, line, m.start() - newline))
+            items = []
+        elif c == ")":
             if not stack:
-                raise ProblemError("unmatched ')'", line, col)
-            items, oline, ocol = stack.pop()
-            node = SList(tuple(items), oline, ocol)
-            (stack[-1][0] if stack else top).append(node)
-        else:
-            (stack[-1][0] if stack else top).append(SAtom(tok, line, col))
+                raise ProblemError("unmatched ')'", line, m.start() - newline)
+            outer, oline, ocol = stack.pop()
+            outer.append(SList(tuple(items), oline, ocol))
+            items = outer
+        elif c != ";":
+            items.append(SAtom(tok, line, m.start() - newline))
     if stack:
         _, oline, ocol = stack[-1]
         raise ProblemError("unclosed '('", oline, ocol)
-    return top
+    return items
 
 
 RESERVED = {
@@ -138,10 +123,24 @@ RESERVED = {
 }
 
 
-def _atom(node: SNode, what: str) -> SAtom:
+def expect_atom(node: SNode, what: str) -> SAtom:
     if not isinstance(node, SAtom):
         raise ProblemError(f"expected {what}", node.line, node.col)
     return node
+
+
+def expect_list(node: SNode, what: str) -> SList:
+    if not isinstance(node, SList):
+        raise ProblemError(f"expected {what}", node.line, node.col)
+    return node
+
+
+def form_head(node: SNode) -> Optional[str]:
+    """The head symbol of a (head ...) form, or None for any other node."""
+    if isinstance(node, SList) and node.items \
+            and isinstance(node.items[0], SAtom):
+        return node.items[0].text
+    return None
 
 
 def _check_name(tok: SAtom, what: str) -> str:
@@ -151,6 +150,20 @@ def _check_name(tok: SAtom, what: str) -> str:
             tok.line, tok.col,
         )
     return tok.text
+
+
+# Connectives that take their arguments as plain subexpressions: the
+# argument count (None: any number) and the constructor.
+CONNECTIVES: dict[str, tuple[Optional[int], Callable[..., Expression]]] = {
+    "=": (2, Eq),
+    "=>": (2, Implies),
+    "not": (1, not_),
+    "iff": (2, iff_),
+    "and": (None, and_),
+    "or": (None, or_),
+    "nabla": (1, Nabla),
+    "delta": (1, delta_),
+}
 
 
 def parse_expression(
@@ -208,25 +221,15 @@ def parse_expression(
                 f"({form} ...) takes {k} argument(s), got {len(rest)}",
                 node.line, node.col)
 
-    if h == "=":
-        need(2, "=")
-        return Eq(sub(rest[0]), sub(rest[1]))
-    if h == "=>":
-        need(2, "=>")
-        return Implies(sub(rest[0]), sub(rest[1]))
-    if h == "not":
-        need(1, "not")
-        return not_(sub(rest[0]))
-    if h == "and":
-        return and_(*(sub(n) for n in rest))
-    if h == "or":
-        return or_(*(sub(n) for n in rest))
-    if h == "iff":
-        need(2, "iff")
-        return iff_(sub(rest[0]), sub(rest[1]))
+    connective = CONNECTIVES.get(h)
+    if connective is not None:
+        count, make = connective
+        if count is not None:
+            need(count, h)
+        return make(*(sub(n) for n in rest))
     if h in ("forall", "exists"):
         need(2, h)
-        var_tok = _atom(rest[0], f"a variable name after {h}")
+        var_tok = expect_atom(rest[0], f"a variable name after {h}")
         var = _check_name(var_tok, "a bound variable")
         if env.kind(var) in ("flex",):
             raise ProblemError(
@@ -234,12 +237,6 @@ def parse_expression(
                 var_tok.line, var_tok.col)
         body = parse_expression(rest[1], env, (var,) + bound, in_prime)
         return Forall(var, body) if h == "forall" else exists_(var, body)
-    if h == "nabla":
-        need(1, "nabla")
-        return Nabla(sub(rest[0]))
-    if h == "delta":
-        need(1, "delta")
-        return delta_(sub(rest[0]))
     if h == "prime":
         need(1, "prime")
         if in_prime:
@@ -281,8 +278,20 @@ class ProblemFile:
     inductive_invariant: Optional[Expression] = None
     vars: Optional[tuple[str, ...]] = None
 
+    def obligation(self) -> Obligation:
+        """The file as an obligation.  Requires a (goal ...)."""
+        if self.goal is None:
+            raise ProblemError("problem file has no (goal ...) form")
+        return Obligation(hypotheses=self.assumes, goal=self.goal,
+                          env=self.env, mode=self.mode)
+
 
 def parse_file(text: str) -> ProblemFile:
+    return parse_forms(read_sexprs(text))
+
+
+def parse_forms(forms: list[SNode]) -> ProblemFile:
+    """Interpret the forms of a problem file, as read by read_sexprs."""
     ops: dict[str, int] = {}
     rigid: list[str] = []
     flex: list[str] = []
@@ -304,23 +313,23 @@ def parse_file(text: str) -> ProblemFile:
                 f"{name!r} is already declared", tok.line, tok.col)
         return name
 
-    for form in read_sexprs(text):
+    for form in forms:
         if isinstance(form, SAtom):
             raise ProblemError(
                 f"expected a (...) form, got {form.text!r}",
                 form.line, form.col)
-        if not form.items or not isinstance(form.items[0], SAtom):
+        head = form_head(form)
+        if head is None:
             raise ProblemError("malformed form", form.line, form.col)
-        head = form.items[0].text
         args = form.items[1:]
 
         if head == "declare-op":
             if len(args) != 2:
                 raise ProblemError("(declare-op name arity)",
                                    form.line, form.col)
-            name = declare(_atom(args[0], "an operator name"),
+            name = declare(expect_atom(args[0], "an operator name"),
                            "an operator name")
-            arity_tok = _atom(args[1], "an arity")
+            arity_tok = expect_atom(args[1], "an arity")
             try:
                 arity = int(arity_tok.text)
             except ValueError:
@@ -333,12 +342,12 @@ def parse_file(text: str) -> ProblemFile:
         elif head == "declare-rigid":
             if len(args) != 1:
                 raise ProblemError("(declare-rigid x)", form.line, form.col)
-            rigid.append(declare(_atom(args[0], "a variable name"),
+            rigid.append(declare(expect_atom(args[0], "a variable name"),
                                  "a rigid variable"))
         elif head == "declare-flex":
             if len(args) != 1:
                 raise ProblemError("(declare-flex v)", form.line, form.col)
-            flex.append(declare(_atom(args[0], "a variable name"),
+            flex.append(declare(expect_atom(args[0], "a variable name"),
                                 "a flexible variable"))
         elif head == "define":
             if len(args) != 2 or not isinstance(args[0], SList):
@@ -348,11 +357,11 @@ def parse_file(text: str) -> ProblemFile:
             if not header.items:
                 raise ProblemError("empty definition header",
                                    header.line, header.col)
-            name = declare(_atom(header.items[0], "an operator name"),
+            name = declare(expect_atom(header.items[0], "an operator name"),
                            "a defined operator")
             params = []
             for p in header.items[1:]:
-                pname = _check_name(_atom(p, "a parameter name"),
+                pname = _check_name(expect_atom(p, "a parameter name"),
                                     "a parameter")
                 if pname in params:
                     raise ProblemError(
@@ -390,9 +399,12 @@ def parse_file(text: str) -> ProblemFile:
                                    form.line, form.col)
             mode = args[0].text
         elif head == "vars":
+            if vars_ is not None:
+                raise ProblemError("duplicate (vars ...) form",
+                                   form.line, form.col)
             names = []
             for a in args:
-                tok = _atom(a, "a flexible variable name")
+                tok = expect_atom(a, "a flexible variable name")
                 if tok.text not in flex:
                     raise ProblemError(
                         f"{tok.text!r} is not a declared flexible variable",
@@ -418,11 +430,7 @@ def parse_file(text: str) -> ProblemFile:
 
 def parse_problem(text: str) -> Obligation:
     """Parse a problem file into an obligation.  Requires a (goal ...)."""
-    pf = parse_file(text)
-    if pf.goal is None:
-        raise ProblemError("problem file has no (goal ...) form")
-    return Obligation(
-        hypotheses=pf.assumes, goal=pf.goal, env=pf.env, mode=pf.mode)
+    return parse_file(text).obligation()
 
 
 def parse_expr(text: str, env: DefinitionEnvironment) -> Expression:

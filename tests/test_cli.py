@@ -79,6 +79,17 @@ class TestSubcommands:
         assert run(capsys, "prove-ml", str(path))[0] == 1
         assert run(capsys, "prove-ml", str(path), "--frame=t")[0] == 0
 
+    def test_mlseq_after_a_comment(self, capsys, tmp_path):
+        # the head of the first form, not the first characters, tells an
+        # mlseq file from a problem file
+        seq = "(mlseq (global-hypotheses a) (goal (nabla a)))"
+        path = tmp_path / "commented.mlseq"
+        path.write_text("; written by hand\n\n" + seq + "\n")
+        assert run(capsys, "prove-ml", str(path)) == (0, "proved\n", "")
+        code, out, err = run(capsys, "emit", str(path), "--emit=mlseq")
+        assert (code, err) == (0, "")
+        assert out == emit_mlseq(parse_mlseq(seq))
+
     @pytest.mark.parametrize("section, text", [
         ("global-hypotheses",
          "(mlseq (global-hypotheses p) (global-hypotheses q) (goal p))"),
@@ -359,9 +370,14 @@ class TestRepeatedCalls:
 
     @pytest.mark.parametrize("argv,code", [
         (("fuzz", "--bounds", "3"), 64),
+        # a model needs tt, ff and a state
+        (("fuzz", "--bounds", "1,3"), 64),
+        (("fuzz", "--bounds", "2,0"), 64),
+        (("fuzz", "--bounds", "0,0"), 64),
         (("no-such-command",), 64),
         (("emit", "--help"), 0),
-    ], ids=["bad-bounds", "unknown-command", "help"])
+    ], ids=["bad-bounds", "bad-bounds-u1", "bad-bounds-s0",
+            "bad-bounds-u0-s0", "unknown-command", "help"])
     def test_usage_and_help_after_use(self, capsys, box_file, argv, code):
         cli._parser.cache_clear()
         fresh = self.exits(capsys, *argv)

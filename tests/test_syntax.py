@@ -15,7 +15,7 @@ from foml import (
     substitute,
 )
 from foml.gen import random_env, random_expr, rng_for
-from foml.parser import ProblemError
+from foml.parser import ProblemError, SAtom, SList, read_sexprs
 from foml.printer import print_problem
 from foml.syntax import (
     FALSE,
@@ -81,6 +81,12 @@ class TestParsing:
          "free rigid"),
         ("(declare-flex v) (goal (forall v (= v v)))", "quantify"),
         ("(goal false) (goal false)", "duplicate"),
+        ("(declare-flex u) (declare-flex v) (vars u) (vars v) (goal false)",
+         r"duplicate \(vars \.\.\.\) form"),
+        ("(goal (not false false))",
+         r"\(not \.\.\.\) takes 1 argument\(s\), got 2"),
+        ("(goal (=> false))", r"\(=> \.\.\.\) takes 2 argument\(s\), got 1"),
+        ("(goal (delta))", r"\(delta \.\.\.\) takes 1 argument\(s\), got 0"),
         ("(declare-rigid x) (declare-flex x) (goal false)",
          "already declared"),
     ])
@@ -91,6 +97,82 @@ class TestParsing:
     def test_prime_inside_nabla_is_fine(self, parse):
         e = parse("(nabla (prime v))")
         assert e == Nabla(Prime(FlexVar("v")))
+
+
+def _reference_read(text):
+    """Reference reader: one character at a time, counting lines at "\n"
+    only and a column for every other character outside a comment."""
+    tokens = []
+    line, col, i, n = 1, 1, 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch.isspace():
+            col, i = col + 1, i + 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line, col))
+            col, i = col + 1, i + 1
+        else:
+            start, start_col = i, col
+            while i < n and not text[i].isspace() and text[i] not in "();":
+                i, col = i + 1, col + 1
+            tokens.append((text[start:i], line, start_col))
+    stack, top = [], []
+    for tok, line, col in tokens:
+        if tok == "(":
+            stack.append(([], line, col))
+        elif tok == ")":
+            if not stack:
+                raise ProblemError("unmatched ')'", line, col)
+            items, oline, ocol = stack.pop()
+            (stack[-1][0] if stack else top).append(
+                SList(tuple(items), oline, ocol))
+        else:
+            (stack[-1][0] if stack else top).append(SAtom(tok, line, col))
+    if stack:
+        raise ProblemError("unclosed '('", stack[-1][1], stack[-1][2])
+    return top
+
+
+def _read_or_error(reader, text):
+    try:
+        return reader(text)
+    except ProblemError as exc:
+        return str(exc)
+
+
+READER_PIECES = ["(", ")", "(", ")", "a", "=>", "12", "v'", "\u00e9t\u00e9",
+                 "; note (", ";", "\n", " ", "\t", "\r", "\x0b", "\x0c",
+                 "\x1c", "\x85", "\u00a0", "\u2028"]
+
+
+class TestReader:
+    @given(st.lists(st.sampled_from(READER_PIECES), max_size=40)
+           .map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_reader(self, text):
+        # same trees, positions and error texts
+        assert _read_or_error(read_sexprs, text) \
+            == _read_or_error(_reference_read, text)
+
+    def test_positions(self):
+        assert read_sexprs("; c (\n (a\t;x\n  bc)\r d") == [
+            SList((SAtom("a", 2, 3), SAtom("bc", 3, 3)), 2, 2),
+            SAtom("d", 3, 8)]
+
+    @pytest.mark.parametrize("text,msg", [
+        ("(a\n (b)", "line 1, col 1: unclosed '('"),
+        ("(a (b\n", "line 1, col 4: unclosed '('"),
+        ("a)\n)", "line 1, col 2: unmatched ')'"),
+    ])
+    def test_unbalanced(self, text, msg):
+        with pytest.raises(ProblemError) as exc:
+            read_sexprs(text)
+        assert str(exc.value) == msg
 
 
 class TestFreeVars:

@@ -46,7 +46,7 @@ from .prover import (
 )
 from .semantics import compile_expr
 from .syntax import FomlError, InternalError, Obligation
-from .gen import run_fuzz
+from .gen import CHECKS, run_fuzz
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -198,9 +198,8 @@ def cmd_check_model(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    checks = tuple(args.checks.split(","))
     max_u, max_s = args.bounds
-    report = run_fuzz(args.seed, args.iters, checks,
+    report = run_fuzz(args.seed, args.iters, args.checks,
                       max_universe=max_u, max_states=max_s)
     print(f"{report.iterations} iterations, "
           f"{len(report.discrepancies)} discrepancies")
@@ -241,6 +240,26 @@ def _bounds(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             "--bounds=U,S needs U >= 2 and S >= 1")
     return u, s
+
+
+def _iterations(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected --iters=N")
+    if n < 0:
+        raise argparse.ArgumentTypeError("--iters=N needs N >= 0")
+    return n
+
+
+def _checks(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    for name in names:
+        if name not in CHECKS:
+            raise argparse.ArgumentTypeError(
+                f"unknown check {name!r}; the checks are "
+                + ", ".join(CHECKS))
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("fuzz", cmd_fuzz,
              help="run the seeded witness-construction properties")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--iters", type=int, default=1000)
+    sp.add_argument("--iters", type=_iterations, default=1000)
     sp.add_argument("--bounds", type=_bounds, default=(3, 3))
-    sp.add_argument("--checks", default="fol-witness,ml-witness")
+    sp.add_argument("--checks", type=_checks,
+                    default="fol-witness,ml-witness")
 
     sp = add("emit", cmd_emit, help="serialize an obligation")
     sp.add_argument("file")

@@ -8,7 +8,7 @@ condition (a set of values maps to tt iff it is included in {tt}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Union
 
 from .parser import (
@@ -35,18 +35,25 @@ def _fmt(v: Value) -> str:
     return str(v)
 
 
+@lru_cache(maxsize=1024)
+def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
+    """Each state's successors under relation, in a fixed order (the pairs
+    sorted by their text).  One table per relation, shared by every model
+    that has it, so bounded search sorts each enumerated relation once per
+    process rather than once per model; every relation on at most three
+    states fits in the bound.  The evaluator's closures read it directly."""
+    lists: dict[Value, list[Value]] = {}
+    for (s, t) in sorted(relation, key=str):
+        lists.setdefault(s, []).append(t)
+    return {s: tuple(ts) for s, ts in lists.items()}
+
+
 def _successors(model: Union[KripkeModel, PropModel], w: Value,
-                relation: frozenset) -> list[Value]:
-    """States t with (w, t) in relation, in a fixed order.  Models are
-    immutable, so each relation's lists are built on first use and kept
-    with the model."""
-    cache = model.__dict__.setdefault("_successor_lists", {})
-    lists = cache.get(relation)
-    if lists is None:
-        lists = cache[relation] = {}
-        for (s, t) in sorted(relation, key=str):
-            lists.setdefault(s, []).append(t)
-    return lists.get(w, [])
+                relation: frozenset) -> tuple[Value, ...]:
+    """States t with (w, t) in relation, in the fixed order of
+    `_successor_table`.  Models are immutable, so the table of a relation
+    serves every model built on it."""
+    return _successor_table(relation).get(w, ())
 
 
 @dataclass(frozen=True, eq=True)

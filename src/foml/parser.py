@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .syntax import (
     FALSE,
@@ -64,15 +64,17 @@ class ProblemError(FomlError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class SAtom:
+# Reader nodes are named tuples: immutable and compared by value, and
+# cheaper to build than frozen dataclasses, which set each field through
+# object.__setattr__.
+
+class SAtom(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class SList:
+class SList(NamedTuple):
     items: tuple["SNode", ...]
     line: int
     col: int

@@ -16,6 +16,14 @@ outside the fragment:
 evaluate one expression in many models or states compile it themselves,
 as `countermodel_checker` does for an obligation.
 
+The AST has no negation, conjunction or disjunction: `not_`, `and_` and
+`or_` build them from implications and false.  `_compile` recognises those
+shapes and compiles each to one fused closure, which gives the chain's
+value, runs its operands in the chain's order and stops where the chain
+would.  The nabla and prime closures read a state's successors from
+`models._successor_table`, one cached table per relation shared by every
+model built on it, so bounded search sorts each relation once.
+
 The implication / quantifier / equality clauses treat any value other than
 tt as false-like, so no coercion of non-boolean values is performed
 anywhere.  Universal quantification ranges over the whole (constant)
@@ -34,7 +42,13 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional, Union
 
-from .models import FOLStructure, KripkeModel, PropModel, Value
+from .models import (
+    FOLStructure,
+    KripkeModel,
+    PropModel,
+    Value,
+    _successor_table,
+)
 from .syntax import (
     DefApp,
     DefinitionEnvironment,
@@ -136,6 +150,19 @@ def _compile(
     it, so evaluation short-circuits exactly as a tree walk would."""
     match e:
         case Implies(lhs, rhs):
+            # The derived connectives, as the syntax helpers build them,
+            # run as one closure each: not_ is (e => F), and_ is
+            # ((a => (b => F)) => F) and or_ is ((a => F) => b).
+            if type(rhs) is FalseExpr:
+                if type(lhs) is Implies and type(lhs.rhs) is Implies \
+                        and type(lhs.rhs.rhs) is FalseExpr:
+                    return _and(
+                        _compile(lhs.lhs, env, first_order, modal),
+                        _compile(lhs.rhs.lhs, env, first_order, modal))
+                return _not(_compile(lhs, env, first_order, modal))
+            if type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
+                return _or(_compile(lhs.lhs, env, first_order, modal),
+                           _compile(rhs, env, first_order, modal))
             return _implies(_compile(lhs, env, first_order, modal),
                             _compile(rhs, env, first_order, modal))
         case FalseExpr():
@@ -175,6 +202,34 @@ def _implies(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
             return m.tt
         return m.ff
     return implies
+
+
+# The fused connectives give the values of the Implies chains they replace
+# and evaluate the same operands in the same order, stopping where the
+# chain would: `and` skips b unless a is tt, `or` skips b when a is tt.
+
+def _not(body: Evaluator) -> Evaluator:
+    def not_(m, w, bnd):
+        return m.ff if body(m, w, bnd) == m.tt else m.tt
+    return not_
+
+
+def _and(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
+    def and_(m, w, bnd):
+        if lhs(m, w, bnd) == m.tt and rhs(m, w, bnd) == m.tt:
+            return m.tt
+        return m.ff
+    return and_
+
+
+def _or(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
+    def or_(m, w, bnd):
+        # In a model with tt == ff, (a => F) is always tt, so the chain
+        # runs b whatever a is.
+        if lhs(m, w, bnd) == m.tt and m.tt != m.ff:
+            return m.tt
+        return m.tt if rhs(m, w, bnd) == m.tt else m.ff
+    return or_
 
 
 def _false(m, w, bnd):
@@ -220,7 +275,7 @@ def _opapp(op: str, args: tuple[Evaluator, ...]) -> Evaluator:
 
 def _nabla(body: Evaluator) -> Evaluator:
     def nabla(m, w, bnd):
-        for w2 in m.successors(w, m.R):
+        for w2 in _successor_table(m.R).get(w, ()):
             if body(m, w2, bnd) != m.tt:
                 return m.ff
         return m.tt
@@ -243,9 +298,11 @@ def _prime(body: Evaluator, next_state: bool) -> Evaluator:
     def prime(m, w, bnd):
         if m.primeR is None:
             raise EvalError("prime evaluated in a model without primeR")
+        succ = _successor_table(m.primeR).get(w, ())
         if next_state and m.prime_is_function():
-            return body(m, m.prime_successor(w), bnd)
-        for w2 in m.successors(w, m.primeR):
+            # prime_successor raises for a w that is not a state
+            return body(m, succ[0] if succ else m.prime_successor(w), bnd)
+        for w2 in succ:
             if body(m, w2, bnd) != m.tt:
                 return m.ff
         return m.tt

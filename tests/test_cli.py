@@ -1,7 +1,9 @@
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from foml import cli
 from foml.cli import main
 from foml.emit import emit_mlseq, parse_mlseq
-from foml.gen import random_ml_formula, random_model
+from foml.gen import CHECKS, random_ml_formula, random_model
 from foml.models import (
     KripkeModel,
     kripke_as_propmodel,
@@ -401,6 +403,30 @@ class TestExitCodes:
         assert code == 65
         assert "line 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--checks", "bogus"),
+        ("--checks=",),
+        ("--checks", "fol-witness,"),
+        ("--checks", "fol-witness,bogus"),
+        ("--iters", "-1"),
+        ("--iters", "x"),
+    ])
+    def test_bad_fuzz_arguments_are_64(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", *argv])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error" not in err
+        assert err.startswith("usage: foml fuzz")
+        if argv[0].startswith("--checks"):
+            for name in CHECKS:
+                assert name in err
+
+    def test_every_check_is_accepted(self, capsys):
+        assert run(capsys, "fuzz", "--iters", "0",
+                   "--checks", ",".join(CHECKS)) == (
+            0, "0 iterations, 0 discrepancies\n", "")
+
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "coalesce-fol", "/no/such/file.foml")
         assert code == 65
@@ -553,3 +579,65 @@ class TestCheckModelProperty:
         if kind == "rename-all":
             # Renaming states consistently gives an isomorphic model.
             assert codes[1] == codes[0]
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+# Each demo problem as a list of tokens, comments dropped, so that the
+# tokens can be joined on one line.
+DEMO_TOKENS = {
+    p.name: re.findall(r"[()]|[^\s()]+",
+                       re.sub(r";[^\n]*", "", p.read_text()))
+    for p in sorted(DEMO.glob("*.foml"))}
+# Tokens an edit may put in besides those of the demo itself.
+EDIT_TOKENS = ("(", ")", "false", "true", "=", "=>", "not", "and", "or",
+               "iff", "forall", "exists", "nabla", "delta", "prime", "goal",
+               "assume", "define", "declare-op", "declare-flex", "mode",
+               "init", "next", "0", "-1", "x")
+# Exit codes each subcommand may give on a mutated problem: 65 for
+# malformed input, and prove-ml's three verdicts.
+MUTATION_EXITS = {
+    "coalesce-fol": {0, 65}, "coalesce-ml": {0, 65}, "emit": {0, 65},
+    "leibniz": {0, 65}, "safety": {0, 65}, "prove-ml": {0, 1, 2, 65}}
+
+
+@st.composite
+def mutated_problems(draw):
+    """A demo problem with one to three tokens deleted, inserted or
+    replaced; most come out malformed, a few still parse."""
+    name = draw(st.sampled_from(sorted(DEMO_TOKENS)))
+    tokens = list(DEMO_TOKENS[name])
+    pool = sorted(set(tokens)) + list(EDIT_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(("delete", "insert", "replace")))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "insert":
+            tokens.insert(i, draw(st.sampled_from(pool)))
+        else:
+            # a bracket for a bracket and an atom for an atom
+            bracket = tokens[i] in "()"
+            tokens[i] = draw(st.sampled_from(
+                [t for t in pool if (t in "()") == bracket]))
+    return " ".join(tokens)
+
+
+class TestMutatedProblemProperty:
+    @given(mutated_problems(), st.sampled_from(("smt", "tptp", "mlseq")))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_problems_exit_cleanly(self, tmp_path, text, fmt):
+        path = tmp_path / "problem.foml"
+        path.write_text(text)
+        for command, codes in MUTATION_EXITS.items():
+            argv = [command, str(path)]
+            if command == "emit":
+                argv += ["--emit", fmt]
+            elif command == "safety":
+                argv += ["--out", str(tmp_path)]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in codes, (argv, text, err)
+            assert "Traceback" not in err and "internal error" not in err

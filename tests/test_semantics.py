@@ -12,11 +12,16 @@ from foml import (
     parse_problem,
     serialize_model,
 )
+from foml.coalesce import SymbolTable, build_witness_structure, coalesce_fol
+from foml.coalesce_ml import AtomTable, build_witness_propmodel, coalesce_ml
 from foml.gen import random_env, random_expr, random_model, rng_for
-from foml.models import FOLStructure, PropModel
-from foml.search import SearchBounds, enumerate_models
+from foml.models import FOLStructure, PropModel, _successor_table
+from foml.search import SearchBounds, enumerate_models, needs_prime
 from foml.semantics import (
     EvalError,
+    compile_expr,
+    compile_fol,
+    compile_ml,
     eval_expr,
     eval_fol,
     eval_ml,
@@ -25,6 +30,7 @@ from foml.semantics import (
 from foml.syntax import (
     DefApp,
     Eq,
+    FalseExpr,
     FlexVar,
     FomlError,
     Forall,
@@ -33,9 +39,12 @@ from foml.syntax import (
     OpApp,
     Prime,
     RigidVar,
+    and_,
     delta_,
     is_rigid,
     not_,
+    or_,
+    substitute,
     true_,
     walk,
 )
@@ -202,6 +211,29 @@ class TestLazyEvaluation:
         m = tiny_model()
         assert eval_expr(m, 0, Implies(FALSE, self.UNKNOWN), ENV) == m.tt
 
+    def test_fused_connectives_short_circuit(self):
+        m = tiny_model()
+        assert eval_ml(self.K, 0, and_(FALSE, Eq(self.X, self.X))) == "ff"
+        assert eval_ml(self.K, 0, or_(true_(), Eq(self.X, self.X))) == "tt"
+        assert eval_fol(TestEvalFol.S, and_(FALSE, Nabla(FALSE))) == 1
+        assert eval_fol(TestEvalFol.S, or_(true_(), Nabla(FALSE))) == 0
+        assert eval_expr(m, 0, and_(FALSE, self.UNKNOWN), ENV) == m.ff
+        assert eval_expr(m, 0, or_(true_(), self.UNKNOWN), ENV) == m.tt
+
+    def test_fused_connectives_raise_where_reached(self):
+        eq = Eq(self.X, self.X)
+        for e in (not_(eq), and_(true_(), eq), or_(FALSE, eq)):
+            with pytest.raises(EvalError) as exc:
+                eval_ml(self.K, 0, e)
+            assert str(exc.value) == (
+                "not a propositional modal formula: (= x x)")
+        with pytest.raises(EvalError) as exc:
+            eval_fol(TestEvalFol.S, not_(Nabla(FALSE)))
+        assert str(exc.value) == (
+            "not a first-order expression: (nabla false)")
+        with pytest.raises(FomlError, match="no definition named"):
+            eval_expr(tiny_model(), 0, or_(FALSE, self.UNKNOWN), ENV)
+
     def test_reached_nodes_raise(self):
         with pytest.raises(EvalError):
             eval_ml(self.K, 0, Implies(true_(), Eq(self.X, self.X)))
@@ -209,6 +241,177 @@ class TestLazyEvaluation:
             eval_fol(TestEvalFol.S, Implies(true_(), Nabla(FALSE)))
         with pytest.raises(FomlError, match="no definition named"):
             eval_expr(tiny_model(), 0, Implies(true_(), self.UNKNOWN), ENV)
+
+
+class Stuck(Exception):
+    """The reference evaluator reached a node it cannot give a value."""
+
+
+def reference_eval(m, w, e, env=None, kripke=True, next_state=True):
+    """The semantics as a plain recursive walk over e, written from the
+    clauses in the `semantics` docstring and sharing none of its code.
+    With `kripke`, m is a Kripke model (a PropModel has no operators or
+    universe); without it, m is a first-order structure whose xi also
+    values the flexible variables and e has no modalities.  `next_state`
+    selects the next-state reading of prime when primeR is a total
+    function.  Operands run left to right, an implication runs its
+    right side only when its left side is tt, and nabla and prime visit
+    successors in the order of the pairs' text, stopping at the first
+    value other than tt."""
+    tt, ff = m.tt, m.ff
+
+    def successors(rel, w):
+        return [t for (s, t) in sorted(rel, key=str) if s == w]
+
+    def go(e, w, bnd):
+        if isinstance(e, FalseExpr):
+            return ff
+        if isinstance(e, Implies):
+            if go(e.lhs, w, bnd) != tt:
+                return tt
+            return tt if go(e.rhs, w, bnd) == tt else ff
+        if isinstance(e, FlexVar):
+            key = (e.name, w) if kripke else e.name
+            values = m.zeta if kripke else m.xi
+            if key not in values:
+                raise Stuck(e)
+            return values[key]
+        if isinstance(e, RigidVar):
+            if e.name in bnd:
+                return bnd[e.name]
+            if e.name not in m.xi:
+                raise Stuck(e)
+            return m.xi[e.name]
+        if isinstance(e, Eq):
+            lhs = go(e.lhs, w, bnd)
+            return tt if lhs == go(e.rhs, w, bnd) else ff
+        if isinstance(e, OpApp):
+            vals = tuple(go(a, w, bnd) for a in e.args)
+            table = m.op_interp.get(e.op, {})
+            if vals not in table:
+                raise Stuck(e)
+            return table[vals]
+        if isinstance(e, Forall):
+            for d in m.universe:
+                if go(e.body, w, {**bnd, e.var: d}) != tt:
+                    return ff
+            return tt
+        if isinstance(e, Nabla) and kripke:
+            for t in successors(m.R, w):
+                if go(e.body, t, bnd) != tt:
+                    return ff
+            return tt
+        if isinstance(e, Prime) and kripke:
+            if m.primeR is None:
+                raise Stuck(e)
+            if next_state and all(len(successors(m.primeR, s)) == 1
+                                  for s in m.states):
+                return go(e.body, successors(m.primeR, w)[0], bnd)
+            for t in successors(m.primeR, w):
+                if go(e.body, t, bnd) != tt:
+                    return ff
+            return tt
+        if isinstance(e, DefApp) and env is not None:
+            d = next((d for d in env.definitions if d.name == e.op), None)
+            if d is None:
+                raise Stuck(e)
+            return go(substitute(d.body, dict(zip(d.params, e.args))), w,
+                      bnd)
+        raise Stuck(e)
+
+    return go(e, w, {})
+
+
+def outcome(f, *args):
+    """A value, or "stuck" where evaluation raises."""
+    try:
+        return f(*args)
+    except (Stuck, FomlError):
+        return "stuck"
+
+
+def connective_expr(rng, env, depth, prime):
+    """Random expressions under the derived connectives, so that every
+    shape the syntax helpers build is evaluated."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_expr(rng, env, depth=2, allow_prime=prime)
+    parts = [connective_expr(rng, env, depth - 1, prime) for _ in range(2)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return not_(parts[0])
+    if kind == 1:
+        return and_(*parts)
+    if kind == 2:
+        return or_(*parts)
+    if kind == 3:
+        return Nabla(parts[0])
+    return Implies(*parts)
+
+
+class TestReferenceEvaluator:
+    """compile_expr, compile_fol and compile_ml against `reference_eval`
+    on 2,400 seeded expressions and models, at every state."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_compiled_views_agree_with_reference(self, block):
+        stuck = 0
+        for i in range(300 * block, 300 * (block + 1)):
+            rng = rng_for(36, i)
+            env = random_env(rng)
+            # with prime in the expression and primeR in the model; with
+            # neither; and with prime but no primeR, which gets stuck
+            prime = i % 3 != 1
+            e = (random_expr(rng, env, depth=3, allow_prime=prime)
+                 if i % 2 else connective_expr(rng, env, 3, prime))
+            m = random_model(rng, env, need_prime=i % 3 == 0,
+                             functional_prime=i % 6 == 0)
+            full = compile_expr(e, env)
+            for w in m.states:
+                want = outcome(reference_eval, m, w, e, env)
+                stuck += want == "stuck"
+                assert outcome(full, m, w, {}) == want, (e, w)
+
+            if m.primeR is None and needs_prime(env, e):
+                continue  # the witness structures evaluate e's parts
+            table, atoms = SymbolTable(env), AtomTable(env)
+            fol = coalesce_fol(e, env, table)
+            ml = coalesce_ml(e, env, atoms)
+            compiled_fol, compiled_ml = compile_fol(fol), compile_ml(ml)
+            k = build_witness_propmodel(m, atoms, env)
+            for w in m.states:
+                s = build_witness_structure(m, w, table, env)
+                assert outcome(compiled_fol, s, w, {}) == outcome(
+                    reference_eval, s, w, fol, None, False), (fol, w)
+                assert outcome(compiled_ml, k, w, {}) == outcome(
+                    reference_eval, k, w, ml, None, True, False), (ml, w)
+        assert 0 < stuck < 300
+
+
+class TestSuccessorTables:
+    def test_order_and_immutability(self):
+        for i in range(100):
+            m = random_model(rng_for(37, i), ENV, need_prime=True)
+            for rel in (m.R, m.primeR):
+                table = _successor_table(rel)
+                for w in m.states:
+                    want = tuple(t for (s, t) in sorted(rel, key=str)
+                                 if s == w)
+                    got = table.get(w, ())
+                    assert type(got) is tuple and got == want
+                    assert m.successors(w, rel) == got
+
+    def test_one_table_per_relation(self):
+        # equal relations of different models share one table
+        pairs = [(0, 1), (1, 0), (1, 1)]
+        assert _successor_table(frozenset(pairs)) \
+            is _successor_table(frozenset(reversed(pairs)))
+
+    def test_cache_stays_within_bound(self):
+        bound = _successor_table.cache_info().maxsize
+        for n in range(bound + 50):
+            _successor_table(frozenset({(n, n + 1), (n + 1, n)}))
+            assert _successor_table.cache_info().currsize <= bound
+        assert _successor_table.cache_info().currsize == bound
 
 
 class TestModelFiles:

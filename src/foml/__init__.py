@@ -35,7 +35,6 @@ from .leibniz import STAR, LeibnizTable, classify_args, compute_leibniz
 from .models import (
     FOLStructure,
     KripkeModel,
-    PropModel,
     parse_model,
     serialize_model,
 )

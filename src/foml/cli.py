@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .actions import SafetySpec, safety_obligations, translate_action
@@ -28,7 +29,7 @@ from .emit import (
     stratify,
 )
 from .leibniz import compute_leibniz, format_table
-from .models import parse_model, propmodel_as_kripke, serialize_model
+from .models import parse_model, serialize_model
 from .parser import (
     ProblemError,
     form_head,
@@ -39,6 +40,7 @@ from .parser import (
 )
 from .printer import print_expr, print_problem
 from .prover import (
+    FRAMES,
     Countermodel,
     MLSequent,
     Proved,
@@ -70,6 +72,16 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
+
+
+@contextmanager
+def _writing(path):
+    """Failing to write an output (a missing directory, a file in the way
+    of one, no permission) is an input error, as an unreadable input is."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemError(f"cannot write {path}: {exc}")
 
 
 def _config(args) -> CoalesceConfig:
@@ -130,7 +142,7 @@ def cmd_prove_ml(args) -> int:
         return 0
     if isinstance(verdict, Countermodel):
         print(f"countermodel (goal fails at state {verdict.state})")
-        print(serialize_model(propmodel_as_kripke(verdict.model)), end="")
+        print(serialize_model(verdict.model), end="")
         return 1
     print(f"resource limit: {verdict.reason}")
     return 2
@@ -167,15 +179,16 @@ def cmd_safety(args) -> int:
                       pf.inductive_invariant, vars_, pf.env)
     result = safety_obligations(spec)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.file).stem
-    for i, ob in enumerate(result.obligations, start=1):
-        path = outdir / f"{stem}-ob{i}.foml"
-        path.write_text(print_problem(ob))
+    outputs = [(outdir / f"{stem}-ob{i}.foml", print_problem(ob))
+               for i, ob in enumerate(result.obligations, start=1)]
+    outputs.append((outdir / f"{stem}-glue.mlseq", emit_mlseq(result.glue)))
+    for path, text in outputs:
+        with _writing(path):
+            path.write_text(text)
         print(path)
-    glue_path = outdir / f"{stem}-glue.mlseq"
-    glue_path.write_text(emit_mlseq(result.glue))
-    print(glue_path)
     return 0
 
 
@@ -210,6 +223,10 @@ def cmd_fuzz(args) -> int:
 
 def cmd_emit(args) -> int:
     fmt = args.emit
+    if args.solver and fmt == "mlseq":
+        print("foml: --solver only applies to smt/tptp output",
+              file=sys.stderr)
+        return EX_USAGE
     text = _read(args.file)
     if fmt == "mlseq":
         out = emit_mlseq(_load_sequent(text))
@@ -219,12 +236,11 @@ def cmd_emit(args) -> int:
         ir = stratify(res.hypotheses, res.goal, res.env)
         out = emit_smt(ir) if fmt == "smt" else emit_tptp(ir)
     if args.output:
-        Path(args.output).write_text(out)
+        with _writing(args.output):
+            Path(args.output).write_text(out)
     else:
         print(out, end="")
     if args.solver:
-        if fmt == "mlseq":
-            raise ProblemError("--solver only applies to smt/tptp output")
         verdict = run_solver(args.solver, out, fmt)
         print(f"solver verdict: {verdict}")
     return 0
@@ -291,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("prove-ml", cmd_prove_ml,
              help="decide a propositional modal sequent")
     sp.add_argument("file")
-    sp.add_argument("--frame", choices=("k", "t", "k4", "s4"))
-    sp.add_argument("--prime-frame", choices=("k", "t", "k4", "s4"))
+    sp.add_argument("--frame", choices=FRAMES)
+    sp.add_argument("--prime-frame", choices=FRAMES)
 
     sp = add("leibniz", cmd_leibniz,
              help="print the Leibniz position table")

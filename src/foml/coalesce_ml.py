@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import KripkeModel, PropModel, Value
+from .models import KripkeModel, Value
 from .syntax import (
     DefApp,
     DefinitionEnvironment,
@@ -105,7 +105,7 @@ def build_witness_propmodel(
     m: KripkeModel,
     table: AtomTable,
     env: DefinitionEnvironment,
-) -> PropModel:
+) -> KripkeModel:
     """Propositional model over the same states and relations: an atom is
     true at a state exactly when its source expression evaluates to tt
     there, and an original flexible variable is true exactly when its value
@@ -122,7 +122,7 @@ def build_witness_propmodel(
         for w in m.states:
             if (v, w) in m.zeta:
                 zeta[(v, w)] = "tt" if m.zeta[(v, w)] == m.tt else "ff"
-    return PropModel(states=m.states, R=m.R, zeta=zeta, primeR=m.primeR)
+    return KripkeModel.propositional(m.states, m.R, zeta, m.primeR)
 
 
 def atoms_block(table: AtomTable) -> str:

@@ -12,6 +12,7 @@ sequent is encoded as unsatisfiability of hypotheses plus negated goal.
 """
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import tempfile
@@ -361,8 +362,9 @@ def parse_mlseq_forms(forms: list[SNode]) -> MLSequent:
             if len(body) != 2 or not all(isinstance(b, SAtom) for b in body) \
                     or body[0].text not in frames \
                     or body[1].text not in FRAMES:
-                raise ProblemError("(frame nabla|prime k|t|k4|s4)",
-                                   section.line, section.col)
+                raise ProblemError(
+                    f"(frame nabla|prime {'|'.join(FRAMES)})",
+                    section.line, section.col)
             mod, cls = body[0].text, body[1].text
             frames[mod] = cls
             key = f"frame {mod}"
@@ -401,6 +403,8 @@ def run_solver(solver: str, text: str, fmt: str,
                               text=True, timeout=timeout)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
+    finally:
+        os.unlink(path)
     out = proc.stdout + proc.stderr
     if fmt == "smt":
         for line in out.splitlines():

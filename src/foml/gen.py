@@ -72,8 +72,9 @@ def random_env(
     for k in range(rng.randrange(0, 3)):
         name = f"d{k}"
         params = ("p", "q")[: rng.randrange(0, 3)]
-        body_env = DefinitionEnvironment.build(
-            ops=ops, rigid=(), flex=flex, definitions=tuple(defs))
+        # the final build validates every definition once
+        body_env = DefinitionEnvironment(
+            ops=ops, flex_vars=flex, definitions=tuple(defs))
         body = random_expr(
             rng, body_env, depth=2, binders=params,
             allow_nabla=modal_defs, allow_prime=modal_defs,

@@ -1,9 +1,12 @@
-"""Finite models: Kripke models, first-order structures, propositional
-Kripke models, and the s-expression model-file format.
+"""Finite models: Kripke models, first-order structures, and the
+s-expression model-file format.
 
 Universe elements and states are plain atoms (ints or strings).  The
 interpretation of the modality is not stored: it is fixed by its defining
 condition (a set of values maps to tt iff it is included in {tt}).
+
+A propositional model is a Kripke model over the universe {tt, ff}
+(`KripkeModel.propositional`), printed and parsed as any other.
 """
 from __future__ import annotations
 
@@ -48,14 +51,6 @@ def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     return {s: tuple(ts) for s, ts in lists.items()}
 
 
-def _successors(model: Union[KripkeModel, PropModel], w: Value,
-                relation: frozenset) -> tuple[Value, ...]:
-    """States t with (w, t) in relation, in the fixed order of
-    `_successor_table`.  Models are immutable, so the table of a relation
-    serves every model built on it."""
-    return _successor_table(relation).get(w, ())
-
-
 @dataclass(frozen=True, eq=True)
 class KripkeModel:
     universe: tuple[Value, ...]
@@ -67,6 +62,15 @@ class KripkeModel:
     R: frozenset[tuple[Value, Value]]
     zeta: Mapping[tuple[str, Value], Value]
     primeR: Optional[frozenset[tuple[Value, Value]]] = None
+
+    @staticmethod
+    def propositional(states, R, zeta, primeR=None) -> KripkeModel:
+        """A propositional model: the universe is {tt, ff}, there are no
+        operators or rigid values, and zeta gives each atom a truth value
+        at each state."""
+        return KripkeModel(universe=("tt", "ff"), tt="tt", ff="ff",
+                           op_interp={}, xi={}, states=states, R=R,
+                           zeta=zeta, primeR=primeR)
 
     def validate(self) -> None:
         if self.tt == self.ff:
@@ -104,15 +108,17 @@ class KripkeModel:
                 raise FomlError(f"zeta gives {v} at state {_fmt(w)} the "
                                 f"value {_fmt(val)}, outside the universe")
 
-    successors = _successors
+    def successors(self, w: Value,
+                   relation: frozenset) -> tuple[Value, ...]:
+        """States t with (w, t) in relation, in the fixed order of
+        `_successor_table`.  Models are immutable, so the table of a
+        relation serves every model built on it."""
+        return _successor_table(relation).get(w, ())
 
+    @cached_property
     def prime_is_function(self) -> bool:
         """True iff primeR is a total function on states (TLA next-state
         reading, under which term-level prime is evaluated directly)."""
-        return self._prime_is_function
-
-    @cached_property
-    def _prime_is_function(self) -> bool:
         if self.primeR is None:
             return False
         counts = {w: 0 for w in self.states}
@@ -136,28 +142,6 @@ class FOLStructure:
     ff: Value
     op_interp: Mapping[str, Mapping[tuple[Value, ...], Value]]
     xi: Mapping[str, Value]
-
-
-@dataclass(frozen=True, eq=True)
-class PropModel:
-    """Propositional Kripke model; zeta is total on atoms x states and
-    valued in {tt, ff}."""
-
-    states: tuple[Value, ...]
-    R: frozenset[tuple[Value, Value]]
-    zeta: Mapping[tuple[str, Value], Value]
-    primeR: Optional[frozenset[tuple[Value, Value]]] = None
-    tt: Value = "tt"
-    ff: Value = "ff"
-
-    successors = _successors
-
-    def atoms(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for (a, _w) in self.zeta:
-            if a not in seen:
-                seen.append(a)
-        return tuple(seen)
 
 
 def serialize_model(m: KripkeModel) -> str:
@@ -299,24 +283,6 @@ def parse_model(text: str) -> KripkeModel:
     return m
 
 
-def propmodel_as_kripke(k: PropModel) -> KripkeModel:
-    """View a propositional model as a Kripke model over the two-element
-    universe {tt, ff}; used to print prover countermodels in the model-file
-    format."""
-    return KripkeModel(
-        universe=(k.tt, k.ff),
-        tt=k.tt,
-        ff=k.ff,
-        op_interp={},
-        xi={},
-        states=k.states,
-        R=k.R,
-        zeta=dict(k.zeta),
-        primeR=k.primeR,
-    )
-
-
-def kripke_as_propmodel(m: KripkeModel) -> PropModel:
-    """Inverse view, for reading back printed prover countermodels."""
-    return PropModel(states=m.states, R=m.R, zeta=dict(m.zeta),
-                     primeR=m.primeR, tt=m.tt, ff=m.ff)
+def kripke_as_propmodel(m: KripkeModel) -> KripkeModel:
+    """The identity: a propositional model is a Kripke model."""
+    return m

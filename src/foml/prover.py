@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
-from .models import PropModel, Value
+from .models import KripkeModel, Value
 from .semantics import compile_ml, eval_ml
 from .syntax import (
     Expression,
@@ -67,7 +67,9 @@ from .syntax import (
     walk,
 )
 
-FRAMES = ("k", "t", "k4", "s4")
+# Each frame class: whether its relations are (reflexive, transitive).
+FRAMES = {"k": (False, False), "t": (True, False),
+          "k4": (False, True), "s4": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class Proved:
 
 @dataclass(frozen=True)
 class Countermodel:
-    model: PropModel
+    model: KripkeModel
     state: Value
     kind: str = "countermodel"
 
@@ -312,7 +314,7 @@ def prove_ml(
     below: dict[int, int] = {}
     up: dict[int, list[tuple[int, int, int]]] = {}
     T = F = 0
-    frames = (seq.frame_nabla, seq.frame_prime)
+    frames = (FRAMES[seq.frame_nabla], FRAMES[seq.frame_prime])
     boxes: tuple[list, list] = ([], [])
     bodies: list[int] = []
     atoms = []
@@ -343,14 +345,13 @@ def prove_ml(
             else:
                 m = isinstance(e, Prime)
                 boxes[m].append((b, bit[e.body]))
-                bodies.append(bit[e.body] if frames[m] in ("t", "s4")
-                              else 0)
+                bodies.append(bit[e.body] if frames[m][0] else 0)
 
     hyps = sum({bit[h] for h in seq.hypotheses})  # distinct bits: a union
     # Per modality: the (box, body) bit pairs, and whether the frame is
-    # transitive (k4/s4) or reflexive (t/s4).
-    mods = [(pairs, frame in ("k4", "s4"), frame in ("t", "s4"))
-            for pairs, frame in zip(boxes, frames)]
+    # transitive and reflexive.
+    mods = [(pairs, transitive, reflexive)
+            for pairs, (reflexive, transitive) in zip(boxes, frames)]
     s = _Search(free, [up[x] for x in free], bodies, (T, F), hyps, mods,
                 limits)
     try:
@@ -374,7 +375,7 @@ def prove_ml(
     return Countermodel(model, 0)
 
 
-def _extract_model(root, reqs, witness, mods, atoms) -> PropModel:
+def _extract_model(root, reqs, witness, mods, atoms) -> KripkeModel:
     """A witness model from `root`: on each modality with boxes, every
     falsified box of a state gets one successor, `witness(need, body)`:
     the first surviving type with all of the state's need mask and
@@ -421,11 +422,12 @@ def _extract_model(root, reqs, witness, mods, atoms) -> PropModel:
             rel.update((i, j) for j in reach)
         return frozenset(rel)
 
-    return PropModel(states=tuple(states), R=relation(0), zeta=zeta,
-                     primeR=relation(1) if mods[1][0] else None)
+    return KripkeModel.propositional(
+        tuple(states), relation(0), zeta,
+        primeR=relation(1) if mods[1][0] else None)
 
 
-def _verify(seq: MLSequent, model: PropModel, state) -> None:
+def _verify(seq: MLSequent, model: KripkeModel, state) -> None:
     """Raise InternalError unless the model lies in the sequent's frame
     classes, makes every hypothesis true at every state and the goal
     false at `state`."""
@@ -433,15 +435,16 @@ def _verify(seq: MLSequent, model: PropModel, state) -> None:
     if model.primeR is not None:
         rels.append(("primeR", model.primeR, seq.frame_prime))
     for name, rel, frame in rels:
-        if frame == "k":
+        reflexive, transitive = FRAMES[frame]
+        if not (reflexive or transitive):
             continue
         succ: dict = {w: set() for w in model.states}
         for v, w in rel:
             succ[v].add(w)
-        if frame in ("t", "s4") and any(w not in succ[w] for w in succ):
+        if reflexive and any(w not in succ[w] for w in succ):
             raise InternalError(
                 f"countermodel {name} is not reflexive on frame {frame}")
-        if frame in ("k4", "s4") and any(
+        if transitive and any(
                 not succ[w] <= ws for ws in succ.values() for w in ws):
             raise InternalError(
                 f"countermodel {name} is not transitive on frame {frame}")

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .models import FOLStructure, KripkeModel, PropModel, Value
+from .models import FOLStructure, KripkeModel, Value
 from .semantics import compile_fol, countermodel_checker
 from .syntax import (
     DefinitionEnvironment,
@@ -305,7 +305,7 @@ def enumerate_propmodels(
     frame: str = "k",
     with_prime: bool = False,
     prime_frame: str = "k",
-) -> Iterator[PropModel]:
+) -> Iterator[KripkeModel]:
     """All propositional models up to max_states, restricted to the frame
     class; the oracle side of the prover's agreement property."""
     for nstates in range(1, max_states + 1):
@@ -317,8 +317,8 @@ def enumerate_propmodels(
             for vals in product(("tt", "ff"), repeat=len(keys)):
                 zeta = dict(zip(keys, vals))
                 if not with_prime:
-                    yield PropModel(states, R, zeta)
+                    yield KripkeModel.propositional(states, R, zeta)
                     continue
                 for pR in _relations(states):
                     if _frame_ok(pR, states, prime_frame):
-                        yield PropModel(states, R, zeta, primeR=pR)
+                        yield KripkeModel.propositional(states, R, zeta, pR)

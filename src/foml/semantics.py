@@ -31,12 +31,12 @@ universe.  A nabla node maps the set of body values at accessible states to
 tt iff that set is included in {tt}, and to ff otherwise.
 
 Prime is evaluated over the model's second accessibility relation.  When
-that relation is a total function on states, eval_expr evaluates prime in
-the next-state reading (the value of the body at the unique successor),
-which is the reading under which prime distribution laws are
-value-preserving; otherwise, and always in eval_ml, it collapses exactly
-like nabla.  The two readings agree on truth (being tt) whenever both
-apply.
+that relation is a total function on states, prime is evaluated in the
+next-state reading (the value of the body at the unique successor), which
+is the reading under which prime distribution laws are value-preserving;
+otherwise it collapses exactly like nabla.  The two readings agree on
+truth (being tt) whenever both apply, so in a propositional model, whose
+values are all truth values, they give the same value.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from typing import Callable, Mapping, Optional, Union
 from .models import (
     FOLStructure,
     KripkeModel,
-    PropModel,
     Value,
     _successor_table,
 )
@@ -75,7 +74,7 @@ class EvalError(FomlError):
 # A compiled expression: (model, state, bindings) -> value.  `bindings`
 # overlays the model's xi for rigid variables and is never mutated.
 Evaluator = Callable[
-    [Union[KripkeModel, FOLStructure, PropModel], Value, Mapping[str, Value]],
+    [Union[KripkeModel, FOLStructure], Value, Mapping[str, Value]],
     Value]
 
 
@@ -102,7 +101,7 @@ def eval_fol(
     return compile_fol(e)(s, 0, bindings or {})
 
 
-def eval_ml(k: PropModel, w: Value, e: Expression) -> Value:
+def eval_ml(k: KripkeModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
     return compile_ml(e)(k, w, {})
@@ -143,7 +142,7 @@ def _compile(
     `first_order` admits rigid variables, operators, equality and
     quantifiers, `modal` admits the modalities, and defined operators need
     both.  Without `modal`, m has no states and flexible variables are read
-    from m.xi; without `first_order`, prime keeps the relational reading.
+    from m.xi.
 
     No evaluation error is raised here: a node outside the fragment, an
     unknown definition or a missing value raises when evaluation reaches
@@ -182,12 +181,7 @@ def _compile(
         case Forall(var, body) if first_order:
             return _forall(var, _compile(body, env, first_order, modal))
         case Prime(body) if modal:
-            # Only eval_ml keeps the relational reading, because a
-            # PropModel has no prime_is_function.  Its values are all
-            # truth values, on which the two readings agree wherever both
-            # apply.
-            return _prime(_compile(body, env, first_order, modal),
-                          next_state=first_order)
+            return _prime(_compile(body, env, first_order, modal))
         case DefApp(op, args) if first_order and modal:
             return _defapp(op, args, env)
     return _outside(e, _FRAGMENT[first_order, modal])
@@ -294,12 +288,12 @@ def _forall(var: str, body: Evaluator) -> Evaluator:
     return forall
 
 
-def _prime(body: Evaluator, next_state: bool) -> Evaluator:
+def _prime(body: Evaluator) -> Evaluator:
     def prime(m, w, bnd):
         if m.primeR is None:
             raise EvalError("prime evaluated in a model without primeR")
         succ = _successor_table(m.primeR).get(w, ())
-        if next_state and m.prime_is_function():
+        if m.prime_is_function:
             # prime_successor raises for a w that is not a state
             return body(m, succ[0] if succ else m.prime_successor(w), bnd)
         for w2 in succ:

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from foml.models import PropModel
+from foml.models import KripkeModel
 from foml.syntax import FALSE, Expression, FlexVar, Implies, Nabla
 
 
@@ -102,7 +102,7 @@ class MlSweep:
                 return True
         return False
 
-    def model_at(self, s: int, ri: int, zi: int) -> PropModel:
+    def model_at(self, s: int, ri: int, zi: int) -> KripkeModel:
         """Materialize one enumerated model, for cross-checks."""
         rel, zeta = self.spaces[s]
         states = tuple(range(s))
@@ -113,4 +113,4 @@ class MlSweep:
             for k, atom in enumerate(self.atoms)
             for w in states
         }
-        return PropModel(states=states, R=R, zeta=zmap)
+        return KripkeModel.propositional(states, R, zmap)

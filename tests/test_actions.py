@@ -225,5 +225,5 @@ class TestRefutationLifting:
                                   SearchBounds(max_universe=2))
         assert r.found
         m = lift_fol_structure(r.model, primed.mapping, env)
-        assert m.prime_is_function()
+        assert m.prime_is_function
         assert eval_expr(m, 0, c, env) != m.tt

@@ -12,12 +12,7 @@ from foml import cli
 from foml.cli import main
 from foml.emit import emit_mlseq, parse_mlseq
 from foml.gen import CHECKS, random_ml_formula, random_model
-from foml.models import (
-    KripkeModel,
-    kripke_as_propmodel,
-    parse_model,
-    serialize_model,
-)
+from foml.models import KripkeModel, parse_model, serialize_model
 from foml.parser import parse_problem
 from foml.prover import FRAMES, MLSequent
 from foml.semantics import eval_ml
@@ -145,6 +140,41 @@ class TestSubcommands:
         for n in names:
             if n.endswith(".foml"):
                 parse_problem((outdir / n).read_text())
+
+    def test_solver_with_mlseq_is_a_usage_error(self, capsys, tmp_path,
+                                                box_file):
+        # rejected before the input is read or any output is written
+        target = tmp_path / "x.mlseq"
+        for file in (box_file, str(tmp_path / "missing.foml")):
+            for extra in ((), ("-o", str(target))):
+                code, out, err = run(capsys, "emit", file, "--emit=mlseq",
+                                     "--solver", "z3", *extra)
+                assert code == 64 and out == ""
+                assert "--solver only applies to smt/tptp output" in err
+                assert not target.exists()
+
+    def test_unwritable_emit_output_is_65(self, capsys, tmp_path, box_file):
+        target = tmp_path / "missing" / "x.smt2"
+        code, out, err = run(capsys, "emit", box_file, "-o", str(target))
+        assert code == 65 and out == ""
+        assert err.startswith(f"foml: cannot write {target}: ")
+
+    def test_unwritable_safety_output_is_65(self, capsys, tmp_path):
+        path = tmp_path / "swap.foml"
+        path.write_text(SWAP)
+        # --out names a file, not a directory
+        code, out, err = run(capsys, "safety", str(path), "--out", str(path))
+        assert code == 65 and out == ""
+        assert err.startswith(f"foml: cannot write {path}: ")
+        # a directory stands where the glue sequent goes
+        outdir = tmp_path / "out"
+        (outdir / "swap-glue.mlseq").mkdir(parents=True)
+        code, out, err = run(capsys, "safety", str(path),
+                             "--out", str(outdir))
+        assert code == 65
+        assert len(out.splitlines()) == 3
+        assert err.startswith(
+            f"foml: cannot write {outdir / 'swap-glue.mlseq'}: ")
 
     def test_check_model_satisfied_and_refuted(self, capsys, tmp_path,
                                                box_file):
@@ -476,8 +506,8 @@ def ml_sequents(draw):
     hyps = tuple(random_ml_formula(rng, atoms, 2, prime)
                  for _ in range(rng.randrange(0, 3)))
     goal = random_ml_formula(rng, atoms, rng.randrange(1, 4), prime)
-    return MLSequent(hyps, goal, draw(st.sampled_from(FRAMES)),
-                     draw(st.sampled_from(FRAMES)))
+    return MLSequent(hyps, goal, draw(st.sampled_from(tuple(FRAMES))),
+                     draw(st.sampled_from(tuple(FRAMES))))
 
 
 class TestProveMlProperty:
@@ -495,7 +525,7 @@ class TestProveMlProperty:
         first, _, rest = out.partition("\n")
         assert first.startswith(VERDICT_LINES[code])
         if code == 1:
-            k = kripke_as_propmodel(parse_model(rest))
+            k = parse_model(rest)
             state = int(first[len(VERDICT_LINES[1]):-1])
             s = parse_mlseq(path.read_text())
             assert eval_ml(k, state, s.goal) == k.ff

@@ -1,4 +1,6 @@
 import shutil
+import sys
+import tempfile
 
 import pytest
 
@@ -183,6 +185,15 @@ class TestExternalSolver:
     def test_missing_solver_is_unknown_not_crash(self):
         out = run_solver("/nonexistent/solver", "(check-sat)", "smt")
         assert out == "unknown"
+
+    def test_runs_leave_no_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert run_solver("/nonexistent/solver", "(check-sat)",
+                          "smt") == "unknown"
+        # the interpreter as a "solver" that reads the file and answers
+        assert run_solver(sys.executable, 'print("unsat")',
+                          "smt") == "valid"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(shutil.which("z3") is None,
                         reason="no external solver installed")

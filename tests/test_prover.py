@@ -5,13 +5,7 @@ import pytest
 from foml import parse_problem
 from foml.coalesce_ml import coalesce_obligation_ml, ml_atoms_of
 from foml.gen import random_ml_formula, random_ml_sequent, rng_for
-from foml.models import (
-    PropModel,
-    kripke_as_propmodel,
-    parse_model,
-    propmodel_as_kripke,
-    serialize_model,
-)
+from foml.models import KripkeModel, parse_model, serialize_model
 from foml.prover import (
     FRAMES,
     Countermodel,
@@ -277,8 +271,9 @@ class TestWitnessCountermodels:
                 v = prove_ml(s)
                 if not isinstance(v, Countermodel):
                     continue
-                text = serialize_model(propmodel_as_kripke(v.model))
-                k = kripke_as_propmodel(parse_model(text))
+                text = serialize_model(v.model)
+                k = parse_model(text)
+                assert k == v.model, (s, text)
                 assert in_frame_class(k.R, k.states, frame), (s, text)
                 if k.primeR is not None:
                     assert in_frame_class(k.primeR, k.states,
@@ -309,10 +304,9 @@ class TestWitnessCountermodels:
 
 
 class TestVerifyFrameClass:
-    def model(self, R, primeR=None) -> PropModel:
-        return PropModel(states=(0, 1), R=frozenset(R),
-                         zeta={("p", 0): "ff", ("p", 1): "ff"},
-                         primeR=primeR)
+    def model(self, R, primeR=None) -> KripkeModel:
+        return KripkeModel.propositional(
+            (0, 1), frozenset(R), {("p", 0): "ff", ("p", 1): "ff"}, primeR)
 
     def test_non_reflexive_relation_on_t(self):
         m = self.model({(0, 1), (1, 1)})
@@ -436,7 +430,7 @@ def larger_ml_sequent(rng) -> MLSequent:
 
 def printed(v) -> str:
     if isinstance(v, Countermodel):
-        return serialize_model(propmodel_as_kripke(v.model))
+        return serialize_model(v.model)
     return repr(v)
 
 

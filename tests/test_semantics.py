@@ -15,7 +15,7 @@ from foml import (
 from foml.coalesce import SymbolTable, build_witness_structure, coalesce_fol
 from foml.coalesce_ml import AtomTable, build_witness_propmodel, coalesce_ml
 from foml.gen import random_env, random_expr, random_model, rng_for
-from foml.models import FOLStructure, PropModel, _successor_table
+from foml.models import FOLStructure, KripkeModel, _successor_table
 from foml.search import SearchBounds, enumerate_models, needs_prime
 from foml.semantics import (
     EvalError,
@@ -130,7 +130,7 @@ class TestEvalClauses:
 
     def test_functional_prime_is_next_state_value(self):
         m = tiny_model(primeR=[(0, 1), (1, 0)])
-        assert m.prime_is_function()
+        assert m.prime_is_function
         # term-position prime: the value carries over, not just the truth
         assert eval_expr(m, 0, Prime(FlexVar("v")), ENV) == 1
         assert eval_expr(m, 1, Prime(FlexVar("v")), ENV) == 0
@@ -183,14 +183,14 @@ class TestEvalFol:
 
 class TestEvalMl:
     def test_atom_and_box(self):
-        k = PropModel(states=(0, 1), R=frozenset({(0, 1)}),
-                      zeta={("a", 0): "tt", ("a", 1): "ff"})
+        k = KripkeModel.propositional(
+            (0, 1), frozenset({(0, 1)}), {("a", 0): "tt", ("a", 1): "ff"})
         assert eval_ml(k, 0, FlexVar("a")) == "tt"
         assert eval_ml(k, 0, Nabla(FlexVar("a"))) == "ff"
         assert eval_ml(k, 1, Nabla(FALSE)) == "tt"  # no successors
 
     def test_rejects_first_order(self):
-        k = PropModel(states=(0,), R=frozenset(), zeta={})
+        k = KripkeModel.propositional((0,), frozenset(), {})
         with pytest.raises(EvalError):
             eval_ml(k, 0, Eq(RigidVar("x"), RigidVar("x")))
 
@@ -199,7 +199,7 @@ class TestLazyEvaluation:
     """Fragment and lookup errors come from the node when evaluation
     reaches it, never from an up-front pass over the expression."""
 
-    K = PropModel(states=(0,), R=frozenset(), zeta={})
+    K = KripkeModel.propositional((0,), frozenset(), {})
     X = RigidVar("x")
     UNKNOWN = DefApp("nowhere", (RigidVar("x"),))
 
@@ -250,14 +250,15 @@ class Stuck(Exception):
 def reference_eval(m, w, e, env=None, kripke=True, next_state=True):
     """The semantics as a plain recursive walk over e, written from the
     clauses in the `semantics` docstring and sharing none of its code.
-    With `kripke`, m is a Kripke model (a PropModel has no operators or
-    universe); without it, m is a first-order structure whose xi also
+    With `kripke`, m is a Kripke model (a propositional one has no
+    operators); without it, m is a first-order structure whose xi also
     values the flexible variables and e has no modalities.  `next_state`
     selects the next-state reading of prime when primeR is a total
-    function.  Operands run left to right, an implication runs its
-    right side only when its left side is tt, and nabla and prime visit
-    successors in the order of the pairs' text, stopping at the first
-    value other than tt."""
+    function; without it prime always collapses like nabla, which gives
+    the same values in a propositional model.  Operands run left to
+    right, an implication runs its right side only when its left side is
+    tt, and nabla and prime visit successors in the order of the pairs'
+    text, stopping at the first value other than tt."""
     tt, ff = m.tt, m.ff
 
     def successors(rel, w):
@@ -382,6 +383,8 @@ class TestReferenceEvaluator:
                 s = build_witness_structure(m, w, table, env)
                 assert outcome(compiled_fol, s, w, {}) == outcome(
                     reference_eval, s, w, fol, None, False), (fol, w)
+                # the relational reading alone, which the compiled view
+                # must match whether or not primeR is a function
                 assert outcome(compiled_ml, k, w, {}) == outcome(
                     reference_eval, k, w, ml, None, True, False), (ml, w)
         assert 0 < stuck < 300

@@ -17,7 +17,6 @@ from .actions import (
     translate_action,
 )
 from .coalesce import (
-    CoalesceConfig,
     SymbolTable,
     build_witness_structure,
     coalesce_fol,
@@ -31,7 +30,7 @@ from .coalesce_ml import (
     coalesce_obligation_ml,
     hypotheses,
 )
-from .leibniz import STAR, LeibnizTable, classify_args, compute_leibniz
+from .leibniz import STAR, classify_args, compute_leibniz
 from .models import (
     FOLStructure,
     KripkeModel,

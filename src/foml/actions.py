@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .coalesce_ml import AtomTable, coalesce_ml, hypotheses
+from .coalesce_ml import coalesce_obligation_ml
 from .prover import MLSequent
 from .syntax import (
     DefApp,
@@ -150,7 +150,6 @@ class SafetySpec:
 class SafetyResult:
     obligations: tuple[Obligation, Obligation, Obligation]
     glue: MLSequent
-    glue_table: AtomTable
     primed: Mapping[str, str]
 
 
@@ -188,22 +187,15 @@ def safety_obligations(spec: SafetySpec) -> SafetyResult:
     fact1 = Implies(init, iinv)
     fact2 = Implies(and_(iinv, boxed_step(next_, spec.vars)), Prime(iinv))
     fact3 = Implies(iinv, inv)
+    # fact2 is expanded and nabla-free: exactly translate_action's input
+    step = translate_action(Obligation((), fact2, env))
+    obligations = (Obligation((), fact1, env),
+                   Obligation((), step.goal, step.env),
+                   Obligation((), fact3, env))
 
-    primed = PrimedVars(env)
-    goal2 = coalesce_action(distribute_prime(fact2, env), primed)
-    env2 = env.extended(flex=primed.new_flex_names())
-
-    ob1 = Obligation((), fact1, env, "fol")
-    ob2 = Obligation((), goal2, env2, "fol")
-    ob3 = Obligation((), fact3, env, "fol")
-
-    table = AtomTable(env)
-    ml_facts = tuple(coalesce_ml(f, env, table)
-                     for f in (fact1, fact2, fact3))
     goal8 = Implies(and_(init, Nabla(boxed_step(next_, spec.vars))),
                     Nabla(inv))
-    ml_goal = coalesce_ml(goal8, env, table)
-    stab = hypotheses(table, env, include_prime=True)
-    glue = MLSequent(hypotheses=ml_facts + stab, goal=ml_goal)
-
-    return SafetyResult((ob1, ob2, ob3), glue, table, dict(primed.mapping))
+    # fact2 has prime, so the stability laws include the prime ones
+    res = coalesce_obligation_ml(Obligation((fact1, fact2, fact3), goal8, env))
+    glue = MLSequent(res.hypotheses + res.stability, res.goal)
+    return SafetyResult(obligations, glue, step.primed)

@@ -13,12 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .actions import SafetySpec, safety_obligations, translate_action
-from .coalesce import (
-    CoalesceConfig,
-    coalesce_obligation_fol,
-    rewrite_rigid_box,
-    symbols_block,
-)
+from .coalesce import coalesce_obligation_fol, rewrite_rigid_box, symbols_block
 from .coalesce_ml import atoms_block, coalesce_obligation_ml
 from .emit import (
     emit_mlseq,
@@ -84,10 +79,6 @@ def _writing(path):
         raise ProblemError(f"cannot write {path}: {exc}")
 
 
-def _config(args) -> CoalesceConfig:
-    return CoalesceConfig(order=args.canonical_order)
-
-
 def _apply_rigid_box(ob: Obligation, flag: str) -> Obligation:
     if flag == "off":
         return ob
@@ -102,7 +93,7 @@ def _apply_rigid_box(ob: Obligation, flag: str) -> Obligation:
 def cmd_coalesce_fol(args) -> int:
     ob = _apply_rigid_box(parse_problem(_read(args.file)),
                           args.rewrite_rigid_box)
-    res = coalesce_obligation_fol(ob, _config(args))
+    res = coalesce_obligation_fol(ob, args.canonical_order)
     for h in res.hypotheses:
         print(f"(assume {print_expr(h)})")
     print(f"(goal {print_expr(res.goal)})")
@@ -232,7 +223,7 @@ def cmd_emit(args) -> int:
         out = emit_mlseq(_load_sequent(text))
     else:
         ob = _apply_rigid_box(parse_problem(text), args.rewrite_rigid_box)
-        res = coalesce_obligation_fol(ob, _config(args))
+        res = coalesce_obligation_fol(ob, args.canonical_order)
         ir = stratify(res.hypotheses, res.goal, res.env)
         out = emit_smt(ir) if fmt == "smt" else emit_tptp(ir)
     if args.output:

@@ -18,13 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Optional, Union
 
-from .leibniz import (
-    EpsilonEntry,
-    LeibnizTable,
-    Star,
-    classify_args,
-    compute_leibniz,
-)
+from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
 from .semantics import eval_expr
 from .syntax import (
@@ -48,17 +42,6 @@ from .syntax import (
     map_children,
     not_,
 )
-
-
-@dataclass(frozen=True)
-class CoalesceConfig:
-    # "binder": abstracted variables keep the binder-stack order
-    # (innermost first); "appearance": reordered by first occurrence in the
-    # abstracted subterm, which identifies more symbols.
-    order: str = "binder"
-
-
-DEFAULT_CONFIG = CoalesceConfig()
 
 
 @dataclass(frozen=True)
@@ -86,7 +69,7 @@ class SymbolEntry:
     zvars: tuple[str, ...]
     node: Optional[Expression] = None  # modal keys: the nabla/prime node
     op: Optional[str] = None  # def keys: the defined operator
-    entries: Optional[tuple[EpsilonEntry, ...]] = None
+    entries: Optional[tuple] = None  # def keys: the epsilon-vector
 
 
 class SymbolTable(Interner):
@@ -101,11 +84,8 @@ class SymbolTable(Interner):
         super().__init__("c", env)
 
     @cached_property
-    def leibniz(self) -> LeibnizTable:
+    def leibniz(self) -> dict[str, tuple[bool, ...]]:
         return compute_leibniz(self.env)
-
-    def as_ops(self) -> dict[str, int]:
-        return {e.name: e.arity for e in self.in_order()}
 
 
 def _dedup_innermost(binders: tuple[str, ...]) -> tuple[str, ...]:
@@ -122,12 +102,15 @@ def _dedup_innermost(binders: tuple[str, ...]) -> tuple[str, ...]:
 def _select_zvars(
     binders: tuple[str, ...],
     free_in_body: tuple[str, ...],
-    config: CoalesceConfig,
+    order: str,
 ) -> tuple[str, ...]:
+    # "binder": abstracted variables keep the binder-stack order
+    # (innermost first); "appearance": reordered by first occurrence in the
+    # abstracted subterm, which identifies more symbols.
     candidates = _dedup_innermost(binders)
     freeset = set(free_in_body)
     z = tuple(b for b in candidates if b in freeset)
-    if config.order == "appearance":
+    if order == "appearance":
         pos = {name: i for i, name in enumerate(free_in_body)}
         z = tuple(sorted(z, key=lambda b: pos[b]))
     return z
@@ -137,19 +120,20 @@ def coalesce_fol(
     e: Expression,
     env: DefinitionEnvironment,
     table: SymbolTable,
-    binders: tuple[str, ...] = (),
-    config: CoalesceConfig = DEFAULT_CONFIG,
+    order: str = "binder",
 ) -> Expression:
-    """First-order abstraction of e.  `binders` lists the rigid variables
-    bound above e, innermost first."""
+    """First-order abstraction of e, interning its fresh symbols in table.
+    `order` is "binder" or "appearance": the order of the bound variables
+    a fresh symbol is applied to (see `_select_zvars`)."""
 
+    # binders: the rigid variables bound above e, innermost first
     def go(e: Expression, binders: tuple[str, ...]) -> Expression:
         match e:
             case Forall(var, body):
                 return Forall(var, go(body, (var,) + binders))
             case Nabla(body) | Prime(body):
                 kind = "nabla" if isinstance(e, Nabla) else "prime"
-                z = _select_zvars(binders, free_rigid_vars(body), config)
+                z = _select_zvars(binders, free_rigid_vars(body), order)
                 key = ModalKey(kind, len(z), alpha_key(e, z))
                 entry = table.entry(key, lambda name: SymbolEntry(
                     name, len(z), key, z, node=e))
@@ -159,13 +143,13 @@ def coalesce_fol(
                 eps = classify_args(op, args, table.leibniz, env)
                 concrete_free: list[str] = []
                 for ent in eps:
-                    if not isinstance(ent, Star):
+                    if ent is not STAR:
                         for x in free_rigid_vars(ent):
                             if x not in concrete_free:
                                 concrete_free.append(x)
-                z = _select_zvars(binders, tuple(concrete_free), config)
+                z = _select_zvars(binders, tuple(concrete_free), order)
                 canon = tuple(
-                    ("star",) if isinstance(ent, Star)
+                    ("star",) if ent is STAR
                     else alpha_key(ent, z)
                     for ent in eps)
                 key = DefKey(op, len(z), canon)
@@ -176,7 +160,7 @@ def coalesce_fol(
                 return OpApp(entry.name, new_args)
         return map_children(e, go, binders)
 
-    return go(e, binders)
+    return go(e, ())
 
 
 @dataclass(frozen=True)
@@ -188,18 +172,17 @@ class CoalescedFol:
 
 
 def coalesce_obligation_fol(
-    ob: Obligation, config: CoalesceConfig = DEFAULT_CONFIG
+    ob: Obligation, order: str = "binder"
 ) -> CoalescedFol:
     """Translate a whole sequent with one shared symbol table, so recurring
     subexpressions share fresh symbols across hypotheses and goal."""
     if ob.mode == "ml":
         raise FomlError("obligation has mode ml, not fol")
     table = SymbolTable(ob.env)
-    hyps = tuple(
-        coalesce_fol(h, ob.env, table, config=config)
-        for h in ob.hypotheses)
-    goal = coalesce_fol(ob.goal, ob.env, table, config=config)
-    env = ob.env.extended(ops=table.as_ops())
+    hyps = tuple(coalesce_fol(h, ob.env, table, order)
+                 for h in ob.hypotheses)
+    goal = coalesce_fol(ob.goal, ob.env, table, order)
+    env = ob.env.extended(ops={e.name: e.arity for e in table.in_order()})
     return CoalescedFol(hyps, goal, table, env)
 
 
@@ -270,12 +253,12 @@ def _interpret_symbol(
     star_vals = dict(zip(entry.zvars, argvals[n:]))
     avoid = set(entry.zvars) | env.all_names()
     for ent in eps:
-        if not isinstance(ent, Star):
+        if ent is not STAR:
             avoid.update(free_rigid_vars(ent))
     alphas: list[Expression] = []
     bindings = dict(star_vals)
     for i, ent in enumerate(eps):
-        if isinstance(ent, Star):
+        if ent is STAR:
             x = fresh_name(f"p{i}", avoid)
             avoid.add(x)
             alphas.append(RigidVar(x))
@@ -292,12 +275,8 @@ def pretty_key(entry: SymbolEntry) -> str:
     zs = " ".join(entry.zvars)
     if entry.node is not None:
         return f"(lambda ({zs}) {print_expr(entry.node)})"
-    parts = []
-    for ent in entry.entries:
-        if isinstance(ent, Star):
-            parts.append("*")
-        else:
-            parts.append(print_expr(ent))
+    parts = ["*" if ent is STAR else print_expr(ent)
+             for ent in entry.entries]
     inner = " ".join([entry.op] + parts)
     if entry.zvars:
         return f"(lambda ({zs}) ({inner}))"

@@ -32,7 +32,6 @@ from .syntax import (
     RigidVar,
     alpha_key,
     contains_node,
-    free_flex_vars,
     is_rigid,
     map_children,
 )
@@ -133,8 +132,3 @@ def atoms_block(table: AtomTable) -> str:
         lines.append(f"  ({entry.name} {print_expr(entry.source)})")
     lines.append(")")
     return "\n".join(lines)
-
-
-def ml_atoms_of(e: Expression) -> tuple[str, ...]:
-    """Atom names occurring in a propositional modal formula."""
-    return free_flex_vars(e)

@@ -155,9 +155,20 @@ class SymbolMap:
 
 
 _SMT_RESERVED = {
-    "tt", "ff", "U", "assert", "check-sat", "declare-fun", "declare-const",
-    "declare-sort", "set-logic", "not", "and", "or", "xor", "distinct",
-    "forall", "exists", "ite", "true", "false", "let", "par", "=>", "=",
+    # the encoding's own symbols and the core theory's
+    "tt", "ff", "U", "not", "and", "or", "xor", "distinct", "ite", "true",
+    "false", "=>", "=",
+    # SMT-LIB 2.6 reserved words (section 3.1)
+    "!", "_", "as", "BINARY", "DECIMAL", "exists", "forall", "HEXADECIMAL",
+    "let", "match", "NUMERAL", "par", "STRING",
+    # SMT-LIB 2.6 command names
+    "assert", "check-sat", "check-sat-assuming", "declare-const",
+    "declare-datatype", "declare-datatypes", "declare-fun", "declare-sort",
+    "define-fun", "define-fun-rec", "define-funs-rec", "define-sort",
+    "echo", "exit", "get-assertions", "get-assignment", "get-info",
+    "get-model", "get-option", "get-proof", "get-unsat-assumptions",
+    "get-unsat-core", "get-value", "pop", "push", "reset",
+    "reset-assertions", "set-info", "set-logic", "set-option",
 }
 
 _TPTP_RESERVED = {"tt", "ff", "fof", "axiom", "conjecture"}

@@ -7,11 +7,15 @@ connective is Leibniz; the modalities' positions are not.  A position of a
 defined operator is Leibniz iff its parameter never occurs within a
 non-Leibniz position of the body (computed inductively, in declaration
 order, without expanding definitions).
+
+The data is plain: `compute_leibniz` maps each defined operator to one
+boolean per argument position, and `classify_args` returns the
+epsilon-vector of an application as a tuple whose entries are `STAR` or
+the argument itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Optional, Sequence
 
 from .syntax import (
     DefApp,
@@ -28,34 +32,9 @@ from .syntax import (
 )
 
 
-class Star:
-    """The '*' epsilon entry: argument hidden behind the fresh symbol."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "*"
-
-
-STAR = Star()
-
-EpsilonEntry = Union[Star, Expression]
-EpsilonVector = tuple
-
-
-@dataclass(frozen=True)
-class LeibnizTable:
-    """Per defined operator, one boolean per argument position."""
-
-    positions: Mapping[str, tuple[bool, ...]]
-
-    def __getitem__(self, op: str) -> tuple[bool, ...]:
-        return self.positions[op]
+# The '*' epsilon entry (the argument is hidden behind the fresh symbol);
+# no expression is None, so entries are told apart with `is STAR`.
+STAR = None
 
 
 def _vars_in_non_leibniz_positions(
@@ -85,21 +64,24 @@ def _vars_in_non_leibniz_positions(
             return bad
 
 
-def compute_leibniz(env: DefinitionEnvironment) -> LeibnizTable:
-    """Leibniz vectors for every defined operator, in declaration order."""
+def compute_leibniz(
+    env: DefinitionEnvironment,
+) -> dict[str, tuple[bool, ...]]:
+    """Leibniz vectors for every defined operator, in declaration order:
+    one boolean per argument position."""
     computed: dict[str, tuple[bool, ...]] = {}
     for d in env.definitions:
         bad = _vars_in_non_leibniz_positions(d.body, computed)
         computed[d.name] = tuple(p not in bad for p in d.params)
-    return LeibnizTable(computed)
+    return computed
 
 
 def classify_args(
     op: str,
     args: Sequence[Expression],
-    table: LeibnizTable,
+    table: dict[str, tuple[bool, ...]],
     env: DefinitionEnvironment,
-) -> EpsilonVector:
+) -> tuple[Optional[Expression], ...]:
     """Epsilon entry per argument: '*' when the position is Leibniz or the
     argument is rigid, the argument itself otherwise."""
     vector = table[op]
@@ -107,19 +89,14 @@ def classify_args(
         raise FomlError(
             f"{op!r} applied to {len(args)} argument(s), arity is "
             f"{len(vector)}")
-    out: list[EpsilonEntry] = []
-    for leib, a in zip(vector, args):
-        if leib or is_rigid(a, env):
-            out.append(STAR)
-        else:
-            out.append(a)
-    return tuple(out)
+    return tuple(STAR if leib or is_rigid(a, env) else a
+                 for leib, a in zip(vector, args))
 
 
-def format_table(table: LeibnizTable) -> str:
+def format_table(table: dict[str, tuple[bool, ...]]) -> str:
     """One line per defined operator: `d: L N ...`."""
     lines = []
-    for op, vector in table.positions.items():
+    for op, vector in table.items():
         marks = " ".join("L" if b else "N" for b in vector)
         lines.append(f"{op}: {marks}" if vector else f"{op}:")
     return "\n".join(lines)

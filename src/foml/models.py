@@ -79,6 +79,14 @@ class KripkeModel:
             raise FomlError("tt and ff must belong to the universe")
         if not self.states:
             raise FomlError("a model needs at least one state")
+        # a repeated value would count twice in every loop over the section
+        for section, values in (("universe", self.universe),
+                                ("states", self.states)):
+            seen: set[Value] = set()
+            for v in values:
+                if v in seen:
+                    raise FomlError(f"({section} ...) lists {_fmt(v)} twice")
+                seen.add(v)
         udom = set(self.universe)
         for op, table in self.op_interp.items():
             arities = {len(k) for k in table} or {0}

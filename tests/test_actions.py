@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from foml import (
@@ -18,10 +21,13 @@ from foml.gen import (
     lift_fol_structure,
     random_env,
     random_action_formula,
+    random_expr,
     random_model,
     rng_for,
 )
+from foml.emit import emit_mlseq
 from foml.parser import parse_expr, parse_file
+from foml.printer import print_problem
 from foml.search import SearchBounds, find_fol_countermodel, fol_signature_of
 from foml.semantics import eval_expr
 from foml.syntax import (
@@ -210,6 +216,37 @@ class TestSafety:
         from foml.syntax import or_
 
         assert e == or_(pf.next, Eq(Prime(FlexVar("x")), FlexVar("x")))
+
+    def test_printed_output_is_pinned(self):
+        # The demo spec plus 40 seeded random specs: state predicates
+        # without modalities, a random action formula as the step.  The
+        # digest covers the three printed obligations, the emitted glue
+        # sequent and the primed-name map, so any change to what
+        # `safety` writes changes it.
+        demo = Path(__file__).parent.parent / "demo" / "swap.foml"
+        pf = parse_file(demo.read_text())
+        specs = [SafetySpec(pf.init, pf.next, pf.invariant,
+                            pf.inductive_invariant, pf.env.flex_vars,
+                            pf.env)]
+        for i in range(40):
+            rng = rng_for(88, i)
+            env = random_env(rng, modal_defs=False)
+
+            def state():
+                return random_expr(rng, env, depth=2, allow_nabla=False,
+                                   allow_prime=False)
+
+            init, inv, iinv = state(), state(), state()
+            specs.append(SafetySpec(init, random_action_formula(rng, env),
+                                    inv, iinv, env.flex_vars, env))
+        digest = hashlib.sha256()
+        for spec in specs:
+            res = safety_obligations(spec)
+            for ob in res.obligations:
+                digest.update(print_problem(ob).encode())
+            digest.update(emit_mlseq(res.glue).encode())
+            digest.update(repr(sorted(res.primed.items())).encode())
+        assert digest.hexdigest()[:16] == "64ccb9088ed9fb13"
 
 
 class TestRefutationLifting:

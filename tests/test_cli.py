@@ -277,6 +277,25 @@ class TestSubcommands:
         assert out == ""
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("model, message", [
+        # 1 counted twice made the two-row table look short of three rows
+        ("(model (universe 0 1 1) (tt 0) (ff 1) (op f (row 0 0) (row 1 1))"
+         " (states s0) (R))", "(universe ...) lists 1 twice"),
+        ("(model (universe 0 1) (tt 0) (ff 1) (states 0 0) (R))",
+         "(states ...) lists 0 twice"),
+        # 01 reads as the state 1
+        ("(model (universe 0 1) (tt 0) (ff 1) (states 1 01) (R))",
+         "(states ...) lists 1 twice"),
+    ])
+    def test_check_model_rejects_a_repeated_value(
+            self, capsys, tmp_path, box_file, model, message):
+        path = tmp_path / "repeat.model"
+        path.write_text(model)
+        code, out, err = run(capsys, "check-model", str(path), box_file)
+        assert code == 65
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_check_model_first_relation_is_not_overridden(self, capsys,
                                                           tmp_path):
         # with R = {(0, 1)}, nabla false fails at state 0; a second (R)

@@ -1,7 +1,6 @@
 import pytest
 
 from foml import (
-    CoalesceConfig,
     SymbolTable,
     alpha_equal,
     build_witness_structure,
@@ -183,13 +182,12 @@ class TestBinderOrdering:
 
     def test_binder_order_keeps_symbols_distinct(self):
         ob = parse_problem(self.TEXT)
-        res = coalesce_obligation_fol(ob, CoalesceConfig(order="binder"))
+        res = coalesce_obligation_fol(ob, "binder")
         assert len(res.table.entries) == 2
 
     def test_appearance_order_merges_them(self):
         ob = parse_problem(self.TEXT)
-        res = coalesce_obligation_fol(ob,
-                                      CoalesceConfig(order="appearance"))
+        res = coalesce_obligation_fol(ob, "appearance")
         assert len(res.table.entries) == 1
         entry = res.table.in_order()[0]
         assert entry.arity == 2

@@ -5,7 +5,7 @@ from foml import (
     coalesce_obligation_ml,
     parse_problem,
 )
-from foml.coalesce_ml import hypotheses, ml_atoms_of
+from foml.coalesce_ml import hypotheses
 from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.semantics import eval_expr, eval_ml
 from foml.syntax import (
@@ -20,6 +20,7 @@ from foml.syntax import (
     Prime,
     RigidVar,
     contains_node,
+    free_flex_vars,
 )
 
 
@@ -157,4 +158,4 @@ def test_atom_names_are_atoms_of_the_output():
         "(goal (=> (= x v) (nabla (= x v))))")
     res = coalesce_obligation_ml(ob)
     entry = res.table.in_order()[0]
-    assert ml_atoms_of(res.goal) == (entry.name,)
+    assert free_flex_vars(res.goal) == (entry.name,)

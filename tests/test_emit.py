@@ -1,3 +1,4 @@
+import re
 import shutil
 import sys
 import tempfile
@@ -7,6 +8,7 @@ import pytest
 from foml import parse_problem
 from foml.coalesce import coalesce_obligation_fol
 from foml.emit import (
+    _SMT_RESERVED,
     emit_mlseq,
     emit_smt,
     emit_tptp,
@@ -145,6 +147,43 @@ class TestDeterminism:
         text = emit_tptp(coalesced_ir(BOX))
         assert "fof(goal, conjecture," in text
         assert "tt != ff" in text
+
+
+class TestSmtNames:
+    # SMT-LIB 2.6 reserved words and command names that the problem syntax
+    # accepts as names
+    NAMES = ("! _ as BINARY DECIMAL HEXADECIMAL NUMERAL STRING match let "
+             "par push pop exit echo reset assert check-sat define-fun "
+             "declare-fun declare-const get-model get-value set-option "
+             "set-logic xor distinct ite U tt ff").split()
+
+    def test_declared_names_avoid_reserved_words(self):
+        # each name in turn as a constant, a unary operator, a rigid and a
+        # flexible variable
+        kinds = ("op0", "op1", "rigid", "flex")
+        decls, uses = [], []
+        for i, name in enumerate(self.NAMES):
+            kind = kinds[i % 4]
+            if kind == "op0":
+                decls.append(f"(declare-op {name} 0)")
+                uses.append(f"(= {name} {name})")
+            elif kind == "op1":
+                decls.append(f"(declare-op {name} 1)")
+                uses.append(f"(= ({name} z) z)")
+            else:
+                decls.append(f"(declare-{kind} {name})")
+                uses.append(f"(= {name} z)")
+        text = (" ".join(decls) + " (declare-rigid z)"
+                f" (goal (and {' '.join(uses)}))")
+        out = emit_smt(coalesced_ir(text))
+        declared = re.findall(r"^\(declare-(?:fun|const) (\S+)", out,
+                              re.MULTILINE)
+        # tt, ff, z and one symbol per name
+        assert len(declared) == len(self.NAMES) + 3
+        assert len(set(declared)) == len(declared)
+        assert set(declared[2:]).isdisjoint(
+            _SMT_RESERVED | set(self.NAMES))
+        assert "as_1" in declared
 
 
 class TestMlseqRoundTrip:

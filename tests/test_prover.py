@@ -3,7 +3,7 @@ from itertools import compress, product
 import pytest
 
 from foml import parse_problem
-from foml.coalesce_ml import coalesce_obligation_ml, ml_atoms_of
+from foml.coalesce_ml import coalesce_obligation_ml
 from foml.gen import random_ml_formula, random_ml_sequent, rng_for
 from foml.models import KripkeModel, parse_model, serialize_model
 from foml.prover import (
@@ -29,6 +29,7 @@ from foml.syntax import (
     Nabla,
     Prime,
     contains_node,
+    free_flex_vars,
 )
 
 p, q = FlexVar("p"), FlexVar("q")
@@ -103,7 +104,7 @@ def xor_clash(n: int) -> MLSequent:
 
 def oracle_countermodel_exists(s: MLSequent, max_states=3) -> bool:
     atoms = sorted(set(sum(
-        (ml_atoms_of(e) for e in s.hypotheses + (s.goal,)), ())))
+        (free_flex_vars(e) for e in s.hypotheses + (s.goal,)), ())))
     with_prime = any(contains_node(e, Prime)
                      for e in s.hypotheses + (s.goal,))
     for k in enumerate_propmodels(atoms, max_states, s.frame_nabla,

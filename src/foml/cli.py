@@ -41,7 +41,7 @@ from .prover import (
     Proved,
     prove_ml,
 )
-from .semantics import compile_expr
+from .semantics import obligation_checker
 from .syntax import FomlError, InternalError, Obligation
 from .gen import CHECKS, run_fuzz
 
@@ -186,17 +186,14 @@ def cmd_safety(args) -> int:
 def cmd_check_model(args) -> int:
     m = parse_model(_read(args.model))
     ob = parse_problem(_read(args.file))
-    for h in ob.hypotheses:
-        hyp = compile_expr(h, ob.env)
-        if any(hyp(m, w, {}) != m.tt for w in m.states):
-            print(f"hypothesis fails somewhere: {print_expr(h)}")
-            print("obligation vacuously satisfied by this model")
-            return 0
-    goal = compile_expr(ob.goal, ob.env)
-    for w in m.states:
-        if goal(m, w, {}) != m.tt:
-            print(f"goal fails at state {w} (countermodel)")
-            return 1
+    failed, w = obligation_checker(ob)(m)
+    if failed is not None:
+        print(f"hypothesis fails somewhere: {print_expr(failed)}")
+        print("obligation vacuously satisfied by this model")
+        return 0
+    if w is not None:
+        print(f"goal fails at state {w} (countermodel)")
+        return 1
     print("obligation satisfied at every state")
     return 0
 

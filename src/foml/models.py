@@ -42,7 +42,8 @@ def _fmt(v: Value) -> str:
 def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     """Each state's successors under relation, in a fixed order (the pairs
     sorted by their text).  One table per relation, shared by every model
-    that has it, so bounded search sorts each enumerated relation once per
+    that has it, so a sweep that runs the point evaluator over many models
+    (`enumerate_models` in the tests, `fuzz`) sorts each relation once per
     process rather than once per model; every relation on at most three
     states fits in the bound.  The evaluator's closures read it directly."""
     lists: dict[Value, list[Value]] = {}

@@ -17,16 +17,42 @@ maps it to an earlier one, R ranges over the relations least under the
 permutations that fix zeta, and primeR over those least under the
 permutations that fix both.  `enumerate_models` remains the full
 labelled enumeration, the oracle the search is tested against.
+
+The models are not built one at a time.  A prefix (universe, states, xi,
+tables and a zeta leader) is evaluated once for all its candidate
+relations together, by the lane closures of `semantics.compile_lanes`:
+the innermost enumerated relation (R without prime, primeR with prime)
+ranges over a block of at most 512 relations, one lane per (relation,
+state); with prime, R takes its leaders one at a time.  From 4 states
+on, all but the last 9 pairs of a relation are enumerated outside the
+block, and blocks without a leader are skipped.  A block's countermodels are its leader
+lanes where every hypothesis holds at every state and the goal fails at
+some state; the first is the lowest such lane, and `examined` counts the
+leaders up to it.  Only the model returned is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import compile_fol, countermodel_checker
+from .semantics import (
+    Access,
+    BlockLanes,
+    Lanes,
+    compile_fol,
+    compile_lanes,
+)
 from .syntax import (
     DefinitionEnvironment,
     Expression,
@@ -42,6 +68,16 @@ class SearchBounds:
     max_universe: int = 2
     max_states: int = 2
     max_models: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        # Bounds that admit no model would make "none" read as a verdict
+        # about models nobody looked at.
+        if self.max_universe < 2:
+            raise ValueError("max_universe must be at least 2 (tt and ff)")
+        if self.max_states < 1:
+            raise ValueError("max_states must be at least 1")
+        if self.max_models < 0:
+            raise ValueError("max_models must not be negative")
 
 
 @dataclass
@@ -147,40 +183,62 @@ def _least_fixers(vals: tuple, maps: Sequence[tuple[Perm, tuple[int, ...]]]
     return tuple(fixers)
 
 
+def _relation(nstates: int, r: int) -> frozenset:
+    """The r-th relation of `_relations(range(nstates))`: its mask tuple
+    read as a binary number, the first pair the highest bit."""
+    last = nstates * nstates - 1
+    return frozenset(divmod(i, nstates) for i in range(last + 1)
+                     if r >> (last - i) & 1)
+
+
 @cache
 def _leader_relations(nstates: int, group: tuple[Perm, ...]
-                      ) -> tuple[tuple[frozenset, tuple[Perm, ...]], ...]:
-    """The relations of `_relations(range(nstates))`, in its order, that
-    no permutation in `group` maps to an earlier one, each with the
-    members of `group` that fix it.  A group is given without its
-    identity, in `permutations` order."""
+                      ) -> tuple[tuple[int, tuple[Perm, ...]], ...]:
+    """The indices of the relations of `_relations(range(nstates))`, in
+    its order, that no permutation in `group` maps to an earlier one, each
+    with the members of `group` that fix it.  A group is given without
+    its identity, in `permutations` order."""
     states = range(nstates)
     pairs = [(s, t) for s in states for t in states]
     maps = [(p, tuple([p[s] * nstates + p[t] for s, t in pairs]))
             for p in group]
     leaders = []
-    for mask in product((False, True), repeat=len(pairs)):
+    for r, mask in enumerate(product((False, True), repeat=len(pairs))):
         fixers = _least_fixers(mask, maps)
         if fixers is not None:
-            leaders.append(
-                (frozenset(p for p, keep in zip(pairs, mask) if keep),
-                 fixers))
+            leaders.append((r, fixers))
     return tuple(leaders)
 
 
-def _orbit_leaders(
+class _Prefix(NamedTuple):
+    """A model of the search less its relations, when its zeta is the
+    first of its orbit: `fixers` are the state permutations that fix
+    zeta."""
+    universe: tuple[Value, ...]
+    states: tuple[Value, ...]
+    xi: dict
+    op_interp: dict
+    zeta: dict
+    fixers: tuple[Perm, ...]
+
+    def model(self, R: frozenset, primeR: Optional[frozenset] = None
+              ) -> KripkeModel:
+        return KripkeModel(self.universe, 0, 1, self.op_interp, self.xi,
+                           self.states, R, self.zeta, primeR=primeR)
+
+
+def _prefixes(
     ops: Mapping[str, int],
     rigid: Sequence[str],
     flex: Sequence[str],
     max_universe: int,
     max_states: int,
-    prime: bool,
-) -> Iterator[KripkeModel]:
-    """The models of `enumerate_models`, in its order, that come first in
-    their orbit under the permutations of the states."""
+) -> Iterator[_Prefix]:
+    """The prefixes of the orbit leaders, in `enumerate_models` order:
+    universe, states, xi, tables and zeta, zeta the first of its orbit
+    under the permutations of the states."""
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
-        tt, ff = 0, 1
         for nstates in range(1, max_states + 1):
             states = tuple(range(nstates))
             flex_keys = [(v, w) for v in flex for w in states]
@@ -195,21 +253,129 @@ def _orbit_leaders(
                     op_interp = dict(zip(ops, tables))
                     for zeta_vals in product(universe,
                                              repeat=len(flex_keys)):
-                        zeta_fixers = _least_fixers(zeta_vals, zeta_maps)
-                        if zeta_fixers is None:
-                            continue
-                        zeta = dict(zip(flex_keys, zeta_vals))
-                        for R, fixers in _leader_relations(nstates,
-                                                           zeta_fixers):
-                            if not prime:
-                                yield KripkeModel(
-                                    universe, tt, ff, op_interp, xi,
-                                    states, R, zeta)
-                                continue
-                            for pR, _ in _leader_relations(nstates, fixers):
-                                yield KripkeModel(
-                                    universe, tt, ff, op_interp, xi,
-                                    states, R, zeta, primeR=pR)
+                        fixers = _least_fixers(zeta_vals, zeta_maps)
+                        if fixers is not None:
+                            yield _Prefix(universe, states, xi, op_interp,
+                                          dict(zip(flex_keys, zeta_vals)),
+                                          fixers)
+
+
+def _orbit_leaders(
+    ops: Mapping[str, int],
+    rigid: Sequence[str],
+    flex: Sequence[str],
+    max_universe: int,
+    max_states: int,
+    prime: bool,
+) -> Iterator[KripkeModel]:
+    """The models of `enumerate_models`, in its order, that come first in
+    their orbit under the permutations of the states."""
+    for pre in _prefixes(ops, rigid, flex, max_universe, max_states):
+        n = len(pre.states)
+        for r, fixers in _leader_relations(n, pre.fixers):
+            if not prime:
+                yield pre.model(_relation(n, r))
+                continue
+            for pr, _ in _leader_relations(n, fixers):
+                yield pre.model(_relation(n, r), _relation(n, pr))
+
+
+# A lane block holds the relations on n states that share their first
+# n*n - 9 pairs (all of them when n <= 3): at most 512 relations, so the
+# masks of a block stay a few hundred bytes and its box tables small.
+_BLOCK_PAIRS = 9
+
+
+def _block_pairs(nstates: int) -> int:
+    return min(nstates * nstates, _BLOCK_PAIRS)
+
+
+def _spread(count: int, stride: int) -> int:
+    """Bits 0, stride, 2*stride, ... (count of them)."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
+
+
+@lru_cache(maxsize=256)
+def _block(nstates: int, block: int) -> tuple[int, int, Access]:
+    """(full, rep, the relations as lanes) of a lane block: lane
+    r * nstates + w is state w of the relation whose index has the
+    binary digits of `block` followed by the last pairs' digits, r."""
+    n, low = nstates, _block_pairs(nstates)
+    width = 1 << low
+    full = (1 << width * n) - 1
+    rep = _spread(width, n)
+    last = n * n - 1
+    pairs = {}
+    for i in range(last + 1):
+        bit = last - i
+        if bit < low:
+            # the first lanes of the relations whose digit `bit` is 1
+            period = 2 << bit
+            lanes = (_spread(period >> 1, n) << (period >> 1) * n) \
+                * _spread(width // period, period * n)
+        else:
+            lanes = rep if block >> (bit - low) & 1 else 0
+        w, t = divmod(i, n)
+        pairs[w, t] = lanes << w
+    return full, rep, Access(n, full, rep, pairs)
+
+
+@lru_cache(maxsize=1024)
+def _fixed_relation(nstates: int, r: int) -> Access:
+    """Relation r in every lane of a block: each edge (w, t) holds at
+    column w of every relation."""
+    full, rep, _ = _block(nstates, 0)
+    return Access(nstates, full, rep,
+                  {(w, t): rep << w for w, t in _relation(nstates, r)})
+
+
+@cache
+def _leader_lanes(nstates: int, group: tuple[Perm, ...]
+                  ) -> tuple[tuple[int, int, int], ...]:
+    """The relations of `_leader_relations` as lanes: (block, the first
+    lanes of its leaders, their count), for each block that has one, in
+    order."""
+    low = _block_pairs(nstates)
+    blocks: dict[int, int] = {}
+    for r, _ in _leader_relations(nstates, group):
+        b = r >> low
+        blocks[b] = blocks.get(b, 0) | 1 << (r & ((1 << low) - 1)) * nstates
+    return tuple((b, m, m.bit_count()) for b, m in blocks.items())
+
+
+def _lane_blocks(
+    ops: Mapping[str, int],
+    rigid: Sequence[str],
+    flex: Sequence[str],
+    max_universe: int,
+    max_states: int,
+    prime: bool,
+) -> Iterator[tuple[_Prefix, Optional[int], int, int, int, BlockLanes]]:
+    """The orbit leaders, a lane block at a time, in order: (prefix, the
+    index of R when the lanes range over primeR, block, the first lanes of
+    the block's leaders, their count, the block's lanes)."""
+    for pre in _prefixes(ops, rigid, flex, max_universe, max_states):
+        n = len(pre.states)
+        state = Lanes(n, pre.universe, 0, 1, pre.xi, pre.op_interp,
+                      pre.zeta)
+        outer = _leader_relations(n, pre.fixers) if prime \
+            else ((None, pre.fixers),)
+        for r, fixers in outer:
+            for block, leaders, count in _leader_lanes(n, fixers):
+                full, rep, lanes = _block(n, block)
+                access = (_fixed_relation(n, r), lanes) if prime \
+                    else (lanes, None)
+                yield (pre, r, block, leaders, count,
+                       BlockLanes(state, full, rep, *access))
+
+
+def _everywhere(k: Lanes, mask: int) -> int:
+    """The first lane of each relation whose lanes are all in mask: the
+    models of the block where a formula holds at every state."""
+    acc = mask
+    for s in range(1, k.nstates):
+        acc &= mask >> s
+    return acc & k.rep
 
 
 def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
@@ -225,21 +391,46 @@ def find_countermodel(
 ) -> SearchResult:
     """Exhaustive bounded search, one model per state-permutation orbit,
     for a model satisfying every hypothesis at every state while
-    falsifying the goal at some state."""
+    falsifying the goal at some state.
+
+    The models of a prefix are evaluated together, a lane block of
+    relations at a time (`compile_lanes`), and only the model returned is
+    built."""
     ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
     prime = needs_prime(ob.env, *ob.all_exprs())
-    countermodel_state = countermodel_checker(ob)
+    hyps = [compile_lanes(h, ob.env) for h in ob.hypotheses]
+    goal = compile_lanes(ob.goal, ob.env)
     examined = 0
-    for m in _orbit_leaders(ops, rigid, flex, bounds.max_universe,
-                            bounds.max_states, prime):
-        examined += 1
-        if examined > bounds.max_models:
-            return SearchResult("resource-out", examined=examined - 1)
-        w = countermodel_state(m)
-        if w is not None:
+    for pre, r, block, leaders, count, k in _lane_blocks(
+            ops, rigid, flex, bounds.max_universe, bounds.max_states,
+            prime):
+        ok = leaders
+        for h in hyps:
+            ok &= _everywhere(k, h(k, {}))
+            if not ok:
+                break
+        if ok:
+            holds = goal(k, {})
+            ok &= ~_everywhere(k, holds)
+        if ok:
+            first = (ok & -ok).bit_length() - 1
+            examined += (leaders & ((1 << first) - 1)).bit_count() + 1
+            if examined > bounds.max_models:
+                break
+            n = k.nstates
+            column = holds >> first & ((1 << n) - 1)
+            w = (~column & column + 1).bit_length() - 1
+            rel = _relation(n, block << _block_pairs(n) | first // n)
+            m = pre.model(rel) if r is None \
+                else pre.model(_relation(n, r), rel)
             return SearchResult("found", model=m, state=w,
                                 examined=examined)
-    return SearchResult("none", examined=examined)
+        examined += count
+        if examined > bounds.max_models:
+            break
+    else:
+        return SearchResult("none", examined=examined)
+    return SearchResult("resource-out", examined=bounds.max_models)
 
 
 def enumerate_fol_structures(

@@ -14,7 +14,13 @@ outside the fragment:
 
 `eval_expr`, `eval_fol` and `eval_ml` compile and call once.  Callers that
 evaluate one expression in many models or states compile it themselves,
-as `countermodel_checker` does for an obligation.
+as `obligation_checker` does for an obligation; it is the per-model check
+behind `check-model`, `countermodel_state` and the tests' sweeps.
+
+`compile_lanes` compiles the same semantics a second way, for bounded
+search: one call gives an expression's value in every model of a block
+that differ only in one accessibility relation, as an int bitset over
+(relation, state) lanes (see the comment above `Access`).
 
 The AST has no negation, conjunction or disjunction: `not_`, `and_` and
 `or_` build them from implications and false.  `_compile` recognises those
@@ -22,7 +28,7 @@ shapes and compiles each to one fused closure, which gives the chain's
 value, runs its operands in the chain's order and stops where the chain
 would.  The nabla and prime closures read a state's successors from
 `models._successor_table`, one cached table per relation shared by every
-model built on it, so bounded search sorts each relation once.
+model built on it.
 
 The implication / quantifier / equality clauses treat any value other than
 tt as false-like, so no coercion of non-boolean values is performed
@@ -40,7 +46,7 @@ values are all truth values, they give the same value.
 """
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .models import (
     FOLStructure,
@@ -57,6 +63,7 @@ from .syntax import (
     FlexVar,
     FomlError,
     Forall,
+    InternalError,
     Implies,
     Nabla,
     Obligation,
@@ -328,6 +335,347 @@ def _outside(e: Expression, fragment: str) -> Evaluator:
     return outside
 
 
+# Lanes: one evaluation for many models at once.
+#
+# The models of a bounded search that share universe, states, xi, tables
+# and zeta differ only in an accessibility relation.  `compile_lanes`
+# compiles an expression once into a closure of (lanes, bindings) that
+# gives, as one int, the value of the expression in all of them: bit
+# r * n + w (a lane) stands for state w of the model with the r-th
+# relation of a block, n being the number of states.  This is global
+# model checking (each subformula's extension computed bottom-up as a set
+# of states, Clarke, Emerson & Sistla, TOPLAS 1986), widened from the
+# states of one model to the states of every relation of a block.
+#
+# A formula is compiled to the mask of the lanes where it is tt (it is ff
+# elsewhere); a term, whose values are not truth values, to a one-hot
+# dict from each value it takes to the mask of the lanes where it takes
+# it.  A subexpression without a modality does not depend on the
+# relation: it is evaluated in the block's `state` lanes, one lane of n
+# bits, and broadcast to every relation by multiplying by `rep`.  A
+# nabla (or the truth of a prime) is the box of its body's mask over the
+# relation's `Access` table.  The kernels compute every operand, where
+# the point evaluator stops at the first decisive one; they give the same
+# values whenever evaluation raises no error, which is always the case in
+# a model that interprets every symbol the expression uses, as the
+# models of a search do.
+
+class Access:
+    """One accessibility relation per lane, as the modal kernels read it.
+    `pairs` maps each state pair (w, t) to the lanes at column w whose
+    relation has the edge (w, t).  `edges` pairs each shift d = w - t with
+    the lanes that have some edge (w, w - d), so a box is one mask
+    operation per shift; `table[s]` is the box of the state mask s
+    broadcast to every relation; `func` holds the lanes whose relation is
+    a total function on the states, and `func_edges` is `edges` inside
+    them."""
+
+    __slots__ = ("edges", "table", "func", "func_edges")
+
+    def __init__(self, nstates: int, full: int, rep: int,
+                 pairs: Mapping[tuple[int, int], int]):
+        by_shift: dict[int, int] = {}
+        for (w, t), mask in pairs.items():
+            if mask:
+                by_shift[w - t] = by_shift.get(w - t, 0) | mask
+        self.edges = tuple(by_shift.items())
+        self.table = tuple([_box(s * rep, self.edges, full)
+                            for s in range(1 << nstates)])
+        # The lanes at column w with exactly one successor of w, then the
+        # relations that have one at every column, spread to their lanes.
+        one = 0
+        for w in range(nstates):
+            seen = twice = 0
+            for t in range(nstates):
+                mask = pairs.get((w, t), 0)
+                twice |= seen & mask
+                seen |= mask
+            one |= seen & ~twice
+        func = one
+        for s in range(1, nstates):
+            func &= one >> s
+        self.func = (func & rep) * ((1 << nstates) - 1)
+        self.func_edges = tuple((d, mask & self.func)
+                                for d, mask in self.edges)
+
+
+class Lanes:
+    """Where a lane-compiled closure runs.  These are the state lanes of a
+    model whose states are 0 .. nstates-1, one relation wide: the prefix
+    of the model (universe, tt, ff, xi, operator tables, and each
+    flexible variable's one-hot values by state), `full` (every lane),
+    `rep` (the first lane of each relation), the relations `access` (R,
+    primeR; none here) and `state`, the state lanes that the
+    modality-free subexpressions run in (these)."""
+
+    __slots__ = ("nstates", "universe", "tt", "ff", "xi", "ops", "flex",
+                 "full", "rep", "access", "state")
+
+    def __init__(self, nstates: int, universe: tuple[Value, ...],
+                 tt: Value, ff: Value, xi: Mapping[str, Value],
+                 ops: Mapping[str, Mapping[tuple[Value, ...], Value]],
+                 zeta: Mapping[tuple[str, int], Value]):
+        self.nstates, self.universe, self.tt, self.ff = (
+            nstates, universe, tt, ff)
+        self.xi, self.ops = xi, ops
+        flex: dict[str, dict[Value, int]] = {}
+        for (v, w), val in zeta.items():
+            column = flex.setdefault(v, {})
+            column[val] = column.get(val, 0) | 1 << w
+        self.flex = flex
+        self.full, self.rep, self.access, self.state = (
+            (1 << nstates) - 1, 1, (), self)
+
+
+class BlockLanes(Lanes):
+    """State lanes repeated for every relation of a block."""
+
+    __slots__ = ()
+
+    def __init__(self, state: Lanes, full: int, rep: int,
+                 R: Optional[Access], primeR: Optional[Access]):
+        self.nstates, self.universe, self.tt, self.ff = (
+            state.nstates, state.universe, state.tt, state.ff)
+        self.xi, self.ops, self.flex = state.xi, state.ops, state.flex
+        self.full, self.rep, self.access, self.state = (
+            full, rep, (R, primeR), state)
+
+
+# A lane-compiled expression: (lanes, bindings) -> the mask of the lanes
+# where a formula is tt, or a term's one-hot {value: mask}.
+LaneEvaluator = Callable[[Lanes, Mapping[str, Value]], Any]
+
+
+def compile_lanes(e: Expression, env: DefinitionEnvironment
+                  ) -> LaneEvaluator:
+    """The lanes where e is tt, as a function of (lanes, bindings)."""
+    modal, fn = _lanes(e, env, True)
+    return fn if modal else _lift(fn, True)
+
+
+def _lanes(e: Expression, env: DefinitionEnvironment,
+           boolean: bool) -> tuple[bool, LaneEvaluator]:
+    """(whether e has a modality, e compiled over lanes): the mask of the
+    lanes where e is tt when `boolean`, else e's one-hot values.  An
+    expression without a modality is compiled to run in state lanes; the
+    nodes above it lift it.  Definition bodies are substituted here, once
+    per application node."""
+    match e:
+        case Implies(lhs, rhs):
+            if type(rhs) is FalseExpr:
+                if type(lhs) is Implies and type(lhs.rhs) is Implies \
+                        and type(lhs.rhs.rhs) is FalseExpr:
+                    kernel, parts = _lane_and, (lhs.lhs, lhs.rhs.lhs)
+                else:
+                    kernel, parts = _lane_not, (lhs,)
+            elif type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
+                kernel, parts = _lane_or, (lhs.lhs, rhs)
+            else:
+                kernel, parts = _lane_implies, (lhs, rhs)
+            modal, fns = _lane_parts(parts, env, True)
+            fn = kernel(*fns)
+        case FalseExpr():
+            modal, fn = False, _lane_false
+        case Eq(lhs, rhs):
+            modal, fns = _lane_parts((lhs, rhs), env, False)
+            fn = _lane_eq(*fns)
+        case Forall(var, body):
+            modal, (fn,) = _lane_parts((body,), env, True)
+            fn = _lane_forall(var, fn)
+        case Nabla(body):
+            modal, fn = True, _lane_box(*_lanes(body, env, True), 0)
+        case Prime(body) if boolean:
+            # Both readings of prime agree on truth: tt iff the body is tt
+            # at every primeR-successor.
+            return True, _lane_box(*_lanes(body, env, True), 1)
+        case Prime(body):
+            inner, fn = _lanes(body, env, False)
+            return True, _lane_prime(fn if inner else _lift(fn, False))
+        case DefApp(op, args):
+            d = env.definition(op)
+            return _lanes(substitute(d.body, dict(zip(d.params, args))),
+                          env, boolean)
+        case FlexVar(name):
+            return False, _lane_flex(name, boolean)
+        case RigidVar(name):
+            return False, _lane_rigid(name, boolean)
+        case OpApp(op, args):
+            modal, fns = _lane_parts(args, env, False)
+            fn = _lane_opapp(op, tuple(fns))
+            return modal, _lane_truth(fn) if boolean else fn
+        case _:
+            raise InternalError(f"unknown expression node {e!r}")
+    # e is a formula: its values are tt and ff
+    return modal, fn if boolean else _lane_values(fn)
+
+
+def _lane_parts(parts: tuple[Expression, ...], env: DefinitionEnvironment,
+                boolean: bool) -> tuple[bool, list[LaneEvaluator]]:
+    """The operands of one node, each lifted when another has a modality,
+    so that all of them run in the same lanes."""
+    compiled = [_lanes(p, env, boolean) for p in parts]
+    modal = any(m for m, _ in compiled)
+    return modal, [fn if m or not modal else _lift(fn, boolean)
+                   for m, fn in compiled]
+
+
+def _lift(fn: LaneEvaluator, boolean: bool) -> LaneEvaluator:
+    """fn, which runs in state lanes, broadcast to the lanes it is called
+    with."""
+    if boolean:
+        def lifted(k, bnd):
+            return fn(k.state, bnd) * k.rep
+    else:
+        def lifted(k, bnd):
+            rep = k.rep
+            return {v: m * rep for v, m in fn(k.state, bnd).items()}
+    return lifted
+
+
+def _box(body: int, edges: tuple[tuple[int, int], ...], full: int) -> int:
+    """The lanes (r, w) whose every successor t under relation r has bit
+    (r, t) in body: the ones no edge (w, t) leaves to a lane outside it."""
+    bad = 0
+    for d, mask in edges:
+        bad |= mask & ~(body << d if d >= 0 else body >> -d)
+    return full & ~bad
+
+
+def _lane_box(modal: bool, body: LaneEvaluator, rel: int) -> LaneEvaluator:
+    """Box over relation `rel` (0: R, 1: primeR) of a formula; a body
+    without a modality gives a state mask, which indexes the table."""
+    if modal:
+        def box(k, bnd):
+            return _box(body(k, bnd), k.access[rel].edges, k.full)
+    else:
+        def box(k, bnd):
+            return k.access[rel].table[body(k.state, bnd)]
+    return box
+
+
+def _lane_prime(body: LaneEvaluator) -> LaneEvaluator:
+    """Prime of a term, as `_prime` reads it: the body's value at the
+    successor in lanes whose primeR is a total function, else tt or ff as
+    the body is tt at every successor or not."""
+    def prime(k, bnd):
+        vals = body(k, bnd)
+        p = k.access[1]
+        out: dict[Value, int] = {}
+        for v, m in vals.items():
+            at_next = 0
+            for d, mask in p.func_edges:
+                at_next |= mask & (m << d if d >= 0 else m >> -d)
+            if at_next:
+                out[v] = at_next
+        rest = k.full & ~p.func
+        box = _box(vals.get(k.tt, 0), p.edges, k.full) & rest
+        out[k.tt] = out.get(k.tt, 0) | box
+        out[k.ff] = out.get(k.ff, 0) | rest & ~box
+        return out
+    return prime
+
+
+def _lane_implies(lhs: LaneEvaluator, rhs: LaneEvaluator) -> LaneEvaluator:
+    def implies(k, bnd):
+        return k.full & ~lhs(k, bnd) | rhs(k, bnd)
+    return implies
+
+
+def _lane_not(body: LaneEvaluator) -> LaneEvaluator:
+    def not_(k, bnd):
+        return k.full & ~body(k, bnd)
+    return not_
+
+
+def _lane_and(lhs: LaneEvaluator, rhs: LaneEvaluator) -> LaneEvaluator:
+    def and_(k, bnd):
+        return lhs(k, bnd) & rhs(k, bnd)
+    return and_
+
+
+def _lane_or(lhs: LaneEvaluator, rhs: LaneEvaluator) -> LaneEvaluator:
+    def or_(k, bnd):
+        return lhs(k, bnd) | rhs(k, bnd)
+    return or_
+
+
+def _lane_false(k, bnd):
+    return 0
+
+
+def _lane_values(fn: LaneEvaluator) -> LaneEvaluator:
+    """A formula's mask as one-hot values."""
+    def values(k, bnd):
+        m = fn(k, bnd)
+        return {k.tt: m, k.ff: k.full & ~m}
+    return values
+
+
+def _lane_truth(fn: LaneEvaluator) -> LaneEvaluator:
+    """The lanes where a term is tt."""
+    def truth(k, bnd):
+        return fn(k, bnd).get(k.tt, 0)
+    return truth
+
+
+def _lane_eq(lhs: LaneEvaluator, rhs: LaneEvaluator) -> LaneEvaluator:
+    def eq(k, bnd):
+        a, b = lhs(k, bnd), rhs(k, bnd)
+        acc = 0
+        for v, m in a.items():
+            other = b.get(v)
+            if other:
+                acc |= m & other
+        return acc
+    return eq
+
+
+def _lane_forall(var: str, body: LaneEvaluator) -> LaneEvaluator:
+    def forall(k, bnd):
+        inner = dict(bnd)
+        acc = k.full
+        for d in k.universe:
+            inner[var] = d
+            acc &= body(k, inner)
+            if not acc:
+                break
+        return acc
+    return forall
+
+
+def _lane_flex(name: str, boolean: bool) -> LaneEvaluator:
+    def flex(k, bnd):
+        values = k.flex[name]
+        return values.get(k.tt, 0) if boolean else values
+    return flex
+
+
+def _lane_rigid(name: str, boolean: bool) -> LaneEvaluator:
+    def rigid(k, bnd):
+        v = bnd[name] if name in bnd else k.xi[name]
+        if boolean:
+            return k.full if v == k.tt else 0
+        return {v: k.full}
+    return rigid
+
+
+def _lane_opapp(op: str, args: tuple[LaneEvaluator, ...]) -> LaneEvaluator:
+    def opapp(k, bnd):
+        table = k.ops[op]
+        # (argument values, the lanes where the arguments take them)
+        rows = [((), k.full)]
+        for a in args:
+            vals = a(k, bnd).items()
+            rows = [(key + (v,), m & mv) for key, m in rows
+                    for v, mv in vals if m & mv]
+        out: dict[Value, int] = {}
+        for key, m in rows:
+            v = table[key]
+            out[v] = out.get(v, 0) | m
+        return out
+    return opapp
+
+
 def holds(m: KripkeModel, w: Value, e: Expression,
           env: DefinitionEnvironment) -> bool:
     return eval_expr(m, w, e, env) == m.tt
@@ -336,23 +684,28 @@ def holds(m: KripkeModel, w: Value, e: Expression,
 def countermodel_state(m: KripkeModel, ob: Obligation) -> Optional[Value]:
     """State of m at which the obligation's goal fails, provided every
     hypothesis holds at every state; None when m is not a countermodel."""
-    return countermodel_checker(ob)(m)
+    return obligation_checker(ob)(m)[1]
 
 
-def countermodel_checker(
-        ob: Obligation) -> Callable[[KripkeModel], Optional[Value]]:
-    """`countermodel_state` for one obligation over many models: its
-    expressions are compiled once, here."""
-    hyps = [compile_expr(h, ob.env) for h in ob.hypotheses]
+def obligation_checker(ob: Obligation) -> Callable[
+        [KripkeModel], tuple[Optional[Expression], Optional[Value]]]:
+    """The per-model check of an obligation, by the point evaluator, with
+    its expressions compiled once, here: for a model m, (the first
+    hypothesis that fails at some state of m, None) or, when every
+    hypothesis holds everywhere, (None, the first state at which the goal
+    fails, or None).  Evaluation stops at the first failure, so a model
+    that refutes a hypothesis never runs the goal."""
+    hyps = [(h, compile_expr(h, ob.env)) for h in ob.hypotheses]
     goal = compile_expr(ob.goal, ob.env)
 
-    def state(m: KripkeModel) -> Optional[Value]:
-        for h in hyps:
+    def check(m: KripkeModel
+              ) -> tuple[Optional[Expression], Optional[Value]]:
+        for h, hyp in hyps:
             for w in m.states:
-                if h(m, w, {}) != m.tt:
-                    return None
+                if hyp(m, w, {}) != m.tt:
+                    return h, None
         for w in m.states:
             if goal(m, w, {}) != m.tt:
-                return w
-        return None
-    return state
+                return None, w
+        return None, None
+    return check

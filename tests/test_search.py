@@ -6,26 +6,44 @@ a countermodel is invariant under renaming states, the search must return
 exactly the first countermodel of the sweep, having examined no more
 models than the sweep did.  The representatives themselves are checked
 against orbit minima found by renaming the states of every swept model.
+
+The search evaluates the models of a prefix together, over lanes
+(`semantics.compile_lanes`).  `_orbit_sweep` is the same search one model
+at a time with the point evaluator; the two must agree exactly, `examined`
+and `resource-out` included, and every lane must agree with the point
+evaluator in the model of its relation.
 """
+import random
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from foml.gen import random_env, random_expr, rng_for
+from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.models import serialize_model
 from foml.parser import parse_expr, parse_problem
 from foml.search import (
     SearchBounds,
+    _block,
+    _block_pairs,
+    _fixed_relation,
     _leader_relations,
     _orbit_leaders,
+    _relation,
     enumerate_models,
     find_countermodel,
     needs_prime,
 )
-from foml.semantics import countermodel_checker
-from foml.syntax import Obligation, collect_signature, or_
+from foml.semantics import (
+    BlockLanes,
+    Lanes,
+    _lanes,
+    _lift,
+    compile_expr,
+    obligation_checker,
+)
+from foml.syntax import Obligation, Prime, collect_signature, or_
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 BOUNDS = ((2, 2), (2, 3), (3, 2))
@@ -36,14 +54,14 @@ def _sweep(ob: Obligation, bounds: tuple[int, int], budget: int):
     labelled sweep, or None when it is undecided within `budget` models.
     A case the sweep decides costs the search no more."""
     ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
-    check = countermodel_checker(ob)
+    check = obligation_checker(ob)
     examined = 0
     for m in enumerate_models(ops, rigid, flex, *bounds,
                               prime=needs_prime(ob.env, *ob.all_exprs())):
         examined += 1
         if examined > budget:
             return None
-        w = check(m)
+        w = check(m)[1]
         if w is not None:
             return "found", w, serialize_model(m), examined
     return "none", None, None, examined
@@ -150,3 +168,195 @@ def test_orbit_leaders_are_the_orbit_minima(flex, bounds, prime):
         if all(_position(m, flex) <= _position(_renamed(m, p), flex)
                for p in permutations(m.states))]
     assert list(_orbit_leaders(ops, (), flex, *bounds, prime)) == leaders
+
+
+# ------------------------------------------------------------ lane search
+
+def _orbit_sweep(ob: Obligation, bounds: tuple[int, int],
+                 max_models: int = 2_000_000):
+    """(status, state, serialized model, examined) of the orbit leaders
+    checked one model at a time by the point evaluator: the search without
+    lanes."""
+    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
+    check = obligation_checker(ob)
+    examined = 0
+    for m in _orbit_leaders(ops, rigid, flex, *bounds,
+                            needs_prime(ob.env, *ob.all_exprs())):
+        examined += 1
+        if examined > max_models:
+            return "resource-out", None, None, max_models
+        w = check(m)[1]
+        if w is not None:
+            return "found", w, serialize_model(m), examined
+    return "none", None, None, examined
+
+
+def _searched(ob: Obligation, bounds: tuple[int, int],
+              max_models: int = 2_000_000):
+    res = find_countermodel(ob, SearchBounds(*bounds, max_models))
+    return (res.status, res.state,
+            None if res.model is None else serialize_model(res.model),
+            res.examined)
+
+
+def _problem(text: str) -> Obligation:
+    return parse_problem("(declare-op 0 0) (declare-op f 1) "
+                         "(declare-flex p) (declare-flex v) " + text)
+
+
+# Shapes the random generator seldom draws: a modality as an equality
+# operand or an operator argument, prime of a term, prime whose truth and
+# whose value differ, and a rigid hypothesis that fails on whole prefixes.
+SHAPES = [
+    "(goal (= (nabla p) v))",
+    "(goal (not (= (nabla (= v 0)) v)))",
+    "(goal (= (f (prime v)) v))",
+    "(goal (f (prime v)))",
+    "(goal (= (f (nabla p)) (prime (f v))))",
+    "(goal (= (f (prime v)) (prime (f v))))",
+    "(goal (=> (prime (nabla p)) (nabla (prime p))))",
+    "(goal (iff (prime (= v 0)) (= (prime v) 0)))",
+    "(goal (forall a (=> (= (prime v) a) (prime (= v a)))))",
+    "(declare-rigid x) (assume (= x (f 0))) (assume (nabla (= x v)))"
+    " (goal (=> (= v 0) (nabla (= v 0))))",
+]
+
+
+@pytest.mark.parametrize("text", SHAPES)
+@pytest.mark.parametrize("bounds", [(3, 2), (2, 3)])
+def test_rare_shapes_match_the_sweeps(text, bounds):
+    ob = _problem(text)
+    got = _searched(ob, bounds, 3000)
+    assert got == _orbit_sweep(ob, bounds, 3000)
+    sweep = _sweep(ob, bounds, 20_000)
+    if sweep is not None:
+        assert got[:3] == sweep[:3]
+
+
+def test_prime_of_a_term_reads_the_successor_only_in_a_function():
+    # v is x everywhere, a value other than tt and ff.  Where primeR is a
+    # total function, (prime v) is x; elsewhere it is tt or ff, and ff at
+    # a state with a successor.
+    fixed = ("(declare-rigid x) (assume (not (= x true)))"
+             " (assume (not (= x false))) (assume (= v x))")
+    at_next = _problem(fixed + " (goal (not (= (prime v) x)))")
+    res = find_countermodel(at_next, SearchBounds(3, 2))
+    assert res.found and len(res.model.universe) == 3
+    assert res.model.prime_is_function
+    collapsed = _problem(fixed + " (goal (not (= (prime v) false)))")
+    res = find_countermodel(collapsed, SearchBounds(3, 2))
+    assert res.found and len(res.model.universe) == 3
+    assert not res.model.prime_is_function
+    for ob in (at_next, collapsed):
+        assert _searched(ob, (3, 2)) == _orbit_sweep(ob, (3, 2))
+
+
+def test_rigid_hypothesis_false_on_whole_prefixes():
+    # Where x is the value of 0, the hypothesis fails at every state of
+    # every model of the prefix: those models are examined, and none is a
+    # countermodel.
+    decl = "(declare-op 0 0) (declare-rigid x) (declare-flex v)"
+    goal = " (goal (=> (= v 0) (nabla (= v 0))))"
+    ob = parse_problem(decl + " (assume (not (= x 0)))" + goal)
+    got = _searched(ob, (2, 3))
+    assert got == _orbit_sweep(ob, (2, 3))
+    free = _searched(parse_problem(decl + goal), (2, 3))
+    assert got[0] == free[0] == "found" and got[3] > free[3]
+    assert "(op 0 (row 1))\n  (xi (x 0))" in got[2]
+
+
+def test_max_models_at_a_countermodel_and_at_the_end():
+    box = parse_problem((DEMO / "box.foml").read_text())
+    status, state, model, at = _searched(box, (2, 3))
+    assert status == "found" and at > 1
+    assert _searched(box, (2, 3), at) == (status, state, model, at)
+    assert _searched(box, (2, 3), at - 1) == \
+        ("resource-out", None, None, at - 1)
+    stability = parse_problem((DEMO / "stability.foml").read_text())
+    assert _searched(stability, (3, 3), 1508) == ("none", None, None, 1508)
+    assert _searched(stability, (3, 3), 1507) == \
+        ("resource-out", None, None, 1507)
+    assert _searched(stability, (3, 3), 0) == \
+        ("resource-out", None, None, 0)
+
+
+def test_four_states_cross_lane_blocks():
+    # The first countermodel is a chain of four states whose edge (0, 3)
+    # lies in the pairs enumerated outside a lane block.
+    ob = parse_problem("(declare-flex p) (goal (not (and p (delta (and"
+                       " (not p) (delta (and p (delta (not p))))))"
+                       " (nabla (nabla (nabla (nabla false)))))))")
+    res = find_countermodel(ob, SearchBounds(2, 4))
+    assert (res.status, res.state, res.examined) == ("found", 0, 17521)
+    assert res.model.R == {(0, 3), (1, 2), (3, 1)}
+    assert obligation_checker(ob)(res.model) == (None, 0)
+    # Pinned from the one-model-at-a-time search, which takes seconds.
+    assert _searched(ob, (2, 4), 17520) == \
+        ("resource-out", None, None, 17520)
+
+
+@pytest.mark.parametrize("bounds", [(1,), (1, 2), (2, 0), (2, 2, -1)])
+def test_bounds_that_admit_no_model_are_rejected(bounds):
+    # A "none" over no model at all would read as a verdict.  The first
+    # is find_fol_countermodel's universe bound.
+    with pytest.raises(ValueError):
+        SearchBounds(*bounds)
+
+
+def _random_lanes(rng: random.Random, env, prime: bool):
+    """Lanes over a random prefix and block, and the model of each lane's
+    relation: (lanes, {lane relation: model})."""
+    m = random_model(rng, env, 3, 4, need_prime=prime)
+    n = len(m.states)
+    low = _block_pairs(n)
+    block = rng.randrange(1 << (n * n - low))
+    full, rep, access = _block(n, block)
+    state = Lanes(n, m.universe, m.tt, m.ff, m.xi, m.op_interp, m.zeta)
+    r = rng.randrange(1 << n * n)
+    k = BlockLanes(state, full, rep, _fixed_relation(n, r), access) \
+        if prime else BlockLanes(state, full, rep, access, None)
+    models = {}
+    for lane in rng.sample(range(1 << low), min(12, 1 << low)):
+        rel = _relation(n, block << low | lane)
+        models[lane] = replace(m, R=_relation(n, r), primeR=rel) if prime \
+            else replace(m, R=rel, primeR=None)
+    return k, models
+
+
+# Nested modalities, which the generator keeps out of prime bodies; the
+# parser rejects a prime under a prime, which the evaluators still define.
+NESTED = [("(prime (nabla p))", False), ("(nabla (prime v))", False),
+          ("(prime v)", True), ("(= (f (prime v)) v)", True),
+          ("(f (prime (nabla (= v 0))))", False),
+          ("(forall a (= (prime (f a)) (prime v)))", True)]
+
+
+def test_every_lane_is_the_point_evaluator_in_its_model():
+    rng = rng_for(5150, 0)
+    checked = 0
+    for i in range(240):
+        if i < 2 * len(NESTED):
+            env = _problem("(goal false)").env
+            text, primed = NESTED[i // 2]
+            e = parse_expr(text, env)
+            e = Prime(e) if primed else e
+        else:
+            env = random_env(rng, with_defs=rng.random() < 0.5)
+            e = random_expr(rng, env, 3, allow_prime=i % 2 == 1)
+        point = compile_expr(e, env)
+        k, models = _random_lanes(rng, env, needs_prime(env, e))
+        n = k.nstates
+        modal, values = _lanes(e, env, False)
+        values = values(k, {}) if modal else _lift(values, False)(k, {})
+        holds = _lanes(e, env, True)
+        holds = holds[1](k, {}) if holds[0] \
+            else _lift(holds[1], True)(k, {})
+        for lane, m in models.items():
+            for w in m.states:
+                bit = lane * n + w
+                v = point(m, w, {})
+                assert [u for u, mask in values.items()
+                        if mask >> bit & 1] == [v], (e, lane, w)
+                assert (holds >> bit & 1) == (v == m.tt), (e, lane, w)
+                checked += 1
+    assert checked > 3000

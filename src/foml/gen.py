@@ -1,14 +1,31 @@
 """Seeded random generation of environments, expressions and models, plus
 the replayable property checks behind `foml fuzz` and the acceptance suite.
 
-Every iteration derives its own child generator from (seed, index), so a
-reported discrepancy replays exactly from the command line.
+Every iteration derives its own generator from (seed, index), so a reported
+discrepancy replays exactly from the command line, with its check alone or
+among others.
+
+A check is an opening, its first draws from the iteration's start state,
+and a body that goes on drawing from where the opening left the generator.
+Checks share openings: fol-witness and ml-witness draw the same
+environment, expression and model; rigid-lemma and leibniz-lemma the same
+environment (the witness opening's first draw); distribute-prime and
+action-refutation the same expanded action formula and its prime
+distribution.  Within one iteration `run_fuzz` draws a shared opening once
+and keeps its value with the generator state after it; a later check
+restores that state and goes on drawing.  Replay is exact: an opening's
+draws depend only on the start state, no body mutates an opening's value,
+and the kept state is the one a fresh draw would reach.  A check with an
+unshared opening restores the start state; a single-check run snapshots
+nothing.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import accumulate, product
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .actions import PrimedVars, coalesce_action, distribute_prime
 from .coalesce import SymbolTable, build_witness_structure, coalesce_fol
@@ -65,9 +82,8 @@ def random_env(
         ops["g"] = 2
     rigid = tuple(x for x in ("x", "y") if rng.random() < 0.8) or ("x",)
     flex = tuple(v for v in ("u", "v") if rng.random() < 0.8) or ("v",)
-    env = DefinitionEnvironment.build(ops=ops, rigid=rigid, flex=flex)
     if not with_defs:
-        return env
+        return DefinitionEnvironment.build(ops=ops, rigid=rigid, flex=flex)
     defs: list[Definition] = []
     for k in range(rng.randrange(0, 3)):
         name = f"d{k}"
@@ -96,71 +112,78 @@ def random_expr(
     rigid_pool: Optional[Sequence[str]] = None,
     under_prime: bool = False,
 ) -> Expression:
-    rigids = list(rigid_pool if rigid_pool is not None else env.rigid_vars)
-    rigids += [b for b in binders if b not in rigids]
-
-    def leaf() -> Expression:
-        choices: list[Expression] = [FALSE]
-        choices += [RigidVar(x) for x in rigids]
-        if allow_flex:
-            choices += [FlexVar(v) for v in env.flex_vars]
-        choices += [OpApp(op) for op, n in env.ops.items() if n == 0]
-        return rng.choice(choices)
-
-    if depth <= 0:
-        return leaf()
-
-    def sub(d: int = depth - 1, prime: bool = under_prime,
-            defapp: bool = allow_defapp) -> Expression:
-        return random_expr(
-            rng, env, d, binders, allow_nabla,
-            allow_prime and not prime, allow_flex, defapp,
-            rigid_pool, prime)
-
-    kinds = ["leaf", "eq", "implies", "forall"]
-    weights = [3, 3, 3, 2]
+    pool = list(rigid_pool if rigid_pool is not None else env.rigid_vars)
+    flex = [FlexVar(v) for v in env.flex_vars] if allow_flex else []
+    constants = [OpApp(op) for op, n in env.ops.items() if n == 0]
     nary = [op for op, n in env.ops.items() if n > 0]
-    if nary:
-        kinds.append("op")
-        weights.append(3)
-    if allow_defapp and env.definitions and not under_prime:
-        kinds.append("defapp")
-        weights.append(2)
-    if allow_nabla and not under_prime:
-        kinds.append("nabla")
-        weights.append(2)
-    if allow_prime and not under_prime:
-        kinds.append("prime")
-        weights.append(2)
+    definitions = list(env.definitions)
+    choice, uniform = rng.choice, rng.random
+    # what a node may draw depends only on its frame (binders, allow_prime,
+    # allow_defapp, under_prime), so each frame's leaves, binder names and
+    # kind table are built once per call
+    frames: dict[tuple, tuple] = {}
 
-    kind = rng.choices(kinds, weights)[0]
-    if kind == "leaf":
-        return leaf()
-    if kind == "eq":
-        return Eq(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    if kind == "forall":
-        var = rng.choice(["a", "b"] + rigids[:1])
-        body = random_expr(
-            rng, env, depth - 1, tuple(binders) + (var,), allow_nabla,
-            allow_prime and not under_prime, allow_flex, allow_defapp,
-            rigid_pool, under_prime)
-        return Forall(var, body)
-    if kind == "op":
-        op = rng.choice(nary)
-        return OpApp(op, tuple(sub() for _ in range(env.ops[op])))
-    if kind == "defapp":
-        d = rng.choice(list(env.definitions))
-        return DefApp(d.name,
-                      tuple(sub() for _ in range(len(d.params))))
-    if kind == "nabla":
-        return Nabla(sub())
-    # prime: its body must stay prime-free, and definition applications are
-    # kept out so the expansion stays prime-free too
-    return Prime(
-        random_expr(rng, env, depth - 1, binders, allow_nabla, False,
-                    allow_flex, False, rigid_pool, True))
+    def frame(key: tuple) -> tuple:
+        binders, allow_prime, allow_defapp, under_prime = key
+        rigids = pool + [b for b in binders if b not in pool]
+        kinds = ["leaf", "eq", "implies", "forall"]
+        weights = [3, 3, 3, 2]
+        if nary:
+            kinds.append("op")
+            weights.append(3)
+        if allow_defapp and definitions and not under_prime:
+            kinds.append("defapp")
+            weights.append(2)
+        if allow_nabla and not under_prime:
+            kinds.append("nabla")
+            weights.append(2)
+        if allow_prime and not under_prime:
+            kinds.append("prime")
+            weights.append(2)
+        cum = list(accumulate(weights))
+        # a child's frame; a prime's body must stay prime-free, and
+        # definition applications are kept out of it so the expansion
+        # stays prime-free too
+        sub = (binders, allow_prime and not under_prime, allow_defapp,
+               under_prime)
+        got = frames[key] = (
+            [FALSE, *map(RigidVar, rigids), *flex, *constants],
+            ["a", "b"] + rigids[:1],
+            # kinds[bisect(...)] is exactly what rng.choices(kinds,
+            # weights)[0] computes, so the stream is the same
+            kinds, cum, cum[-1] + 0.0, len(kinds) - 1,
+            sub, (binders, False, False, True))
+        return got
+
+    def draw(depth: int, key: tuple) -> Expression:
+        leaves, names, kinds, cum, total, hi, sub, prime = \
+            frames.get(key) or frame(key)
+        if depth <= 0:
+            return choice(leaves)
+        kind = kinds[bisect(cum, uniform() * total, 0, hi)]
+        if kind == "leaf":
+            return choice(leaves)
+        d = depth - 1
+        if kind == "eq":
+            return Eq(draw(d, sub), draw(d, sub))
+        if kind == "implies":
+            return Implies(draw(d, sub), draw(d, sub))
+        if kind == "forall":
+            var = choice(names)
+            return Forall(var, draw(d, (sub[0] + (var,),) + sub[1:]))
+        if kind == "op":
+            op = choice(nary)
+            return OpApp(op, tuple(draw(d, sub)
+                                   for _ in range(env.ops[op])))
+        if kind == "defapp":
+            dfn = choice(definitions)
+            return DefApp(dfn.name, tuple(draw(d, sub) for _ in dfn.params))
+        if kind == "nabla":
+            return Nabla(draw(d, sub))
+        return Prime(draw(d, prime))
+
+    return draw(depth, (tuple(binders), allow_prime, allow_defapp,
+                        under_prime))
 
 
 def random_model(
@@ -171,29 +194,22 @@ def random_model(
     need_prime: bool = False,
     functional_prime: bool = False,
 ) -> KripkeModel:
-    usize = rng.randrange(2, max_universe + 1)
-    universe = tuple(range(usize))
-    nstates = rng.randrange(1, max_states + 1)
-    states = tuple(range(nstates))
-    op_interp = {}
-    for op, arity in env.ops.items():
-        table = {}
-        from itertools import product
-
-        for args in product(universe, repeat=arity):
-            table[args] = rng.choice(universe)
-        op_interp[op] = table
-    xi = {x: rng.choice(universe) for x in env.rigid_vars}
-    zeta = {(v, w): rng.choice(universe)
-            for v in env.flex_vars for w in states}
+    choice, uniform = rng.choice, rng.random
+    universe = tuple(range(rng.randrange(2, max_universe + 1)))
+    states = tuple(range(rng.randrange(1, max_states + 1)))
+    op_interp = {op: {args: choice(universe)
+                      for args in product(universe, repeat=arity)}
+                 for op, arity in env.ops.items()}
+    xi = {x: choice(universe) for x in env.rigid_vars}
+    zeta = {(v, w): choice(universe) for v in env.flex_vars for w in states}
     pairs = [(s, t) for s in states for t in states]
-    R = frozenset(p for p in pairs if rng.random() < 0.5)
+    R = frozenset(p for p in pairs if uniform() < 0.5)
     primeR = None
     if need_prime:
         if functional_prime:
-            primeR = frozenset((s, rng.choice(states)) for s in states)
+            primeR = frozenset((s, choice(states)) for s in states)
         else:
-            primeR = frozenset(p for p in pairs if rng.random() < 0.5)
+            primeR = frozenset(p for p in pairs if uniform() < 0.5)
     return KripkeModel(universe, 0, 1, op_interp, xi, states, R, zeta,
                        primeR=primeR)
 
@@ -227,6 +243,13 @@ def random_ml_sequent(rng: random.Random,
                      frame_prime="k")
 
 
+def random_action_formula(rng: random.Random,
+                          env: DefinitionEnvironment,
+                          depth: int = 3) -> Expression:
+    return random_expr(rng, env, depth, allow_nabla=False,
+                       allow_prime=True)
+
+
 @dataclass
 class FuzzReport:
     iterations: int = 0
@@ -237,17 +260,37 @@ class FuzzReport:
         return not self.discrepancies
 
 
-def fol_witness_check(rng: random.Random,
-                      max_universe: int = 3,
-                      max_states: int = 3) -> Optional[str]:
+def _witness_opening(rng: random.Random, sizes: tuple[int, int],
+                     env: DefinitionEnvironment) -> tuple:
+    """An expression of depth 3 over the environment and a model of at most
+    `sizes` = (universe, states) to evaluate it in."""
+    e = random_expr(rng, env, depth=3)
+    need_prime = needs_prime(env, e)
+    m = random_model(rng, env, *sizes, need_prime=need_prime)
+    return env, e, need_prime, m
+
+
+def _action_opening(rng: random.Random, _sizes, _parent) -> tuple:
+    """An expanded action formula and its prime distribution."""
+    env = random_env(rng, modal_defs=False)
+    e = expand_definitions(random_action_formula(rng, env), env)
+    return env, e, distribute_prime(e, env)
+
+
+# opening name -> (parent, draw(rng, sizes, parent's value)): an opening
+# first draws its parent opening, if it has one
+_OPENINGS: dict[str, tuple[Optional[str], Callable]] = {
+    "env": (None, lambda rng, _sizes, _parent: random_env(rng)),
+    "witness": ("env", _witness_opening),
+    "action": (None, _action_opening),
+}
+
+
+def _fol_witness(rng: random.Random, opening: tuple) -> Optional[str]:
     """One round of the first-order soundness witness: the coalesced
     expression, evaluated in the structure extracted at a state, has
     exactly the value of the original expression at that state."""
-    env = random_env(rng)
-    e = random_expr(rng, env, depth=3)
-    need_prime = needs_prime(env, e)
-    m = random_model(rng, env, max_universe, max_states,
-                     need_prime=need_prime)
+    env, e, _need_prime, m = opening
     w = rng.choice(m.states)
     table = SymbolTable(env)
     ce = coalesce_fol(e, env, table)
@@ -262,16 +305,10 @@ def fol_witness_check(rng: random.Random,
     return None
 
 
-def ml_witness_check(rng: random.Random,
-                     max_universe: int = 3,
-                     max_states: int = 3) -> Optional[str]:
+def _ml_witness(_rng: random.Random, opening: tuple) -> Optional[str]:
     """One round of the propositional soundness witness, including the
     stability hypotheses holding at every state."""
-    env = random_env(rng)
-    e = random_expr(rng, env, depth=3)
-    need_prime = needs_prime(env, e)
-    m = random_model(rng, env, max_universe, max_states,
-                     need_prime=need_prime)
+    env, e, need_prime, m = opening
     table = AtomTable(env)
     me = coalesce_ml(e, env, table)
     if contains_node(me, Eq, Forall, OpApp, DefApp, RigidVar):
@@ -299,10 +336,10 @@ def _random_rigid_expr(rng: random.Random,
                        allow_defapp=False)
 
 
-def rigid_lemma_check(rng: random.Random) -> Optional[str]:
+def _rigid_lemma(rng: random.Random,
+                 env: DefinitionEnvironment) -> Optional[str]:
     """Replacing a rigid argument of a defined operator by a fresh variable
     valued at the argument's evaluation preserves the value."""
-    env = random_env(rng)
     if not env.definitions:
         env = env.extended(definitions=(
             Definition("d9", ("p",),
@@ -320,10 +357,10 @@ def rigid_lemma_check(rng: random.Random) -> Optional[str]:
     return _argument_lemma_check(rng, env, d.name, tuple(args), i)
 
 
-def leibniz_lemma_check(rng: random.Random) -> Optional[str]:
+def _leibniz_lemma(rng: random.Random,
+                   env: DefinitionEnvironment) -> Optional[str]:
     """Same replacement property at a Leibniz position, with an arbitrary
     argument there."""
-    env = random_env(rng)
     table = compute_leibniz(env)
     cands = [(d, i)
              for d in env.definitions
@@ -360,19 +397,10 @@ def _argument_lemma_check(rng, env, dname, args, i) -> Optional[str]:
     return None
 
 
-def random_action_formula(rng: random.Random,
-                          env: DefinitionEnvironment,
-                          depth: int = 3) -> Expression:
-    return random_expr(rng, env, depth, allow_nabla=False,
-                       allow_prime=True)
-
-
-def distribute_check(rng: random.Random) -> Optional[str]:
+def _distribute(rng: random.Random, opening: tuple) -> Optional[str]:
     """Prime distribution preserves values on functional-prime models."""
-    env = random_env(rng, modal_defs=False)
-    e = expand_definitions(random_action_formula(rng, env), env)
+    env, e, d = opening
     m = random_model(rng, env, need_prime=True, functional_prime=True)
-    d = distribute_prime(e, env)
     before, after = compile_expr(e, env), compile_expr(d, env)
     for sub_w in m.states:
         a = before(m, sub_w, {})
@@ -418,14 +446,12 @@ def lift_fol_structure(
         primeR=frozenset(((0, 1), (1, 1))))
 
 
-def action_refutation_check(rng: random.Random) -> Optional[str]:
+def _action_refutation(rng: random.Random, opening: tuple) -> Optional[str]:
     """Both refutation directions of the action-coalescing equivalence:
     a Kripke countermodel of the action formula yields a first-order
     countermodel of its coalescing, and a first-order countermodel lifts
     back to a two-state functional-prime Kripke countermodel."""
-    env = random_env(rng, modal_defs=False)
-    e = expand_definitions(random_action_formula(rng, env), env)
-    c = distribute_prime(e, env)
+    env, _e, c = opening
     primed = PrimedVars(env)
     cf = coalesce_action(c, primed)
     env2 = env.extended(flex=primed.new_flex_names())
@@ -457,14 +483,55 @@ def action_refutation_check(rng: random.Random) -> Optional[str]:
     return None
 
 
-CHECKS: dict[str, Callable[[random.Random], Optional[str]]] = {
-    "fol-witness": fol_witness_check,
-    "ml-witness": ml_witness_check,
-    "rigid-lemma": rigid_lemma_check,
-    "leibniz-lemma": leibniz_lemma_check,
-    "distribute-prime": distribute_check,
-    "action-refutation": action_refutation_check,
+class Check(NamedTuple):
+    """A property check: the opening it starts from, and a body that takes
+    the opening's value, goes on drawing and returns a discrepancy or None."""
+
+    opening: str
+    body: Callable[[random.Random, object], Optional[str]]
+
+
+CHECKS: dict[str, Check] = {
+    "fol-witness": Check("witness", _fol_witness),
+    "ml-witness": Check("witness", _ml_witness),
+    "rigid-lemma": Check("env", _rigid_lemma),
+    "leibniz-lemma": Check("env", _leibniz_lemma),
+    "distribute-prime": Check("action", _distribute),
+    "action-refutation": Check("action", _action_refutation),
 }
+
+
+def _replayed(openings: Sequence[str]) -> set[str]:
+    """The openings a later check replays, when checks with these openings
+    run in this order: each check draws its opening chain down to the first
+    opening an earlier check drew, and replays that one."""
+    drawn: set[str] = set()
+    replayed: set[str] = set()
+    for name in openings:
+        while name is not None and name not in drawn:
+            drawn.add(name)
+            name = _OPENINGS[name][0]
+        if name is not None:
+            replayed.add(name)
+    return replayed
+
+
+def _open(name: Optional[str], rng: random.Random, sizes: tuple[int, int],
+          replayed: set[str], memo: dict) -> object:
+    """The value of an opening, drawn from the iteration's start state or
+    replayed from `memo` with the generator state after it.  The empty
+    opening None is the start state itself."""
+    if name in memo:
+        value, state = memo[name]
+        rng.setstate(state)
+        return value
+    if name is None:
+        return None
+    parent, draw = _OPENINGS[name]
+    value = draw(rng, sizes, _open(parent, rng, sizes, replayed, memo))
+    if name in replayed:
+        memo[name] = (value, rng.getstate())
+    return value
 
 
 def run_fuzz(
@@ -478,15 +545,17 @@ def run_fuzz(
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
-    sized = {"fol-witness", "ml-witness"}
+    sizes = (max_universe, max_states)
+    plan = [(name, *CHECKS[name]) for name in checks]
+    replayed = _replayed([opening for _, opening, _ in plan])
     for i in range(iterations):
         report.iterations += 1
-        for name in checks:
-            rng = rng_for(seed, i)
-            if name in sized:
-                problem = CHECKS[name](rng, max_universe, max_states)
-            else:
-                problem = CHECKS[name](rng)
+        rng = rng_for(seed, i)
+        # one iteration's memo, keyed by opening name (the sizes are fixed
+        # for the run); None holds the start state every check starts from
+        memo = {None: (None, rng.getstate())} if len(plan) > 1 else {}
+        for name, opening, body in plan:
+            problem = body(rng, _open(opening, rng, sizes, replayed, memo))
             if problem is not None:
                 report.discrepancies.append(
                     f"[{name}] seed={seed} iteration={i}: {problem}")

@@ -60,6 +60,10 @@ class MlSweep:
             zeta = zbits.reshape(-1, len(self.atoms), s)  # (nZ, natoms, s)
             self.spaces[s] = (rel, zeta)
         self._cache: dict[tuple[int, Expression], np.ndarray] = {}
+        # per-model reductions over the state axis, shared by every sequent
+        # that uses the formula: (nR, nZ) arrays keyed like the truth tables
+        self._everywhere: dict[tuple[int, Expression], np.ndarray] = {}
+        self._somewhere_false: dict[tuple[int, Expression], np.ndarray] = {}
 
     def truth(self, s: int, e: Expression) -> np.ndarray:
         """Boolean array (nR, nZ, s): truth of e at each state of each
@@ -88,15 +92,32 @@ class MlSweep:
         self._cache[key] = out
         return out
 
+    def holds_everywhere(self, s: int, e: Expression) -> np.ndarray:
+        """Boolean array (nR, nZ): e holds at every state of the model."""
+        key = (s, e)
+        got = self._everywhere.get(key)
+        if got is None:
+            got = self._everywhere[key] = self.truth(s, e).all(axis=2)
+        return got
+
+    def fails_somewhere(self, s: int, e: Expression) -> np.ndarray:
+        """Boolean array (nR, nZ): e fails at some state of the model."""
+        key = (s, e)
+        got = self._somewhere_false.get(key)
+        if got is None:
+            got = self._somewhere_false[key] = \
+                (~self.truth(s, e)).any(axis=2)
+        return got
+
     def countermodel_exists(self, hypotheses, goal) -> bool:
         """Is there a model with at most max_states states where every
         hypothesis holds at every state and the goal fails somewhere?"""
         for s in range(1, self.max_states + 1):
             ok = None
             for h in hypotheses:
-                t = self.truth(s, h).all(axis=2)
+                t = self.holds_everywhere(s, h)
                 ok = t if ok is None else (ok & t)
-            bad = (~self.truth(s, goal)).any(axis=2)
+            bad = self.fails_somewhere(s, goal)
             mask = bad if ok is None else (ok & bad)
             if mask.any():
                 return True

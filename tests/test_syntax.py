@@ -16,7 +16,14 @@ from foml import (
     print_expr,
     substitute,
 )
-from foml.gen import random_env, random_expr, rng_for
+from foml.gen import (
+    random_action_formula,
+    random_env,
+    random_expr,
+    random_ml_sequent,
+    random_model,
+    rng_for,
+)
 from foml.parser import ProblemError, SAtom, SList, read_sexprs
 from foml.printer import print_problem
 from foml.syntax import (
@@ -503,3 +510,40 @@ class TestRandomDraws:
             e = random_expr(rng, env, depth=3)
             digest.update(repr((env, e)).encode())
         assert digest.hexdigest()[:16] == "c1e1d9056e54d028"
+
+    def test_every_generator_is_pinned(self):
+        # every generator under each flag that changes what it draws, from
+        # one seeded stream; one rng.random() after each draw makes a
+        # change in how many numbers a draw takes show even when the drawn
+        # value happens to stay the same
+        rng = random.Random(11)
+        digest = hashlib.sha256()
+
+        def put(value):
+            digest.update(repr((value, rng.random())).encode())
+
+        def model_key(m):
+            return (m.universe, m.states, sorted(m.op_interp.items()),
+                    sorted(m.xi.items()), sorted(m.R), sorted(m.zeta.items()),
+                    None if m.primeR is None else sorted(m.primeR))
+
+        for k in range(300):
+            env = random_env(rng, with_defs=k % 3 != 0, modal_defs=k % 2 == 0)
+            put(env)
+            for flags in ({}, {"allow_nabla": False}, {"allow_prime": False},
+                          {"allow_flex": False}, {"allow_defapp": False},
+                          {"binders": ("p", "q")}, {"rigid_pool": ("p",)},
+                          {"binders": ("p",), "rigid_pool": ("p",)},
+                          {"under_prime": True},
+                          {"allow_nabla": False, "allow_prime": False,
+                           "allow_flex": False, "allow_defapp": False}):
+                put(random_expr(rng, env, depth=k % 4, **flags))
+            put(random_action_formula(rng, env))
+            for need_prime, functional in ((False, False), (True, False),
+                                           (True, True), (False, True)):
+                put(model_key(random_model(
+                    rng, env, 2 + k % 2, 1 + k % 3, need_prime=need_prime,
+                    functional_prime=functional)))
+            put(random_ml_sequent(rng))
+            put(random_ml_sequent(rng, allow_prime=False))
+        assert digest.hexdigest()[:16] == "76611f8b7f19c543"

@@ -19,7 +19,7 @@ from .emit import (
     emit_mlseq,
     emit_smt,
     emit_tptp,
-    parse_mlseq_forms,
+    parse_mlseq,
     run_solver,
     stratify,
 )
@@ -27,11 +27,9 @@ from .leibniz import compute_leibniz, format_table
 from .models import parse_model, serialize_model
 from .parser import (
     ProblemError,
-    form_head,
+    _leading_tokens,
     parse_file,
-    parse_forms,
     parse_problem,
-    read_sexprs,
 )
 from .printer import print_expr, print_problem
 from .prover import (
@@ -115,11 +113,11 @@ def cmd_coalesce_ml(args) -> int:
 
 def _load_sequent(text: str) -> MLSequent:
     """The sequent of an mlseq text, or of a problem text after modal
-    coalescing; the head of the first form tells which the text is."""
-    forms = read_sexprs(text)
-    if forms and form_head(forms[0]) == "mlseq":
-        return parse_mlseq_forms(forms)
-    res = coalesce_obligation_ml(parse_forms(forms).obligation())
+    coalescing; the first two tokens, comments dropped, tell which the
+    text is."""
+    if _leading_tokens(text, 2) == ["(", "mlseq"]:
+        return parse_mlseq(text)
+    res = coalesce_obligation_ml(parse_problem(text))
     return MLSequent(res.hypotheses + res.stability, res.goal)
 
 

@@ -9,6 +9,10 @@ a term position (an argument, or an equality side) is first lifted out into
 a fresh definitional symbol axiomatized by two implications; this is a
 conservative extension and keeps both renderings ite-free.  Validity of the
 sequent is encoded as unsatisfiability of hypotheses plus negated goal.
+
+`parse_mlseq` reads an mlseq text back in the one token pass `foml.parser`
+gives every input: formulas are built from the flat token list with an
+explicit stack, and a position is computed only for an error.
 """
 from __future__ import annotations
 
@@ -17,11 +21,22 @@ import re
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Optional
 
 from .models import FOLStructure
-from .parser import ProblemError, SAtom, SNode, form_head, read_sexprs
+from .parser import (
+    ProblemError,
+    _Check,
+    _error,
+    _fail,
+    _items,
+    _need_count,
+    _one_form,
+    _reading,
+    _tokens,
+)
 from .printer import print_expr
 from .prover import FRAMES, MLSequent, check_ml_formula
 from .semantics import compile_fol, eval_fol
@@ -326,73 +341,121 @@ def emit_mlseq(seq: MLSequent) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_ml_expr(node: SNode) -> Expression:
-    if isinstance(node, SAtom):
-        if node.text == "false":
-            return FALSE
-        if node.text in ("true", "nabla", "prime", "=>"):
-            raise ProblemError(f"bad atom {node.text!r}",
-                               node.line, node.col)
-        return FlexVar(node.text)
-    head = form_head(node)
-    if head is None:
-        raise ProblemError("malformed formula", node.line, node.col)
-    rest = node.items[1:]
-    if head == "=>" and len(rest) == 2:
-        return Implies(_parse_ml_expr(rest[0]), _parse_ml_expr(rest[1]))
-    if head == "nabla" and len(rest) == 1:
-        return Nabla(_parse_ml_expr(rest[0]))
-    if head == "prime" and len(rest) == 1:
-        return Prime(_parse_ml_expr(rest[0]))
-    raise ProblemError(f"unknown modal form {head!r}", node.line, node.col)
+# The modal forms: argument count and constructor.  Any other head, or
+# the right head with another count, is an unknown modal form.
+_ML_FORMS = {"=>": (2, Implies), "nabla": (1, Nabla), "prime": (1, Prime)}
+_ML_BAD_ATOMS = {"true", "nabla", "prime", "=>"}
+
+
+def _ml_check(text: str, toks: list[str], s: int, n: int) -> None:
+    """Raise when the modal form at toks[s] has n arguments, not its
+    count."""
+    h = toks[s + 1]
+    if n != _ML_FORMS[h][0]:
+        raise _error(text, f"unknown modal form {h!r}", s)
+
+
+def _ml_fail(text: str, toks: list[str], checks: tuple[_Check, ...],
+             stack: list, message: str, at: int) -> None:
+    """`_fail` inside `_ml_expression`, whose open forms are on `stack`."""
+    _fail(text, toks, message, at, checks, [frame[0] for frame in stack],
+          partial(_ml_check, text, toks))
+
+
+def _ml_expression(text: str, toks: list[str], i: int,
+                   checks: tuple[_Check, ...]) -> tuple[Expression, int]:
+    """The modal formula at toks[i], and the index after it; built with an
+    explicit stack of (first token, argument count, constructor, arguments
+    so far) frames.  `checks` come before any error here."""
+    stack: list = []
+    while True:
+        tok = toks[i]
+        if tok == "(":
+            h = toks[i + 1]
+            form = _ML_FORMS.get(h)
+            if form is None:
+                _ml_fail(text, toks, checks, stack,
+                         "malformed formula" if h == "(" or h == ")"
+                         else f"unknown modal form {h!r}", i)
+            stack.append((i, form[0], form[1], []))
+            i += 2
+            continue
+        if tok == ")":
+            if not stack:
+                _ml_fail(text, toks, checks, stack, "expected a formula", i)
+            start, count, make, args = stack[-1]
+            if len(args) != count:
+                _ml_fail(text, toks, checks, stack,
+                         f"unknown modal form {toks[start + 1]!r}", start)
+            stack.pop()
+            value = make(*args)
+        elif tok == "false":
+            value = FALSE
+        elif tok in _ML_BAD_ATOMS:
+            _ml_fail(text, toks, checks, stack, f"bad atom {tok!r}", i)
+        else:
+            value = FlexVar(tok)
+        i += 1
+        if not stack:
+            return value, i
+        stack[-1][3].append(value)
 
 
 def parse_mlseq(text: str) -> MLSequent:
-    return parse_mlseq_forms(read_sexprs(text))
+    """The sequent of an mlseq text."""
+    toks = _tokens(text)
+    return _reading(partial(_mlseq, text, toks), text, toks)
 
 
-def parse_mlseq_forms(forms: list[SNode]) -> MLSequent:
-    """Interpret the forms of an mlseq file, as read by read_sexprs."""
-    if len(forms) != 1 or isinstance(forms[0], SAtom):
-        raise ProblemError("expected exactly one (mlseq ...) form")
-    top = forms[0]
-    if form_head(top) != "mlseq":
-        raise ProblemError("expected (mlseq ...)", top.line, top.col)
+def _mlseq(text: str, toks: list[str]) -> MLSequent:
+    """The sequent whose tokens are toks, read section by section."""
+    one = (_one_form(text, toks, "expected exactly one (mlseq ...) form"),)
+    if not toks or toks[0] != "(":
+        _fail(text, toks, "expected exactly one (mlseq ...) form", None)
+    if toks[1] != "mlseq":
+        _fail(text, toks, "expected (mlseq ...)", 0, one)
     frames = {"nabla": "k", "prime": "k"}
     hyps: tuple[Expression, ...] = ()
     goal: Optional[Expression] = None
     seen: set[str] = set()
-    for section in top.items[1:]:
-        head = form_head(section)
-        if head is None:
-            raise ProblemError("malformed mlseq section",
-                               section.line, section.col)
-        body = section.items[1:]
+    i = 2
+    while toks[i] != ")":
+        s = i
+        head = toks[s + 1]
+        if toks[s] != "(" or head == "(" or head == ")":
+            _fail(text, toks, "malformed mlseq section", s, one)
         key = head
         if head == "frame":
-            if len(body) != 2 or not all(isinstance(b, SAtom) for b in body) \
-                    or body[0].text not in frames \
-                    or body[1].text not in FRAMES:
-                raise ProblemError(
-                    f"(frame nabla|prime {'|'.join(FRAMES)})",
-                    section.line, section.col)
-            mod, cls = body[0].text, body[1].text
+            body, i = _items(toks, s)
+            del body[0]
+            mod, cls = (toks[body[0]], toks[body[1]]) if len(body) == 2 \
+                else (None, None)
+            if mod not in frames or cls not in FRAMES:
+                _fail(text, toks, f"(frame nabla|prime {'|'.join(FRAMES)})",
+                      s, one)
             frames[mod] = cls
             key = f"frame {mod}"
         elif head == "global-hypotheses":
-            hyps = tuple(_parse_ml_expr(n) for n in body)
+            found = []
+            i = s + 2
+            while toks[i] != ")":
+                e, i = _ml_expression(text, toks, i, one)
+                found.append(e)
+            hyps = tuple(found)
+            i += 1
         elif head == "goal":
-            if len(body) != 1:
-                raise ProblemError("(goal formula)",
-                                   section.line, section.col)
-            goal = _parse_ml_expr(body[0])
+            checks = one + (_need_count(text, toks, s, 2, "(goal formula)"),)
+            goal, i = _ml_expression(text, toks, s + 2, checks)
+            if toks[i] != ")":
+                _fail(text, toks, "(goal formula)", s, checks)
+            i += 1
         else:
-            raise ProblemError(f"unknown mlseq section {head!r}",
-                               section.line, section.col)
+            _fail(text, toks, f"unknown mlseq section {head!r}", s, one)
         if key in seen:
-            raise ProblemError(f"duplicate ({key} ...) section",
-                               section.line, section.col)
+            _fail(text, toks, f"duplicate ({key} ...) section", s, one)
         seen.add(key)
+    if i + 1 != len(toks):
+        _fail(text, toks, "expected exactly one (mlseq ...) form", None)
     if goal is None:
         raise ProblemError("mlseq has no goal")
     return MLSequent(hypotheses=hyps, goal=goal,

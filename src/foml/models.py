@@ -1,5 +1,6 @@
 """Finite models: Kripke models, first-order structures, and the
-s-expression model-file format.
+s-expression model-file format, read in the one token pass of
+`foml.parser` (positions are computed only for an error).
 
 Universe elements and states are plain atoms (ints or strings).  The
 interpretation of the modality is not stored: it is fixed by its defining
@@ -14,24 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Union
 
-from .parser import (
-    ProblemError,
-    SNode,
-    expect_atom,
-    expect_list,
-    read_sexprs,
-)
+from .parser import ProblemError, _check_parens, _error, _items, _tokens
 from .syntax import FomlError
 
 Value = Union[int, str]
-
-
-def _value(node: SNode, what: str) -> Value:
-    text = expect_atom(node, what).text
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 def _fmt(v: Value) -> str:
@@ -186,13 +173,34 @@ def serialize_model(m: KripkeModel) -> str:
 
 
 def parse_model(text: str) -> KripkeModel:
-    nodes = read_sexprs(text)
-    if len(nodes) != 1:
+    """The model of a model file.  The text is read in one token pass, as
+    `foml.parser` reads every input; a node is the index of its first
+    token, and a position is computed only for an error."""
+    toks = _tokens(text)
+    _check_parens(text, toks)
+    if len(_items(toks, -1)[0]) != 1:
         raise ProblemError("model file must contain exactly one (model ...)")
-    top = expect_list(nodes[0], "(model ...)")
-    if not top.items or expect_atom(top.items[0], "model").text != "model":
-        raise ProblemError("model file must start with (model ...)",
-                           top.line, top.col)
+
+    def atom(k: int, what: str) -> str:
+        if toks[k] == "(":
+            raise _error(text, f"expected {what}", k)
+        return toks[k]
+
+    def items(k: int, what: str) -> list[int]:
+        if toks[k] != "(":
+            raise _error(text, f"expected {what}", k)
+        return _items(toks, k)[0]
+
+    def value(k: int, what: str) -> Value:
+        v = atom(k, what)
+        try:
+            return int(v)
+        except ValueError:
+            return v
+
+    top = items(0, "(model ...)")
+    if not top or atom(top[0], "model") != "model":
+        raise _error(text, "model file must start with (model ...)", 0)
 
     universe: tuple[Value, ...] = ()
     truth: dict[str, Value] = {}  # "tt" and "ff"
@@ -202,84 +210,76 @@ def parse_model(text: str) -> KripkeModel:
     relations: dict[str, frozenset] = {}  # "R" and "primeR"
     zeta: dict[tuple[str, Value], Value] = {}
 
-    def pairs(items) -> frozenset:
+    def pairs(body: list[int]) -> frozenset:
         rel = set()
-        for it in items:
-            lst = expect_list(it, "a state pair")
-            if len(lst.items) != 2:
-                raise ProblemError("state pair needs two states",
-                                   lst.line, lst.col)
-            rel.add((_value(lst.items[0], "a state"),
-                     _value(lst.items[1], "a state")))
+        for k in body:
+            pair = items(k, "a state pair")
+            if len(pair) != 2:
+                raise _error(text, "state pair needs two states", k)
+            rel.add((value(pair[0], "a state"), value(pair[1], "a state")))
         return frozenset(rel)
 
-    def put(table: dict, key, value, section: str, row: str,
-            node: SNode) -> None:
+    def put(table: dict, key, val, section: str, row: str, k: int) -> None:
         # a repeated key must not silently replace the first
         if key in table:
-            raise ProblemError(f"duplicate ({section} ({row} ...)) row",
-                               node.line, node.col)
-        table[key] = value
+            raise _error(text, f"duplicate ({section} ({row} ...)) row", k)
+        table[key] = val
 
     seen: set[str] = set()
-    for section in top.items[1:]:
-        lst = expect_list(section, "a model section")
-        if not lst.items:
-            raise ProblemError("empty model section", lst.line, lst.col)
-        head = expect_atom(lst.items[0], "a section name").text
-        body = lst.items[1:]
+    for k in top[1:]:
+        section = items(k, "a model section")
+        if not section:
+            raise _error(text, "empty model section", k)
+        head = atom(section[0], "a section name")
+        body = section[1:]
         key = head
         if head == "universe":
-            universe = tuple(_value(n, "a value") for n in body)
+            universe = tuple(value(n, "a value") for n in body)
         elif head in ("tt", "ff"):
             if len(body) != 1:
-                raise ProblemError(f"({head} value)", lst.line, lst.col)
-            truth[head] = _value(body[0], "a value")
+                raise _error(text, f"({head} value)", k)
+            truth[head] = value(body[0], "a value")
         elif head == "op":
             if not body:
-                raise ProblemError("(op name (row args.. value) ...)",
-                                   lst.line, lst.col)
-            name = expect_atom(body[0], "an operator name").text
+                raise _error(text, "(op name (row args.. value) ...)", k)
+            name = atom(body[0], "an operator name")
             key = f"op {name}"
             table: dict[tuple[Value, ...], Value] = {}
-            for row in body[1:]:
-                r = expect_list(row, "(row args.. value)")
-                if not r.items or expect_atom(r.items[0], "row").text != "row":
-                    raise ProblemError("expected (row ...)", r.line, r.col)
-                vals = [_value(n, "a value") for n in r.items[1:]]
+            for r in body[1:]:
+                row = items(r, "(row args.. value)")
+                if not row or atom(row[0], "row") != "row":
+                    raise _error(text, "expected (row ...)", r)
+                vals = [value(n, "a value") for n in row[1:]]
                 if not vals:
-                    raise ProblemError("row needs a value", r.line, r.col)
+                    raise _error(text, "row needs a value", r)
                 args = tuple(vals[:-1])
                 put(table, args, vals[-1], key,
                     " ".join(["row", *map(_fmt, args)]), r)
             ops[name] = table
         elif head == "xi":
-            for row in body:
-                r = expect_list(row, "(x value)")
-                if len(r.items) != 2:
-                    raise ProblemError("(xi (x value) ...)", r.line, r.col)
-                x = expect_atom(r.items[0], "a variable").text
-                put(xi, x, _value(r.items[1], "a value"), head, x, r)
+            for r in body:
+                row = items(r, "(x value)")
+                if len(row) != 2:
+                    raise _error(text, "(xi (x value) ...)", r)
+                x = atom(row[0], "a variable")
+                put(xi, x, value(row[1], "a value"), head, x, r)
         elif head == "states":
-            states = tuple(_value(n, "a state") for n in body)
+            states = tuple(value(n, "a state") for n in body)
         elif head in ("R", "primeR"):
             relations[head] = pairs(body)
         elif head == "zeta":
-            for row in body:
-                r = expect_list(row, "(v state value)")
-                if len(r.items) != 3:
-                    raise ProblemError("(zeta (v state value) ...)",
-                                       r.line, r.col)
-                v = expect_atom(r.items[0], "a flexible variable").text
-                w = _value(r.items[1], "a state")
-                val = _value(r.items[2], "a value")
+            for r in body:
+                row = items(r, "(v state value)")
+                if len(row) != 3:
+                    raise _error(text, "(zeta (v state value) ...)", r)
+                v = atom(row[0], "a flexible variable")
+                w = value(row[1], "a state")
+                val = value(row[2], "a value")
                 put(zeta, (v, w), val, head, f"{v} {_fmt(w)}", r)
         else:
-            raise ProblemError(f"unknown model section {head!r}",
-                               lst.line, lst.col)
+            raise _error(text, f"unknown model section {head!r}", k)
         if key in seen:
-            raise ProblemError(f"duplicate ({key} ...) section",
-                               lst.line, lst.col)
+            raise _error(text, f"duplicate ({key} ...) section", k)
         seen.add(key)
 
     if len(truth) != 2 or not universe or not states or "R" not in relations:

@@ -1,4 +1,4 @@
-"""S-expression reader and problem-file parser.
+"""Problem-file parser, and the token reader every input format shares.
 
 Problem files are a flat sequence of forms:
 
@@ -18,15 +18,32 @@ plus, for transition-system (safety) inputs:
 Expressions use the surface grammar documented in the README; derived
 connectives (true, not, and, or, iff, exists, delta) are desugared on the
 spot, so parsed ASTs contain only core nodes.
+
+Every input text (problem files, `parse_expr` text, mlseq sequents in
+`foml.emit` and model files in `foml.models`) is read in one token pass:
+one `findall` turns the text into a flat list of parentheses and atoms,
+comments dropped, and the parser builds its result straight from that
+list.  Expressions are built with an explicit stack, so nesting depth
+costs no Python recursion.  Tokens carry no position: a line and a column
+are computed only when an error is raised, by scanning the text again up
+to the offending token.
+
+The first error of an input is the one reported: an unbalanced
+parenthesis anywhere comes first, and a form's argument count is checked
+before its arguments are read.  The parser reads optimistically and
+settles that order only on the way to an error (`_fail`).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, Optional, Sequence
 
 from .syntax import (
     FALSE,
+    TRUE,
     DefApp,
     Definition,
     DefinitionEnvironment,
@@ -48,7 +65,6 @@ from .syntax import (
     iff_,
     not_,
     or_,
-    true_,
 )
 
 
@@ -64,57 +80,149 @@ class ProblemError(FomlError):
         super().__init__(message)
 
 
-# Reader nodes are named tuples: immutable and compared by value, and
-# cheaper to build than frozen dataclasses, which set each field through
-# object.__setattr__.
-
-class SAtom(NamedTuple):
-    text: str
-    line: int
-    col: int
+# One match per token: a parenthesis or an atom.  Whitespace is stepped
+# over by the scan itself; `\s` is the same set as `str.isspace`, and only
+# "\n" ends a line.  A comment runs from ";" to the end of its line, so
+# dropping comments moves no token to another line or column.
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+_COMMENT = re.compile(r";[^\n]*")
 
 
-class SList(NamedTuple):
-    items: tuple["SNode", ...]
-    line: int
-    col: int
+def _uncommented(text: str) -> str:
+    return _COMMENT.sub("", text) if ";" in text else text
 
 
-SNode = Union[SAtom, SList]
+def _tokens(text: str) -> list[str]:
+    """The parentheses and atoms of text, in order, comments dropped."""
+    return _TOKEN.findall(_uncommented(text))
 
 
-# One token per match: a parenthesis, an atom, a comment (skipped) or a
-# newline (counted).  Other whitespace is stepped over by the scan itself.
-# `\s` is the same set as `str.isspace`, and only "\n" ends a line.
-_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*|\n")
+def _leading_tokens(text: str, n: int) -> list[str]:
+    """The first n tokens of text (fewer if it has fewer)."""
+    return [m.group() for m in
+            islice(_TOKEN.finditer(_uncommented(text)), n)]
 
 
-def read_sexprs(text: str) -> list[SNode]:
-    """Read all top-level s-expressions in text."""
-    stack: list[tuple[list[SNode], int, int]] = []
-    items: list[SNode] = []
-    line, newline = 1, -1  # newline: offset of the last "\n" read
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        c = tok[0]
-        if c == "\n":
-            line += 1
-            newline = m.start()
-        elif c == "(":
-            stack.append((items, line, m.start() - newline))
-            items = []
-        elif c == ")":
-            if not stack:
-                raise ProblemError("unmatched ')'", line, m.start() - newline)
-            outer, oline, ocol = stack.pop()
-            outer.append(SList(tuple(items), oline, ocol))
-            items = outer
-        elif c != ";":
-            items.append(SAtom(tok, line, m.start() - newline))
-    if stack:
-        _, oline, ocol = stack[-1]
-        raise ProblemError("unclosed '('", oline, ocol)
-    return items
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column, both counted from 1, of the k-th token of text."""
+    text = _uncommented(text)
+    start = next(islice(_TOKEN.finditer(text), k, None)).start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+def _error(text: str, message: str, at: Optional[int]) -> ProblemError:
+    """A ProblemError at the token with index `at` (None: no position)."""
+    if at is None:
+        return ProblemError(message)
+    return ProblemError(message, *_position(text, at))
+
+
+def _check_parens(text: str, toks: list[str]) -> None:
+    """Raise the first unmatched ')' or, failing that, the innermost
+    unclosed '('."""
+    opens: list[int] = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            opens.append(k)
+        elif tok == ")":
+            if not opens:
+                raise _error(text, "unmatched ')'", k)
+            opens.pop()
+    if opens:
+        raise _error(text, "unclosed '('", opens[-1])
+
+
+def _items(toks: list[str], s: int) -> tuple[list[int], int]:
+    """The token indices of the items of the list that opens at toks[s],
+    and the index after its ')'.  s = -1 reads the top level, to the end.
+    Raises IndexError when the list is not closed."""
+    items: list[int] = []
+    depth = 0
+    k, end = s + 1, len(toks)
+    while k < end:
+        tok = toks[k]
+        if tok == ")":
+            if depth == 0:
+                return items, k + 1
+            depth -= 1
+        else:
+            if depth == 0:
+                items.append(k)
+            if tok == "(":
+                depth += 1
+        k += 1
+    if s >= 0:
+        raise IndexError(s)
+    return items, k
+
+
+def _item_counts(toks: list[str], s: int) -> dict[int, int]:
+    """The number of items of the list that opens at toks[s] and of every
+    list inside it, by the index of its "(", in one scan."""
+    counts: dict[int, int] = {}
+    opens: list[int] = []
+    for k in range(s, len(toks)):
+        tok = toks[k]
+        if tok == ")":
+            opens.pop()
+            if not opens:
+                break
+            continue
+        if opens:
+            counts[opens[-1]] += 1
+        if tok == "(":
+            opens.append(k)
+            counts[k] = 0
+    return counts
+
+
+_Check = Callable[[], None]
+
+
+def _fail(text: str, toks: list[str], message: str, at: Optional[int],
+          checks: Iterable[_Check] = (), forms: Sequence[int] = (),
+          check_form: Optional[Callable[[int, int], None]] = None) -> None:
+    """Raise the first error of the input: an unbalanced parenthesis, then
+    the first failing check of an enclosing form (each check raises its
+    own error), then the first of the expression forms open at the token
+    indices `forms` (outermost first) that check_form(s, n) rejects for
+    its number n of arguments, then `message` at token `at`."""
+    _check_parens(text, toks)
+    for check in checks:
+        check()
+    if forms:
+        counts = _item_counts(toks, forms[0])
+        for s in forms:
+            check_form(s, counts[s] - 1)
+    raise _error(text, message, at)
+
+
+def _reading(read: Callable, text: str, toks: list[str]):
+    """read(), where an IndexError (a list that runs past the last token)
+    is reported as the parenthesis error it is."""
+    try:
+        return read()
+    except IndexError:
+        _check_parens(text, toks)
+        raise
+
+
+def _need_count(text: str, toks: list[str], s: int, count: int,
+                message: str) -> _Check:
+    """A check that the list at toks[s] has `count` items, head included;
+    `message`, at the list, is its error."""
+    def check() -> None:
+        if len(_items(toks, s)[0]) != count:
+            raise _error(text, message, s)
+    return check
+
+
+def _one_form(text: str, toks: list[str], message: str) -> _Check:
+    """A check that the text holds exactly one top-level item."""
+    def check() -> None:
+        if len(_items(toks, -1)[0]) != 1:
+            raise ProblemError(message)
+    return check
 
 
 RESERVED = {
@@ -123,35 +231,6 @@ RESERVED = {
     "vars", "=", "=>", "not", "and", "or", "iff", "forall", "exists",
     "nabla", "delta", "prime", "false", "true", "model", "mlseq",
 }
-
-
-def expect_atom(node: SNode, what: str) -> SAtom:
-    if not isinstance(node, SAtom):
-        raise ProblemError(f"expected {what}", node.line, node.col)
-    return node
-
-
-def expect_list(node: SNode, what: str) -> SList:
-    if not isinstance(node, SList):
-        raise ProblemError(f"expected {what}", node.line, node.col)
-    return node
-
-
-def form_head(node: SNode) -> Optional[str]:
-    """The head symbol of a (head ...) form, or None for any other node."""
-    if isinstance(node, SList) and node.items \
-            and isinstance(node.items[0], SAtom):
-        return node.items[0].text
-    return None
-
-
-def _check_name(tok: SAtom, what: str) -> str:
-    if tok.text in RESERVED:
-        raise ProblemError(
-            f"{tok.text!r} is reserved and cannot be used as {what}",
-            tok.line, tok.col,
-        )
-    return tok.text
 
 
 # Connectives that take their arguments as plain subexpressions: the
@@ -166,103 +245,165 @@ CONNECTIVES: dict[str, tuple[Optional[int], Callable[..., Expression]]] = {
     "nabla": (1, Nabla),
     "delta": (1, delta_),
 }
+_BINDERS: dict[str, Callable[[str, Expression], Expression]] = {
+    "forall": Forall, "exists": exists_}
+
+# What a name means in one environment: its kind ("op", "def", "rigid",
+# "flex" or "const"), its arity, and the node a bare use of it parses to
+# (None when a bare use is an error).
+_Names = dict[str, tuple[str, int, Optional[Expression]]]
+_CONSTANTS: _Names = {"false": ("const", 0, FALSE), "true": ("const", 0, TRUE)}
 
 
-def parse_expression(
-    node: SNode,
-    env: DefinitionEnvironment,
-    bound: tuple[str, ...] = (),
-    in_prime: bool = False,
-) -> Expression:
-    """Parse one expression form, resolving names against env.
-
-    `bound` holds rigid variables bound by enclosing binders (quantifiers or
-    definition parameters); they shadow global declarations.
-    """
-    if isinstance(node, SAtom):
-        name = node.text
-        if name == "false":
-            return FALSE
-        if name == "true":
-            return true_()
-        if name in bound or name in env.rigid_vars:
-            return RigidVar(name)
-        if name in env.flex_vars:
-            return FlexVar(name)
-        kind = env.kind(name)
-        if kind == "op":
-            if env.ops[name] != 0:
-                raise ProblemError(
-                    f"operator {name!r} has arity {env.ops[name]}, "
-                    "bare use needs arity 0", node.line, node.col)
-            return OpApp(name, ())
+def _env_names(env: DefinitionEnvironment) -> _Names:
+    """The names of env, with the kind and arity that
+    `DefinitionEnvironment.kind` and `arity` give them.  A bare name reads
+    as a rigid variable before a flexible one, and either before an
+    operator."""
+    names: _Names = {}
+    for d in reversed(env.definitions):
+        names[d.name] = ("def", len(d.params),
+                         None if d.params else DefApp(d.name, ()))
+    for v in env.flex_vars:
+        names[v] = ("flex", 0, FlexVar(v))
+    for x in env.rigid_vars:
+        names[x] = ("rigid", 0, RigidVar(x))
+    for op, arity in env.ops.items():
+        kind, _, bare = names.get(op, ("def", 0, None))
         if kind == "def":
-            if env.arity(name) != 0:
-                raise ProblemError(
-                    f"defined operator {name!r} has arity "
-                    f"{env.arity(name)}, bare use needs arity 0",
-                    node.line, node.col)
-            return DefApp(name, ())
-        raise ProblemError(f"unknown symbol {name!r}", node.line, node.col)
+            bare = OpApp(op, ()) if arity == 0 else None
+        names[op] = ("op", arity, bare)
+    names.update(_CONSTANTS)
+    return names
 
-    if not node.items:
-        raise ProblemError("empty expression", node.line, node.col)
-    head = node.items[0]
-    rest = node.items[1:]
-    if isinstance(head, SList):
-        raise ProblemError(
-            "expression head must be a symbol", head.line, head.col)
-    h = head.text
 
-    def sub(n: SNode, prime: bool = in_prime) -> Expression:
-        return parse_expression(n, env, bound, prime)
+def _check_arguments(text: str, toks: list[str], names: _Names,
+                     s: int, n: int) -> None:
+    """Raise when the expression form at toks[s], which has n arguments,
+    should have another number."""
+    h = toks[s + 1]
+    if h in CONNECTIVES or h in _BINDERS or h == "prime":
+        count = 2 if h in _BINDERS else 1 if h == "prime" \
+            else CONNECTIVES[h][0]
+        if count is not None and n != count:
+            raise _error(text, f"({h} ...) takes {count} argument(s), "
+                         f"got {n}", s)
+    elif n != names[h][1]:
+        raise _error(text, f"operator {h!r} has arity {names[h][1]}, "
+                     f"got {n} argument(s)", s)
 
-    def need(k: int, form: str) -> None:
-        if len(rest) != k:
-            raise ProblemError(
-                f"({form} ...) takes {k} argument(s), got {len(rest)}",
-                node.line, node.col)
 
-    connective = CONNECTIVES.get(h)
-    if connective is not None:
-        count, make = connective
-        if count is not None:
-            need(count, h)
-        return make(*(sub(n) for n in rest))
-    if h in ("forall", "exists"):
-        need(2, h)
-        var_tok = expect_atom(rest[0], f"a variable name after {h}")
-        var = _check_name(var_tok, "a bound variable")
-        if env.kind(var) in ("flex",):
-            raise ProblemError(
-                f"cannot quantify over flexible variable {var!r}",
-                var_tok.line, var_tok.col)
-        body = parse_expression(rest[1], env, (var,) + bound, in_prime)
-        return Forall(var, body) if h == "forall" else exists_(var, body)
-    if h == "prime":
-        need(1, "prime")
-        if in_prime:
-            raise ProblemError(
-                "prime cannot be nested", node.line, node.col)
-        return Prime(sub(rest[0], prime=True))
-    if h in ("false", "true"):
-        raise ProblemError(
-            f"{h} takes no arguments", node.line, node.col)
+def _expression_fail(text: str, toks: list[str], names: _Names,
+                     checks: Iterable[_Check], stack: list,
+                     message: str, at: Optional[int]) -> None:
+    """`_fail` inside `_expression`, whose open forms are on `stack`."""
+    _fail(text, toks, message, at, checks, [frame[0] for frame in stack],
+          partial(_check_arguments, text, toks, names))
 
-    kind = env.kind(h)
-    if kind in ("op", "def"):
-        arity = env.arity(h)
-        if len(rest) != arity:
-            raise ProblemError(
-                f"operator {h!r} has arity {arity}, got {len(rest)} "
-                "argument(s)", node.line, node.col)
-        args = tuple(sub(n) for n in rest)
-        return OpApp(h, args) if kind == "op" else DefApp(h, args)
-    if kind in ("rigid", "flex") or h in bound:
-        raise ProblemError(
-            f"variable {h!r} cannot be applied to arguments",
-            node.line, node.col)
-    raise ProblemError(f"unknown symbol {h!r}", head.line, head.col)
+
+def _expression(text: str, toks: list[str], i: int, names: _Names,
+                bound: tuple[str, ...] = (),
+                checks: Iterable[_Check] = ()) -> tuple[Expression, int]:
+    """The expression at toks[i], and the index of the token after it.
+
+    `bound` holds rigid variables bound by enclosing binders (quantifiers
+    or definition parameters); they shadow global declarations.  `checks`
+    are the enclosing forms' checks, which come before any error here.
+
+    Each open form is a frame on `stack`: its first token, the number of
+    arguments it collects (None: any), its constructor and, for an
+    operator application, the operator; its arguments so far; and the
+    bound variables and prime flag outside it."""
+    stack: list = []
+    in_prime = False
+    while True:
+        tok = toks[i]
+        if tok == "(":
+            h = toks[i + 1]
+            connective = CONNECTIVES.get(h)
+            if connective is not None:
+                stack.append((i, connective[0], connective[1], None, [],
+                              bound, in_prime))
+                i += 2
+                continue
+            binder = _BINDERS.get(h)
+            if binder is not None:
+                var = toks[i + 2]
+                stack.append((i, 1, partial(binder, var), None, [],
+                              bound, in_prime))
+                message = None
+                if var == "(" or var == ")":
+                    message = f"expected a variable name after {h}"
+                elif var in RESERVED:
+                    message = (f"{var!r} is reserved and cannot be used as "
+                               "a bound variable")
+                elif names.get(var, ("",))[0] == "flex":
+                    message = f"cannot quantify over flexible variable {var!r}"
+                if message is not None:
+                    _expression_fail(text, toks, names, checks, stack,
+                                     message, i + 2)
+                bound = (var,) + bound
+                i += 3
+                continue
+            if h == "prime":
+                stack.append((i, 1, Prime, None, [], bound, in_prime))
+                if in_prime:
+                    _expression_fail(text, toks, names, checks, stack,
+                                     "prime cannot be nested", i)
+                in_prime = True
+                i += 2
+                continue
+            entry = names.get(h)
+            if entry is not None and (entry[0] == "op" or entry[0] == "def"):
+                stack.append((i, entry[1],
+                              OpApp if entry[0] == "op" else DefApp, h, [],
+                              bound, in_prime))
+                i += 2
+                continue
+            if h == "false" or h == "true":
+                message, at = f"{h} takes no arguments", i
+            elif h == ")":
+                message, at = "empty expression", i
+            elif h == "(":
+                message, at = "expression head must be a symbol", i + 1
+            elif entry is not None or h in bound:
+                message, at = \
+                    f"variable {h!r} cannot be applied to arguments", i
+            else:
+                message, at = f"unknown symbol {h!r}", i + 1
+            _expression_fail(text, toks, names, checks, stack, message, at)
+        if tok == ")":
+            if not stack:
+                _expression_fail(text, toks, names, checks, stack,
+                                 "expected an expression", i)
+            start, count, make, op, args, outer, outer_prime = stack[-1]
+            if count is not None and len(args) != count:
+                # the check of this frame, on the stack, raises first
+                _expression_fail(text, toks, names, checks, stack,
+                                 "wrong argument count", start)
+            stack.pop()
+            value = make(*args) if op is None else make(op, tuple(args))
+            bound, in_prime = outer, outer_prime
+        elif bound and tok in bound:
+            value = RigidVar(tok)
+        else:
+            entry = names.get(tok)
+            value = None if entry is None else entry[2]
+            if value is None:
+                if entry is None:
+                    message = f"unknown symbol {tok!r}"
+                elif entry[0] == "op":
+                    message = (f"operator {tok!r} has arity {entry[1]}, "
+                               "bare use needs arity 0")
+                else:
+                    message = (f"defined operator {tok!r} has arity "
+                               f"{entry[1]}, bare use needs arity 0")
+                _expression_fail(text, toks, names, checks, stack,
+                                 message, i)
+        i += 1
+        if not stack:
+            return value, i
+        stack[-1][4].append(value)
 
 
 @dataclass
@@ -288,12 +429,41 @@ class ProblemFile:
                           env=self.env, mode=self.mode)
 
 
+_ARITY = re.compile(r"[0-9]+")
+_SINGLE = ("goal", "init", "next", "invariant", "inductive-invariant")
+# The forms with a fixed number of arguments, and the message when the
+# count (or, for define and mode, the shape) is wrong.
+_FORM_USAGE = {
+    "declare-op": (2, "(declare-op name arity)"),
+    "declare-rigid": (1, "(declare-rigid x)"),
+    "declare-flex": (1, "(declare-flex v)"),
+    "define": (2, "(define (d x1 .. xn) body)"),
+    "assume": (1, "(assume expr)"),
+    "mode": (1, "(mode fol|ml|action)"),
+    **{head: (1, f"({head} expr)") for head in _SINGLE},
+}
+
+
 def parse_file(text: str) -> ProblemFile:
-    return parse_forms(read_sexprs(text))
+    toks = _tokens(text)
+    return _reading(partial(_problem_file, text, toks), text, toks)
 
 
-def parse_forms(forms: list[SNode]) -> ProblemFile:
-    """Interpret the forms of a problem file, as read by read_sexprs."""
+def _declared(text: str, toks: list[str], names: _Names, k: int, what: str,
+              checks: tuple[_Check, ...]) -> str:
+    """The new name at toks[k], which must be neither reserved nor
+    already declared."""
+    name = toks[k]
+    if name in RESERVED:
+        _fail(text, toks, f"{name!r} is reserved and cannot be used as "
+              f"{what}", k, checks)
+    if name in names:
+        _fail(text, toks, f"{name!r} is already declared", k, checks)
+    return name
+
+
+def _problem_file(text: str, toks: list[str]) -> ProblemFile:
+    """The problem file whose tokens are toks, read form by form."""
     ops: dict[str, int] = {}
     rigid: list[str] = []
     flex: list[str] = []
@@ -302,123 +472,131 @@ def parse_forms(forms: list[SNode]) -> ProblemFile:
     single: dict[str, Expression] = {}
     mode: Optional[str] = None
     vars_: Optional[tuple[str, ...]] = None
+    names: _Names = dict(_CONSTANTS)
 
-    def env_now() -> DefinitionEnvironment:
-        return DefinitionEnvironment(
-            ops=dict(ops), rigid_vars=tuple(rigid),
-            flex_vars=tuple(flex), definitions=tuple(defs))
+    i, end = 0, len(toks)
+    while i < end:
+        if toks[i] != "(":
+            _fail(text, toks, f"expected a (...) form, got {toks[i]!r}", i)
+        head = toks[i + 1]
+        if head == "(" or head == ")":
+            _fail(text, toks, "malformed form", i)
+        count, usage = _FORM_USAGE.get(head, (None, ""))
+        checks: tuple[_Check, ...] = () if count is None else \
+            (_need_count(text, toks, i, count + 1, usage),)
 
-    def declare(tok: SAtom, what: str) -> str:
-        name = _check_name(tok, what)
-        if env_now().kind(name) is not None:
-            raise ProblemError(
-                f"{name!r} is already declared", tok.line, tok.col)
-        return name
-
-    for form in forms:
-        if isinstance(form, SAtom):
-            raise ProblemError(
-                f"expected a (...) form, got {form.text!r}",
-                form.line, form.col)
-        head = form_head(form)
-        if head is None:
-            raise ProblemError("malformed form", form.line, form.col)
-        args = form.items[1:]
-
-        if head == "declare-op":
-            if len(args) != 2:
-                raise ProblemError("(declare-op name arity)",
-                                   form.line, form.col)
-            name = declare(expect_atom(args[0], "an operator name"),
-                           "an operator name")
-            arity_tok = expect_atom(args[1], "an arity")
-            try:
-                arity = int(arity_tok.text)
-            except ValueError:
-                arity = -1
-            if arity < 0:
-                raise ProblemError(
-                    f"bad arity {arity_tok.text!r}",
-                    arity_tok.line, arity_tok.col)
-            ops[name] = arity
-        elif head == "declare-rigid":
-            if len(args) != 1:
-                raise ProblemError("(declare-rigid x)", form.line, form.col)
-            rigid.append(declare(expect_atom(args[0], "a variable name"),
-                                 "a rigid variable"))
-        elif head == "declare-flex":
-            if len(args) != 1:
-                raise ProblemError("(declare-flex v)", form.line, form.col)
-            flex.append(declare(expect_atom(args[0], "a variable name"),
-                                "a flexible variable"))
-        elif head == "define":
-            if len(args) != 2 or not isinstance(args[0], SList):
-                raise ProblemError("(define (d x1 .. xn) body)",
-                                   form.line, form.col)
-            header = args[0]
-            if not header.items:
-                raise ProblemError("empty definition header",
-                                   header.line, header.col)
-            name = declare(expect_atom(header.items[0], "an operator name"),
-                           "a defined operator")
-            params = []
-            for p in header.items[1:]:
-                pname = _check_name(expect_atom(p, "a parameter name"),
-                                    "a parameter")
-                if pname in params:
-                    raise ProblemError(
-                        f"repeated parameter {pname!r}", p.line, p.col)
-                params.append(pname)
-            body = parse_expression(args[1], env_now(), tuple(params))
+        if head in _SINGLE or head == "assume":
+            if head in single:
+                _fail(text, toks, f"duplicate ({head} ...) form", i, checks)
+            e, i = _expression(text, toks, i + 2, names, (), checks)
+            if toks[i] != ")":
+                _fail(text, toks, usage, i, checks)
+            i += 1
+            if head == "assume":
+                assumes.append(e)
+            else:
+                single[head] = e
+            continue
+        if head == "define":
+            h = i + 2
+            if toks[h] != "(":
+                _fail(text, toks, usage, i, checks)
+            if toks[h + 1] == ")":
+                _fail(text, toks, "empty definition header", h, checks)
+            if toks[h + 1] == "(":
+                _fail(text, toks, "expected an operator name", h + 1, checks)
+            name = _declared(text, toks, names, h + 1, "a defined operator",
+                             checks)
+            params: list[str] = []
+            k = h + 2
+            while toks[k] != ")":
+                p = toks[k]
+                if p == "(":
+                    _fail(text, toks, "expected a parameter name", k, checks)
+                if p in RESERVED:
+                    _fail(text, toks, f"{p!r} is reserved and cannot be "
+                          "used as a parameter", k, checks)
+                if p in params:
+                    _fail(text, toks, f"repeated parameter {p!r}", k, checks)
+                params.append(p)
+                k += 1
+            body, j = _expression(text, toks, k + 1, names, tuple(params),
+                                  checks)
+            if toks[j] != ")":
+                _fail(text, toks, usage, i, checks)
             stray = [x for x in free_rigid_vars(body) if x not in params]
             if stray:
-                raise ProblemError(
-                    f"definition body has free rigid variables not among "
-                    f"its parameters: {', '.join(stray)}",
-                    form.line, form.col)
+                _fail(text, toks, "definition body has free rigid variables "
+                      f"not among its parameters: {', '.join(stray)}", i)
             defs.append(Definition(name, tuple(params), body))
-        elif head == "assume":
-            if len(args) != 1:
-                raise ProblemError("(assume expr)", form.line, form.col)
-            assumes.append(parse_expression(args[0], env_now()))
-        elif head in ("goal", "init", "next", "invariant",
-                      "inductive-invariant"):
-            if len(args) != 1:
-                raise ProblemError(f"({head} expr)", form.line, form.col)
-            if head in single:
-                raise ProblemError(f"duplicate ({head} ...) form",
-                                   form.line, form.col)
-            single[head] = parse_expression(args[0], env_now())
+            names[name] = ("def", len(params),
+                           None if params else DefApp(name, ()))
+            i = j + 1
+            continue
+
+        # The remaining forms hold atoms only, and are short.
+        args, after = _items(toks, i)
+        del args[0]
+        if count is not None and len(args) != count:
+            _fail(text, toks, usage, i)
+        if head == "declare-op":
+            if toks[args[0]] == "(":
+                _fail(text, toks, "expected an operator name", args[0])
+            name = _declared(text, toks, names, args[0], "an operator name",
+                             ())
+            k = args[1]
+            if toks[k] == "(":
+                _fail(text, toks, "expected an arity", k)
+            if not _ARITY.fullmatch(toks[k]):
+                _fail(text, toks, f"bad arity {toks[k]!r}", k)
+            ops[name] = arity = int(toks[k])
+            names[name] = ("op", arity,
+                           OpApp(name, ()) if arity == 0 else None)
+        elif head == "declare-rigid" or head == "declare-flex":
+            if toks[args[0]] == "(":
+                _fail(text, toks, "expected a variable name", args[0])
+            if head == "declare-rigid":
+                name = _declared(text, toks, names, args[0],
+                                 "a rigid variable", ())
+                rigid.append(name)
+                names[name] = ("rigid", 0, RigidVar(name))
+            else:
+                name = _declared(text, toks, names, args[0],
+                                 "a flexible variable", ())
+                flex.append(name)
+                names[name] = ("flex", 0, FlexVar(name))
         elif head == "mode":
-            if len(args) != 1 or not isinstance(args[0], SAtom):
-                raise ProblemError("(mode fol|ml|action)",
-                                   form.line, form.col)
-            if args[0].text not in ("fol", "ml", "action"):
-                raise ProblemError(f"unknown mode {args[0].text!r}",
-                                   args[0].line, args[0].col)
+            k = args[0]
+            if toks[k] == "(":
+                _fail(text, toks, usage, i)
+            if toks[k] not in ("fol", "ml", "action"):
+                _fail(text, toks, f"unknown mode {toks[k]!r}", k)
             if mode is not None:
-                raise ProblemError("duplicate (mode ...) form",
-                                   form.line, form.col)
-            mode = args[0].text
+                _fail(text, toks, "duplicate (mode ...) form", i)
+            mode = toks[k]
         elif head == "vars":
             if vars_ is not None:
-                raise ProblemError("duplicate (vars ...) form",
-                                   form.line, form.col)
-            names = []
-            for a in args:
-                tok = expect_atom(a, "a flexible variable name")
-                if tok.text not in flex:
-                    raise ProblemError(
-                        f"{tok.text!r} is not a declared flexible variable",
-                        tok.line, tok.col)
-                names.append(tok.text)
-            vars_ = tuple(names)
+                _fail(text, toks, "duplicate (vars ...) form", i)
+            listed: list[str] = []
+            for k in args:
+                v = toks[k]
+                if v == "(":
+                    _fail(text, toks, "expected a flexible variable name", k)
+                if v not in flex:
+                    _fail(text, toks,
+                          f"{v!r} is not a declared flexible variable", k)
+                if v in listed:
+                    _fail(text, toks, f"(vars ...) lists {v} twice", k)
+                listed.append(v)
+            vars_ = tuple(listed)
         else:
-            raise ProblemError(f"unknown form {head!r}",
-                               form.line, form.col)
+            _fail(text, toks, f"unknown form {head!r}", i)
+        i = after
 
     return ProblemFile(
-        env=env_now(),
+        env=DefinitionEnvironment(
+            ops=ops, rigid_vars=tuple(rigid), flex_vars=tuple(flex),
+            definitions=tuple(defs)),
         assumes=tuple(assumes),
         goal=single.get("goal"),
         mode=mode or "fol",
@@ -437,7 +615,16 @@ def parse_problem(text: str) -> Obligation:
 
 def parse_expr(text: str, env: DefinitionEnvironment) -> Expression:
     """Parse a single expression (convenience entry point for tests)."""
-    nodes = read_sexprs(text)
-    if len(nodes) != 1:
-        raise ProblemError("expected exactly one expression")
-    return parse_expression(nodes[0], env)
+    toks = _tokens(text)
+    message = "expected exactly one expression"
+
+    def read() -> Expression:
+        if not toks:
+            _fail(text, toks, message, None)
+        e, i = _expression(text, toks, 0, _env_names(env), (),
+                           (_one_form(text, toks, message),))
+        if i != len(toks):
+            _fail(text, toks, message, None)
+        return e
+
+    return _reading(read, text, toks)

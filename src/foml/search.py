@@ -191,22 +191,60 @@ def _relation(nstates: int, r: int) -> frozenset:
                      if r >> (last - i) & 1)
 
 
+def _byte_tables(dest: Sequence[int]) -> list[list[int]]:
+    """For a map that sends bit b of an int to bit dest[b]: one table per
+    byte of the int, giving the image of each value of that byte."""
+    tables = []
+    for base in range(0, len(dest), 8):
+        table = [0] * 256
+        for v in range(1, 1 << min(8, len(dest) - base)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << dest[base + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 @cache
 def _leader_relations(nstates: int, group: tuple[Perm, ...]
                       ) -> tuple[tuple[int, tuple[Perm, ...]], ...]:
     """The indices of the relations of `_relations(range(nstates))`, in
     its order, that no permutation in `group` maps to an earlier one, each
     with the members of `group` that fix it.  A group is given without
-    its identity, in `permutations` order."""
-    states = range(nstates)
-    pairs = [(s, t) for s in states for t in states]
-    maps = [(p, tuple([p[s] * nstates + p[t] for s, t in pairs]))
-            for p in group]
+    its identity, in `permutations` order.
+
+    A permutation of the states sends each pair to one pair, so it moves
+    each bit of a relation's index to one bit: the image of index r is the
+    OR of one table lookup per byte of r, and "earlier" compares indices
+    as ints.  The leaders are the least members of their orbits: taken in
+    order, an index no earlier leader maps to is a leader, and its images
+    are the rest of its orbit."""
+    npairs = nstates * nstates
+    last = npairs - 1
+    maps = []
+    for p in group:
+        # Pair j of the image is pair p(j) of the relation, so bit
+        # last - index(p(j)) of r becomes bit last - j of the image.
+        dest = [0] * npairs
+        for s in range(nstates):
+            for t in range(nstates):
+                dest[last - (p[s] * nstates + p[t])] = \
+                    last - (s * nstates + t)
+        maps.append((p, _byte_tables(dest)))
+    seen = bytearray(1 << npairs)
     leaders = []
-    for r, mask in enumerate(product((False, True), repeat=len(pairs))):
-        fixers = _least_fixers(mask, maps)
-        if fixers is not None:
-            leaders.append((r, fixers))
+    for r in range(1 << npairs):
+        if seen[r]:
+            continue
+        fixers = []
+        for p, tables in maps:
+            image, rest = 0, r
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            seen[image] = 1
+            if image == r:
+                fixers.append(p)
+        leaders.append((r, tuple(fixers)))
     return tuple(leaders)
 
 

@@ -11,7 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from foml import cli
 from foml.cli import main
 from foml.emit import emit_mlseq, parse_mlseq
-from foml.gen import CHECKS, random_ml_formula, random_model
+from foml.gen import (
+    CHECKS,
+    random_ml_formula,
+    random_ml_sequent,
+    random_model,
+)
 from foml.models import KripkeModel, parse_model, serialize_model
 from foml.parser import parse_problem
 from foml.prover import FRAMES, MLSequent
@@ -654,8 +659,14 @@ def mutated_problems(draw):
     """A demo problem with one to three tokens deleted, inserted or
     replaced; most come out malformed, a few still parse."""
     name = draw(st.sampled_from(sorted(DEMO_TOKENS)))
-    tokens = list(DEMO_TOKENS[name])
-    pool = sorted(set(tokens)) + list(EDIT_TOKENS)
+    return _mutated(draw, DEMO_TOKENS[name], EDIT_TOKENS)
+
+
+def _mutated(draw, tokens, edit_tokens):
+    """tokens with one to three deleted, inserted or replaced, joined by
+    spaces; an inserted or new token comes from tokens or edit_tokens."""
+    tokens = list(tokens)
+    pool = sorted(set(tokens)) + list(edit_tokens)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(tokens) - 1))
         kind = draw(st.sampled_from(("delete", "insert", "replace")))
@@ -669,6 +680,28 @@ def mutated_problems(draw):
             tokens[i] = draw(st.sampled_from(
                 [t for t in pool if (t in "()") == bracket]))
     return " ".join(tokens)
+
+
+# Tokens an edit of an mlseq or a model text may put in.
+SEQUENT_MODEL_EDITS = ("(", ")", "mlseq", "frame", "nabla", "prime", "=>",
+                       "false", "true", "k", "s4", "goal",
+                       "global-hypotheses", "model", "universe", "tt", "ff",
+                       "op", "row", "xi", "states", "R", "primeR", "zeta",
+                       "0", "01", "-1", "s0")
+
+
+@st.composite
+def mutated_sequents_and_models(draw):
+    """An mlseq or a model text as foml prints it, with one to three
+    tokens deleted, inserted or replaced."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        text = emit_mlseq(random_ml_sequent(rng))
+    else:
+        text = serialize_model(random_model(
+            rng, parse_problem(CHECK_PROBLEM).env, need_prime=True))
+    return _mutated(draw, re.findall(r"[()]|[^\s()]+", text),
+                    SEQUENT_MODEL_EDITS)
 
 
 class TestMutatedProblemProperty:

@@ -13,9 +13,10 @@ at a time with the point evaluator; the two must agree exactly, `examined`
 and `resource-out` included, and every lane must agree with the point
 evaluator in the model of its relation.
 """
+import hashlib
 import random
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -360,3 +361,57 @@ def test_every_lane_is_the_point_evaluator_in_its_model():
                 assert (holds >> bit & 1) == (v == m.tt), (e, lane, w)
                 checked += 1
     assert checked > 3000
+
+
+def _mask_tuple_leaders(nstates, group):
+    """`_leader_relations` as it was first written: each relation's mask
+    tuple permuted by every member of the group and compared as a tuple."""
+    pairs = [(s, t) for s in range(nstates) for t in range(nstates)]
+    maps = [(p, [p[s] * nstates + p[t] for s, t in pairs]) for p in group]
+    leaders = []
+    for r, mask in enumerate(product((False, True), repeat=len(pairs))):
+        fixers = []
+        for p, indices in maps:
+            image = tuple(mask[i] for i in indices)
+            if image < mask:
+                break
+            if image == mask:
+                fixers.append(p)
+        else:
+            leaders.append((r, tuple(fixers)))
+    return tuple(leaders)
+
+
+def _zeta_stabilisers(nstates):
+    """The groups `_prefixes` hands to `_leader_relations`: for each way to
+    colour the states (by their zeta values), the permutations that keep
+    every state's colour, less the identity, in `permutations` order."""
+    group = tuple(permutations(range(nstates)))[1:]
+    return sorted({tuple(p for p in group
+                         if all(c[p[w]] == c[w] for w in range(nstates)))
+                   for c in product(range(nstates), repeat=nstates)})
+
+
+class TestLeaderRelations:
+    @pytest.mark.parametrize("nstates", [1, 2, 3])
+    def test_match_the_mask_tuple_reference(self, nstates):
+        # also on the R-stabilisers the primeR search hands it
+        groups = set(_zeta_stabilisers(nstates))
+        for group in list(groups):
+            groups.update(f for _, f in _leader_relations(nstates, group))
+        for group in groups:
+            assert _leader_relations(nstates, group) \
+                == _mask_tuple_leaders(nstates, group)
+
+    def test_four_states_are_pinned(self):
+        # SHA-256 of the mask-tuple reference's leaders and fixers for all
+        # 15 zeta stabilisers at four states; the reference takes seconds.
+        digest = hashlib.sha256()
+        groups = _zeta_stabilisers(4)
+        for group in groups:
+            leaders = _leader_relations(4, group)
+            digest.update(repr((group, leaders)).encode())
+        assert len(groups) == 15
+        assert digest.hexdigest() == ("ee19fb32455831db840fd33883c766aa"
+                                      "e9300fd6c9cb8a2e4e174c82e86a756e")
+        assert len(_leader_relations(4, max(groups, key=len))) == 3044

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,13 +26,16 @@ from foml.gen import (
     random_model,
     rng_for,
 )
-from foml.parser import ProblemError, SAtom, SList, read_sexprs
+from foml.emit import parse_mlseq
+from foml.models import parse_model
+from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
 from foml.syntax import (
     FALSE,
     DefApp,
     Eq,
     FlexVar,
+    FomlError,
     Forall,
     Implies,
     InternalError,
@@ -47,6 +52,13 @@ from foml.syntax import (
     not_,
     or_,
     walk,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference_front_end as reference  # noqa: E402
+from test_cli import (  # noqa: E402
+    mutated_problems,
+    mutated_sequents_and_models,
 )
 
 
@@ -98,90 +110,208 @@ class TestParsing:
         ("(goal (delta))", r"\(delta \.\.\.\) takes 1 argument\(s\), got 0"),
         ("(declare-rigid x) (declare-flex x) (goal false)",
          "already declared"),
+        ("(declare-flex s) (vars s s) (goal false)",
+         r"line 1, col 26: \(vars \.\.\.\) lists s twice"),
+        ("(declare-flex s) (declare-flex t) (vars s t t s)",
+         r"line 1, col 45: \(vars \.\.\.\) lists t twice"),
     ])
     def test_rejections(self, text, msg):
         with pytest.raises(ProblemError, match=msg):
             parse_problem(text)
+
+    @pytest.mark.parametrize("arity", ["1_0", "+0", "-0", "-1", "\u0663",
+                                       "\uff11", "0x1", "1.0", "one"])
+    def test_arity_is_ascii_digits(self, arity):
+        with pytest.raises(ProblemError) as exc:
+            parse_problem(f"(declare-op f {arity}) (goal false)")
+        assert str(exc.value) == f"line 1, col 15: bad arity {arity!r}"
+
+    @pytest.mark.parametrize("arity,expected", [("0", 0), ("007", 7),
+                                                ("12", 12)])
+    def test_arity_digits(self, arity, expected):
+        ob = parse_problem(f"(declare-op f {arity}) (goal false)")
+        assert ob.env.ops == {"f": expected}
 
     def test_prime_inside_nabla_is_fine(self, parse):
         e = parse("(nabla (prime v))")
         assert e == Nabla(Prime(FlexVar("v")))
 
 
-def _reference_read(text):
-    """Reference reader: one character at a time, counting lines at "\n"
-    only and a column for every other character outside a comment."""
-    tokens = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-        elif ch.isspace():
-            col, i = col + 1, i + 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line, col))
-            col, i = col + 1, i + 1
-        else:
-            start, start_col = i, col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i, col = i + 1, col + 1
-            tokens.append((text[start:i], line, start_col))
-    stack, top = [], []
-    for tok, line, col in tokens:
-        if tok == "(":
-            stack.append(([], line, col))
-        elif tok == ")":
-            if not stack:
-                raise ProblemError("unmatched ')'", line, col)
-            items, oline, ocol = stack.pop()
-            (stack[-1][0] if stack else top).append(
-                SList(tuple(items), oline, ocol))
-        else:
-            (stack[-1][0] if stack else top).append(SAtom(tok, line, col))
-    if stack:
-        raise ProblemError("unclosed '('", stack[-1][1], stack[-1][2])
-    return top
-
-
-def _read_or_error(reader, text):
-    try:
-        return reader(text)
-    except ProblemError as exc:
-        return str(exc)
-
-
 READER_PIECES = ["(", ")", "(", ")", "a", "=>", "12", "v'", "\u00e9t\u00e9",
                  "; note (", ";", "\n", " ", "\t", "\r", "\x0b", "\x0c",
                  "\x1c", "\x85", "\u00a0", "\u2028"]
+reader_texts = st.lists(st.sampled_from(READER_PIECES), max_size=40).map(
+    "".join)
+# Names for parse_expr: some READER_PIECES atoms resolve, some do not.
+READER_ENV = DefinitionEnvironment.build(
+    ops={"12": 0, "f": 1}, rigid=("x",), flex=("a", "v'"))
+FRONT_ENDS = {
+    "parse_file": (parse_file, reference.parse_file),
+    "parse_expr": (lambda text: parse_expr(text, READER_ENV),
+                   lambda text: reference.parse_expr(text, READER_ENV)),
+    "parse_mlseq": (parse_mlseq, reference.parse_mlseq),
+    "parse_model": (parse_model, reference.parse_model),
+}
+# The two rules the reference front end lacks.
+NEW_RULES = re.compile(r"\(vars \.\.\.\) lists \S+ twice|bad arity")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FomlError as exc:
+        return exc
+
+
+def _same(a, b):
+    if isinstance(a, FomlError) or isinstance(b, FomlError):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+def _assert_front_ends_agree(text):
+    """Each front end gives what the reference gives on text: an equal
+    result or the same error, position included; only a rule the
+    reference lacks may reject first."""
+    for name, (parse, parse_reference) in FRONT_ENDS.items():
+        got, want = _outcome(parse, text), _outcome(parse_reference, text)
+        if _same(got, want):
+            continue
+        assert name == "parse_file" and isinstance(got, ProblemError) \
+            and NEW_RULES.search(str(got)), (name, text, got, want)
+        assert not isinstance(want, FomlError) \
+            or (want.line, want.col) > (got.line, got.col), (text, want)
+
+
+def _first_error(parse, text):
+    with pytest.raises(ProblemError) as exc:
+        parse(text)
+    return str(exc.value)
 
 
 class TestReader:
-    @given(st.lists(st.sampled_from(READER_PIECES), max_size=40)
-           .map("".join))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_reference_reader(self, text):
-        # same trees, positions and error texts
-        assert _read_or_error(read_sexprs, text) \
-            == _read_or_error(_reference_read, text)
+    """Positions are computed only for an error message; they must be the
+    ones the reference reader gives each token."""
 
-    def test_positions(self):
-        assert read_sexprs("; c (\n (a\t;x\n  bc)\r d") == [
-            SList((SAtom("a", 2, 3), SAtom("bc", 3, 3)), 2, 2),
-            SAtom("d", 3, 8)]
+    @given(reader_texts)
+    @settings(max_examples=120, deadline=None)
+    def test_error_positions_match_the_reference_reader(self, text):
+        try:
+            tokens = reference.reference_read(text)
+        except ProblemError as exc:
+            # Every front end reports a bad parenthesis before anything.
+            for parse, _ in FRONT_ENDS.values():
+                assert _first_error(parse, text) == str(exc)
+            return
+        if not tokens:
+            return
+        # Any form, or atom, at the start of a file is reported where its
+        # first token is: no READER_PIECES atom names a form.
+        first = tokens[0]
+        message = _first_error(parse_file, text)
+        assert message.startswith(f"line {first.line}, col {first.col}: ")
 
     @pytest.mark.parametrize("text,msg", [
         ("(a\n (b)", "line 1, col 1: unclosed '('"),
         ("(a (b\n", "line 1, col 4: unclosed '('"),
+        ("(goal false))\n(goal nope", "line 1, col 13: unmatched ')'"),
         ("a)\n)", "line 1, col 2: unmatched ')'"),
+        # an unbalanced parenthesis comes before an earlier error
+        ("(goal nope) (", "line 1, col 13: unclosed '('"),
+        # "\r", "\x85" and "\u2028" are one column each; only "\n" ends a
+        # line
+        ("(goal\r nope)", "line 1, col 8: unknown symbol 'nope'"),
+        ("(goal\rnope)", "line 1, col 7: unknown symbol 'nope'"),
+        ("\x85(goal nope)", "line 1, col 8: unknown symbol 'nope'"),
+        ("(goal\x85nope)", "line 1, col 7: unknown symbol 'nope'"),
+        ("(goal\u2028\u2028nope)", "line 1, col 8: unknown symbol 'nope'"),
+        ("(declare-flex v)\r\n(goal (= v w)) ; w?\n",
+         "line 2, col 12: unknown symbol 'w'"),
+        ("; c (\n (a\t;x\n  bc)\r d", "line 2, col 2: unknown form 'a'"),
     ])
-    def test_unbalanced(self, text, msg):
-        with pytest.raises(ProblemError) as exc:
-            read_sexprs(text)
-        assert str(exc.value) == msg
+    def test_error_positions(self, text, msg):
+        assert _first_error(parse_file, text) == msg
+
+    @pytest.mark.parametrize("text,msg", [
+        ("", "expected exactly one expression"),
+        ("a v'", "expected exactly one expression"),
+        ("(and a nope) a", "expected exactly one expression"),
+        ("(and a\n nope)", "line 2, col 2: unknown symbol 'nope'"),
+        ("(and a (nabla))", "line 1, col 8: (nabla ...) takes 1 argument(s),"
+         " got 0"),
+        # an argument count comes before the arguments
+        ("(not (f nope) a)", "line 1, col 1: (not ...) takes 1 argument(s),"
+         " got 2"),
+        ("(f (not nope) a)", "line 1, col 1: operator 'f' has arity 1, "
+         "got 2 argument(s)"),
+        ("(prime (nabla (prime a a)))", "line 1, col 15: (prime ...) takes 1"
+         " argument(s), got 2"),
+        ("(prime (nabla (prime a)))", "line 1, col 15: prime cannot be "
+         "nested"),
+        ("(forall (x) a)", "line 1, col 9: expected a variable name after "
+         "forall"),
+        ("(exists a (= a a))", "line 1, col 9: cannot quantify over "
+         "flexible variable 'a'"),
+        ("(forall x (x a))", "line 1, col 11: variable 'x' cannot be applied"
+         " to arguments"),
+        ("(f)", "line 1, col 1: operator 'f' has arity 1, got 0 argument(s)"),
+        ("f", "line 1, col 1: operator 'f' has arity 1, bare use needs "
+         "arity 0"),
+        ("((f a))", "line 1, col 2: expression head must be a symbol"),
+        ("(and ())", "line 1, col 6: empty expression"),
+        ("(true)", "line 1, col 1: true takes no arguments"),
+    ])
+    def test_expression_errors(self, text, msg):
+        parse = FRONT_ENDS["parse_expr"][0]
+        assert _first_error(parse, text) == msg
+        assert _first_error(FRONT_ENDS["parse_expr"][1], text) == msg
+
+    @pytest.mark.parametrize("goal,msg", [
+        ("(=> p (nabla (foo)))", "col 27: unknown modal form 'foo'"),
+        # an argument count comes before the arguments
+        ("(=> (foo) p q)", "col 14: unknown modal form '=>'"),
+        ("(nabla (prime true) p)", "col 14: unknown modal form 'nabla'"),
+        ("(nabla (prime p q))", "col 21: unknown modal form 'prime'"),
+        ("(prime (=> p ()))", "col 27: malformed formula"),
+        ("(nabla true)", "col 21: bad atom 'true'"),
+    ])
+    def test_modal_formula_errors(self, goal, msg):
+        text = f"(mlseq (goal {goal}))"
+        for parse in FRONT_ENDS["parse_mlseq"]:
+            assert _first_error(parse, text) == f"line 1, {msg}"
+
+
+class TestAgainstReferenceFrontEnd:
+    """parse_file, parse_expr, parse_mlseq and parse_model against the
+    tree-building front end they replaced (tests/reference_front_end.py)."""
+
+    @given(reader_texts)
+    @settings(max_examples=80, deadline=None)
+    def test_reader_texts(self, text):
+        _assert_front_ends_agree(text)
+
+    @given(mutated_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_mutated_problems(self, text):
+        _assert_front_ends_agree(text)
+
+    @given(mutated_sequents_and_models())
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_sequents_and_models(self, text):
+        _assert_front_ends_agree(text)
+
+    @pytest.mark.parametrize("text", [
+        "(declare-flex s) (vars s s) (goal false)",
+        "(declare-flex s) (declare-flex t) (vars s t s t) (goal nope)",
+        "(declare-op f 1_0) (goal false)",
+        "(declare-op f +0) (goal (nope))",
+        "(declare-op f -0) (goal false)",
+        "(declare-op f \u0663) (goal false)",
+    ])
+    def test_only_the_new_rules_differ(self, text):
+        got = _outcome(parse_file, text)
+        assert isinstance(got, ProblemError) and NEW_RULES.search(str(got))
+        _assert_front_ends_agree(text)
 
 
 class TestFreeVars:
@@ -483,6 +613,21 @@ class TestDepthIndependence:
         nodes = list(walk(e))
         assert len(nodes) == 10_001
         assert nodes[-1] == FlexVar("v")
+
+    def test_deep_nabla_parses_at_the_default_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        goal = parse_problem("(declare-flex v) (goal " + "(nabla " * 5000
+                             + "(= v v)" + ")" * 5001).goal
+        for _ in range(5000):
+            assert isinstance(goal, Nabla)
+            goal = goal.body
+        assert goal == Eq(FlexVar("v"), FlexVar("v"))
+        # the modal-sequent reader keeps its own stack
+        goal = parse_mlseq("(mlseq (goal " + "(nabla " * 5000 + "p"
+                           + ")" * 5002).goal
+        for _ in range(5000):
+            goal = goal.body
+        assert goal == FlexVar("p")
 
     @pytest.mark.parametrize("n", range(9))
     def test_and_or_match_the_nested_definition(self, n):

@@ -192,11 +192,14 @@ def parse_model(text: str) -> KripkeModel:
         return _items(toks, k)[0]
 
     def value(k: int, what: str) -> Value:
+        # An int only where it prints back as the same text, so that the
+        # model round-trips: 01, +0, 1_0 and non-ASCII digits stay atoms.
         v = atom(k, what)
         try:
-            return int(v)
+            n = int(v)
         except ValueError:
             return v
+        return n if str(n) == v else v
 
     top = items(0, "(model ...)")
     if not top or atom(top[0], "model") != "model":

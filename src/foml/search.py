@@ -18,23 +18,28 @@ permutations that fix zeta, and primeR over those least under the
 permutations that fix both.  `enumerate_models` remains the full
 labelled enumeration, the oracle the search is tested against.
 
-The models are not built one at a time.  A prefix (universe, states, xi,
-tables and a zeta leader) is evaluated once for all its candidate
-relations together, by the lane closures of `semantics.compile_lanes`:
-the innermost enumerated relation (R without prime, primeR with prime)
-ranges over a block of at most 512 relations, one lane per (relation,
-state); with prime, R takes its leaders one at a time.  From 4 states
-on, all but the last 9 pairs of a relation are enumerated outside the
-block, and blocks without a leader are skipped.  A block's countermodels are its leader
-lanes where every hypothesis holds at every state and the goal fails at
-some state; the first is the lowest such lane, and `examined` counts the
-leaders up to it.  Only the model returned is built.
+The models are not built one at a time, but evaluated a lane block at a
+time by the lane closures of `semantics.compile_lanes`.  A segment is a
+prefix (universe, states, xi, tables and a zeta leader), its R leader
+when prime occurs, and a block of at most 512 relations that the
+innermost enumerated relation (R without prime, primeR with prime)
+ranges over, one lane per (relation, state).  From 4 states on, all but
+the last 9 pairs of a relation are enumerated outside the block, and
+blocks without a leader are skipped.  Consecutive segments that share a
+universe and a state count are packed into one lane block of at most
+`_LANE_BUDGET` lanes, with their xi, tables and zeta as one-hot masks;
+the first block of each universe and state count is small and each next
+one twice as large.  A block's countermodels are its leader lanes where
+every hypothesis holds at every state and the goal fails at some state;
+the first is the lowest such lane, which is the first in enumeration
+order, and `examined` counts the leaders up to it.  Only the model
+returned is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import (
     Callable,
     Iterable,
@@ -46,20 +51,14 @@ from typing import (
 )
 
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import (
-    Access,
-    BlockLanes,
-    Lanes,
-    compile_fol,
-    compile_lanes,
-)
+from .semantics import Access, Lanes, compile_fol, compile_lanes
 from .syntax import (
     DefinitionEnvironment,
     Expression,
     Obligation,
     Prime,
+    children,
     collect_signature,
-    contains_node,
 )
 
 
@@ -265,6 +264,36 @@ class _Prefix(NamedTuple):
                            self.states, R, self.zeta, primeR=primeR)
 
 
+def _runs(ops: Mapping[str, int], rigid: Sequence[str],
+          universe: tuple[Value, ...]) -> Iterator[tuple[dict, dict]]:
+    """(xi, operator tables) over a universe, in enumeration order."""
+    for xi_vals in product(universe, repeat=len(rigid)):
+        xi = dict(zip(rigid, xi_vals))
+        for tables in _lazy_product(_tables_space(ops, universe)):
+            yield xi, dict(zip(ops, tables))
+
+
+def _zeta_leaders(nflex: int, universe: tuple[Value, ...], nstates: int
+                  ) -> Iterator[tuple[tuple[Value, ...], tuple[Perm, ...]]]:
+    """The zeta values of nflex variables on nstates states (variable by
+    variable, state by state) that come first in their orbit under the
+    permutations of the states, in order, each with the permutations
+    that fix them."""
+    states = range(nstates)
+    zeta_maps = [(p, tuple([i * nstates + p[w]
+                            for i in range(nflex) for w in states]))
+                 for p in tuple(permutations(states))[1:]]
+    for zeta_vals in product(universe, repeat=nflex * nstates):
+        fixers = _least_fixers(zeta_vals, zeta_maps)
+        if fixers is not None:
+            yield zeta_vals, fixers
+
+
+def _zeta(flex: Sequence[str], nstates: int, vals: tuple[Value, ...]
+          ) -> dict:
+    return dict(zip([(v, w) for v in flex for w in range(nstates)], vals))
+
+
 def _prefixes(
     ops: Mapping[str, int],
     rigid: Sequence[str],
@@ -279,23 +308,11 @@ def _prefixes(
         universe = tuple(range(usize))
         for nstates in range(1, max_states + 1):
             states = tuple(range(nstates))
-            flex_keys = [(v, w) for v in flex for w in states]
-            group = tuple(permutations(states))[1:]
-            zeta_maps = [(p, tuple([i * nstates + p[w]
-                                    for i in range(len(flex))
-                                    for w in states]))
-                         for p in group]
-            for xi_vals in product(universe, repeat=len(rigid)):
-                xi = dict(zip(rigid, xi_vals))
-                for tables in _lazy_product(_tables_space(ops, universe)):
-                    op_interp = dict(zip(ops, tables))
-                    for zeta_vals in product(universe,
-                                             repeat=len(flex_keys)):
-                        fixers = _least_fixers(zeta_vals, zeta_maps)
-                        if fixers is not None:
-                            yield _Prefix(universe, states, xi, op_interp,
-                                          dict(zip(flex_keys, zeta_vals)),
-                                          fixers)
+            for xi, op_interp in _runs(ops, rigid, universe):
+                for vals, fixers in _zeta_leaders(len(flex), universe,
+                                                  nstates):
+                    yield _Prefix(universe, states, xi, op_interp,
+                                  _zeta(flex, nstates, vals), fixers)
 
 
 def _orbit_leaders(
@@ -318,14 +335,25 @@ def _orbit_leaders(
                 yield pre.model(_relation(n, r), _relation(n, pr))
 
 
-# A lane block holds the relations on n states that share their first
-# n*n - 9 pairs (all of them when n <= 3): at most 512 relations, so the
-# masks of a block stay a few hundred bytes and its box tables small.
+# A segment's lanes range over the relations on n states that share
+# their first n*n - 9 pairs (all of them when n <= 3): at most 512
+# relations, so that the blocks without a leader can be skipped.
 _BLOCK_PAIRS = 9
+
+# A lane block packs consecutive segments of one universe and state count
+# into at most this many lanes (at least one segment).  The first block
+# of each universe and state count holds one run's segments when a block
+# holds them all, else one segment, and each next one twice as many, so
+# an early countermodel pays for few later segments.
+_LANE_BUDGET = 4096
 
 
 def _block_pairs(nstates: int) -> int:
     return min(nstates * nstates, _BLOCK_PAIRS)
+
+
+def _segment_lanes(nstates: int) -> int:
+    return nstates << _block_pairs(nstates)
 
 
 def _spread(count: int, stride: int) -> int:
@@ -334,13 +362,12 @@ def _spread(count: int, stride: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _block(nstates: int, block: int) -> tuple[int, int, Access]:
-    """(full, rep, the relations as lanes) of a lane block: lane
-    r * nstates + w is state w of the relation whose index has the
-    binary digits of `block` followed by the last pairs' digits, r."""
+def _block(nstates: int, block: int) -> Access:
+    """The relations of a segment as lanes: lane r * nstates + w is state
+    w of the relation whose index has the binary digits of `block`
+    followed by the last pairs' digits, r."""
     n, low = nstates, _block_pairs(nstates)
     width = 1 << low
-    full = (1 << width * n) - 1
     rep = _spread(width, n)
     last = n * n - 1
     pairs = {}
@@ -355,30 +382,174 @@ def _block(nstates: int, block: int) -> tuple[int, int, Access]:
             lanes = rep if block >> (bit - low) & 1 else 0
         w, t = divmod(i, n)
         pairs[w, t] = lanes << w
-    return full, rep, Access(n, full, rep, pairs)
+    return Access.of_pairs(n, rep, pairs)
 
 
 @lru_cache(maxsize=1024)
 def _fixed_relation(nstates: int, r: int) -> Access:
-    """Relation r in every lane of a block: each edge (w, t) holds at
+    """Relation r in every lane of a segment: each edge (w, t) holds at
     column w of every relation."""
-    full, rep, _ = _block(nstates, 0)
-    return Access(nstates, full, rep,
-                  {(w, t): rep << w for w, t in _relation(nstates, r)})
+    rep = _spread(1 << _block_pairs(nstates), nstates)
+    return Access.of_pairs(nstates, rep, {(w, t): rep << w
+                                          for w, t in _relation(nstates, r)})
 
 
 @cache
 def _leader_lanes(nstates: int, group: tuple[Perm, ...]
-                  ) -> tuple[tuple[int, int, int], ...]:
+                  ) -> tuple[tuple[int, int], ...]:
     """The relations of `_leader_relations` as lanes: (block, the first
-    lanes of its leaders, their count), for each block that has one, in
-    order."""
+    lanes of its leaders), for each block that has one, in order."""
     low = _block_pairs(nstates)
     blocks: dict[int, int] = {}
     for r, _ in _leader_relations(nstates, group):
         b = r >> low
         blocks[b] = blocks.get(b, 0) | 1 << (r & ((1 << low) - 1)) * nstates
-    return tuple((b, m, m.bit_count()) for b, m in blocks.items())
+    return tuple(blocks.items())
+
+
+class _Tail(NamedTuple):
+    """A segment less its xi and tables: its zeta values, R's index when
+    the lanes range over primeR (else None), the block of relations the
+    lanes range over and the first lanes of its leaders."""
+    zeta: tuple[Value, ...]
+    r: Optional[int]
+    block: int
+    leaders: int
+
+
+def _tails(nflex: int, usize: int, nstates: int, prime: bool
+           ) -> Iterator[_Tail]:
+    """The tails of the segments of one universe size and state count,
+    which are the same for every xi and tables, in order."""
+    for zeta, fixers in _zeta_leaders(nflex, tuple(range(usize)), nstates):
+        outer = _leader_relations(nstates, fixers) if prime \
+            else ((None, fixers),)
+        for r, inner in outer:
+            for block, leaders in _leader_lanes(nstates, inner):
+                yield _Tail(zeta, r, block, leaders)
+
+
+# The masks of tails laid side by side, keyed ("leaders",), ("flex", the
+# variable's index, value), ("edges", relation, shift) and ("func",
+# relation), relation 0 being R and 1 primeR.
+Masks = dict[tuple, int]
+
+
+def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
+    """The masks of tails laid side by side from lane 0, tail i from lane
+    i * `_segment_lanes` on.  Many tails are laid out in halves, so that
+    no mask is rebuilt once per tail."""
+    stride = _segment_lanes(nstates)
+    if len(tails) > 16:
+        half = len(tails) // 2
+        masks = _tail_masks(tails[:half], nstates)
+        at = half * stride
+        for key, mask in _tail_masks(tails[half:], nstates).items():
+            masks[key] = masks.get(key, 0) | mask << at
+        return masks
+    rep = _spread(1 << _block_pairs(nstates), nstates)
+    masks = {}
+    for i, tail in enumerate(tails):
+        at = i * stride
+        parts = [(("leaders",), tail.leaders)]
+        for j, val in enumerate(tail.zeta):
+            parts.append((("flex", j // nstates, val), rep << j % nstates))
+        rels = (_block(nstates, tail.block),) if tail.r is None else (
+            _fixed_relation(nstates, tail.r), _block(nstates, tail.block))
+        for rel, access in enumerate(rels):
+            parts += [(("edges", rel, d), mask) for d, mask in access.edges]
+            parts.append((("func", rel), access.func))
+        for key, mask in parts:
+            masks[key] = masks.get(key, 0) | mask << at
+    return masks
+
+
+def _most(nstates: int) -> int:
+    """The number of segments a lane block holds at most."""
+    return max(1, _LANE_BUDGET // _segment_lanes(nstates))
+
+
+class _Layout(NamedTuple):
+    """The first tails of a universe size and state count, as many as one
+    lane block holds, with their masks from lane 0; `whole` when they are
+    all the tails."""
+    tails: tuple[_Tail, ...]
+    masks: Masks
+    whole: bool
+
+    def window(self, a: int, b: int, nstates: int) -> Masks:
+        """The masks of tails a .. b-1 from lane 0."""
+        if a == 0 and b == len(self.tails):
+            return self.masks
+        stride = _segment_lanes(nstates)
+        keep = (1 << (b - a) * stride) - 1
+        return {key: mask >> a * stride & keep
+                for key, mask in self.masks.items()}
+
+
+@lru_cache(maxsize=64)
+def _layout(nflex: int, usize: int, nstates: int, prime: bool) -> _Layout:
+    """The layout of a universe size and state count.  Every run of xi
+    and tables has the same tails, and so does every search with as many
+    flexible variables, so they are drawn and laid out once."""
+    most = _most(nstates)
+    tails = tuple(islice(_tails(nflex, usize, nstates, prime), most + 1))
+    return _Layout(tails[:most], _tail_masks(tails[:most], nstates),
+                   len(tails) <= most)
+
+
+class _Piece(NamedTuple):
+    """Consecutive segments of one run: its xi and tables, their tails and
+    the tails' masks."""
+    xi: dict
+    op_interp: dict
+    tails: Sequence[_Tail]
+    masks: Masks
+
+
+def _pack(pieces: Sequence[_Piece], flex: Sequence[str],
+          universe: tuple[Value, ...], nstates: int) -> tuple[int, Lanes]:
+    """(the first lanes of the leaders, the lanes) of the segments of
+    pieces laid side by side, over one universe and state count: lane
+    i * `_segment_lanes` + r * nstates + w is state w of relation r of
+    segment i.  xi and the tables are one-hot over each piece's lanes."""
+    stride = _segment_lanes(nstates)
+    masks: Masks = {}
+    xi: dict[str, dict[Value, int]] = {}
+    ops: dict[str, dict[tuple[Value, ...], dict[Value, int]]] = {}
+    at = 0
+    for piece in pieces:
+        if at:
+            for key, mask in piece.masks.items():
+                masks[key] = masks.get(key, 0) | mask << at
+        else:
+            masks.update(piece.masks)
+        size = len(piece.tails) * stride
+        lanes = ((1 << size) - 1) << at
+        at += size
+        for x, val in piece.xi.items():
+            values = xi.setdefault(x, {})
+            values[val] = values.get(val, 0) | lanes
+        for op, table in piece.op_interp.items():
+            rows = ops.setdefault(op, {})
+            for args, val in table.items():
+                values = rows.setdefault(args, {})
+                values[val] = values.get(val, 0) | lanes
+    flex_lanes: dict[str, dict[Value, int]] = {v: {} for v in flex}
+    edges: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    func = [0, 0]
+    for key, mask in masks.items():
+        if key[0] == "flex":
+            flex_lanes[flex[key[1]]][key[2]] = mask
+        elif key[0] == "edges":
+            edges[key[1]][key[2]] = mask
+        elif key[0] == "func":
+            func[key[1]] = mask
+    access = (Access(edges[0], func[0]),
+              Access(edges[1], func[1]) if ("func", 1) in masks else None)
+    k = Lanes(nstates, universe, 0, 1, (1 << at) - 1,
+              _spread(at // nstates, nstates), xi, ops, flex_lanes, access)
+    return masks[("leaders",)], k
 
 
 def _lane_blocks(
@@ -388,27 +559,47 @@ def _lane_blocks(
     max_universe: int,
     max_states: int,
     prime: bool,
-) -> Iterator[tuple[_Prefix, Optional[int], int, int, int, BlockLanes]]:
-    """The orbit leaders, a lane block at a time, in order: (prefix, the
-    index of R when the lanes range over primeR, block, the first lanes of
-    the block's leaders, their count, the block's lanes)."""
-    for pre in _prefixes(ops, rigid, flex, max_universe, max_states):
-        n = len(pre.states)
-        state = Lanes(n, pre.universe, 0, 1, pre.xi, pre.op_interp,
-                      pre.zeta)
-        outer = _leader_relations(n, pre.fixers) if prime \
-            else ((None, pre.fixers),)
-        for r, fixers in outer:
-            for block, leaders, count in _leader_lanes(n, fixers):
-                full, rep, lanes = _block(n, block)
-                access = (_fixed_relation(n, r), lanes) if prime \
-                    else (lanes, None)
-                yield (pre, r, block, leaders, count,
-                       BlockLanes(state, full, rep, *access))
+) -> Iterator[tuple[list[_Piece], int, Lanes]]:
+    """The orbit leaders a lane block at a time, in order: (the block's
+    pieces, the first lanes of its leaders, its lanes).  A run's tails
+    come from the `_Layout` as far as it holds them, and past it from a
+    fresh enumeration."""
+    for usize in range(2, max_universe + 1):
+        universe = tuple(range(usize))
+        for n in range(1, max_states + 1):
+            layout = _layout(len(flex), usize, n, prime)
+            drawn = len(layout.tails)
+            pieces: list[_Piece] = []
+            size = need = drawn if layout.whole else 1
+            for xi, op_interp in _runs(ops, rigid, universe):
+                a, rest = 0, None
+                while True:
+                    if a < drawn:
+                        chunk = layout.tails[a:a + need]
+                        masks = layout.window(a, a + len(chunk), n)
+                    elif layout.whole:
+                        break
+                    else:
+                        if rest is None:
+                            rest = islice(_tails(len(flex), usize, n, prime),
+                                          a, None)
+                        chunk = list(islice(rest, need))
+                        if not chunk:
+                            break
+                        masks = _tail_masks(chunk, n)
+                    pieces.append(_Piece(xi, op_interp, chunk, masks))
+                    need -= len(chunk)
+                    a += len(chunk)
+                    if not need:
+                        yield (pieces, *_pack(pieces, flex, universe, n))
+                        pieces, size = [], min(2 * size, _most(n))
+                        need = size
+            if pieces:
+                yield (pieces, *_pack(pieces, flex, universe, n))
 
 
 def _everywhere(k: Lanes, mask: int) -> int:
-    """The first lane of each relation whose lanes are all in mask: the
+    """The first lane of each model whose lanes are all in mask: the
     models of the block where a formula holds at every state."""
     acc = mask
     for s in range(1, k.nstates):
@@ -418,9 +609,15 @@ def _everywhere(k: Lanes, mask: int) -> int:
 
 def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
     """Whether a prime occurs in `exprs` or in any definition body; by
-    occurrence, since an argument the body drops is still evaluated."""
-    return any(contains_node(e, Prime) for e in exprs) or any(
-        contains_node(d.body, Prime) for d in env.definitions)
+    occurrence, since an argument the body drops is still evaluated.  One
+    walk over all of them, which stops at the first prime."""
+    stack = [*exprs, *(d.body for d in env.definitions)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Prime):
+            return True
+        stack.extend(children(e))
+    return False
 
 
 def find_countermodel(
@@ -431,15 +628,14 @@ def find_countermodel(
     for a model satisfying every hypothesis at every state while
     falsifying the goal at some state.
 
-    The models of a prefix are evaluated together, a lane block of
-    relations at a time (`compile_lanes`), and only the model returned is
-    built."""
+    The models are evaluated a lane block at a time (`compile_lanes`),
+    and only the model returned is built."""
     ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
     prime = needs_prime(ob.env, *ob.all_exprs())
     hyps = [compile_lanes(h, ob.env) for h in ob.hypotheses]
     goal = compile_lanes(ob.goal, ob.env)
     examined = 0
-    for pre, r, block, leaders, count, k in _lane_blocks(
+    for pieces, leaders, k in _lane_blocks(
             ops, rigid, flex, bounds.max_universe, bounds.max_states,
             prime):
         ok = leaders
@@ -458,17 +654,33 @@ def find_countermodel(
             n = k.nstates
             column = holds >> first & ((1 << n) - 1)
             w = (~column & column + 1).bit_length() - 1
-            rel = _relation(n, block << _block_pairs(n) | first // n)
-            m = pre.model(rel) if r is None \
-                else pre.model(_relation(n, r), rel)
-            return SearchResult("found", model=m, state=w,
-                                examined=examined)
-        examined += count
+            return SearchResult("found",
+                                model=_lane_model(pieces, flex, k, first),
+                                state=w, examined=examined)
+        examined += leaders.bit_count()
         if examined > bounds.max_models:
             break
     else:
         return SearchResult("none", examined=examined)
     return SearchResult("resource-out", examined=bounds.max_models)
+
+
+def _lane_model(pieces: Sequence[_Piece], flex: Sequence[str], k: Lanes,
+                lane: int) -> KripkeModel:
+    """The model of a lane of a block."""
+    n = k.nstates
+    i, lane = divmod(lane, _segment_lanes(n))
+    for piece in pieces:
+        if i < len(piece.tails):
+            break
+        i -= len(piece.tails)
+    tail = piece.tails[i]
+    rel = _relation(n, tail.block << _block_pairs(n) | lane // n)
+    R, primeR = (rel, None) if tail.r is None \
+        else (_relation(n, tail.r), rel)
+    return KripkeModel(k.universe, 0, 1, piece.op_interp, piece.xi,
+                       tuple(range(n)), R, _zeta(flex, n, tail.zeta),
+                       primeR=primeR)
 
 
 def enumerate_fol_structures(

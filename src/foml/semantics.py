@@ -18,9 +18,10 @@ as `obligation_checker` does for an obligation; it is the per-model check
 behind `check-model`, `countermodel_state` and the tests' sweeps.
 
 `compile_lanes` compiles the same semantics a second way, for bounded
-search: one call gives an expression's value in every model of a block
-that differ only in one accessibility relation, as an int bitset over
-(relation, state) lanes (see the comment above `Access`).
+search: one call gives an expression's value in every model of a lane
+block, models that share a universe and a state count but may differ in
+everything else, as an int bitset over (model, state) lanes (see the
+comment above `Access`).
 
 The AST has no negation, conjunction or disjunction: `not_`, `and_` and
 `or_` build them from implications and false.  `_compile` recognises those
@@ -337,52 +338,55 @@ def _outside(e: Expression, fragment: str) -> Evaluator:
 
 # Lanes: one evaluation for many models at once.
 #
-# The models of a bounded search that share universe, states, xi, tables
-# and zeta differ only in an accessibility relation.  `compile_lanes`
-# compiles an expression once into a closure of (lanes, bindings) that
-# gives, as one int, the value of the expression in all of them: bit
-# r * n + w (a lane) stands for state w of the model with the r-th
-# relation of a block, n being the number of states.  This is global
-# model checking (each subformula's extension computed bottom-up as a set
-# of states, Clarke, Emerson & Sistla, TOPLAS 1986), widened from the
-# states of one model to the states of every relation of a block.
+# A bounded search evaluates each expression in many models that share a
+# universe and a number of states n.  `compile_lanes` compiles it once
+# into a closure of (lanes, bindings) that gives, as one int, its value
+# in all the models of a block: bit g * n + w (a lane) stands for state w
+# of the block's model g.  This is global model checking (each
+# subformula's extension computed bottom-up as a set of states, Clarke,
+# Emerson & Sistla, TOPLAS 1986), widened from the states of one model to
+# the states of every model of a block.
 #
 # A formula is compiled to the mask of the lanes where it is tt (it is ff
 # elsewhere); a term, whose values are not truth values, to a one-hot
 # dict from each value it takes to the mask of the lanes where it takes
-# it.  A subexpression without a modality does not depend on the
-# relation: it is evaluated in the block's `state` lanes, one lane of n
-# bits, and broadcast to every relation by multiplying by `rep`.  A
-# nabla (or the truth of a prime) is the box of its body's mask over the
-# relation's `Access` table.  The kernels compute every operand, where
-# the point evaluator stops at the first decisive one; they give the same
-# values whenever evaluation raises no error, which is always the case in
-# a model that interprets every symbol the expression uses, as the
-# models of a search do.
+# it.  The models of a block may differ in everything but the universe
+# and the states: their xi values, operator tables and flexible values
+# are one-hot masks too (see `Lanes`), and each model has its own
+# relations (see `Access`).  A nabla (or the truth of a prime) is the box
+# of its body's mask over the relation.  The kernels compute every
+# operand, where the point evaluator stops at the first decisive one;
+# they give the same values whenever evaluation raises no error, which is
+# always the case in a model that interprets every symbol the expression
+# uses, as the models of a search do.
 
 class Access:
-    """One accessibility relation per lane, as the modal kernels read it.
-    `pairs` maps each state pair (w, t) to the lanes at column w whose
-    relation has the edge (w, t).  `edges` pairs each shift d = w - t with
-    the lanes that have some edge (w, w - d), so a box is one mask
-    operation per shift; `table[s]` is the box of the state mask s
-    broadcast to every relation; `func` holds the lanes whose relation is
-    a total function on the states, and `func_edges` is `edges` inside
-    them."""
+    """One accessibility relation per model of a block, as the modal
+    kernels read it.  `edges` pairs each shift d = w - t with the lanes
+    (g, w) whose model g has the edge (w, t), so a box is one mask
+    operation per shift; `func` holds the lanes of the models whose
+    relation is a total function on the states, and `func_edges` is
+    `edges` inside them."""
 
-    __slots__ = ("edges", "table", "func", "func_edges")
+    __slots__ = ("edges", "func", "func_edges")
 
-    def __init__(self, nstates: int, full: int, rep: int,
-                 pairs: Mapping[tuple[int, int], int]):
+    def __init__(self, edges: Mapping[int, int], func: int):
+        self.edges = tuple(edges.items())
+        self.func = func
+        self.func_edges = tuple((d, mask & func) for d, mask in self.edges)
+
+    @classmethod
+    def of_pairs(cls, nstates: int, rep: int,
+                 pairs: Mapping[tuple[int, int], int]) -> "Access":
+        """The relations given by `pairs`, which maps each state pair
+        (w, t) to the lanes at column w whose model has the edge (w, t);
+        `rep` is the first lane of each model."""
         by_shift: dict[int, int] = {}
         for (w, t), mask in pairs.items():
             if mask:
                 by_shift[w - t] = by_shift.get(w - t, 0) | mask
-        self.edges = tuple(by_shift.items())
-        self.table = tuple([_box(s * rep, self.edges, full)
-                            for s in range(1 << nstates)])
         # The lanes at column w with exactly one successor of w, then the
-        # relations that have one at every column, spread to their lanes.
+        # models that have one at every column, spread to their lanes.
         one = 0
         for w in range(nstates):
             seen = twice = 0
@@ -394,51 +398,32 @@ class Access:
         func = one
         for s in range(1, nstates):
             func &= one >> s
-        self.func = (func & rep) * ((1 << nstates) - 1)
-        self.func_edges = tuple((d, mask & self.func)
-                                for d, mask in self.edges)
+        return cls(by_shift, (func & rep) * ((1 << nstates) - 1))
 
 
 class Lanes:
-    """Where a lane-compiled closure runs.  These are the state lanes of a
-    model whose states are 0 .. nstates-1, one relation wide: the prefix
-    of the model (universe, tt, ff, xi, operator tables, and each
-    flexible variable's one-hot values by state), `full` (every lane),
-    `rep` (the first lane of each relation), the relations `access` (R,
-    primeR; none here) and `state`, the state lanes that the
-    modality-free subexpressions run in (these)."""
+    """A block of models over one universe and the states 0 .. nstates-1,
+    where a lane-compiled closure runs: `full` is every lane and `rep`
+    the first lane of each model.  `xi` maps each rigid variable and
+    `flex` each flexible variable to its one-hot values, `ops` maps each
+    operator to the one-hot values of its result for each tuple of
+    arguments, and `access` holds the relations (R, primeR) as
+    `Access`es, primeR None when no model has one."""
 
-    __slots__ = ("nstates", "universe", "tt", "ff", "xi", "ops", "flex",
-                 "full", "rep", "access", "state")
+    __slots__ = ("nstates", "universe", "tt", "ff", "full", "rep", "xi",
+                 "ops", "flex", "access")
 
     def __init__(self, nstates: int, universe: tuple[Value, ...],
-                 tt: Value, ff: Value, xi: Mapping[str, Value],
-                 ops: Mapping[str, Mapping[tuple[Value, ...], Value]],
-                 zeta: Mapping[tuple[str, int], Value]):
+                 tt: Value, ff: Value, full: int, rep: int,
+                 xi: Mapping[str, Mapping[Value, int]],
+                 ops: Mapping[str, Mapping[tuple[Value, ...],
+                                           Mapping[Value, int]]],
+                 flex: Mapping[str, Mapping[Value, int]],
+                 access: tuple[Access, Optional[Access]]):
         self.nstates, self.universe, self.tt, self.ff = (
             nstates, universe, tt, ff)
-        self.xi, self.ops = xi, ops
-        flex: dict[str, dict[Value, int]] = {}
-        for (v, w), val in zeta.items():
-            column = flex.setdefault(v, {})
-            column[val] = column.get(val, 0) | 1 << w
-        self.flex = flex
-        self.full, self.rep, self.access, self.state = (
-            (1 << nstates) - 1, 1, (), self)
-
-
-class BlockLanes(Lanes):
-    """State lanes repeated for every relation of a block."""
-
-    __slots__ = ()
-
-    def __init__(self, state: Lanes, full: int, rep: int,
-                 R: Optional[Access], primeR: Optional[Access]):
-        self.nstates, self.universe, self.tt, self.ff = (
-            state.nstates, state.universe, state.tt, state.ff)
-        self.xi, self.ops, self.flex = state.xi, state.ops, state.flex
-        self.full, self.rep, self.access, self.state = (
-            full, rep, (R, primeR), state)
+        self.full, self.rep = full, rep
+        self.xi, self.ops, self.flex, self.access = xi, ops, flex, access
 
 
 # A lane-compiled expression: (lanes, bindings) -> the mask of the lanes
@@ -449,107 +434,75 @@ LaneEvaluator = Callable[[Lanes, Mapping[str, Value]], Any]
 def compile_lanes(e: Expression, env: DefinitionEnvironment
                   ) -> LaneEvaluator:
     """The lanes where e is tt, as a function of (lanes, bindings)."""
-    modal, fn = _lanes(e, env, True)
-    return fn if modal else _lift(fn, True)
+    return _lanes(e, env, True)
 
 
 def _lanes(e: Expression, env: DefinitionEnvironment,
-           boolean: bool) -> tuple[bool, LaneEvaluator]:
-    """(whether e has a modality, e compiled over lanes): the mask of the
-    lanes where e is tt when `boolean`, else e's one-hot values.  An
-    expression without a modality is compiled to run in state lanes; the
-    nodes above it lift it.  Definition bodies are substituted here, once
-    per application node."""
+           boolean: bool) -> LaneEvaluator:
+    """e compiled over lanes: the mask of the lanes where e is tt when
+    `boolean`, else e's one-hot values.  Definition bodies are
+    substituted here, once per application node."""
     match e:
         case Implies(lhs, rhs):
             if type(rhs) is FalseExpr:
                 if type(lhs) is Implies and type(lhs.rhs) is Implies \
                         and type(lhs.rhs.rhs) is FalseExpr:
-                    kernel, parts = _lane_and, (lhs.lhs, lhs.rhs.lhs)
+                    fn = _lane_and(_lanes(lhs.lhs, env, True),
+                                   _lanes(lhs.rhs.lhs, env, True))
                 else:
-                    kernel, parts = _lane_not, (lhs,)
+                    fn = _lane_not(_lanes(lhs, env, True))
             elif type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
-                kernel, parts = _lane_or, (lhs.lhs, rhs)
+                fn = _lane_or(_lanes(lhs.lhs, env, True),
+                              _lanes(rhs, env, True))
             else:
-                kernel, parts = _lane_implies, (lhs, rhs)
-            modal, fns = _lane_parts(parts, env, True)
-            fn = kernel(*fns)
+                fn = _lane_implies(_lanes(lhs, env, True),
+                                   _lanes(rhs, env, True))
         case FalseExpr():
-            modal, fn = False, _lane_false
+            fn = _lane_false
         case Eq(lhs, rhs):
-            modal, fns = _lane_parts((lhs, rhs), env, False)
-            fn = _lane_eq(*fns)
+            fn = _lane_eq(_lanes(lhs, env, False), _lanes(rhs, env, False))
         case Forall(var, body):
-            modal, (fn,) = _lane_parts((body,), env, True)
-            fn = _lane_forall(var, fn)
+            fn = _lane_forall(var, _lanes(body, env, True))
         case Nabla(body):
-            modal, fn = True, _lane_box(*_lanes(body, env, True), 0)
+            fn = _lane_box(_lanes(body, env, True), 0)
         case Prime(body) if boolean:
             # Both readings of prime agree on truth: tt iff the body is tt
             # at every primeR-successor.
-            return True, _lane_box(*_lanes(body, env, True), 1)
+            return _lane_box(_lanes(body, env, True), 1)
         case Prime(body):
-            inner, fn = _lanes(body, env, False)
-            return True, _lane_prime(fn if inner else _lift(fn, False))
+            return _lane_prime(_lanes(body, env, False))
         case DefApp(op, args):
             d = env.definition(op)
             return _lanes(substitute(d.body, dict(zip(d.params, args))),
                           env, boolean)
         case FlexVar(name):
-            return False, _lane_flex(name, boolean)
+            return _lane_flex(name, boolean)
         case RigidVar(name):
-            return False, _lane_rigid(name, boolean)
+            return _lane_rigid(name, boolean)
         case OpApp(op, args):
-            modal, fns = _lane_parts(args, env, False)
-            fn = _lane_opapp(op, tuple(fns))
-            return modal, _lane_truth(fn) if boolean else fn
+            fn = _lane_opapp(op, tuple([_lanes(a, env, False)
+                                        for a in args]))
+            return _lane_truth(fn) if boolean else fn
         case _:
             raise InternalError(f"unknown expression node {e!r}")
     # e is a formula: its values are tt and ff
-    return modal, fn if boolean else _lane_values(fn)
-
-
-def _lane_parts(parts: tuple[Expression, ...], env: DefinitionEnvironment,
-                boolean: bool) -> tuple[bool, list[LaneEvaluator]]:
-    """The operands of one node, each lifted when another has a modality,
-    so that all of them run in the same lanes."""
-    compiled = [_lanes(p, env, boolean) for p in parts]
-    modal = any(m for m, _ in compiled)
-    return modal, [fn if m or not modal else _lift(fn, boolean)
-                   for m, fn in compiled]
-
-
-def _lift(fn: LaneEvaluator, boolean: bool) -> LaneEvaluator:
-    """fn, which runs in state lanes, broadcast to the lanes it is called
-    with."""
-    if boolean:
-        def lifted(k, bnd):
-            return fn(k.state, bnd) * k.rep
-    else:
-        def lifted(k, bnd):
-            rep = k.rep
-            return {v: m * rep for v, m in fn(k.state, bnd).items()}
-    return lifted
+    return fn if boolean else _lane_values(fn)
 
 
 def _box(body: int, edges: tuple[tuple[int, int], ...], full: int) -> int:
-    """The lanes (r, w) whose every successor t under relation r has bit
-    (r, t) in body: the ones no edge (w, t) leaves to a lane outside it."""
+    """The lanes (g, w) whose every successor t under model g's relation
+    has bit (g, t) in body: the ones no edge (w, t) leaves to a lane
+    outside it."""
     bad = 0
     for d, mask in edges:
         bad |= mask & ~(body << d if d >= 0 else body >> -d)
     return full & ~bad
 
 
-def _lane_box(modal: bool, body: LaneEvaluator, rel: int) -> LaneEvaluator:
-    """Box over relation `rel` (0: R, 1: primeR) of a formula; a body
-    without a modality gives a state mask, which indexes the table."""
-    if modal:
-        def box(k, bnd):
-            return _box(body(k, bnd), k.access[rel].edges, k.full)
-    else:
-        def box(k, bnd):
-            return k.access[rel].table[body(k.state, bnd)]
+def _lane_box(body: LaneEvaluator, rel: int) -> LaneEvaluator:
+    """Box over relation `rel` (0: R, 1: primeR) of a formula."""
+    def box(k, bnd):
+        return _box(body(k, bnd), k.access[rel].edges, k.full)
     return box
 
 
@@ -652,16 +605,21 @@ def _lane_flex(name: str, boolean: bool) -> LaneEvaluator:
 
 def _lane_rigid(name: str, boolean: bool) -> LaneEvaluator:
     def rigid(k, bnd):
-        v = bnd[name] if name in bnd else k.xi[name]
-        if boolean:
-            return k.full if v == k.tt else 0
-        return {v: k.full}
+        if name in bnd:
+            v = bnd[name]
+            if boolean:
+                return k.full if v == k.tt else 0
+            return {v: k.full}
+        values = k.xi[name]
+        return values.get(k.tt, 0) if boolean else values
     return rigid
 
 
 def _lane_opapp(op: str, args: tuple[LaneEvaluator, ...]) -> LaneEvaluator:
     def opapp(k, bnd):
         table = k.ops[op]
+        if not args:
+            return table[()]
         # (argument values, the lanes where the arguments take them)
         rows = [((), k.full)]
         for a in args:
@@ -670,8 +628,10 @@ def _lane_opapp(op: str, args: tuple[LaneEvaluator, ...]) -> LaneEvaluator:
                     for v, mv in vals if m & mv]
         out: dict[Value, int] = {}
         for key, m in rows:
-            v = table[key]
-            out[v] = out.get(v, 0) | m
+            for v, mv in table[key].items():
+                hit = m & mv
+                if hit:
+                    out[v] = out.get(v, 0) | hit
         return out
     return opapp
 

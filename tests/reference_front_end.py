@@ -444,9 +444,10 @@ def _fmt(v: Value) -> str:
 def _value(node: SNode, what: str) -> Value:
     text = expect_atom(node, what).text
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         return text
+    return n if str(n) == text else text
 
 
 def parse_model(text: str) -> KripkeModel:

@@ -288,9 +288,9 @@ class TestSubcommands:
          " (states s0) (R))", "(universe ...) lists 1 twice"),
         ("(model (universe 0 1) (tt 0) (ff 1) (states 0 0) (R))",
          "(states ...) lists 0 twice"),
-        # 01 reads as the state 1
-        ("(model (universe 0 1) (tt 0) (ff 1) (states 1 01) (R))",
-         "(states ...) lists 1 twice"),
+        # 01 is read as written, not as the state 1
+        ("(model (universe 0 1) (tt 0) (ff 1) (states 1 01 01) (R))",
+         "(states ...) lists 01 twice"),
     ])
     def test_check_model_rejects_a_repeated_value(
             self, capsys, tmp_path, box_file, model, message):

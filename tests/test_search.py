@@ -26,24 +26,22 @@ from foml.models import serialize_model
 from foml.parser import parse_expr, parse_problem
 from foml.search import (
     SearchBounds,
-    _block,
     _block_pairs,
-    _fixed_relation,
+    _lane_blocks,
+    _lane_model,
     _leader_relations,
     _orbit_leaders,
+    _pack,
+    _Piece,
     _relation,
+    _segment_lanes,
+    _Tail,
+    _tail_masks,
     enumerate_models,
     find_countermodel,
     needs_prime,
 )
-from foml.semantics import (
-    BlockLanes,
-    Lanes,
-    _lanes,
-    _lift,
-    compile_expr,
-    obligation_checker,
-)
+from foml.semantics import _lanes, compile_expr, obligation_checker
 from foml.syntax import Obligation, Prime, collect_signature, or_
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -266,19 +264,69 @@ def test_rigid_hypothesis_false_on_whole_prefixes():
     assert "(op 0 (row 1))\n  (xi (x 0))" in got[2]
 
 
+def _blocks(ob: Obligation, bounds: tuple[int, int]):
+    """The lane blocks of the search: (universe size, states, pieces,
+    the first lanes of the leaders, lanes)."""
+    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
+    for pieces, leaders, k in _lane_blocks(
+            ops, rigid, flex, *bounds, needs_prime(ob.env, *ob.all_exprs())):
+        yield len(k.universe), k.nstates, pieces, leaders, k
+
+
+def _segment_of(ob: Obligation, bounds: tuple[int, int], model):
+    """The index, within its lane block, of the segment of `model`."""
+    flex = collect_signature(ob.all_exprs(), ob.env)[2]
+    for _, n, pieces, leaders, k in _blocks(ob, bounds):
+        while leaders:
+            lane = (leaders & -leaders).bit_length() - 1
+            if _lane_model(pieces, flex, k, lane) == model:
+                return lane // _segment_lanes(n)
+            leaders &= leaders - 1
+    raise AssertionError("no lane holds the model")
+
+
 def test_max_models_at_a_countermodel_and_at_the_end():
     box = parse_problem((DEMO / "box.foml").read_text())
-    status, state, model, at = _searched(box, (2, 3))
-    assert status == "found" and at > 1
-    assert _searched(box, (2, 3), at) == (status, state, model, at)
-    assert _searched(box, (2, 3), at - 1) == \
-        ("resource-out", None, None, at - 1)
+    for bounds in ((2, 2), (2, 3)):
+        status, state, model, at = _searched(box, bounds)
+        assert status == "found" and at > 1
+        assert _searched(box, bounds, at) == (status, state, model, at) \
+            == _orbit_sweep(box, bounds, at)
+        assert _searched(box, bounds, at - 1) == \
+            ("resource-out", None, None, at - 1) \
+            == _orbit_sweep(box, bounds, at - 1)
+    # The countermodel is in the second segment of its block: the block's
+    # first segment, and the leaders before it, are counted exactly.
+    res = find_countermodel(box, SearchBounds(2, 2))
+    assert _segment_of(box, (2, 2), res.model) == 1
     stability = parse_problem((DEMO / "stability.foml").read_text())
     assert _searched(stability, (3, 3), 1508) == ("none", None, None, 1508)
     assert _searched(stability, (3, 3), 1507) == \
         ("resource-out", None, None, 1507)
     assert _searched(stability, (3, 3), 0) == \
         ("resource-out", None, None, 0)
+
+
+@pytest.mark.parametrize("goal", [
+    "(or (prime (= q 0)) (not (and (= p 0) (delta (not (= p 0))))))",
+    "(and (= q q) (iff (forall a (prime (= p a)))"
+    " (prime (forall a (= p a)))))",
+])
+def test_prime_relations_across_packed_blocks(goal):
+    # With two flexible variables the tails of two states do not fit in
+    # one block, so blocks start at one segment and double: the R leaders
+    # of a zeta leader span two blocks.
+    ob = parse_problem(f"(declare-op 0 0) (declare-flex p) (declare-flex q)"
+                       f" (goal {goal})")
+    ends = [((u, n, pieces[0].xi, pieces[0].op_interp,
+              pieces[0].tails[0].zeta),
+             (u, n, pieces[-1].xi, pieces[-1].op_interp,
+              pieces[-1].tails[-1].zeta))
+            for u, n, pieces, _, _ in _blocks(ob, (2, 2))]
+    assert any(end == start for (_, end), (start, _) in zip(ends, ends[1:]))
+    got = _searched(ob, (2, 2))
+    assert got[0] == ("found" if "delta" in goal else "none")
+    assert got == _orbit_sweep(ob, (2, 2))
 
 
 def test_four_states_cross_lane_blocks():
@@ -305,22 +353,37 @@ def test_bounds_that_admit_no_model_are_rejected(bounds):
 
 
 def _random_lanes(rng: random.Random, env, prime: bool):
-    """Lanes over a random prefix and block, and the model of each lane's
-    relation: (lanes, {lane relation: model})."""
-    m = random_model(rng, env, 3, 4, need_prime=prime)
-    n = len(m.states)
+    """A lane block of two to four pieces of one to three segments each,
+    over one universe and state count: each piece with its own xi and
+    tables, each segment with its own zeta, block of relations and, with
+    prime, fixed R.  (lanes, {first lane of a relation: its model})."""
+    first = random_model(rng, env, 3, 4, need_prime=prime)
+    universe, n = first.universe, len(first.states)
     low = _block_pairs(n)
-    block = rng.randrange(1 << (n * n - low))
-    full, rep, access = _block(n, block)
-    state = Lanes(n, m.universe, m.tt, m.ff, m.xi, m.op_interp, m.zeta)
-    r = rng.randrange(1 << n * n)
-    k = BlockLanes(state, full, rep, _fixed_relation(n, r), access) \
-        if prime else BlockLanes(state, full, rep, access, None)
-    models = {}
-    for lane in rng.sample(range(1 << low), min(12, 1 << low)):
-        rel = _relation(n, block << low | lane)
-        models[lane] = replace(m, R=_relation(n, r), primeR=rel) if prime \
-            else replace(m, R=rel, primeR=None)
+    pieces, models, at = [], {}, 0
+    for _ in range(rng.randrange(2, 5)):
+        xi = {x: rng.choice(universe) for x in env.rigid_vars}
+        op_interp = {op: {args: rng.choice(universe)
+                          for args in product(universe, repeat=arity)}
+                     for op, arity in env.ops.items()}
+        tails = []
+        for _ in range(rng.randrange(1, 4)):
+            zeta = {(v, w): rng.choice(universe)
+                    for v in env.flex_vars for w in first.states}
+            block = rng.randrange(1 << (n * n - low))
+            r = rng.randrange(1 << n * n) if prime else None
+            tails.append(_Tail(tuple(zeta.values()), r, block, 0))
+            m = replace(first, xi=xi, op_interp=op_interp, zeta=zeta)
+            for lane in rng.sample(range(1 << low), 2):
+                rel = _relation(n, block << low | lane)
+                models[at + lane * n] = \
+                    replace(m, R=_relation(n, r), primeR=rel) if prime \
+                    else replace(m, R=rel, primeR=None)
+            at += _segment_lanes(n)
+        pieces.append(_Piece(xi, op_interp, tails, _tail_masks(tails, n)))
+    _, k = _pack(pieces, env.flex_vars, universe, n)
+    for lane, m in models.items():
+        assert _lane_model(pieces, env.flex_vars, k, lane) == m
     return k, models
 
 
@@ -346,15 +409,11 @@ def test_every_lane_is_the_point_evaluator_in_its_model():
             e = random_expr(rng, env, 3, allow_prime=i % 2 == 1)
         point = compile_expr(e, env)
         k, models = _random_lanes(rng, env, needs_prime(env, e))
-        n = k.nstates
-        modal, values = _lanes(e, env, False)
-        values = values(k, {}) if modal else _lift(values, False)(k, {})
-        holds = _lanes(e, env, True)
-        holds = holds[1](k, {}) if holds[0] \
-            else _lift(holds[1], True)(k, {})
+        values = _lanes(e, env, False)(k, {})
+        holds = _lanes(e, env, True)(k, {})
         for lane, m in models.items():
             for w in m.states:
-                bit = lane * n + w
+                bit = lane + w
                 v = point(m, w, {})
                 assert [u for u, mask in values.items()
                         if mask >> bit & 1] == [v], (e, lane, w)

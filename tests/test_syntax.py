@@ -27,7 +27,7 @@ from foml.gen import (
     rng_for,
 )
 from foml.emit import parse_mlseq
-from foml.models import parse_model
+from foml.models import parse_model, serialize_model
 from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
 from foml.syntax import (
@@ -311,6 +311,19 @@ class TestAgainstReferenceFrontEnd:
     def test_only_the_new_rules_differ(self, text):
         got = _outcome(parse_file, text)
         assert isinstance(got, ProblemError) and NEW_RULES.search(str(got))
+        _assert_front_ends_agree(text)
+
+    def test_model_values_read_back_as_written(self):
+        # int() reads 1_0, +0, 01, -0 and U+0663 as 10, 0, 1, 0 and 3;
+        # both front ends keep them as the atoms they are, so the model
+        # prints as it was read, and 01 is another value than 1.
+        text = ("(model\n  (universe 1_0 +0 \u0663 01 1 -2 -0)\n"
+                "  (tt 1_0)\n  (ff 1)\n  (states s 02)\n  (R (s 02))\n"
+                "  (zeta (v 02 -0)))\n")
+        m = parse_model(text)
+        assert m.universe == ("1_0", "+0", "\u0663", "01", 1, -2, "-0")
+        assert m.states == ("s", "02")
+        assert serialize_model(m) == text
         _assert_front_ends_agree(text)
 
 

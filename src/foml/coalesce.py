@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import eval_expr
+from .semantics import Evaluator, compile_expr
 from .syntax import (
     FALSE,
     DefApp,
@@ -217,7 +217,8 @@ def build_witness_structure(
     """The structure extracted from a Kripke model at a state: rigid
     variables keep their values, flexible variables take their value at w,
     and every fresh symbol is interpreted by evaluating its abstracted
-    subterm at w under the argument valuation."""
+    subterm at w under the argument valuation.  Each symbol's subterm is
+    compiled once and evaluated for every row of its table."""
     xi = dict(m.xi)
     for v in env.flex_vars:
         if (v, w) in m.zeta:
@@ -225,47 +226,47 @@ def build_witness_structure(
 
     op_interp = {op: dict(tbl) for op, tbl in m.op_interp.items()}
     for entry in table.in_order():
-        tbl: dict[tuple[Value, ...], Value] = {}
-        for argvals in product(m.universe, repeat=entry.arity):
-            tbl[argvals] = _interpret_symbol(m, w, entry, argvals, env)
-        op_interp[entry.name] = tbl
+        value, names, at = _symbol_evaluator(entry, env)
+        op_interp[entry.name] = {
+            argvals: value(m, w, {x: argvals[i] for x, i in zip(names, at)})
+            for argvals in product(m.universe, repeat=entry.arity)}
 
     return FOLStructure(m.universe, m.tt, m.ff, op_interp, xi)
 
 
-def _interpret_symbol(
-    m: KripkeModel,
-    w: Value,
+def _symbol_evaluator(
     entry: SymbolEntry,
-    argvals: tuple[Value, ...],
     env: DefinitionEnvironment,
-) -> Value:
+) -> tuple[Evaluator, tuple[str, ...], tuple[int, ...]]:
+    """A symbol's abstracted subterm compiled, with the variables a row of
+    its table binds and the positions of their values in the row."""
     if entry.node is not None:
-        bindings = dict(zip(entry.zvars, argvals))
-        return eval_expr(m, w, entry.node, env, bindings)
+        return (compile_expr(entry.node, env), entry.zvars,
+                tuple(range(len(entry.zvars))))
 
-    # Defined-operator symbol: evaluate d(alpha_1 .. alpha_n) at w where
-    # alpha_i is the concrete epsilon entry, or a fresh variable bound to
-    # the argument value at star positions.  Fresh variables must avoid the
-    # free variables of the concrete entries.
+    # Defined-operator symbol: d(alpha_1 .. alpha_n) where alpha_i is the
+    # concrete epsilon entry, or a fresh variable bound to the argument
+    # value at star positions, followed by the bound variables z.  Fresh
+    # variables must avoid the free variables of the concrete entries.
     eps = entry.entries
     n = len(eps)
-    star_vals = dict(zip(entry.zvars, argvals[n:]))
     avoid = set(entry.zvars) | env.all_names()
     for ent in eps:
         if ent is not STAR:
             avoid.update(free_rigid_vars(ent))
     alphas: list[Expression] = []
-    bindings = dict(star_vals)
+    names, at = list(entry.zvars), list(range(n, n + len(entry.zvars)))
     for i, ent in enumerate(eps):
         if ent is STAR:
             x = fresh_name(f"p{i}", avoid)
             avoid.add(x)
             alphas.append(RigidVar(x))
-            bindings[x] = argvals[i]
+            names.append(x)
+            at.append(i)
         else:
             alphas.append(ent)
-    return eval_expr(m, w, DefApp(entry.op, tuple(alphas)), env, bindings)
+    return (compile_expr(DefApp(entry.op, tuple(alphas)), env), tuple(names),
+            tuple(at))
 
 
 def pretty_key(entry: SymbolEntry) -> str:

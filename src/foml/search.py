@@ -18,8 +18,13 @@ permutations that fix zeta, and primeR over those least under the
 permutations that fix both.  `enumerate_models` remains the full
 labelled enumeration, the oracle the search is tested against.
 
-The models are not built one at a time, but evaluated a lane block at a
-time by the lane closures of `semantics.compile_lanes`.  A segment is a
+A search is set up in one walk over the obligation, `syntax.signature`,
+which gives the operators and the rigid and flexible variables in the
+order the enumeration follows, and whether a prime occurs; and in one
+lane compilation of each hypothesis and the goal, which share one cache
+of compiled definition bodies for the search.  The models are not built
+one at a time, but evaluated a lane block at a time by the lane closures
+of `semantics.compile_lanes`.  A segment is a
 prefix (universe, states, xi, tables and a zeta leader), its R leader
 when prime occurs, and a block of at most 512 relations that the
 innermost enumerated relation (R without prime, primeR with prime)
@@ -51,7 +56,7 @@ from typing import (
 )
 
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import Access, Lanes, compile_fol, compile_lanes
+from .semantics import Access, LaneBodies, Lanes, compile_fol, compile_lanes
 from .syntax import (
     DefinitionEnvironment,
     Expression,
@@ -59,6 +64,7 @@ from .syntax import (
     Prime,
     children,
     collect_signature,
+    signature,
 )
 
 
@@ -85,6 +91,7 @@ class SearchResult:
     model: object = None
     state: object = None
     examined: int = 0
+    reason: str = ""  # resource-out: the limit, and the count that passed it
 
     @property
     def found(self) -> bool:
@@ -628,12 +635,15 @@ def find_countermodel(
     for a model satisfying every hypothesis at every state while
     falsifying the goal at some state.
 
-    The models are evaluated a lane block at a time (`compile_lanes`),
-    and only the model returned is built."""
-    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
-    prime = needs_prime(ob.env, *ob.all_exprs())
-    hyps = [compile_lanes(h, ob.env) for h in ob.hypotheses]
-    goal = compile_lanes(ob.goal, ob.env)
+    The signature and the prime flag come from one walk (`signature`),
+    and the hypotheses and goal are compiled over lanes sharing one cache
+    of definition bodies, which lives for this call.  The models are
+    evaluated a lane block at a time, and only the model returned is
+    built."""
+    ops, rigid, flex, prime = signature(ob.all_exprs(), ob.env)
+    bodies: LaneBodies = {}
+    hyps = [compile_lanes(h, ob.env, bodies) for h in ob.hypotheses]
+    goal = compile_lanes(ob.goal, ob.env, bodies)
     examined = 0
     for pieces, leaders, k in _lane_blocks(
             ops, rigid, flex, bounds.max_universe, bounds.max_states,
@@ -662,7 +672,10 @@ def find_countermodel(
             break
     else:
         return SearchResult("none", examined=examined)
-    return SearchResult("resource-out", examined=bounds.max_models)
+    return SearchResult(
+        "resource-out", examined=bounds.max_models,
+        reason=f"more than max_models = {bounds.max_models} models"
+        f" ({examined} reached)")
 
 
 def _lane_model(pieces: Sequence[_Piece], flex: Sequence[str], k: Lanes,
@@ -712,7 +725,10 @@ def find_fol_countermodel(
     for s in enumerate_fol_structures(ops, variables, bounds.max_universe):
         examined += 1
         if examined > bounds.max_models:
-            return SearchResult("resource-out", examined=examined - 1)
+            return SearchResult(
+                "resource-out", examined=examined - 1,
+                reason=f"more than max_models = {bounds.max_models}"
+                f" structures ({examined} reached)")
         if all(h(s, 0, {}) == s.tt for h in hyps) \
                 and concl(s, 0, {}) != s.tt:
             return SearchResult("found", model=s, examined=examined)

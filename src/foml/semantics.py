@@ -21,7 +21,10 @@ behind `check-model`, `countermodel_state` and the tests' sweeps.
 search: one call gives an expression's value in every model of a lane
 block, models that share a universe and a state count but may differ in
 everything else, as an int bitset over (model, state) lanes (see the
-comment above `Access`).
+comment above `Access`).  It substitutes nothing: a definition body is
+compiled once per value/truth position into a cache that the caller may
+share between compilations, and each application runs it with the
+parameters bound to the arguments' lane values.
 
 The AST has no negation, conjunction or disjunction: `not_`, `and_` and
 `or_` build them from implications and false.  `_compile` recognises those
@@ -354,7 +357,12 @@ def _outside(e: Expression, fragment: str) -> Evaluator:
 # and the states: their xi values, operator tables and flexible values
 # are one-hot masks too (see `Lanes`), and each model has its own
 # relations (see `Access`).  A nabla (or the truth of a prime) is the box
-# of its body's mask over the relation.  The kernels compute every
+# of its body's mask over the relation.  A rigid variable's binding is a
+# one-hot dict too: a quantifier binds each element d as {d: every lane},
+# and a definition's application binds each parameter to its argument's
+# values, so the body, compiled once, reads the argument at whatever
+# lanes it reads the parameter, successor states included, which is the
+# value the substituted body would give.  The kernels compute every
 # operand, where the point evaluator stops at the first decisive one;
 # they give the same values whenever evaluation raises no error, which is
 # always the case in a model that interprets every symbol the expression
@@ -427,60 +435,73 @@ class Lanes:
 
 
 # A lane-compiled expression: (lanes, bindings) -> the mask of the lanes
-# where a formula is tt, or a term's one-hot {value: mask}.
-LaneEvaluator = Callable[[Lanes, Mapping[str, Value]], Any]
+# where a formula is tt, or a term's one-hot {value: mask}.  The bindings
+# map rigid variables to one-hot values.
+LaneEvaluator = Callable[[Lanes, Mapping[str, Mapping[Value, int]]], Any]
 
 
-def compile_lanes(e: Expression, env: DefinitionEnvironment
-                  ) -> LaneEvaluator:
-    """The lanes where e is tt, as a function of (lanes, bindings)."""
-    return _lanes(e, env, True)
+# The compiled definition bodies, keyed by (definition name, boolean).
+LaneBodies = dict[tuple[str, bool], LaneEvaluator]
 
 
-def _lanes(e: Expression, env: DefinitionEnvironment,
-           boolean: bool) -> LaneEvaluator:
+def compile_lanes(e: Expression, env: DefinitionEnvironment,
+                  bodies: Optional[LaneBodies] = None) -> LaneEvaluator:
+    """The lanes where e is tt, as a function of (lanes, bindings).
+    Compilations that share `bodies` compile each definition body once
+    per value/truth position."""
+    return _lanes(e, env, True, {} if bodies is None else bodies)
+
+
+def _lanes(e: Expression, env: DefinitionEnvironment, boolean: bool,
+           bodies: LaneBodies) -> LaneEvaluator:
     """e compiled over lanes: the mask of the lanes where e is tt when
-    `boolean`, else e's one-hot values.  Definition bodies are
-    substituted here, once per application node."""
+    `boolean`, else e's one-hot values.  A definition body is compiled
+    once into `bodies`, and an application binds its parameters to its
+    arguments' one-hot values."""
     match e:
         case Implies(lhs, rhs):
             if type(rhs) is FalseExpr:
                 if type(lhs) is Implies and type(lhs.rhs) is Implies \
                         and type(lhs.rhs.rhs) is FalseExpr:
-                    fn = _lane_and(_lanes(lhs.lhs, env, True),
-                                   _lanes(lhs.rhs.lhs, env, True))
+                    fn = _lane_and(_lanes(lhs.lhs, env, True, bodies),
+                                   _lanes(lhs.rhs.lhs, env, True, bodies))
                 else:
-                    fn = _lane_not(_lanes(lhs, env, True))
+                    fn = _lane_not(_lanes(lhs, env, True, bodies))
             elif type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
-                fn = _lane_or(_lanes(lhs.lhs, env, True),
-                              _lanes(rhs, env, True))
+                fn = _lane_or(_lanes(lhs.lhs, env, True, bodies),
+                              _lanes(rhs, env, True, bodies))
             else:
-                fn = _lane_implies(_lanes(lhs, env, True),
-                                   _lanes(rhs, env, True))
+                fn = _lane_implies(_lanes(lhs, env, True, bodies),
+                                   _lanes(rhs, env, True, bodies))
         case FalseExpr():
             fn = _lane_false
         case Eq(lhs, rhs):
-            fn = _lane_eq(_lanes(lhs, env, False), _lanes(rhs, env, False))
+            fn = _lane_eq(_lanes(lhs, env, False, bodies),
+                          _lanes(rhs, env, False, bodies))
         case Forall(var, body):
-            fn = _lane_forall(var, _lanes(body, env, True))
+            fn = _lane_forall(var, _lanes(body, env, True, bodies))
         case Nabla(body):
-            fn = _lane_box(_lanes(body, env, True), 0)
+            fn = _lane_box(_lanes(body, env, True, bodies), 0)
         case Prime(body) if boolean:
             # Both readings of prime agree on truth: tt iff the body is tt
             # at every primeR-successor.
-            return _lane_box(_lanes(body, env, True), 1)
+            return _lane_box(_lanes(body, env, True, bodies), 1)
         case Prime(body):
-            return _lane_prime(_lanes(body, env, False))
+            return _lane_prime(_lanes(body, env, False, bodies))
         case DefApp(op, args):
             d = env.definition(op)
-            return _lanes(substitute(d.body, dict(zip(d.params, args))),
-                          env, boolean)
+            body = bodies.get((op, boolean))
+            if body is None:
+                body = bodies[op, boolean] = _lanes(d.body, env, boolean,
+                                                    bodies)
+            return _lane_defapp(d.params, tuple([
+                _lanes(a, env, False, bodies) for a in args]), body)
         case FlexVar(name):
             return _lane_flex(name, boolean)
         case RigidVar(name):
             return _lane_rigid(name, boolean)
         case OpApp(op, args):
-            fn = _lane_opapp(op, tuple([_lanes(a, env, False)
+            fn = _lane_opapp(op, tuple([_lanes(a, env, False, bodies)
                                         for a in args]))
             return _lane_truth(fn) if boolean else fn
         case _:
@@ -588,7 +609,7 @@ def _lane_forall(var: str, body: LaneEvaluator) -> LaneEvaluator:
         inner = dict(bnd)
         acc = k.full
         for d in k.universe:
-            inner[var] = d
+            inner[var] = {d: k.full}
             acc &= body(k, inner)
             if not acc:
                 break
@@ -605,14 +626,19 @@ def _lane_flex(name: str, boolean: bool) -> LaneEvaluator:
 
 def _lane_rigid(name: str, boolean: bool) -> LaneEvaluator:
     def rigid(k, bnd):
-        if name in bnd:
-            v = bnd[name]
-            if boolean:
-                return k.full if v == k.tt else 0
-            return {v: k.full}
-        values = k.xi[name]
+        values = bnd[name] if name in bnd else k.xi[name]
         return values.get(k.tt, 0) if boolean else values
     return rigid
+
+
+def _lane_defapp(params: tuple[str, ...], args: tuple[LaneEvaluator, ...],
+                 body: LaneEvaluator) -> LaneEvaluator:
+    """An application of a definition whose compiled body is `body`.  The
+    body's free rigid variables are its parameters, so it runs on exactly
+    their bindings, and no name the caller binds can be captured."""
+    def defapp(k, bnd):
+        return body(k, {p: a(k, bnd) for p, a in zip(params, args)})
+    return defapp
 
 
 def _lane_opapp(op: str, args: tuple[LaneEvaluator, ...]) -> LaneEvaluator:

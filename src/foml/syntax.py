@@ -19,7 +19,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+)
 
 
 class FomlError(Exception):
@@ -568,35 +576,92 @@ def contains_node(e: Expression, *kinds: type) -> bool:
     return any(isinstance(sub, kinds) for sub in walk(e))
 
 
+class Signature(NamedTuple):
+    """What interpreting some expressions needs: the primitive operators
+    with their arities, the free rigid and the flexible variables, each in
+    order of first occurrence, and whether a prime occurs."""
+
+    ops: dict[str, int]
+    rigid: tuple[str, ...]
+    flex: tuple[str, ...]
+    prime: bool
+
+
+def signature(
+    exprs: Iterable[Expression], env: DefinitionEnvironment
+) -> Signature:
+    """The signature of exprs: `collect_signature`'s walk, which also sees
+    the primes of exprs and of the bodies it reaches, then a scan of the
+    bodies it does not reach.  A prime counts where it occurs in exprs or
+    in any definition body, applied or not, since an argument a body drops
+    is still evaluated."""
+    ops, rigid, flex, prime, applied = _signature_walk(exprs, env)
+    if not prime:
+        rest = [d.body for d in env.definitions if d.name not in applied]
+        while rest and not prime:
+            e = rest.pop()
+            prime = type(e) is Prime
+            rest.extend(children(e))
+    return Signature(ops, rigid, flex, prime)
+
+
 def collect_signature(
     exprs: Iterable[Expression], env: DefinitionEnvironment
 ) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...]]:
     """Primitive operators, free rigid variables, and flexible variables
     needed to interpret the given expressions, including everything reachable
-    through definition bodies."""
+    through definition bodies, in one walk that keeps its own stack.
+
+    The walk is pre-order, left to right, and scans a definition body where
+    its first application is met, before that application's arguments:
+    the orders it gives fix the enumeration order of bounded search.  The
+    free rigid variables are those of exprs themselves (a body's are its
+    parameters), arguments of applications included."""
+    return _signature_walk(exprs, env)[:3]
+
+
+def _signature_walk(
+    exprs: Iterable[Expression], env: DefinitionEnvironment
+) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...], bool, set[str]]:
+    """`collect_signature`'s walk: its three items, whether a prime occurs
+    in exprs or the bodies reached, and the definitions applied."""
     ops: dict[str, int] = {}
-    rigid: list[str] = []
-    flex: list[str] = []
-    seen_defs: set[str] = set()
-
-    def scan(e: Expression) -> None:
-        for sub in walk(e):
-            match sub:
-                case OpApp(op, _):
-                    ops.setdefault(op, env.ops[op])
-                case FlexVar(name):
-                    if name not in flex:
-                        flex.append(name)
-                case DefApp(op, _):
-                    if op not in seen_defs:
-                        seen_defs.add(op)
-                        scan(env.definition(op).body)
-                case _:
-                    pass
-
-    for e in exprs:
-        scan(e)
-        for x in free_rigid_vars(e):
-            if x not in rigid:
-                rigid.append(x)
-    return ops, tuple(rigid), tuple(flex)
+    rigid: dict[str, None] = {}
+    flex: dict[str, None] = {}
+    applied: set[str] = set()
+    prime = False
+    # (node, names bound above it); None inside a definition body
+    top: frozenset[str] = frozenset()
+    stack: list[tuple[Expression, Optional[frozenset[str]]]] = [
+        (e, top) for e in reversed(tuple(exprs))]
+    while stack:
+        e, bound = stack.pop()
+        t = type(e)
+        if t is Implies or t is Eq:
+            stack.append((e.rhs, bound))
+            stack.append((e.lhs, bound))
+        elif t is RigidVar:
+            if bound is not None and e.name not in bound:
+                rigid[e.name] = None
+        elif t is FlexVar:
+            flex[e.name] = None
+        elif t is OpApp:
+            if e.op not in ops:
+                ops[e.op] = env.ops[e.op]
+            stack.extend([(a, bound) for a in reversed(e.args)])
+        elif t is Forall:
+            stack.append(
+                (e.body, None if bound is None else bound | {e.var}))
+        elif t is Nabla:
+            stack.append((e.body, bound))
+        elif t is Prime:
+            prime = True
+            stack.append((e.body, bound))
+        elif t is DefApp:
+            stack.extend([(a, bound) for a in reversed(e.args)])
+            if e.op not in applied:
+                applied.add(e.op)
+                stack.append((env.definition(e.op).body, None))
+        elif t is not FalseExpr:
+            raise InternalError(f"unknown expression node {e!r}")
+    return ops, tuple(rigid), tuple(flex), prime, applied

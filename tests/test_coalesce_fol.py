@@ -10,10 +10,16 @@ from foml import (
     rewrite_rigid_box,
 )
 from foml.coalesce import DefKey
+from foml.leibniz import STAR
 from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.models import KripkeModel
 from foml.parser import parse_expr
-from foml.search import SearchBounds, find_fol_countermodel, fol_signature_of
+from foml.search import (
+    SearchBounds,
+    find_fol_countermodel,
+    fol_signature_of,
+    needs_prime,
+)
 from foml.semantics import eval_expr, eval_fol
 from foml.syntax import (
     DefApp,
@@ -26,6 +32,8 @@ from foml.syntax import (
     Prime,
     RigidVar,
     contains_node,
+    free_rigid_vars,
+    fresh_name,
     walk,
 )
 
@@ -293,6 +301,55 @@ class TestWitnessStructure:
             for w in m.states:
                 s = build_witness_structure(m, w, table, env)
                 assert eval_fol(s, ce) == eval_expr(m, w, e, env)
+
+
+    def test_tables_match_the_row_by_row_reference(self):
+        # Every row of every symbol's table, against the subterm built and
+        # evaluated anew for that row, with star arguments and bound
+        # variables both in play.
+        rows = stars = 0
+        for i in range(600):
+            rng = rng_for(57, i)
+            env = random_env(rng)
+            e = random_expr(rng, env, depth=3)
+            m = random_model(rng, env, 3, 3, need_prime=needs_prime(env, e))
+            table = SymbolTable(env)
+            coalesce_fol(e, env, table)
+            for w in m.states:
+                s = build_witness_structure(m, w, table, env)
+                for entry in table.in_order():
+                    for args, value in s.op_interp[entry.name].items():
+                        assert value == _row_reference(m, w, entry, args,
+                                                       env), (e, entry)
+                        rows += 1
+                    stars += STAR in (entry.entries or ())
+        assert rows > 1200 and stars > 100
+
+
+def _row_reference(m, w, entry, argvals, env):
+    """One row of a symbol's table as `build_witness_structure` first
+    computed it: the defined-operator application, with fresh variables
+    for the star arguments, rebuilt and evaluated for each row."""
+    if entry.node is not None:
+        return eval_expr(m, w, entry.node, env, dict(zip(entry.zvars,
+                                                         argvals)))
+    eps = entry.entries
+    n = len(eps)
+    avoid = set(entry.zvars) | env.all_names()
+    for ent in eps:
+        if ent is not STAR:
+            avoid.update(free_rigid_vars(ent))
+    alphas = []
+    bindings = dict(zip(entry.zvars, argvals[n:]))
+    for i, ent in enumerate(eps):
+        if ent is STAR:
+            x = fresh_name(f"p{i}", avoid)
+            avoid.add(x)
+            alphas.append(RigidVar(x))
+            bindings[x] = argvals[i]
+        else:
+            alphas.append(ent)
+    return eval_expr(m, w, DefApp(entry.op, tuple(alphas)), env, bindings)
 
 
 class TestNonTheoremPreservation:

@@ -15,6 +15,7 @@ evaluator in the model of its relation.
 """
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
@@ -42,7 +43,14 @@ from foml.search import (
     needs_prime,
 )
 from foml.semantics import _lanes, compile_expr, obligation_checker
-from foml.syntax import Obligation, Prime, collect_signature, or_
+from foml.syntax import (
+    DefApp,
+    Obligation,
+    Prime,
+    collect_signature,
+    or_,
+    walk,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 BOUNDS = ((2, 2), (2, 3), (3, 2))
@@ -395,6 +403,27 @@ NESTED = [("(prime (nabla p))", False), ("(nabla (prime v))", False),
           ("(forall a (= (prime (f a)) (prime v)))", True)]
 
 
+def _lanes_agree(rng: random.Random, env, e, bodies=None) -> int:
+    """Check e's value and truth in every drawn lane of a random block
+    against the point evaluator in the lane's model; the number of
+    (lane, state) pairs checked.  Both compilations share `bodies`."""
+    point = compile_expr(e, env)
+    k, models = _random_lanes(rng, env, needs_prime(env, e))
+    bodies = {} if bodies is None else bodies
+    values = _lanes(e, env, False, bodies)(k, {})
+    holds = _lanes(e, env, True, bodies)(k, {})
+    checked = 0
+    for lane, m in models.items():
+        for w in m.states:
+            bit = lane + w
+            v = point(m, w, {})
+            assert [u for u, mask in values.items()
+                    if mask >> bit & 1] == [v], (e, lane, w)
+            assert (holds >> bit & 1) == (v == m.tt), (e, lane, w)
+            checked += 1
+    return checked
+
+
 def test_every_lane_is_the_point_evaluator_in_its_model():
     rng = rng_for(5150, 0)
     checked = 0
@@ -407,19 +436,51 @@ def test_every_lane_is_the_point_evaluator_in_its_model():
         else:
             env = random_env(rng, with_defs=rng.random() < 0.5)
             e = random_expr(rng, env, 3, allow_prime=i % 2 == 1)
-        point = compile_expr(e, env)
-        k, models = _random_lanes(rng, env, needs_prime(env, e))
-        values = _lanes(e, env, False)(k, {})
-        holds = _lanes(e, env, True)(k, {})
-        for lane, m in models.items():
-            for w in m.states:
-                bit = lane + w
-                v = point(m, w, {})
-                assert [u for u, mask in values.items()
-                        if mask >> bit & 1] == [v], (e, lane, w)
-                assert (holds >> bit & 1) == (v == m.tt), (e, lane, w)
-                checked += 1
+        checked += _lanes_agree(rng, env, e)
     assert checked > 3000
+
+
+# Definitions whose lane bodies, compiled once and run on their
+# arguments' lane values, must give what the point evaluator gives on the
+# substituted body.
+DEFINED = parse_problem(
+    "(declare-op 0 0) (declare-op f 1) (declare-flex u) (declare-flex v)"
+    " (define (cover x) (forall a (= x a)))"
+    " (define (later x) (nabla (= x 0)))"
+    " (define (after x) (prime (= x 0)))"
+    " (define (nextval x) (= (prime x) (f x)))"
+    " (define (both x y) (and (later x) (after (cover y))))"
+    " (define (zero) (nabla (= v 0)))"
+    " (define (mixed x) (and x (= (f x) x)))"
+    " (goal false)").env
+DEFINED_CASES = [
+    # a body quantifier binds a name free in the argument
+    "(forall a (cover (f a)))",
+    "(forall a (not (cover (= a u))))",
+    # a parameter under nabla and under prime, with a flexible argument
+    "(later v)", "(later (f u))", "(after v)", "(= (after u) v)",
+    "(nextval v)", "(nextval (f u))", "(f (nextval v))",
+    # nested definitions
+    "(forall a (both (f a) a))", "(both v (= u v))",
+    # no parameter
+    "(zero)", "(= (zero) u)",
+    # a parameter used as a formula and as a term
+    "(mixed v)", "(mixed (= v u))", "(= (mixed (later v)) u)",
+    # the caller binds a name a parameter has
+    "(forall x (later (f x)))", "(forall x (mixed (= x (f x))))",
+]
+
+
+def test_definition_bodies_on_lanes_are_the_point_evaluator():
+    # One cache of bodies for every case, as a search shares one across
+    # its hypotheses and goal.
+    bodies = {}
+    for i, text in enumerate(DEFINED_CASES):
+        e = parse_expr(text, DEFINED)
+        rng = rng_for(5151, i)
+        assert sum(_lanes_agree(rng, DEFINED, e, bodies)
+                   for _ in range(6)) >= 24, text
+    assert len(bodies) == 2 * len(DEFINED.definitions)
 
 
 def _mask_tuple_leaders(nstates, group):
@@ -474,3 +535,39 @@ class TestLeaderRelations:
         assert digest.hexdigest() == ("ee19fb32455831db840fd33883c766aa"
                                       "e9300fd6c9cb8a2e4e174c82e86a756e")
         assert len(_leader_relations(4, max(groups, key=len))) == 3044
+
+
+def _defined_obligations(count: int):
+    """The first `count` seeded random obligations whose environment has
+    a definition, every other one with prime allowed, each with its
+    bounds."""
+    i = 0
+    while count:
+        rng = rng_for(9090, i)
+        env = random_env(rng, with_defs=True)
+        if env.definitions:
+            prime = i % 2 == 0
+            hyps = tuple(random_expr(rng, env, 2, allow_prime=prime)
+                         for _ in range(rng.randrange(0, 3)))
+            goal = random_expr(rng, env, 3, allow_prime=prime)
+            yield Obligation(hyps, goal, env), BOUNDS[count % 3]
+            count -= 1
+        i += 1
+
+
+def test_searches_with_definitions_are_pinned():
+    # SHA-256 of (status, state, examined, serialized model) of each
+    # search, as the search that substituted definition bodies gave them.
+    digest = hashlib.sha256()
+    seen = Counter()
+    for ob, bounds in _defined_obligations(120):
+        got = _searched(ob, bounds, 20_000)
+        digest.update(repr(got).encode())
+        seen[got[0]] += 1
+        seen["prime"] += needs_prime(ob.env, *ob.all_exprs())
+        seen["applied"] += any(isinstance(n, DefApp)
+                               for e in ob.all_exprs() for n in walk(e))
+    assert seen["found"] >= 80 and seen["none"] >= 8, seen
+    assert seen["prime"] >= 40 and seen["applied"] >= 25, seen
+    assert digest.hexdigest() == ("6c991aaec3eddbf82715d0610730f43b"
+                                  "c8272d73d8cb10dbc385f0de06bc7c4f")

@@ -1,8 +1,9 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from foml import semantics
+from foml import semantics, syntax
 from foml import (
     DefinitionEnvironment,
     FALSE,
@@ -16,7 +17,12 @@ from foml.coalesce import SymbolTable, build_witness_structure, coalesce_fol
 from foml.coalesce_ml import AtomTable, build_witness_propmodel, coalesce_ml
 from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.models import FOLStructure, KripkeModel, _successor_table
-from foml.search import SearchBounds, enumerate_models, needs_prime
+from foml.search import (
+    SearchBounds,
+    enumerate_models,
+    find_fol_countermodel,
+    needs_prime,
+)
 from foml.semantics import (
     EvalError,
     compile_expr,
@@ -468,23 +474,41 @@ class TestCountermodelSearch:
             "(declare-op 0 0) (declare-flex v) (goal (= v 0))")
         res = find_countermodel(ob, SearchBounds(2, 2, max_models=2))
         assert res.status == "resource-out"
+        assert (res.examined, res.reason) == (
+            2, "more than max_models = 2 models (3 reached)")
+        res = find_fol_countermodel((), Eq(OpApp("0"), OpApp("0")),
+                                    {"0": 0}, (), SearchBounds(2, 2, 1))
+        assert (res.status, res.examined, res.reason) == (
+            "resource-out", 1, "more than max_models = 1 structures"
+            " (2 reached)")
 
-    def test_definition_bodies_are_substituted_once(self, monkeypatch):
-        # Each application node instantiates its definition once per
-        # search, not once per model and state it is evaluated at.
+    def test_definition_bodies_are_compiled_once(self, monkeypatch):
+        # A search binds each application's parameters to its arguments'
+        # lane values: it substitutes nothing, and compiles each body at
+        # most once per value/truth position, however many applications
+        # the hypotheses and goal share.
         ob = parse_problem((DEMO / "cst.foml").read_text())
-        real = semantics.substitute
-        calls = []
 
-        def counting(e, sigma):
-            calls.append(e)
-            return real(e, sigma)
+        def no_substitute(e, sigma):
+            raise AssertionError(f"substitute called on {e}")
 
-        monkeypatch.setattr(semantics, "substitute", counting)
+        monkeypatch.setattr(semantics, "substitute", no_substitute)
+        monkeypatch.setattr(syntax, "substitute", no_substitute)
+        real = semantics._lanes
+        compiled = Counter()
+
+        def counting(e, env, boolean, bodies):
+            for d in env.definitions:
+                if e is d.body:
+                    compiled[d.name, boolean] += 1
+            return real(e, env, boolean, bodies)
+
+        monkeypatch.setattr(semantics, "_lanes", counting)
         assert find_countermodel(ob, SearchBounds(2, 2)).found
         applications = sum(isinstance(n, DefApp)
                            for e in ob.all_exprs() for n in walk(e))
-        assert 0 < len(calls) <= applications
+        assert applications == 4  # iff repeats each application
+        assert compiled == {("cst", True): 1}
 
     def test_enumeration_is_deterministic(self):
         first = list(enumerate_models({"0": 0}, ("x",), ("v",), 2, 2))

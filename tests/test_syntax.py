@@ -30,6 +30,7 @@ from foml.emit import parse_mlseq
 from foml.models import parse_model, serialize_model
 from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
+from foml.search import needs_prime
 from foml.syntax import (
     FALSE,
     DefApp,
@@ -47,10 +48,12 @@ from foml.syntax import (
     alpha_key,
     and_,
     children,
+    collect_signature,
     exists_,
     map_children,
     not_,
     or_,
+    signature,
     walk,
 )
 
@@ -705,3 +708,80 @@ class TestRandomDraws:
             put(random_ml_sequent(rng))
             put(random_ml_sequent(rng, allow_prime=False))
         assert digest.hexdigest()[:16] == "76611f8b7f19c543"
+
+
+def _collect_signature_reference(exprs, env):
+    """`collect_signature` as it was first written: a `walk` per
+    expression that scans each definition body at its first application,
+    then a separate `free_rigid_vars` pass."""
+    ops, rigid, flex, seen_defs = {}, [], [], set()
+
+    def scan(e):
+        for sub in walk(e):
+            match sub:
+                case OpApp(op, _):
+                    ops.setdefault(op, env.ops[op])
+                case FlexVar(name):
+                    if name not in flex:
+                        flex.append(name)
+                case DefApp(op, _):
+                    if op not in seen_defs:
+                        seen_defs.add(op)
+                        scan(env.definition(op).body)
+
+    for e in exprs:
+        scan(e)
+        for x in free_rigid_vars(e):
+            if x not in rigid:
+                rigid.append(x)
+    return ops, tuple(rigid), tuple(flex)
+
+
+class TestSignature:
+    """`signature` against the walk-based reference and `needs_prime`.
+    Its orders fix bounded search's enumeration order."""
+
+    def _agree(self, exprs, env):
+        got = signature(exprs, env)
+        ops, rigid, flex = _collect_signature_reference(exprs, env)
+        assert (got.ops, got.rigid, got.flex) == (ops, rigid, flex)
+        assert list(got.ops) == list(ops)
+        assert got.prime == needs_prime(env, *exprs)
+        assert collect_signature(exprs, env) == (ops, rigid, flex)
+        return got
+
+    def test_random_obligations_with_definitions(self):
+        unapplied_prime = 0
+        for i in range(400):
+            rng = rng_for(1717, i)
+            env = random_env(rng, with_defs=True)
+            exprs = [random_expr(rng, env, 4, allow_prime=i % 3 == 0)
+                     for _ in range(rng.randrange(1, 4))]
+            got = self._agree(exprs, env)
+            unapplied_prime += got.prime and not any(
+                isinstance(s, Prime) for e in exprs
+                for s in walk(expand_definitions(e, env)))
+        # a prime only in a body no expression applies counts too
+        assert unapplied_prime >= 20
+
+    @pytest.mark.parametrize("text,want", [
+        # a body is scanned before its application's arguments
+        ("(declare-flex u) (declare-flex v) (declare-op f 1)"
+         " (declare-op 0 0) (define (d p) (= v (f p))) (goal (d (f u)))",
+         ({"f": 1}, (), ("v", "u"), False)),
+        # a prime in a body that is never applied
+        ("(declare-op 0 0) (define (d p) (prime (= p 0)))"
+         " (goal (= 0 0))", ({"0": 0}, (), (), True)),
+        # a binder shadows a free variable, here and in a body
+        ("(declare-op 0 0) (declare-rigid x) (declare-rigid y)"
+         " (define (d p) (forall p (= p 0)))"
+         " (assume (forall x (d x))) (goal (and (= y 0) (= x 0)))",
+         ({"0": 0}, ("y", "x"), (), False)),
+        # a body applied only inside another body's argument
+        ("(declare-flex v) (declare-op 0 0)"
+         " (define (a p) (nabla (= p 0))) (define (b q) (a (= q v)))"
+         " (goal (forall x (b x)))", ({"0": 0}, (), ("v",), False)),
+    ])
+    def test_cases(self, text, want):
+        ob = parse_problem(text)
+        assert self._agree(ob.all_exprs(), ob.env) == want

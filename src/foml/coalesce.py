@@ -217,8 +217,8 @@ def build_witness_structure(
     """The structure extracted from a Kripke model at a state: rigid
     variables keep their values, flexible variables take their value at w,
     and every fresh symbol is interpreted by evaluating its abstracted
-    subterm at w under the argument valuation.  Each symbol's subterm is
-    compiled once and evaluated for every row of its table."""
+    subterm at w under the argument valuation, by the point interpreter,
+    once for every row of its table."""
     xi = dict(m.xi)
     for v in env.flex_vars:
         if (v, w) in m.zeta:
@@ -238,8 +238,9 @@ def _symbol_evaluator(
     entry: SymbolEntry,
     env: DefinitionEnvironment,
 ) -> tuple[Evaluator, tuple[str, ...], tuple[int, ...]]:
-    """A symbol's abstracted subterm compiled, with the variables a row of
-    its table binds and the positions of their values in the row."""
+    """A symbol's abstracted subterm as an evaluator, with the variables a
+    row of its table binds and the positions of their values in the
+    row."""
     if entry.node is not None:
         return (compile_expr(entry.node, env), entry.zvars,
                 tuple(range(len(entry.zvars))))

@@ -32,7 +32,7 @@ def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     that has it, so a sweep that runs the point evaluator over many models
     (`enumerate_models` in the tests, `fuzz`) sorts each relation once per
     process rather than once per model; every relation on at most three
-    states fits in the bound.  The evaluator's closures read it directly."""
+    states fits in the bound.  The point interpreter reads it directly."""
     lists: dict[Value, list[Value]] = {}
     for (s, t) in sorted(relation, key=str):
         lists.setdefault(s, []).append(t)

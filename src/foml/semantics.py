@@ -1,38 +1,30 @@
 """Exact evaluation of expressions in finite models.
 
-One semantics, the Kripke semantics, compiled once per expression.
-`_compile` walks an expression once and returns a closure of (model,
-state, bindings); evaluating it in another model or at another state runs
-only the closures.  `compile_expr` compiles the full language for Kripke
-models; `compile_fol` and `compile_ml` compile views restricted to a
-fragment, whose closures raise EvalError when evaluation reaches a node
-outside the fragment:
+One semantics, the Kripke semantics, read two ways.  The point path
+interprets: `_evaluate` walks an expression in one model at one state.
+`eval_expr` is the full language in Kripke models; `eval_fol` and
+`eval_ml` are views restricted to a fragment, which raise EvalError when
+evaluation reaches a node outside the fragment:
 
-  compile_fol : first-order fragment in a first-order structure, read as
-                a single state at which every variable takes its xi value
-  compile_ml  : propositional modal fragment in a propositional model
+  eval_fol : first-order fragment in a first-order structure, read as a
+             single state at which every variable takes its xi value
+  eval_ml  : propositional modal fragment in a propositional model
 
-`eval_expr`, `eval_fol` and `eval_ml` compile and call once.  Callers that
-evaluate one expression in many models or states compile it themselves,
-as `obligation_checker` does for an obligation; it is the per-model check
-behind `check-model`, `countermodel_state` and the tests' sweeps.
+`compile_expr`, `compile_fol` and `compile_ml` give an expression as a
+function of (model, state, bindings) and compile nothing.
+`obligation_checker` is the per-model check of an obligation behind
+`check-model`, `countermodel_state` and the tests' sweeps.
 
-`compile_lanes` compiles the same semantics a second way, for bounded
-search: one call gives an expression's value in every model of a lane
-block, models that share a universe and a state count but may differ in
-everything else, as an int bitset over (model, state) lanes (see the
-comment above `Access`).  It substitutes nothing: a definition body is
-compiled once per value/truth position into a cache that the caller may
-share between compilations, and each application runs it with the
-parameters bound to the arguments' lane values.
+`compile_lanes` is the one compiler, for bounded search: one call gives
+an expression's value in every model of a lane block as an int bitset
+over (model, state) lanes (see the comment above `Access`).
 
 The AST has no negation, conjunction or disjunction: `not_`, `and_` and
-`or_` build them from implications and false.  `_compile` recognises those
-shapes and compiles each to one fused closure, which gives the chain's
-value, runs its operands in the chain's order and stops where the chain
-would.  The nabla and prime closures read a state's successors from
-`models._successor_table`, one cached table per relation shared by every
-model built on it.
+`or_` build them from implications and false.  Both readings take each
+of those shapes in one step; the point path runs its operands in the
+chain's order and stops where the chain would.  Nabla and prime read a
+state's successors from `models._successor_table`, one cached table per
+relation shared by every model built on it.
 
 The implication / quantifier / equality clauses treat any value other than
 tt as false-like, so no coercion of non-boolean values is performed
@@ -52,12 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Union
 
-from .models import (
-    FOLStructure,
-    KripkeModel,
-    Value,
-    _successor_table,
-)
+from .models import FOLStructure, KripkeModel, Value, _successor_table
 from .syntax import (
     DefApp,
     DefinitionEnvironment,
@@ -74,7 +61,6 @@ from .syntax import (
     OpApp,
     Prime,
     RigidVar,
-    substitute,
 )
 
 
@@ -82,8 +68,8 @@ class EvalError(FomlError):
     pass
 
 
-# A compiled expression: (model, state, bindings) -> value.  `bindings`
-# overlays the model's xi for rigid variables and is never mutated.
+# An expression's value as a function of (model, state, bindings).
+# `bindings` overlays the model's xi for rigid variables, unmutated.
 Evaluator = Callable[
     [Union[KripkeModel, FOLStructure], Value, Mapping[str, Value]],
     Value]
@@ -98,7 +84,7 @@ def eval_expr(
 ) -> Value:
     """Value of e at state w of m.  `bindings` overlays m.xi and is how
     quantifiers (and witness constructions) rebind rigid variables."""
-    return compile_expr(e, env)(m, w, bindings or {})
+    return _evaluate(e, m, w, bindings or {}, env, True, True)
 
 
 def eval_fol(
@@ -109,30 +95,30 @@ def eval_fol(
     """Value of a first-order expression in structure s.  Both rigid and
     flexible variables are looked up in s.xi (the extended variable set);
     modal and defined-operator nodes are rejected."""
-    return compile_fol(e)(s, 0, bindings or {})
+    return _evaluate(e, s, 0, bindings or {}, None, True, False)
 
 
 def eval_ml(k: KripkeModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
-    return compile_ml(e)(k, w, {})
+    return _evaluate(e, k, w, {}, None, False, True)
 
 
 def compile_expr(e: Expression, env: DefinitionEnvironment) -> Evaluator:
     """`eval_expr` of e as a function of (m, w, bindings)."""
-    return _compile(e, env, True, True)
+    return lambda m, w, bnd: _evaluate(e, m, w, bnd, env, True, True)
 
 
 def compile_fol(e: Expression) -> Evaluator:
     """`eval_fol` of e as a function of (s, state, bindings); the state is
     ignored."""
-    return _compile(e, None, True, False)
+    return lambda s, w, bnd: _evaluate(e, s, w, bnd, None, True, False)
 
 
 def compile_ml(e: Expression) -> Evaluator:
     """`eval_ml` of e as a function of (k, w, bindings); the bindings are
     ignored."""
-    return _compile(e, None, False, True)
+    return lambda k, w, bnd: _evaluate(e, k, w, bnd, None, False, True)
 
 
 # What each (first_order, modal) view admits, for its error messages.
@@ -143,200 +129,137 @@ _FRAGMENT = {
 }
 
 
-def _compile(
+class _Arg(tuple):
+    """A definition's argument, as its parameter is bound in the body: the
+    pair of the argument expression and the caller's bindings."""
+
+
+def _evaluate(
     e: Expression,
+    m: Union[KripkeModel, FOLStructure],
+    w: Value,
+    bnd: Mapping[str, Any],
     env: Optional[DefinitionEnvironment],
     first_order: bool,
     modal: bool,
-) -> Evaluator:
-    """The semantics restricted to a fragment, compiled in one walk over e:
-    `first_order` admits rigid variables, operators, equality and
-    quantifiers, `modal` admits the modalities, and defined operators need
-    both.  Without `modal`, m has no states and flexible variables are read
-    from m.xi.
+) -> Value:
+    """The value of e at state w of m, under the semantics restricted to a
+    fragment: `first_order` admits rigid variables, operators, equality
+    and quantifiers, `modal` admits the modalities, and defined operators
+    need both.  Without `modal`, m has no states and flexible variables
+    are read from m.xi.  A node outside the fragment, an unknown
+    definition or a missing value raises when evaluation reaches it.
 
-    No evaluation error is raised here: a node outside the fragment, an
-    unknown definition or a missing value raises when evaluation reaches
-    it, so evaluation short-circuits exactly as a tree walk would."""
-    match e:
-        case Implies(lhs, rhs):
+    An application binds each parameter to its argument with the caller's
+    bindings, and the body evaluates the argument where it reads the
+    parameter: the value of the substituted body, with no name captured,
+    since the body's free rigid variables are its parameters.  Reading a
+    parameter, entering a body and following a functional prime go on in
+    the same frame."""
+    # Dispatch is on the node's exact type: a class-pattern `match` costs
+    # about twice as much per node.
+    while True:
+        t = type(e)
+        if t is Implies:
             # The derived connectives, as the syntax helpers build them,
-            # run as one closure each: not_ is (e => F), and_ is
-            # ((a => (b => F)) => F) and or_ is ((a => F) => b).
-            if type(rhs) is FalseExpr:
-                if type(lhs) is Implies and type(lhs.rhs) is Implies \
-                        and type(lhs.rhs.rhs) is FalseExpr:
-                    return _and(
-                        _compile(lhs.lhs, env, first_order, modal),
-                        _compile(lhs.rhs.lhs, env, first_order, modal))
-                return _not(_compile(lhs, env, first_order, modal))
-            if type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
-                return _or(_compile(lhs.lhs, env, first_order, modal),
-                           _compile(rhs, env, first_order, modal))
-            return _implies(_compile(lhs, env, first_order, modal),
-                            _compile(rhs, env, first_order, modal))
-        case FalseExpr():
-            return _false
-        case FlexVar(name):
-            return _flex(name, modal)
-        case Eq(lhs, rhs) if first_order:
-            return _eq(_compile(lhs, env, first_order, modal),
-                       _compile(rhs, env, first_order, modal))
-        case RigidVar(name) if first_order:
-            return _rigid(name)
-        case OpApp(op, args) if first_order:
-            return _opapp(op, tuple([_compile(a, env, first_order, modal)
-                                     for a in args]))
-        case Nabla(body) if modal:
-            return _nabla(_compile(body, env, first_order, modal))
-        case Forall(var, body) if first_order:
-            return _forall(var, _compile(body, env, first_order, modal))
-        case Prime(body) if modal:
-            return _prime(_compile(body, env, first_order, modal))
-        case DefApp(op, args) if first_order and modal:
-            return _defapp(op, args, env)
-    return _outside(e, _FRAGMENT[first_order, modal])
-
-
-# One closure factory per node kind, so that compiling a node allocates
-# only the cells its own closure reads.
-
-def _implies(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-    def implies(m, w, bnd):
-        if lhs(m, w, bnd) != m.tt or rhs(m, w, bnd) == m.tt:
-            return m.tt
-        return m.ff
-    return implies
-
-
-# The fused connectives give the values of the Implies chains they replace
-# and evaluate the same operands in the same order, stopping where the
-# chain would: `and` skips b unless a is tt, `or` skips b when a is tt.
-
-def _not(body: Evaluator) -> Evaluator:
-    def not_(m, w, bnd):
-        return m.ff if body(m, w, bnd) == m.tt else m.tt
-    return not_
-
-
-def _and(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-    def and_(m, w, bnd):
-        if lhs(m, w, bnd) == m.tt and rhs(m, w, bnd) == m.tt:
-            return m.tt
-        return m.ff
-    return and_
-
-
-def _or(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-    def or_(m, w, bnd):
-        # In a model with tt == ff, (a => F) is always tt, so the chain
-        # runs b whatever a is.
-        if lhs(m, w, bnd) == m.tt and m.tt != m.ff:
-            return m.tt
-        return m.tt if rhs(m, w, bnd) == m.tt else m.ff
-    return or_
-
-
-def _false(m, w, bnd):
-    return m.ff
-
-
-def _flex(name: str, modal: bool) -> Evaluator:
-    def flex(m, w, bnd):
-        try:
-            return m.zeta[(name, w)] if modal else m.xi[name]
-        except KeyError:
-            raise EvalError(f"flexible variable {name!r} has no value"
-                            + (f" at state {w!r}" if modal else ""))
-    return flex
-
-
-def _eq(lhs: Evaluator, rhs: Evaluator) -> Evaluator:
-    def eq(m, w, bnd):
-        return m.tt if lhs(m, w, bnd) == rhs(m, w, bnd) else m.ff
-    return eq
-
-
-def _rigid(name: str) -> Evaluator:
-    def rigid(m, w, bnd):
-        if name in bnd:
-            return bnd[name]
-        try:
-            return m.xi[name]
-        except KeyError:
-            raise EvalError(f"rigid variable {name!r} has no value")
-    return rigid
-
-
-def _opapp(op: str, args: tuple[Evaluator, ...]) -> Evaluator:
-    def opapp(m, w, bnd):
-        vals = tuple([a(m, w, bnd) for a in args]) if args else ()
-        try:
-            return m.op_interp[op][vals]
-        except KeyError:
-            raise EvalError(f"operator {op!r} not interpreted")
-    return opapp
-
-
-def _nabla(body: Evaluator) -> Evaluator:
-    def nabla(m, w, bnd):
-        for w2 in _successor_table(m.R).get(w, ()):
-            if body(m, w2, bnd) != m.tt:
+            # take one step each: not_ is (a => F), and_ is
+            # ((a => (b => F)) => F) and or_ is ((a => F) => b).  Each runs
+            # a, then b only where the chain would.
+            lhs, rhs, tt = e.lhs, e.rhs, m.tt
+            if type(rhs) is not FalseExpr:
+                if type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
+                    # or_: with tt == ff, (a => F) is always tt
+                    if _evaluate(lhs.lhs, m, w, bnd, env, first_order,
+                                 modal) == tt and tt != m.ff:
+                        return tt
+                elif _evaluate(lhs, m, w, bnd, env, first_order,
+                               modal) != tt:
+                    return tt
+            elif type(lhs) is Implies and type(lhs.rhs) is Implies \
+                    and type(lhs.rhs.rhs) is FalseExpr:
+                if _evaluate(lhs.lhs, m, w, bnd, env, first_order,
+                             modal) != tt:
+                    return m.ff
+                rhs = lhs.rhs.lhs
+            else:
+                return m.ff if _evaluate(lhs, m, w, bnd, env, first_order,
+                                         modal) == tt else tt
+            return tt if _evaluate(rhs, m, w, bnd, env, first_order,
+                                   modal) == tt else m.ff
+        if t is FalseExpr:
+            return m.ff
+        if t is FlexVar:
+            try:
+                return m.zeta[(e.name, w)] if modal else m.xi[e.name]
+            except KeyError:
+                raise EvalError(f"flexible variable {e.name!r} has no value"
+                                + (f" at state {w!r}" if modal else ""))
+        if first_order:
+            if t is RigidVar:
+                if e.name not in bnd:
+                    try:
+                        return m.xi[e.name]
+                    except KeyError:
+                        raise EvalError(
+                            f"rigid variable {e.name!r} has no value")
+                value = bnd[e.name]
+                if type(value) is not _Arg:
+                    return value
+                e, bnd = value
+                continue
+            if t is OpApp:
+                vals = []
+                for a in e.args:
+                    vals.append(_evaluate(a, m, w, bnd, env, first_order,
+                                          modal))
+                try:
+                    return m.op_interp[e.op][tuple(vals)]
+                except KeyError:
+                    raise EvalError(f"operator {e.op!r} not interpreted")
+            if t is Eq:
+                if _evaluate(e.lhs, m, w, bnd, env, first_order, modal) \
+                        == _evaluate(e.rhs, m, w, bnd, env, first_order,
+                                     modal):
+                    return m.tt
                 return m.ff
-        return m.tt
-    return nabla
-
-
-def _forall(var: str, body: Evaluator) -> Evaluator:
-    def forall(m, w, bnd):
-        # One overlay serves every element: no closure keeps `bnd`.
-        inner = dict(bnd)
-        for d in m.universe:
-            inner[var] = d
-            if body(m, w, inner) != m.tt:
-                return m.ff
-        return m.tt
-    return forall
-
-
-def _prime(body: Evaluator) -> Evaluator:
-    def prime(m, w, bnd):
-        if m.primeR is None:
-            raise EvalError("prime evaluated in a model without primeR")
-        succ = _successor_table(m.primeR).get(w, ())
-        if m.prime_is_function:
-            # prime_successor raises for a w that is not a state
-            return body(m, succ[0] if succ else m.prime_successor(w), bnd)
-        for w2 in succ:
-            if body(m, w2, bnd) != m.tt:
-                return m.ff
-        return m.tt
-    return prime
-
-
-def _defapp(op: str, args: tuple[Expression, ...],
-            env: DefinitionEnvironment) -> Evaluator:
-    # The instantiated body depends only on the syntax, never on the
-    # model, state or bindings, so it is substituted and compiled on first
-    # use and kept.  Binding the parameters to argument values instead
-    # would be unsound: a flexible argument under a modality changes value
-    # with the state.
-    compiled: Optional[Evaluator] = None
-
-    def defapp(m, w, bnd):
-        nonlocal compiled
-        if compiled is None:
-            d = env.definition(op)
-            body = substitute(d.body, dict(zip(d.params, args)))
-            compiled = _compile(body, env, True, True)
-        return compiled(m, w, bnd)
-    return defapp
-
-
-def _outside(e: Expression, fragment: str) -> Evaluator:
-    def outside(m, w, bnd):
-        raise EvalError(f"not {fragment}: {e}")
-    return outside
+            if t is Forall:
+                # One overlay serves every element: an argument bound to
+                # it is read only while its element is bound.
+                inner, var = dict(bnd), e.var
+                for d in m.universe:
+                    inner[var] = d
+                    if _evaluate(e.body, m, w, inner, env, first_order,
+                                 modal) != m.tt:
+                        return m.ff
+                return m.tt
+        if modal:
+            if t is Nabla:
+                for w2 in _successor_table(m.R).get(w, ()):
+                    if _evaluate(e.body, m, w2, bnd, env, first_order,
+                                 modal) != m.tt:
+                        return m.ff
+                return m.tt
+            if t is Prime:
+                if m.primeR is None:
+                    raise EvalError(
+                        "prime evaluated in a model without primeR")
+                succ = _successor_table(m.primeR).get(w, ())
+                if not m.prime_is_function:
+                    for w2 in succ:
+                        if _evaluate(e.body, m, w2, bnd, env, first_order,
+                                     modal) != m.tt:
+                            return m.ff
+                    return m.tt
+                # prime_successor raises for a w that is not a state
+                e, w = e.body, succ[0] if succ else m.prime_successor(w)
+                continue
+            if t is DefApp and first_order:
+                d, params = env.definition(e.op), {}
+                for p, a in zip(d.params, e.args):
+                    params[p] = _Arg((a, bnd))
+                e, bnd = d.body, params
+                continue
+        raise EvalError(f"not {_FRAGMENT[first_order, modal]}: {e}")
 
 
 # Lanes: one evaluation for many models at once.
@@ -662,11 +585,6 @@ def _lane_opapp(op: str, args: tuple[LaneEvaluator, ...]) -> LaneEvaluator:
     return opapp
 
 
-def holds(m: KripkeModel, w: Value, e: Expression,
-          env: DefinitionEnvironment) -> bool:
-    return eval_expr(m, w, e, env) == m.tt
-
-
 def countermodel_state(m: KripkeModel, ob: Obligation) -> Optional[Value]:
     """State of m at which the obligation's goal fails, provided every
     hypothesis holds at every state; None when m is not a countermodel."""
@@ -675,23 +593,22 @@ def countermodel_state(m: KripkeModel, ob: Obligation) -> Optional[Value]:
 
 def obligation_checker(ob: Obligation) -> Callable[
         [KripkeModel], tuple[Optional[Expression], Optional[Value]]]:
-    """The per-model check of an obligation, by the point evaluator, with
-    its expressions compiled once, here: for a model m, (the first
-    hypothesis that fails at some state of m, None) or, when every
-    hypothesis holds everywhere, (None, the first state at which the goal
-    fails, or None).  Evaluation stops at the first failure, so a model
-    that refutes a hypothesis never runs the goal."""
-    hyps = [(h, compile_expr(h, ob.env)) for h in ob.hypotheses]
-    goal = compile_expr(ob.goal, ob.env)
+    """The per-model check of an obligation, by the point interpreter:
+    for a model m, (the first hypothesis that fails at some state of m,
+    None) or, when every hypothesis holds everywhere, (None, the first
+    state at which the goal fails, or None).  Evaluation stops at the
+    first failure, so a model that refutes a hypothesis never runs the
+    goal."""
+    env = ob.env
 
     def check(m: KripkeModel
               ) -> tuple[Optional[Expression], Optional[Value]]:
-        for h, hyp in hyps:
+        for h in ob.hypotheses:
             for w in m.states:
-                if hyp(m, w, {}) != m.tt:
+                if _evaluate(h, m, w, {}, env, True, True) != m.tt:
                     return h, None
         for w in m.states:
-            if goal(m, w, {}) != m.tt:
+            if _evaluate(ob.goal, m, w, {}, env, True, True) != m.tt:
                 return None, w
         return None, None
     return check

@@ -517,6 +517,25 @@ class TestExitCodes:
         assert out.startswith("countermodel (goal fails at state ")
         assert err == ""
 
+    @pytest.mark.parametrize("goal", [
+        "(nabla " * 1500 + "v" + ")" * 1500,
+        "(and " + " ".join(["v"] * 1500) + ")",
+        "(d " * 600 + "v" + ")" * 600,
+    ], ids=["nabla-1500", "and-1500", "defapp-600"])
+    def test_check_model_reach(self, capsys, tmp_path, goal):
+        # check-model gets a verdict on nesting as deep as these: 1,500
+        # nested nablas or conjuncts, and 600 nested applications of a
+        # definition whose body nests two nablas over its parameter.
+        model = tmp_path / "m.model"
+        model.write_text("(model (universe 0 1) (tt 0) (ff 1) (states 0 1)"
+                         " (R (0 1) (1 0)) (zeta (v 0 0) (v 1 1)))")
+        path = tmp_path / "deep.foml"
+        path.write_text("(declare-flex v)\n"
+                        "(define (d x) (nabla (nabla x)))\n"
+                        f"(goal {goal})\n")
+        code, out, err = run(capsys, "check-model", str(model), str(path))
+        assert code in (0, 1) and err == ""
+
 
 VERDICT_LINES = {0: "proved", 1: "countermodel (goal fails at state ",
                  2: "resource limit: "}

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -5,6 +8,7 @@ import pytest
 
 from foml import semantics, syntax
 from foml import (
+    Definition,
     DefinitionEnvironment,
     FALSE,
     KripkeModel,
@@ -15,7 +19,13 @@ from foml import (
 )
 from foml.coalesce import SymbolTable, build_witness_structure, coalesce_fol
 from foml.coalesce_ml import AtomTable, build_witness_propmodel, coalesce_ml
-from foml.gen import random_env, random_expr, random_model, rng_for
+from foml.gen import (
+    random_env,
+    random_expr,
+    random_ml_formula,
+    random_model,
+    rng_for,
+)
 from foml.models import FOLStructure, KripkeModel, _successor_table
 from foml.search import (
     SearchBounds,
@@ -31,7 +41,7 @@ from foml.semantics import (
     eval_expr,
     eval_fol,
     eval_ml,
-    holds,
+    obligation_checker,
 )
 from foml.syntax import (
     DefApp,
@@ -48,6 +58,7 @@ from foml.syntax import (
     and_,
     delta_,
     is_rigid,
+    map_children,
     not_,
     or_,
     substitute,
@@ -248,6 +259,52 @@ class TestLazyEvaluation:
         with pytest.raises(FomlError, match="no definition named"):
             eval_expr(tiny_model(), 0, Implies(true_(), self.UNKNOWN), ENV)
 
+    # first(p, q) reads only p; next(p) reads p at the successors; all(p)
+    # binds x around p.
+    DEFS = ENV.extended(definitions=(
+        Definition("first", ("p", "q"), RigidVar("p")),
+        Definition("next", ("p",), Nabla(Eq(RigidVar("p"), OpApp("0")))),
+        Definition("all", ("p",), Forall("x", Eq(RigidVar("p"),
+                                                 RigidVar("x")))),
+    ))
+
+    def test_unread_arguments_are_never_evaluated(self):
+        m = tiny_model()
+        for unread in (self.UNKNOWN, Prime(FlexVar("v")), Nabla(self.UNKNOWN)):
+            e = DefApp("first", (OpApp("0"), unread))
+            assert eval_expr(m, 0, e, self.DEFS) == 0
+
+    def test_arguments_are_read_where_the_body_reads_them(self):
+        # v is 0 at state 0 and 1 at state 1, each the other's successor:
+        # next(v) is (nabla (= v 0)), true at 1 and false at 0.
+        m = tiny_model(R=[(0, 1), (1, 0)])
+        e = DefApp("next", (FlexVar("v"),))
+        assert [eval_expr(m, w, e, self.DEFS) for w in (0, 1)] == [
+            m.ff, m.tt]
+
+    def test_body_binders_capture_no_argument_variable(self):
+        # all(x) is (forall x1 (= x x1)), false in a universe of two, and
+        # not (forall x (= x x)).
+        m = tiny_model()
+        for e in (DefApp("all", (RigidVar("x"),)),
+                  Forall("x", DefApp("all", (RigidVar("x"),))),
+                  DefApp("first", (DefApp("all", (RigidVar("x"),)),
+                                   RigidVar("y")))):
+            assert eval_expr(m, 0, e, self.DEFS) == m.ff
+
+    def test_reached_arguments_raise_their_own_errors(self):
+        m = tiny_model(R=[(0, 1)], zeta={("v", 0): 0})
+        with pytest.raises(FomlError, match="^no definition named 'nowhere'$"):
+            eval_expr(m, 0, DefApp("first", (self.UNKNOWN, FALSE)), self.DEFS)
+        with pytest.raises(EvalError, match="^prime evaluated in a model "
+                           "without primeR$"):
+            eval_expr(m, 0, DefApp("first", (Prime(FlexVar("v")), FALSE)),
+                      self.DEFS)
+        # read at the successor, which has no value for v
+        with pytest.raises(EvalError, match="^flexible variable 'v' has no "
+                           "value at state 1$"):
+            eval_expr(m, 0, DefApp("next", (FlexVar("v"),)), self.DEFS)
+
 
 class Stuck(Exception):
     """The reference evaluator reached a node it cannot give a value."""
@@ -337,12 +394,13 @@ def outcome(f, *args):
         return "stuck"
 
 
-def connective_expr(rng, env, depth, prime):
-    """Random expressions under the derived connectives, so that every
-    shape the syntax helpers build is evaluated."""
+def connective_expr(rng, depth, leaf):
+    """Random expressions under the derived connectives, over leaf()
+    operands, so that every shape the syntax helpers build is
+    evaluated."""
     if depth == 0 or rng.random() < 0.3:
-        return random_expr(rng, env, depth=2, allow_prime=prime)
-    parts = [connective_expr(rng, env, depth - 1, prime) for _ in range(2)]
+        return leaf()
+    parts = [connective_expr(rng, depth - 1, leaf) for _ in range(2)]
     kind = rng.randrange(5)
     if kind == 0:
         return not_(parts[0])
@@ -369,7 +427,8 @@ class TestReferenceEvaluator:
             # neither; and with prime but no primeR, which gets stuck
             prime = i % 3 != 1
             e = (random_expr(rng, env, depth=3, allow_prime=prime)
-                 if i % 2 else connective_expr(rng, env, 3, prime))
+                 if i % 2 else connective_expr(rng, 3, lambda: random_expr(
+                     rng, env, depth=2, allow_prime=prime)))
             m = random_model(rng, env, need_prime=i % 3 == 0,
                              functional_prime=i % 6 == 0)
             full = compile_expr(e, env)
@@ -394,6 +453,82 @@ class TestReferenceEvaluator:
                 assert outcome(compiled_ml, k, w, {}) == outcome(
                     reference_eval, k, w, ml, None, True, False), (ml, w)
         assert 0 < stuck < 300
+
+
+def graft(rng, e, make):
+    """e with one node, drawn uniformly in walk order, replaced by
+    make(node)."""
+    target, seen = rng.randrange(sum(1 for _ in walk(e))), [-1]
+
+    def go(n):
+        seen[0] += 1
+        return make(n) if seen[0] == target else map_children(n, go)
+    return go(e)
+
+
+class TestPointOutcomes:
+    """Every outcome of compile_expr, compile_fol and compile_ml on 3,000
+    seeded cases at every state, pinned as one SHA-256: the value, or the
+    error's class and message.  The cases include unknown definitions and
+    nodes outside a view's fragment (reached or not, in definition
+    arguments too), a dropped xi, operator or zeta entry, prime without
+    primeR and models whose tt is their ff."""
+
+    DIGEST = ("d05da2f668205609d125ceddbfef9de0"
+              "9cbed632b7bcc72304e50cd683e35f3b")
+
+    @staticmethod
+    def outcomes(i):
+        rng = rng_for(18, i)
+        env = random_env(rng)
+        prime = i % 3 != 1
+        e = connective_expr(rng, 3, lambda: random_expr(
+            rng, env, depth=2, allow_prime=prime))
+        if i % 4 == 0:
+            e = graft(rng, e, lambda n: DefApp("nowhere", (n,)))
+        f = random_expr(rng, env, depth=3, allow_nabla=False,
+                        allow_prime=False, allow_defapp=False)
+        ml = connective_expr(rng, 2, lambda: random_ml_formula(
+            rng, env.flex_vars, 2, prime))
+        m = random_model(rng, env, need_prime=i % 3 == 0,
+                         functional_prime=i % 6 == 0)
+        xi, ops, zeta = dict(m.xi), dict(m.op_interp), dict(m.zeta)
+        if i % 7 == 0:
+            del zeta[rng.choice(sorted(zeta, key=str))]
+        if i % 13 == 0:
+            del xi[rng.choice(sorted(xi))]
+        if i % 17 == 0:
+            del ops[rng.choice(sorted(ops))]
+        m = dataclasses.replace(m, xi=xi, op_interp=ops, zeta=zeta,
+                                ff=m.tt if i % 11 == 0 else m.ff)
+        k = KripkeModel.propositional(
+            m.states, m.R, {key: "tt" if v == m.tt else "ff"
+                            for key, v in zeta.items()}, m.primeR)
+        bnd = {} if i % 2 else {rng.choice(env.rigid_vars):
+                                rng.choice(m.universe)}
+        full = compile_expr(e, env)
+        fol_e, fol_f = compile_fol(e), compile_fol(f)
+        ml_e, ml_ml = compile_ml(e), compile_ml(ml)
+        for w in m.states:
+            s = FOLStructure(m.universe, m.tt, m.ff, m.op_interp,
+                             {**m.xi, **{v: x for (v, t), x in zeta.items()
+                                         if t == w}})
+            for fn, model in ((full, m), (fol_e, s), (fol_f, s),
+                              (ml_e, k), (ml_ml, k)):
+                try:
+                    yield repr(fn(model, w, bnd))
+                except Exception as exc:
+                    yield f"{type(exc).__name__}: {exc}"
+
+    def test_outcomes_are_pinned(self):
+        digest, kinds = hashlib.sha256(), Counter()
+        for i in range(3000):
+            for out in self.outcomes(i):
+                digest.update(out.encode() + b"\n")
+                kinds[out.partition(":")[0]] += 1
+        # every kind of failure occurs
+        assert {"EvalError", "FomlError"} <= set(kinds)
+        assert digest.hexdigest() == self.DIGEST, kinds
 
 
 class TestSuccessorTables:
@@ -448,7 +583,8 @@ class TestCountermodelSearch:
         res = find_countermodel(ob, SearchBounds(2, 2))
         assert res.found
         assert len(res.model.states) == 2
-        assert holds(res.model, res.state, ob.goal, ob.env) is False
+        assert eval_expr(res.model, res.state, ob.goal, ob.env) \
+            != res.model.tt
 
     def test_true_has_no_countermodel(self):
         ob = parse_problem("(goal true)")
@@ -492,7 +628,6 @@ class TestCountermodelSearch:
         def no_substitute(e, sigma):
             raise AssertionError(f"substitute called on {e}")
 
-        monkeypatch.setattr(semantics, "substitute", no_substitute)
         monkeypatch.setattr(syntax, "substitute", no_substitute)
         real = semantics._lanes
         compiled = Counter()
@@ -509,6 +644,30 @@ class TestCountermodelSearch:
                            for e in ob.all_exprs() for n in walk(e))
         assert applications == 4  # iff repeats each application
         assert compiled == {("cst", True): 1}
+
+    def test_point_evaluation_substitutes_nothing(self):
+        # The point path binds each parameter to its argument: no module
+        # reaches syntax.substitute, under whatever name it imports it.
+        ob = parse_problem((DEMO / "cst.foml").read_text())
+        m = find_countermodel(ob, SearchBounds(2, 2)).model
+        env = TestLazyEvaluation.DEFS
+        nested = DefApp("first", (DefApp("all", (DefApp("next", (
+            FlexVar("v"),)),)), FALSE))
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is substitute.__code__:
+                calls.append(frame.f_back.f_code.co_name)
+
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            failed, w = obligation_checker(ob)(m)
+            value = eval_expr(tiny_model(), 0, nested, env)
+        finally:
+            sys.setprofile(before)
+        assert (failed, value) == (None, 1) and w is not None
+        assert calls == []
 
     def test_enumeration_is_deterministic(self):
         first = list(enumerate_models({"0": 0}, ("x",), ("v",), 2, 2))

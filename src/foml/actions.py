@@ -48,29 +48,29 @@ def distribute_prime(
     """
 
     def reject(e: Expression) -> None:
-        match e:
-            case Nabla():
-                raise FomlError(
-                    "nabla inside an action formula cannot be distributed")
-            case DefApp():
-                raise FomlError(
-                    "defined operator in an action formula; expand "
-                    "definitions first")
+        t = type(e)
+        if t is Nabla:
+            raise FomlError(
+                "nabla inside an action formula cannot be distributed")
+        if t is DefApp:
+            raise FomlError(
+                "defined operator in an action formula; expand "
+                "definitions first")
 
     def dist(e: Expression) -> Expression:
         reject(e)
-        if isinstance(e, Prime):
+        if type(e) is Prime:
             return push(e.body)
         return map_children(e, dist)
 
     def push(e: Expression) -> Expression:
         # push(e) is the distributed form of (e)'
         reject(e)
-        match e:
-            case FlexVar():
-                return Prime(e)
-            case Prime():
-                raise FomlError("prime cannot be nested")
+        t = type(e)
+        if t is FlexVar:
+            return Prime(e)
+        if t is Prime:
+            raise FomlError("prime cannot be nested")
         return map_children(e, push)
 
     return dist(e)
@@ -100,14 +100,14 @@ def coalesce_action(e: Expression, primed: PrimedVars) -> Expression:
     """Replace each prime-on-a-flexible-variable by its fresh flexible
     constant.  The input must be distribute_prime output; the result is
     pure first-order."""
-    match e:
-        case Prime(FlexVar(v)):
-            return FlexVar(primed.intern(v))
-        case Prime():
-            raise FomlError(
-                f"prime not distributed down to a flexible variable: {e}")
-        case Nabla() | DefApp():
-            raise FomlError(f"not an action formula: {e}")
+    t = type(e)
+    if t is Prime:
+        if type(e.body) is FlexVar:
+            return FlexVar(primed.intern(e.body.name))
+        raise FomlError(
+            f"prime not distributed down to a flexible variable: {e}")
+    if t is Nabla or t is DefApp:
+        raise FomlError(f"not an action formula: {e}")
     return map_children(e, coalesce_action, primed)
 
 

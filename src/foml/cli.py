@@ -62,9 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ProblemError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
 @contextmanager

@@ -128,36 +128,37 @@ def coalesce_fol(
 
     # binders: the rigid variables bound above e, innermost first
     def go(e: Expression, binders: tuple[str, ...]) -> Expression:
-        match e:
-            case Forall(var, body):
-                return Forall(var, go(body, (var,) + binders))
-            case Nabla(body) | Prime(body):
-                kind = "nabla" if isinstance(e, Nabla) else "prime"
-                z = _select_zvars(binders, free_rigid_vars(body), order)
-                key = ModalKey(kind, len(z), alpha_key(e, z))
-                entry = table.entry(key, lambda name: SymbolEntry(
-                    name, len(z), key, z, node=e))
-                return OpApp(entry.name,
-                             tuple(RigidVar(x) for x in z))
-            case DefApp(op, args):
-                eps = classify_args(op, args, table.leibniz, env)
-                concrete_free: list[str] = []
-                for ent in eps:
-                    if ent is not STAR:
-                        for x in free_rigid_vars(ent):
-                            if x not in concrete_free:
-                                concrete_free.append(x)
-                z = _select_zvars(binders, tuple(concrete_free), order)
-                canon = tuple(
-                    ("star",) if ent is STAR
-                    else alpha_key(ent, z)
-                    for ent in eps)
-                key = DefKey(op, len(z), canon)
-                entry = table.entry(key, lambda name: SymbolEntry(
-                    name, len(eps) + len(z), key, z, op=op, entries=eps))
-                new_args = tuple(go(a, binders) for a in args) + tuple(
-                    RigidVar(x) for x in z)
-                return OpApp(entry.name, new_args)
+        t = type(e)
+        if t is Forall:
+            return Forall(e.var, go(e.body, (e.var,) + binders))
+        if t is Nabla or t is Prime:
+            kind = "nabla" if t is Nabla else "prime"
+            z = _select_zvars(binders, free_rigid_vars(e.body), order)
+            key = ModalKey(kind, len(z), alpha_key(e, z))
+            entry = table.entry(key, lambda name: SymbolEntry(
+                name, len(z), key, z, node=e))
+            return OpApp(entry.name,
+                         tuple(RigidVar(x) for x in z))
+        if t is DefApp:
+            op, args = e.op, e.args
+            eps = classify_args(op, args, table.leibniz, env)
+            concrete_free: list[str] = []
+            for ent in eps:
+                if ent is not STAR:
+                    for x in free_rigid_vars(ent):
+                        if x not in concrete_free:
+                            concrete_free.append(x)
+            z = _select_zvars(binders, tuple(concrete_free), order)
+            canon = tuple(
+                ("star",) if ent is STAR
+                else alpha_key(ent, z)
+                for ent in eps)
+            key = DefKey(op, len(z), canon)
+            entry = table.entry(key, lambda name: SymbolEntry(
+                name, len(eps) + len(z), key, z, op=op, entries=eps))
+            new_args = tuple(go(a, binders) for a in args) + tuple(
+                RigidVar(x) for x in z)
+            return OpApp(entry.name, new_args)
         return map_children(e, go, binders)
 
     return go(e, ())
@@ -198,12 +199,13 @@ def rewrite_rigid_box(
     """
 
     def go(e: Expression, at_formula: bool) -> Expression:
-        if at_formula and isinstance(e, Nabla) and is_rigid(e.body, env):
+        t = type(e)
+        if at_formula and t is Nabla and is_rigid(e.body, env):
             return e.body if reflexive else Implies(not_(Nabla(FALSE)), e.body)
         # The children of these nodes are formula positions, even when the
         # node itself sits at a term position.
         return map_children(
-            e, go, isinstance(e, (Implies, Forall, Nabla, Prime)))
+            e, go, t is Implies or t is Forall or t is Nabla or t is Prime)
 
     return go(e, True)
 

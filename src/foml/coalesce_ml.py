@@ -58,9 +58,9 @@ def coalesce_ml(
     e: Expression, env: DefinitionEnvironment, table: AtomTable
 ) -> Expression:
     """Propositional modal abstraction of e."""
-    match e:
-        case RigidVar() | OpApp() | DefApp() | Eq() | Forall():
-            return FlexVar(table.intern(e).name)
+    t = type(e)
+    if t is OpApp or t is Eq or t is RigidVar or t is Forall or t is DefApp:
+        return FlexVar(table.intern(e).name)
     return map_children(e, coalesce_ml, env, table)
 
 

@@ -104,19 +104,19 @@ def stratify(
         return OpApp(sym.name, tuple(RigidVar(x) for x in params))
 
     def form(e: Expression) -> Expression:
-        match e:
-            case Eq():
-                return map_children(e, term)
-            case Implies() | Forall():
-                return map_children(e, form)
+        t = type(e)
+        if t is Implies or t is Forall:
+            return map_children(e, form)
+        if t is Eq:
+            return map_children(e, term)
         return term(e)
 
     def term(e: Expression) -> Expression:
-        match e:
-            case Eq() | Implies() | Forall():
-                return name_for(e)
-            case Nabla() | Prime() | DefApp():
-                raise FomlError(f"not a first-order expression: {e}")
+        t = type(e)
+        if t is Eq or t is Implies or t is Forall:
+            return name_for(e)
+        if t is Nabla or t is Prime or t is DefApp:
+            raise FomlError(f"not a first-order expression: {e}")
         return map_children(e, term)
 
     new_hyps = tuple(form(h) for h in hypotheses)
@@ -221,33 +221,34 @@ def _render(ir: FolIR, sp: _Spelling,
     arguments of a term before its operator."""
 
     def form(e: Expression, bound: dict[str, str], depth: int) -> str:
-        match e:
-            case FalseExpr():
-                return sp.false
-            case Implies(lhs, rhs):
-                return sp.implies.format(form(lhs, bound, depth),
-                                         form(rhs, bound, depth))
-            case Forall(var, body):
-                bv = f"{sp.var}{depth}"
-                return sp.forall(
-                    [bv], form(body, {**bound, var: bv}, depth + 1))
-            case Eq(lhs, rhs):
-                return sp.eq.format(term(lhs, bound), term(rhs, bound))
+        t = type(e)
+        if t is Implies:
+            return sp.implies.format(form(e.lhs, bound, depth),
+                                     form(e.rhs, bound, depth))
+        if t is Eq:
+            return sp.eq.format(term(e.lhs, bound), term(e.rhs, bound))
+        if t is FalseExpr:
+            return sp.false
+        if t is Forall:
+            bv = f"{sp.var}{depth}"
+            return sp.forall(
+                [bv], form(e.body, {**bound, e.var: bv}, depth + 1))
         return sp.eq.format(term(e, bound), "tt")
 
     def term(e: Expression, bound: dict[str, str]) -> str:
-        match e:
-            case RigidVar(name) if name in bound:
-                return bound[name]
-            case RigidVar(name) | FlexVar(name):
-                return sym[name]
-            case FalseExpr():
-                return "ff"
-            case OpApp(op, args):
-                if not args:
-                    return sym[op]
-                inner = [term(a, bound) for a in args]  # before sym[op]
-                return sp.app(sym[op], inner)
+        t = type(e)
+        if t is OpApp:
+            if not e.args:
+                return sym[e.op]
+            inner = [term(a, bound) for a in e.args]  # before sym[op]
+            return sp.app(sym[e.op], inner)
+        if t is RigidVar:
+            name = e.name
+            return bound[name] if name in bound else sym[name]
+        if t is FlexVar:
+            return sym[e.name]
+        if t is FalseExpr:
+            return "ff"
         raise InternalError(f"unstratified node in term position: {e}")
 
     axioms = []

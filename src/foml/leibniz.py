@@ -42,26 +42,23 @@ def _vars_in_non_leibniz_positions(
 ) -> set[str]:
     """Free rigid variables of e having an occurrence inside some
     non-Leibniz argument position."""
-    match e:
-        case RigidVar():
-            return set()
-        case Nabla(body) | Prime(body):
-            return set(free_rigid_vars(body))
-        case Forall(var, body):
-            return _vars_in_non_leibniz_positions(body, computed) - {var}
-        case DefApp(op, args):
-            table = computed[op]
-            bad: set[str] = set()
-            for leib, a in zip(table, args):
-                bad |= _vars_in_non_leibniz_positions(a, computed)
-                if not leib:
-                    bad |= set(free_rigid_vars(a))
-            return bad
-        case _:
-            bad = set()
-            for c in children(e):
-                bad |= _vars_in_non_leibniz_positions(c, computed)
-            return bad
+    t = type(e)
+    if t is RigidVar:
+        return set()
+    if t is Nabla or t is Prime:
+        return set(free_rigid_vars(e.body))
+    if t is Forall:
+        return _vars_in_non_leibniz_positions(e.body, computed) - {e.var}
+    bad: set[str] = set()
+    if t is DefApp:
+        for leib, a in zip(computed[e.op], e.args):
+            bad |= _vars_in_non_leibniz_positions(a, computed)
+            if not leib:
+                bad |= set(free_rigid_vars(a))
+        return bad
+    for c in children(e):
+        bad |= _vars_in_non_leibniz_positions(c, computed)
+    return bad
 
 
 def compute_leibniz(

@@ -24,25 +24,25 @@ from .syntax import (
 
 
 def print_expr(e: Expression) -> str:
-    match e:
-        case RigidVar(name) | FlexVar(name):
-            return name
-        case OpApp(op, args) | DefApp(op, args):
-            if not args:
-                return op
-            return f"({op} {' '.join(print_expr(a) for a in args)})"
-        case Eq(lhs, rhs):
-            return f"(= {print_expr(lhs)} {print_expr(rhs)})"
-        case FalseExpr():
-            return "false"
-        case Implies(lhs, rhs):
-            return f"(=> {print_expr(lhs)} {print_expr(rhs)})"
-        case Forall(var, body):
-            return f"(forall {var} {print_expr(body)})"
-        case Nabla(body):
-            return f"(nabla {print_expr(body)})"
-        case Prime(body):
-            return f"(prime {print_expr(body)})"
+    t = type(e)
+    if t is Implies:
+        return f"(=> {print_expr(e.lhs)} {print_expr(e.rhs)})"
+    if t is OpApp or t is DefApp:
+        if not e.args:
+            return e.op
+        return f"({e.op} {' '.join([print_expr(a) for a in e.args])})"
+    if t is RigidVar or t is FlexVar:
+        return e.name
+    if t is FalseExpr:
+        return "false"
+    if t is Eq:
+        return f"(= {print_expr(e.lhs)} {print_expr(e.rhs)})"
+    if t is Forall:
+        return f"(forall {e.var} {print_expr(e.body)})"
+    if t is Nabla:
+        return f"(nabla {print_expr(e.body)})"
+    if t is Prime:
+        return f"(prime {print_expr(e.body)})"
     raise InternalError(f"unknown expression node {e!r}")
 
 

@@ -64,7 +64,6 @@ from .syntax import (
     Nabla,
     Prime,
     children,
-    walk,
 )
 
 # Each frame class: whether its relations are (reflexive, transitive).
@@ -111,8 +110,16 @@ Verdict = Union[Proved, Countermodel, ResourceOut]
 
 
 def check_ml_formula(e: Expression) -> None:
-    for sub in walk(e):
-        if not isinstance(sub, (FlexVar, FalseExpr, Implies, Nabla, Prime)):
+    stack = [e]
+    while stack:
+        sub = stack.pop()
+        t = type(sub)
+        if t is Implies:
+            stack.append(sub.rhs)
+            stack.append(sub.lhs)
+        elif t is Nabla or t is Prime:
+            stack.append(sub.body)
+        elif t is not FlexVar and t is not FalseExpr:
             raise FomlError(
                 f"not a propositional modal formula: {sub}")
 
@@ -320,7 +327,8 @@ def prove_ml(
     atoms = []
     for e in closure:
         b = bit[e]
-        if isinstance(e, Implies):
+        t = type(e)
+        if t is Implies:
             lhs, rhs = bit[e.lhs], bit[e.rhs]
             below[b] = m = below[lhs] | below[rhs]
             if not m:  # constant: decided before any free bit
@@ -332,18 +340,18 @@ def prove_ml(
                 x = m & -m
                 m ^= x
                 up[x].append((b, lhs, rhs))
-        elif isinstance(e, FalseExpr):
+        elif t is FalseExpr:
             below[b] = 0
             F |= b
         else:
             below[b] = b
             up[b] = []
             free.append(b)
-            if isinstance(e, FlexVar):
+            if t is FlexVar:
                 atoms.append((e.name, b))
                 bodies.append(0)
             else:
-                m = isinstance(e, Prime)
+                m = t is Prime
                 boxes[m].append((b, bit[e.body]))
                 bodies.append(bit[e.body] if frames[m][0] else 0)
 

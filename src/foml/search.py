@@ -621,7 +621,7 @@ def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
     stack = [*exprs, *(d.body for d in env.definitions)]
     while stack:
         e = stack.pop()
-        if isinstance(e, Prime):
+        if type(e) is Prime:
             return True
         stack.extend(children(e))
     return False

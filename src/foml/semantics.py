@@ -381,54 +381,56 @@ def _lanes(e: Expression, env: DefinitionEnvironment, boolean: bool,
     `boolean`, else e's one-hot values.  A definition body is compiled
     once into `bodies`, and an application binds its parameters to its
     arguments' one-hot values."""
-    match e:
-        case Implies(lhs, rhs):
-            if type(rhs) is FalseExpr:
-                if type(lhs) is Implies and type(lhs.rhs) is Implies \
-                        and type(lhs.rhs.rhs) is FalseExpr:
-                    fn = _lane_and(_lanes(lhs.lhs, env, True, bodies),
-                                   _lanes(lhs.rhs.lhs, env, True, bodies))
-                else:
-                    fn = _lane_not(_lanes(lhs, env, True, bodies))
-            elif type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
-                fn = _lane_or(_lanes(lhs.lhs, env, True, bodies),
-                              _lanes(rhs, env, True, bodies))
+    t = type(e)
+    if t is Implies:
+        lhs, rhs = e.lhs, e.rhs
+        if type(rhs) is FalseExpr:
+            if type(lhs) is Implies and type(lhs.rhs) is Implies \
+                    and type(lhs.rhs.rhs) is FalseExpr:
+                fn = _lane_and(_lanes(lhs.lhs, env, True, bodies),
+                               _lanes(lhs.rhs.lhs, env, True, bodies))
             else:
-                fn = _lane_implies(_lanes(lhs, env, True, bodies),
-                                   _lanes(rhs, env, True, bodies))
-        case FalseExpr():
-            fn = _lane_false
-        case Eq(lhs, rhs):
-            fn = _lane_eq(_lanes(lhs, env, False, bodies),
-                          _lanes(rhs, env, False, bodies))
-        case Forall(var, body):
-            fn = _lane_forall(var, _lanes(body, env, True, bodies))
-        case Nabla(body):
-            fn = _lane_box(_lanes(body, env, True, bodies), 0)
-        case Prime(body) if boolean:
+                fn = _lane_not(_lanes(lhs, env, True, bodies))
+        elif type(lhs) is Implies and type(lhs.rhs) is FalseExpr:
+            fn = _lane_or(_lanes(lhs.lhs, env, True, bodies),
+                          _lanes(rhs, env, True, bodies))
+        else:
+            fn = _lane_implies(_lanes(lhs, env, True, bodies),
+                               _lanes(rhs, env, True, bodies))
+    elif t is OpApp:
+        fn = _lane_opapp(e.op, tuple([_lanes(a, env, False, bodies)
+                                      for a in e.args]))
+        return _lane_truth(fn) if boolean else fn
+    elif t is RigidVar:
+        return _lane_rigid(e.name, boolean)
+    elif t is FlexVar:
+        return _lane_flex(e.name, boolean)
+    elif t is Eq:
+        fn = _lane_eq(_lanes(e.lhs, env, False, bodies),
+                      _lanes(e.rhs, env, False, bodies))
+    elif t is FalseExpr:
+        fn = _lane_false
+    elif t is Forall:
+        fn = _lane_forall(e.var, _lanes(e.body, env, True, bodies))
+    elif t is Nabla:
+        fn = _lane_box(_lanes(e.body, env, True, bodies), 0)
+    elif t is Prime:
+        if boolean:
             # Both readings of prime agree on truth: tt iff the body is tt
             # at every primeR-successor.
-            return _lane_box(_lanes(body, env, True, bodies), 1)
-        case Prime(body):
-            return _lane_prime(_lanes(body, env, False, bodies))
-        case DefApp(op, args):
-            d = env.definition(op)
-            body = bodies.get((op, boolean))
-            if body is None:
-                body = bodies[op, boolean] = _lanes(d.body, env, boolean,
-                                                    bodies)
-            return _lane_defapp(d.params, tuple([
-                _lanes(a, env, False, bodies) for a in args]), body)
-        case FlexVar(name):
-            return _lane_flex(name, boolean)
-        case RigidVar(name):
-            return _lane_rigid(name, boolean)
-        case OpApp(op, args):
-            fn = _lane_opapp(op, tuple([_lanes(a, env, False, bodies)
-                                        for a in args]))
-            return _lane_truth(fn) if boolean else fn
-        case _:
-            raise InternalError(f"unknown expression node {e!r}")
+            return _lane_box(_lanes(e.body, env, True, bodies), 1)
+        return _lane_prime(_lanes(e.body, env, False, bodies))
+    elif t is DefApp:
+        op = e.op
+        d = env.definition(op)
+        body = bodies.get((op, boolean))
+        if body is None:
+            body = bodies[op, boolean] = _lanes(d.body, env, boolean,
+                                                bodies)
+        return _lane_defapp(d.params, tuple([
+            _lanes(a, env, False, bodies) for a in e.args]), body)
+    else:
+        raise InternalError(f"unknown expression node {e!r}")
     # e is a formula: its values are tt and ff
     return fn if boolean else _lane_values(fn)
 

@@ -8,10 +8,15 @@ and the two modalities (nabla and prime).  Every surface connective
 so all later passes only ever see these ten constructors.
 
 `children` and `map_children` are the single place that knows the shape of
-every node kind.  A pass matches only the kinds it treats specially and
-hands every other node to `map_children`, so adding a node kind means
-extending those two functions plus the ones that must render every kind
-exactly: `alpha_key`, the printer and the evaluator.
+every node kind.  A pass tests only the kinds it treats specially and hands
+every other node to `map_children` (or walks `children`), so a new node kind
+is added to those two functions first, then to every dispatcher that renders
+or interprets each kind exactly: `alpha_key`, `_signature_walk`, the printer,
+`semantics._evaluate` and `semantics._lanes`.  Dispatch is on the exact
+class, `type(e) is Implies`, never on `isinstance` or a class pattern: an
+exact test costs about half as much per node, and a node of a kind a
+dispatcher does not know ends in its `InternalError`, not in a silent
+fallback.
 
 Fresh symbols of the translations are named by one `Interner`.
 """
@@ -170,15 +175,15 @@ def delta_(e: Expression) -> Expression:
 
 
 def children(e: Expression) -> tuple[Expression, ...]:
-    match e:
-        case RigidVar() | FlexVar() | FalseExpr():
-            return ()
-        case OpApp(_, args) | DefApp(_, args):
-            return args
-        case Eq(lhs, rhs) | Implies(lhs, rhs):
-            return (lhs, rhs)
-        case Forall(_, body) | Nabla(body) | Prime(body):
-            return (body,)
+    t = type(e)
+    if t is Implies or t is Eq:
+        return (e.lhs, e.rhs)
+    if t is OpApp or t is DefApp:
+        return e.args
+    if t is RigidVar or t is FlexVar or t is FalseExpr:
+        return ()
+    if t is Forall or t is Nabla or t is Prime:
+        return (e.body,)
     raise InternalError(f"unknown expression node {e!r}")
 
 
@@ -192,23 +197,23 @@ def map_children(
     `args` rather than closing over it: that saves a closure call per node
     and a stack frame per tree level.
     """
-    match e:
-        case Implies(lhs, rhs):
-            return Implies(f(lhs, *args), f(rhs, *args))
-        case Eq(lhs, rhs):
-            return Eq(f(lhs, *args), f(rhs, *args))
-        case RigidVar() | FlexVar() | FalseExpr():
-            return e
-        case OpApp(op, a):
-            return OpApp(op, tuple([f(x, *args) for x in a]))
-        case DefApp(op, a):
-            return DefApp(op, tuple([f(x, *args) for x in a]))
-        case Forall(var, body):
-            return Forall(var, f(body, *args))
-        case Nabla(body):
-            return Nabla(f(body, *args))
-        case Prime(body):
-            return Prime(f(body, *args))
+    t = type(e)
+    if t is Implies:
+        return Implies(f(e.lhs, *args), f(e.rhs, *args))
+    if t is OpApp:
+        return OpApp(e.op, tuple([f(x, *args) for x in e.args]))
+    if t is RigidVar or t is FlexVar or t is FalseExpr:
+        return e
+    if t is Eq:
+        return Eq(f(e.lhs, *args), f(e.rhs, *args))
+    if t is Forall:
+        return Forall(e.var, f(e.body, *args))
+    if t is Nabla:
+        return Nabla(f(e.body, *args))
+    if t is Prime:
+        return Prime(f(e.body, *args))
+    if t is DefApp:
+        return DefApp(e.op, tuple([f(x, *args) for x in e.args]))
     raise InternalError(f"unknown expression node {e!r}")
 
 
@@ -235,16 +240,17 @@ def free_rigid_vars(e: Expression) -> tuple[str, ...]:
     seen: set[str] = set()
 
     def go(e: Expression, bound: frozenset[str]) -> None:
-        match e:
-            case RigidVar(name):
-                if name not in bound and name not in seen:
-                    seen.add(name)
-                    out.append(name)
-            case Forall(var, body):
-                go(body, bound | {var})
-            case _:
-                for c in children(e):
-                    go(c, bound)
+        t = type(e)
+        if t is RigidVar:
+            name = e.name
+            if name not in bound and name not in seen:
+                seen.add(name)
+                out.append(name)
+        elif t is Forall:
+            go(e.body, bound | {e.var})
+        else:
+            for c in children(e):
+                go(c, bound)
 
     go(e, frozenset())
     return tuple(out)
@@ -252,12 +258,14 @@ def free_rigid_vars(e: Expression) -> tuple[str, ...]:
 
 def free_flex_vars(e: Expression) -> tuple[str, ...]:
     """Flexible variables occurring in e, ordered by first occurrence."""
-    out: list[str] = []
-    seen: set[str] = set()
-    for sub in walk(e):
-        if isinstance(sub, FlexVar) and sub.name not in seen:
-            seen.add(sub.name)
-            out.append(sub.name)
+    out: dict[str, None] = {}
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is FlexVar:
+            out[e.name] = None
+        else:
+            stack.extend(reversed(children(e)))
     return tuple(out)
 
 
@@ -282,28 +290,29 @@ def substitute(e: Expression, sigma: Mapping[str, Expression]) -> Expression:
         return e
 
     def go(e: Expression, sigma: dict[str, Expression]) -> Expression:
-        match e:
-            case RigidVar(name):
-                return sigma.get(name, e)
-            case Forall(var, body):
-                body_free = set(free_rigid_vars(body))
-                live = {
-                    k: v
-                    for k, v in sigma.items()
-                    if k != var and k in body_free
-                }
-                if not live:
-                    return e
-                image_free: set[str] = set()
-                for img in live.values():
-                    image_free.update(free_rigid_vars(img))
-                if var in image_free:
-                    var2 = fresh_name(
-                        var, body_free | image_free | set(live)
-                    )
-                    live[var] = RigidVar(var2)
-                    return Forall(var2, go(body, live))
-                return Forall(var, go(body, live))
+        t = type(e)
+        if t is RigidVar:
+            return sigma.get(e.name, e)
+        if t is Forall:
+            var, body = e.var, e.body
+            body_free = set(free_rigid_vars(body))
+            live = {
+                k: v
+                for k, v in sigma.items()
+                if k != var and k in body_free
+            }
+            if not live:
+                return e
+            image_free: set[str] = set()
+            for img in live.values():
+                image_free.update(free_rigid_vars(img))
+            if var in image_free:
+                var2 = fresh_name(
+                    var, body_free | image_free | set(live)
+                )
+                live[var] = RigidVar(var2)
+                return Forall(var2, go(body, live))
+            return Forall(var, go(body, live))
         return map_children(e, go, sigma)
 
     return go(e, dict(sigma))
@@ -318,30 +327,30 @@ def alpha_key(e: Expression, binders: tuple[str, ...] = ()) -> tuple:
     coalescing keys are formed.  Two expressions are alpha-equivalent iff
     their keys are equal.
     """
-    match e:
-        case RigidVar(name):
-            try:
-                return ("b", binders.index(name))
-            except ValueError:
-                return ("x", name)
-        case FlexVar(name):
-            return ("v", name)
-        case OpApp(op, args):
-            return ("op", op, *(alpha_key(a, binders) for a in args))
-        case DefApp(op, args):
-            return ("def", op, *(alpha_key(a, binders) for a in args))
-        case Eq(lhs, rhs):
-            return ("eq", alpha_key(lhs, binders), alpha_key(rhs, binders))
-        case FalseExpr():
-            return ("false",)
-        case Implies(lhs, rhs):
-            return ("imp", alpha_key(lhs, binders), alpha_key(rhs, binders))
-        case Forall(var, body):
-            return ("all", alpha_key(body, (var,) + binders))
-        case Nabla(body):
-            return ("nabla", alpha_key(body, binders))
-        case Prime(body):
-            return ("prime", alpha_key(body, binders))
+    t = type(e)
+    if t is Implies:
+        return ("imp", alpha_key(e.lhs, binders), alpha_key(e.rhs, binders))
+    if t is RigidVar:
+        name = e.name
+        if name in binders:
+            return ("b", binders.index(name))
+        return ("x", name)
+    if t is OpApp:
+        return ("op", e.op, *[alpha_key(a, binders) for a in e.args])
+    if t is Eq:
+        return ("eq", alpha_key(e.lhs, binders), alpha_key(e.rhs, binders))
+    if t is FalseExpr:
+        return ("false",)
+    if t is FlexVar:
+        return ("v", e.name)
+    if t is Forall:
+        return ("all", alpha_key(e.body, (e.var,) + binders))
+    if t is Nabla:
+        return ("nabla", alpha_key(e.body, binders))
+    if t is Prime:
+        return ("prime", alpha_key(e.body, binders))
+    if t is DefApp:
+        return ("def", e.op, *[alpha_key(a, binders) for a in e.args])
     raise InternalError(f"unknown expression node {e!r}")
 
 
@@ -413,12 +422,15 @@ class DefinitionEnvironment:
                     f"definition {d.name!r} body has free rigid variables "
                     f"not among its parameters: {', '.join(stray)}"
                 )
-            for sub in walk(d.body):
-                if isinstance(sub, DefApp) and sub.op not in known_defs:
+            stack = [d.body]
+            while stack:
+                sub = stack.pop()
+                if type(sub) is DefApp and sub.op not in known_defs:
                     raise FomlError(
                         f"definition {d.name!r} refers to {sub.op!r}, "
                         "which is not defined earlier"
                     )
+                stack.extend(reversed(children(sub)))
             known_defs.add(d.name)
 
     def definition(self, name: str) -> Definition:
@@ -520,16 +532,15 @@ def expand_definitions(
     the body, and the result is expanded again (bodies may apply earlier
     definitions).  Acyclicity of the environment guarantees termination.
     """
-    match e:
-        case DefApp(op, args):
-            d = env.definition(op)
-            inst = substitute(
-                d.body,
-                dict(
-                    zip(d.params, (expand_definitions(a, env) for a in args))
-                ),
-            )
-            return expand_definitions(inst, env)
+    if type(e) is DefApp:
+        d = env.definition(e.op)
+        inst = substitute(
+            d.body,
+            dict(
+                zip(d.params, (expand_definitions(a, env) for a in e.args))
+            ),
+        )
+        return expand_definitions(inst, env)
     return map_children(e, expand_definitions, env)
 
 
@@ -543,37 +554,42 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
     """
 
     def go(e: Expression, param_rigid: Mapping[str, bool]) -> bool:
-        match e:
-            case RigidVar(name):
-                return param_rigid.get(name, True)
-            case FlexVar():
-                return False
-            case Nabla() | Prime():
-                return False
-            case Forall(var, body):
-                if var in param_rigid:
-                    inner = {
-                        k: v for k, v in param_rigid.items() if k != var
-                    }
-                    return go(body, inner)
-                return go(body, param_rigid)
-            case DefApp(op, args):
-                d = env.definition(op)
-                return go(
-                    d.body,
-                    {
-                        p: go(a, param_rigid)
-                        for p, a in zip(d.params, args)
-                    },
-                )
-            case _:
-                return all(go(c, param_rigid) for c in children(e))
+        t = type(e)
+        if t is RigidVar:
+            return param_rigid.get(e.name, True)
+        if t is FlexVar or t is Nabla or t is Prime:
+            return False
+        if t is Forall:
+            var = e.var
+            if var in param_rigid:
+                inner = {
+                    k: v for k, v in param_rigid.items() if k != var
+                }
+                return go(e.body, inner)
+            return go(e.body, param_rigid)
+        if t is DefApp:
+            d = env.definition(e.op)
+            return go(
+                d.body,
+                {
+                    p: go(a, param_rigid)
+                    for p, a in zip(d.params, e.args)
+                },
+            )
+        return all(go(c, param_rigid) for c in children(e))
 
     return go(e, {})
 
 
 def contains_node(e: Expression, *kinds: type) -> bool:
-    return any(isinstance(sub, kinds) for sub in walk(e))
+    """Whether a node of one of `kinds` (exact classes) occurs in e."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) in kinds:
+            return True
+        stack.extend(children(e))
+    return False
 
 
 class Signature(NamedTuple):

@@ -1,6 +1,7 @@
 import io
 import re
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -536,8 +537,74 @@ class TestExitCodes:
         code, out, err = run(capsys, "check-model", str(model), str(path))
         assert code in (0, 1) and err == ""
 
+    @pytest.mark.parametrize("command", [
+        ("coalesce-fol", "{bad}"),
+        ("coalesce-ml", "{bad}"),
+        ("prove-ml", "{bad}"),
+        ("emit", "{bad}"),
+        ("leibniz", "{bad}"),
+        ("safety", "--out", "{out}", "{bad}"),
+        ("check-model", "{bad}", "{problem}"),
+        ("check-model", "{model}", "{bad}"),
+    ], ids=["coalesce-fol", "coalesce-ml", "prove-ml", "emit", "leibniz",
+            "safety", "check-model-model", "check-model-problem"])
+    def test_input_not_utf8_is_65(self, capsys, tmp_path, box_file,
+                                  command):
+        # a Latin-1 byte in a comment used to escape as UnicodeDecodeError
+        bad = tmp_path / "latin1.foml"
+        bad.write_bytes(b"; caf\xe9\n(goal false)\n")
+        model = tmp_path / "m.model"
+        model.write_text("(model (universe 0 1) (tt 0) (ff 1) (states 0)"
+                         " (R) (zeta (v 0 0)))")
+        argv = [a.format(bad=bad, out=tmp_path / "out", problem=box_file,
+                         model=model) for a in command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err == f"foml: cannot read {bad}: not UTF-8 text (byte 5)\n"
 
-VERDICT_LINES = {0: "proved", 1: "countermodel (goal fails at state ",
+
+class TestNestingReach:
+    """The nesting reach README states ("Exit codes and flags"): the
+    passes after the reader recurse, one or two frames per tree level, so
+    a rewritten pass that adds a frame per level shows here."""
+
+    DECLS = ("(declare-op 0 0) "
+             + " ".join(f"(declare-flex v{i})" for i in range(4)) + "\n")
+
+    def run_deep(self, capsys, tmp_path, command, goal):
+        """`run` on a file with this goal, in a new thread: its stack starts
+        empty, as a `foml` process's does, so what the test runner has on
+        the stack does not shorten the reach."""
+        path = tmp_path / "deep.foml"
+        path.write_text(f"{self.DECLS}(goal {goal})\n")
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(main([command, str(path)])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(codes) == 1
+        return codes[0], capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "coalesce-fol", "coalesce-ml", "emit", "prove-ml"])
+    @pytest.mark.parametrize("goal", [
+        "(and " + " ".join(f"(= v{i % 4} 0)" for i in range(320)) + ")",
+        "(nabla " * 980 + "v0" + ")" * 980,
+    ], ids=["and-320", "nabla-980"])
+    def test_every_translation_reaches(self, capsys, tmp_path, command,
+                                       goal):
+        code, err = self.run_deep(capsys, tmp_path, command, goal)
+        assert code in (0, 1) and err == ""
+
+    @pytest.mark.parametrize("command", ["coalesce-fol", "emit"])
+    def test_first_order_translations_reach_further(self, capsys, tmp_path,
+                                                     command):
+        goal = "(nabla " * 1970 + "v0" + ")" * 1970
+        code, err = self.run_deep(capsys, tmp_path, command, goal)
+        assert (code, err) == (0, "")
+
+
+VERDICT_LINES ={0: "proved", 1: "countermodel (goal fails at state ",
                  2: "resource limit: "}
 
 

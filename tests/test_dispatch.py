@@ -1,0 +1,152 @@
+"""Node-kind dispatch: the exact-type walkers against the class-pattern
+ones they replaced (`reference_syntax`), what every dispatcher does with a
+node kind it does not know, and a scan that keeps class patterns out of
+the package."""
+import ast
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+from foml import printer, syntax
+from foml.actions import PrimedVars, coalesce_action, distribute_prime
+from foml.coalesce import SymbolTable, coalesce_fol, rewrite_rigid_box
+from foml.coalesce_ml import AtomTable, coalesce_ml
+from foml.emit import FolIR, emit_smt, emit_tptp, stratify
+from foml.gen import random_env, random_expr, rng_for
+from foml.leibniz import _vars_in_non_leibniz_positions
+from foml.models import KripkeModel
+from foml.prover import MLSequent, check_ml_formula, prove_ml
+from foml.search import SearchBounds, find_countermodel, needs_prime
+from foml.semantics import compile_lanes, eval_expr, eval_ml
+from foml.syntax import (
+    FALSE,
+    Definition,
+    DefinitionEnvironment,
+    Expression,
+    Forall,
+    Implies,
+    InternalError,
+    Nabla,
+    Obligation,
+)
+
+sys.path.insert(0, str(Path(__file__).parent))
+import reference_syntax as reference  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "foml"
+
+
+def _tag(e: Expression, tag: Expression) -> Expression:
+    return Implies(e, tag)
+
+
+def _draws(n: int):
+    """n seeded (env, expression, sigma, binders) draws.  Half the
+    expressions have `a` free, as under a binder, and half of the
+    substitutions map onto images with `a` and `b` free, so renaming on
+    capture is exercised; `random_expr` binds `a` and `b` again inside,
+    so shadowing is too."""
+    for k in range(n):
+        rng = rng_for(19, k)
+        env = random_env(rng, with_defs=k % 4 != 0, modal_defs=k % 3 != 0)
+        outer = ("a",) if k % 2 else ()
+        e = random_expr(rng, env, depth=1 + k % 4, binders=outer)
+        pool = env.rigid_vars + outer
+        free = ("a", "b") if k % 4 < 2 else ()
+        sigma = {x: random_expr(rng, env, depth=1, binders=free)
+                 for x in pool if rng.random() < 0.6}
+        binders = (("x", "a", "x"), ("a",), ())[k % 3]
+        yield env, e, sigma, binders
+
+
+def test_walkers_agree_with_the_class_pattern_reference():
+    nodes = 0
+    for env, e, sigma, binders in _draws(3000):
+        assert printer.print_expr(e) == reference.print_expr(e)
+        assert syntax.free_rigid_vars(e) == reference.free_rigid_vars(e)
+        assert (syntax.alpha_key(e, binders)
+                == reference.alpha_key(e, binders))
+        assert syntax.is_rigid(e, env) == reference.is_rigid(e, env)
+        assert (syntax.substitute(e, sigma)
+                == reference.substitute(e, sigma))
+        assert (syntax.expand_definitions(e, env)
+                == reference.expand_definitions(e, env))
+        for sub in syntax.walk(e):
+            nodes += 1
+            assert syntax.children(sub) == reference.children(sub)
+            assert (syntax.map_children(sub, _tag, FALSE)
+                    == reference.map_children(sub, _tag, FALSE))
+    assert nodes > 12_000
+
+
+@dataclass(frozen=True, slots=True)
+class Stray(Expression):
+    """A node kind no dispatcher knows."""
+
+
+ENV = DefinitionEnvironment.build(ops={"0": 0}, rigid=("x",), flex=("v",))
+MODEL = KripkeModel((0, 1), 0, 1, {"0": {(): 0}}, {"x": 0}, (0,),
+                    frozenset({(0, 0)}), {("v", 0): 0})
+
+DISPATCHERS = {
+    "children": syntax.children,
+    "map_children": lambda e: syntax.map_children(e, _tag, FALSE),
+    "walk": lambda e: list(syntax.walk(e)),
+    "free_rigid_vars": syntax.free_rigid_vars,
+    "free_flex_vars": syntax.free_flex_vars,
+    "substitute": lambda e: syntax.substitute(e, {"x": FALSE}),
+    "alpha_key": syntax.alpha_key,
+    "expand_definitions": lambda e: syntax.expand_definitions(e, ENV),
+    "is_rigid": lambda e: syntax.is_rigid(e, ENV),
+    "contains_node": lambda e: syntax.contains_node(e, Nabla),
+    "signature": lambda e: syntax.signature([e], ENV),
+    "validate": lambda e: ENV.extended(
+        definitions=[Definition("d", (), e)]),
+    "print_expr": printer.print_expr,
+    "coalesce_fol": lambda e: coalesce_fol(e, ENV, SymbolTable(ENV)),
+    "rewrite_rigid_box": lambda e: rewrite_rigid_box(e, ENV),
+    "coalesce_ml": lambda e: coalesce_ml(e, ENV, AtomTable(ENV)),
+    "stratify": lambda e: stratify((), e, ENV),
+    "emit_smt": lambda e: emit_smt(FolIR({}, (), (), (), e)),
+    "emit_tptp": lambda e: emit_tptp(FolIR({}, (), (), (), e)),
+    "leibniz": lambda e: _vars_in_non_leibniz_positions(e, {}),
+    "distribute_prime": lambda e: distribute_prime(e, ENV),
+    "coalesce_action": lambda e: coalesce_action(e, PrimedVars(ENV)),
+    "compile_lanes": lambda e: compile_lanes(e, ENV),
+    "eval_expr": lambda e: eval_expr(MODEL, 0, e, ENV),
+    "eval_ml": lambda e: eval_ml(MODEL, 0, e),
+    "check_ml_formula": check_ml_formula,
+    "prove_ml": lambda e: prove_ml(MLSequent((), e)),
+    "needs_prime": lambda e: needs_prime(ENV, e),
+    "find_countermodel": lambda e: find_countermodel(
+        Obligation((), e, ENV), SearchBounds(2, 1)),
+}
+
+
+SHAPES = {"top": Stray(), "under-implies": Implies(Stray(), FALSE),
+          "under-forall": Forall("x", Stray())}
+# `children` and `map_children` look at one node only, and the
+# propositional views reject a quantifier before they reach its body.
+CASES = [(name, where) for name in DISPATCHERS for where in SHAPES
+         if where == "top"
+         or name not in ("children", "map_children")
+         and not (where == "under-forall"
+                  and name in ("eval_ml", "check_ml_formula", "prove_ml"))]
+
+
+@pytest.mark.parametrize("name, where", CASES)
+def test_unknown_node_kind_is_an_internal_error(name, where):
+    with pytest.raises(InternalError):
+        DISPATCHERS[name](SHAPES[where])
+
+
+def test_no_class_pattern_dispatch_in_the_package():
+    # Dispatch is on `type(e) is ...`: a `match` on node classes costs
+    # about twice as much per node (see the syntax module docstring).
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Match)]
+    assert found == []

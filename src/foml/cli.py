@@ -48,8 +48,9 @@ EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 # A pass built on `syntax.map_children` takes two stack frames per tree
-# level, so commands run with twice Python's default recursion limit.
-# That keeps the reach the one-frame passes had at the default limit.
+# level, so commands run with twice Python's default recursion limit on
+# top of the frames the caller already has.  That keeps the reach the
+# one-frame passes had at the default limit.
 RECURSION_LIMIT = 2000
 
 
@@ -62,7 +63,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -347,8 +349,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+    limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    sys.setrecursionlimit(max(limit, depth + RECURSION_LIMIT))
     try:
         return args.func(args)
     except InternalError as exc:

@@ -14,6 +14,13 @@ the frame class requires it and makes the hypotheses true at every
 world, so the sequent is provable iff no surviving type falsifies the
 goal.
 
+The closure is numbered in one walk with its own stack, over the
+hypotheses and then the goal, children before parents: each distinct
+subformula gets the next number, keyed by its kind and its children's
+numbers (hash-consing, as in Filliâtre & Conchon, Type-safe modular
+hash-consing, 2006).  So no node is hashed, an object shared by several
+parents is walked once, and the closure has no nesting limit.
+
 Types are eliminated lazily, with global caching.  A key is a
 requirement (must, b): the types with every bit of `must` (the
 hypotheses plus a need mask) and without bit b.  The candidates come
@@ -38,7 +45,10 @@ A countermodel is not the canonical model but a witness model grown from
 the root key's live candidate: each falsified box of a state gets one
 successor, its key's live candidate, closed under the frame's
 reflexivity and transitivity.  Every countermodel is re-checked for its
-frame classes and with the evaluator before being reported.
+frame classes and with the evaluator before being reported.  The
+evaluator recurses once per level, so a countermodel of a sequent nested
+past its reach gives ResourceOut naming the depth, never an unchecked
+countermodel.
 
 Two limits bound the search: `max_types` caps the distinct types the
 keys generate, and `max_steps` caps the tree nodes grown.  A tree over
@@ -63,7 +73,6 @@ from .syntax import (
     InternalError,
     Nabla,
     Prime,
-    children,
 )
 
 # Each frame class: whether its relations are (reflexive, transitive).
@@ -124,23 +133,66 @@ def check_ml_formula(e: Expression) -> None:
                 f"not a propositional modal formula: {sub}")
 
 
-def _closure(seq: MLSequent) -> list[Expression]:
-    """Subformulas of the sequent, children before parents, deduplicated."""
-    out: list[Expression] = []
-    seen: set[Expression] = set()
+_NUMBERED = object()  # on the walk's stack: number the node below it
 
-    def visit(e: Expression) -> None:
-        if e in seen:
-            return
-        for c in children(e):
-            visit(c)
-        seen.add(e)
-        out.append(e)
 
-    for h in seq.hypotheses:
-        visit(h)
-    visit(seq.goal)
-    return out
+def _closure(seq: MLSequent) -> tuple[list[tuple], list[int]]:
+    """Number the distinct subformulas of the sequent, children before
+    parents, in the order of a depth-first walk over the hypotheses and
+    then the goal: the closure.  Each subformula is keyed by its kind and
+    its children's numbers, `(Implies, i, j)`, `(Nabla, i)`, `(Prime,
+    i)`, `(FlexVar, name)` or `(FalseExpr,)`, so equal subformulas get
+    one number without hashing a node.  An object met twice is walked
+    once.  Returns the keys in closure order and the number of each
+    hypothesis and of the goal.  A node outside the propositional modal
+    fragment raises FomlError; the first one in pre-order is named, as
+    `check_ml_formula` names it."""
+    number: dict[tuple, int] = {}
+    seen: dict[int, int] = {}  # id of a walked node -> its number
+    keys: list[tuple] = []
+    roots: list[int] = []
+    for root in (*seq.hypotheses, seq.goal):
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            if e is _NUMBERED:  # the node below has its children numbered
+                e = stack.pop()
+                t = type(e)
+                key = ((t, seen[id(e.lhs)], seen[id(e.rhs)]) if t is Implies
+                       else (t, seen[id(e.body)]))
+            elif id(e) in seen:
+                continue
+            else:
+                t = type(e)
+                if t is Implies:  # the lhs on top, so walked first
+                    stack += (e, _NUMBERED, e.rhs, e.lhs)
+                    continue
+                if t is Nabla or t is Prime:
+                    stack += (e, _NUMBERED, e.body)
+                    continue
+                if t is FlexVar:
+                    key = (t, e.name)
+                elif t is FalseExpr:
+                    key = (t,)
+                else:
+                    raise FomlError(
+                        f"not a propositional modal formula: {e}")
+            i = number.get(key)
+            if i is None:
+                i = number[key] = len(keys)
+                keys.append(key)
+            seen[id(e)] = i
+        roots.append(seen[id(root)])
+    return keys, roots
+
+
+def _depth(keys: list[tuple], roots: list[int]) -> int:
+    """The most nodes on one path down from a hypothesis or the goal."""
+    height: list[int] = []
+    for t, *kids in keys:
+        height.append(1 if t is FlexVar
+                      else 1 + max((height[i] for i in kids), default=0))
+    return max(height[i] for i in roots)
 
 
 class _OutOfLimits(Exception):
@@ -310,11 +362,7 @@ def prove_ml(
     for f in (seq.frame_nabla, seq.frame_prime):
         if f not in FRAMES:
             raise FomlError(f"unknown frame class {f!r}")
-    for e in seq.hypotheses + (seq.goal,):
-        check_ml_formula(e)
-
-    closure = _closure(seq)
-    bit = {e: 1 << i for i, e in enumerate(closure)}
+    closure, roots = _closure(seq)
     # below[b]: the free bits that closure bit b depends on through
     # implications alone; up[x]: the implications above free bit x
     free: list[int] = []
@@ -325,11 +373,11 @@ def prove_ml(
     boxes: tuple[list, list] = ([], [])
     bodies: list[int] = []
     atoms = []
-    for e in closure:
-        b = bit[e]
-        t = type(e)
+    for i, key in enumerate(closure):
+        b = 1 << i
+        t = key[0]
         if t is Implies:
-            lhs, rhs = bit[e.lhs], bit[e.rhs]
+            lhs, rhs = 1 << key[1], 1 << key[2]
             below[b] = m = below[lhs] | below[rhs]
             if not m:  # constant: decided before any free bit
                 if F & lhs or T & rhs:
@@ -348,14 +396,15 @@ def prove_ml(
             up[b] = []
             free.append(b)
             if t is FlexVar:
-                atoms.append((e.name, b))
+                atoms.append((key[1], b))
                 bodies.append(0)
             else:
                 m = t is Prime
-                boxes[m].append((b, bit[e.body]))
-                bodies.append(bit[e.body] if frames[m][0] else 0)
+                body = 1 << key[1]
+                boxes[m].append((b, body))
+                bodies.append(body if frames[m][0] else 0)
 
-    hyps = sum({bit[h] for h in seq.hypotheses})  # distinct bits: a union
+    hyps = sum({1 << i for i in roots[:-1]})  # distinct bits: a union
     # Per modality: the (box, body) bit pairs, and whether the frame is
     # transitive and reflexive.
     mods = [(pairs, transitive, reflexive)
@@ -363,7 +412,7 @@ def prove_ml(
     s = _Search(free, [up[x] for x in free], bodies, (T, F), hyps, mods,
                 limits)
     try:
-        root = s.key(hyps, bit[seq.goal])
+        root = s.key(hyps, 1 << roots[-1])
         while s.queue and root.live is not None:
             t = s.queue.pop()
             if t not in s.reqs:
@@ -379,7 +428,12 @@ def prove_ml(
     model = _extract_model(root.live, s.reqs,
                            lambda need, b: keys[hyps | need, b].live,
                            mods, atoms)
-    _verify(seq, model, 0)
+    try:
+        _verify(seq, model, 0)
+    except RecursionError:
+        return ResourceOut(
+            f"nesting depth {_depth(closure, roots)} is past the evaluator's "
+            "reach, so the countermodel found was not verified")
     return Countermodel(model, 0)
 
 

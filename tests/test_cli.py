@@ -1,7 +1,6 @@
 import io
 import re
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -566,24 +565,23 @@ class TestExitCodes:
 class TestNestingReach:
     """The nesting reach README states ("Exit codes and flags"): the
     passes after the reader recurse, one or two frames per tree level, so
-    a rewritten pass that adds a frame per level shows here."""
+    a rewritten pass that adds a frame per level shows here.  `main` adds
+    its margin to the frames its caller already has, so what the test
+    runner has on the stack does not shorten the reach."""
 
     DECLS = ("(declare-op 0 0) "
              + " ".join(f"(declare-flex v{i})" for i in range(4)) + "\n")
 
-    def run_deep(self, capsys, tmp_path, command, goal):
-        """`run` on a file with this goal, in a new thread: its stack starts
-        empty, as a `foml` process's does, so what the test runner has on
-        the stack does not shorten the reach."""
+    def run_deep(self, capsys, tmp_path, command, goal, extra_frames=0):
+        """`main` on a file with this goal, under `extra_frames` more
+        frames than the test has."""
         path = tmp_path / "deep.foml"
         path.write_text(f"{self.DECLS}(goal {goal})\n")
-        codes = []
-        worker = threading.Thread(
-            target=lambda: codes.append(main([command, str(path)])))
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive() and len(codes) == 1
-        return codes[0], capsys.readouterr().err
+
+        def nested(n):
+            return nested(n - 1) if n else main([command, str(path)])
+
+        return nested(extra_frames), capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         "coalesce-fol", "coalesce-ml", "emit", "prove-ml"])
@@ -602,6 +600,29 @@ class TestNestingReach:
         goal = "(nabla " * 1970 + "v0" + ")" * 1970
         code, err = self.run_deep(capsys, tmp_path, command, goal)
         assert (code, err) == (0, "")
+
+    def test_reach_does_not_shrink_under_a_deep_caller(self, capsys,
+                                                       tmp_path):
+        goal = "(nabla " * 980 + "v0" + ")" * 980
+        code, err = self.run_deep(capsys, tmp_path, "coalesce-ml", goal,
+                                  extra_frames=100)
+        assert (code, err) == (0, "")
+
+    def test_prove_ml_has_no_nesting_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.mlseq"
+        path.write_text(
+            "(mlseq (goal " + "(=> p " * 5000 + "p" + ")" * 5000 + "))\n")
+        assert run(capsys, "prove-ml", str(path)) == (0, "proved\n", "")
+
+    def test_a_countermodel_past_the_evaluators_reach_is_resource_out(
+            self, capsys, tmp_path):
+        # never printed unverified
+        path = tmp_path / "deep.mlseq"
+        path.write_text(
+            "(mlseq (goal " + "(=> q " * 5000 + "p" + ")" * 5000 + "))\n")
+        assert run(capsys, "prove-ml", str(path)) == (
+            2, "resource limit: nesting depth 5001 is past the evaluator's "
+            "reach, so the countermodel found was not verified\n", "")
 
 
 VERDICT_LINES ={0: "proved", 1: "countermodel (goal fails at state ",

@@ -1,5 +1,7 @@
 from itertools import compress, product
 
+import time
+
 import pytest
 
 from foml import parse_problem
@@ -16,18 +18,24 @@ from foml.prover import (
     _closure,
     _extract_model,
     _verify,
+    check_ml_formula,
     prove_ml,
 )
 from foml.search import enumerate_propmodels
 from foml.semantics import eval_ml
 from foml.syntax import (
     FALSE,
+    Eq,
+    Expression,
+    FalseExpr,
     FlexVar,
     FomlError,
     Implies,
     InternalError,
     Nabla,
     Prime,
+    RigidVar,
+    children,
     contains_node,
     free_flex_vars,
 )
@@ -359,11 +367,32 @@ class TestLimits:
                           Countermodel)
 
 
+def _reference_closure(s: MLSequent) -> list[Expression]:
+    """Subformulas of the sequent, children before parents, deduplicated
+    by node equality: the recursive closure the prover had before it
+    numbered subformulas by their children's numbers."""
+    out: list[Expression] = []
+    seen: set[Expression] = set()
+
+    def visit(e: Expression) -> None:
+        if e in seen:
+            return
+        for c in children(e):
+            visit(c)
+        seen.add(e)
+        out.append(e)
+
+    for h in s.hypotheses:
+        visit(h)
+    visit(s.goal)
+    return out
+
+
 def _reference_prove(s: MLSequent):
     """The exhaustive procedure: every type over all 2^free assignments,
     then round-by-round elimination of the types with a falsified box
     that no surviving successor witnesses; same witness extraction."""
-    closure = _closure(s)
+    closure = _reference_closure(s)
     bit = {e: 1 << i for i, e in enumerate(closure)}
     free = [bit[e] for e in closure
             if isinstance(e, (FlexVar, Nabla, Prime))]
@@ -462,7 +491,7 @@ class TestAgainstExhaustiveElimination:
         for i in range(150):
             base = larger_ml_sequent(rng_for(79, i))
             free = sum(isinstance(e, (FlexVar, Nabla, Prime))
-                       for e in _closure(base))
+                       for e in _reference_closure(base))
             if free > 18:
                 continue
             limits = ProverLimits(max_steps=(1 << free) - 1)
@@ -504,3 +533,69 @@ class TestAgainstExhaustiveElimination:
         v = prove_ml(chain(6, drop=2))
         assert isinstance(v, Countermodel)
         assert len(v.model.states) <= 5
+
+
+def rebuilt(closure: list[tuple]) -> list[Expression]:
+    """The subformulas that numbered closure keys stand for."""
+    out: list[Expression] = []
+    for t, *rest in closure:
+        if t is FlexVar:
+            out.append(FlexVar(rest[0]))
+        elif t is FalseExpr:
+            out.append(FALSE)
+        elif t is Implies:
+            out.append(Implies(out[rest[0]], out[rest[1]]))
+        else:
+            out.append(t(out[rest[0]]))
+    return out
+
+
+class TestClosureNumbering:
+    def test_same_subformulas_in_the_same_order(self):
+        for i in range(3000):
+            s = random_ml_sequent(rng_for(5, i))
+            closure, roots = _closure(s)
+            exprs = rebuilt(closure)
+            assert exprs == _reference_closure(s), s
+            assert [exprs[r] for r in roots] == [*s.hypotheses, s.goal]
+
+    def test_equal_subformulas_get_one_number(self):
+        # equal but distinct objects, and one object met twice
+        a, b = Implies(p, Nabla(q)), Implies(p, Nabla(q))
+        closure, roots = _closure(seq(Implies(a, b), a, Prime(a)))
+        assert rebuilt(closure) == [p, q, Nabla(q), a, Prime(a),
+                                    Implies(a, a)]
+        assert roots == [3, 4, 5]
+
+    def test_the_first_offender_is_named(self):
+        # one node outside the fragment in a hypothesis, one in the goal:
+        # the hypothesis is walked first, as check_ml_formula walks it
+        bad_hyp, bad_goal = Eq(RigidVar("x"), RigidVar("y")), RigidVar("z")
+        s = seq(Nabla(Implies(p, bad_goal)),
+                Implies(q, Implies(Nabla(bad_hyp), RigidVar("w"))))
+        with pytest.raises(FomlError) as expected:
+            check_ml_formula(s.hypotheses[0])
+        with pytest.raises(FomlError) as got:
+            prove_ml(s)
+        assert str(got.value) == str(expected.value) == (
+            f"not a propositional modal formula: {bad_hyp}")
+
+    def test_a_self_shared_formula_is_walked_once(self):
+        # as a tree it has 2^3000 leaves
+        x = p
+        for _ in range(3000):
+            x = Implies(x, x)
+        start = time.perf_counter()
+        assert isinstance(prove_ml(seq(x)), Proved)
+        assert time.perf_counter() - start < 1.0
+
+    def test_deep_sequents(self):
+        # the walk does not recurse; checking a countermodel does, so one
+        # past the evaluator's reach is an honest resource-out
+        goal = refuted = p
+        for _ in range(5000):
+            goal, refuted = Implies(p, goal), Implies(q, refuted)
+        assert isinstance(prove_ml(seq(goal)), Proved)
+        assert prove_ml(seq(refuted)) == ResourceOut(
+            "nesting depth 5001 is past the evaluator's reach, so the "
+            "countermodel found was not verified")

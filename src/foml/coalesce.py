@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import Evaluator, compile_expr
+from .semantics import eval_expr
 from .syntax import (
     FALSE,
     DefApp,
@@ -228,24 +228,23 @@ def build_witness_structure(
 
     op_interp = {op: dict(tbl) for op, tbl in m.op_interp.items()}
     for entry in table.in_order():
-        value, names, at = _symbol_evaluator(entry, env)
+        source, names, at = _symbol_source(entry, env)
         op_interp[entry.name] = {
-            argvals: value(m, w, {x: argvals[i] for x, i in zip(names, at)})
+            argvals: eval_expr(m, w, source, env,
+                               {x: argvals[i] for x, i in zip(names, at)})
             for argvals in product(m.universe, repeat=entry.arity)}
 
     return FOLStructure(m.universe, m.tt, m.ff, op_interp, xi)
 
 
-def _symbol_evaluator(
+def _symbol_source(
     entry: SymbolEntry,
     env: DefinitionEnvironment,
-) -> tuple[Evaluator, tuple[str, ...], tuple[int, ...]]:
-    """A symbol's abstracted subterm as an evaluator, with the variables a
-    row of its table binds and the positions of their values in the
-    row."""
+) -> tuple[Expression, tuple[str, ...], tuple[int, ...]]:
+    """A symbol's abstracted subterm, with the variables a row of its
+    table binds and the positions of their values in the row."""
     if entry.node is not None:
-        return (compile_expr(entry.node, env), entry.zvars,
-                tuple(range(len(entry.zvars))))
+        return entry.node, entry.zvars, tuple(range(len(entry.zvars)))
 
     # Defined-operator symbol: d(alpha_1 .. alpha_n) where alpha_i is the
     # concrete epsilon entry, or a fresh variable bound to the argument
@@ -268,8 +267,7 @@ def _symbol_evaluator(
             at.append(i)
         else:
             alphas.append(ent)
-    return (compile_expr(DefApp(entry.op, tuple(alphas)), env), tuple(names),
-            tuple(at))
+    return DefApp(entry.op, tuple(alphas)), tuple(names), tuple(at)
 
 
 def pretty_key(entry: SymbolEntry) -> str:

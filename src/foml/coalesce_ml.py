@@ -109,13 +109,12 @@ def build_witness_propmodel(
     true at a state exactly when its source expression evaluates to tt
     there, and an original flexible variable is true exactly when its value
     is tt."""
-    from .semantics import compile_expr
+    from .semantics import eval_expr
 
     zeta: dict[tuple[str, Value], str] = {}
     for entry in table.in_order():
-        source = compile_expr(entry.source, env)
         for w in m.states:
-            val = source(m, w, {})
+            val = eval_expr(m, w, entry.source, env)
             zeta[(entry.name, w)] = "tt" if val == m.tt else "ff"
     for v in env.flex_vars:
         for w in m.states:

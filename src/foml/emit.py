@@ -38,8 +38,8 @@ from .parser import (
     _tokens,
 )
 from .printer import print_expr
-from .prover import FRAMES, MLSequent, check_ml_formula
-from .semantics import compile_fol, eval_fol
+from .prover import FRAMES, MLSequent, _closure
+from .semantics import eval_fol
 from .syntax import (
     FALSE,
     DefApp,
@@ -304,10 +304,9 @@ def extend_with_defs(s: FOLStructure, ir: FolIR) -> FOLStructure:
     tables = dict(s.op_interp)
     for d in ir.defs:
         base = FOLStructure(s.universe, s.tt, s.ff, dict(tables), s.xi)
-        body = compile_fol(d.body)
         table = {}
         for argvals in product(s.universe, repeat=len(d.params)):
-            val = body(base, 0, dict(zip(d.params, argvals)))
+            val = eval_fol(base, d.body, dict(zip(d.params, argvals)))
             table[argvals] = s.tt if val == s.tt else s.ff
         tables[d.name] = table
     return FOLStructure(s.universe, s.tt, s.ff, tables, s.xi)
@@ -327,8 +326,7 @@ def encoding_satisfied(s: FOLStructure, ir: FolIR) -> bool:
 
 
 def emit_mlseq(seq: MLSequent) -> str:
-    for e in seq.hypotheses + (seq.goal,):
-        check_ml_formula(e)
+    _closure(seq)  # raises at the first node outside the fragment
     lines = ["(mlseq"]
     lines.append(f"  (frame nabla {seq.frame_nabla})")
     lines.append(f"  (frame prime {seq.frame_prime})")

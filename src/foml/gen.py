@@ -38,13 +38,8 @@ from .coalesce_ml import (
 from .leibniz import compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
 from .prover import MLSequent
-from .search import (
-    SearchBounds,
-    find_fol_countermodel,
-    fol_signature_of,
-    needs_prime,
-)
-from .semantics import compile_expr, compile_ml, eval_expr, eval_fol
+from .search import SearchBounds, find_fol_countermodel, fol_signature_of
+from .semantics import eval_expr, eval_fol, eval_ml
 from .syntax import (
     FALSE,
     DefApp,
@@ -62,7 +57,9 @@ from .syntax import (
     contains_node,
     expand_definitions,
     free_rigid_vars,
+    fresh_name,
     is_rigid,
+    signature,
 )
 
 
@@ -265,7 +262,7 @@ def _witness_opening(rng: random.Random, sizes: tuple[int, int],
     """An expression of depth 3 over the environment and a model of at most
     `sizes` = (universe, states) to evaluate it in."""
     e = random_expr(rng, env, depth=3)
-    need_prime = needs_prime(env, e)
+    need_prime = signature((e,), env).prime
     m = random_model(rng, env, *sizes, need_prime=need_prime)
     return env, e, need_prime, m
 
@@ -314,17 +311,15 @@ def _ml_witness(_rng: random.Random, opening: tuple) -> Optional[str]:
     if contains_node(me, Eq, Forall, OpApp, DefApp, RigidVar):
         return f"impure propositional output for {e}"
     k = build_witness_propmodel(m, table, env)
-    abstraction, original = compile_ml(me), compile_expr(e, env)
     for w in m.states:
-        got = abstraction(k, w, {}) == k.tt
-        want = original(m, w, {}) == m.tt
+        got = eval_ml(k, w, me) == k.tt
+        want = eval_expr(m, w, e, env) == m.tt
         if got != want:
             return (f"propositional witness mismatch for {e} at state "
                     f"{w}: original {want}, abstraction {got}")
     for h in hypotheses(table, env, include_prime=need_prime):
-        hyp = compile_ml(h)
         for w in m.states:
-            if hyp(k, w, {}) != k.tt:
+            if eval_ml(k, w, h) != k.tt:
                 return f"stability hypothesis {h} fails at state {w}"
     return None
 
@@ -379,12 +374,8 @@ def _argument_lemma_check(rng, env, dname, args, i) -> Optional[str]:
     free = set()
     for a in args:
         free.update(free_rigid_vars(a))
-    fresh = "w0"
-    k = 0
-    while fresh in free or env.kind(fresh) is not None:
-        k += 1
-        fresh = f"w{k}"
-    need_prime = needs_prime(env, *args)
+    fresh = fresh_name("w", free | env.all_names())
+    need_prime = signature(args, env).prime
     m = random_model(rng, env, need_prime=need_prime)
     w = rng.choice(m.states)
     val = eval_expr(m, w, args[i], env)
@@ -401,10 +392,9 @@ def _distribute(rng: random.Random, opening: tuple) -> Optional[str]:
     """Prime distribution preserves values on functional-prime models."""
     env, e, d = opening
     m = random_model(rng, env, need_prime=True, functional_prime=True)
-    before, after = compile_expr(e, env), compile_expr(d, env)
     for sub_w in m.states:
-        a = before(m, sub_w, {})
-        b = after(m, sub_w, {})
+        a = eval_expr(m, sub_w, e, env)
+        b = eval_expr(m, sub_w, d, env)
         if a != b:
             return (f"prime distribution changed the value of {e} at "
                     f"state {sub_w}: {a} != {b}")
@@ -456,13 +446,12 @@ def _action_refutation(rng: random.Random, opening: tuple) -> Optional[str]:
     cf = coalesce_action(c, primed)
     env2 = env.extended(flex=primed.new_flex_names())
 
-    action = compile_expr(c, env)
     # direction A: sampled Kripke refutations map to structure refutations
     for _ in range(30):
         m = random_model(rng, env, max_universe=2, max_states=2,
                          need_prime=True, functional_prime=True)
         w = rng.choice(m.states)
-        if action(m, w, {}) == m.tt:
+        if eval_expr(m, w, c, env) == m.tt:
             continue
         s = action_witness_structure(m, w, primed, env)
         if eval_fol(s, cf) == s.tt:
@@ -477,7 +466,7 @@ def _action_refutation(rng: random.Random, opening: tuple) -> Optional[str]:
                                              max_models=3000))
     if res.found:
         m2 = lift_fol_structure(res.model, primed.mapping, env)
-        if action(m2, 0, {}) == m2.tt:
+        if eval_expr(m2, 0, c, env) == m2.tt:
             return (f"structure refutation of {cf} did not lift back "
                     f"to a Kripke refutation of {c}")
     return None

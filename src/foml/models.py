@@ -21,10 +21,6 @@ from .syntax import FomlError
 Value = Union[int, str]
 
 
-def _fmt(v: Value) -> str:
-    return str(v)
-
-
 @lru_cache(maxsize=1024)
 def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     """Each state's successors under relation, in a fixed order (the pairs
@@ -73,7 +69,7 @@ class KripkeModel:
             seen: set[Value] = set()
             for v in values:
                 if v in seen:
-                    raise FomlError(f"({section} ...) lists {_fmt(v)} twice")
+                    raise FomlError(f"({section} ...) lists {v} twice")
                 seen.add(v)
         udom = set(self.universe)
         for op, table in self.op_interp.items():
@@ -97,12 +93,12 @@ class KripkeModel:
                     f"{section} names undeclared state {stray[0]!r}")
         for x, val in self.xi.items():
             if val not in udom:
-                raise FomlError(f"xi gives {x} the value {_fmt(val)}, "
+                raise FomlError(f"xi gives {x} the value {val}, "
                                 "outside the universe")
         for (v, w), val in self.zeta.items():
             if val not in udom:
-                raise FomlError(f"zeta gives {v} at state {_fmt(w)} the "
-                                f"value {_fmt(val)}, outside the universe")
+                raise FomlError(f"zeta gives {v} at state {w} the "
+                                f"value {val}, outside the universe")
 
     def successors(self, w: Value,
                    relation: frozenset) -> tuple[Value, ...]:
@@ -141,31 +137,31 @@ class FOLStructure:
 
 
 def serialize_model(m: KripkeModel) -> str:
-    parts = [f"(universe {' '.join(_fmt(v) for v in m.universe)})",
-             f"(tt {_fmt(m.tt)})",
-             f"(ff {_fmt(m.ff)})"]
+    parts = [f"(universe {' '.join(str(v) for v in m.universe)})",
+             f"(tt {m.tt})",
+             f"(ff {m.ff})"]
     for op, table in m.op_interp.items():
         rows = " ".join(
-            f"(row {' '.join(_fmt(a) for a in args)}"
-            f"{' ' if args else ''}{_fmt(val)})"
+            f"(row {' '.join(str(a) for a in args)}"
+            f"{' ' if args else ''}{val})"
             for args, val in sorted(table.items(), key=lambda kv: str(kv[0]))
         )
         parts.append(f"(op {op} {rows})")
     if m.xi:
-        rows = " ".join(f"({x} {_fmt(v)})" for x, v in sorted(m.xi.items()))
+        rows = " ".join(f"({x} {v})" for x, v in sorted(m.xi.items()))
         parts.append(f"(xi {rows})")
-    parts.append(f"(states {' '.join(_fmt(s) for s in m.states)})")
-    rel = " ".join(f"({_fmt(s)} {_fmt(t)})"
+    parts.append(f"(states {' '.join(str(s) for s in m.states)})")
+    rel = " ".join(f"({s} {t})"
                    for s, t in sorted(m.R, key=str))
     parts.append(f"(R {rel})" if rel else "(R)")
     if m.zeta:
         rows = " ".join(
-            f"({v} {_fmt(w)} {_fmt(val)})"
+            f"({v} {w} {val})"
             for (v, w), val in sorted(m.zeta.items(), key=lambda kv: str(kv))
         )
         parts.append(f"(zeta {rows})")
     if m.primeR is not None:
-        rel = " ".join(f"({_fmt(s)} {_fmt(t)})"
+        rel = " ".join(f"({s} {t})"
                        for s, t in sorted(m.primeR, key=str))
         parts.append(f"(primeR {rel})" if rel else "(primeR)")
     body = "\n  ".join(parts)
@@ -257,7 +253,7 @@ def parse_model(text: str) -> KripkeModel:
                     raise _error(text, "row needs a value", r)
                 args = tuple(vals[:-1])
                 put(table, args, vals[-1], key,
-                    " ".join(["row", *map(_fmt, args)]), r)
+                    " ".join(["row", *map(str, args)]), r)
             ops[name] = table
         elif head == "xi":
             for r in body:
@@ -278,7 +274,7 @@ def parse_model(text: str) -> KripkeModel:
                 v = atom(row[0], "a flexible variable")
                 w = value(row[1], "a state")
                 val = value(row[2], "a value")
-                put(zeta, (v, w), val, head, f"{v} {_fmt(w)}", r)
+                put(zeta, (v, w), val, head, f"{v} {w}", r)
         else:
             raise _error(text, f"unknown model section {head!r}", k)
         if key in seen:

@@ -63,7 +63,7 @@ from itertools import product
 from typing import Optional, Union
 
 from .models import KripkeModel, Value
-from .semantics import compile_ml, eval_ml
+from .semantics import eval_ml
 from .syntax import (
     Expression,
     FalseExpr,
@@ -118,21 +118,6 @@ class ResourceOut:
 Verdict = Union[Proved, Countermodel, ResourceOut]
 
 
-def check_ml_formula(e: Expression) -> None:
-    stack = [e]
-    while stack:
-        sub = stack.pop()
-        t = type(sub)
-        if t is Implies:
-            stack.append(sub.rhs)
-            stack.append(sub.lhs)
-        elif t is Nabla or t is Prime:
-            stack.append(sub.body)
-        elif t is not FlexVar and t is not FalseExpr:
-            raise FomlError(
-                f"not a propositional modal formula: {sub}")
-
-
 _NUMBERED = object()  # on the walk's stack: number the node below it
 
 
@@ -145,8 +130,8 @@ def _closure(seq: MLSequent) -> tuple[list[tuple], list[int]]:
     one number without hashing a node.  An object met twice is walked
     once.  Returns the keys in closure order and the number of each
     hypothesis and of the goal.  A node outside the propositional modal
-    fragment raises FomlError; the first one in pre-order is named, as
-    `check_ml_formula` names it."""
+    fragment raises FomlError naming the first one in pre-order over the
+    hypotheses and then the goal; `emit_mlseq` calls this as its guard."""
     number: dict[tuple, int] = {}
     seen: dict[int, int] = {}  # id of a walked node -> its number
     keys: list[tuple] = []
@@ -511,9 +496,8 @@ def _verify(seq: MLSequent, model: KripkeModel, state) -> None:
             raise InternalError(
                 f"countermodel {name} is not transitive on frame {frame}")
     for h in seq.hypotheses:
-        hyp = compile_ml(h)
         for w in model.states:
-            if hyp(model, w, {}) != model.tt:
+            if eval_ml(model, w, h) != model.tt:
                 raise InternalError(
                     "countermodel fails a global hypothesis")
     if eval_ml(model, state, seq.goal) == model.tt:

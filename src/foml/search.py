@@ -56,13 +56,11 @@ from typing import (
 )
 
 from .models import FOLStructure, KripkeModel, Value
-from .semantics import Access, LaneBodies, Lanes, compile_fol, compile_lanes
+from .semantics import Access, LaneBodies, Lanes, compile_lanes, eval_fol
 from .syntax import (
     DefinitionEnvironment,
     Expression,
     Obligation,
-    Prime,
-    children,
     collect_signature,
     signature,
 )
@@ -254,23 +252,6 @@ def _leader_relations(nstates: int, group: tuple[Perm, ...]
     return tuple(leaders)
 
 
-class _Prefix(NamedTuple):
-    """A model of the search less its relations, when its zeta is the
-    first of its orbit: `fixers` are the state permutations that fix
-    zeta."""
-    universe: tuple[Value, ...]
-    states: tuple[Value, ...]
-    xi: dict
-    op_interp: dict
-    zeta: dict
-    fixers: tuple[Perm, ...]
-
-    def model(self, R: frozenset, primeR: Optional[frozenset] = None
-              ) -> KripkeModel:
-        return KripkeModel(self.universe, 0, 1, self.op_interp, self.xi,
-                           self.states, R, self.zeta, primeR=primeR)
-
-
 def _runs(ops: Mapping[str, int], rigid: Sequence[str],
           universe: tuple[Value, ...]) -> Iterator[tuple[dict, dict]]:
     """(xi, operator tables) over a universe, in enumeration order."""
@@ -299,47 +280,6 @@ def _zeta_leaders(nflex: int, universe: tuple[Value, ...], nstates: int
 def _zeta(flex: Sequence[str], nstates: int, vals: tuple[Value, ...]
           ) -> dict:
     return dict(zip([(v, w) for v in flex for w in range(nstates)], vals))
-
-
-def _prefixes(
-    ops: Mapping[str, int],
-    rigid: Sequence[str],
-    flex: Sequence[str],
-    max_universe: int,
-    max_states: int,
-) -> Iterator[_Prefix]:
-    """The prefixes of the orbit leaders, in `enumerate_models` order:
-    universe, states, xi, tables and zeta, zeta the first of its orbit
-    under the permutations of the states."""
-    for usize in range(2, max_universe + 1):
-        universe = tuple(range(usize))
-        for nstates in range(1, max_states + 1):
-            states = tuple(range(nstates))
-            for xi, op_interp in _runs(ops, rigid, universe):
-                for vals, fixers in _zeta_leaders(len(flex), universe,
-                                                  nstates):
-                    yield _Prefix(universe, states, xi, op_interp,
-                                  _zeta(flex, nstates, vals), fixers)
-
-
-def _orbit_leaders(
-    ops: Mapping[str, int],
-    rigid: Sequence[str],
-    flex: Sequence[str],
-    max_universe: int,
-    max_states: int,
-    prime: bool,
-) -> Iterator[KripkeModel]:
-    """The models of `enumerate_models`, in its order, that come first in
-    their orbit under the permutations of the states."""
-    for pre in _prefixes(ops, rigid, flex, max_universe, max_states):
-        n = len(pre.states)
-        for r, fixers in _leader_relations(n, pre.fixers):
-            if not prime:
-                yield pre.model(_relation(n, r))
-                continue
-            for pr, _ in _leader_relations(n, fixers):
-                yield pre.model(_relation(n, r), _relation(n, pr))
 
 
 # A segment's lanes range over the relations on n states that share
@@ -614,19 +554,6 @@ def _everywhere(k: Lanes, mask: int) -> int:
     return acc & k.rep
 
 
-def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
-    """Whether a prime occurs in `exprs` or in any definition body; by
-    occurrence, since an argument the body drops is still evaluated.  One
-    walk over all of them, which stops at the first prime."""
-    stack = [*exprs, *(d.body for d in env.definitions)]
-    while stack:
-        e = stack.pop()
-        if type(e) is Prime:
-            return True
-        stack.extend(children(e))
-    return False
-
-
 def find_countermodel(
     ob: Obligation,
     bounds: SearchBounds = SearchBounds(),
@@ -719,8 +646,6 @@ def find_fol_countermodel(
 ) -> SearchResult:
     """Bounded search for a first-order structure satisfying the hypotheses
     and falsifying the goal (shared valuation of free variables)."""
-    hyps = [compile_fol(h) for h in hypotheses]
-    concl = compile_fol(goal)
     examined = 0
     for s in enumerate_fol_structures(ops, variables, bounds.max_universe):
         examined += 1
@@ -729,8 +654,8 @@ def find_fol_countermodel(
                 "resource-out", examined=examined - 1,
                 reason=f"more than max_models = {bounds.max_models}"
                 f" structures ({examined} reached)")
-        if all(h(s, 0, {}) == s.tt for h in hyps) \
-                and concl(s, 0, {}) != s.tt:
+        if all(eval_fol(s, h) == s.tt for h in hypotheses) \
+                and eval_fol(s, goal) != s.tt:
             return SearchResult("found", model=s, examined=examined)
     return SearchResult("none", examined=examined)
 

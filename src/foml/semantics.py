@@ -10,8 +10,6 @@ evaluation reaches a node outside the fragment:
              single state at which every variable takes its xi value
   eval_ml  : propositional modal fragment in a propositional model
 
-`compile_expr`, `compile_fol` and `compile_ml` give an expression as a
-function of (model, state, bindings) and compile nothing.
 `obligation_checker` is the per-model check of an obligation behind
 `check-model`, `countermodel_state` and the tests' sweeps.
 
@@ -68,13 +66,6 @@ class EvalError(FomlError):
     pass
 
 
-# An expression's value as a function of (model, state, bindings).
-# `bindings` overlays the model's xi for rigid variables, unmutated.
-Evaluator = Callable[
-    [Union[KripkeModel, FOLStructure], Value, Mapping[str, Value]],
-    Value]
-
-
 def eval_expr(
     m: KripkeModel,
     w: Value,
@@ -102,23 +93,6 @@ def eval_ml(k: KripkeModel, w: Value, e: Expression) -> Value:
     """Truth value of a propositional modal formula at state w of k.
     Atoms are flexible variables; anything first-order is rejected."""
     return _evaluate(e, k, w, {}, None, False, True)
-
-
-def compile_expr(e: Expression, env: DefinitionEnvironment) -> Evaluator:
-    """`eval_expr` of e as a function of (m, w, bindings)."""
-    return lambda m, w, bnd: _evaluate(e, m, w, bnd, env, True, True)
-
-
-def compile_fol(e: Expression) -> Evaluator:
-    """`eval_fol` of e as a function of (s, state, bindings); the state is
-    ignored."""
-    return lambda s, w, bnd: _evaluate(e, s, w, bnd, None, True, False)
-
-
-def compile_ml(e: Expression) -> Evaluator:
-    """`eval_ml` of e as a function of (k, w, bindings); the bindings are
-    ignored."""
-    return lambda k, w, bnd: _evaluate(e, k, w, bnd, None, False, True)
 
 
 # What each (first_order, modal) view admits, for its error messages.

@@ -28,7 +28,6 @@ from typing import (
     Any,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     NamedTuple,
     Optional,
@@ -215,18 +214,6 @@ def map_children(
     if t is DefApp:
         return DefApp(e.op, tuple([f(x, *args) for x in e.args]))
     raise InternalError(f"unknown expression node {e!r}")
-
-
-def walk(e: Expression) -> Iterator[Expression]:
-    """Yield e and all its subexpressions, depth-first, left to right.
-
-    The walk keeps its own stack, so depth is bounded by memory, not by
-    the recursion limit."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        stack.extend(reversed(children(e)))
 
 
 def free_rigid_vars(e: Expression) -> tuple[str, ...]:

@@ -4,10 +4,14 @@
 unchanged, each calling only the others of this module, as the oracle the
 differential tests hold the exact-type dispatchers of `foml.syntax` and
 `foml.printer` to.
+
+Also `walk`, the tests' pre-order node iterator, and `needs_prime`, the
+prime scan that `syntax.signature(...).prime` replaced.  Both keep their
+own stack, so they reach any depth.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from foml.syntax import (
     DefApp,
@@ -61,6 +65,28 @@ def map_children(
         case Prime(body):
             return Prime(f(body, *args))
     raise InternalError(f"unknown expression node {e!r}")
+
+
+def walk(e: Expression) -> Iterator[Expression]:
+    """Yield e and all its subexpressions, depth-first, left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
+
+
+def needs_prime(env: DefinitionEnvironment, *exprs: Expression) -> bool:
+    """Whether a prime occurs in `exprs` or in any definition body; by
+    occurrence, since an argument the body drops is still evaluated.  One
+    walk over all of them, which stops at the first prime."""
+    stack = [*exprs, *(d.body for d in env.definitions)]
+    while stack:
+        e = stack.pop()
+        if type(e) is Prime:
+            return True
+        stack.extend(children(e))
+    return False
 
 
 def free_rigid_vars(e: Expression) -> tuple[str, ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,9 @@ from foml.syntax import (
     expand_definitions,
 )
 
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_syntax import walk  # noqa: E402
+
 ENV = DefinitionEnvironment.build(
     ops={"0": 0, "plus": 2, "c": 0},
     rigid=("x", "y"),
@@ -75,8 +79,6 @@ class TestDistributePrime:
             env = random_env(rng, modal_defs=False)
             e = expand_definitions(random_action_formula(rng, env), env)
             out = distribute_prime(e, env)
-            from foml.syntax import walk
-
             for sub in walk(out):
                 if isinstance(sub, Prime):
                     assert isinstance(sub.body, FlexVar)

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from foml import (
@@ -18,7 +21,6 @@ from foml.search import (
     SearchBounds,
     find_fol_countermodel,
     fol_signature_of,
-    needs_prime,
 )
 from foml.semantics import eval_expr, eval_fol
 from foml.syntax import (
@@ -34,8 +36,11 @@ from foml.syntax import (
     contains_node,
     free_rigid_vars,
     fresh_name,
-    walk,
+    signature,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_syntax import walk  # noqa: E402
 
 
 def coalesce_one(text):
@@ -312,7 +317,8 @@ class TestWitnessStructure:
             rng = rng_for(57, i)
             env = random_env(rng)
             e = random_expr(rng, env, depth=3)
-            m = random_model(rng, env, 3, 3, need_prime=needs_prime(env, e))
+            m = random_model(rng, env, 3, 3,
+                             need_prime=signature((e,), env).prime)
             table = SymbolTable(env)
             coalesce_fol(e, env, table)
             for w in m.states:

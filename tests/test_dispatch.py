@@ -1,8 +1,9 @@
 """Node-kind dispatch: the exact-type walkers against the class-pattern
 ones they replaced (`reference_syntax`), what every dispatcher does with a
-node kind it does not know, and a scan that keeps class patterns out of
-the package."""
+node kind it does not know, and scans of the package's source that keep
+class patterns and unused top-level definitions out of it."""
 import ast
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,13 +14,13 @@ from foml import printer, syntax
 from foml.actions import PrimedVars, coalesce_action, distribute_prime
 from foml.coalesce import SymbolTable, coalesce_fol, rewrite_rigid_box
 from foml.coalesce_ml import AtomTable, coalesce_ml
-from foml.emit import FolIR, emit_smt, emit_tptp, stratify
+from foml.emit import FolIR, emit_mlseq, emit_smt, emit_tptp, stratify
 from foml.gen import random_env, random_expr, rng_for
 from foml.leibniz import _vars_in_non_leibniz_positions
-from foml.models import KripkeModel
-from foml.prover import MLSequent, check_ml_formula, prove_ml
-from foml.search import SearchBounds, find_countermodel, needs_prime
-from foml.semantics import compile_lanes, eval_expr, eval_ml
+from foml.models import FOLStructure, KripkeModel
+from foml.prover import MLSequent, prove_ml
+from foml.search import SearchBounds, find_countermodel
+from foml.semantics import compile_lanes, eval_expr, eval_fol, eval_ml
 from foml.syntax import (
     FALSE,
     Definition,
@@ -73,7 +74,7 @@ def test_walkers_agree_with_the_class_pattern_reference():
                 == reference.substitute(e, sigma))
         assert (syntax.expand_definitions(e, env)
                 == reference.expand_definitions(e, env))
-        for sub in syntax.walk(e):
+        for sub in reference.walk(e):
             nodes += 1
             assert syntax.children(sub) == reference.children(sub)
             assert (syntax.map_children(sub, _tag, FALSE)
@@ -89,11 +90,11 @@ class Stray(Expression):
 ENV = DefinitionEnvironment.build(ops={"0": 0}, rigid=("x",), flex=("v",))
 MODEL = KripkeModel((0, 1), 0, 1, {"0": {(): 0}}, {"x": 0}, (0,),
                     frozenset({(0, 0)}), {("v", 0): 0})
+STRUCTURE = FOLStructure((0, 1), 0, 1, {"0": {(): 0}}, {"x": 0, "v": 0})
 
 DISPATCHERS = {
     "children": syntax.children,
     "map_children": lambda e: syntax.map_children(e, _tag, FALSE),
-    "walk": lambda e: list(syntax.walk(e)),
     "free_rigid_vars": syntax.free_rigid_vars,
     "free_flex_vars": syntax.free_flex_vars,
     "substitute": lambda e: syntax.substitute(e, {"x": FALSE}),
@@ -116,10 +117,10 @@ DISPATCHERS = {
     "coalesce_action": lambda e: coalesce_action(e, PrimedVars(ENV)),
     "compile_lanes": lambda e: compile_lanes(e, ENV),
     "eval_expr": lambda e: eval_expr(MODEL, 0, e, ENV),
+    "eval_fol": lambda e: eval_fol(STRUCTURE, e),
     "eval_ml": lambda e: eval_ml(MODEL, 0, e),
-    "check_ml_formula": check_ml_formula,
+    "emit_mlseq": lambda e: emit_mlseq(MLSequent((), e)),
     "prove_ml": lambda e: prove_ml(MLSequent((), e)),
-    "needs_prime": lambda e: needs_prime(ENV, e),
     "find_countermodel": lambda e: find_countermodel(
         Obligation((), e, ENV), SearchBounds(2, 1)),
 }
@@ -133,7 +134,7 @@ CASES = [(name, where) for name in DISPATCHERS for where in SHAPES
          if where == "top"
          or name not in ("children", "map_children")
          and not (where == "under-forall"
-                  and name in ("eval_ml", "check_ml_formula", "prove_ml"))]
+                  and name in ("eval_ml", "emit_mlseq", "prove_ml"))]
 
 
 @pytest.mark.parametrize("name, where", CASES)
@@ -142,11 +143,51 @@ def test_unknown_node_kind_is_an_internal_error(name, where):
         DISPATCHERS[name](SHAPES[where])
 
 
+@functools.cache
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_no_class_pattern_dispatch_in_the_package():
     # Dispatch is on `type(e) is ...`: a `match` on node classes costs
     # about twice as much per node (see the syntax module docstring).
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Match)]
+    found = [f"{module}:{node.lineno}"
+             for module, tree in _package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Match)]
     assert found == []
+
+
+# Top-level definitions of the package that nothing in it names, each
+# with its user outside the package.
+OUTSIDE_USERS = {
+    "countermodel_state": "bench/",
+    "kripke_as_propmodel": "bench/",
+    "free_flex_vars": "bench/",
+    "encoding_satisfied": "bench/",
+    "random_ml_sequent": "tests/",
+}
+
+
+def test_every_top_level_definition_has_a_user():
+    # A top-level `def` or `class` must be named (as an `ast.Name` or an
+    # `ast.Attribute`) outside its own body somewhere in the package, be
+    # exported from `foml/__init__.py`, or be listed above with its user.
+    trees = _package_trees()
+    exported = {alias.asname or alias.name
+                for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named, defined = set(), []
+    for module, tree in trees.items():
+        for top in tree.body:
+            refs = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(top)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((top.name, f"{module}:{top.lineno}"))
+                refs.discard(top.name)
+            named |= refs
+    unused = [(name, where) for name, where in defined
+              if name not in named and name not in exported]
+    assert sorted(name for name, _ in unused) == sorted(OUTSIDE_USERS), \
+        unused

@@ -21,8 +21,8 @@ from foml.syntax import (
     RigidVar,
     exists_,
     expand_definitions,
+    contains_node,
     free_rigid_vars,
-    walk,
 )
 
 
@@ -90,7 +90,7 @@ class TestComputeLeibniz:
             env = random_env(rng)
             table = compute_leibniz(env)
             for d in env.definitions:
-                if any(isinstance(s, DefApp) for s in walk(d.body)):
+                if contains_node(d.body, DefApp):
                     continue
                 bad = _params_under_modality(d.body)
                 assert table[d.name] == tuple(

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import compress, product
 
 import time
@@ -6,6 +7,7 @@ import pytest
 
 from foml import parse_problem
 from foml.coalesce_ml import coalesce_obligation_ml
+from foml.emit import emit_mlseq
 from foml.gen import random_ml_formula, random_ml_sequent, rng_for
 from foml.models import KripkeModel, parse_model, serialize_model
 from foml.prover import (
@@ -18,26 +20,29 @@ from foml.prover import (
     _closure,
     _extract_model,
     _verify,
-    check_ml_formula,
     prove_ml,
 )
 from foml.search import enumerate_propmodels
 from foml.semantics import eval_ml
 from foml.syntax import (
     FALSE,
+    DefApp,
     Eq,
     Expression,
     FalseExpr,
     FlexVar,
     FomlError,
+    Forall,
     Implies,
     InternalError,
     Nabla,
+    OpApp,
     Prime,
     RigidVar,
     children,
     contains_node,
     free_flex_vars,
+    map_children,
 )
 
 p, q = FlexVar("p"), FlexVar("q")
@@ -388,6 +393,33 @@ def _reference_closure(s: MLSequent) -> list[Expression]:
     return out
 
 
+def _reference_check_ml_formula(e: Expression) -> None:
+    """The fragment check `emit_mlseq` made before `_closure` became its
+    guard: a walk over e as a tree, raising at the first node outside the
+    propositional modal fragment in pre-order."""
+    stack = [e]
+    while stack:
+        sub = stack.pop()
+        t = type(sub)
+        if t is Implies:
+            stack.append(sub.rhs)
+            stack.append(sub.lhs)
+        elif t is Nabla or t is Prime:
+            stack.append(sub.body)
+        elif t is not FlexVar and t is not FalseExpr:
+            raise FomlError(
+                f"not a propositional modal formula: {sub}")
+
+
+def _reference_message(s: MLSequent) -> str:
+    """The reference check's message over the hypotheses and then the
+    goal."""
+    with pytest.raises(FomlError) as err:
+        for e in (*s.hypotheses, s.goal):
+            _reference_check_ml_formula(e)
+    return str(err.value)
+
+
 def _reference_prove(s: MLSequent):
     """The exhaustive procedure: every type over all 2^free assignments,
     then round-by-round elimination of the types with a falsified box
@@ -569,16 +601,15 @@ class TestClosureNumbering:
 
     def test_the_first_offender_is_named(self):
         # one node outside the fragment in a hypothesis, one in the goal:
-        # the hypothesis is walked first, as check_ml_formula walks it
+        # the hypothesis is walked first, as the reference walks it
         bad_hyp, bad_goal = Eq(RigidVar("x"), RigidVar("y")), RigidVar("z")
         s = seq(Nabla(Implies(p, bad_goal)),
                 Implies(q, Implies(Nabla(bad_hyp), RigidVar("w"))))
-        with pytest.raises(FomlError) as expected:
-            check_ml_formula(s.hypotheses[0])
-        with pytest.raises(FomlError) as got:
-            prove_ml(s)
-        assert str(got.value) == str(expected.value) == (
-            f"not a propositional modal formula: {bad_hyp}")
+        for check in (prove_ml, emit_mlseq):
+            with pytest.raises(FomlError) as got:
+                check(s)
+            assert str(got.value) == _reference_message(s) == (
+                f"not a propositional modal formula: {bad_hyp}")
 
     def test_a_self_shared_formula_is_walked_once(self):
         # as a tree it has 2^3000 leaves
@@ -599,3 +630,67 @@ class TestClosureNumbering:
         assert prove_ml(seq(refuted)) == ResourceOut(
             "nesting depth 5001 is past the evaluator's reach, so the "
             "countermodel found was not verified")
+
+
+# Nodes outside the propositional modal fragment, each wrapping the
+# subformula it replaces where it has an operand.
+PLANTS = {
+    "Eq": lambda e: Eq(RigidVar("x"), e),
+    "OpApp": lambda e: OpApp("f", (e,)),
+    "RigidVar": lambda e: RigidVar("x"),
+    "Forall": lambda e: Forall("x", e),
+    "DefApp": lambda e: DefApp("d", (e,)),
+}
+
+
+def _size(e: Expression) -> int:
+    return 1 + sum(_size(c) for c in children(e))
+
+
+def _plant(rng, s: MLSequent) -> tuple[MLSequent, str, bool]:
+    """s with one node, at a seeded pre-order position of a seeded
+    hypothesis or of the goal, replaced by a node outside the fragment;
+    with the planted kind and whether it went into the goal."""
+    parts = [*s.hypotheses, s.goal]
+    i = rng.randrange(len(parts))
+    kind = rng.choice(list(PLANTS))
+    target, seen = rng.randrange(_size(parts[i])), [-1]
+
+    def go(n):
+        seen[0] += 1
+        return PLANTS[kind](n) if seen[0] == target \
+            else map_children(n, go)
+
+    parts[i] = go(parts[i])
+    return (MLSequent(tuple(parts[:-1]), parts[-1], s.frame_nabla,
+                      s.frame_prime), kind, i == len(parts) - 1)
+
+
+class TestGuard:
+    """`emit_mlseq` guards with `_closure`: it rejects exactly what the
+    tree walk it replaced rejects, naming the same node."""
+
+    def test_planted_offenders_match_the_reference(self):
+        planted = Counter()
+        for i in range(600):
+            rng = rng_for(21, i)
+            s, kind, in_goal = _plant(rng, random_ml_sequent(rng))
+            want = _reference_message(s)
+            for check in (emit_mlseq, prove_ml):
+                with pytest.raises(FomlError) as got:
+                    check(s)
+                assert str(got.value) == want, s
+            planted[kind, in_goal] += 1
+        assert len(planted) == 2 * len(PLANTS), planted
+
+    def test_a_self_shared_goal_is_checked_once_per_object(self):
+        # as a tree the goal has 2^60 leaves before its one bad node,
+        # which comes last in pre-order
+        x = p
+        for _ in range(60):
+            x = Implies(x, x)
+        start = time.perf_counter()
+        with pytest.raises(FomlError) as got:
+            emit_mlseq(seq(Implies(x, RigidVar("z"))))
+        assert time.perf_counter() - start < 1.0
+        assert str(got.value) == "not a propositional modal formula: z"

@@ -15,6 +15,7 @@ evaluator in the model of its relation.
 """
 import hashlib
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
@@ -31,7 +32,6 @@ from foml.search import (
     _lane_blocks,
     _lane_model,
     _leader_relations,
-    _orbit_leaders,
     _pack,
     _Piece,
     _relation,
@@ -40,17 +40,20 @@ from foml.search import (
     _tail_masks,
     enumerate_models,
     find_countermodel,
-    needs_prime,
 )
-from foml.semantics import _lanes, compile_expr, obligation_checker
+from foml.semantics import _lanes, eval_expr, obligation_checker
 from foml.syntax import (
     DefApp,
     Obligation,
     Prime,
     collect_signature,
+    contains_node,
     or_,
-    walk,
+    signature,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_search import orbit_leaders  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 BOUNDS = ((2, 2), (2, 3), (3, 2))
@@ -60,11 +63,10 @@ def _sweep(ob: Obligation, bounds: tuple[int, int], budget: int):
     """(status, state, serialized model, models examined) of the full
     labelled sweep, or None when it is undecided within `budget` models.
     A case the sweep decides costs the search no more."""
-    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
+    ops, rigid, flex, prime = signature(ob.all_exprs(), ob.env)
     check = obligation_checker(ob)
     examined = 0
-    for m in enumerate_models(ops, rigid, flex, *bounds,
-                              prime=needs_prime(ob.env, *ob.all_exprs())):
+    for m in enumerate_models(ops, rigid, flex, *bounds, prime=prime):
         examined += 1
         if examined > budget:
             return None
@@ -120,9 +122,9 @@ def test_search_returns_the_sweeps_first_countermodel():
         decided[status] += 1
         decided["several states"] += (status == "found"
                                       and len(res.model.states) > 1)
-        decided["prime"] += needs_prime(ob.env, *ob.all_exprs())
-        decided["prime none"] += (status == "none"
-                                  and needs_prime(ob.env, *ob.all_exprs()))
+        prime = signature(ob.all_exprs(), ob.env).prime
+        decided["prime"] += prime
+        decided["prime none"] += status == "none" and prime
     # The comparison is not vacuous: both verdicts occur, with prime too,
     # and many countermodels have orbits of more than one model.
     assert decided["found"] >= 80 and decided["none"] >= 6
@@ -174,7 +176,7 @@ def test_orbit_leaders_are_the_orbit_minima(flex, bounds, prime):
         m for m in enumerate_models(ops, (), flex, *bounds, prime=prime)
         if all(_position(m, flex) <= _position(_renamed(m, p), flex)
                for p in permutations(m.states))]
-    assert list(_orbit_leaders(ops, (), flex, *bounds, prime)) == leaders
+    assert list(orbit_leaders(ops, (), flex, *bounds, prime)) == leaders
 
 
 # ------------------------------------------------------------ lane search
@@ -184,11 +186,10 @@ def _orbit_sweep(ob: Obligation, bounds: tuple[int, int],
     """(status, state, serialized model, examined) of the orbit leaders
     checked one model at a time by the point evaluator: the search without
     lanes."""
-    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
+    ops, rigid, flex, prime = signature(ob.all_exprs(), ob.env)
     check = obligation_checker(ob)
     examined = 0
-    for m in _orbit_leaders(ops, rigid, flex, *bounds,
-                            needs_prime(ob.env, *ob.all_exprs())):
+    for m in orbit_leaders(ops, rigid, flex, *bounds, prime):
         examined += 1
         if examined > max_models:
             return "resource-out", None, None, max_models
@@ -275,9 +276,9 @@ def test_rigid_hypothesis_false_on_whole_prefixes():
 def _blocks(ob: Obligation, bounds: tuple[int, int]):
     """The lane blocks of the search: (universe size, states, pieces,
     the first lanes of the leaders, lanes)."""
-    ops, rigid, flex = collect_signature(ob.all_exprs(), ob.env)
-    for pieces, leaders, k in _lane_blocks(
-            ops, rigid, flex, *bounds, needs_prime(ob.env, *ob.all_exprs())):
+    ops, rigid, flex, prime = signature(ob.all_exprs(), ob.env)
+    for pieces, leaders, k in _lane_blocks(ops, rigid, flex, *bounds,
+                                           prime):
         yield len(k.universe), k.nstates, pieces, leaders, k
 
 
@@ -407,8 +408,7 @@ def _lanes_agree(rng: random.Random, env, e, bodies=None) -> int:
     """Check e's value and truth in every drawn lane of a random block
     against the point evaluator in the lane's model; the number of
     (lane, state) pairs checked.  Both compilations share `bodies`."""
-    point = compile_expr(e, env)
-    k, models = _random_lanes(rng, env, needs_prime(env, e))
+    k, models = _random_lanes(rng, env, signature((e,), env).prime)
     bodies = {} if bodies is None else bodies
     values = _lanes(e, env, False, bodies)(k, {})
     holds = _lanes(e, env, True, bodies)(k, {})
@@ -416,7 +416,7 @@ def _lanes_agree(rng: random.Random, env, e, bodies=None) -> int:
     for lane, m in models.items():
         for w in m.states:
             bit = lane + w
-            v = point(m, w, {})
+            v = eval_expr(m, w, e, env)
             assert [u for u, mask in values.items()
                     if mask >> bit & 1] == [v], (e, lane, w)
             assert (holds >> bit & 1) == (v == m.tt), (e, lane, w)
@@ -503,7 +503,7 @@ def _mask_tuple_leaders(nstates, group):
 
 
 def _zeta_stabilisers(nstates):
-    """The groups `_prefixes` hands to `_leader_relations`: for each way to
+    """The groups `prefixes` hands to `_leader_relations`: for each way to
     colour the states (by their zeta values), the permutations that keep
     every state's colour, less the identity, in `permutations` order."""
     group = tuple(permutations(range(nstates)))[1:]
@@ -564,9 +564,9 @@ def test_searches_with_definitions_are_pinned():
         got = _searched(ob, bounds, 20_000)
         digest.update(repr(got).encode())
         seen[got[0]] += 1
-        seen["prime"] += needs_prime(ob.env, *ob.all_exprs())
-        seen["applied"] += any(isinstance(n, DefApp)
-                               for e in ob.all_exprs() for n in walk(e))
+        seen["prime"] += signature(ob.all_exprs(), ob.env).prime
+        seen["applied"] += any(contains_node(e, DefApp)
+                               for e in ob.all_exprs())
     assert seen["found"] >= 80 and seen["none"] >= 8, seen
     assert seen["prime"] >= 40 and seen["applied"] >= 25, seen
     assert digest.hexdigest() == ("6c991aaec3eddbf82715d0610730f43b"

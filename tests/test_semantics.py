@@ -31,13 +31,9 @@ from foml.search import (
     SearchBounds,
     enumerate_models,
     find_fol_countermodel,
-    needs_prime,
 )
 from foml.semantics import (
     EvalError,
-    compile_expr,
-    compile_fol,
-    compile_ml,
     eval_expr,
     eval_fol,
     eval_ml,
@@ -61,10 +57,13 @@ from foml.syntax import (
     map_children,
     not_,
     or_,
+    signature,
     substitute,
     true_,
-    walk,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_syntax import walk  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -414,11 +413,11 @@ def connective_expr(rng, depth, leaf):
 
 
 class TestReferenceEvaluator:
-    """compile_expr, compile_fol and compile_ml against `reference_eval`
-    on 2,400 seeded expressions and models, at every state."""
+    """eval_expr, eval_fol and eval_ml against `reference_eval` on 2,400
+    seeded expressions and models, at every state."""
 
     @pytest.mark.parametrize("block", range(8))
-    def test_compiled_views_agree_with_reference(self, block):
+    def test_views_agree_with_reference(self, block):
         stuck = 0
         for i in range(300 * block, 300 * (block + 1)):
             rng = rng_for(36, i)
@@ -431,26 +430,24 @@ class TestReferenceEvaluator:
                      rng, env, depth=2, allow_prime=prime)))
             m = random_model(rng, env, need_prime=i % 3 == 0,
                              functional_prime=i % 6 == 0)
-            full = compile_expr(e, env)
             for w in m.states:
                 want = outcome(reference_eval, m, w, e, env)
                 stuck += want == "stuck"
-                assert outcome(full, m, w, {}) == want, (e, w)
+                assert outcome(eval_expr, m, w, e, env) == want, (e, w)
 
-            if m.primeR is None and needs_prime(env, e):
+            if m.primeR is None and signature((e,), env).prime:
                 continue  # the witness structures evaluate e's parts
             table, atoms = SymbolTable(env), AtomTable(env)
             fol = coalesce_fol(e, env, table)
             ml = coalesce_ml(e, env, atoms)
-            compiled_fol, compiled_ml = compile_fol(fol), compile_ml(ml)
             k = build_witness_propmodel(m, atoms, env)
             for w in m.states:
                 s = build_witness_structure(m, w, table, env)
-                assert outcome(compiled_fol, s, w, {}) == outcome(
+                assert outcome(eval_fol, s, fol) == outcome(
                     reference_eval, s, w, fol, None, False), (fol, w)
-                # the relational reading alone, which the compiled view
-                # must match whether or not primeR is a function
-                assert outcome(compiled_ml, k, w, {}) == outcome(
+                # the relational reading alone, which eval_ml must match
+                # whether or not primeR is a function
+                assert outcome(eval_ml, k, w, ml) == outcome(
                     reference_eval, k, w, ml, None, True, False), (ml, w)
         assert 0 < stuck < 300
 
@@ -467,7 +464,7 @@ def graft(rng, e, make):
 
 
 class TestPointOutcomes:
-    """Every outcome of compile_expr, compile_fol and compile_ml on 3,000
+    """Every outcome of eval_expr, eval_fol and eval_ml on 3,000
     seeded cases at every state, pinned as one SHA-256: the value, or the
     error's class and message.  The cases include unknown definitions and
     nodes outside a view's fragment (reached or not, in definition
@@ -506,17 +503,15 @@ class TestPointOutcomes:
                             for key, v in zeta.items()}, m.primeR)
         bnd = {} if i % 2 else {rng.choice(env.rigid_vars):
                                 rng.choice(m.universe)}
-        full = compile_expr(e, env)
-        fol_e, fol_f = compile_fol(e), compile_fol(f)
-        ml_e, ml_ml = compile_ml(e), compile_ml(ml)
         for w in m.states:
             s = FOLStructure(m.universe, m.tt, m.ff, m.op_interp,
                              {**m.xi, **{v: x for (v, t), x in zeta.items()
                                          if t == w}})
-            for fn, model in ((full, m), (fol_e, s), (fol_f, s),
-                              (ml_e, k), (ml_ml, k)):
+            for fn, *args in ((eval_expr, m, w, e, env, bnd),
+                              (eval_fol, s, e, bnd), (eval_fol, s, f, bnd),
+                              (eval_ml, k, w, e), (eval_ml, k, w, ml)):
                 try:
-                    yield repr(fn(model, w, bnd))
+                    yield repr(fn(*args))
                 except Exception as exc:
                     yield f"{type(exc).__name__}: {exc}"
 

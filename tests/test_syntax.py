@@ -30,11 +30,11 @@ from foml.emit import parse_mlseq
 from foml.models import parse_model, serialize_model
 from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
-from foml.search import needs_prime
 from foml.syntax import (
     FALSE,
     DefApp,
     Eq,
+    FalseExpr,
     FlexVar,
     FomlError,
     Forall,
@@ -49,16 +49,17 @@ from foml.syntax import (
     and_,
     children,
     collect_signature,
+    contains_node,
     exists_,
     map_children,
     not_,
     or_,
     signature,
-    walk,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_front_end as reference  # noqa: E402
+from reference_syntax import needs_prime, walk  # noqa: E402
 from test_cli import (  # noqa: E402
     mutated_problems,
     mutated_sequents_and_models,
@@ -468,14 +469,7 @@ class TestExpansion:
             rng = rng_for(4, i)
             e = random_expr(rng, env, depth=3)
             out = expand_definitions(e, env)
-            assert not any(isinstance(s, DefApp)
-                           for s in _subterms(out))
-
-
-def _subterms(e):
-    from foml.syntax import walk
-
-    return list(walk(e))
+            assert not any(isinstance(s, DefApp) for s in walk(out))
 
 
 class TestRigidity:
@@ -495,7 +489,7 @@ class TestRigidity:
             expanded = expand_definitions(e, env)
             by_scan = not any(
                 isinstance(s, (FlexVar, Nabla, Prime))
-                for s in _subterms(expanded))
+                for s in walk(expanded))
             assert is_rigid(e, env) == by_scan
 
     def test_unused_parameter_still_counts_argument_rigidity_right(self):
@@ -581,10 +575,16 @@ class TestMapChildren:
         assert hash(map_children(e, lambda c: c)) == hash(e)
 
 
-def _walk_reference(e):
-    yield e
+def _kinds_reference(e):
+    """The node classes that occur in e, by recursion over `children`."""
+    kinds = {type(e)}
     for c in children(e):
-        yield from _walk_reference(c)
+        kinds |= _kinds_reference(c)
+    return kinds
+
+
+NODE_KINDS = (RigidVar, FlexVar, OpApp, DefApp, Eq, FalseExpr, Implies,
+              Forall, Nabla, Prime)
 
 
 def _and_reference(*es):
@@ -604,31 +604,45 @@ def _or_reference(*es):
 
 
 class TestDepthIndependence:
-    """`walk`, `and_` and `or_` work at any size under the default
-    recursion limit, and agree with their recursive definitions."""
+    """`and_`, `or_` and the own-stack walks `contains_node` and
+    `signature` work at any size under the default recursion limit, and
+    agree with their recursive definitions; deep input is read at the
+    default limit."""
 
-    def test_walk_matches_the_recursive_preorder(self):
+    def test_contains_node_matches_the_recursive_scan(self):
         for seed in range(300):
             rng = rng_for(7, seed)
             e = random_expr(rng, random_env(rng), depth=4)
-            assert list(walk(e)) == list(_walk_reference(e))
+            kinds = _kinds_reference(e)
+            for kind in NODE_KINDS:
+                assert contains_node(e, kind) == (kind in kinds), (e, kind)
+            assert contains_node(e, *NODE_KINDS)
 
-    def test_walk_is_lazy(self):
-        # A node's children are read only when the walk resumes past it.
-        it = walk(Nabla("not a node"))
-        assert next(it) == Nabla("not a node")
-        assert next(it) == "not a node"
+    def test_contains_node_stops_at_the_first_hit(self):
+        # A node's children are read only when the scan goes past it.
+        assert contains_node(Nabla("not a node"), Nabla)
         with pytest.raises(InternalError):
-            next(it)
+            contains_node(Nabla("not a node"), Prime)
 
-    def test_deep_chain_walks_at_the_default_limit(self):
+    def test_deep_chain_contains_node_at_the_default_limit(self):
         assert sys.getrecursionlimit() <= 1000
         e = FlexVar("v")
         for _ in range(10_000):
             e = Nabla(e)
-        nodes = list(walk(e))
-        assert len(nodes) == 10_001
-        assert nodes[-1] == FlexVar("v")
+        assert contains_node(e, FlexVar)
+        assert not contains_node(e, Prime, Eq)
+
+    def test_deep_chain_signature_at_the_default_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        env = DefinitionEnvironment.build(
+            ops={"f": 1}, rigid=("x",), flex=("v",))
+        e = Prime(Eq(OpApp("f", (RigidVar("x"),)), FlexVar("v")))
+        for _ in range(10_000):
+            e = Nabla(e)
+        sig = signature([e], env)
+        assert (sig.ops, sig.rigid, sig.flex, sig.prime) == (
+            {"f": 1}, ("x",), ("v",), True)
+        assert collect_signature([e], env) == ({"f": 1}, ("x",), ("v",))
 
     def test_deep_nabla_parses_at_the_default_limit(self):
         assert sys.getrecursionlimit() <= 1000
@@ -738,7 +752,8 @@ def _collect_signature_reference(exprs, env):
 
 
 class TestSignature:
-    """`signature` against the walk-based reference and `needs_prime`.
+    """`signature` against the walk-based reference and the reference
+    `needs_prime`.
     Its orders fix bounded search's enumeration order."""
 
     def _agree(self, exprs, env):

@@ -100,13 +100,6 @@ class KripkeModel:
                 raise FomlError(f"zeta gives {v} at state {w} the "
                                 f"value {val}, outside the universe")
 
-    def successors(self, w: Value,
-                   relation: frozenset) -> tuple[Value, ...]:
-        """States t with (w, t) in relation, in the fixed order of
-        `_successor_table`.  Models are immutable, so the table of a
-        relation serves every model built on it."""
-        return _successor_table(relation).get(w, ())
-
     @cached_property
     def prime_is_function(self) -> bool:
         """True iff primeR is a total function on states (TLA next-state
@@ -119,7 +112,7 @@ class KripkeModel:
         return all(c == 1 for c in counts.values())
 
     def prime_successor(self, w: Value) -> Value:
-        for t in self.successors(w, self.primeR):
+        for t in _successor_table(self.primeR).get(w, ()):
             return t
         raise FomlError(f"state {w!r} has no prime successor")
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import islice, permutations, product
 from typing import (
-    Callable,
     Iterable,
     Iterator,
     Mapping,
@@ -100,32 +99,19 @@ class SearchResult:
         return self.status == "none"
 
 
-def _lazy_product(spaces: Sequence[Callable[[], Iterator]]) -> Iterator[tuple]:
-    """Cartesian product over factor *generators*, never materializing a
-    factor's space (itertools.product would)."""
-    if not spaces:
-        yield ()
-        return
-    head, rest = spaces[0], spaces[1:]
-    for h in head():
-        for r in _lazy_product(rest):
-            yield (h,) + r
-
-
-def _tables_space(
-    ops: Mapping[str, int], universe: tuple[Value, ...]
-) -> Sequence[Callable[[], Iterator[dict]]]:
-    factors = []
-    for op in ops:
-        arity = ops[op]
-        arg_tuples = list(product(universe, repeat=arity))
-
-        def space(op=op, arg_tuples=arg_tuples):
-            for values in product(universe, repeat=len(arg_tuples)):
-                yield dict(zip(arg_tuples, values))
-
-        factors.append(space)
-    return factors
+def _tables(ops: Mapping[str, int], universe: tuple[Value, ...]
+            ) -> Iterator[dict]:
+    """Every interpretation of ops over universe, {op: {args: value}},
+    one at a time, in lexicographic order of the values of the tables'
+    rows, ops in order and each table's rows in order."""
+    spans = []
+    at = 0
+    for op, arity in ops.items():
+        rows = tuple(product(universe, repeat=arity))
+        spans.append((op, rows, at, at + len(rows)))
+        at += len(rows)
+    for values in product(universe, repeat=at):
+        yield {op: dict(zip(rows, values[a:b])) for op, rows, a, b in spans}
 
 
 def _relations(states: tuple[Value, ...]) -> Iterator[frozenset]:
@@ -152,8 +138,7 @@ def enumerate_models(
             flex_keys = [(v, w) for v in flex for w in states]
             for xi_vals in product(universe, repeat=len(rigid)):
                 xi = dict(zip(rigid, xi_vals))
-                for tables in _lazy_product(_tables_space(ops, universe)):
-                    op_interp = dict(zip(ops, tables))
+                for op_interp in _tables(ops, universe):
                     for zeta_vals in product(universe,
                                              repeat=len(flex_keys)):
                         zeta = dict(zip(flex_keys, zeta_vals))
@@ -257,8 +242,8 @@ def _runs(ops: Mapping[str, int], rigid: Sequence[str],
     """(xi, operator tables) over a universe, in enumeration order."""
     for xi_vals in product(universe, repeat=len(rigid)):
         xi = dict(zip(rigid, xi_vals))
-        for tables in _lazy_product(_tables_space(ops, universe)):
-            yield xi, dict(zip(ops, tables))
+        for op_interp in _tables(ops, universe):
+            yield xi, op_interp
 
 
 def _zeta_leaders(nflex: int, universe: tuple[Value, ...], nstates: int
@@ -384,16 +369,10 @@ Masks = dict[tuple, int]
 
 def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
     """The masks of tails laid side by side from lane 0, tail i from lane
-    i * `_segment_lanes` on.  Many tails are laid out in halves, so that
-    no mask is rebuilt once per tail."""
+    i * `_segment_lanes` on.  Callers lay out at most one lane block of
+    tails, `_most(nstates)`, and `_layout` caches the first of each
+    universe size and state count."""
     stride = _segment_lanes(nstates)
-    if len(tails) > 16:
-        half = len(tails) // 2
-        masks = _tail_masks(tails[:half], nstates)
-        at = half * stride
-        for key, mask in _tail_masks(tails[half:], nstates).items():
-            masks[key] = masks.get(key, 0) | mask << at
-        return masks
     rep = _spread(1 << _block_pairs(nstates), nstates)
     masks = {}
     for i, tail in enumerate(tails):
@@ -630,11 +609,8 @@ def enumerate_fol_structures(
 ) -> Iterator[FOLStructure]:
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
-        for xi_vals in product(universe, repeat=len(variables)):
-            xi = dict(zip(variables, xi_vals))
-            for tables in _lazy_product(_tables_space(ops, universe)):
-                yield FOLStructure(universe, 0, 1,
-                                   dict(zip(ops, tables)), xi)
+        for xi, op_interp in _runs(ops, variables, universe):
+            yield FOLStructure(universe, 0, 1, op_interp, xi)
 
 
 def find_fol_countermodel(

@@ -270,15 +270,13 @@ class Access:
     kernels read it.  `edges` pairs each shift d = w - t with the lanes
     (g, w) whose model g has the edge (w, t), so a box is one mask
     operation per shift; `func` holds the lanes of the models whose
-    relation is a total function on the states, and `func_edges` is
-    `edges` inside them."""
+    relation is a total function on the states."""
 
-    __slots__ = ("edges", "func", "func_edges")
+    __slots__ = ("edges", "func")
 
     def __init__(self, edges: Mapping[int, int], func: int):
         self.edges = tuple(edges.items())
         self.func = func
-        self.func_edges = tuple((d, mask & func) for d, mask in self.edges)
 
     @classmethod
     def of_pairs(cls, nstates: int, rep: int,
@@ -342,11 +340,11 @@ LaneBodies = dict[tuple[str, bool], LaneEvaluator]
 
 
 def compile_lanes(e: Expression, env: DefinitionEnvironment,
-                  bodies: Optional[LaneBodies] = None) -> LaneEvaluator:
+                  bodies: LaneBodies) -> LaneEvaluator:
     """The lanes where e is tt, as a function of (lanes, bindings).
     Compilations that share `bodies` compile each definition body once
     per value/truth position."""
-    return _lanes(e, env, True, {} if bodies is None else bodies)
+    return _lanes(e, env, True, bodies)
 
 
 def _lanes(e: Expression, env: DefinitionEnvironment, boolean: bool,
@@ -436,8 +434,9 @@ def _lane_prime(body: LaneEvaluator) -> LaneEvaluator:
         out: dict[Value, int] = {}
         for v, m in vals.items():
             at_next = 0
-            for d, mask in p.func_edges:
+            for d, mask in p.edges:
                 at_next |= mask & (m << d if d >= 0 else m >> -d)
+            at_next &= p.func
             if at_next:
                 out[v] = at_next
         rest = k.full & ~p.func

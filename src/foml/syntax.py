@@ -11,7 +11,7 @@ so all later passes only ever see these ten constructors.
 every node kind.  A pass tests only the kinds it treats specially and hands
 every other node to `map_children` (or walks `children`), so a new node kind
 is added to those two functions first, then to every dispatcher that renders
-or interprets each kind exactly: `alpha_key`, `_signature_walk`, the printer,
+or interprets each kind exactly: `alpha_key`, `signature`, the printer,
 `semantics._evaluate` and `semantics._lanes`.  Dispatch is on the exact
 class, `type(e) is Implies`, never on `isinstance` or a class pattern: an
 exact test costs about half as much per node, and a node of a kind a
@@ -43,21 +43,10 @@ class InternalError(FomlError):
 
 
 class Expression:
-    """Base class for AST nodes.  All nodes are immutable and hashable.
+    """Base class for AST nodes.  All nodes are immutable and hashable:
+    each kind is a frozen slots dataclass, which hashes by its fields."""
 
-    A node caches its hash, because hashing a tree costs its size and the
-    prover and the tables key dictionaries by deep subexpressions.  The
-    value is the one a frozen dataclass computes from its fields."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple([getattr(self, f) for f in self.__match_args__]))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __slots__ = ()
 
     def __str__(self) -> str:
         from .printer import print_expr
@@ -119,10 +108,6 @@ class Nabla(Expression):
 class Prime(Expression):
     body: Expression
 
-
-for _node in (RigidVar, FlexVar, OpApp, DefApp, Eq, FalseExpr, Implies,
-              Forall, Nabla, Prime):
-    _node.__hash__ = Expression.__hash__
 
 FALSE = FalseExpr()
 
@@ -593,41 +578,16 @@ class Signature(NamedTuple):
 def signature(
     exprs: Iterable[Expression], env: DefinitionEnvironment
 ) -> Signature:
-    """The signature of exprs: `collect_signature`'s walk, which also sees
-    the primes of exprs and of the bodies it reaches, then a scan of the
-    bodies it does not reach.  A prime counts where it occurs in exprs or
-    in any definition body, applied or not, since an argument a body drops
-    is still evaluated."""
-    ops, rigid, flex, prime, applied = _signature_walk(exprs, env)
-    if not prime:
-        rest = [d.body for d in env.definitions if d.name not in applied]
-        while rest and not prime:
-            e = rest.pop()
-            prime = type(e) is Prime
-            rest.extend(children(e))
-    return Signature(ops, rigid, flex, prime)
-
-
-def collect_signature(
-    exprs: Iterable[Expression], env: DefinitionEnvironment
-) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...]]:
-    """Primitive operators, free rigid variables, and flexible variables
-    needed to interpret the given expressions, including everything reachable
-    through definition bodies, in one walk that keeps its own stack.
+    """The signature of exprs, in one walk that keeps its own stack, then
+    a scan of the definition bodies the walk did not reach for a prime.
 
     The walk is pre-order, left to right, and scans a definition body where
     its first application is met, before that application's arguments:
     the orders it gives fix the enumeration order of bounded search.  The
     free rigid variables are those of exprs themselves (a body's are its
-    parameters), arguments of applications included."""
-    return _signature_walk(exprs, env)[:3]
-
-
-def _signature_walk(
-    exprs: Iterable[Expression], env: DefinitionEnvironment
-) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...], bool, set[str]]:
-    """`collect_signature`'s walk: its three items, whether a prime occurs
-    in exprs or the bodies reached, and the definitions applied."""
+    parameters), arguments of applications included.  A prime counts
+    where it occurs in exprs or in any definition body, applied or not,
+    since an argument a body drops is still evaluated."""
     ops: dict[str, int] = {}
     rigid: dict[str, None] = {}
     flex: dict[str, None] = {}
@@ -667,4 +627,20 @@ def _signature_walk(
                 stack.append((env.definition(e.op).body, None))
         elif t is not FalseExpr:
             raise InternalError(f"unknown expression node {e!r}")
-    return ops, tuple(rigid), tuple(flex), prime, applied
+    if not prime:
+        rest = [d.body for d in env.definitions if d.name not in applied]
+        while rest and not prime:
+            e = rest.pop()
+            prime = type(e) is Prime
+            rest.extend(children(e))
+    return Signature(ops, tuple(rigid), tuple(flex), prime)
+
+
+def collect_signature(
+    exprs: Iterable[Expression], env: DefinitionEnvironment
+) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...]]:
+    """Primitive operators, free rigid variables, and flexible variables
+    needed to interpret the given expressions, including everything
+    reachable through definition bodies: the first three fields of
+    `signature`."""
+    return signature(exprs, env)[:3]

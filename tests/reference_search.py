@@ -3,9 +3,15 @@
 the permutations of the states.  `find_countermodel` finds them a lane
 block at a time; the tests hold it to this one-model-at-a-time oracle,
 built from the same zeta and relation leaders.
+
+`runs` spells the xi and operator tables of a universe as one
+`itertools.product` over materialized spaces, apart from the search's
+lazy `_tables`, which the search, `enumerate_models` and
+`enumerate_fol_structures` all share.
 """
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from foml.models import KripkeModel, Value
@@ -17,6 +23,20 @@ from foml.search import (
     _zeta,
     _zeta_leaders,
 )
+
+
+def runs(ops: Mapping[str, int], rigid: Sequence[str],
+         universe: tuple[Value, ...]) -> list[tuple[dict, dict]]:
+    """Every (xi, operator tables) over universe: xi values, then each
+    operator's table, in lexicographic order, a table's values listed
+    row by row in the order of its argument tuples."""
+    spaces = [list(product(universe, repeat=len(rigid)))]
+    for arity in ops.values():
+        rows = list(product(universe, repeat=arity))
+        spaces.append([dict(zip(rows, vals))
+                       for vals in product(universe, repeat=len(rows))])
+    return [(dict(zip(rigid, xi_vals)), dict(zip(ops, tables)))
+            for xi_vals, *tables in product(*spaces)]
 
 
 class Prefix(NamedTuple):

@@ -1,7 +1,8 @@
 """Node-kind dispatch: the exact-type walkers against the class-pattern
 ones they replaced (`reference_syntax`), what every dispatcher does with a
 node kind it does not know, and scans of the package's source that keep
-class patterns and unused top-level definitions out of it."""
+class patterns, hand-written hashes and unused top-level definitions out
+of it."""
 import ast
 import functools
 import sys
@@ -23,14 +24,20 @@ from foml.search import SearchBounds, find_countermodel
 from foml.semantics import compile_lanes, eval_expr, eval_fol, eval_ml
 from foml.syntax import (
     FALSE,
+    DefApp,
     Definition,
     DefinitionEnvironment,
+    Eq,
     Expression,
+    FlexVar,
     Forall,
     Implies,
     InternalError,
     Nabla,
     Obligation,
+    OpApp,
+    Prime,
+    RigidVar,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -115,7 +122,7 @@ DISPATCHERS = {
     "leibniz": lambda e: _vars_in_non_leibniz_positions(e, {}),
     "distribute_prime": lambda e: distribute_prime(e, ENV),
     "coalesce_action": lambda e: coalesce_action(e, PrimedVars(ENV)),
-    "compile_lanes": lambda e: compile_lanes(e, ENV),
+    "compile_lanes": lambda e: compile_lanes(e, ENV, {}),
     "eval_expr": lambda e: eval_expr(MODEL, 0, e, ENV),
     "eval_fol": lambda e: eval_fol(STRUCTURE, e),
     "eval_ml": lambda e: eval_ml(MODEL, 0, e),
@@ -156,6 +163,28 @@ def test_no_class_pattern_dispatch_in_the_package():
              for module, tree in _package_trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Match)]
     assert found == []
+
+
+def test_nodes_hash_by_their_fields_without_a_dict():
+    # Each node kind is a frozen slots dataclass, which hashes by its
+    # fields: no class of the package defines or installs a `__hash__`,
+    # and a base class without `__slots__` would give every node a dict.
+    found = [f"{module}:{node.lineno}"
+             for module, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
+             or isinstance(node, ast.Name) and node.id == "__hash__"
+             or isinstance(node, ast.Attribute) and node.attr == "__hash__"]
+    assert found == []
+    assert Expression.__slots__ == ()
+    x = RigidVar("x")
+    nodes = [x, FlexVar("v"), OpApp("f", (x,)), DefApp("d", (x,)),
+             Eq(x, x), FALSE, Implies(FALSE, FALSE), Forall("a", FALSE),
+             Nabla(FALSE), Prime(FALSE)]
+    assert {type(e).__name__ for e in nodes} == {
+        c.__name__ for c in Expression.__subclasses__()
+        if c.__module__ == syntax.__name__}
+    assert [e for e in nodes if hasattr(e, "__dict__")] == []
 
 
 # Top-level definitions of the package that nothing in it names, each

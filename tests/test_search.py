@@ -35,10 +35,13 @@ from foml.search import (
     _pack,
     _Piece,
     _relation,
+    _runs,
     _segment_lanes,
     _Tail,
     _tail_masks,
+    enumerate_fol_structures,
     enumerate_models,
+    enumerate_propmodels,
     find_countermodel,
 )
 from foml.semantics import _lanes, eval_expr, obligation_checker
@@ -53,7 +56,7 @@ from foml.syntax import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_search import orbit_leaders  # noqa: E402
+from reference_search import orbit_leaders, runs  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 BOUNDS = ((2, 2), (2, 3), (3, 2))
@@ -177,6 +180,103 @@ def test_orbit_leaders_are_the_orbit_minima(flex, bounds, prime):
         if all(_position(m, flex) <= _position(_renamed(m, p), flex)
                for p in permutations(m.states))]
     assert list(orbit_leaders(ops, (), flex, *bounds, prime)) == leaders
+
+
+# ---------------------------------------------------------- table product
+
+def _flat(xi, op_interp) -> str:
+    """xi and the tables as text, so that key order counts."""
+    return repr((xi, op_interp))
+
+
+def _signatures(count: int):
+    """Seeded signatures of 0-3 operators of arity 0-2 and 0-2 variables,
+    each with the universe sizes from 2 up whose runs number at most
+    3**7."""
+    for i in range(count):
+        rng = random.Random(f"tables:{i}")
+        ops = {f"f{j}": rng.randrange(3) for j in range(rng.randrange(4))}
+        variables = tuple(f"x{j}" for j in range(rng.randrange(3)))
+        sizes = []
+        for u in (2, 3):
+            if u ** (len(variables) + sum(u ** a for a in ops.values())) \
+                    > 3 ** 7:
+                break
+            sizes.append(u)
+        yield ops, variables, tuple(sizes)
+
+
+def test_table_product_is_the_plain_product():
+    # `_runs`, `enumerate_fol_structures` and `enumerate_models` share
+    # `_tables`; each is held, order and content, to the reference's one
+    # `itertools.product` over materialized spaces.  `_runs` is compared
+    # as text, so that key order counts too.
+    seen = Counter()
+    for ops, variables, sizes in _signatures(40):
+        want = []
+        for u in sizes:
+            universe = tuple(range(u))
+            ref = runs(ops, variables, universe)
+            assert [_flat(*r) for r in _runs(ops, variables, universe)] \
+                == [_flat(*r) for r in ref]
+            want += [(universe, *r) for r in ref]
+            seen[u, len(ops), len(variables)] += 1
+            seen.update((u, "arity", a) for a in ops.values())
+        if not sizes:
+            continue
+        fol = enumerate_fol_structures(ops, variables, sizes[-1])
+        assert [(s.universe, s.xi, s.op_interp) for s in fol] == want
+        # One state and no flexible variable: two models per run, R empty
+        # and R the loop.
+        got = [(m.universe, m.xi, m.op_interp)
+               for m in enumerate_models(ops, variables, (), sizes[-1], 1)]
+        assert got[::2] == want and got[1::2] == want
+    assert all(seen[2, "arity", a] for a in (0, 1, 2)), seen
+    assert seen[3, "arity", 0] and seen[3, "arity", 1], seen
+    assert all(seen[2, 3, v] for v in (0, 1, 2)), seen
+    assert seen[3, 0, 0] and seen[3, 2, 1], seen
+    # a binary operator over three values: 3**9 tables
+    universe = (0, 1, 2)
+    assert list(_runs({"f": 2}, (), universe)) \
+        == runs({"f": 2}, (), universe)
+
+
+def _enumerated(m) -> tuple:
+    """A model or structure as a tuple whose repr is fixed: dicts as item
+    tuples, relations sorted."""
+    def items(d):
+        return tuple((k, tuple(v.items()) if isinstance(v, dict) else v)
+                     for k, v in d.items())
+    rels = () if not hasattr(m, "R") else (
+        m.states, tuple(sorted(m.R)), items(m.zeta),
+        None if m.primeR is None else tuple(sorted(m.primeR)))
+    return (m.universe, m.tt, m.ff, items(m.op_interp), items(m.xi)) + rels
+
+
+def test_enumerations_are_pinned():
+    # SHA-256 of the three enumerations at small bounds, as they were
+    # when `enumerate_models` and the search each spelled the table
+    # product as a product of factor generators.
+    cases = [
+        (enumerate_models, {"f": 1, "c": 0}, ("x",), ("v",), 3, 1, False),
+        (enumerate_models, {"c": 0}, (), ("v",), 2, 2, True),
+        (enumerate_models, {}, ("x", "y"), (), 3, 3, False),
+        (enumerate_fol_structures, {"f": 1, "c": 0}, ("x", "y"), 3),
+        (enumerate_fol_structures, {"g": 2, "h": 1}, (), 2),
+        (enumerate_fol_structures, {}, (), 2),
+        (enumerate_propmodels, ("p", "q"), 2, "k", True, "k"),
+        (enumerate_propmodels, ("p",), 3, "s4", False, "k"),
+        (enumerate_propmodels, ("p",), 2, "t", True, "k4"),
+    ]
+    digest = hashlib.sha256()
+    count = 0
+    for fn, *args in cases:
+        for m in fn(*args):
+            digest.update(repr(_enumerated(m)).encode())
+            count += 1
+    assert count == 15876
+    assert digest.hexdigest() == ("e3375c15f24b651c7a274b3cf035bcf0"
+                                  "2d1b3e3f2a89002264ca280d64be2858")
 
 
 # ------------------------------------------------------------ lane search

@@ -18,12 +18,22 @@ draws depend only on the start state, no body mutates an opening's value,
 and the kept state is the one a fresh draw would reach.  A check with an
 unshared opening restores the start state; a single-check run snapshots
 nothing.
+
+Every draw of a bounded choice goes through `_below`, which calls
+`rng.getrandbits` by CPython's `Random._randbelow` rule, so each stream
+equals the one `Random.choice` and `Random.randrange` would give, with
+fewer calls per draw; the pinned digests of `TestRandomDraws` guard this.
+The tables of what a `random_expr` node may draw are a pure function of
+the signature (rigid pool, flexible variables, operators, whether there
+are definitions, `allow_nabla`) and the frame flags, and are cached per
+signature; only the binders' part of a frame is built per call.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -67,11 +77,28 @@ def rng_for(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform index in range(n), drawn by CPython's `Random._randbelow`
+    rule: `getrandbits(n.bit_length())`, redrawn while it is n or more.
+    So `seq[_below(rng.getrandbits, len(seq))]` consumes the stream that
+    `rng.choice(seq)` does, and `a + _below(rng.getrandbits, b - a)` the
+    one `rng.randrange(a, b)` does.  An empty range raises, as `randrange`
+    does: for n <= 0 the loop would never end."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_env(
     rng: random.Random,
     with_defs: bool = True,
     modal_defs: bool = True,
 ) -> DefinitionEnvironment:
+    getrandbits = rng.getrandbits
     ops: dict[str, int] = {"0": 0}
     if rng.random() < 0.8:
         ops["f"] = 1
@@ -82,9 +109,9 @@ def random_env(
     if not with_defs:
         return DefinitionEnvironment.build(ops=ops, rigid=rigid, flex=flex)
     defs: list[Definition] = []
-    for k in range(rng.randrange(0, 3)):
+    for k in range(_below(getrandbits, 3)):
         name = f"d{k}"
-        params = ("p", "q")[: rng.randrange(0, 3)]
+        params = ("p", "q")[: _below(getrandbits, 3)]
         # the final build validates every definition once
         body_env = DefinitionEnvironment(
             ops=ops, flex_vars=flex, definitions=tuple(defs))
@@ -95,6 +122,55 @@ def random_env(
         defs.append(Definition(name, params, body))
     return DefinitionEnvironment.build(
         ops=ops, rigid=rigid, flex=flex, definitions=tuple(defs))
+
+
+@lru_cache(maxsize=256)
+def _leaves(pool: tuple[str, ...], flex: tuple[str, ...],
+            ops: tuple[tuple[str, int], ...]) -> tuple:
+    """The part of a `random_expr` signature that names things: (leaves,
+    names, head, tail, nary).  `leaves` is `head`, FALSE and the pool's
+    rigid variables, then `tail`, the flexible variables and the
+    constants; a frame with binders outside the pool puts their rigid
+    variables between the two.  A forall binds one of `names`: "a", "b"
+    and the frame's first rigid variable (the pool's, else the first
+    binder outside the pool).  `nary` is the operators with arguments."""
+    head = (FALSE, *map(RigidVar, pool))
+    tail = (*map(FlexVar, flex), *(OpApp(op) for op, n in ops if n == 0))
+    return (head + tail, ("a", "b", *pool[:1]), head, tail,
+            tuple(op for op, n in ops if n > 0))
+
+
+@lru_cache(maxsize=None)
+def _kinds(nary: bool, defs: bool, allow_nabla: bool, allow_prime: bool,
+           allow_defapp: bool, under_prime: bool) -> tuple:
+    """The node kinds a frame may draw, given whether there are operators
+    with arguments and definitions, `allow_nabla` and the frame flags
+    (allow_prime, allow_defapp, under_prime): (kinds, cum, total, hi,
+    sub).  `kinds[bisect(cum, rng.random() * total, 0, hi)]` is exactly
+    what `rng.choices(kinds, weights)[0]` computes, so the stream is the
+    same.  `sub` is the flags of a child's frame: a prime's body must stay
+    prime-free, and definition applications are kept out of it so the
+    expansion stays prime-free too."""
+    kinds = ["leaf", "eq", "implies", "forall"]
+    weights = [3, 3, 3, 2]
+    if nary:
+        kinds.append("op")
+        weights.append(3)
+    if allow_defapp and defs and not under_prime:
+        kinds.append("defapp")
+        weights.append(2)
+    if allow_nabla and not under_prime:
+        kinds.append("nabla")
+        weights.append(2)
+    if allow_prime and not under_prime:
+        kinds.append("prime")
+        weights.append(2)
+    cum = tuple(accumulate(weights))
+    return (tuple(kinds), cum, cum[-1] + 0.0, len(kinds) - 1,
+            (allow_prime and not under_prime, allow_defapp, under_prime))
+
+
+_PRIME_BODY = (False, False, True)
 
 
 def random_expr(
@@ -109,78 +185,60 @@ def random_expr(
     rigid_pool: Optional[Sequence[str]] = None,
     under_prime: bool = False,
 ) -> Expression:
-    pool = list(rigid_pool if rigid_pool is not None else env.rigid_vars)
-    flex = [FlexVar(v) for v in env.flex_vars] if allow_flex else []
-    constants = [OpApp(op) for op, n in env.ops.items() if n == 0]
-    nary = [op for op, n in env.ops.items() if n > 0]
-    definitions = list(env.definitions)
-    choice, uniform = rng.choice, rng.random
-    # what a node may draw depends only on its frame (binders, allow_prime,
-    # allow_defapp, under_prime), so each frame's leaves, binder names and
-    # kind table are built once per call
+    pool = tuple(rigid_pool if rigid_pool is not None else env.rigid_vars)
+    all_leaves, all_names, head, tail, nary = _leaves(
+        pool, tuple(env.flex_vars) if allow_flex else (),
+        tuple(env.ops.items()))
+    definitions = env.definitions
+    given = (bool(nary), bool(definitions), allow_nabla)
+    getrandbits, uniform = rng.getrandbits, rng.random
+    # what a node may draw depends only on the signature, its binders and
+    # its frame flags; the signature's tables are shared by every call,
+    # and each (binders, flags) frame is completed once per call
     frames: dict[tuple, tuple] = {}
 
     def frame(key: tuple) -> tuple:
-        binders, allow_prime, allow_defapp, under_prime = key
-        rigids = pool + [b for b in binders if b not in pool]
-        kinds = ["leaf", "eq", "implies", "forall"]
-        weights = [3, 3, 3, 2]
-        if nary:
-            kinds.append("op")
-            weights.append(3)
-        if allow_defapp and definitions and not under_prime:
-            kinds.append("defapp")
-            weights.append(2)
-        if allow_nabla and not under_prime:
-            kinds.append("nabla")
-            weights.append(2)
-        if allow_prime and not under_prime:
-            kinds.append("prime")
-            weights.append(2)
-        cum = list(accumulate(weights))
-        # a child's frame; a prime's body must stay prime-free, and
-        # definition applications are kept out of it so the expansion
-        # stays prime-free too
-        sub = (binders, allow_prime and not under_prime, allow_defapp,
-               under_prime)
+        binders, flags = key
+        kinds, cum, total, hi, sub = _kinds(*given, *flags)
+        leaves, names = all_leaves, all_names
+        extra = [b for b in binders if b not in pool]
+        if extra:
+            leaves = (*head, *map(RigidVar, extra), *tail)
+            names = names if pool else names + (extra[0],)
         got = frames[key] = (
-            [FALSE, *map(RigidVar, rigids), *flex, *constants],
-            ["a", "b"] + rigids[:1],
-            # kinds[bisect(...)] is exactly what rng.choices(kinds,
-            # weights)[0] computes, so the stream is the same
-            kinds, cum, cum[-1] + 0.0, len(kinds) - 1,
-            sub, (binders, False, False, True))
+            leaves, len(leaves), names, kinds, cum, total, hi,
+            (binders, sub), (binders, _PRIME_BODY))
         return got
 
     def draw(depth: int, key: tuple) -> Expression:
-        leaves, names, kinds, cum, total, hi, sub, prime = \
+        leaves, nleaves, names, kinds, cum, total, hi, sub, prime = \
             frames.get(key) or frame(key)
         if depth <= 0:
-            return choice(leaves)
+            return leaves[_below(getrandbits, nleaves)]
         kind = kinds[bisect(cum, uniform() * total, 0, hi)]
         if kind == "leaf":
-            return choice(leaves)
+            return leaves[_below(getrandbits, nleaves)]
         d = depth - 1
         if kind == "eq":
             return Eq(draw(d, sub), draw(d, sub))
         if kind == "implies":
             return Implies(draw(d, sub), draw(d, sub))
         if kind == "forall":
-            var = choice(names)
-            return Forall(var, draw(d, (sub[0] + (var,),) + sub[1:]))
+            var = names[_below(getrandbits, len(names))]
+            return Forall(var, draw(d, (sub[0] + (var,), sub[1])))
         if kind == "op":
-            op = choice(nary)
+            op = nary[_below(getrandbits, len(nary))]
             return OpApp(op, tuple(draw(d, sub)
                                    for _ in range(env.ops[op])))
         if kind == "defapp":
-            dfn = choice(definitions)
+            dfn = definitions[_below(getrandbits, len(definitions))]
             return DefApp(dfn.name, tuple(draw(d, sub) for _ in dfn.params))
         if kind == "nabla":
             return Nabla(draw(d, sub))
         return Prime(draw(d, prime))
 
-    return draw(depth, (tuple(binders), allow_prime, allow_defapp,
-                        under_prime))
+    return draw(depth, (tuple(binders),
+                        (allow_prime, allow_defapp, under_prime)))
 
 
 def random_model(
@@ -191,20 +249,24 @@ def random_model(
     need_prime: bool = False,
     functional_prime: bool = False,
 ) -> KripkeModel:
-    choice, uniform = rng.choice, rng.random
-    universe = tuple(range(rng.randrange(2, max_universe + 1)))
-    states = tuple(range(rng.randrange(1, max_states + 1)))
-    op_interp = {op: {args: choice(universe)
+    getrandbits, uniform = rng.getrandbits, rng.random
+    universe = tuple(range(2 + _below(getrandbits, max_universe - 1)))
+    states = tuple(range(1 + _below(getrandbits, max_states)))
+    # the universe and the states are range(n): a value is its own index
+    u = len(universe)
+    op_interp = {op: {args: _below(getrandbits, u)
                       for args in product(universe, repeat=arity)}
                  for op, arity in env.ops.items()}
-    xi = {x: choice(universe) for x in env.rigid_vars}
-    zeta = {(v, w): choice(universe) for v in env.flex_vars for w in states}
+    xi = {x: _below(getrandbits, u) for x in env.rigid_vars}
+    zeta = {(v, w): _below(getrandbits, u)
+            for v in env.flex_vars for w in states}
     pairs = [(s, t) for s in states for t in states]
     R = frozenset(p for p in pairs if uniform() < 0.5)
     primeR = None
     if need_prime:
         if functional_prime:
-            primeR = frozenset((s, choice(states)) for s in states)
+            n = len(states)
+            primeR = frozenset((s, _below(getrandbits, n)) for s in states)
         else:
             primeR = frozenset(p for p in pairs if uniform() < 0.5)
     return KripkeModel(universe, 0, 1, op_interp, xi, states, R, zeta,
@@ -218,9 +280,10 @@ def random_ml_formula(
     allow_prime: bool = False,
 ) -> Expression:
     if depth <= 0 or rng.random() < 0.25:
-        return rng.choice([FALSE] + [FlexVar(a) for a in atoms])
-    kinds = ["implies", "nabla"] + (["prime"] if allow_prime else [])
-    kind = rng.choice(kinds)
+        return (FALSE, *map(FlexVar, atoms))[
+            _below(rng.getrandbits, len(atoms) + 1)]
+    kind = ("implies", "nabla", "prime")[
+        _below(rng.getrandbits, 3 if allow_prime else 2)]
     if kind == "implies":
         return Implies(random_ml_formula(rng, atoms, depth - 1, allow_prime),
                        random_ml_formula(rng, atoms, depth - 1, allow_prime))
@@ -230,13 +293,15 @@ def random_ml_formula(
 
 def random_ml_sequent(rng: random.Random,
                       allow_prime: bool = True) -> MLSequent:
-    atoms = ["p", "q", "r"][: rng.randrange(1, 4)]
+    getrandbits = rng.getrandbits
+    atoms = ("p", "q", "r")[: 1 + _below(getrandbits, 3)]
     prime = allow_prime and rng.random() < 0.3
     hyps = tuple(random_ml_formula(rng, atoms, 2, prime)
-                 for _ in range(rng.randrange(0, 3)))
-    goal = random_ml_formula(rng, atoms, rng.randrange(1, 4), prime)
+                 for _ in range(_below(getrandbits, 3)))
+    goal = random_ml_formula(rng, atoms, 1 + _below(getrandbits, 3), prime)
     return MLSequent(hypotheses=hyps, goal=goal,
-                     frame_nabla=rng.choice(("k", "t", "k4", "s4")),
+                     frame_nabla=("k", "t", "k4", "s4")[
+                         _below(getrandbits, 4)],
                      frame_prime="k")
 
 
@@ -288,7 +353,7 @@ def _fol_witness(rng: random.Random, opening: tuple) -> Optional[str]:
     expression, evaluated in the structure extracted at a state, has
     exactly the value of the original expression at that state."""
     env, e, _need_prime, m = opening
-    w = rng.choice(m.states)
+    w = m.states[_below(rng.getrandbits, len(m.states))]
     table = SymbolTable(env)
     ce = coalesce_fol(e, env, table)
     if contains_node(ce, Nabla, Prime, DefApp):
@@ -343,8 +408,8 @@ def _rigid_lemma(rng: random.Random,
     cands = [d for d in env.definitions if d.params]
     if not cands:
         return None
-    d = rng.choice(cands)
-    i = rng.randrange(len(d.params))
+    d = cands[_below(rng.getrandbits, len(cands))]
+    i = _below(rng.getrandbits, len(d.params))
     args = [random_expr(rng, env, 2) for _ in d.params]
     args[i] = _random_rigid_expr(rng, env)
     if not is_rigid(args[i], env):
@@ -365,7 +430,7 @@ def _leibniz_lemma(rng: random.Random,
             Definition("d9", ("p",), Eq(RigidVar("p"), OpApp("0"))),
         ))
         cands = [(env.definitions[-1], 0)]
-    d, i = rng.choice(cands)
+    d, i = cands[_below(rng.getrandbits, len(cands))]
     args = tuple(random_expr(rng, env, 2) for _ in d.params)
     return _argument_lemma_check(rng, env, d.name, args, i)
 
@@ -377,7 +442,7 @@ def _argument_lemma_check(rng, env, dname, args, i) -> Optional[str]:
     fresh = fresh_name("w", free | env.all_names())
     need_prime = signature(args, env).prime
     m = random_model(rng, env, need_prime=need_prime)
-    w = rng.choice(m.states)
+    w = m.states[_below(rng.getrandbits, len(m.states))]
     val = eval_expr(m, w, args[i], env)
     lhs = eval_expr(m, w, DefApp(dname, args), env)
     swapped = args[:i] + (RigidVar(fresh),) + args[i + 1:]
@@ -450,7 +515,7 @@ def _action_refutation(rng: random.Random, opening: tuple) -> Optional[str]:
     for _ in range(30):
         m = random_model(rng, env, max_universe=2, max_states=2,
                          need_prime=True, functional_prime=True)
-        w = rng.choice(m.states)
+        w = m.states[_below(rng.getrandbits, len(m.states))]
         if eval_expr(m, w, c, env) == m.tt:
             continue
         s = action_witness_structure(m, w, primed, env)

@@ -369,7 +369,12 @@ class DefinitionEnvironment:
         env.validate()
         return env
 
-    def validate(self) -> None:
+    def validate(self, checked: int = 0) -> None:
+        """Reject a name declared twice, and a definition from index
+        `checked` on that repeats a parameter, has a free rigid variable
+        that is not a parameter, or applies a definition not defined
+        earlier.  The definitions before `checked` are taken as validated
+        already: they count as defined earlier and are not walked again."""
         seen: set[str] = set()
         for name in (
             list(self.ops)
@@ -380,8 +385,8 @@ class DefinitionEnvironment:
             if name in seen:
                 raise FomlError(f"duplicate declaration of {name!r}")
             seen.add(name)
-        known_defs: set[str] = set()
-        for d in self.definitions:
+        known_defs = {d.name for d in self.definitions[:checked]}
+        for d in self.definitions[checked:]:
             if len(set(d.params)) != len(d.params):
                 raise FomlError(
                     f"definition {d.name!r} has repeated parameters"
@@ -441,12 +446,16 @@ class DefinitionEnvironment:
     ) -> "DefinitionEnvironment":
         new_ops = dict(self.ops)
         new_ops.update(ops or {})
-        return DefinitionEnvironment.build(
+        env = DefinitionEnvironment(
             ops=new_ops,
-            rigid=tuple(self.rigid_vars) + tuple(rigid),
-            flex=tuple(self.flex_vars) + tuple(flex),
+            rigid_vars=tuple(self.rigid_vars) + tuple(rigid),
+            flex_vars=tuple(self.flex_vars) + tuple(flex),
             definitions=tuple(self.definitions) + tuple(definitions),
         )
+        # this environment's definitions were validated when it was built
+        # or parsed; only the names and the added bodies need a check
+        env.validate(checked=len(self.definitions))
+        return env
 
 
 @dataclass(frozen=True)

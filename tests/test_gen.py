@@ -89,3 +89,77 @@ def test_six_checks_snapshot_the_start_and_each_shared_opening(counting):
     # every check restores the start state or the opening it replays
     assert counting.snapshots == 5 * 4
     assert counting.restores == 5 * 6
+
+
+def test_below_consumes_the_stream_of_choice_and_randrange():
+    for n in (*range(1, 70), 127, 128, 129, 1 << 20):
+        a, b = random.Random(n), random.Random(n)
+        for _ in range(50):
+            assert gen._below(b.getrandbits, n) == a.choice(range(n))
+            assert 3 + gen._below(b.getrandbits, n) == a.randrange(3, 3 + n)
+        assert a.getstate() == b.getstate(), n
+
+
+EXPR_FLAGS = ({}, {"allow_nabla": False}, {"allow_prime": False},
+              {"allow_flex": False}, {"allow_defapp": False},
+              {"binders": ("p", "q")}, {"rigid_pool": ("p",)},
+              {"rigid_pool": ()}, {"binders": ("a", "p"), "rigid_pool": ()},
+              {"under_prime": True})
+
+
+def _draws(rng: random.Random, rounds: int, reverse: bool = False) -> list:
+    """The repr of each draw of a seeded sequence over every generator
+    flag, with the generator state after it; `reverse` draws each
+    environment's expressions in the other order."""
+    out = []
+
+    def put(value):
+        out.append(repr((value, rng.getstate())))
+
+    for k in range(rounds):
+        env = gen.random_env(rng, with_defs=k % 3 != 0,
+                             modal_defs=k % 2 == 0)
+        put(env)
+        exprs = [lambda f=f: gen.random_expr(rng, env, k % 4, **f)
+                 for f in EXPR_FLAGS]
+        exprs.append(lambda: gen.random_action_formula(rng, env))
+        for draw in reversed(exprs) if reverse else exprs:
+            put(draw())
+        for need_prime, functional in ((False, False), (True, False),
+                                       (True, True)):
+            put(gen.random_model(rng, env, 2 + k % 2, 1 + k % 3,
+                                 need_prime=need_prime,
+                                 functional_prime=functional))
+    return out
+
+
+def test_draws_do_not_depend_on_the_frame_caches():
+    caches = (gen._leaves, gen._kinds)
+    for cache in caches:
+        cache.cache_clear()
+    cold = _draws(random.Random(5), 40)
+    for cache in caches:
+        cache.cache_clear()
+    # warm the caches with other environments, drawn in another order
+    _draws(random.Random(6), 40, reverse=True)
+    assert all(cache.cache_info().currsize for cache in caches)
+    assert _draws(random.Random(5), 40) == cold
+
+
+@pytest.mark.parametrize("bounds", [
+    {"max_universe": 1}, {"max_universe": 0}, {"max_universe": -2},
+    {"max_states": 0}, {"max_states": -1},
+])
+def test_an_empty_range_of_sizes_raises(bounds):
+    env = gen.random_env(random.Random(0))
+    with pytest.raises(ValueError, match="empty range"):
+        gen.random_model(random.Random(0), env, **bounds)
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_an_empty_range_raises_before_drawing(n):
+    def no_draw(_k):
+        pytest.fail("drew from an empty range")
+
+    with pytest.raises(ValueError, match="empty range"):
+        gen._below(no_draw, n)

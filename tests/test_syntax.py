@@ -673,6 +673,54 @@ class TestDepthIndependence:
         assert sum(1 for _ in walk(or_(*es))) == 5000 + 3 * 4999
 
 
+class TestExtended:
+    # `extended` walks only the added definitions: each rejection below
+    # must still come with the message that building the whole
+    # environment at once gives
+    BASE = dict(ops={"0": 0}, rigid=("x",), flex=("v",),
+                definitions=(Definition("d0", ("p",),
+                                        Eq(RigidVar("p"), OpApp("0"))),))
+
+    @pytest.mark.parametrize("added, message", [
+        ({"flex": ("x",)}, "duplicate declaration of 'x'"),
+        ({"rigid": ("d0",)}, "duplicate declaration of 'd0'"),
+        ({"ops": {"v": 0}}, "duplicate declaration of 'v'"),
+        ({"definitions": (Definition("d0", (), FALSE),)},
+         "duplicate declaration of 'd0'"),
+        ({"definitions": (Definition("d1", (), DefApp("d2", ())),
+                          Definition("d2", (), FALSE))},
+         "definition 'd1' refers to 'd2', which is not defined earlier"),
+        ({"definitions": (Definition(
+            "d1", (), Nabla(DefApp("d0", (DefApp("e", ()),)))),)},
+         "definition 'd1' refers to 'e', which is not defined earlier"),
+        ({"definitions": (Definition(
+            "d1", ("p",), Eq(RigidVar("p"), RigidVar("x"))),)},
+         "definition 'd1' body has free rigid variables not among its "
+         "parameters: x"),
+        ({"definitions": (Definition("d1", ("p", "p"), FALSE),)},
+         "definition 'd1' has repeated parameters"),
+    ])
+    def test_rejects_with_the_message_of_a_whole_build(self, added,
+                                                       message):
+        env = DefinitionEnvironment.build(**self.BASE)
+        with pytest.raises(FomlError) as got:
+            env.extended(**added)
+        assert str(got.value) == message
+        whole = {key: tuple(value) + tuple(added.get(key, ()))
+                 for key, value in self.BASE.items() if key != "ops"}
+        with pytest.raises(FomlError) as built:
+            DefinitionEnvironment.build(
+                ops={**self.BASE["ops"], **added.get("ops", {})}, **whole)
+        assert str(built.value) == message
+
+    def test_an_added_definition_may_apply_an_earlier_one(self):
+        env = DefinitionEnvironment.build(**self.BASE)
+        d1 = Definition("d1", ("q",), DefApp("d0", (RigidVar("q"),)))
+        d2 = Definition("d2", (), Nabla(DefApp("d1", (OpApp("0"),))))
+        got = env.extended(definitions=(d1, d2))
+        assert got.definitions == env.definitions + (d1, d2)
+
+
 class TestRandomDraws:
     def test_seeded_draws_are_pinned(self):
         # 400 (random_env, random_expr) draws from one seeded stream: a

@@ -30,15 +30,22 @@ when prime occurs, and a block of at most 512 relations that the
 innermost enumerated relation (R without prime, primeR with prime)
 ranges over, one lane per (relation, state).  From 4 states on, all but
 the last 9 pairs of a relation are enumerated outside the block, and
-blocks without a leader are skipped.  Consecutive segments that share a
-universe and a state count are packed into one lane block of at most
-`_LANE_BUDGET` lanes, with their xi, tables and zeta as one-hot masks;
-the first block of each universe and state count is small and each next
-one twice as large.  A block's countermodels are its leader lanes where
+blocks without a leader are skipped.  A run is the segments of one xi
+and tables; the tails of a segment (zeta, R and the block of relations)
+are the same in every run of a universe size and state count, so they
+are drawn and laid out once.  Run r's xi values and table rows are the
+digits of r in base u, the universe size, most significant first.  A
+lane block of at most `_LANE_BUDGET` lanes holds u**j whole runs that
+start at a multiple of u**j, or a window of one run's tails where one
+run does not fit; each digit below place u**j then takes each value in
+a fixed periodic set of lanes, built once per level, and every other
+digit is constant over the block, so a block's xi and tables cost one
+one-hot per digit.  Blocks grow geometrically, so an early countermodel
+pays for little.  A block's countermodels are its leader lanes where
 every hypothesis holds at every state and the goal fails at some state;
 the first is the lowest such lane, which is the first in enumeration
 order, and `examined` counts the leaders up to it.  Only the model
-returned is built.
+returned is built, its xi and tables decoded from its run number.
 """
 from __future__ import annotations
 
@@ -99,17 +106,25 @@ class SearchResult:
         return self.status == "none"
 
 
+def _spans(ops: Mapping[str, int], universe: tuple[Value, ...], at: int = 0
+           ) -> tuple[list[tuple[str, tuple, int, int]], int]:
+    """(op, its table's rows, the first and past-the-last index of its
+    rows' values) for each op in order, the values counted from `at` on;
+    and the index past the last."""
+    spans = []
+    for op, arity in ops.items():
+        rows = tuple(product(universe, repeat=arity))
+        spans.append((op, rows, at, at + len(rows)))
+        at += len(rows)
+    return spans, at
+
+
 def _tables(ops: Mapping[str, int], universe: tuple[Value, ...]
             ) -> Iterator[dict]:
     """Every interpretation of ops over universe, {op: {args: value}},
     one at a time, in lexicographic order of the values of the tables'
     rows, ops in order and each table's rows in order."""
-    spans = []
-    at = 0
-    for op, arity in ops.items():
-        rows = tuple(product(universe, repeat=arity))
-        spans.append((op, rows, at, at + len(rows)))
-        at += len(rows)
+    spans, at = _spans(ops, universe)
     for values in product(universe, repeat=at):
         yield {op: dict(zip(rows, values[a:b])) for op, rows, a, b in spans}
 
@@ -246,6 +261,20 @@ def _runs(ops: Mapping[str, int], rigid: Sequence[str],
             yield xi, op_interp
 
 
+def _run(ops: Mapping[str, int], rigid: Sequence[str],
+         universe: tuple[Value, ...], r: int) -> tuple[dict, dict]:
+    """Run r of `_runs`: the digits of r in base len(universe), most
+    significant first, are the xi values and then the table rows'."""
+    spans, ndigits = _spans(ops, universe, len(rigid))
+    vals = []
+    for _ in range(ndigits):
+        r, v = divmod(r, len(universe))
+        vals.append(universe[v])
+    vals.reverse()
+    return dict(zip(rigid, vals)), {op: dict(zip(rows, vals[a:b]))
+                                    for op, rows, a, b in spans}
+
+
 def _zeta_leaders(nflex: int, universe: tuple[Value, ...], nstates: int
                   ) -> Iterator[tuple[tuple[Value, ...], tuple[Perm, ...]]]:
     """The zeta values of nflex variables on nstates states (variable by
@@ -272,11 +301,15 @@ def _zeta(flex: Sequence[str], nstates: int, vals: tuple[Value, ...]
 # relations, so that the blocks without a leader can be skipped.
 _BLOCK_PAIRS = 9
 
-# A lane block packs consecutive segments of one universe and state count
-# into at most this many lanes (at least one segment).  The first block
-# of each universe and state count holds one run's segments when a block
-# holds them all, else one segment, and each next one twice as many, so
-# an early countermodel pays for few later segments.
+# A lane block lays segments of one universe and state count side by side
+# in at most this many lanes (at least one segment).  Where one run's
+# segments fit, a block holds u**j whole runs from a multiple of u**j (u
+# the universe size): run 0 alone, then u - 1 blocks of each size in
+# turn, up to the largest that fits.  Else a block is a window of one
+# run's segments: in the first run one segment, one more, then windows
+# that double up to the largest that fits, and in every later run
+# windows of that size.  So an early countermodel pays for few later
+# segments.
 _LANE_BUDGET = 4096
 
 
@@ -370,8 +403,8 @@ Masks = dict[tuple, int]
 def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
     """The masks of tails laid side by side from lane 0, tail i from lane
     i * `_segment_lanes` on.  Callers lay out at most one lane block of
-    tails, `_most(nstates)`, and `_layout` caches the first of each
-    universe size and state count."""
+    tails, `_most(nstates)`: `_level` a run's tails and `_window` a
+    window of them."""
     stride = _segment_lanes(nstates)
     rep = _spread(1 << _block_pairs(nstates), nstates)
     masks = {}
@@ -395,87 +428,110 @@ def _most(nstates: int) -> int:
     return max(1, _LANE_BUDGET // _segment_lanes(nstates))
 
 
-class _Layout(NamedTuple):
-    """The first tails of a universe size and state count, as many as one
-    lane block holds, with their masks from lane 0; `whole` when they are
-    all the tails."""
-    tails: tuple[_Tail, ...]
-    masks: Masks
-    whole: bool
+class _Layout:
+    """The tails of a universe size and state count, drawn as far as a
+    search has needed them and shared by every run and every search with
+    as many flexible variables; `whole` when one lane block holds them
+    all."""
 
-    def window(self, a: int, b: int, nstates: int) -> Masks:
-        """The masks of tails a .. b-1 from lane 0."""
-        if a == 0 and b == len(self.tails):
-            return self.masks
-        stride = _segment_lanes(nstates)
-        keep = (1 << (b - a) * stride) - 1
-        return {key: mask >> a * stride & keep
-                for key, mask in self.masks.items()}
+    def __init__(self, nflex: int, usize: int, nstates: int, prime: bool):
+        most = _most(nstates)
+        self._rest = _tails(nflex, usize, nstates, prime)
+        self.tails = list(islice(self._rest, most + 1))
+        self.whole = len(self.tails) <= most
+
+    def upto(self, b: int) -> int:
+        """b, or the number of tails when there are fewer, having drawn
+        them."""
+        if b > len(self.tails):
+            self.tails += islice(self._rest, b - len(self.tails))
+        return min(b, len(self.tails))
 
 
 @lru_cache(maxsize=64)
 def _layout(nflex: int, usize: int, nstates: int, prime: bool) -> _Layout:
-    """The layout of a universe size and state count.  Every run of xi
-    and tables has the same tails, and so does every search with as many
-    flexible variables, so they are drawn and laid out once."""
-    most = _most(nstates)
-    tails = tuple(islice(_tails(nflex, usize, nstates, prime), most + 1))
-    return _Layout(tails[:most], _tail_masks(tails[:most], nstates),
-                   len(tails) <= most)
+    return _Layout(nflex, usize, nstates, prime)
 
 
-class _Piece(NamedTuple):
-    """Consecutive segments of one run: its xi and tables, their tails and
-    the tails' masks."""
-    xi: dict
-    op_interp: dict
-    tails: Sequence[_Tail]
-    masks: Masks
+class _Frame(NamedTuple):
+    """A lane block less its xi and tables: the first lanes of its
+    leaders, each flexible variable's one-hot values (by index), its
+    relations, every lane, the first lane of each model, {v: every lane}
+    for each value v, and, for each place p of the run numbers below the
+    block's run count, the lanes where digit p is each value."""
+    leaders: int
+    flex: tuple[dict[Value, int], ...]
+    access: tuple[Access, Optional[Access]]
+    full: int
+    rep: int
+    const: tuple[dict[Value, int], ...]
+    digits: tuple[dict[Value, int], ...]
 
 
-def _pack(pieces: Sequence[_Piece], flex: Sequence[str],
-          universe: tuple[Value, ...], nstates: int) -> tuple[int, Lanes]:
-    """(the first lanes of the leaders, the lanes) of the segments of
-    pieces laid side by side, over one universe and state count: lane
-    i * `_segment_lanes` + r * nstates + w is state w of relation r of
-    segment i.  xi and the tables are one-hot over each piece's lanes."""
-    stride = _segment_lanes(nstates)
-    masks: Masks = {}
-    xi: dict[str, dict[Value, int]] = {}
-    ops: dict[str, dict[tuple[Value, ...], dict[Value, int]]] = {}
-    at = 0
-    for piece in pieces:
-        if at:
-            for key, mask in piece.masks.items():
-                masks[key] = masks.get(key, 0) | mask << at
-        else:
-            masks.update(piece.masks)
-        size = len(piece.tails) * stride
-        lanes = ((1 << size) - 1) << at
-        at += size
-        for x, val in piece.xi.items():
-            values = xi.setdefault(x, {})
-            values[val] = values.get(val, 0) | lanes
-        for op, table in piece.op_interp.items():
-            rows = ops.setdefault(op, {})
-            for args, val in table.items():
-                values = rows.setdefault(args, {})
-                values[val] = values.get(val, 0) | lanes
-    flex_lanes: dict[str, dict[Value, int]] = {v: {} for v in flex}
+def _frame(masks: Masks, nflex: int, usize: int, nstates: int, lanes: int,
+           digits: tuple[dict[Value, int], ...] = ()) -> _Frame:
+    """The frame of `lanes` lanes whose tails have `masks`."""
+    flex: tuple[dict[Value, int], ...] = tuple({} for _ in range(nflex))
     edges: tuple[dict[int, int], dict[int, int]] = ({}, {})
     func = [0, 0]
     for key, mask in masks.items():
         if key[0] == "flex":
-            flex_lanes[flex[key[1]]][key[2]] = mask
+            flex[key[1]][key[2]] = mask
         elif key[0] == "edges":
             edges[key[1]][key[2]] = mask
         elif key[0] == "func":
             func[key[1]] = mask
     access = (Access(edges[0], func[0]),
               Access(edges[1], func[1]) if ("func", 1) in masks else None)
-    k = Lanes(nstates, universe, 0, 1, (1 << at) - 1,
-              _spread(at // nstates, nstates), xi, ops, flex_lanes, access)
-    return masks[("leaders",)], k
+    full = (1 << lanes) - 1
+    return _Frame(masks[("leaders",)], flex, access, full,
+                  _spread(lanes // nstates, nstates),
+                  tuple({v: full} for v in range(usize)), digits)
+
+
+@lru_cache(maxsize=256)
+def _level(nflex: int, usize: int, nstates: int, prime: bool, level: int
+           ) -> _Frame:
+    """The frame of u**level whole runs (u = usize) of a universe size and
+    state count whose tails all fit in one lane block, each run's tails
+    laid out one run after another, from a run number that is a multiple
+    of u**level.  Digit p < level of the run number is v on u**p runs in
+    every u**(p + 1), from the v-th on."""
+    layout = _layout(nflex, usize, nstates, prime)
+    width = len(layout.tails) * _segment_lanes(nstates)
+    runs = usize ** level
+    rep = _spread(runs, width)
+    masks = _tail_masks(layout.tails, nstates)
+    digits = []
+    for p in range(level):
+        span = usize ** p * width
+        ones = ((1 << span) - 1) * _spread(usize ** (level - p - 1),
+                                           usize * span)
+        digits.append({v: ones << v * span for v in range(usize)})
+    return _frame({key: mask * rep for key, mask in masks.items()},
+                  nflex, usize, nstates, runs * width, tuple(digits))
+
+
+@lru_cache(maxsize=256)
+def _window(nflex: int, usize: int, nstates: int, prime: bool, a: int,
+            b: int) -> Optional[tuple[list[_Tail], _Frame]]:
+    """Tails a .. b-1 of a universe size and state count whose tails
+    overflow one lane block, fewer where they end, with their frame; None
+    past the last."""
+    layout = _layout(nflex, usize, nstates, prime)
+    tails = layout.tails[a:layout.upto(b)]
+    if not tails:
+        return None
+    return tails, _frame(_tail_masks(tails, nstates), nflex, usize, nstates,
+                         len(tails) * _segment_lanes(nstates))
+
+
+class _Block(NamedTuple):
+    """The runs of xi and tables of a lane block, run .. run + runs - 1
+    in `_runs` order, laid out one after another with the same tails."""
+    run: int
+    runs: int
+    tails: Sequence[_Tail]
 
 
 def _lane_blocks(
@@ -485,43 +541,59 @@ def _lane_blocks(
     max_universe: int,
     max_states: int,
     prime: bool,
-) -> Iterator[tuple[list[_Piece], int, Lanes]]:
-    """The orbit leaders a lane block at a time, in order: (the block's
-    pieces, the first lanes of its leaders, its lanes).  A run's tails
-    come from the `_Layout` as far as it holds them, and past it from a
-    fresh enumeration."""
+) -> Iterator[tuple[_Block, int, Lanes]]:
+    """The orbit leaders a lane block at a time, in order: (the block,
+    the first lanes of its leaders, its lanes).  The digits of a run
+    number are its xi values and table rows, so a block's xi and tables
+    are one one-hot per digit: `frame.digits` below the block's run
+    count, a constant value above it."""
+    nflex = len(flex)
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
+        spans, ndigits = _spans(ops, universe, len(rigid))
+        nruns = usize ** ndigits
+
+        def lanes(frame: _Frame, run: int, level: int, n: int) -> Lanes:
+            onehots = list(frame.digits)
+            run //= usize ** level
+            for _ in range(level, ndigits):
+                run, v = divmod(run, usize)
+                onehots.append(frame.const[v])
+            onehots.reverse()
+            return Lanes(n, universe, 0, 1, frame.full, frame.rep,
+                         dict(zip(rigid, onehots)),
+                         {op: dict(zip(rows, onehots[a:b]))
+                          for op, rows, a, b in spans},
+                         dict(zip(flex, frame.flex)), frame.access)
+
         for n in range(1, max_states + 1):
-            layout = _layout(len(flex), usize, n, prime)
-            drawn = len(layout.tails)
-            pieces: list[_Piece] = []
-            size = need = drawn if layout.whole else 1
-            for xi, op_interp in _runs(ops, rigid, universe):
-                a, rest = 0, None
+            layout = _layout(nflex, usize, n, prime)
+            most = _most(n)
+            if layout.whole:
+                top = 0
+                while top < ndigits \
+                        and usize ** (top + 1) * len(layout.tails) <= most:
+                    top += 1
+                run, level, size = 0, 0, 1
+                while run < nruns:
+                    if level < top and run == size * usize:
+                        level, size = level + 1, size * usize
+                    frame = _level(nflex, usize, n, prime, level)
+                    yield (_Block(run, size, layout.tails), frame.leaders,
+                           lanes(frame, run, level, n))
+                    run += size
+                continue
+            for run in range(nruns):
+                a = 0
                 while True:
-                    if a < drawn:
-                        chunk = layout.tails[a:a + need]
-                        masks = layout.window(a, a + len(chunk), n)
-                    elif layout.whole:
+                    size = most if run else max(1, min(a, most))
+                    window = _window(nflex, usize, n, prime, a, a + size)
+                    if window is None:
                         break
-                    else:
-                        if rest is None:
-                            rest = islice(_tails(len(flex), usize, n, prime),
-                                          a, None)
-                        chunk = list(islice(rest, need))
-                        if not chunk:
-                            break
-                        masks = _tail_masks(chunk, n)
-                    pieces.append(_Piece(xi, op_interp, chunk, masks))
-                    need -= len(chunk)
-                    a += len(chunk)
-                    if not need:
-                        yield (pieces, *_pack(pieces, flex, universe, n))
-                        pieces, size = [], min(2 * size, _most(n))
-                        need = size
-            if pieces:
-                yield (pieces, *_pack(pieces, flex, universe, n))
+                    tails, frame = window
+                    yield (_Block(run, 1, tails), frame.leaders,
+                           lanes(frame, run, 0, n))
+                    a += size
 
 
 def _everywhere(k: Lanes, mask: int) -> int:
@@ -551,7 +623,7 @@ def find_countermodel(
     hyps = [compile_lanes(h, ob.env, bodies) for h in ob.hypotheses]
     goal = compile_lanes(ob.goal, ob.env, bodies)
     examined = 0
-    for pieces, leaders, k in _lane_blocks(
+    for block, leaders, k in _lane_blocks(
             ops, rigid, flex, bounds.max_universe, bounds.max_states,
             prime):
         ok = leaders
@@ -571,7 +643,8 @@ def find_countermodel(
             column = holds >> first & ((1 << n) - 1)
             w = (~column & column + 1).bit_length() - 1
             return SearchResult("found",
-                                model=_lane_model(pieces, flex, k, first),
+                                model=_lane_model(block, ops, rigid, flex,
+                                                 k, first),
                                 state=w, examined=examined)
         examined += leaders.bit_count()
         if examined > bounds.max_models:
@@ -584,22 +657,20 @@ def find_countermodel(
         f" ({examined} reached)")
 
 
-def _lane_model(pieces: Sequence[_Piece], flex: Sequence[str], k: Lanes,
+def _lane_model(block: _Block, ops: Mapping[str, int],
+                rigid: Sequence[str], flex: Sequence[str], k: Lanes,
                 lane: int) -> KripkeModel:
     """The model of a lane of a block."""
     n = k.nstates
-    i, lane = divmod(lane, _segment_lanes(n))
-    for piece in pieces:
-        if i < len(piece.tails):
-            break
-        i -= len(piece.tails)
-    tail = piece.tails[i]
+    segment, lane = divmod(lane, _segment_lanes(n))
+    q, i = divmod(segment, len(block.tails))
+    xi, op_interp = _run(ops, rigid, k.universe, block.run + q)
+    tail = block.tails[i]
     rel = _relation(n, tail.block << _block_pairs(n) | lane // n)
     R, primeR = (rel, None) if tail.r is None \
         else (_relation(n, tail.r), rel)
-    return KripkeModel(k.universe, 0, 1, piece.op_interp, piece.xi,
-                       tuple(range(n)), R, _zeta(flex, n, tail.zeta),
-                       primeR=primeR)
+    return KripkeModel(k.universe, 0, 1, op_interp, xi, tuple(range(n)), R,
+                       _zeta(flex, n, tail.zeta), primeR=primeR)
 
 
 def enumerate_fol_structures(

@@ -445,7 +445,11 @@ class DefinitionEnvironment:
         definitions: Iterable[Definition] = (),
     ) -> "DefinitionEnvironment":
         new_ops = dict(self.ops)
-        new_ops.update(ops or {})
+        for op, arity in (ops or {}).items():
+            # a dict holds each name once, so `validate` cannot see this
+            if op in new_ops:
+                raise FomlError(f"duplicate declaration of {op!r}")
+            new_ops[op] = arity
         env = DefinitionEnvironment(
             ops=new_ops,
             rigid_vars=tuple(self.rigid_vars) + tuple(rigid),

@@ -29,12 +29,12 @@ from foml.parser import parse_expr, parse_problem
 from foml.search import (
     SearchBounds,
     _block_pairs,
+    _frame,
     _lane_blocks,
     _lane_model,
     _leader_relations,
-    _pack,
-    _Piece,
     _relation,
+    _run,
     _runs,
     _segment_lanes,
     _Tail,
@@ -44,12 +44,11 @@ from foml.search import (
     enumerate_propmodels,
     find_countermodel,
 )
-from foml.semantics import _lanes, eval_expr, obligation_checker
+from foml.semantics import Lanes, _lanes, eval_expr, obligation_checker
 from foml.syntax import (
     DefApp,
     Obligation,
     Prime,
-    collect_signature,
     contains_node,
     or_,
     signature,
@@ -209,8 +208,9 @@ def _signatures(count: int):
 def test_table_product_is_the_plain_product():
     # `_runs`, `enumerate_fol_structures` and `enumerate_models` share
     # `_tables`; each is held, order and content, to the reference's one
-    # `itertools.product` over materialized spaces.  `_runs` is compared
-    # as text, so that key order counts too.
+    # `itertools.product` over materialized spaces.  `_runs`, and `_run`
+    # at each run number, are compared as text, so that key order counts
+    # too.
     seen = Counter()
     for ops, variables, sizes in _signatures(40):
         want = []
@@ -218,7 +218,9 @@ def test_table_product_is_the_plain_product():
             universe = tuple(range(u))
             ref = runs(ops, variables, universe)
             assert [_flat(*r) for r in _runs(ops, variables, universe)] \
-                == [_flat(*r) for r in ref]
+                == [_flat(*r) for r in ref] \
+                == [_flat(*_run(ops, variables, universe, r))
+                    for r in range(len(ref))]
             want += [(universe, *r) for r in ref]
             seen[u, len(ops), len(variables)] += 1
             seen.update((u, "arity", a) for a in ops.values())
@@ -374,22 +376,23 @@ def test_rigid_hypothesis_false_on_whole_prefixes():
 
 
 def _blocks(ob: Obligation, bounds: tuple[int, int]):
-    """The lane blocks of the search: (universe size, states, pieces,
+    """The lane blocks of the search: (universe size, states, block,
     the first lanes of the leaders, lanes)."""
     ops, rigid, flex, prime = signature(ob.all_exprs(), ob.env)
-    for pieces, leaders, k in _lane_blocks(ops, rigid, flex, *bounds,
-                                           prime):
-        yield len(k.universe), k.nstates, pieces, leaders, k
+    for block, leaders, k in _lane_blocks(ops, rigid, flex, *bounds,
+                                          prime):
+        yield len(k.universe), k.nstates, block, leaders, k
 
 
-def _segment_of(ob: Obligation, bounds: tuple[int, int], model):
-    """The index, within its lane block, of the segment of `model`."""
-    flex = collect_signature(ob.all_exprs(), ob.env)[2]
-    for _, n, pieces, leaders, k in _blocks(ob, bounds):
+def _place_of(ob: Obligation, bounds: tuple[int, int], model):
+    """(its block, the index of its segment within the block) of the lane
+    of `model`."""
+    ops, rigid, flex, _ = signature(ob.all_exprs(), ob.env)
+    for _, n, block, leaders, k in _blocks(ob, bounds):
         while leaders:
             lane = (leaders & -leaders).bit_length() - 1
-            if _lane_model(pieces, flex, k, lane) == model:
-                return lane // _segment_lanes(n)
+            if _lane_model(block, ops, rigid, flex, k, lane) == model:
+                return block, lane // _segment_lanes(n)
             leaders &= leaders - 1
     raise AssertionError("no lane holds the model")
 
@@ -407,7 +410,7 @@ def test_max_models_at_a_countermodel_and_at_the_end():
     # The countermodel is in the second segment of its block: the block's
     # first segment, and the leaders before it, are counted exactly.
     res = find_countermodel(box, SearchBounds(2, 2))
-    assert _segment_of(box, (2, 2), res.model) == 1
+    assert _place_of(box, (2, 2), res.model)[1] == 1
     stability = parse_problem((DEMO / "stability.foml").read_text())
     assert _searched(stability, (3, 3), 1508) == ("none", None, None, 1508)
     assert _searched(stability, (3, 3), 1507) == \
@@ -423,19 +426,76 @@ def test_max_models_at_a_countermodel_and_at_the_end():
 ])
 def test_prime_relations_across_packed_blocks(goal):
     # With two flexible variables the tails of two states do not fit in
-    # one block, so blocks start at one segment and double: the R leaders
-    # of a zeta leader span two blocks.
+    # one block, so a run's tails come in windows: the R leaders of a
+    # zeta leader span two blocks.
     ob = parse_problem(f"(declare-op 0 0) (declare-flex p) (declare-flex q)"
                        f" (goal {goal})")
-    ends = [((u, n, pieces[0].xi, pieces[0].op_interp,
-              pieces[0].tails[0].zeta),
-             (u, n, pieces[-1].xi, pieces[-1].op_interp,
-              pieces[-1].tails[-1].zeta))
-            for u, n, pieces, _, _ in _blocks(ob, (2, 2))]
+    ends = [((u, n, block.run, block.tails[0].zeta),
+             (u, n, block.run + block.runs - 1, block.tails[-1].zeta))
+            for u, n, block, _, _ in _blocks(ob, (2, 2))]
     assert any(end == start for (_, end), (start, _) in zip(ends, ends[1:]))
     got = _searched(ob, (2, 2))
     assert got[0] == ("found" if "delta" in goal else "none")
     assert got == _orbit_sweep(ob, (2, 2))
+
+
+# Two rigid variables and a binary operator: 2**6 runs of xi and tables
+# over two values and 3**11 over three, many of them to a lane block.
+DIGITS = parse_problem("(declare-op g 2) (declare-rigid x) (declare-rigid y)"
+                       " (declare-flex v) (goal false)").env
+# Every symbol occurs, so every obligation has the same signature.
+_EVERY = parse_expr("(=> (= (g x y) v) (= (g x y) v))", DIGITS)
+# True in every one-state model: the countermodels have two states.
+_STAY = parse_expr("(=> (= v x) (nabla (= v x)))", DIGITS)
+# False in every model over two values.  Over three, with x = 0, it first
+# holds in run 55, where v is 2, g(2, 2) is 1 and g(1, 2) is 2: two low
+# digits of a run number.
+_THREE = parse_expr("(and (not (= v x)) (and (not (= (g v v) v))"
+                    " (and (not (= (g v v) x)) (= (g (g v v) v) v))))",
+                    DIGITS)
+
+
+def _digit_obligations(count: int):
+    """Seeded random obligations over `DIGITS`, each with its bounds:
+    every fourth has two states at least, and every fourth three values."""
+    for i in range(count):
+        rng = rng_for(2626, i)
+        prime = i % 3 == 2
+        hyps = (_EVERY,) + tuple(random_expr(rng, DIGITS, 2,
+                                             allow_prime=prime)
+                                 for _ in range(rng.randrange(1, 3)))
+        goal = random_expr(rng, DIGITS, 3, allow_prime=prime)
+        if i % 4 == 2:
+            goal = or_(_STAY, goal)
+        if i % 4 == 3:
+            hyps += (_THREE,)
+        yield Obligation(hyps, goal, DIGITS), \
+            ((2, 2), (2, 1), (2, 2), (3, 1))[i % 4]
+
+
+def test_runs_laid_out_by_digits_match_the_orbit_sweep():
+    # A block of many runs takes its xi and tables from the digits of
+    # their run numbers: each countermodel must be the orbit sweep's, and
+    # a bound just before one inside a block of many runs must stop there.
+    seen = Counter()
+    for ob, bounds in _digit_obligations(32):
+        res = find_countermodel(ob, SearchBounds(*bounds, 700))
+        got = (res.status, res.state,
+               None if res.model is None else serialize_model(res.model),
+               res.examined)
+        assert got == _orbit_sweep(ob, bounds, 700), (ob, bounds)
+        seen[res.status] += 1
+        if not res.found:
+            continue
+        block, _ = _place_of(ob, bounds, res.model)
+        if block.runs > 1:
+            seen[len(res.model.universe), len(res.model.states)] += 1
+            # The orbit sweep stops after the leaders before the
+            # countermodel, at max_models of them.
+            assert _searched(ob, bounds, res.examined - 1) == \
+                ("resource-out", None, None, res.examined - 1)
+    assert seen["found"] >= 12 and seen["none"] >= 2, seen
+    assert seen[2, 1] >= 5 and seen[2, 2] >= 2 and seen[3, 1] >= 1, seen
 
 
 def test_four_states_cross_lane_blocks():
@@ -462,20 +522,22 @@ def test_bounds_that_admit_no_model_are_rejected(bounds):
 
 
 def _random_lanes(rng: random.Random, env, prime: bool):
-    """A lane block of two to four pieces of one to three segments each,
-    over one universe and state count: each piece with its own xi and
+    """A lane block of two to four runs of one to three segments each,
+    over one universe and state count: each run with its own xi and
     tables, each segment with its own zeta, block of relations and, with
     prime, fixed R.  (lanes, {first lane of a relation: its model})."""
     first = random_model(rng, env, 3, 4, need_prime=prime)
     universe, n = first.universe, len(first.states)
     low = _block_pairs(n)
-    pieces, models, at = [], {}, 0
+    tails, models, at = [], {}, 0
+    xi_lanes: dict = {}
+    op_lanes: dict = {}
     for _ in range(rng.randrange(2, 5)):
         xi = {x: rng.choice(universe) for x in env.rigid_vars}
         op_interp = {op: {args: rng.choice(universe)
                           for args in product(universe, repeat=arity)}
                      for op, arity in env.ops.items()}
-        tails = []
+        start = at
         for _ in range(rng.randrange(1, 4)):
             zeta = {(v, w): rng.choice(universe)
                     for v in env.flex_vars for w in first.states}
@@ -489,10 +551,19 @@ def _random_lanes(rng: random.Random, env, prime: bool):
                     replace(m, R=_relation(n, r), primeR=rel) if prime \
                     else replace(m, R=rel, primeR=None)
             at += _segment_lanes(n)
-        pieces.append(_Piece(xi, op_interp, tails, _tail_masks(tails, n)))
-    _, k = _pack(pieces, env.flex_vars, universe, n)
-    for lane, m in models.items():
-        assert _lane_model(pieces, env.flex_vars, k, lane) == m
+        # xi and the tables one-hot over this run's lanes
+        lanes = (1 << at) - (1 << start)
+        for x, val in xi.items():
+            values = xi_lanes.setdefault(x, {})
+            values[val] = values.get(val, 0) | lanes
+        for op, table in op_interp.items():
+            for args, val in table.items():
+                values = op_lanes.setdefault(op, {}).setdefault(args, {})
+                values[val] = values.get(val, 0) | lanes
+    frame = _frame(_tail_masks(tails, n), len(env.flex_vars), len(universe),
+                   n, at)
+    k = Lanes(n, universe, 0, 1, frame.full, frame.rep, xi_lanes, op_lanes,
+              dict(zip(env.flex_vars, frame.flex)), frame.access)
     return k, models
 
 

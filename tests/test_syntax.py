@@ -713,6 +713,21 @@ class TestExtended:
                 ops={**self.BASE["ops"], **added.get("ops", {})}, **whole)
         assert str(built.value) == message
 
+    @pytest.mark.parametrize("arity", [0, 1, 2])
+    def test_rejects_an_operator_declared_again(self, arity):
+        # at its own arity or another, as a whole build rejects "f"
+        # declared as an operator and as a rigid variable
+        env = DefinitionEnvironment.build(ops={"0": 0, "f": 1},
+                                          rigid=("x",), flex=("v",))
+        with pytest.raises(FomlError) as got:
+            env.extended(ops={"g": 0, "f": arity})
+        assert str(got.value) == "duplicate declaration of 'f'"
+        with pytest.raises(FomlError) as built:
+            DefinitionEnvironment.build(ops={"0": 0, "f": 1},
+                                        rigid=("x", "f"), flex=("v",))
+        assert str(built.value) == "duplicate declaration of 'f'"
+        assert env.ops == {"0": 0, "f": 1}
+
     def test_an_added_definition_may_apply_an_earlier_one(self):
         env = DefinitionEnvironment.build(**self.BASE)
         d1 = Definition("d1", ("q",), DefApp("d0", (RigidVar("q"),)))

@@ -24,28 +24,29 @@ order the enumeration follows, and whether a prime occurs; and in one
 lane compilation of each hypothesis and the goal, which share one cache
 of compiled definition bodies for the search.  The models are not built
 one at a time, but evaluated a lane block at a time by the lane closures
-of `semantics.compile_lanes`.  A segment is a
-prefix (universe, states, xi, tables and a zeta leader), its R leader
-when prime occurs, and a block of at most 512 relations that the
-innermost enumerated relation (R without prime, primeR with prime)
-ranges over, one lane per (relation, state).  From 4 states on, all but
-the last 9 pairs of a relation are enumerated outside the block, and
-blocks without a leader are skipped.  A run is the segments of one xi
-and tables; the tails of a segment (zeta, R and the block of relations)
-are the same in every run of a universe size and state count, so they
-are drawn and laid out once.  Run r's xi values and table rows are the
-digits of r in base u, the universe size, most significant first.  A
-lane block of at most `_LANE_BUDGET` lanes holds u**j whole runs that
-start at a multiple of u**j, or a window of one run's tails where one
-run does not fit; each digit below place u**j then takes each value in
-a fixed periodic set of lanes, built once per level, and every other
-digit is constant over the block, so a block's xi and tables cost one
-one-hot per digit.  Blocks grow geometrically, so an early countermodel
-pays for little.  A block's countermodels are its leader lanes where
-every hypothesis holds at every state and the goal fails at some state;
-the first is the lowest such lane, which is the first in enumeration
-order, and `examined` counts the leaders up to it.  Only the model
-returned is built, its xi and tables decoded from its run number.
+of `semantics.compile_lanes`.  A segment is a prefix (universe, states,
+xi, tables and a zeta leader), its R leader when prime occurs, and a
+block of at most 512 relations that the innermost enumerated relation (R
+without prime, primeR with prime) ranges over, one lane per (relation,
+state).  From 4 states on, all but the last 9 pairs of a relation are
+enumerated outside the block, and blocks without a leader are skipped.
+A run is the segments of one xi and tables; the tails of a segment
+(zeta, R and the block of relations) are the same in every run of a
+universe size and state count, so they are drawn and laid out once: the
+first lane block of them once for every search, the rest once per
+search.  Run r's xi values and table rows are the digits of r in base u,
+the universe size, most significant first.  A lane block of at most
+`_LANE_BUDGET` lanes holds u**j whole runs that start at a multiple of
+u**j, or a window of one run's tails where one run does not fit; each
+digit below place u**j then takes each value in a fixed periodic set of
+lanes, built once per level, and every other digit is constant over the
+block, so a block's xi and tables cost one one-hot per digit.  Blocks
+grow geometrically, so an early countermodel pays for little.  A block's
+countermodels are its leader lanes where every hypothesis holds at every
+state and the goal fails at some state; the first is the lowest such
+lane, which is the first in enumeration order, and `examined` counts the
+leaders up to it.  Only the model returned is built, its xi and tables
+decoded from its run number.
 """
 from __future__ import annotations
 
@@ -106,12 +107,18 @@ class SearchResult:
         return self.status == "none"
 
 
-def _spans(ops: Mapping[str, int], universe: tuple[Value, ...], at: int = 0
-           ) -> tuple[list[tuple[str, tuple, int, int]], int]:
-    """(op, its table's rows, the first and past-the-last index of its
-    rows' values) for each op in order, the values counted from `at` on;
-    and the index past the last."""
+# (op, its table's rows, the first and past-the-last digit of its rows'
+# values in a run number) for each op
+Spans = list[tuple[str, tuple, int, int]]
+
+
+def _spans(ops: Mapping[str, int], rigid: Sequence[str],
+           universe: tuple[Value, ...]) -> tuple[Spans, int]:
+    """The spans of the digits of a run number over universe, and the
+    number of digits: the xi values of rigid come first, then each op's
+    table row by row, ops in order."""
     spans = []
+    at = len(rigid)
     for op, arity in ops.items():
         rows = tuple(product(universe, repeat=arity))
         spans.append((op, rows, at, at + len(rows)))
@@ -119,14 +126,26 @@ def _spans(ops: Mapping[str, int], universe: tuple[Value, ...], at: int = 0
     return spans, at
 
 
-def _tables(ops: Mapping[str, int], universe: tuple[Value, ...]
-            ) -> Iterator[dict]:
-    """Every interpretation of ops over universe, {op: {args: value}},
-    one at a time, in lexicographic order of the values of the tables'
-    rows, ops in order and each table's rows in order."""
-    spans, at = _spans(ops, universe)
-    for values in product(universe, repeat=at):
-        yield {op: dict(zip(rows, values[a:b])) for op, rows, a, b in spans}
+def _interpret(rigid: Sequence[str], spans: Spans, digits: Sequence
+               ) -> tuple[dict, dict]:
+    """(xi, {op: {args: value}}) whose values, in `_spans` order, are
+    digits: values of the universe, or their one-hot lanes."""
+    return dict(zip(rigid, digits)), {op: dict(zip(rows, digits[a:b]))
+                                      for op, rows, a, b in spans}
+
+
+def _run(rigid: Sequence[str], spans: Spans, ndigits: int,
+         universe: tuple[Value, ...], r: int) -> tuple[dict, dict]:
+    """Run r of (xi, operator tables) over universe: the one whose values
+    are the digits of r in base len(universe), most significant first.
+    The runs in enumeration order, `product(universe, repeat=ndigits)`,
+    are runs 0, 1, 2, ..."""
+    vals = []
+    for _ in range(ndigits):
+        r, v = divmod(r, len(universe))
+        vals.append(universe[v])
+    vals.reverse()
+    return _interpret(rigid, spans, vals)
 
 
 def _relations(states: tuple[Value, ...]) -> Iterator[frozenset]:
@@ -148,25 +167,23 @@ def enumerate_models(
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
         tt, ff = 0, 1
+        spans, ndigits = _spans(ops, rigid, universe)
         for nstates in range(1, max_states + 1):
             states = tuple(range(nstates))
             flex_keys = [(v, w) for v in flex for w in states]
-            for xi_vals in product(universe, repeat=len(rigid)):
-                xi = dict(zip(rigid, xi_vals))
-                for op_interp in _tables(ops, universe):
-                    for zeta_vals in product(universe,
-                                             repeat=len(flex_keys)):
-                        zeta = dict(zip(flex_keys, zeta_vals))
-                        for R in _relations(states):
-                            if not prime:
-                                yield KripkeModel(
-                                    universe, tt, ff, op_interp, xi,
-                                    states, R, zeta)
-                                continue
-                            for pR in _relations(states):
-                                yield KripkeModel(
-                                    universe, tt, ff, op_interp, xi,
-                                    states, R, zeta, primeR=pR)
+            for digits in product(universe, repeat=ndigits):
+                xi, op_interp = _interpret(rigid, spans, digits)
+                for zeta_vals in product(universe, repeat=len(flex_keys)):
+                    zeta = dict(zip(flex_keys, zeta_vals))
+                    for R in _relations(states):
+                        if not prime:
+                            yield KripkeModel(universe, tt, ff, op_interp,
+                                              xi, states, R, zeta)
+                            continue
+                        for pR in _relations(states):
+                            yield KripkeModel(universe, tt, ff, op_interp,
+                                              xi, states, R, zeta,
+                                              primeR=pR)
 
 
 Perm = tuple[int, ...]
@@ -250,29 +267,6 @@ def _leader_relations(nstates: int, group: tuple[Perm, ...]
                 fixers.append(p)
         leaders.append((r, tuple(fixers)))
     return tuple(leaders)
-
-
-def _runs(ops: Mapping[str, int], rigid: Sequence[str],
-          universe: tuple[Value, ...]) -> Iterator[tuple[dict, dict]]:
-    """(xi, operator tables) over a universe, in enumeration order."""
-    for xi_vals in product(universe, repeat=len(rigid)):
-        xi = dict(zip(rigid, xi_vals))
-        for op_interp in _tables(ops, universe):
-            yield xi, op_interp
-
-
-def _run(ops: Mapping[str, int], rigid: Sequence[str],
-         universe: tuple[Value, ...], r: int) -> tuple[dict, dict]:
-    """Run r of `_runs`: the digits of r in base len(universe), most
-    significant first, are the xi values and then the table rows'."""
-    spans, ndigits = _spans(ops, universe, len(rigid))
-    vals = []
-    for _ in range(ndigits):
-        r, v = divmod(r, len(universe))
-        vals.append(universe[v])
-    vals.reverse()
-    return dict(zip(rigid, vals)), {op: dict(zip(rows, vals[a:b]))
-                                    for op, rows, a, b in spans}
 
 
 def _zeta_leaders(nflex: int, universe: tuple[Value, ...], nstates: int
@@ -403,8 +397,8 @@ Masks = dict[tuple, int]
 def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
     """The masks of tails laid side by side from lane 0, tail i from lane
     i * `_segment_lanes` on.  Callers lay out at most one lane block of
-    tails, `_most(nstates)`: `_level` a run's tails and `_window` a
-    window of them."""
+    tails, `_most(nstates)`: `_level` a run's tails, and `_window` and
+    `_lane_blocks` a window of them."""
     stride = _segment_lanes(nstates)
     rep = _spread(1 << _block_pairs(nstates), nstates)
     masks = {}
@@ -428,29 +422,21 @@ def _most(nstates: int) -> int:
     return max(1, _LANE_BUDGET // _segment_lanes(nstates))
 
 
-class _Layout:
-    """The tails of a universe size and state count, drawn as far as a
-    search has needed them and shared by every run and every search with
-    as many flexible variables; `whole` when one lane block holds them
-    all."""
-
-    def __init__(self, nflex: int, usize: int, nstates: int, prime: bool):
-        most = _most(nstates)
-        self._rest = _tails(nflex, usize, nstates, prime)
-        self.tails = list(islice(self._rest, most + 1))
-        self.whole = len(self.tails) <= most
-
-    def upto(self, b: int) -> int:
-        """b, or the number of tails when there are fewer, having drawn
-        them."""
-        if b > len(self.tails):
-            self.tails += islice(self._rest, b - len(self.tails))
-        return min(b, len(self.tails))
+class _Layout(NamedTuple):
+    """The first tails of a universe size and state count, as many as one
+    lane block holds; `whole` when they are all the tails."""
+    tails: tuple[_Tail, ...]
+    whole: bool
 
 
 @lru_cache(maxsize=64)
 def _layout(nflex: int, usize: int, nstates: int, prime: bool) -> _Layout:
-    return _Layout(nflex, usize, nstates, prime)
+    """The layout of a universe size and state count.  Every run of xi
+    and tables has the same tails, and so does every search with as many
+    flexible variables, so the first are drawn once."""
+    most = _most(nstates)
+    tails = tuple(islice(_tails(nflex, usize, nstates, prime), most + 1))
+    return _Layout(tails[:most], len(tails) <= most)
 
 
 class _Frame(NamedTuple):
@@ -514,21 +500,17 @@ def _level(nflex: int, usize: int, nstates: int, prime: bool, level: int
 
 @lru_cache(maxsize=256)
 def _window(nflex: int, usize: int, nstates: int, prime: bool, a: int,
-            b: int) -> Optional[tuple[list[_Tail], _Frame]]:
-    """Tails a .. b-1 of a universe size and state count whose tails
-    overflow one lane block, fewer where they end, with their frame; None
-    past the last."""
+            b: int) -> _Frame:
+    """The frame of tails a .. b-1 of a layout whose tails overflow one
+    lane block."""
     layout = _layout(nflex, usize, nstates, prime)
-    tails = layout.tails[a:layout.upto(b)]
-    if not tails:
-        return None
-    return tails, _frame(_tail_masks(tails, nstates), nflex, usize, nstates,
-                         len(tails) * _segment_lanes(nstates))
+    return _frame(_tail_masks(layout.tails[a:b], nstates), nflex, usize,
+                  nstates, (b - a) * _segment_lanes(nstates))
 
 
 class _Block(NamedTuple):
     """The runs of xi and tables of a lane block, run .. run + runs - 1
-    in `_runs` order, laid out one after another with the same tails."""
+    in `_run` order, laid out one after another with the same tails."""
     run: int
     runs: int
     tails: Sequence[_Tail]
@@ -550,7 +532,7 @@ def _lane_blocks(
     nflex = len(flex)
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
-        spans, ndigits = _spans(ops, universe, len(rigid))
+        spans, ndigits = _spans(ops, rigid, universe)
         nruns = usize ** ndigits
 
         def lanes(frame: _Frame, run: int, level: int, n: int) -> Lanes:
@@ -561,9 +543,7 @@ def _lane_blocks(
                 onehots.append(frame.const[v])
             onehots.reverse()
             return Lanes(n, universe, 0, 1, frame.full, frame.rep,
-                         dict(zip(rigid, onehots)),
-                         {op: dict(zip(rows, onehots[a:b]))
-                          for op, rows, a, b in spans},
+                         *_interpret(rigid, spans, onehots),
                          dict(zip(flex, frame.flex)), frame.access)
 
         for n in range(1, max_states + 1):
@@ -583,14 +563,31 @@ def _lane_blocks(
                            lanes(frame, run, level, n))
                     run += size
                 continue
+            # One run's tails overflow a block: every search shares the
+            # windows of the layout's tails, and this search draws the
+            # rest once and lays out their windows once for every run
+            # after the first.
+            drawn = list(layout.tails)
+            rest = islice(_tails(nflex, usize, n, prime), most, None)
+            frames: dict[int, _Frame] = {}
             for run in range(nruns):
                 a = 0
                 while True:
                     size = most if run else max(1, min(a, most))
-                    window = _window(nflex, usize, n, prime, a, a + size)
-                    if window is None:
+                    if a + size > len(drawn):
+                        drawn += islice(rest, a + size - len(drawn))
+                    tails = drawn[a:a + size]
+                    if not tails:
                         break
-                    tails, frame = window
+                    if a + size <= most:
+                        frame = _window(nflex, usize, n, prime, a, a + size)
+                    elif run and a in frames:
+                        frame = frames[a]
+                    else:
+                        frame = _frame(_tail_masks(tails, n), nflex, usize,
+                                       n, len(tails) * _segment_lanes(n))
+                        if run:
+                            frames[a] = frame
                     yield (_Block(run, 1, tails), frame.leaders,
                            lanes(frame, run, 0, n))
                     a += size
@@ -664,7 +661,8 @@ def _lane_model(block: _Block, ops: Mapping[str, int],
     n = k.nstates
     segment, lane = divmod(lane, _segment_lanes(n))
     q, i = divmod(segment, len(block.tails))
-    xi, op_interp = _run(ops, rigid, k.universe, block.run + q)
+    xi, op_interp = _run(rigid, *_spans(ops, rigid, k.universe), k.universe,
+                         block.run + q)
     tail = block.tails[i]
     rel = _relation(n, tail.block << _block_pairs(n) | lane // n)
     R, primeR = (rel, None) if tail.r is None \
@@ -680,7 +678,9 @@ def enumerate_fol_structures(
 ) -> Iterator[FOLStructure]:
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
-        for xi, op_interp in _runs(ops, variables, universe):
+        spans, ndigits = _spans(ops, variables, universe)
+        for digits in product(universe, repeat=ndigits):
+            xi, op_interp = _interpret(variables, spans, digits)
             yield FOLStructure(universe, 0, 1, op_interp, xi)
 
 

@@ -6,8 +6,8 @@ built from the same zeta and relation leaders.
 
 `runs` spells the xi and operator tables of a universe as one
 `itertools.product` over materialized spaces, apart from the search's
-lazy `_tables`, which the search, `enumerate_models` and
-`enumerate_fol_structures` all share.
+`_run`, which reads them from the digits of a run number for the
+search, `enumerate_models` and `enumerate_fol_structures` alike.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from foml.search import (
     Perm,
     _leader_relations,
     _relation,
-    _runs,
+    _run,
+    _spans,
     _zeta,
     _zeta_leaders,
 )
@@ -68,9 +69,11 @@ def prefixes(
     under the permutations of the states."""
     for usize in range(2, max_universe + 1):
         universe = tuple(range(usize))
+        spans, ndigits = _spans(ops, rigid, universe)
         for nstates in range(1, max_states + 1):
             states = tuple(range(nstates))
-            for xi, op_interp in _runs(ops, rigid, universe):
+            for r in range(usize ** ndigits):
+                xi, op_interp = _run(rigid, spans, ndigits, universe, r)
                 for vals, fixers in _zeta_leaders(len(flex), universe,
                                                   nstates):
                     yield Prefix(universe, states, xi, op_interp,

@@ -24,10 +24,11 @@ from pathlib import Path
 import pytest
 
 from foml.gen import random_env, random_expr, random_model, rng_for
-from foml.models import serialize_model
+from foml.models import parse_model, serialize_model
 from foml.parser import parse_expr, parse_problem
 from foml.search import (
     SearchBounds,
+    _Block,
     _block_pairs,
     _frame,
     _lane_blocks,
@@ -35,8 +36,8 @@ from foml.search import (
     _leader_relations,
     _relation,
     _run,
-    _runs,
     _segment_lanes,
+    _spans,
     _Tail,
     _tail_masks,
     enumerate_fol_structures,
@@ -206,21 +207,21 @@ def _signatures(count: int):
 
 
 def test_table_product_is_the_plain_product():
-    # `_runs`, `enumerate_fol_structures` and `enumerate_models` share
-    # `_tables`; each is held, order and content, to the reference's one
-    # `itertools.product` over materialized spaces.  `_runs`, and `_run`
-    # at each run number, are compared as text, so that key order counts
-    # too.
+    # `_run`, `enumerate_fol_structures` and `enumerate_models` read the
+    # runs of xi and tables from the digits of run numbers; each is held,
+    # order and content, to the reference's one `itertools.product` over
+    # materialized spaces.  `_run` at each run number is compared as
+    # text, so that key order counts too.
     seen = Counter()
     for ops, variables, sizes in _signatures(40):
         want = []
         for u in sizes:
             universe = tuple(range(u))
             ref = runs(ops, variables, universe)
-            assert [_flat(*r) for r in _runs(ops, variables, universe)] \
-                == [_flat(*r) for r in ref] \
-                == [_flat(*_run(ops, variables, universe, r))
-                    for r in range(len(ref))]
+            spans, ndigits = _spans(ops, variables, universe)
+            assert u ** ndigits == len(ref)
+            assert [_flat(*_run(variables, spans, ndigits, universe, r))
+                    for r in range(len(ref))] == [_flat(*r) for r in ref]
             want += [(universe, *r) for r in ref]
             seen[u, len(ops), len(variables)] += 1
             seen.update((u, "arity", a) for a in ops.values())
@@ -239,8 +240,9 @@ def test_table_product_is_the_plain_product():
     assert seen[3, 0, 0] and seen[3, 2, 1], seen
     # a binary operator over three values: 3**9 tables
     universe = (0, 1, 2)
-    assert list(_runs({"f": 2}, (), universe)) \
-        == runs({"f": 2}, (), universe)
+    spans, ndigits = _spans({"f": 2}, (), universe)
+    assert [_run((), spans, ndigits, universe, r)
+            for r in range(3 ** ndigits)] == runs({"f": 2}, (), universe)
 
 
 def _enumerated(m) -> tuple:
@@ -439,6 +441,31 @@ def test_prime_relations_across_packed_blocks(goal):
     assert got == _orbit_sweep(ob, (2, 2))
 
 
+def test_later_runs_lay_out_the_windows_of_the_first():
+    # Over two values the four tails of three states overflow a lane
+    # block, so each run is laid out in windows.  The countermodel needs
+    # three states (w0 -> w1 -> w2, w2 a dead end) and, x being ff by the
+    # assumption, v = x at two of them: it is in run 1, in the window of
+    # the third and fourth tails, whose zeta values are 011 and 111.
+    nested = "(=> (= v x) (nabla (=> (not (= v x)) (nabla (=> (= v x)" \
+        " (not (nabla false)))))))"
+    ob = parse_problem(f"(declare-rigid x) (declare-flex v)"
+                       f" (assume (not x)) (goal {nested})")
+    got = _searched(ob, (2, 3))
+    assert got[0] == "found" and got == _orbit_sweep(ob, (2, 3))
+    block, segment = _place_of(ob, (2, 3), parse_model(got[2]))
+    assert (block.run, block.runs, segment) == (1, 1, 0)
+    assert [tail.zeta for tail in block.tails] == [(0, 1, 1), (1, 1, 1)]
+    # Without the assumption it is in run 0; with no countermodel every
+    # window of both runs is counted.
+    ob = parse_problem(f"(declare-rigid x) (declare-flex v) (goal {nested})")
+    assert _searched(ob, (2, 3)) == _orbit_sweep(ob, (2, 3))
+    ob = parse_problem("(declare-rigid x) (declare-flex v)"
+                       " (goal (=> (= v x) (= v x)))")
+    assert _searched(ob, (2, 3)) == _orbit_sweep(ob, (2, 3)) \
+        == ("none", None, None, 1584)
+
+
 # Two rigid variables and a binary operator: 2**6 runs of xi and tables
 # over two values and 3**11 over three, many of them to a lane block.
 DIGITS = parse_problem("(declare-op g 2) (declare-rigid x) (declare-rigid y)"
@@ -522,28 +549,33 @@ def test_bounds_that_admit_no_model_are_rejected(bounds):
 
 
 def _random_lanes(rng: random.Random, env, prime: bool):
-    """A lane block of two to four runs of one to three segments each,
-    over one universe and state count: each run with its own xi and
-    tables, each segment with its own zeta, block of relations and, with
-    prime, fixed R.  (lanes, {first lane of a relation: its model})."""
+    """A lane block of two to four runs from a random run number, over
+    one universe and state count: each run with the xi and tables of its
+    number, each of one to three segments shared by every run with its
+    own zeta, block of relations and, with prime, fixed R.  (lanes,
+    {first lane of a relation: its model})."""
     first = random_model(rng, env, 3, 4, need_prime=prime)
     universe, n = first.universe, len(first.states)
     low = _block_pairs(n)
-    tails, models, at = [], {}, 0
+    segments = []
+    for _ in range(rng.randrange(1, 4)):
+        zeta = {(v, w): rng.choice(universe)
+                for v in env.flex_vars for w in first.states}
+        block = rng.randrange(1 << (n * n - low))
+        r = rng.randrange(1 << n * n) if prime else None
+        segments.append((zeta, _Tail(tuple(zeta.values()), r, block, 0)))
+    tails = [tail for _, tail in segments]
+    spans, ndigits = _spans(env.ops, env.rigid_vars, universe)
+    nruns = min(rng.randrange(2, 5), len(universe) ** ndigits)
+    run = rng.randrange(len(universe) ** ndigits - nruns + 1)
+    models, at = {}, 0
     xi_lanes: dict = {}
     op_lanes: dict = {}
-    for _ in range(rng.randrange(2, 5)):
-        xi = {x: rng.choice(universe) for x in env.rigid_vars}
-        op_interp = {op: {args: rng.choice(universe)
-                          for args in product(universe, repeat=arity)}
-                     for op, arity in env.ops.items()}
+    for q in range(nruns):
+        xi, op_interp = _run(env.rigid_vars, spans, ndigits, universe,
+                             run + q)
         start = at
-        for _ in range(rng.randrange(1, 4)):
-            zeta = {(v, w): rng.choice(universe)
-                    for v in env.flex_vars for w in first.states}
-            block = rng.randrange(1 << (n * n - low))
-            r = rng.randrange(1 << n * n) if prime else None
-            tails.append(_Tail(tuple(zeta.values()), r, block, 0))
+        for zeta, (_, r, block, _) in segments:
             m = replace(first, xi=xi, op_interp=op_interp, zeta=zeta)
             for lane in rng.sample(range(1 << low), 2):
                 rel = _relation(n, block << low | lane)
@@ -560,10 +592,14 @@ def _random_lanes(rng: random.Random, env, prime: bool):
             for args, val in table.items():
                 values = op_lanes.setdefault(op, {}).setdefault(args, {})
                 values[val] = values.get(val, 0) | lanes
-    frame = _frame(_tail_masks(tails, n), len(env.flex_vars), len(universe),
-                   n, at)
+    frame = _frame(_tail_masks(tails * nruns, n), len(env.flex_vars),
+                   len(universe), n, at)
     k = Lanes(n, universe, 0, 1, frame.full, frame.rep, xi_lanes, op_lanes,
               dict(zip(env.flex_vars, frame.flex)), frame.access)
+    block = _Block(run, nruns, tails)
+    for lane, m in models.items():
+        assert _lane_model(block, env.ops, env.rigid_vars, env.flex_vars, k,
+                           lane) == m
     return k, models
 
 

@@ -32,27 +32,25 @@ state).  From 4 states on, all but the last 9 pairs of a relation are
 enumerated outside the block, and blocks without a leader are skipped.
 A run is the segments of one xi and tables; the tails of a segment
 (zeta, R and the block of relations) are the same in every run of a
-universe size and state count, so they are drawn and laid out once: the
-first lane block of them once for every search, the rest once per
-search.  Run r's xi values and table rows are the digits of r in base u,
-the universe size, most significant first.  A lane block of at most
-`_LANE_BUDGET` lanes holds u**j whole runs that start at a multiple of
-u**j, or a window of one run's tails where one run does not fit; each
-digit below place u**j then takes each value in a fixed periodic set of
-lanes, built once per level, and every other digit is constant over the
-block, so a block's xi and tables cost one one-hot per digit.  Blocks
-grow geometrically, so an early countermodel pays for little.  A block's
-countermodels are its leader lanes where every hypothesis holds at every
-state and the goal fails at some state; the first is the lowest such
-lane, which is the first in enumeration order, and `examined` counts the
-leaders up to it.  Only the model returned is built, its xi and tables
-decoded from its run number.
+universe size and state count.  Run r's xi values and table rows are the
+digits of r in base u, the universe size, most significant first.  Where
+one run's tails fit in a lane block of at most `_LANE_BUDGET` lanes, a
+block holds u**j whole runs that start at a multiple of u**j; each digit
+below place u**j then takes each value in a fixed periodic set of lanes,
+built once per level, and every other digit is constant over the block,
+so a block's xi and tables cost one one-hot per digit.  Elsewhere a
+block is a window of one run's tails, laid out once per search for all
+its runs.  A block's countermodels are its leader lanes where every
+hypothesis holds at every state and the goal fails at some state; the
+first is the lowest such lane, which is the first in enumeration order,
+and `examined` counts the leaders up to it.  Only the model returned is
+built, its xi and tables decoded from its run number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import islice, permutations, product
+from itertools import count, islice, permutations, product
 from typing import (
     Iterable,
     Iterator,
@@ -299,11 +297,8 @@ _BLOCK_PAIRS = 9
 # in at most this many lanes (at least one segment).  Where one run's
 # segments fit, a block holds u**j whole runs from a multiple of u**j (u
 # the universe size): run 0 alone, then u - 1 blocks of each size in
-# turn, up to the largest that fits.  Else a block is a window of one
-# run's segments: in the first run one segment, one more, then windows
-# that double up to the largest that fits, and in every later run
-# windows of that size.  So an early countermodel pays for few later
-# segments.
+# turn, up to the largest that fits, so an early countermodel pays for
+# few later segments.  Else a block is a window of one run's segments.
 _LANE_BUDGET = 4096
 
 
@@ -396,9 +391,8 @@ Masks = dict[tuple, int]
 
 def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
     """The masks of tails laid side by side from lane 0, tail i from lane
-    i * `_segment_lanes` on.  Callers lay out at most one lane block of
-    tails, `_most(nstates)`: `_level` a run's tails, and `_window` and
-    `_lane_blocks` a window of them."""
+    i * `_segment_lanes` on: a run's tails for `_level`, a window of them
+    for `_lane_blocks`, at most one lane block, `_most(nstates)`."""
     stride = _segment_lanes(nstates)
     rep = _spread(1 << _block_pairs(nstates), nstates)
     masks = {}
@@ -498,16 +492,6 @@ def _level(nflex: int, usize: int, nstates: int, prime: bool, level: int
                   nflex, usize, nstates, runs * width, tuple(digits))
 
 
-@lru_cache(maxsize=256)
-def _window(nflex: int, usize: int, nstates: int, prime: bool, a: int,
-            b: int) -> _Frame:
-    """The frame of tails a .. b-1 of a layout whose tails overflow one
-    lane block."""
-    layout = _layout(nflex, usize, nstates, prime)
-    return _frame(_tail_masks(layout.tails[a:b], nstates), nflex, usize,
-                  nstates, (b - a) * _segment_lanes(nstates))
-
-
 class _Block(NamedTuple):
     """The runs of xi and tables of a lane block, run .. run + runs - 1
     in `_run` order, laid out one after another with the same tails."""
@@ -563,34 +547,22 @@ def _lane_blocks(
                            lanes(frame, run, level, n))
                     run += size
                 continue
-            # One run's tails overflow a block: every search shares the
-            # windows of the layout's tails, and this search draws the
-            # rest once and lays out their windows once for every run
-            # after the first.
-            drawn = list(layout.tails)
-            rest = islice(_tails(nflex, usize, n, prime), most, None)
-            frames: dict[int, _Frame] = {}
+            # One run's tails overflow a block: every block is a window of
+            # `most` tails, kept from run 0 until the last run lays it out.
+            rest = _tails(nflex, usize, n, prime)
+            kept: dict[int, tuple[list[_Tail], _Frame]] = {}
             for run in range(nruns):
-                a = 0
-                while True:
-                    size = most if run else max(1, min(a, most))
-                    if a + size > len(drawn):
-                        drawn += islice(rest, a + size - len(drawn))
-                    tails = drawn[a:a + size]
-                    if not tails:
-                        break
-                    if a + size <= most:
-                        frame = _window(nflex, usize, n, prime, a, a + size)
-                    elif run and a in frames:
-                        frame = frames[a]
-                    else:
-                        frame = _frame(_tail_masks(tails, n), nflex, usize,
-                                       n, len(tails) * _segment_lanes(n))
-                        if run:
-                            frames[a] = frame
+                for a in count(0, most):
+                    if a not in kept:
+                        tails = list(islice(rest, most))
+                        if not tails:
+                            break
+                        kept[a] = tails, _frame(
+                            _tail_masks(tails, n), nflex, usize, n,
+                            len(tails) * _segment_lanes(n))
+                    tails, frame = kept.pop(a) if run == nruns - 1 else kept[a]
                     yield (_Block(run, 1, tails), frame.leaders,
                            lanes(frame, run, 0, n))
-                    a += size
 
 
 def _everywhere(k: Lanes, mask: int) -> int:
@@ -623,6 +595,9 @@ def find_countermodel(
     for block, leaders, k in _lane_blocks(
             ops, rigid, flex, bounds.max_universe, bounds.max_states,
             prime):
+        if leaders and examined == bounds.max_models:
+            examined += 1  # this block's first leader passes max_models
+            break
         ok = leaders
         for h in hyps:
             ok &= _everywhere(k, h(k, {}))

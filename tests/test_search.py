@@ -27,6 +27,7 @@ from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.models import parse_model, serialize_model
 from foml.parser import parse_expr, parse_problem
 from foml.search import (
+    _LANE_BUDGET,
     SearchBounds,
     _Block,
     _block_pairs,
@@ -40,12 +41,19 @@ from foml.search import (
     _spans,
     _Tail,
     _tail_masks,
+    _tails,
     enumerate_fol_structures,
     enumerate_models,
     enumerate_propmodels,
     find_countermodel,
 )
-from foml.semantics import Lanes, _lanes, eval_expr, obligation_checker
+from foml.semantics import (
+    Lanes,
+    _lanes,
+    compile_lanes,
+    eval_expr,
+    obligation_checker,
+)
 from foml.syntax import (
     DefApp,
     Obligation,
@@ -464,6 +472,89 @@ def test_later_runs_lay_out_the_windows_of_the_first():
                        " (goal (=> (= v x) (= v x)))")
     assert _searched(ob, (2, 3)) == _orbit_sweep(ob, (2, 3)) \
         == ("none", None, None, 1584)
+
+
+# Two flexible variables with prime over two values: 136 tails of two
+# states, which a lane block holds 128 of, so each run's tails come in two
+# windows, the first of 128 tails and the second of 8.
+TWO_WINDOWS = "(declare-rigid x) (declare-flex p) (declare-flex q) "
+_STAY_P = "(=> (= p x) (nabla (= p x)))"
+
+
+@pytest.mark.parametrize("text,place", [
+    # true in every one-state model: a countermodel in run 0's first
+    # window, at its 57th tail
+    (f"(goal (or {_STAY_P} (prime (= q x))))", (0, 128, 56)),
+    # p and q are ff at both states of run 0 (x is tt there), and R must
+    # have an edge but no path of two: the second window's first tail
+    ("(assume (not (= p x))) (assume (not (= q x)))"
+     " (assume (= (prime p) (prime p)))"
+     " (goal (or (nabla false) (delta (delta true))))", (0, 8, 0)),
+    # x is ff: run 1's first window
+    (f"(assume (not (= x true))) (goal (or {_STAY_P} (prime (= q x))))",
+     (1, 128, 38)),
+])
+def test_two_state_windows_match_the_orbit_sweep(text, place):
+    ob = parse_problem(TWO_WINDOWS + text)
+    got = _searched(ob, (2, 2))
+    assert got[0] == "found" and got == _orbit_sweep(ob, (2, 2))
+    block, segment = _place_of(ob, (2, 2), parse_model(got[2]))
+    assert (block.run, len(block.tails), segment) == place
+    assert block.runs == 1
+    assert _searched(ob, (2, 2), got[3] - 1) == \
+        ("resource-out", None, None, got[3] - 1)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+@pytest.mark.parametrize("nflex", [0, 1, 2])
+def test_lane_blocks_partition_the_runs_within_the_budget(nflex, prime):
+    # One rigid variable: u runs over u values.  For each universe size
+    # and state count, the blocks hold every (run, tail) once, in run-major
+    # order, with their leaders, in at most _LANE_BUDGET lanes.
+    # Two flexible variables with prime have 5,728 tails at three states
+    # over two values and 63,528 over three, which take a quarter of a
+    # second and seconds.
+    flex = ("p", "q")[:nflex]
+    max_states = 2 if nflex == 2 and prime else 3
+    got: dict[tuple[int, int], list] = {}
+    for block, leaders, k in _lane_blocks({}, ("x",), flex, 3, max_states,
+                                          prime):
+        u, n = len(k.universe), k.nstates
+        stride = _segment_lanes(n)
+        tails = list(block.tails) * block.runs
+        assert len(tails) * stride <= _LANE_BUDGET or len(tails) == 1
+        assert k.full == (1 << len(tails) * stride) - 1
+        assert leaders == sum(tail.leaders << i * stride
+                              for i, tail in enumerate(tails))
+        got.setdefault((u, n), []).extend(
+            (block.run + q, tail) for q in range(block.runs)
+            for tail in block.tails)
+    assert len(got) == 2 * max_states
+    for (u, n), pairs in got.items():
+        assert pairs == [(run, tail) for run in range(u)
+                         for tail in _tails(nflex, u, n, prime)], (u, n)
+
+
+def test_max_models_zero_evaluates_no_block(monkeypatch):
+    # At max_models 0 the first leader passes the bound: the search stops
+    # before evaluating any hypothesis or goal.
+    calls = []
+
+    def counted(*args):
+        closure = compile_lanes(*args)
+
+        def run(k, env):
+            calls.append(k)
+            return closure(k, env)
+        return run
+    monkeypatch.setattr("foml.search.compile_lanes", counted)
+    ob = _problem("(assume (= v v)) (goal (=> (= v 0) (nabla (= v 0))))")
+    res = find_countermodel(ob, SearchBounds(2, 2, 0))
+    assert (res.status, res.examined) == ("resource-out", 0)
+    assert res.reason == "more than max_models = 0 models (1 reached)"
+    assert calls == []
+    assert find_countermodel(ob, SearchBounds(2, 2, 1)).examined == 1
+    assert calls
 
 
 # Two rigid variables and a binary operator: 2**6 runs of xi and tables

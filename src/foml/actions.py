@@ -14,7 +14,7 @@ evaluator treats functional prime relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from .coalesce_ml import coalesce_obligation_ml
 from .prover import MLSequent
@@ -33,8 +33,8 @@ from .syntax import (
     contains_node,
     expand_definitions,
     fresh_name,
-    map_children,
     or_,
+    rewrite,
 )
 
 
@@ -46,34 +46,29 @@ def distribute_prime(
     Expects definitions already expanded and no nabla anywhere (the action
     fragment); violations are reported, they are never silently kept.
     """
+    return rewrite(e, _distribute_pre, False)
 
-    def reject(e: Expression) -> None:
-        t = type(e)
-        if t is Nabla:
-            raise FomlError(
-                "nabla inside an action formula cannot be distributed")
-        if t is DefApp:
-            raise FomlError(
-                "defined operator in an action formula; expand "
-                "definitions first")
 
-    def dist(e: Expression) -> Expression:
-        reject(e)
-        if type(e) is Prime:
-            return push(e.body)
-        return map_children(e, dist)
-
-    def push(e: Expression) -> Expression:
-        # push(e) is the distributed form of (e)'
-        reject(e)
-        t = type(e)
-        if t is FlexVar:
-            return Prime(e)
-        if t is Prime:
+def _distribute_pre(e: Expression, pushing: bool) -> Any:
+    # pushing: e is below a prime, and its rewrite is the distributed
+    # form of (e)'
+    t = type(e)
+    if t is Nabla:
+        raise FomlError(
+            "nabla inside an action formula cannot be distributed")
+    if t is DefApp:
+        raise FomlError(
+            "defined operator in an action formula; expand "
+            "definitions first")
+    if t is Prime:
+        if pushing:
             raise FomlError("prime cannot be nested")
-        return map_children(e, push)
+        return True, _unprime
+    return Prime(e) if pushing and t is FlexVar else None
 
-    return dist(e)
+
+def _unprime(e: Prime) -> Expression:
+    return e.body
 
 
 @dataclass
@@ -100,6 +95,10 @@ def coalesce_action(e: Expression, primed: PrimedVars) -> Expression:
     """Replace each prime-on-a-flexible-variable by its fresh flexible
     constant.  The input must be distribute_prime output; the result is
     pure first-order."""
+    return rewrite(e, _coalesce_action_pre, primed)
+
+
+def _coalesce_action_pre(e: Expression, primed: PrimedVars) -> Any:
     t = type(e)
     if t is Prime:
         if type(e.body) is FlexVar:
@@ -108,7 +107,7 @@ def coalesce_action(e: Expression, primed: PrimedVars) -> Expression:
             f"prime not distributed down to a flexible variable: {e}")
     if t is Nabla or t is DefApp:
         raise FomlError(f"not an action formula: {e}")
-    return map_children(e, coalesce_action, primed)
+    return None
 
 
 @dataclass(frozen=True)

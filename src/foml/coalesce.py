@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
@@ -39,8 +39,8 @@ from .syntax import (
     free_rigid_vars,
     fresh_name,
     is_rigid,
-    map_children,
     not_,
+    rewrite,
 )
 
 
@@ -125,43 +125,47 @@ def coalesce_fol(
     """First-order abstraction of e, interning its fresh symbols in table.
     `order` is "binder" or "appearance": the order of the bound variables
     a fresh symbol is applied to (see `_select_zvars`)."""
+    return rewrite(e, _coalesce_pre, ((), env, table, order))
 
-    # binders: the rigid variables bound above e, innermost first
-    def go(e: Expression, binders: tuple[str, ...]) -> Expression:
-        t = type(e)
-        if t is Forall:
-            return Forall(e.var, go(e.body, (e.var,) + binders))
-        if t is Nabla or t is Prime:
-            kind = "nabla" if t is Nabla else "prime"
-            z = _select_zvars(binders, free_rigid_vars(e.body), order)
-            key = ModalKey(kind, len(z), alpha_key(e, z))
-            entry = table.entry(key, lambda name: SymbolEntry(
-                name, len(z), key, z, node=e))
-            return OpApp(entry.name,
-                         tuple(RigidVar(x) for x in z))
-        if t is DefApp:
-            op, args = e.op, e.args
-            eps = classify_args(op, args, table.leibniz, env)
-            concrete_free: list[str] = []
-            for ent in eps:
-                if ent is not STAR:
-                    for x in free_rigid_vars(ent):
-                        if x not in concrete_free:
-                            concrete_free.append(x)
-            z = _select_zvars(binders, tuple(concrete_free), order)
-            canon = tuple(
-                ("star",) if ent is STAR
-                else alpha_key(ent, z)
-                for ent in eps)
-            key = DefKey(op, len(z), canon)
-            entry = table.entry(key, lambda name: SymbolEntry(
-                name, len(eps) + len(z), key, z, op=op, entries=eps))
-            new_args = tuple(go(a, binders) for a in args) + tuple(
-                RigidVar(x) for x in z)
-            return OpApp(entry.name, new_args)
-        return map_children(e, go, binders)
 
-    return go(e, ())
+def _coalesce_pre(e: Expression, ctx: tuple) -> Any:
+    """`rewrite`'s step of `coalesce_fol`: a symbol is interned where its
+    node is met in pre-order, before the symbols of the nodes below it.
+    ctx is (binders, env, table, order), binders the rigid variables bound
+    above e, innermost first."""
+    t = type(e)
+    if t is Forall:
+        binders, env, table, order = ctx
+        return ((e.var,) + binders, env, table, order), None
+    if t is Nabla or t is Prime:
+        binders, env, table, order = ctx
+        kind = "nabla" if t is Nabla else "prime"
+        z = _select_zvars(binders, free_rigid_vars(e.body), order)
+        key = ModalKey(kind, len(z), alpha_key(e, z))
+        entry = table.entry(key, lambda name: SymbolEntry(
+            name, len(z), key, z, node=e))
+        return OpApp(entry.name, tuple(RigidVar(x) for x in z))
+    if t is DefApp:
+        binders, env, table, order = ctx
+        op = e.op
+        eps = classify_args(op, e.args, table.leibniz, env)
+        concrete_free: list[str] = []
+        for ent in eps:
+            if ent is not STAR:
+                for x in free_rigid_vars(ent):
+                    if x not in concrete_free:
+                        concrete_free.append(x)
+        z = _select_zvars(binders, tuple(concrete_free), order)
+        canon = tuple(
+            ("star",) if ent is STAR
+            else alpha_key(ent, z)
+            for ent in eps)
+        key = DefKey(op, len(z), canon)
+        entry = table.entry(key, lambda name: SymbolEntry(
+            name, len(eps) + len(z), key, z, op=op, entries=eps))
+        zvars = tuple(RigidVar(x) for x in z)
+        return ctx, lambda app: OpApp(entry.name, app.args + zvars)
+    return None
 
 
 @dataclass(frozen=True)
@@ -198,16 +202,16 @@ def rewrite_rigid_box(
     replacement would change the value rather than just the truth.
     """
 
-    def go(e: Expression, at_formula: bool) -> Expression:
+    def pre(e: Expression, at_formula: bool) -> Any:
         t = type(e)
         if at_formula and t is Nabla and is_rigid(e.body, env):
             return e.body if reflexive else Implies(not_(Nabla(FALSE)), e.body)
         # The children of these nodes are formula positions, even when the
         # node itself sits at a term position.
-        return map_children(
-            e, go, t is Implies or t is Forall or t is Nabla or t is Prime)
+        inner = t is Implies or t is Forall or t is Nabla or t is Prime
+        return None if inner is at_formula else (inner, None)
 
-    return go(e, True)
+    return rewrite(e, pre, True)
 
 
 def build_witness_structure(

@@ -14,6 +14,7 @@ obligation mentions prime).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .models import KripkeModel, Value
 from .syntax import (
@@ -33,7 +34,7 @@ from .syntax import (
     alpha_key,
     contains_node,
     is_rigid,
-    map_children,
+    rewrite,
 )
 
 
@@ -57,11 +58,16 @@ class AtomTable(Interner):
 def coalesce_ml(
     e: Expression, env: DefinitionEnvironment, table: AtomTable
 ) -> Expression:
-    """Propositional modal abstraction of e."""
+    """Propositional modal abstraction of e: an atom is interned where its
+    subexpression is met, in pre-order."""
+    return rewrite(e, _atom_pre, table)
+
+
+def _atom_pre(e: Expression, table: AtomTable) -> Optional[Expression]:
     t = type(e)
     if t is OpApp or t is Eq or t is RigidVar or t is Forall or t is DefApp:
         return FlexVar(table.intern(e).name)
-    return map_children(e, coalesce_ml, env, table)
+    return None
 
 
 def hypotheses(

@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .models import FOLStructure
 from .parser import (
@@ -60,7 +60,7 @@ from .syntax import (
     alpha_key,
     collect_signature,
     free_rigid_vars,
-    map_children,
+    rewrite,
 )
 
 
@@ -94,33 +94,28 @@ def stratify(
     after its dependencies."""
     defs = Interner("q", env)
 
-    def name_for(e: Expression) -> Expression:
-        params = free_rigid_vars(e)
-        key = alpha_key(e, params)
-        sym = defs.entries.get(key)
-        if sym is None:
-            body = form(e)  # interns nested definitional symbols first
-            sym = defs.entry(key, lambda name: DefSymbol(name, params, body))
-        return OpApp(sym.name, tuple(RigidVar(x) for x in params))
-
-    def form(e: Expression) -> Expression:
-        t = type(e)
-        if t is Implies or t is Forall:
-            return map_children(e, form)
-        if t is Eq:
-            return map_children(e, term)
-        return term(e)
-
-    def term(e: Expression) -> Expression:
+    # at_formula: e sits at a formula position, else at a term position;
+    # the sides of an equality and the arguments of an operator are terms
+    def pre(e: Expression, at_formula: bool) -> Any:
         t = type(e)
         if t is Eq or t is Implies or t is Forall:
-            return name_for(e)
+            if at_formula:
+                return (False, None) if t is Eq else None
+            params = free_rigid_vars(e)
+            key = alpha_key(e, params)
+            args = tuple(RigidVar(x) for x in params)
+            sym = defs.entries.get(key)
+            if sym is not None:
+                return OpApp(sym.name, args)
+            # named after its body, so after the symbols the body uses
+            return t is not Eq, lambda body: OpApp(defs.entry(
+                key, lambda name: DefSymbol(name, params, body)).name, args)
         if t is Nabla or t is Prime or t is DefApp:
             raise FomlError(f"not a first-order expression: {e}")
-        return map_children(e, term)
+        return (False, None) if at_formula else None
 
-    new_hyps = tuple(form(h) for h in hypotheses)
-    new_goal = form(goal)
+    new_hyps = tuple(rewrite(h, pre, True) for h in hypotheses)
+    new_goal = rewrite(goal, pre, True)
 
     ops, rigid, flex = collect_signature(
         hypotheses + (goal,), env)
@@ -462,6 +457,13 @@ def _mlseq(text: str, toks: list[str]) -> MLSequent:
                      frame_prime=frames["prime"])
 
 
+# The SZS status words a TPTP prover answers with, by verdict on the
+# conjecture; any other word (GaveUp, Timeout, ...) is "unknown".
+_SZS_VERDICTS = {"Theorem": "valid", "Unsatisfiable": "valid",
+                 "CounterSatisfiable": "not-valid",
+                 "Satisfiable": "not-valid", "CounterTheorem": "not-valid"}
+
+
 def run_solver(solver: str, text: str, fmt: str,
                timeout: float = 60.0) -> str:
     """Run an external solver on emitted text; returns "valid",
@@ -487,8 +489,5 @@ def run_solver(solver: str, text: str, fmt: str,
             if line == "sat":
                 return "not-valid"
         return "unknown"
-    if "CounterSatisfiable" in out or "Satisfiable" in out:
-        return "not-valid"
-    if "Theorem" in out or "Unsatisfiable" in out:
-        return "valid"
-    return "unknown"
+    status = re.search(r"SZS status (\S+)", out)
+    return _SZS_VERDICTS.get(status.group(1) if status else "", "unknown")

@@ -7,16 +7,18 @@ and the two modalities (nabla and prime).  Every surface connective
 (true/not/and/or/iff/exists/delta) is desugared to this core at parse time,
 so all later passes only ever see these ten constructors.
 
-`children` and `map_children` are the single place that knows the shape of
-every node kind.  A pass tests only the kinds it treats specially and hands
-every other node to `map_children` (or walks `children`), so a new node kind
-is added to those two functions first, then to every dispatcher that renders
-or interprets each kind exactly: `alpha_key`, `signature`, the printer,
-`semantics._evaluate` and `semantics._lanes`.  Dispatch is on the exact
-class, `type(e) is Implies`, never on `isinstance` or a class pattern: an
-exact test costs about half as much per node, and a node of a kind a
-dispatcher does not know ends in its `InternalError`, not in a silent
-fallback.
+`children`, `rewrite` and `nodes` are the single place that knows the shape
+of every node kind.  A pass tests only the kinds it treats specially:
+`rewrite` rebuilds every other node from its children, and `nodes` yields
+every node with the names bound above it, both on an explicit stack, so a
+pass built on them has no nesting limit of its own.  A new node kind is
+added to those three functions first, then to every dispatcher that
+renders or interprets each kind exactly: `alpha_key`, `signature`, the
+printer, `semantics._evaluate` and `semantics._lanes`.  Dispatch is on the
+exact class, `type(e) is Implies`, never on `isinstance` or a class
+pattern: an exact test costs about half as much per node, and a node of a
+kind a dispatcher does not know ends in its `InternalError`, not in a
+silent fallback.
 
 Fresh symbols of the translations are named by one `Interner`.
 """
@@ -24,10 +26,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import is_not
 from typing import (
     Any,
     Callable,
     Iterable,
+    Iterator,
     Mapping,
     NamedTuple,
     Optional,
@@ -171,34 +175,95 @@ def children(e: Expression) -> tuple[Expression, ...]:
     raise InternalError(f"unknown expression node {e!r}")
 
 
-def map_children(
-    e: Expression, f: Callable[..., Expression], *args: Any
-) -> Expression:
-    """e rebuilt with each child c replaced by f(c, *args), children taken
-    left to right in the order of `children(e)`.  Leaves come back as is.
+_VISIT = object()  # the post slot of a node `rewrite` has not walked yet
 
-    Passes hand their context (binders, a substitution, a table) over as
-    `args` rather than closing over it: that saves a closure call per node
-    and a stack frame per tree level.
+
+def rewrite(
+    root: Expression, pre: Callable[[Expression, Any], Any], ctx: Any
+) -> Expression:
+    """root rebuilt bottom-up, on an explicit stack, so at any depth.
+
+    `pre(e, c)` is called on every node reached, in pre-order, left to
+    right, with the context c of its position (`ctx` at the root), and
+    says what becomes of e:
+    - None: e is rebuilt from its children, each walked under c;
+    - an Expression: it replaces e, and e's children are not walked;
+    - a pair (child_ctx, post): e is rebuilt from its children, each
+      walked under child_ctx, and then post(rebuilt) replaces it (post
+      None: the rebuilt node does).
+    A node whose children all come back as they were is kept, not
+    rebuilt.  A pass keeps its state in `ctx` (binders, a substitution,
+    a table) or in `pre`'s closure.
     """
-    t = type(e)
-    if t is Implies:
-        return Implies(f(e.lhs, *args), f(e.rhs, *args))
-    if t is OpApp:
-        return OpApp(e.op, tuple([f(x, *args) for x in e.args]))
-    if t is RigidVar or t is FlexVar or t is FalseExpr:
-        return e
-    if t is Eq:
-        return Eq(f(e.lhs, *args), f(e.rhs, *args))
-    if t is Forall:
-        return Forall(e.var, f(e.body, *args))
-    if t is Nabla:
-        return Nabla(f(e.body, *args))
-    if t is Prime:
-        return Prime(f(e.body, *args))
-    if t is DefApp:
-        return DefApp(e.op, tuple([f(x, *args) for x in e.args]))
-    raise InternalError(f"unknown expression node {e!r}")
+    done: list[Expression] = []
+    out = done.append
+    todo: list = [(root, ctx, _VISIT)]
+    push = todo.append
+    while todo:
+        e, c, post = todo.pop()
+        t = type(e)
+        if post is not _VISIT:  # e's children are rebuilt, last on top
+            if t is Implies or t is Eq:
+                rhs = done.pop()
+                lhs = done.pop()
+                if lhs is not e.lhs or rhs is not e.rhs:
+                    e = t(lhs, rhs)
+            elif t is OpApp or t is DefApp:
+                k = len(e.args)
+                args = tuple(done[-k:])
+                del done[-k:]
+                if any(map(is_not, args, e.args)):
+                    e = t(e.op, args)
+            else:
+                body = done.pop()
+                if body is not e.body:
+                    e = Forall(e.var, body) if t is Forall else t(body)
+            out(e if post is None else post(e))
+            continue
+        r = pre(e, c)
+        if r is None:
+            post = None
+        elif type(r) is tuple:
+            c, post = r
+        else:
+            out(r)
+            continue
+        if t is Implies or t is Eq:
+            push((e, c, post))
+            push((e.rhs, c, _VISIT))
+            push((e.lhs, c, _VISIT))
+        elif t is Forall or t is Nabla or t is Prime:
+            push((e, c, post))
+            push((e.body, c, _VISIT))
+        elif (t is OpApp or t is DefApp) and e.args:
+            push((e, c, post))
+            todo.extend([(a, c, _VISIT) for a in reversed(e.args)])
+        elif (t is RigidVar or t is FlexVar or t is FalseExpr or t is OpApp
+              or t is DefApp):
+            out(e if post is None else post(e))
+        else:
+            raise InternalError(f"unknown expression node {e!r}")
+    return done[0]
+
+
+def nodes(e: Expression) -> Iterator[tuple[Expression, frozenset[str]]]:
+    """Every node of e with the rigid variables bound above it, in
+    pre-order, left to right, on an explicit stack.  A node's children are
+    read only when the iteration goes past it."""
+    stack: list[tuple[Expression, frozenset[str]]] = [(e, frozenset())]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        yield item
+        e, bound = item
+        t = type(e)
+        if t is Implies or t is Eq:
+            push((e.rhs, bound))
+            push((e.lhs, bound))
+        elif t is Forall:
+            push((e.body, bound | {e.var}))
+        elif t is not RigidVar and t is not FlexVar and t is not FalseExpr:
+            stack.extend([(c, bound) for c in reversed(children(e))])
 
 
 def free_rigid_vars(e: Expression) -> tuple[str, ...]:
@@ -208,37 +273,13 @@ def free_rigid_vars(e: Expression) -> tuple[str, ...]:
     a defined-operator application count, whether or not the definition body
     uses the corresponding parameter.
     """
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def go(e: Expression, bound: frozenset[str]) -> None:
-        t = type(e)
-        if t is RigidVar:
-            name = e.name
-            if name not in bound and name not in seen:
-                seen.add(name)
-                out.append(name)
-        elif t is Forall:
-            go(e.body, bound | {e.var})
-        else:
-            for c in children(e):
-                go(c, bound)
-
-    go(e, frozenset())
-    return tuple(out)
+    return tuple({n.name: None for n, bound in nodes(e)
+                  if type(n) is RigidVar and n.name not in bound})
 
 
 def free_flex_vars(e: Expression) -> tuple[str, ...]:
     """Flexible variables occurring in e, ordered by first occurrence."""
-    out: dict[str, None] = {}
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is FlexVar:
-            out[e.name] = None
-        else:
-            stack.extend(reversed(children(e)))
-    return tuple(out)
+    return tuple({n.name: None for n, _ in nodes(e) if type(n) is FlexVar})
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -258,36 +299,28 @@ def substitute(e: Expression, sigma: Mapping[str, Expression]) -> Expression:
     Bound variables are renamed (deterministically, via fresh_name) exactly
     when a free variable of a substituted image would otherwise be captured.
     """
-    if not sigma:
+    return rewrite(e, _substitute_pre, dict(sigma)) if sigma else e
+
+
+def _substitute_pre(e: Expression, sigma: dict[str, Expression]) -> Any:
+    t = type(e)
+    if t is RigidVar:
+        return sigma.get(e.name, e)
+    if t is not Forall:
+        return None
+    var = e.var
+    body_free = set(free_rigid_vars(e.body))
+    live = {k: v for k, v in sigma.items() if k != var and k in body_free}
+    if not live:
         return e
-
-    def go(e: Expression, sigma: dict[str, Expression]) -> Expression:
-        t = type(e)
-        if t is RigidVar:
-            return sigma.get(e.name, e)
-        if t is Forall:
-            var, body = e.var, e.body
-            body_free = set(free_rigid_vars(body))
-            live = {
-                k: v
-                for k, v in sigma.items()
-                if k != var and k in body_free
-            }
-            if not live:
-                return e
-            image_free: set[str] = set()
-            for img in live.values():
-                image_free.update(free_rigid_vars(img))
-            if var in image_free:
-                var2 = fresh_name(
-                    var, body_free | image_free | set(live)
-                )
-                live[var] = RigidVar(var2)
-                return Forall(var2, go(body, live))
-            return Forall(var, go(body, live))
-        return map_children(e, go, sigma)
-
-    return go(e, dict(sigma))
+    image_free: set[str] = set()
+    for img in live.values():
+        image_free.update(free_rigid_vars(img))
+    if var not in image_free:
+        return live, None
+    var2 = fresh_name(var, body_free | image_free | set(live))
+    live[var] = RigidVar(var2)
+    return live, lambda f: Forall(var2, f.body)
 
 
 def alpha_key(e: Expression, binders: tuple[str, ...] = ()) -> tuple:
@@ -399,15 +432,12 @@ class DefinitionEnvironment:
                     f"definition {d.name!r} body has free rigid variables "
                     f"not among its parameters: {', '.join(stray)}"
                 )
-            stack = [d.body]
-            while stack:
-                sub = stack.pop()
+            for sub, _ in nodes(d.body):
                 if type(sub) is DefApp and sub.op not in known_defs:
                     raise FomlError(
                         f"definition {d.name!r} refers to {sub.op!r}, "
                         "which is not defined earlier"
                     )
-                stack.extend(reversed(children(sub)))
             known_defs.add(d.name)
 
     def definition(self, name: str) -> Definition:
@@ -517,16 +547,15 @@ def expand_definitions(
     the body, and the result is expanded again (bodies may apply earlier
     definitions).  Acyclicity of the environment guarantees termination.
     """
-    if type(e) is DefApp:
-        d = env.definition(e.op)
-        inst = substitute(
-            d.body,
-            dict(
-                zip(d.params, (expand_definitions(a, env) for a in e.args))
-            ),
-        )
-        return expand_definitions(inst, env)
-    return map_children(e, expand_definitions, env)
+    return rewrite(e, _expand_pre, env)
+
+
+def _expand_pre(e: Expression, env: DefinitionEnvironment) -> Any:
+    if type(e) is not DefApp:
+        return None
+    d = env.definition(e.op)  # before the arguments are expanded
+    return env, lambda app: expand_definitions(
+        substitute(d.body, dict(zip(d.params, app.args))), env)
 
 
 def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
@@ -568,13 +597,7 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
 
 def contains_node(e: Expression, *kinds: type) -> bool:
     """Whether a node of one of `kinds` (exact classes) occurs in e."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) in kinds:
-            return True
-        stack.extend(children(e))
-    return False
+    return any(type(n) in kinds for n, _ in nodes(e))
 
 
 class Signature(NamedTuple):
@@ -641,11 +664,8 @@ def signature(
         elif t is not FalseExpr:
             raise InternalError(f"unknown expression node {e!r}")
     if not prime:
-        rest = [d.body for d in env.definitions if d.name not in applied]
-        while rest and not prime:
-            e = rest.pop()
-            prime = type(e) is Prime
-            rest.extend(children(e))
+        prime = any(contains_node(d.body, Prime) for d in env.definitions
+                    if d.name not in applied)
     return Signature(ops, tuple(rigid), tuple(flex), prime)
 
 

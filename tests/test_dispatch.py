@@ -1,8 +1,8 @@
 """Node-kind dispatch: the exact-type walkers against the class-pattern
 ones they replaced (`reference_syntax`), what every dispatcher does with a
 node kind it does not know, and scans of the package's source that keep
-class patterns, hand-written hashes and unused top-level definitions out
-of it."""
+class patterns, hand-written hashes, unused top-level definitions and
+recursing passes out of it."""
 import ast
 import functools
 import sys
@@ -50,6 +50,12 @@ def _tag(e: Expression, tag: Expression) -> Expression:
     return Implies(e, tag)
 
 
+def _tag_children(e: Expression, top: bool):
+    """`rewrite`'s step that rebuilds the root from its children c, each
+    replaced by _tag(c, FALSE): map_children(e, _tag, FALSE)."""
+    return (False, None) if top else _tag(e, FALSE)
+
+
 def _draws(n: int):
     """n seeded (env, expression, sigma, binders) draws.  Half the
     expressions have `a` free, as under a binder, and half of the
@@ -81,10 +87,12 @@ def test_walkers_agree_with_the_class_pattern_reference():
                 == reference.substitute(e, sigma))
         assert (syntax.expand_definitions(e, env)
                 == reference.expand_definitions(e, env))
+        assert ([sub for sub, _ in syntax.nodes(e)]
+                == list(reference.walk(e)))
         for sub in reference.walk(e):
             nodes += 1
             assert syntax.children(sub) == reference.children(sub)
-            assert (syntax.map_children(sub, _tag, FALSE)
+            assert (syntax.rewrite(sub, _tag_children, True)
                     == reference.map_children(sub, _tag, FALSE))
     assert nodes > 12_000
 
@@ -101,7 +109,8 @@ STRUCTURE = FOLStructure((0, 1), 0, 1, {"0": {(): 0}}, {"x": 0, "v": 0})
 
 DISPATCHERS = {
     "children": syntax.children,
-    "map_children": lambda e: syntax.map_children(e, _tag, FALSE),
+    "rewrite": lambda e: syntax.rewrite(e, lambda e, c: None, None),
+    "nodes": lambda e: list(syntax.nodes(e)),
     "free_rigid_vars": syntax.free_rigid_vars,
     "free_flex_vars": syntax.free_flex_vars,
     "substitute": lambda e: syntax.substitute(e, {"x": FALSE}),
@@ -135,11 +144,11 @@ DISPATCHERS = {
 
 SHAPES = {"top": Stray(), "under-implies": Implies(Stray(), FALSE),
           "under-forall": Forall("x", Stray())}
-# `children` and `map_children` look at one node only, and the
-# propositional views reject a quantifier before they reach its body.
+# `children` looks at one node only, and the propositional views reject
+# a quantifier before they reach its body.
 CASES = [(name, where) for name in DISPATCHERS for where in SHAPES
          if where == "top"
-         or name not in ("children", "map_children")
+         or name != "children"
          and not (where == "under-forall"
                   and name in ("eval_ml", "emit_mlseq", "prove_ml"))]
 
@@ -220,3 +229,36 @@ def test_every_top_level_definition_has_a_user():
               if name not in named and name not in exported]
     assert sorted(name for name, _ in unused) == sorted(OUTSIDE_USERS), \
         unused
+
+
+# The functions of the package that call themselves by name, qualified
+# by the functions they are nested in: the walkers that still take a
+# stack frame per tree level.  Every rewriting pass and every scan runs on
+# `syntax.rewrite` or `syntax.nodes` instead, which keep their own stack.
+RECURSIVE = {
+    "alpha_key", "is_rigid.go", "print_expr", "_render.form", "_render.term",
+    "_vars_in_non_leibniz_positions", "_evaluate", "_lanes",
+    "random_expr.draw", "random_ml_formula", "_open",
+}
+
+
+def test_only_the_listed_walkers_recurse():
+    found = set()
+
+    def scan(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Name)
+                        and n.func.id == child.name
+                        for n in ast.walk(child)):
+                    found.add(name)
+                scan(child, name + ".")
+            else:
+                scan(child, prefix)
+
+    for tree in _package_trees().values():
+        scan(tree, "")
+    assert found == RECURSIVE

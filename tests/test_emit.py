@@ -1,12 +1,14 @@
+import functools
 import re
 import shutil
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
 from foml import parse_problem
-from foml.coalesce import coalesce_obligation_fol
+from foml.coalesce import build_witness_structure, coalesce_obligation_fol
 from foml.emit import (
     _SMT_RESERVED,
     emit_mlseq,
@@ -32,9 +34,13 @@ from foml.syntax import (
     Eq,
     FlexVar,
     Nabla,
+    Obligation,
     OpApp,
     RigidVar,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_smt import smt_holds  # noqa: E402
 
 
 def coalesced_ir(text):
@@ -84,29 +90,41 @@ class TestVerdictsThroughEncodings:
         assert "(assert (not (forall ((bv0 U)) (= bv0 bv0_1))))" in text
 
 
+@functools.cache
+def soundness_draws():
+    """200 seeded coalesced sequents, each with its IR and the witness
+    structure of a random model at a random state."""
+    out = []
+    for i in range(200):
+        rng = rng_for(91, i)
+        env = random_env(rng)
+        hyp = random_expr(rng, env, depth=2)
+        goal = random_expr(rng, env, depth=3)
+        res = coalesce_obligation_fol(Obligation((hyp,), goal, env, "fol"))
+        ir = stratify(res.hypotheses, res.goal, res.env)
+        m = random_model(rng, env, need_prime=True)
+        w = rng.choice(m.states)
+        out.append((res, ir, build_witness_structure(m, w, res.table, env)))
+    return out
+
+
 class TestBoolificationSoundness:
     def test_encoding_matches_direct_evaluation(self):
         # on random coalesced sequents and random structures, the emitted
         # encoding is satisfied exactly when the negated sequent holds
         # under direct evaluation
-        for i in range(200):
-            rng = rng_for(91, i)
-            env = random_env(rng)
-            hyp = random_expr(rng, env, depth=2)
-            goal = random_expr(rng, env, depth=3)
-            from foml.syntax import Obligation
-
-            res = coalesce_obligation_fol(
-                Obligation((hyp,), goal, env, "fol"))
-            ir = stratify(res.hypotheses, res.goal, res.env)
-            m = random_model(rng, env, need_prime=True)
-            from foml.coalesce import build_witness_structure
-
-            w = rng.choice(m.states)
-            s = build_witness_structure(m, w, res.table, env)
+        for res, ir, s in soundness_draws():
             want = (all(eval_fol(s, h) == s.tt for h in res.hypotheses)
                     and eval_fol(s, res.goal) != s.tt)
             assert encoding_satisfied(s, ir) == want
+
+    def test_smt_text_holds_iff_the_encoding_does(self):
+        # the printed script, read back apart from emit, says what the IR
+        # says: a misprinted term, binder or axiom changes some verdict
+        for _, ir, s in soundness_draws():
+            text = emit_smt(ir)
+            assert (smt_holds(text, s, [*ir.ops, *ir.consts])
+                    == encoding_satisfied(s, ir)), text
 
     def test_term_position_formulas_are_named(self):
         env = DefinitionEnvironment.build(
@@ -233,6 +251,16 @@ class TestExternalSolver:
         assert run_solver(sys.executable, 'print("unsat")',
                           "smt") == "valid"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("status, verdict", [
+        ("Theorem", "valid"), ("Unsatisfiable", "valid"),
+        ("CounterSatisfiable", "not-valid"), ("Satisfiable", "not-valid"),
+        ("CounterTheorem", "not-valid"), ("GaveUp", "unknown")])
+    def test_tptp_verdict_is_the_szs_status_word(self, status, verdict):
+        # the interpreter as a TPTP prover that answers with this status;
+        # the word is read whole, so CounterTheorem is not a Theorem
+        text = f'print("% SZS status {status} for problem")'
+        assert run_solver(sys.executable, text, "tptp") == verdict
 
     @pytest.mark.skipif(shutil.which("z3") is None,
                         reason="no external solver installed")

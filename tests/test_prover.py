@@ -1,5 +1,7 @@
+import sys
 from collections import Counter
 from itertools import compress, product
+from pathlib import Path
 
 import time
 
@@ -42,8 +44,10 @@ from foml.syntax import (
     children,
     contains_node,
     free_flex_vars,
-    map_children,
 )
+
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_syntax import map_children  # noqa: E402
 
 p, q = FlexVar("p"), FlexVar("q")
 

@@ -54,7 +54,6 @@ from foml.syntax import (
     and_,
     delta_,
     is_rigid,
-    map_children,
     not_,
     or_,
     signature,
@@ -63,7 +62,7 @@ from foml.syntax import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_syntax import walk  # noqa: E402
+from reference_syntax import map_children, walk  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 

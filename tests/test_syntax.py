@@ -18,6 +18,9 @@ from foml import (
     print_expr,
     substitute,
 )
+from foml.actions import PrimedVars, coalesce_action, distribute_prime
+from foml.coalesce import SymbolTable, coalesce_fol, rewrite_rigid_box
+from foml.coalesce_ml import AtomTable, coalesce_ml
 from foml.gen import (
     random_action_formula,
     random_env,
@@ -26,7 +29,7 @@ from foml.gen import (
     random_model,
     rng_for,
 )
-from foml.emit import parse_mlseq
+from foml.emit import parse_mlseq, stratify
 from foml.models import parse_model, serialize_model
 from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
@@ -51,15 +54,17 @@ from foml.syntax import (
     collect_signature,
     contains_node,
     exists_,
-    map_children,
+    free_flex_vars,
+    nodes,
     not_,
     or_,
+    rewrite,
     signature,
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_front_end as reference  # noqa: E402
-from reference_syntax import needs_prime, walk  # noqa: E402
+from reference_syntax import map_children, needs_prime, walk  # noqa: E402
 from test_cli import (  # noqa: E402
     mutated_problems,
     mutated_sequents_and_models,
@@ -552,18 +557,48 @@ NODES = [
 ]
 
 
-class TestMapChildren:
+def _keep(e, ctx):
+    return None
+
+
+def _bound_reference(e, bound=frozenset()):
+    """(node, names bound above it) for every node of e, in pre-order, by
+    recursion over `children`."""
+    out = [(e, bound)]
+    inner = bound | {e.var} if type(e) is Forall else bound
+    for c in children(e):
+        out += _bound_reference(c, inner)
+    return out
+
+
+def _without_defapps(e):
+    """e with every DefApp replaced by FALSE, by recursion."""
+    if type(e) is DefApp:
+        return FALSE
+    return map_children(e, _without_defapps)
+
+
+class TestRewrite:
     def test_covers_every_node_kind(self):
         assert len({type(e) for e in NODES}) == 10
 
     @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
-    def test_identity_rebuilds_an_equal_node(self, e):
-        assert map_children(e, lambda c: c) == e
+    def test_identity_keeps_the_node(self, e):
+        assert rewrite(e, _keep, None) is e
 
     @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
     def test_visits_exactly_the_children_in_order(self, e):
         seen = []
-        map_children(e, lambda c, tag: seen.append((c, tag)) or c, "t")
+
+        # the root's children are walked under "t" and come back as
+        # they are, unwalked
+        def pre(n, tag):
+            if tag is None:
+                return "t", None
+            seen.append((n, tag))
+            return n
+
+        assert rewrite(e, pre, None) is e
         assert seen == [(c, "t") for c in children(e)]
 
     @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
@@ -572,7 +607,48 @@ class TestMapChildren:
         # dict orders stay as they were; a rebuilt equal node hashes equal.
         fields = tuple(getattr(e, f) for f in e.__match_args__)
         assert hash(e) == hash(fields) == hash(e)
-        assert hash(map_children(e, lambda c: c)) == hash(e)
+        rebuilt = rewrite(e, lambda n, top: (False, None) if top
+                          else map_children(n, lambda c: c), True)
+        assert rebuilt == e and hash(rebuilt) == hash(e)
+
+    @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
+    def test_post_replaces_the_rebuilt_node(self, e):
+        # each child c comes back as Nabla(c), and post sees the rebuilt
+        # node, not e
+        got = rewrite(e, lambda n, top: (False, Prime) if top else Nabla(n),
+                      True)
+        assert got == Prime(map_children(e, Nabla))
+
+    def test_pre_sees_every_node_in_pre_order_with_its_context(self):
+        # the context counts the foralls above a node; a DefApp is
+        # replaced whole, so nothing below it is visited
+        for seed in range(200):
+            rng = rng_for(7, seed)
+            e = random_expr(rng, random_env(rng), depth=4)
+            seen = []
+
+            def pre(n, depth):
+                seen.append((n, depth))
+                if type(n) is DefApp:
+                    return FALSE
+                return (depth + 1, None) if type(n) is Forall else None
+
+            out = rewrite(e, pre, 0)
+            want, stack = [], [(e, 0)]
+            while stack:
+                n, depth = stack.pop()
+                want.append((n, depth))
+                if type(n) is not DefApp:
+                    depth += type(n) is Forall
+                    stack.extend((c, depth) for c in reversed(children(n)))
+            assert seen == want
+            assert out == _without_defapps(e)
+
+    def test_nodes_match_the_recursive_walk(self):
+        for seed in range(200):
+            rng = rng_for(7, seed)
+            e = random_expr(rng, random_env(rng), depth=4)
+            assert list(nodes(e)) == _bound_reference(e)
 
 
 def _kinds_reference(e):
@@ -603,11 +679,146 @@ def _or_reference(*es):
     return Implies(not_(es[0]), _or_reference(*es[1:]))
 
 
+DEEP = 5100
+X, A, V, ZERO = RigidVar("x"), RigidVar("a"), FlexVar("v"), OpApp("0")
+DEEP_ENV = DefinitionEnvironment.build(
+    ops={"0": 0, "f": 1, "g": 2}, rigid=("x",), flex=("v",),
+    definitions=[Definition("d", ("p",), Nabla(Eq(RigidVar("p"), ZERO)))])
+
+
+def _deep(leaf, *wraps):
+    """leaf under DEEP levels, the i-th from the inside made by
+    wraps[i % len(wraps)]."""
+    e = leaf
+    for i in range(DEEP):
+        e = wraps[i % len(wraps)](e)
+    return e
+
+
+def _flat(e):
+    """e's nodes in pre-order, each as its kind, its own fields and its
+    number of children: compares trees too deep for `==`, which
+    recurses."""
+    return [(type(n), getattr(n, "name", None), getattr(n, "op", None),
+             getattr(n, "var", None), len(children(n))) for n in walk(e)]
+
+
+def _all_kinds(x, a, leaf):
+    """A chain through every inner node kind, with x and a at its side,
+    under a forall a."""
+    return Forall("a", _deep(
+        leaf, lambda e: Implies(V, e), lambda e: Eq(e, a),
+        lambda e: OpApp("g", (x, e)), lambda e: DefApp("d", (e,)),
+        lambda e: Forall("a", e), Nabla, Prime))
+
+
 class TestDepthIndependence:
-    """`and_`, `or_` and the own-stack walks `contains_node` and
-    `signature` work at any size under the default recursion limit, and
-    agree with their recursive definitions; deep input is read at the
-    default limit."""
+    """`and_`, `or_`, `rewrite`, `nodes` and the passes and scans built
+    on them work at any size under the default recursion limit, and agree
+    with their recursive definitions; deep input is read at the default
+    limit.  The deep inputs keep clear of the shapes `alpha_key`,
+    `is_rigid`, the printers and `==` still recurse on: a deep subterm a
+    symbol is interned for, or a deep body whose rigidity is asked."""
+
+    def test_deep_rewrite_and_nodes_at_the_default_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        e = _all_kinds(X, A, X)
+        assert rewrite(e, _keep, None) is e
+        w = RigidVar("w")
+        got = rewrite(e, lambda n, c: w if type(n) is RigidVar
+                      and n.name == "x" else None, None)
+        assert _flat(got) == _flat(_all_kinds(w, A, w))
+        seen = list(nodes(e))
+        assert len(seen) == len(_flat(e))
+        assert all(n is m for (n, _), m in zip(seen, walk(e)))
+        assert seen[0][1] == frozenset()
+        assert {b for _, b in seen[1:]} == {frozenset({"a"})}
+        assert seen[-1] == (A, {"a"})
+        assert free_rigid_vars(e) == ("x",)
+        assert free_flex_vars(e) == ("v",)
+        assert contains_node(e, DefApp) and not contains_node(e, FalseExpr)
+
+    def test_deep_substitute_renames_at_the_default_limit(self):
+        # x := a under a forall a: the binder is renamed to a1
+        chain = lambda x, a: Forall(a.name, _deep(  # noqa: E731
+            x, lambda e: Implies(V, e), lambda e: Eq(e, a),
+            lambda e: OpApp("g", (x, e)), lambda e: DefApp("d", (e,)),
+            Nabla, Prime))
+        got = substitute(chain(X, A), {"x": A})
+        assert _flat(got) == _flat(chain(A, RigidVar("a1")))
+
+    def test_deep_expand_definitions_at_the_default_limit(self):
+        chain = lambda app: _deep(  # noqa: E731
+            V, lambda e: Implies(app, e), lambda e: Forall("a", e),
+            lambda e: Eq(OpApp("f", (e,)), A), Prime)
+        got = expand_definitions(chain(DefApp("d", (X,))), DEEP_ENV)
+        assert _flat(got) == _flat(chain(Nabla(Eq(X, ZERO))))
+
+    def test_deep_definition_scans_at_the_default_limit(self):
+        body = lambda leaf: _deep(  # noqa: E731
+            leaf, lambda e: Implies(V, e), lambda e: Forall("a", e),
+            lambda e: Eq(OpApp("f", (e,)), ZERO), Nabla)
+        for leaf, prime in ((V, False), (Prime(V), True)):
+            env = DEEP_ENV.extended(
+                definitions=[Definition("b", (), body(leaf))])
+            assert signature([FALSE], env).prime is prime
+        with pytest.raises(FomlError, match="refers to 'e'"):
+            DEEP_ENV.extended(
+                definitions=[Definition("b", (), body(DefApp("e")))])
+
+    def test_deep_coalesce_fol_at_the_default_limit(self):
+        # binders only in the innermost levels, so each symbol's
+        # selection of bound variables stays short
+        def chain(modal, leaf):
+            e = leaf
+            for i in range(DEEP):
+                e = (Forall("a", e) if i < 1000
+                     else Implies(modal, e) if i % 2
+                     else Eq(OpApp("f", (e,)), X))
+            return e
+
+        table = SymbolTable(DEEP_ENV)
+        got = coalesce_fol(chain(Nabla(Eq(X, V)), Prime(Eq(A, V))),
+                           DEEP_ENV, table)
+        c0, c1 = table.in_order()
+        assert (c0.arity, c1.arity) == (0, 1)
+        assert _flat(got) == _flat(chain(OpApp(c0.name),
+                                         OpApp(c1.name, (A,))))
+
+    def test_deep_rewrite_rigid_box_at_the_default_limit(self):
+        # each nabla's body starts with a flexible variable or a nabla,
+        # so is_rigid decides it at once
+        chain = lambda leaf: _deep(  # noqa: E731
+            leaf, lambda e: Forall("a", e), Nabla, lambda e: Implies(V, e))
+        got = rewrite_rigid_box(chain(Nabla(Eq(X, ZERO))), DEEP_ENV)
+        assert _flat(got) == _flat(chain(
+            Implies(not_(Nabla(FALSE)), Eq(X, ZERO))))
+
+    def test_deep_coalesce_ml_at_the_default_limit(self):
+        chain = lambda atom: _deep(  # noqa: E731
+            V, lambda e: Implies(atom, e), Nabla, Prime)
+        table = AtomTable(DEEP_ENV)
+        got = coalesce_ml(chain(Eq(X, ZERO)), DEEP_ENV, table)
+        (a0,) = table.in_order()
+        assert _flat(got) == _flat(chain(FlexVar(a0.name)))
+
+    def test_deep_stratify_at_the_default_limit(self):
+        chain = lambda named: _deep(  # noqa: E731
+            Eq(X, X), lambda e: Implies(Eq(OpApp("f", (named,)), X), e),
+            lambda e: Forall("a", e))
+        ir = stratify((), chain(Eq(X, X)), DEEP_ENV)
+        (q0,) = ir.defs
+        assert q0.params == ("x",)
+        assert _flat(ir.goal) == _flat(chain(OpApp(q0.name, (X,))))
+
+    def test_deep_action_passes_at_the_default_limit(self):
+        chain = lambda v: _deep(  # noqa: E731
+            v, lambda e: Implies(v, e), lambda e: Eq(OpApp("f", (e,)), X),
+            lambda e: Forall("a", e))
+        dist = distribute_prime(Prime(chain(V)), DEEP_ENV)
+        assert _flat(dist) == _flat(chain(Prime(V)))
+        got = coalesce_action(dist, PrimedVars(DEEP_ENV))
+        assert _flat(got) == _flat(chain(FlexVar("v'")))
 
     def test_contains_node_matches_the_recursive_scan(self):
         for seed in range(300):

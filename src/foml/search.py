@@ -34,17 +34,21 @@ A run is the segments of one xi and tables; the tails of a segment
 (zeta, R and the block of relations) are the same in every run of a
 universe size and state count.  Run r's xi values and table rows are the
 digits of r in base u, the universe size, most significant first.  Where
-one run's tails fit in a lane block of at most `_LANE_BUDGET` lanes, a
-block holds u**j whole runs that start at a multiple of u**j; each digit
-below place u**j then takes each value in a fixed periodic set of lanes,
-built once per level, and every other digit is constant over the block,
-so a block's xi and tables cost one one-hot per digit.  Elsewhere a
-block is a window of one run's tails, laid out once per search for all
-its runs.  A block's countermodels are its leader lanes where every
-hypothesis holds at every state and the goal fails at some state; the
-first is the lowest such lane, which is the first in enumeration order,
-and `examined` counts the leaders up to it.  Only the model returned is
-built, its xi and tables decoded from its run number.
+one run's tails fit in a lane block of at most `_LANE_BUDGET` lanes,
+every block holds the same number of whole runs, u**top, from a multiple
+of u**top, top as large as fits: a block's fixed cost outweighs its wider
+operations.  Each digit below place u**top then takes each value in a
+fixed periodic set of lanes, built once per shape, and every other digit
+is constant over the block, so a block's xi and tables cost one one-hot
+per digit.  Elsewhere a block is a window of one run's tails, laid out
+once per search for all its runs.  A block's countermodels are its
+leader lanes where every hypothesis holds at every state and the goal
+fails at some state; the first is the lowest such lane, which is the
+first in enumeration order, and `examined` counts the leaders up to it.
+Leaders are otherwise counted a block at a time, so the "(N reached)"
+count of a `resource-out` reason follows the blocks: u**top runs, or a
+window.  Only the model returned is built, its xi and tables decoded
+from its run number.
 """
 from __future__ import annotations
 
@@ -295,10 +299,12 @@ _BLOCK_PAIRS = 9
 
 # A lane block lays segments of one universe and state count side by side
 # in at most this many lanes (at least one segment).  Where one run's
-# segments fit, a block holds u**j whole runs from a multiple of u**j (u
-# the universe size): run 0 alone, then u - 1 blocks of each size in
-# turn, up to the largest that fits, so an early countermodel pays for
-# few later segments.  Else a block is a window of one run's segments.
+# segments fit, every block holds u**top whole runs from a multiple of
+# u**top (u the universe size, top the largest level that fits and at
+# most the digit count): each block carries a fixed cost in Python, which
+# outweighs its wider big-int operations, so an early countermodel gains
+# nothing from smaller first blocks.  Else a block is a window of one
+# run's segments.
 _LANE_BUDGET = 4096
 
 
@@ -383,54 +389,20 @@ def _tails(nflex: int, usize: int, nstates: int, prime: bool
                 yield _Tail(zeta, r, block, leaders)
 
 
-# The masks of tails laid side by side, keyed ("leaders",), ("flex", the
-# variable's index, value), ("edges", relation, shift) and ("func",
-# relation), relation 0 being R and 1 primeR.
-Masks = dict[tuple, int]
-
-
-def _tail_masks(tails: Sequence[_Tail], nstates: int) -> Masks:
-    """The masks of tails laid side by side from lane 0, tail i from lane
-    i * `_segment_lanes` on: a run's tails for `_level`, a window of them
-    for `_lane_blocks`, at most one lane block, `_most(nstates)`."""
-    stride = _segment_lanes(nstates)
-    rep = _spread(1 << _block_pairs(nstates), nstates)
-    masks = {}
-    for i, tail in enumerate(tails):
-        at = i * stride
-        parts = [(("leaders",), tail.leaders)]
-        for j, val in enumerate(tail.zeta):
-            parts.append((("flex", j // nstates, val), rep << j % nstates))
-        rels = (_block(nstates, tail.block),) if tail.r is None else (
-            _fixed_relation(nstates, tail.r), _block(nstates, tail.block))
-        for rel, access in enumerate(rels):
-            parts += [(("edges", rel, d), mask) for d, mask in access.edges]
-            parts.append((("func", rel), access.func))
-        for key, mask in parts:
-            masks[key] = masks.get(key, 0) | mask << at
-    return masks
-
-
 def _most(nstates: int) -> int:
     """The number of segments a lane block holds at most."""
     return max(1, _LANE_BUDGET // _segment_lanes(nstates))
 
 
-class _Layout(NamedTuple):
-    """The first tails of a universe size and state count, as many as one
-    lane block holds; `whole` when they are all the tails."""
-    tails: tuple[_Tail, ...]
-    whole: bool
-
-
 @lru_cache(maxsize=64)
-def _layout(nflex: int, usize: int, nstates: int, prime: bool) -> _Layout:
-    """The layout of a universe size and state count.  Every run of xi
-    and tables has the same tails, and so does every search with as many
-    flexible variables, so the first are drawn once."""
-    most = _most(nstates)
-    tails = tuple(islice(_tails(nflex, usize, nstates, prime), most + 1))
-    return _Layout(tails[:most], len(tails) <= most)
+def _layout(nflex: int, usize: int, nstates: int, prime: bool
+            ) -> tuple[_Tail, ...]:
+    """The first tails of a universe size and state count: all of them
+    when one lane block holds them, else one more than it holds.  Every
+    run of xi and tables has the same tails, and so does every search
+    with as many flexible variables, so they are drawn once."""
+    return tuple(islice(_tails(nflex, usize, nstates, prime),
+                        _most(nstates) + 1))
 
 
 class _Frame(NamedTuple):
@@ -448,48 +420,58 @@ class _Frame(NamedTuple):
     digits: tuple[dict[Value, int], ...]
 
 
-def _frame(masks: Masks, nflex: int, usize: int, nstates: int, lanes: int,
-           digits: tuple[dict[Value, int], ...] = ()) -> _Frame:
-    """The frame of `lanes` lanes whose tails have `masks`."""
+def _frame(tails: Sequence[_Tail], nflex: int, usize: int, nstates: int,
+           level: int = 0) -> _Frame:
+    """The frame of u**level runs (u = usize) whose tails are `tails`,
+    laid side by side from lane 0, tail i from lane i * `_segment_lanes`
+    on, one run after another from a run number that is a multiple of
+    u**level.  Digit p < level of the run number is v on u**p runs in
+    every u**(p + 1), from the v-th on."""
+    stride = _segment_lanes(nstates)
+    rep = _spread(1 << _block_pairs(nstates), nstates)
+    leaders = 0
     flex: tuple[dict[Value, int], ...] = tuple({} for _ in range(nflex))
     edges: tuple[dict[int, int], dict[int, int]] = ({}, {})
     func = [0, 0]
-    for key, mask in masks.items():
-        if key[0] == "flex":
-            flex[key[1]][key[2]] = mask
-        elif key[0] == "edges":
-            edges[key[1]][key[2]] = mask
-        elif key[0] == "func":
-            func[key[1]] = mask
-    access = (Access(edges[0], func[0]),
-              Access(edges[1], func[1]) if ("func", 1) in masks else None)
-    full = (1 << lanes) - 1
-    return _Frame(masks[("leaders",)], flex, access, full,
-                  _spread(lanes // nstates, nstates),
-                  tuple({v: full} for v in range(usize)), digits)
-
-
-@lru_cache(maxsize=256)
-def _level(nflex: int, usize: int, nstates: int, prime: bool, level: int
-           ) -> _Frame:
-    """The frame of u**level whole runs (u = usize) of a universe size and
-    state count whose tails all fit in one lane block, each run's tails
-    laid out one run after another, from a run number that is a multiple
-    of u**level.  Digit p < level of the run number is v on u**p runs in
-    every u**(p + 1), from the v-th on."""
-    layout = _layout(nflex, usize, nstates, prime)
-    width = len(layout.tails) * _segment_lanes(nstates)
+    for i, tail in enumerate(tails):
+        at = i * stride
+        leaders |= tail.leaders << at
+        for j, val in enumerate(tail.zeta):
+            onehot = flex[j // nstates]
+            onehot[val] = onehot.get(val, 0) | rep << j % nstates + at
+        rels = (_block(nstates, tail.block),) if tail.r is None else (
+            _fixed_relation(nstates, tail.r), _block(nstates, tail.block))
+        for rel, access in enumerate(rels):
+            for d, mask in access.edges:
+                edges[rel][d] = edges[rel].get(d, 0) | mask << at
+            func[rel] |= access.func << at
+    width = len(tails) * stride
     runs = usize ** level
-    rep = _spread(runs, width)
-    masks = _tail_masks(layout.tails, nstates)
+    copies = _spread(runs, width)
+    access = [Access({d: mask * copies for d, mask in edges[rel].items()},
+                     func[rel] * copies) for rel in (0, 1)]
     digits = []
     for p in range(level):
         span = usize ** p * width
         ones = ((1 << span) - 1) * _spread(usize ** (level - p - 1),
                                            usize * span)
         digits.append({v: ones << v * span for v in range(usize)})
-    return _frame({key: mask * rep for key, mask in masks.items()},
-                  nflex, usize, nstates, runs * width, tuple(digits))
+    full = (1 << runs * width) - 1
+    return _Frame(leaders * copies,
+                  tuple({v: mask * copies for v, mask in onehot.items()}
+                        for onehot in flex),
+                  (access[0], access[1] if tails[0].r is not None else None),
+                  full, _spread(runs * width // nstates, nstates),
+                  tuple({v: full} for v in range(usize)), tuple(digits))
+
+
+@lru_cache(maxsize=256)
+def _level(nflex: int, usize: int, nstates: int, prime: bool, level: int
+           ) -> _Frame:
+    """The frame of u**level whole runs of a universe size and state count
+    whose tails all fit in one lane block."""
+    return _frame(_layout(nflex, usize, nstates, prime), nflex, usize,
+                  nstates, level)
 
 
 class _Block(NamedTuple):
@@ -531,21 +513,17 @@ def _lane_blocks(
                          dict(zip(flex, frame.flex)), frame.access)
 
         for n in range(1, max_states + 1):
-            layout = _layout(nflex, usize, n, prime)
+            tails = _layout(nflex, usize, n, prime)
             most = _most(n)
-            if layout.whole:
+            if len(tails) <= most:
                 top = 0
                 while top < ndigits \
-                        and usize ** (top + 1) * len(layout.tails) <= most:
+                        and usize ** (top + 1) * len(tails) <= most:
                     top += 1
-                run, level, size = 0, 0, 1
-                while run < nruns:
-                    if level < top and run == size * usize:
-                        level, size = level + 1, size * usize
-                    frame = _level(nflex, usize, n, prime, level)
-                    yield (_Block(run, size, layout.tails), frame.leaders,
-                           lanes(frame, run, level, n))
-                    run += size
+                frame, size = _level(nflex, usize, n, prime, top), usize ** top
+                for run in range(0, nruns, size):
+                    yield (_Block(run, size, tails), frame.leaders,
+                           lanes(frame, run, top, n))
                 continue
             # One run's tails overflow a block: every block is a window of
             # `most` tails, kept from run 0 until the last run lays it out.
@@ -554,14 +532,13 @@ def _lane_blocks(
             for run in range(nruns):
                 for a in count(0, most):
                     if a not in kept:
-                        tails = list(islice(rest, most))
-                        if not tails:
+                        window = list(islice(rest, most))
+                        if not window:
                             break
-                        kept[a] = tails, _frame(
-                            _tail_masks(tails, n), nflex, usize, n,
-                            len(tails) * _segment_lanes(n))
-                    tails, frame = kept.pop(a) if run == nruns - 1 else kept[a]
-                    yield (_Block(run, 1, tails), frame.leaders,
+                        kept[a] = window, _frame(window, nflex, usize, n)
+                    window, frame = kept.pop(a) if run == nruns - 1 \
+                        else kept[a]
+                    yield (_Block(run, 1, window), frame.leaders,
                            lanes(frame, run, 0, n))
 
 

@@ -115,3 +115,39 @@ def smt_holds(text: str, s: FOLStructure, names: Sequence[str]) -> bool:
             verdict = verdict and reading.holds(form[1], {})
     assert not reading.names and not reading.pending
     return verdict
+
+
+def use_order(text: str, names: Sequence[str]) -> list[str]:
+    """The names the declared symbols after tt and ff stand for (`names`,
+    in order of declaration), in the order the assertions first use them:
+    a function symbol before its arguments, left to right."""
+    declared: dict[str, str] = {}
+    order: dict[str, None] = {}
+
+    def term(t: Sexpr, bound: frozenset) -> None:
+        head = t if isinstance(t, str) else t[0]
+        if head in declared and head not in bound:
+            order.setdefault(declared[head])
+        for a in [] if isinstance(t, str) else t[1:]:
+            term(a, bound)
+
+    def formula(f: Sexpr, bound: frozenset) -> None:
+        if f == "false":
+            return
+        if f[0] == "forall":
+            formula(f[2], bound | {v for v, _ in f[1]})
+        elif f[0] in ("=>", "not"):
+            for g in f[1:]:
+                formula(g, bound)
+        else:
+            for t in f[1:]:
+                term(t, bound)
+
+    rest = iter(names)
+    for form in _read(text):
+        if form[0] == "declare-fun" or (form[0] == "declare-const"
+                                        and form[1] not in ("tt", "ff")):
+            declared[form[1]] = next(rest)
+        elif form[0] == "assert":
+            formula(form[1], frozenset())
+    return list(order)

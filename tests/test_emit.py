@@ -40,7 +40,8 @@ from foml.syntax import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_smt import smt_holds  # noqa: E402
+from reference_smt import smt_holds, use_order  # noqa: E402
+from reference_tptp import tptp_holds  # noqa: E402
 
 
 def coalesced_ir(text):
@@ -56,16 +57,19 @@ CST_VALID = ("(define (cst x) (exists y (nabla (= x y))))"
              "  (=> (= a b) (iff (cst a) (cst b))))))")
 
 
+def structures(ir, max_universe=2):
+    """Every structure over the symbols of `ir` that its definitional
+    axioms do not pin."""
+    ops = {op: n for op, n in ir.ops.items()
+           if not any(d.name == op for d in ir.defs)}
+    return enumerate_fol_structures(ops, ir.consts, max_universe)
+
+
 def ir_not_valid(ir, max_universe=2) -> bool:
     """Bounded satisfiability of the emitted encoding: a satisfying
     structure means the sequent is not valid."""
-    variables = ir.consts
-    ops = {op: n for op, n in ir.ops.items()
-           if not any(d.name == op for d in ir.defs)}
-    for s in enumerate_fol_structures(ops, variables, max_universe):
-        if encoding_satisfied(s, ir):
-            return True
-    return False
+    return any(encoding_satisfied(s, ir)
+               for s in structures(ir, max_universe))
 
 
 class TestVerdictsThroughEncodings:
@@ -108,6 +112,22 @@ def soundness_draws():
     return out
 
 
+# Two nested binders that the body uses: a printer that spelled both
+# alike would capture the outer one.
+NESTED_BINDERS = (
+    "(goal (forall a (forall b (= a b))))",
+    "(declare-op f 2) (goal (forall a (forall b (= (f a b) (f b a)))))",
+)
+
+
+@functools.cache
+def binder_cases():
+    """{goal: (its IR, every structure over two values)} for each goal
+    of `NESTED_BINDERS`."""
+    return {text: (ir, list(structures(ir)))
+            for text, ir in ((t, coalesced_ir(t)) for t in NESTED_BINDERS)}
+
+
 class TestBoolificationSoundness:
     def test_encoding_matches_direct_evaluation(self):
         # on random coalesced sequents and random structures, the emitted
@@ -125,6 +145,34 @@ class TestBoolificationSoundness:
             text = emit_smt(ir)
             assert (smt_holds(text, s, [*ir.ops, *ir.consts])
                     == encoding_satisfied(s, ir)), text
+
+    @pytest.mark.parametrize("goal", NESTED_BINDERS)
+    def test_smt_text_keeps_nested_binders_apart(self, goal):
+        # on every structure over two values, the printed goal says what
+        # the IR does: (= a b) fails on the one structure, and f(a, b) =
+        # f(b, a) on the eight tables that are not symmetric
+        ir, found = binder_cases()[goal]
+        assert len(found) == (1 if "declare-op" not in goal else 16)
+        text = emit_smt(ir)
+        for s in found:
+            assert (smt_holds(text, s, [*ir.ops, *ir.consts])
+                    == encoding_satisfied(s, ir)), text
+
+    def test_tptp_text_gives_the_smt_texts_verdict(self):
+        # the TPTP problem, read back apart from emit and from the SMT
+        # reader's parser, holds exactly where the SMT script does
+        cases = [(ir, s) for _, ir, s in soundness_draws()]
+        cases += [(ir, s) for ir, found in binder_cases().values()
+                  for s in found]
+        verdicts = set()
+        for ir, s in cases:
+            smt, tptp = emit_smt(ir), emit_tptp(ir)
+            names = [*ir.ops, *ir.consts]
+            verdict = smt_holds(smt, s, names)
+            assert tptp_holds(tptp, s, use_order(smt, names)) == verdict, \
+                tptp
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
 
     def test_term_position_formulas_are_named(self):
         env = DefinitionEnvironment.build(

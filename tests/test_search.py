@@ -40,7 +40,6 @@ from foml.search import (
     _segment_lanes,
     _spans,
     _Tail,
-    _tail_masks,
     _tails,
     enumerate_fol_structures,
     enumerate_models,
@@ -510,13 +509,16 @@ def test_two_state_windows_match_the_orbit_sweep(text, place):
 def test_lane_blocks_partition_the_runs_within_the_budget(nflex, prime):
     # One rigid variable: u runs over u values.  For each universe size
     # and state count, the blocks hold every (run, tail) once, in run-major
-    # order, with their leaders, in at most _LANE_BUDGET lanes.
+    # order, with their leaders, in at most _LANE_BUDGET lanes; where one
+    # run's tails fit in a block, every block holds the same u**top runs,
+    # top the largest level (at most the one digit) that fits.
     # Two flexible variables with prime have 5,728 tails at three states
     # over two values and 63,528 over three, which take a quarter of a
     # second and seconds.
     flex = ("p", "q")[:nflex]
     max_states = 2 if nflex == 2 and prime else 3
     got: dict[tuple[int, int], list] = {}
+    sizes: dict[tuple[int, int], set] = {}
     for block, leaders, k in _lane_blocks({}, ("x",), flex, 3, max_states,
                                           prime):
         u, n = len(k.universe), k.nstates
@@ -529,10 +531,26 @@ def test_lane_blocks_partition_the_runs_within_the_budget(nflex, prime):
         got.setdefault((u, n), []).extend(
             (block.run + q, tail) for q in range(block.runs)
             for tail in block.tails)
+        sizes.setdefault((u, n), set()).add(block.runs)
     assert len(got) == 2 * max_states
     for (u, n), pairs in got.items():
+        every = list(_tails(nflex, u, n, prime))
         assert pairs == [(run, tail) for run in range(u)
-                         for tail in _tails(nflex, u, n, prime)], (u, n)
+                         for tail in every], (u, n)
+        fits = [level for level in (0, 1) if u ** level * len(every)
+                * _segment_lanes(n) <= _LANE_BUDGET]
+        if fits:
+            assert sizes[u, n] == {u ** max(fits)}, (u, n)
+
+
+def test_blocks_of_a_layout_hold_as_many_runs():
+    # x and the rows of f are three digits over two values and four over
+    # three.  Over three values there are 81 runs of six two-state tails,
+    # and a block holds 128 such tails: 3**2 runs, in each of 9 blocks.
+    # Every other layout holds all its runs in one block.
+    blocks = Counter((len(k.universe), k.nstates) for _, _, k in
+                     _lane_blocks({"f": 1}, ("x",), ("v",), 3, 2, False))
+    assert blocks == {(2, 1): 1, (2, 2): 1, (3, 1): 1, (3, 2): 9}
 
 
 def test_max_models_zero_evaluates_no_block(monkeypatch):
@@ -683,8 +701,7 @@ def _random_lanes(rng: random.Random, env, prime: bool):
             for args, val in table.items():
                 values = op_lanes.setdefault(op, {}).setdefault(args, {})
                 values[val] = values.get(val, 0) | lanes
-    frame = _frame(_tail_masks(tails * nruns, n), len(env.flex_vars),
-                   len(universe), n, at)
+    frame = _frame(tails * nruns, len(env.flex_vars), len(universe), n)
     k = Lanes(n, universe, 0, 1, frame.full, frame.rep, xi_lanes, op_lanes,
               dict(zip(env.flex_vars, frame.flex)), frame.access)
     block = _Block(run, nruns, tails)

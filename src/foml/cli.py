@@ -51,6 +51,9 @@ EX_SOFTWARE = 70
 # the printers and the evaluators still take one stack frame per tree
 # level, so commands run with this many frames on top of the ones the
 # caller already has: about 1,990 levels of nesting, from any caller.
+# An `alpha_key` on its own stack would not remove the need: `==` between
+# two equal keys (a hit in `Interner.entry`) and `repr` of a key (its
+# name digest) recurse in Python too, one frame per level.
 RECURSION_LIMIT = 2000
 
 

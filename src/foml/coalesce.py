@@ -88,17 +88,6 @@ class SymbolTable(Interner):
         return compute_leibniz(self.env)
 
 
-def _dedup_innermost(binders: tuple[str, ...]) -> tuple[str, ...]:
-    # A name shadowed by an inner binder cannot bind anything below it.
-    seen: set[str] = set()
-    out = []
-    for b in binders:
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    return tuple(out)
-
-
 def _select_zvars(
     binders: tuple[str, ...],
     free_in_body: tuple[str, ...],
@@ -107,9 +96,8 @@ def _select_zvars(
     # "binder": abstracted variables keep the binder-stack order
     # (innermost first); "appearance": reordered by first occurrence in the
     # abstracted subterm, which identifies more symbols.
-    candidates = _dedup_innermost(binders)
     freeset = set(free_in_body)
-    z = tuple(b for b in candidates if b in freeset)
+    z = tuple(b for b in binders if b in freeset)
     if order == "appearance":
         pos = {name: i for i, name in enumerate(free_in_body)}
         z = tuple(sorted(z, key=lambda b: pos[b]))
@@ -132,11 +120,13 @@ def _coalesce_pre(e: Expression, ctx: tuple) -> Any:
     """`rewrite`'s step of `coalesce_fol`: a symbol is interned where its
     node is met in pre-order, before the symbols of the nodes below it.
     ctx is (binders, env, table, order), binders the rigid variables bound
-    above e, innermost first."""
+    above e, innermost first, each once: a name shadowed by an inner binder
+    cannot bind anything below it."""
     t = type(e)
     if t is Forall:
         binders, env, table, order = ctx
-        return ((e.var,) + binders, env, table, order), None
+        inner = (e.var, *[b for b in binders if b != e.var])
+        return (inner, env, table, order), None
     if t is Nabla or t is Prime:
         binders, env, table, order = ctx
         kind = "nabla" if t is Nabla else "prime"

@@ -11,13 +11,13 @@ Checks share openings: fol-witness and ml-witness draw the same
 environment, expression and model; rigid-lemma and leibniz-lemma the same
 environment (the witness opening's first draw); distribute-prime and
 action-refutation the same expanded action formula and its prime
-distribution.  Within one iteration `run_fuzz` draws a shared opening once
-and keeps its value with the generator state after it; a later check
-restores that state and goes on drawing.  Replay is exact: an opening's
-draws depend only on the start state, no body mutates an opening's value,
-and the kept state is the one a fresh draw would reach.  A check with an
-unshared opening restores the start state; a single-check run snapshots
-nothing.
+distribution.  Within one iteration of several checks `run_fuzz` draws
+each opening once and keeps its value with the generator state after it;
+a later check restores that state and goes on drawing.  Replay is exact:
+an opening's draws depend only on the start state, no body mutates an
+opening's value, and the kept state is the one a fresh draw would reach.
+A check whose opening is not kept yet restores the start state; a
+single-check run keeps nothing and snapshots nothing.
 
 Every draw of a bounded choice goes through `_below`, which calls
 `rng.getrandbits` by CPython's `Random._randbelow` rule, so each stream
@@ -555,35 +555,21 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def _replayed(openings: Sequence[str]) -> set[str]:
-    """The openings a later check replays, when checks with these openings
-    run in this order: each check draws its opening chain down to the first
-    opening an earlier check drew, and replays that one."""
-    drawn: set[str] = set()
-    replayed: set[str] = set()
-    for name in openings:
-        while name is not None and name not in drawn:
-            drawn.add(name)
-            name = _OPENINGS[name][0]
-        if name is not None:
-            replayed.add(name)
-    return replayed
-
-
 def _open(name: Optional[str], rng: random.Random, sizes: tuple[int, int],
-          replayed: set[str], memo: dict) -> object:
+          memo: Optional[dict]) -> object:
     """The value of an opening, drawn from the iteration's start state or
-    replayed from `memo` with the generator state after it.  The empty
-    opening None is the start state itself."""
-    if name in memo:
+    replayed from `memo` with the generator state after it; a drawn
+    opening is kept there, unless `memo` is None.  The empty opening None
+    is the start state itself."""
+    if memo is not None and name in memo:
         value, state = memo[name]
         rng.setstate(state)
         return value
     if name is None:
         return None
     parent, draw = _OPENINGS[name]
-    value = draw(rng, sizes, _open(parent, rng, sizes, replayed, memo))
-    if name in replayed:
+    value = draw(rng, sizes, _open(parent, rng, sizes, memo))
+    if memo is not None:
         memo[name] = (value, rng.getstate())
     return value
 
@@ -601,15 +587,14 @@ def run_fuzz(
             raise ValueError(f"unknown check {name!r}")
     sizes = (max_universe, max_states)
     plan = [(name, *CHECKS[name]) for name in checks]
-    replayed = _replayed([opening for _, opening, _ in plan])
     for i in range(iterations):
         report.iterations += 1
         rng = rng_for(seed, i)
         # one iteration's memo, keyed by opening name (the sizes are fixed
         # for the run); None holds the start state every check starts from
-        memo = {None: (None, rng.getstate())} if len(plan) > 1 else {}
+        memo = {None: (None, rng.getstate())} if len(plan) > 1 else None
         for name, opening, body in plan:
-            problem = body(rng, _open(opening, rng, sizes, replayed, memo))
+            problem = body(rng, _open(opening, rng, sizes, memo))
             if problem is not None:
                 report.discrepancies.append(
                     f"[{name}] seed={seed} iteration={i}: {problem}")

@@ -13,8 +13,8 @@ of every node kind.  A pass tests only the kinds it treats specially:
 every node with the names bound above it, both on an explicit stack, so a
 pass built on them has no nesting limit of its own.  A new node kind is
 added to those three functions first, then to every dispatcher that
-renders or interprets each kind exactly: `alpha_key`, `signature`, the
-printer, `semantics._evaluate` and `semantics._lanes`.  Dispatch is on the
+renders or interprets each kind exactly: `alpha_key`, the printer,
+`semantics._evaluate` and `semantics._lanes`.  Dispatch is on the
 exact class, `type(e) is Implies`, never on `isinstance` or a class
 pattern: an exact test costs about half as much per node, and a node of a
 kind a dispatcher does not know ends in its `InternalError`, not in a
@@ -564,8 +564,12 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
 
     Computed without building the expansion: a DefApp is scanned through its
     body with each parameter standing for the rigidity of the corresponding
-    argument (substitution preserves every other node of the body).
+    argument (substitution preserves every other node of the body).  A
+    body's free rigid variables are its parameters, so its verdict depends
+    only on the definition and its arguments' rigidity, and each such pair
+    is scanned once per call.
     """
+    bodies: dict[tuple[str, tuple[bool, ...]], bool] = {}
 
     def go(e: Expression, param_rigid: Mapping[str, bool]) -> bool:
         t = type(e)
@@ -582,14 +586,11 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
                 return go(e.body, inner)
             return go(e.body, param_rigid)
         if t is DefApp:
-            d = env.definition(e.op)
-            return go(
-                d.body,
-                {
-                    p: go(a, param_rigid)
-                    for p, a in zip(d.params, e.args)
-                },
-            )
+            key = (e.op, tuple(go(a, param_rigid) for a in e.args))
+            if key not in bodies:
+                d = env.definition(e.op)
+                bodies[key] = go(d.body, dict(zip(d.params, key[1])))
+            return bodies[key]
         return all(go(c, param_rigid) for c in children(e))
 
     return go(e, {})
@@ -614,8 +615,8 @@ class Signature(NamedTuple):
 def signature(
     exprs: Iterable[Expression], env: DefinitionEnvironment
 ) -> Signature:
-    """The signature of exprs, in one walk that keeps its own stack, then
-    a scan of the definition bodies the walk did not reach for a prime.
+    """The signature of exprs, in one walk over their `nodes`, then a scan
+    of the definition bodies the walk did not reach for a prime.
 
     The walk is pre-order, left to right, and scans a definition body where
     its first application is met, before that application's arguments:
@@ -629,40 +630,30 @@ def signature(
     flex: dict[str, None] = {}
     applied: set[str] = set()
     prime = False
-    # (node, names bound above it); None inside a definition body
-    top: frozenset[str] = frozenset()
-    stack: list[tuple[Expression, Optional[frozenset[str]]]] = [
-        (e, top) for e in reversed(tuple(exprs))]
-    while stack:
-        e, bound = stack.pop()
-        t = type(e)
-        if t is Implies or t is Eq:
-            stack.append((e.rhs, bound))
-            stack.append((e.lhs, bound))
-        elif t is RigidVar:
-            if bound is not None and e.name not in bound:
-                rigid[e.name] = None
-        elif t is FlexVar:
-            flex[e.name] = None
-        elif t is OpApp:
-            if e.op not in ops:
-                ops[e.op] = env.ops[e.op]
-            stack.extend([(a, bound) for a in reversed(e.args)])
-        elif t is Forall:
-            stack.append(
-                (e.body, None if bound is None else bound | {e.var}))
-        elif t is Nabla:
-            stack.append((e.body, bound))
-        elif t is Prime:
-            prime = True
-            stack.append((e.body, bound))
-        elif t is DefApp:
-            stack.extend([(a, bound) for a in reversed(e.args)])
-            if e.op not in applied:
+    # paused walks, the one to resume on top, each with whether it counts
+    # rigid variables: an expression's walk does, a body's does not.  A
+    # first application pauses its walk before `nodes` reads its arguments.
+    walks = [(nodes(e), True) for e in reversed(tuple(exprs))]
+    while walks:
+        walk, outside = walks[-1]
+        for e, bound in walk:
+            t = type(e)
+            if t is RigidVar:
+                if outside and e.name not in bound:
+                    rigid[e.name] = None
+            elif t is FlexVar:
+                flex[e.name] = None
+            elif t is OpApp:
+                if e.op not in ops:
+                    ops[e.op] = env.ops[e.op]
+            elif t is Prime:
+                prime = True
+            elif t is DefApp and e.op not in applied:
                 applied.add(e.op)
-                stack.append((env.definition(e.op).body, None))
-        elif t is not FalseExpr:
-            raise InternalError(f"unknown expression node {e!r}")
+                walks.append((nodes(env.definition(e.op).body), False))
+                break
+        else:
+            walks.pop()
     if not prime:
         prime = any(contains_node(d.body, Prime) for d in env.definitions
                     if d.name not in applied)

@@ -505,6 +505,27 @@ class TestRigidity:
         # expansion rigid
         assert is_rigid(DefApp("k", (FlexVar("v"),)), env)
 
+    def test_scans_each_body_once_per_argument_rigidity(self, monkeypatch):
+        # d_i(p) applies d_{i-1} twice, so the expansion of d_k doubles
+        # with every level; a scan per application reads 2^(k+1) - 1 bodies
+        k = 16
+        p = RigidVar("p")
+        defs = [Definition("d0", ("p",), Eq(p, OpApp("0")))]
+        for i in range(1, k + 1):
+            inner = DefApp(f"d{i - 1}", (p,))
+            defs.append(Definition(f"d{i}", ("p",), Eq(inner, inner)))
+        env = DefinitionEnvironment.build(ops={"0": 0}, rigid=("x",),
+                                          definitions=defs)
+        looked_up = []
+        definition = DefinitionEnvironment.definition
+        monkeypatch.setattr(
+            DefinitionEnvironment, "definition",
+            lambda self, name: looked_up.append(name)
+            or definition(self, name))
+        assert is_rigid(Eq(DefApp(f"d{k}", (RigidVar("x"),)), OpApp("0")),
+                        env)
+        assert len(looked_up) <= 2 * k + 2
+
 
 class TestPrinterRoundTrip:
     def test_round_trip_alpha_equal(self, env):

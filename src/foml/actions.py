@@ -19,6 +19,10 @@ from typing import Any, Mapping
 from .coalesce_ml import coalesce_obligation_ml
 from .prover import MLSequent
 from .syntax import (
+    DEF_APP,
+    FLEX_VAR,
+    NABLA,
+    PRIME,
     DefApp,
     DefinitionEnvironment,
     Eq,
@@ -49,9 +53,12 @@ def distribute_prime(
     return rewrite(e, _distribute_pre, False)
 
 
+_ACTION = NABLA | DEF_APP | PRIME  # the kinds both action passes treat
+
+
 def _distribute_pre(e: Expression, pushing: bool) -> Any:
     # pushing: e is below a prime, and its rewrite is the distributed
-    # form of (e)'
+    # form of (e)', which primes every flexible variable
     t = type(e)
     if t is Nabla:
         raise FomlError(
@@ -64,7 +71,10 @@ def _distribute_pre(e: Expression, pushing: bool) -> Any:
         if pushing:
             raise FomlError("prime cannot be nested")
         return True, _unprime
-    return Prime(e) if pushing and t is FlexVar else None
+    if pushing and t is FlexVar:
+        return Prime(e)
+    treated = _ACTION | FLEX_VAR if pushing else _ACTION
+    return None if e.kinds & treated else e
 
 
 def _unprime(e: Prime) -> Expression:
@@ -107,7 +117,7 @@ def _coalesce_action_pre(e: Expression, primed: PrimedVars) -> Any:
             f"prime not distributed down to a flexible variable: {e}")
     if t is Nabla or t is DefApp:
         raise FomlError(f"not an action formula: {e}")
-    return None
+    return None if e.kinds & _ACTION else e
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
 from .semantics import eval_expr
 from .syntax import (
+    DEF_APP,
     FALSE,
+    NABLA,
+    PRIME,
     DefApp,
     DefinitionEnvironment,
     Expression,
@@ -116,13 +119,19 @@ def coalesce_fol(
     return rewrite(e, _coalesce_pre, ((), env, table, order))
 
 
+_ABSTRACTED = NABLA | PRIME | DEF_APP
+
+
 def _coalesce_pre(e: Expression, ctx: tuple) -> Any:
     """`rewrite`'s step of `coalesce_fol`: a symbol is interned where its
     node is met in pre-order, before the symbols of the nodes below it.
     ctx is (binders, env, table, order), binders the rigid variables bound
     above e, innermost first, each once: a name shadowed by an inner binder
-    cannot bind anything below it."""
+    cannot bind anything below it.  A subtree with no nabla, prime or
+    DefApp is kept as it is."""
     t = type(e)
+    if not e.kinds & _ABSTRACTED:
+        return e
     if t is Forall:
         binders, env, table, order = ctx
         inner = (e.var, *[b for b in binders if b != e.var])
@@ -193,6 +202,8 @@ def rewrite_rigid_box(
     """
 
     def pre(e: Expression, at_formula: bool) -> Any:
+        if not e.kinds & NABLA:
+            return e
         t = type(e)
         if at_formula and t is Nabla and is_rigid(e.body, env):
             return e.body if reflexive else Implies(not_(Nabla(FALSE)), e.body)

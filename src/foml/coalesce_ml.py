@@ -18,6 +18,11 @@ from typing import Optional
 
 from .models import KripkeModel, Value
 from .syntax import (
+    DEF_APP,
+    EQ,
+    FORALL,
+    OP_APP,
+    RIGID_VAR,
     DefApp,
     DefinitionEnvironment,
     Eq,
@@ -63,11 +68,14 @@ def coalesce_ml(
     return rewrite(e, _atom_pre, table)
 
 
+_FIRST_ORDER = OP_APP | EQ | RIGID_VAR | FORALL | DEF_APP
+
+
 def _atom_pre(e: Expression, table: AtomTable) -> Optional[Expression]:
     t = type(e)
     if t is OpApp or t is Eq or t is RigidVar or t is Forall or t is DefApp:
         return FlexVar(table.intern(e).name)
-    return None
+    return None if e.kinds & _FIRST_ORDER else e
 
 
 def hypotheses(

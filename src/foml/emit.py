@@ -41,7 +41,13 @@ from .printer import print_expr
 from .prover import FRAMES, MLSequent, _closure
 from .semantics import eval_fol
 from .syntax import (
+    DEF_APP,
+    EQ,
     FALSE,
+    FORALL,
+    IMPLIES,
+    NABLA,
+    PRIME,
     DefApp,
     DefinitionEnvironment,
     Eq,
@@ -83,6 +89,10 @@ class FolIR:
     goal: Expression
 
 
+# The kinds stratify lifts out of a term position or rejects.
+_FORMULA = EQ | IMPLIES | FORALL | NABLA | PRIME | DEF_APP
+
+
 def stratify(
     hypotheses: tuple[Expression, ...],
     goal: Expression,
@@ -95,12 +105,16 @@ def stratify(
     defs = Interner("q", env)
 
     # at_formula: e sits at a formula position, else at a term position;
-    # the sides of an equality and the arguments of an operator are terms
+    # the sides of an equality and the arguments of an operator are terms.
+    # A term with no node of a formula kind is kept as it is.
     def pre(e: Expression, at_formula: bool) -> Any:
         t = type(e)
         if t is Eq or t is Implies or t is Forall:
             if at_formula:
-                return (False, None) if t is Eq else None
+                if t is not Eq:
+                    return None
+                sides = e.lhs.kinds | e.rhs.kinds
+                return (False, None) if sides & _FORMULA else e
             params = free_rigid_vars(e)
             key = alpha_key(e, params)
             args = tuple(RigidVar(x) for x in params)
@@ -112,6 +126,8 @@ def stratify(
                 key, lambda name: DefSymbol(name, params, body)).name, args)
         if t is Nabla or t is Prime or t is DefApp:
             raise FomlError(f"not a first-order expression: {e}")
+        if not e.kinds & _FORMULA:
+            return e
         return (False, None) if at_formula else None
 
     new_hyps = tuple(rewrite(h, pre, True) for h in hypotheses)

@@ -18,6 +18,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .syntax import (
+    DEF_APP,
+    NABLA,
+    PRIME,
     DefApp,
     DefinitionEnvironment,
     Expression,
@@ -25,7 +28,6 @@ from .syntax import (
     Forall,
     Nabla,
     Prime,
-    RigidVar,
     children,
     free_rigid_vars,
     is_rigid,
@@ -37,14 +39,18 @@ from .syntax import (
 STAR = None
 
 
+_NON_LEIBNIZ = NABLA | PRIME | DEF_APP
+
+
 def _vars_in_non_leibniz_positions(
     e: Expression, computed: dict[str, tuple[bool, ...]]
 ) -> set[str]:
     """Free rigid variables of e having an occurrence inside some
-    non-Leibniz argument position."""
-    t = type(e)
-    if t is RigidVar:
+    non-Leibniz argument position: only a nabla, a prime or a DefApp
+    makes one."""
+    if not e.kinds & _NON_LEIBNIZ:
         return set()
+    t = type(e)
     if t is Nabla or t is Prime:
         return set(free_rigid_vars(e.body))
     if t is Forall:

@@ -7,25 +7,39 @@ and the two modalities (nabla and prime).  Every surface connective
 (true/not/and/or/iff/exists/delta) is desugared to this core at parse time,
 so all later passes only ever see these ten constructors.
 
+Nodes are slots dataclasses that compare and hash by their fields.  They
+are not frozen, which would double the cost of building one; no code
+assigns a node's field outside its constructor and the free-variable cache,
+which `tests/test_dispatch.py` checks on the source.  Each node carries two
+more fields, outside its equality, hash and repr:
+- `kinds`, the bits (`RIGID_VAR` ... `PRIME`) of the kinds of the nodes in
+  its subtree, computed by the constructor from its children.  A pass
+  returns a subtree unchanged when it holds no kind the pass treats or
+  rejects, and `contains_node` and `is_rigid` answer from it.  A node of a
+  kind not listed here has every bit, `UNKNOWN` too, so nothing skips it.
+- `_free` (on the seven kinds with children), the free rigid variables of
+  its subtree, filled bottom-up once per node the first time
+  `free_rigid_vars` asks.
+
 `children`, `rewrite` and `nodes` are the single place that knows the shape
 of every node kind.  A pass tests only the kinds it treats specially:
 `rewrite` rebuilds every other node from its children, and `nodes` yields
 every node with the names bound above it, both on an explicit stack, so a
-pass built on them has no nesting limit of its own.  A new node kind is
-added to those three functions first, then to every dispatcher that
-renders or interprets each kind exactly: `alpha_key`, the printer,
-`semantics._evaluate` and `semantics._lanes`.  Dispatch is on the
-exact class, `type(e) is Implies`, never on `isinstance` or a class
-pattern: an exact test costs about half as much per node, and a node of a
-kind a dispatcher does not know ends in its `InternalError`, not in a
-silent fallback.
+pass built on them has no nesting limit of its own.  A new node kind gets
+a bit in `KIND` and is added to those three functions and `_fill_free`
+first, then to every dispatcher that renders or interprets each kind
+exactly: `alpha_key`, the printer, `semantics._evaluate` and
+`semantics._lanes`.  Dispatch is on the exact class, `type(e) is Implies`,
+never on `isinstance` or a class pattern: an exact test costs about half
+as much per node, and a node of a kind a dispatcher does not know ends in
+its `InternalError`, not in a silent fallback.
 
 Fresh symbols of the translations are named by one `Interner`.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_not
 from typing import (
     Any,
@@ -46,11 +60,21 @@ class InternalError(FomlError):
     """An internal invariant was violated (CLI exit code 70)."""
 
 
+# The bit of each node kind in a node's `kinds`.
+(RIGID_VAR, FLEX_VAR, OP_APP, DEF_APP, EQ, FALSE_EXPR, IMPLIES, FORALL,
+ NABLA, PRIME, UNKNOWN) = (1 << i for i in range(11))
+
+
 class Expression:
-    """Base class for AST nodes.  All nodes are immutable and hashable:
-    each kind is a frozen slots dataclass, which hashes by its fields."""
+    """Base class for AST nodes.  A node is hashable, and its fields do not
+    change once it is built, save its free-variable cache, which is filled
+    once.  A subclass of a kind this module does not know holds every bit
+    of `kinds` and has no cache, so every pass and scan walks into it and
+    raises `InternalError`."""
 
     __slots__ = ()
+    kinds = (UNKNOWN << 1) - 1
+    _free = None
 
     def __str__(self) -> str:
         from .printer import print_expr
@@ -58,60 +82,143 @@ class Expression:
         return print_expr(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _hidden() -> Any:
+    """A node field outside the constructor, equality, hash and repr."""
+    return field(init=False, compare=False, repr=False)
+
+
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class RigidVar(Expression):
     name: str
+    kinds: int = _hidden()
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.kinds = RIGID_VAR
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class FlexVar(Expression):
     name: str
+    kinds: int = _hidden()
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.kinds = FLEX_VAR
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class OpApp(Expression):
     op: str
-    args: tuple[Expression, ...] = ()
+    args: tuple[Expression, ...]
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, op: str, args: tuple[Expression, ...] = ()) -> None:
+        self.op = op
+        self.args = args
+        k = OP_APP
+        for a in args:
+            k |= a.kinds
+        self.kinds = k
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class DefApp(Expression):
     op: str
-    args: tuple[Expression, ...] = ()
+    args: tuple[Expression, ...]
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, op: str, args: tuple[Expression, ...] = ()) -> None:
+        self.op = op
+        self.args = args
+        k = DEF_APP
+        for a in args:
+            k |= a.kinds
+        self.kinds = k
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Eq(Expression):
     lhs: Expression
     rhs: Expression
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, lhs: Expression, rhs: Expression) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+        self.kinds = lhs.kinds | rhs.kinds | EQ
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class FalseExpr(Expression):
-    pass
+    kinds: int = _hidden()
+
+    def __init__(self) -> None:
+        self.kinds = FALSE_EXPR
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Implies(Expression):
     lhs: Expression
     rhs: Expression
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, lhs: Expression, rhs: Expression) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+        self.kinds = lhs.kinds | rhs.kinds | IMPLIES
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Forall(Expression):
     var: str
     body: Expression
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, var: str, body: Expression) -> None:
+        self.var = var
+        self.body = body
+        self.kinds = body.kinds | FORALL
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Nabla(Expression):
     body: Expression
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
+
+    def __init__(self, body: Expression) -> None:
+        self.body = body
+        self.kinds = body.kinds | NABLA
+        self._free = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Prime(Expression):
     body: Expression
+    kinds: int = _hidden()
+    _free: Optional[tuple[str, ...]] = _hidden()
 
+    def __init__(self, body: Expression) -> None:
+        self.body = body
+        self.kinds = body.kinds | PRIME
+        self._free = None
+
+
+# The bit of each node class, for `contains_node`.
+KIND = {RigidVar: RIGID_VAR, FlexVar: FLEX_VAR, OpApp: OP_APP,
+        DefApp: DEF_APP, Eq: EQ, FalseExpr: FALSE_EXPR, Implies: IMPLIES,
+        Forall: FORALL, Nabla: NABLA, Prime: PRIME}
 
 FALSE = FalseExpr()
 
@@ -257,13 +364,20 @@ def nodes(e: Expression) -> Iterator[tuple[Expression, frozenset[str]]]:
         yield item
         e, bound = item
         t = type(e)
+        if t is RigidVar or t is FlexVar or t is FalseExpr:
+            continue
         if t is Implies or t is Eq:
             push((e.rhs, bound))
             push((e.lhs, bound))
+        elif t is OpApp or t is DefApp:
+            for c in reversed(e.args):
+                push((c, bound))
         elif t is Forall:
             push((e.body, bound | {e.var}))
-        elif t is not RigidVar and t is not FlexVar and t is not FalseExpr:
-            stack.extend([(c, bound) for c in reversed(children(e))])
+        elif t is Nabla or t is Prime:
+            push((e.body, bound))
+        else:
+            raise InternalError(f"unknown expression node {e!r}")
 
 
 def free_rigid_vars(e: Expression) -> tuple[str, ...]:
@@ -271,10 +385,50 @@ def free_rigid_vars(e: Expression) -> tuple[str, ...]:
 
     This is the usual syntactic notion: occurrences inside every argument of
     a defined-operator application count, whether or not the definition body
-    uses the corresponding parameter.
+    uses the corresponding parameter.  They are read from e's cache, which
+    `_fill_free` fills the first time they are asked for.
     """
-    return tuple({n.name: None for n, bound in nodes(e)
-                  if type(n) is RigidVar and n.name not in bound})
+    if not e.kinds & RIGID_VAR:
+        return ()
+    if type(e) is RigidVar:
+        return (e.name,)
+    free = e._free
+    if free is None:
+        _fill_free(e)
+        free = e._free
+    return free
+
+
+def _fill_free(root: Expression) -> None:
+    """Fill the free-variable cache of root and of every node below it that
+    holds a rigid variable and has no cache yet, on an explicit stack: a
+    node is filled once, from its children's variables in first-occurrence
+    order, when none of its children waits to be filled."""
+    todo = [root]
+    while todo:
+        e = todo[-1]
+        t = type(e)
+        if t is Implies or t is Eq:
+            kids: tuple[Expression, ...] = (e.lhs, e.rhs)
+        elif t is OpApp or t is DefApp:
+            kids = e.args
+        elif t is Forall or t is Nabla or t is Prime:
+            kids = (e.body,)
+        else:
+            raise InternalError(f"unknown expression node {e!r}")
+        free: tuple[str, ...] = ()
+        for c in kids:
+            if c.kinds & RIGID_VAR:
+                f = (c.name,) if type(c) is RigidVar else c._free
+                if f is None:  # e is filled after c
+                    todo.append(c)
+                    break
+                free = tuple(dict.fromkeys(free + f)) if free else f
+        else:
+            todo.pop()
+            if t is Forall and e.var in free:
+                free = tuple([x for x in free if x != e.var])
+            e._free = free
 
 
 def free_flex_vars(e: Expression) -> tuple[str, ...]:
@@ -306,10 +460,12 @@ def _substitute_pre(e: Expression, sigma: dict[str, Expression]) -> Any:
     t = type(e)
     if t is RigidVar:
         return sigma.get(e.name, e)
+    if not e.kinds & RIGID_VAR:
+        return e
     if t is not Forall:
         return None
     var = e.var
-    body_free = set(free_rigid_vars(e.body))
+    body_free = free_rigid_vars(e.body)
     live = {k: v for k, v in sigma.items() if k != var and k in body_free}
     if not live:
         return e
@@ -318,7 +474,7 @@ def _substitute_pre(e: Expression, sigma: dict[str, Expression]) -> Any:
         image_free.update(free_rigid_vars(img))
     if var not in image_free:
         return live, None
-    var2 = fresh_name(var, body_free | image_free | set(live))
+    var2 = fresh_name(var, {*body_free, *image_free, *live})
     live[var] = RigidVar(var2)
     return live, lambda f: Forall(var2, f.body)
 
@@ -432,7 +588,8 @@ class DefinitionEnvironment:
                     f"definition {d.name!r} body has free rigid variables "
                     f"not among its parameters: {', '.join(stray)}"
                 )
-            for sub, _ in nodes(d.body):
+            # a body without the DefApp bit applies no definition
+            for sub, _ in nodes(d.body) if d.body.kinds & DEF_APP else ():
                 if type(sub) is DefApp and sub.op not in known_defs:
                     raise FomlError(
                         f"definition {d.name!r} refers to {sub.op!r}, "
@@ -552,18 +709,22 @@ def expand_definitions(
 
 def _expand_pre(e: Expression, env: DefinitionEnvironment) -> Any:
     if type(e) is not DefApp:
-        return None
+        return None if e.kinds & DEF_APP else e
     d = env.definition(e.op)  # before the arguments are expanded
     return env, lambda app: expand_definitions(
         substitute(d.body, dict(zip(d.params, app.args))), env)
+
+
+_NOT_RIGID = FLEX_VAR | NABLA | PRIME
 
 
 def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
     """True iff the full definition expansion of e contains no flexible
     variable and no nabla/prime node.
 
-    Computed without building the expansion: a DefApp is scanned through its
-    body with each parameter standing for the rigidity of the corresponding
+    Read from `kinds` where no DefApp lies below.  Otherwise computed
+    without building the expansion: a DefApp is scanned through its body
+    with each parameter standing for the rigidity of the corresponding
     argument (substitution preserves every other node of the body).  A
     body's free rigid variables are its parameters, so its verdict depends
     only on the definition and its arguments' rigidity, and each such pair
@@ -571,34 +732,40 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
     """
     bodies: dict[tuple[str, tuple[bool, ...]], bool] = {}
 
-    def go(e: Expression, param_rigid: Mapping[str, bool]) -> bool:
+    # loose: the parameters in scope whose argument is not rigid
+    def go(e: Expression, loose: frozenset[str]) -> bool:
+        k = e.kinds
+        if not k & DEF_APP and not (loose and k & RIGID_VAR):
+            return not k & _NOT_RIGID
         t = type(e)
         if t is RigidVar:
-            return param_rigid.get(e.name, True)
+            return e.name not in loose
         if t is FlexVar or t is Nabla or t is Prime:
             return False
         if t is Forall:
-            var = e.var
-            if var in param_rigid:
-                inner = {
-                    k: v for k, v in param_rigid.items() if k != var
-                }
-                return go(e.body, inner)
-            return go(e.body, param_rigid)
+            return go(e.body, loose - {e.var})
         if t is DefApp:
-            key = (e.op, tuple(go(a, param_rigid) for a in e.args))
+            key = (e.op, tuple(go(a, loose) for a in e.args))
             if key not in bodies:
                 d = env.definition(e.op)
-                bodies[key] = go(d.body, dict(zip(d.params, key[1])))
+                bodies[key] = go(d.body, frozenset(
+                    p for p, rigid in zip(d.params, key[1]) if not rigid))
             return bodies[key]
-        return all(go(c, param_rigid) for c in children(e))
+        return all(go(c, loose) for c in children(e))
 
-    return go(e, {})
+    return go(e, frozenset())
 
 
 def contains_node(e: Expression, *kinds: type) -> bool:
-    """Whether a node of one of `kinds` (exact classes) occurs in e."""
-    return any(type(n) in kinds for n, _ in nodes(e))
+    """Whether a node of one of `kinds` (exact classes) occurs in e, read
+    from e's `kinds`."""
+    if e.kinds & UNKNOWN:
+        raise InternalError(
+            f"unknown expression node kind in {type(e).__name__}")
+    mask = 0
+    for kind in kinds:
+        mask |= KIND[kind]
+    return bool(e.kinds & mask)
 
 
 class Signature(NamedTuple):

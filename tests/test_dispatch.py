@@ -1,12 +1,12 @@
 """Node-kind dispatch: the exact-type walkers against the class-pattern
 ones they replaced (`reference_syntax`), what every dispatcher does with a
 node kind it does not know, and scans of the package's source that keep
-class patterns, hand-written hashes, unused top-level definitions and
-recursing passes out of it."""
+class patterns, hand-written hashes, writes to node fields, unused
+top-level definitions and recursing passes out of it."""
 import ast
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -175,7 +175,7 @@ def test_no_class_pattern_dispatch_in_the_package():
 
 
 def test_nodes_hash_by_their_fields_without_a_dict():
-    # Each node kind is a frozen slots dataclass, which hashes by its
+    # Each node kind is a slots dataclass, which hashes by its compared
     # fields: no class of the package defines or installs a `__hash__`,
     # and a base class without `__slots__` would give every node a dict.
     found = [f"{module}:{node.lineno}"
@@ -194,6 +194,42 @@ def test_nodes_hash_by_their_fields_without_a_dict():
         c.__name__ for c in Expression.__subclasses__()
         if c.__module__ == syntax.__name__}
     assert [e for e in nodes if hasattr(e, "__dict__")] == []
+
+
+# The only places that assign a node's field: the constructors, and the
+# free-variable cache.
+NODE_FIELD_WRITERS = {f"syntax.py:{kind.__name__}.__init__"
+                      for kind in syntax.KIND} | {"syntax.py:_fill_free"}
+
+
+def test_node_fields_are_assigned_only_where_nodes_are_built():
+    # Nodes are not frozen (a frozen constructor costs about twice as
+    # much), so this scan keeps every other write to a node field, and
+    # every `setattr`, out of the package.
+    names = {f.name for kind in syntax.KIND for f in fields(kind)}
+    writers, found = set(), []
+
+    def scan(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (isinstance(child, ast.Attribute) and child.attr in names
+                  and isinstance(child.ctx, (ast.Store, ast.Del))):
+                writers.add(f"{module}:{scope}")
+                if f"{module}:{scope}" not in NODE_FIELD_WRITERS:
+                    found.append(f"{module}:{child.lineno}")
+            elif (isinstance(child, ast.Name)
+                  and child.id in ("setattr", "delattr")
+                  or isinstance(child, ast.Attribute)
+                  and child.attr in ("__setattr__", "__delattr__")):
+                found.append(f"{module}:{child.lineno}")
+            scan(child, module, inner)
+
+    for module, tree in _package_trees().items():
+        scan(tree, module, "")
+    assert found == []
+    assert writers == NODE_FIELD_WRITERS
 
 
 # Top-level definitions of the package that nothing in it names, each

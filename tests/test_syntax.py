@@ -17,6 +17,7 @@ from foml import (
     parse_problem,
     print_expr,
     substitute,
+    syntax,
 )
 from foml.actions import PrimedVars, coalesce_action, distribute_prime
 from foml.coalesce import SymbolTable, coalesce_fol, rewrite_rigid_box
@@ -35,8 +36,10 @@ from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
 from foml.syntax import (
     FALSE,
+    KIND,
     DefApp,
     Eq,
+    Expression,
     FalseExpr,
     FlexVar,
     FomlError,
@@ -624,8 +627,9 @@ class TestRewrite:
 
     @pytest.mark.parametrize("e", NODES, ids=lambda e: type(e).__name__)
     def test_hash_is_the_dataclass_field_hash(self, e):
-        # The hash a frozen dataclass generates from its fields, so set and
-        # dict orders stay as they were; a rebuilt equal node hashes equal.
+        # The hash a dataclass generates from its compared fields (the
+        # mask and the cache are not among them), so set and dict orders
+        # stay as they were; a rebuilt equal node hashes equal.
         fields = tuple(getattr(e, f) for f in e.__match_args__)
         assert hash(e) == hash(fields) == hash(e)
         rebuilt = rewrite(e, lambda n, top: (False, None) if top
@@ -731,6 +735,28 @@ def _all_kinds(x, a, leaf):
         leaf, lambda e: Implies(V, e), lambda e: Eq(e, a),
         lambda e: OpApp("g", (x, e)), lambda e: DefApp("d", (e,)),
         lambda e: Forall("a", e), Nabla, Prime))
+
+
+class _Stray(Expression):
+    """A node kind no pass knows."""
+
+    __slots__ = ()
+
+
+class _CountingSlot:
+    """A node field's slot that counts how often it is read."""
+
+    def __init__(self, slot):
+        self.slot, self.reads = slot, 0
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        self.reads += 1
+        return self.slot.__get__(obj, cls)
+
+    def __set__(self, obj, value):
+        self.slot.__set__(obj, value)
 
 
 class TestDepthIndependence:
@@ -850,11 +876,51 @@ class TestDepthIndependence:
                 assert contains_node(e, kind) == (kind in kinds), (e, kind)
             assert contains_node(e, *NODE_KINDS)
 
-    def test_contains_node_stops_at_the_first_hit(self):
-        # A node's children are read only when the scan goes past it.
-        assert contains_node(Nabla("not a node"), Nabla)
+    def test_contains_node_answers_from_the_root_mask(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("contains_node walked the tree")
+
+        monkeypatch.setattr(syntax, "nodes", walked)
+        monkeypatch.setattr(syntax, "children", walked)
+        e = _all_kinds(X, A, FALSE)
+        assert contains_node(e, Prime) and contains_node(e, FlexVar, OpApp)
+        assert not contains_node(FlexVar("v"), RigidVar, FalseExpr)
+        # a node of a kind no pass knows holds every bit, so the answer
+        # is an error, at any depth below the root
         with pytest.raises(InternalError):
-            contains_node(Nabla("not a node"), Prime)
+            contains_node(Forall("a", _deep(_Stray(), Nabla)), Prime)
+
+    def test_kinds_is_the_union_of_the_kinds_nodes_yields(self):
+        seen = 0
+        for k in range(2000):
+            rng = rng_for(31, k)
+            env = random_env(rng, with_defs=k % 3 != 0)
+            e = random_expr(rng, env, depth=1 + k % 4)
+            want = 0
+            for n, _ in nodes(e):
+                want |= KIND[type(n)]
+            assert e.kinds == want, e
+            seen |= want
+        assert seen == sum(KIND.values())
+
+    def test_substitute_reads_each_forall_a_bounded_number_of_times(
+            self, monkeypatch):
+        # x := y under n nested foralls with distinct binders: the free
+        # variables of every body are cached once per node, where a
+        # rescan at every forall read about n^2 / 2 bodies in all
+        def chain(leaf, n=600):
+            for i in range(n):
+                leaf = Forall(f"a{i}", leaf)
+            return leaf
+
+        y = RigidVar("y")
+        body = _CountingSlot(Forall.__dict__["body"])
+        e = chain(Eq(X, X))
+        monkeypatch.setattr(Forall, "body", body)
+        got = substitute(e, {"x": y})
+        monkeypatch.undo()
+        assert body.reads <= 6 * 600
+        assert _flat(got) == _flat(chain(Eq(y, y)))
 
     def test_deep_chain_contains_node_at_the_default_limit(self):
         assert sys.getrecursionlimit() <= 1000

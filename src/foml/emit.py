@@ -12,7 +12,9 @@ sequent is encoded as unsatisfiability of hypotheses plus negated goal.
 
 `parse_mlseq` reads an mlseq text back in the one token pass `foml.parser`
 gives every input: formulas are built from the flat token list with an
-explicit stack, and a position is computed only for an error.
+explicit stack, and a position is computed only for an error.  It reads
+by the parser's one error rule: read once; on an error, read again with
+every list's item count and raise the first error met.
 """
 from __future__ import annotations
 
@@ -28,12 +30,9 @@ from typing import Any, Callable, Optional
 from .models import FOLStructure
 from .parser import (
     ProblemError,
-    _Check,
+    _Counts,
     _error,
-    _fail,
     _items,
-    _need_count,
-    _one_form,
     _reading,
     _tokens,
 )
@@ -64,9 +63,9 @@ from .syntax import (
     Prime,
     RigidVar,
     alpha_key,
-    collect_signature,
     free_rigid_vars,
     rewrite,
+    signature,
 )
 
 
@@ -133,8 +132,7 @@ def stratify(
     new_hyps = tuple(rewrite(h, pre, True) for h in hypotheses)
     new_goal = rewrite(goal, pre, True)
 
-    ops, rigid, flex = collect_signature(
-        hypotheses + (goal,), env)
+    ops, rigid, flex, _ = signature(hypotheses + (goal,), env)
     for d in defs.in_order():
         ops[d.name] = len(d.params)
     return FolIR(ops=ops, consts=rigid + flex, defs=defs.in_order(),
@@ -357,52 +355,38 @@ _ML_FORMS = {"=>": (2, Implies), "nabla": (1, Nabla), "prime": (1, Prime)}
 _ML_BAD_ATOMS = {"true", "nabla", "prime", "=>"}
 
 
-def _ml_check(text: str, toks: list[str], s: int, n: int) -> None:
-    """Raise when the modal form at toks[s] has n arguments, not its
-    count."""
-    h = toks[s + 1]
-    if n != _ML_FORMS[h][0]:
-        raise _error(text, f"unknown modal form {h!r}", s)
-
-
-def _ml_fail(text: str, toks: list[str], checks: tuple[_Check, ...],
-             stack: list, message: str, at: int) -> None:
-    """`_fail` inside `_ml_expression`, whose open forms are on `stack`."""
-    _fail(text, toks, message, at, checks, [frame[0] for frame in stack],
-          partial(_ml_check, text, toks))
-
-
 def _ml_expression(text: str, toks: list[str], i: int,
-                   checks: tuple[_Check, ...]) -> tuple[Expression, int]:
+                   counts: _Counts) -> tuple[Expression, int]:
     """The modal formula at toks[i], and the index after it; built with an
     explicit stack of (first token, argument count, constructor, arguments
-    so far) frames.  `checks` come before any error here."""
+    so far) frames.  With `counts`, each form's argument count is checked
+    where it opens."""
     stack: list = []
     while True:
         tok = toks[i]
         if tok == "(":
             h = toks[i + 1]
             form = _ML_FORMS.get(h)
-            if form is None:
-                _ml_fail(text, toks, checks, stack,
-                         "malformed formula" if h == "(" or h == ")"
-                         else f"unknown modal form {h!r}", i)
+            if form is None or counts is not None \
+                    and counts[i] != form[0] + 1:
+                raise _error(text, "malformed formula" if h == "(" or h == ")"
+                             else f"unknown modal form {h!r}", i)
             stack.append((i, form[0], form[1], []))
             i += 2
             continue
         if tok == ")":
             if not stack:
-                _ml_fail(text, toks, checks, stack, "expected a formula", i)
+                raise _error(text, "expected a formula", i)
             start, count, make, args = stack[-1]
             if len(args) != count:
-                _ml_fail(text, toks, checks, stack,
-                         f"unknown modal form {toks[start + 1]!r}", start)
+                raise _error(text, f"unknown modal form {toks[start + 1]!r}",
+                             start)
             stack.pop()
             value = make(*args)
         elif tok == "false":
             value = FALSE
         elif tok in _ML_BAD_ATOMS:
-            _ml_fail(text, toks, checks, stack, f"bad atom {tok!r}", i)
+            raise _error(text, f"bad atom {tok!r}", i)
         else:
             value = FlexVar(tok)
         i += 1
@@ -417,13 +401,13 @@ def parse_mlseq(text: str) -> MLSequent:
     return _reading(partial(_mlseq, text, toks), text, toks)
 
 
-def _mlseq(text: str, toks: list[str]) -> MLSequent:
+def _mlseq(text: str, toks: list[str], counts: _Counts) -> MLSequent:
     """The sequent whose tokens are toks, read section by section."""
-    one = (_one_form(text, toks, "expected exactly one (mlseq ...) form"),)
-    if not toks or toks[0] != "(":
-        _fail(text, toks, "expected exactly one (mlseq ...) form", None)
+    message = "expected exactly one (mlseq ...) form"
+    if not toks or toks[0] != "(" or counts is not None and counts[-1] != 1:
+        raise ProblemError(message)
     if toks[1] != "mlseq":
-        _fail(text, toks, "expected (mlseq ...)", 0, one)
+        raise _error(text, "expected (mlseq ...)", 0)
     frames = {"nabla": "k", "prime": "k"}
     hyps: tuple[Expression, ...] = ()
     goal: Optional[Expression] = None
@@ -433,7 +417,7 @@ def _mlseq(text: str, toks: list[str]) -> MLSequent:
         s = i
         head = toks[s + 1]
         if toks[s] != "(" or head == "(" or head == ")":
-            _fail(text, toks, "malformed mlseq section", s, one)
+            raise _error(text, "malformed mlseq section", s)
         key = head
         if head == "frame":
             body, i = _items(toks, s)
@@ -441,31 +425,32 @@ def _mlseq(text: str, toks: list[str]) -> MLSequent:
             mod, cls = (toks[body[0]], toks[body[1]]) if len(body) == 2 \
                 else (None, None)
             if mod not in frames or cls not in FRAMES:
-                _fail(text, toks, f"(frame nabla|prime {'|'.join(FRAMES)})",
-                      s, one)
+                raise _error(text, f"(frame nabla|prime {'|'.join(FRAMES)})",
+                             s)
             frames[mod] = cls
             key = f"frame {mod}"
         elif head == "global-hypotheses":
             found = []
             i = s + 2
             while toks[i] != ")":
-                e, i = _ml_expression(text, toks, i, one)
+                e, i = _ml_expression(text, toks, i, counts)
                 found.append(e)
             hyps = tuple(found)
             i += 1
         elif head == "goal":
-            checks = one + (_need_count(text, toks, s, 2, "(goal formula)"),)
-            goal, i = _ml_expression(text, toks, s + 2, checks)
+            if counts is not None and counts[s] != 2:
+                raise _error(text, "(goal formula)", s)
+            goal, i = _ml_expression(text, toks, s + 2, counts)
             if toks[i] != ")":
-                _fail(text, toks, "(goal formula)", s, checks)
+                raise _error(text, "(goal formula)", s)
             i += 1
         else:
-            _fail(text, toks, f"unknown mlseq section {head!r}", s, one)
+            raise _error(text, f"unknown mlseq section {head!r}", s)
         if key in seen:
-            _fail(text, toks, f"duplicate ({key} ...) section", s, one)
+            raise _error(text, f"duplicate ({key} ...) section", s)
         seen.add(key)
     if i + 1 != len(toks):
-        _fail(text, toks, "expected exactly one (mlseq ...) form", None)
+        raise ProblemError(message)
     if goal is None:
         raise ProblemError("mlseq has no goal")
     return MLSequent(hypotheses=hyps, goal=goal,

@@ -30,8 +30,11 @@ to the offending token.
 
 The first error of an input is the one reported: an unbalanced
 parenthesis anywhere comes first, and a form's argument count is checked
-before its arguments are read.  The parser reads optimistically and
-settles that order only on the way to an error (`_fail`).
+before its arguments are read.  Every reader keeps that order by one rule
+(`_reading`): read once; on an error, read again with every list's item
+count and raise the first error met.  Valid input is read once, with no
+count checks; on the second read each form checks its count where it
+opens, so the first error raised is the input's first.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 from .syntax import (
     FALSE,
@@ -110,10 +113,8 @@ def _position(text: str, k: int) -> tuple[int, int]:
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _error(text: str, message: str, at: Optional[int]) -> ProblemError:
-    """A ProblemError at the token with index `at` (None: no position)."""
-    if at is None:
-        return ProblemError(message)
+def _error(text: str, message: str, at: int) -> ProblemError:
+    """A ProblemError at the token with index `at`."""
     return ProblemError(message, *_position(text, at))
 
 
@@ -156,73 +157,37 @@ def _items(toks: list[str], s: int) -> tuple[list[int], int]:
     return items, k
 
 
-def _item_counts(toks: list[str], s: int) -> dict[int, int]:
-    """The number of items of the list that opens at toks[s] and of every
-    list inside it, by the index of its "(", in one scan."""
-    counts: dict[int, int] = {}
-    opens: list[int] = []
-    for k in range(s, len(toks)):
-        tok = toks[k]
+# The item count, head included, of every list of an input by the index
+# of its "(", and of the top level at -1; None on a read that checks none.
+_Counts = Optional[dict[int, int]]
+
+
+def _item_counts(toks: list[str]) -> dict[int, int]:
+    """The item counts of balanced toks, in one scan."""
+    counts = {-1: 0}
+    opens = [-1]
+    for k, tok in enumerate(toks):
         if tok == ")":
             opens.pop()
-            if not opens:
-                break
-            continue
-        if opens:
+        else:
             counts[opens[-1]] += 1
-        if tok == "(":
-            opens.append(k)
-            counts[k] = 0
+            if tok == "(":
+                opens.append(k)
+                counts[k] = 0
     return counts
 
 
-_Check = Callable[[], None]
-
-
-def _fail(text: str, toks: list[str], message: str, at: Optional[int],
-          checks: Iterable[_Check] = (), forms: Sequence[int] = (),
-          check_form: Optional[Callable[[int, int], None]] = None) -> None:
-    """Raise the first error of the input: an unbalanced parenthesis, then
-    the first failing check of an enclosing form (each check raises its
-    own error), then the first of the expression forms open at the token
-    indices `forms` (outermost first) that check_form(s, n) rejects for
-    its number n of arguments, then `message` at token `at`."""
-    _check_parens(text, toks)
-    for check in checks:
-        check()
-    if forms:
-        counts = _item_counts(toks, forms[0])
-        for s in forms:
-            check_form(s, counts[s] - 1)
-    raise _error(text, message, at)
-
-
 def _reading(read: Callable, text: str, toks: list[str]):
-    """read(), where an IndexError (a list that runs past the last token)
-    is reported as the parenthesis error it is."""
+    """read(None), the one read valid input takes.  When it fails (an
+    IndexError is a list that runs past the last token), the input's first
+    error is raised: an unbalanced parenthesis, or else the first error
+    read(counts) meets, each form checking its count where it opens."""
     try:
-        return read()
-    except IndexError:
-        _check_parens(text, toks)
-        raise
-
-
-def _need_count(text: str, toks: list[str], s: int, count: int,
-                message: str) -> _Check:
-    """A check that the list at toks[s] has `count` items, head included;
-    `message`, at the list, is its error."""
-    def check() -> None:
-        if len(_items(toks, s)[0]) != count:
-            raise _error(text, message, s)
-    return check
-
-
-def _one_form(text: str, toks: list[str], message: str) -> _Check:
-    """A check that the text holds exactly one top-level item."""
-    def check() -> None:
-        if len(_items(toks, -1)[0]) != 1:
-            raise ProblemError(message)
-    return check
+        return read(None)
+    except (ProblemError, IndexError):
+        pass
+    _check_parens(text, toks)
+    return read(_item_counts(toks))
 
 
 RESERVED = {
@@ -279,8 +244,8 @@ def _env_names(env: DefinitionEnvironment) -> _Names:
 
 def _check_arguments(text: str, toks: list[str], names: _Names,
                      s: int, n: int) -> None:
-    """Raise when the expression form at toks[s], which has n arguments,
-    should have another number."""
+    """Raise when the list at toks[s], which has n arguments, is an
+    expression form that takes another number."""
     h = toks[s + 1]
     if h in CONNECTIVES or h in _BINDERS or h == "prime":
         count = 2 if h in _BINDERS else 1 if h == "prime" \
@@ -288,27 +253,21 @@ def _check_arguments(text: str, toks: list[str], names: _Names,
         if count is not None and n != count:
             raise _error(text, f"({h} ...) takes {count} argument(s), "
                          f"got {n}", s)
-    elif n != names[h][1]:
-        raise _error(text, f"operator {h!r} has arity {names[h][1]}, "
+        return
+    kind, arity, _ = names.get(h, ("", 0, None))
+    if (kind == "op" or kind == "def") and n != arity:
+        raise _error(text, f"operator {h!r} has arity {arity}, "
                      f"got {n} argument(s)", s)
-
-
-def _expression_fail(text: str, toks: list[str], names: _Names,
-                     checks: Iterable[_Check], stack: list,
-                     message: str, at: Optional[int]) -> None:
-    """`_fail` inside `_expression`, whose open forms are on `stack`."""
-    _fail(text, toks, message, at, checks, [frame[0] for frame in stack],
-          partial(_check_arguments, text, toks, names))
 
 
 def _expression(text: str, toks: list[str], i: int, names: _Names,
                 bound: tuple[str, ...] = (),
-                checks: Iterable[_Check] = ()) -> tuple[Expression, int]:
+                counts: _Counts = None) -> tuple[Expression, int]:
     """The expression at toks[i], and the index of the token after it.
 
     `bound` holds rigid variables bound by enclosing binders (quantifiers
-    or definition parameters); they shadow global declarations.  `checks`
-    are the enclosing forms' checks, which come before any error here.
+    or definition parameters); they shadow global declarations.  With
+    `counts`, each form's argument count is checked where it opens.
 
     Each open form is a frame on `stack`: its first token, the number of
     arguments it collects (None: any), its constructor and, for an
@@ -319,6 +278,8 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
     while True:
         tok = toks[i]
         if tok == "(":
+            if counts is not None:
+                _check_arguments(text, toks, names, i, counts[i] - 1)
             h = toks[i + 1]
             connective = CONNECTIVES.get(h)
             if connective is not None:
@@ -329,27 +290,24 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
             binder = _BINDERS.get(h)
             if binder is not None:
                 var = toks[i + 2]
+                if var == "(" or var == ")":
+                    raise _error(text, f"expected a variable name after {h}",
+                                 i + 2)
+                if var in RESERVED:
+                    raise _error(text, f"{var!r} is reserved and cannot be "
+                                 "used as a bound variable", i + 2)
+                if names.get(var, ("",))[0] == "flex":
+                    raise _error(text, "cannot quantify over flexible "
+                                 f"variable {var!r}", i + 2)
                 stack.append((i, 1, partial(binder, var), None, [],
                               bound, in_prime))
-                message = None
-                if var == "(" or var == ")":
-                    message = f"expected a variable name after {h}"
-                elif var in RESERVED:
-                    message = (f"{var!r} is reserved and cannot be used as "
-                               "a bound variable")
-                elif names.get(var, ("",))[0] == "flex":
-                    message = f"cannot quantify over flexible variable {var!r}"
-                if message is not None:
-                    _expression_fail(text, toks, names, checks, stack,
-                                     message, i + 2)
                 bound = (var,) + bound
                 i += 3
                 continue
             if h == "prime":
-                stack.append((i, 1, Prime, None, [], bound, in_prime))
                 if in_prime:
-                    _expression_fail(text, toks, names, checks, stack,
-                                     "prime cannot be nested", i)
+                    raise _error(text, "prime cannot be nested", i)
+                stack.append((i, 1, Prime, None, [], bound, in_prime))
                 in_prime = True
                 i += 2
                 continue
@@ -371,16 +329,14 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
                     f"variable {h!r} cannot be applied to arguments", i
             else:
                 message, at = f"unknown symbol {h!r}", i + 1
-            _expression_fail(text, toks, names, checks, stack, message, at)
+            raise _error(text, message, at)
         if tok == ")":
             if not stack:
-                _expression_fail(text, toks, names, checks, stack,
-                                 "expected an expression", i)
+                raise _error(text, "expected an expression", i)
             start, count, make, op, args, outer, outer_prime = stack[-1]
             if count is not None and len(args) != count:
-                # the check of this frame, on the stack, raises first
-                _expression_fail(text, toks, names, checks, stack,
-                                 "wrong argument count", start)
+                # the second read reports this where the form opens
+                raise _error(text, "wrong argument count", start)
             stack.pop()
             value = make(*args) if op is None else make(op, tuple(args))
             bound, in_prime = outer, outer_prime
@@ -398,8 +354,7 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
                 else:
                     message = (f"defined operator {tok!r} has arity "
                                f"{entry[1]}, bare use needs arity 0")
-                _expression_fail(text, toks, names, checks, stack,
-                                 message, i)
+                raise _error(text, message, i)
         i += 1
         if not stack:
             return value, i
@@ -449,20 +404,21 @@ def parse_file(text: str) -> ProblemFile:
     return _reading(partial(_problem_file, text, toks), text, toks)
 
 
-def _declared(text: str, toks: list[str], names: _Names, k: int, what: str,
-              checks: tuple[_Check, ...]) -> str:
+def _declared(text: str, toks: list[str], names: _Names, k: int,
+              what: str) -> str:
     """The new name at toks[k], which must be neither reserved nor
     already declared."""
     name = toks[k]
     if name in RESERVED:
-        _fail(text, toks, f"{name!r} is reserved and cannot be used as "
-              f"{what}", k, checks)
+        raise _error(text, f"{name!r} is reserved and cannot be used as "
+                     f"{what}", k)
     if name in names:
-        _fail(text, toks, f"{name!r} is already declared", k, checks)
+        raise _error(text, f"{name!r} is already declared", k)
     return name
 
 
-def _problem_file(text: str, toks: list[str]) -> ProblemFile:
+def _problem_file(text: str, toks: list[str],
+                  counts: _Counts) -> ProblemFile:
     """The problem file whose tokens are toks, read form by form."""
     ops: dict[str, int] = {}
     rigid: list[str] = []
@@ -477,20 +433,21 @@ def _problem_file(text: str, toks: list[str]) -> ProblemFile:
     i, end = 0, len(toks)
     while i < end:
         if toks[i] != "(":
-            _fail(text, toks, f"expected a (...) form, got {toks[i]!r}", i)
+            raise _error(text, f"expected a (...) form, got {toks[i]!r}", i)
         head = toks[i + 1]
         if head == "(" or head == ")":
-            _fail(text, toks, "malformed form", i)
+            raise _error(text, "malformed form", i)
         count, usage = _FORM_USAGE.get(head, (None, ""))
-        checks: tuple[_Check, ...] = () if count is None else \
-            (_need_count(text, toks, i, count + 1, usage),)
+        if counts is not None and count is not None \
+                and counts[i] != count + 1:
+            raise _error(text, usage, i)
 
         if head in _SINGLE or head == "assume":
             if head in single:
-                _fail(text, toks, f"duplicate ({head} ...) form", i, checks)
-            e, i = _expression(text, toks, i + 2, names, (), checks)
+                raise _error(text, f"duplicate ({head} ...) form", i)
+            e, i = _expression(text, toks, i + 2, names, (), counts)
             if toks[i] != ")":
-                _fail(text, toks, usage, i, checks)
+                raise _error(text, usage, i)
             i += 1
             if head == "assume":
                 assumes.append(e)
@@ -500,34 +457,34 @@ def _problem_file(text: str, toks: list[str]) -> ProblemFile:
         if head == "define":
             h = i + 2
             if toks[h] != "(":
-                _fail(text, toks, usage, i, checks)
+                raise _error(text, usage, i)
             if toks[h + 1] == ")":
-                _fail(text, toks, "empty definition header", h, checks)
+                raise _error(text, "empty definition header", h)
             if toks[h + 1] == "(":
-                _fail(text, toks, "expected an operator name", h + 1, checks)
-            name = _declared(text, toks, names, h + 1, "a defined operator",
-                             checks)
+                raise _error(text, "expected an operator name", h + 1)
+            name = _declared(text, toks, names, h + 1, "a defined operator")
             params: list[str] = []
             k = h + 2
             while toks[k] != ")":
                 p = toks[k]
                 if p == "(":
-                    _fail(text, toks, "expected a parameter name", k, checks)
+                    raise _error(text, "expected a parameter name", k)
                 if p in RESERVED:
-                    _fail(text, toks, f"{p!r} is reserved and cannot be "
-                          "used as a parameter", k, checks)
+                    raise _error(text, f"{p!r} is reserved and cannot be "
+                                 "used as a parameter", k)
                 if p in params:
-                    _fail(text, toks, f"repeated parameter {p!r}", k, checks)
+                    raise _error(text, f"repeated parameter {p!r}", k)
                 params.append(p)
                 k += 1
             body, j = _expression(text, toks, k + 1, names, tuple(params),
-                                  checks)
+                                  counts)
             if toks[j] != ")":
-                _fail(text, toks, usage, i, checks)
+                raise _error(text, usage, i)
             stray = [x for x in free_rigid_vars(body) if x not in params]
             if stray:
-                _fail(text, toks, "definition body has free rigid variables "
-                      f"not among its parameters: {', '.join(stray)}", i)
+                raise _error(text, "definition body has free rigid variables "
+                             f"not among its parameters: {', '.join(stray)}",
+                             i)
             defs.append(Definition(name, tuple(params), body))
             names[name] = ("def", len(params),
                            None if params else DefApp(name, ()))
@@ -538,59 +495,59 @@ def _problem_file(text: str, toks: list[str]) -> ProblemFile:
         args, after = _items(toks, i)
         del args[0]
         if count is not None and len(args) != count:
-            _fail(text, toks, usage, i)
+            raise _error(text, usage, i)
         if head == "declare-op":
             if toks[args[0]] == "(":
-                _fail(text, toks, "expected an operator name", args[0])
-            name = _declared(text, toks, names, args[0], "an operator name",
-                             ())
+                raise _error(text, "expected an operator name", args[0])
+            name = _declared(text, toks, names, args[0], "an operator name")
             k = args[1]
             if toks[k] == "(":
-                _fail(text, toks, "expected an arity", k)
+                raise _error(text, "expected an arity", k)
             if not _ARITY.fullmatch(toks[k]):
-                _fail(text, toks, f"bad arity {toks[k]!r}", k)
+                raise _error(text, f"bad arity {toks[k]!r}", k)
             ops[name] = arity = int(toks[k])
             names[name] = ("op", arity,
                            OpApp(name, ()) if arity == 0 else None)
         elif head == "declare-rigid" or head == "declare-flex":
             if toks[args[0]] == "(":
-                _fail(text, toks, "expected a variable name", args[0])
+                raise _error(text, "expected a variable name", args[0])
             if head == "declare-rigid":
                 name = _declared(text, toks, names, args[0],
-                                 "a rigid variable", ())
+                                 "a rigid variable")
                 rigid.append(name)
                 names[name] = ("rigid", 0, RigidVar(name))
             else:
                 name = _declared(text, toks, names, args[0],
-                                 "a flexible variable", ())
+                                 "a flexible variable")
                 flex.append(name)
                 names[name] = ("flex", 0, FlexVar(name))
         elif head == "mode":
             k = args[0]
             if toks[k] == "(":
-                _fail(text, toks, usage, i)
+                raise _error(text, usage, i)
             if toks[k] not in ("fol", "ml", "action"):
-                _fail(text, toks, f"unknown mode {toks[k]!r}", k)
+                raise _error(text, f"unknown mode {toks[k]!r}", k)
             if mode is not None:
-                _fail(text, toks, "duplicate (mode ...) form", i)
+                raise _error(text, "duplicate (mode ...) form", i)
             mode = toks[k]
         elif head == "vars":
             if vars_ is not None:
-                _fail(text, toks, "duplicate (vars ...) form", i)
+                raise _error(text, "duplicate (vars ...) form", i)
             listed: list[str] = []
             for k in args:
                 v = toks[k]
                 if v == "(":
-                    _fail(text, toks, "expected a flexible variable name", k)
+                    raise _error(text, "expected a flexible variable name", k)
                 if v not in flex:
-                    _fail(text, toks,
-                          f"{v!r} is not a declared flexible variable", k)
+                    raise _error(text,
+                                 f"{v!r} is not a declared flexible variable",
+                                 k)
                 if v in listed:
-                    _fail(text, toks, f"(vars ...) lists {v} twice", k)
+                    raise _error(text, f"(vars ...) lists {v} twice", k)
                 listed.append(v)
             vars_ = tuple(listed)
         else:
-            _fail(text, toks, f"unknown form {head!r}", i)
+            raise _error(text, f"unknown form {head!r}", i)
         i = after
 
     return ProblemFile(
@@ -616,15 +573,15 @@ def parse_problem(text: str) -> Obligation:
 def parse_expr(text: str, env: DefinitionEnvironment) -> Expression:
     """Parse a single expression (convenience entry point for tests)."""
     toks = _tokens(text)
+    names = _env_names(env)
     message = "expected exactly one expression"
 
-    def read() -> Expression:
-        if not toks:
-            _fail(text, toks, message, None)
-        e, i = _expression(text, toks, 0, _env_names(env), (),
-                           (_one_form(text, toks, message),))
+    def read(counts: _Counts) -> Expression:
+        if not toks or counts is not None and counts[-1] != 1:
+            raise ProblemError(message)
+        e, i = _expression(text, toks, 0, names, (), counts)
         if i != len(toks):
-            _fail(text, toks, message, None)
+            raise ProblemError(message)
         return e
 
     return _reading(read, text, toks)

@@ -70,7 +70,6 @@ from .syntax import (
     DefinitionEnvironment,
     Expression,
     Obligation,
-    collect_signature,
     signature,
 )
 
@@ -664,7 +663,7 @@ def fol_signature_of(
 ) -> tuple[dict[str, int], tuple[str, ...]]:
     """Signature of a coalesced (pure first-order) sequent: operators plus
     the merged free-variable list (rigid then flexible) valued by xi."""
-    ops, rigid, flex = collect_signature(exprs, env)
+    ops, rigid, flex, _ = signature(exprs, env)
     return ops, rigid + flex
 
 

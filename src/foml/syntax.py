@@ -26,13 +26,13 @@ of every node kind.  A pass tests only the kinds it treats specially:
 `rewrite` rebuilds every other node from its children, and `nodes` yields
 every node with the names bound above it, both on an explicit stack, so a
 pass built on them has no nesting limit of its own.  A new node kind gets
-a bit in `KIND` and is added to those three functions and `_fill_free`
-first, then to every dispatcher that renders or interprets each kind
-exactly: `alpha_key`, the printer, `semantics._evaluate` and
-`semantics._lanes`.  Dispatch is on the exact class, `type(e) is Implies`,
-never on `isinstance` or a class pattern: an exact test costs about half
-as much per node, and a node of a kind a dispatcher does not know ends in
-its `InternalError`, not in a silent fallback.
+a bit in `KIND` and is added to those three functions first, then to
+every dispatcher that renders or interprets each kind exactly:
+`alpha_key`, the printer, `semantics._evaluate` and `semantics._lanes`.
+Dispatch is on the exact class, `type(e) is Implies`, never on
+`isinstance` or a class pattern: an exact test costs about half as much
+per node, and a node of a kind a dispatcher does not know ends in its
+`InternalError`, not in a silent fallback.
 
 Fresh symbols of the translations are named by one `Interner`.
 """
@@ -407,17 +407,8 @@ def _fill_free(root: Expression) -> None:
     todo = [root]
     while todo:
         e = todo[-1]
-        t = type(e)
-        if t is Implies or t is Eq:
-            kids: tuple[Expression, ...] = (e.lhs, e.rhs)
-        elif t is OpApp or t is DefApp:
-            kids = e.args
-        elif t is Forall or t is Nabla or t is Prime:
-            kids = (e.body,)
-        else:
-            raise InternalError(f"unknown expression node {e!r}")
         free: tuple[str, ...] = ()
-        for c in kids:
+        for c in children(e):
             if c.kinds & RIGID_VAR:
                 f = (c.name,) if type(c) is RigidVar else c._free
                 if f is None:  # e is filled after c
@@ -426,7 +417,7 @@ def _fill_free(root: Expression) -> None:
                 free = tuple(dict.fromkeys(free + f)) if free else f
         else:
             todo.pop()
-            if t is Forall and e.var in free:
+            if type(e) is Forall and e.var in free:
                 free = tuple([x for x in free if x != e.var])
             e._free = free
 
@@ -549,14 +540,8 @@ class DefinitionEnvironment:
         flex: Iterable[str] = (),
         definitions: Iterable[Definition] = (),
     ) -> "DefinitionEnvironment":
-        env = DefinitionEnvironment(
-            ops=dict(ops or {}),
-            rigid_vars=tuple(rigid),
-            flex_vars=tuple(flex),
-            definitions=tuple(definitions),
-        )
-        env.validate()
-        return env
+        return DefinitionEnvironment(ops={}).extended(
+            ops, rigid, flex, definitions)
 
     def validate(self, checked: int = 0) -> None:
         """Reject a name declared twice, and a definition from index
@@ -825,13 +810,3 @@ def signature(
         prime = any(contains_node(d.body, Prime) for d in env.definitions
                     if d.name not in applied)
     return Signature(ops, tuple(rigid), tuple(flex), prime)
-
-
-def collect_signature(
-    exprs: Iterable[Expression], env: DefinitionEnvironment
-) -> tuple[dict[str, int], tuple[str, ...], tuple[str, ...]]:
-    """Primitive operators, free rigid variables, and flexible variables
-    needed to interpret the given expressions, including everything
-    reachable through definition bodies: the first three fields of
-    `signature`."""
-    return signature(exprs, env)[:3]

@@ -228,9 +228,9 @@ def test_criterion_3_ml_witness_property():
 
 def _sweep_formula_valid(e, env, prime=None):
     ops, rigid, flex = {}, [], []
-    from foml.syntax import collect_signature
+    from foml.syntax import signature
 
-    ops, rigid, flex = collect_signature((e,), env)
+    ops, rigid, flex = signature((e,), env)[:3]
     count = 0
     for m in enumerate_models(ops, rigid, flex, 2, 2, prime):
         count += 1

@@ -54,7 +54,6 @@ from foml.syntax import (
     alpha_key,
     and_,
     children,
-    collect_signature,
     contains_node,
     exists_,
     free_flex_vars,
@@ -126,6 +125,12 @@ class TestParsing:
          r"line 1, col 26: \(vars \.\.\.\) lists s twice"),
         ("(declare-flex s) (declare-flex t) (vars s t t s)",
          r"line 1, col 45: \(vars \.\.\.\) lists t twice"),
+        # a form's count comes before the errors of its arguments
+        ("(assume (nope) x)", r"line 1, col 1: \(assume expr\)"),
+        ("(define (d p) (nope) x) (goal false)",
+         r"line 1, col 1: \(define \(d x1 \.\. xn\) body\)"),
+        ("(goal (=> (nope) false false))",
+         r"line 1, col 7: \(=> \.\.\.\) takes 2 argument\(s\), got 3"),
     ])
     def test_rejections(self, text, msg):
         with pytest.raises(ProblemError, match=msg):
@@ -256,6 +261,8 @@ class TestReader:
          " got 2"),
         ("(f (not nope) a)", "line 1, col 1: operator 'f' has arity 1, "
          "got 2 argument(s)"),
+        ("(f (nope) x)", "line 1, col 1: operator 'f' has arity 1, "
+         "got 2 argument(s)"),
         ("(prime (nabla (prime a a)))", "line 1, col 15: (prime ...) takes 1"
          " argument(s), got 2"),
         ("(prime (nabla (prime a)))", "line 1, col 15: prime cannot be "
@@ -284,6 +291,7 @@ class TestReader:
         ("(=> (foo) p q)", "col 14: unknown modal form '=>'"),
         ("(nabla (prime true) p)", "col 14: unknown modal form 'nabla'"),
         ("(nabla (prime p q))", "col 21: unknown modal form 'prime'"),
+        ("(=> (nope) p) q", "col 8: (goal formula)"),
         ("(prime (=> p ()))", "col 27: malformed formula"),
         ("(nabla true)", "col 21: bad atom 'true'"),
     ])
@@ -940,7 +948,7 @@ class TestDepthIndependence:
         sig = signature([e], env)
         assert (sig.ops, sig.rigid, sig.flex, sig.prime) == (
             {"f": 1}, ("x",), ("v",), True)
-        assert collect_signature([e], env) == ({"f": 1}, ("x",), ("v",))
+        assert signature([e], env)[:3] == ({"f": 1}, ("x",), ("v",))
 
     def test_deep_nabla_parses_at_the_default_limit(self):
         assert sys.getrecursionlimit() <= 1000
@@ -1123,7 +1131,7 @@ class TestSignature:
         assert (got.ops, got.rigid, got.flex) == (ops, rigid, flex)
         assert list(got.ops) == list(ops)
         assert got.prime == needs_prime(env, *exprs)
-        assert collect_signature(exprs, env) == (ops, rigid, flex)
+        assert signature(exprs, env)[:3] == (ops, rigid, flex)
         return got
 
     def test_random_obligations_with_definitions(self):

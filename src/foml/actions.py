@@ -13,7 +13,6 @@ evaluator treats functional prime relations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .coalesce_ml import coalesce_obligation_ml
@@ -33,6 +32,7 @@ from .syntax import (
     Nabla,
     Obligation,
     Prime,
+    Record,
     and_,
     contains_node,
     expand_definitions,
@@ -81,13 +81,15 @@ def _unprime(e: Prime) -> Expression:
     return e.body
 
 
-@dataclass
-class PrimedVars:
+class PrimedVars(Record):
     """Shared mapping from flexible variables to their primed fresh
     flexible constants (v -> v'), with deterministic name choice."""
 
-    env: DefinitionEnvironment
-    mapping: dict[str, str] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("env", "mapping")
+
+    def __init__(self, env: DefinitionEnvironment) -> None:
+        self.env = env
+        self.mapping: dict[str, str] = {}
 
     def intern(self, v: str) -> str:
         name = self.mapping.get(v)
@@ -120,12 +122,16 @@ def _coalesce_action_pre(e: Expression, primed: PrimedVars) -> Any:
     return None if e.kinds & _ACTION else e
 
 
-@dataclass(frozen=True)
-class ActionResult:
-    hypotheses: tuple[Expression, ...]
-    goal: Expression
-    env: DefinitionEnvironment  # extended with the primed flexible names
-    primed: Mapping[str, str]
+class ActionResult(Record):
+    __slots__ = __match_args__ = ("hypotheses", "goal", "env", "primed")
+
+    def __init__(self, hypotheses: tuple[Expression, ...], goal: Expression,
+                 env: DefinitionEnvironment,
+                 primed: Mapping[str, str]) -> None:
+        self.hypotheses = hypotheses
+        self.goal = goal
+        self.env = env  # extended with the primed flexible names
+        self.primed = primed
 
 
 def translate_action(ob: Obligation) -> ActionResult:
@@ -145,21 +151,29 @@ def translate_action(ob: Obligation) -> ActionResult:
     return ActionResult(hyps, goal, env, dict(primed.mapping))
 
 
-@dataclass(frozen=True)
-class SafetySpec:
-    init: Expression
-    next: Expression
-    invariant: Expression
-    inductive_invariant: Expression
-    vars: tuple[str, ...]
-    env: DefinitionEnvironment
+class SafetySpec(Record):
+    __slots__ = __match_args__ = ("init", "next", "invariant",
+                                  "inductive_invariant", "vars", "env")
+
+    def __init__(self, init: Expression, next: Expression,
+                 invariant: Expression, inductive_invariant: Expression,
+                 vars: tuple[str, ...], env: DefinitionEnvironment) -> None:
+        self.init = init
+        self.next = next
+        self.invariant = invariant
+        self.inductive_invariant = inductive_invariant
+        self.vars = vars
+        self.env = env
 
 
-@dataclass(frozen=True)
-class SafetyResult:
-    obligations: tuple[Obligation, Obligation, Obligation]
-    glue: MLSequent
-    primed: Mapping[str, str]
+class SafetyResult(Record):
+    __slots__ = __match_args__ = ("obligations", "glue", "primed")
+
+    def __init__(self, obligations: tuple[Obligation, Obligation, Obligation],
+                 glue: MLSequent, primed: Mapping[str, str]) -> None:
+        self.obligations = obligations
+        self.glue = glue
+        self.primed = primed
 
 
 def _check_state_predicate(e: Expression, env: DefinitionEnvironment,

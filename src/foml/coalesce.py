@@ -37,6 +37,7 @@ from .syntax import (
     Obligation,
     OpApp,
     Prime,
+    Record,
     RigidVar,
     alpha_key,
     free_rigid_vars,
@@ -47,32 +48,42 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class ModalKey:
-    kind: str  # "nabla" | "prime"
-    nvars: int
-    body: tuple
+class ModalKey(Record):
+    __slots__ = __match_args__ = ("kind", "nvars", "body")
+
+    def __init__(self, kind: str, nvars: int, body: tuple) -> None:
+        self.kind = kind  # "nabla" | "prime"
+        self.nvars = nvars
+        self.body = body
 
 
-@dataclass(frozen=True)
-class DefKey:
-    op: str
-    nvars: int
-    entries: tuple  # ("star",) or alpha key per argument position
+class DefKey(Record):
+    __slots__ = __match_args__ = ("op", "nvars", "entries")
+
+    def __init__(self, op: str, nvars: int, entries: tuple) -> None:
+        self.op = op
+        self.nvars = nvars
+        self.entries = entries  # ("star",) or alpha key per argument position
 
 
-@dataclass(frozen=True)
-class SymbolEntry:
+class SymbolEntry(Record):
     """Interned fresh symbol plus a representative of its key, kept for
     witness construction and pretty-printing."""
 
-    name: str
-    arity: int
-    key: Union[ModalKey, DefKey]
-    zvars: tuple[str, ...]
-    node: Optional[Expression] = None  # modal keys: the nabla/prime node
-    op: Optional[str] = None  # def keys: the defined operator
-    entries: Optional[tuple] = None  # def keys: the epsilon-vector
+    __slots__ = __match_args__ = ("name", "arity", "key", "zvars", "node",
+                                  "op", "entries")
+
+    def __init__(self, name: str, arity: int, key: Union[ModalKey, DefKey],
+                 zvars: tuple[str, ...], node: Optional[Expression] = None,
+                 op: Optional[str] = None,
+                 entries: Optional[tuple] = None) -> None:
+        self.name = name
+        self.arity = arity
+        self.key = key
+        self.zvars = zvars
+        self.node = node  # modal keys: the nabla/prime node
+        self.op = op  # def keys: the defined operator
+        self.entries = entries  # def keys: the epsilon-vector
 
 
 class SymbolTable(Interner):
@@ -167,6 +178,7 @@ def _coalesce_pre(e: Expression, ctx: tuple) -> Any:
     return None
 
 
+# A dataclass: bench/test_bench.py rebuilds one with `dataclasses.replace`.
 @dataclass(frozen=True)
 class CoalescedFol:
     hypotheses: tuple[Expression, ...]

@@ -35,6 +35,7 @@ from .syntax import (
     Obligation,
     OpApp,
     Prime,
+    Record,
     RigidVar,
     alpha_key,
     contains_node,
@@ -43,10 +44,12 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class AtomEntry:
-    name: str
-    source: Expression  # representative first-order subexpression
+class AtomEntry(Record):
+    __slots__ = __match_args__ = ("name", "source")
+
+    def __init__(self, name: str, source: Expression) -> None:
+        self.name = name
+        self.source = source  # representative first-order subexpression
 
 
 class AtomTable(Interner):
@@ -94,6 +97,7 @@ def hypotheses(
     return tuple(out)
 
 
+# A dataclass: bench/test_bench.py rebuilds one with `dataclasses.replace`.
 @dataclass(frozen=True)
 class CoalescedMl:
     hypotheses: tuple[Expression, ...]  # translated Gamma

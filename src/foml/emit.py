@@ -22,10 +22,9 @@ import os
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .models import FOLStructure
 from .parser import (
@@ -61,6 +60,7 @@ from .syntax import (
     Nabla,
     OpApp,
     Prime,
+    Record,
     RigidVar,
     alpha_key,
     free_rigid_vars,
@@ -69,23 +69,32 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class DefSymbol:
+class DefSymbol(Record):
     """Fresh symbol naming a formula-shaped subterm, abstracted over its
     free rigid variables."""
 
-    name: str
-    params: tuple[str, ...]
-    body: Expression
+    __slots__ = __match_args__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple[str, ...],
+                 body: Expression) -> None:
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass
-class FolIR:
-    ops: dict[str, int]
-    consts: tuple[str, ...]
-    defs: tuple[DefSymbol, ...]
-    hypotheses: tuple[Expression, ...]
-    goal: Expression
+class FolIR(Record):
+    __slots__ = __match_args__ = ("ops", "consts", "defs", "hypotheses",
+                                  "goal")
+
+    def __init__(self, ops: dict[str, int], consts: tuple[str, ...],
+                 defs: tuple[DefSymbol, ...],
+                 hypotheses: tuple[Expression, ...],
+                 goal: Expression) -> None:
+        self.ops = ops
+        self.consts = consts
+        self.defs = defs
+        self.hypotheses = hypotheses
+        self.goal = goal
 
 
 # The kinds stratify lifts out of a term position or rejects.
@@ -198,8 +207,7 @@ _SMT_RESERVED = {
 _TPTP_RESERVED = {"tt", "ff", "fof", "axiom", "conjecture"}
 
 
-@dataclass(frozen=True)
-class _Spelling:
+class _Spelling(NamedTuple):
     """How one first-order format spells formulas and terms; `implies`,
     `eq` and `neg` are format templates."""
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, product
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -63,6 +62,7 @@ from .syntax import (
     Nabla,
     OpApp,
     Prime,
+    Record,
     RigidVar,
     contains_node,
     expand_definitions,
@@ -312,10 +312,12 @@ def random_action_formula(rng: random.Random,
                        allow_prime=True)
 
 
-@dataclass
-class FuzzReport:
-    iterations: int = 0
-    discrepancies: list[str] = field(default_factory=list)
+class FuzzReport(Record):
+    __slots__ = __match_args__ = ("iterations", "discrepancies")
+
+    def __init__(self) -> None:
+        self.iterations = 0
+        self.discrepancies: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Union
 
 from .parser import ProblemError, _check_parens, _error, _items, _tokens
-from .syntax import FomlError
+from .syntax import FomlError, Record
 
 Value = Union[int, str]
 
@@ -35,6 +35,7 @@ def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     return {s: tuple(ts) for s, ts in lists.items()}
 
 
+# A dataclass: tests/test_{cli,search,semantics}.py `dataclasses.replace` it.
 @dataclass(frozen=True, eq=True)
 class KripkeModel:
     universe: tuple[Value, ...]
@@ -117,16 +118,20 @@ class KripkeModel:
         raise FomlError(f"state {w!r} has no prime successor")
 
 
-@dataclass(frozen=True, eq=True)
-class FOLStructure:
+class FOLStructure(Record):
     """First-order structure over the extended variable set: xi values both
     rigid and flexible variable names."""
 
-    universe: tuple[Value, ...]
-    tt: Value
-    ff: Value
-    op_interp: Mapping[str, Mapping[tuple[Value, ...], Value]]
-    xi: Mapping[str, Value]
+    __slots__ = __match_args__ = ("universe", "tt", "ff", "op_interp", "xi")
+
+    def __init__(self, universe: tuple[Value, ...], tt: Value, ff: Value,
+                 op_interp: Mapping[str, Mapping[tuple[Value, ...], Value]],
+                 xi: Mapping[str, Value]) -> None:
+        self.universe = universe
+        self.tt = tt
+        self.ff = ff
+        self.op_interp = op_interp
+        self.xi = xi
 
 
 def serialize_model(m: KripkeModel) -> str:

@@ -39,7 +39,6 @@ opens, so the first error raised is the input's first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable, Optional
@@ -60,6 +59,7 @@ from .syntax import (
     Obligation,
     OpApp,
     Prime,
+    Record,
     RigidVar,
     and_,
     delta_,
@@ -361,20 +361,31 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
         stack[-1][4].append(value)
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     """Every form of a problem file, before interpretation as an obligation
     or as a transition-system description."""
 
-    env: DefinitionEnvironment
-    assumes: tuple[Expression, ...] = ()
-    goal: Optional[Expression] = None
-    mode: str = "fol"
-    init: Optional[Expression] = None
-    next: Optional[Expression] = None
-    invariant: Optional[Expression] = None
-    inductive_invariant: Optional[Expression] = None
-    vars: Optional[tuple[str, ...]] = None
+    __slots__ = __match_args__ = ("env", "assumes", "goal", "mode", "init",
+                                  "next", "invariant", "inductive_invariant",
+                                  "vars")
+
+    def __init__(self, env: DefinitionEnvironment,
+                 assumes: tuple[Expression, ...] = (),
+                 goal: Optional[Expression] = None, mode: str = "fol",
+                 init: Optional[Expression] = None,
+                 next: Optional[Expression] = None,
+                 invariant: Optional[Expression] = None,
+                 inductive_invariant: Optional[Expression] = None,
+                 vars: Optional[tuple[str, ...]] = None) -> None:
+        self.env = env
+        self.assumes = assumes
+        self.goal = goal
+        self.mode = mode
+        self.init = init
+        self.next = next
+        self.invariant = invariant
+        self.inductive_invariant = inductive_invariant
+        self.vars = vars
 
     def obligation(self) -> Obligation:
         """The file as an obligation.  Requires a (goal ...)."""

@@ -58,7 +58,6 @@ ResourceOut, never a wrong verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Union
 
@@ -73,6 +72,7 @@ from .syntax import (
     InternalError,
     Nabla,
     Prime,
+    Record,
 )
 
 # Each frame class: whether its relations are (reflexive, transitive).
@@ -80,39 +80,53 @@ FRAMES = {"k": (False, False), "t": (True, False),
           "k4": (False, True), "s4": (True, True)}
 
 
-@dataclass(frozen=True)
-class MLSequent:
+class MLSequent(Record):
     """Global-consequence sequent: hypotheses hold at every state of a
     model; the goal must then hold at every state too."""
 
-    hypotheses: tuple[Expression, ...]
-    goal: Expression
-    frame_nabla: str = "k"
-    frame_prime: str = "k"
+    __slots__ = __match_args__ = ("hypotheses", "goal", "frame_nabla",
+                                  "frame_prime")
+
+    def __init__(self, hypotheses: tuple[Expression, ...], goal: Expression,
+                 frame_nabla: str = "k", frame_prime: str = "k") -> None:
+        self.hypotheses = hypotheses
+        self.goal = goal
+        self.frame_nabla = frame_nabla
+        self.frame_prime = frame_prime
 
 
-@dataclass(frozen=True)
-class ProverLimits:
-    max_types: int = 8000
-    max_steps: int = 1 << 18
+class ProverLimits(Record):
+    __slots__ = __match_args__ = ("max_types", "max_steps")
+
+    def __init__(self, max_types: int = 8000,
+                 max_steps: int = 1 << 18) -> None:
+        self.max_types = max_types
+        self.max_steps = max_steps
 
 
-@dataclass(frozen=True)
-class Proved:
-    kind: str = "proved"
+class Proved(Record):
+    __slots__ = __match_args__ = ("kind",)
+
+    def __init__(self, kind: str = "proved") -> None:
+        self.kind = kind
 
 
-@dataclass(frozen=True)
-class Countermodel:
-    model: KripkeModel
-    state: Value
-    kind: str = "countermodel"
+class Countermodel(Record):
+    __slots__ = __match_args__ = ("model", "state", "kind")
+
+    def __init__(self, model: KripkeModel, state: Value,
+                 kind: str = "countermodel") -> None:
+        self.model = model
+        self.state = state
+        self.kind = kind
 
 
-@dataclass(frozen=True)
-class ResourceOut:
-    reason: str
-    kind: str = "resource-out"
+class ResourceOut(Record):
+    __slots__ = __match_args__ = ("reason", "kind")
+
+    def __init__(self, reason: str, kind: str = "resource-out") -> None:
+        self.reason = reason
+        self.kind = kind
 
 
 Verdict = Union[Proved, Countermodel, ResourceOut]

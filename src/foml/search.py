@@ -52,7 +52,6 @@ from its run number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import count, islice, permutations, product
 from typing import (
@@ -70,34 +69,42 @@ from .syntax import (
     DefinitionEnvironment,
     Expression,
     Obligation,
+    Record,
     signature,
 )
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_universe: int = 2
-    max_states: int = 2
-    max_models: int = 2_000_000
+class SearchBounds(Record):
+    __slots__ = __match_args__ = ("max_universe", "max_states", "max_models")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_universe: int = 2, max_states: int = 2,
+                 max_models: int = 2_000_000) -> None:
         # Bounds that admit no model would make "none" read as a verdict
         # about models nobody looked at.
-        if self.max_universe < 2:
+        if max_universe < 2:
             raise ValueError("max_universe must be at least 2 (tt and ff)")
-        if self.max_states < 1:
+        if max_states < 1:
             raise ValueError("max_states must be at least 1")
-        if self.max_models < 0:
+        if max_models < 0:
             raise ValueError("max_models must not be negative")
+        self.max_universe = max_universe
+        self.max_states = max_states
+        self.max_models = max_models
 
 
-@dataclass
-class SearchResult:
-    status: str  # "found" | "none" | "resource-out"
-    model: object = None
-    state: object = None
-    examined: int = 0
-    reason: str = ""  # resource-out: the limit, and the count that passed it
+class SearchResult(Record):
+    __slots__ = __match_args__ = ("status", "model", "state", "examined",
+                                  "reason")
+
+    def __init__(self, status: str, model: object = None,
+                 state: object = None, examined: int = 0,
+                 reason: str = "") -> None:
+        self.status = status  # "found" | "none" | "resource-out"
+        self.model = model
+        self.state = state
+        self.examined = examined
+        # resource-out: the limit, and the count that passed it
+        self.reason = reason
 
     @property
     def found(self) -> bool:

@@ -7,11 +7,12 @@ and the two modalities (nabla and prime).  Every surface connective
 (true/not/and/or/iff/exists/delta) is desugared to this core at parse time,
 so all later passes only ever see these ten constructors.
 
-Nodes are slots dataclasses that compare and hash by their fields.  They
-are not frozen, which would double the cost of building one; no code
-assigns a node's field outside its constructor and the free-variable cache,
-which `tests/test_dispatch.py` checks on the source.  Each node carries two
-more fields, outside its equality, hash and repr:
+Nodes, like every record of the package, are slotted classes over
+`Record`, which compares and hashes them by their fields.  They are not
+frozen, which would double the cost of building one; no code assigns a
+node's field outside its constructor and the free-variable cache, which
+`tests/test_dispatch.py` checks on the source.  Each node carries two more
+fields, outside its equality, hash and repr:
 - `kinds`, the bits (`RIGID_VAR` ... `PRIME`) of the kinds of the nodes in
   its subtree, computed by the constructor from its children.  A pass
   returns a subtree unchanged when it holds no kind the pass treats or
@@ -39,8 +40,8 @@ Fresh symbols of the translations are named by one `Interner`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from operator import is_not
+from dataclasses import dataclass
+from operator import attrgetter, is_not
 from typing import (
     Any,
     Callable,
@@ -65,7 +66,50 @@ class InternalError(FomlError):
  NABLA, PRIME, UNKNOWN) = (1 << i for i in range(11))
 
 
-class Expression:
+class Record:
+    """Base of the package's records: slotted classes whose `__init__`
+    assigns their fields.  `__match_args__` names the fields that make a
+    record's value, and the three methods below are those `@dataclass`
+    generates, written once instead of compiled for each class at import:
+    - equality holds only between records of the same class, and compares
+      the field tuples, which test each pair of fields for identity first;
+    - the hash is the hash of the field tuple;
+    - the repr is `Qualname(field=value!r, ...)`, which names the fresh
+      symbols of the translations (see `Interner`)."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # `_values(record)` is the field tuple.  `attrgetter` reads it in
+        # C, but it returns a bare value for one name and needs a name.
+        names = cls.__match_args__
+        if len(names) > 1:
+            cls._values = attrgetter(*names)
+        elif names:
+            get = attrgetter(*names)
+            cls._values = staticmethod(lambda r: (get(r),))
+        else:
+            cls._values = staticmethod(lambda r: ())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        # a loop, not a generator, so a nested record costs one frame
+        parts = []
+        for name in self.__match_args__:
+            parts.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__qualname__}({', '.join(parts)})"
+
+
+class Expression(Record):
     """Base class for AST nodes.  A node is hashable, and its fields do not
     change once it is built, save its free-variable cache, which is filled
     once.  A subclass of a kind this module does not know holds every bit
@@ -82,37 +126,27 @@ class Expression:
         return print_expr(self)
 
 
-def _hidden() -> Any:
-    """A node field outside the constructor, equality, hash and repr."""
-    return field(init=False, compare=False, repr=False)
-
-
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class RigidVar(Expression):
-    name: str
-    kinds: int = _hidden()
+    __slots__ = ("name", "kinds")
+    __match_args__ = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.kinds = RIGID_VAR
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class FlexVar(Expression):
-    name: str
-    kinds: int = _hidden()
+    __slots__ = ("name", "kinds")
+    __match_args__ = ("name",)
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.kinds = FLEX_VAR
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class OpApp(Expression):
-    op: str
-    args: tuple[Expression, ...]
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("op", "args", "kinds", "_free")
+    __match_args__ = ("op", "args")
 
     def __init__(self, op: str, args: tuple[Expression, ...] = ()) -> None:
         self.op = op
@@ -124,12 +158,9 @@ class OpApp(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class DefApp(Expression):
-    op: str
-    args: tuple[Expression, ...]
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("op", "args", "kinds", "_free")
+    __match_args__ = ("op", "args")
 
     def __init__(self, op: str, args: tuple[Expression, ...] = ()) -> None:
         self.op = op
@@ -141,12 +172,9 @@ class DefApp(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Eq(Expression):
-    lhs: Expression
-    rhs: Expression
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("lhs", "rhs", "kinds", "_free")
+    __match_args__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Expression, rhs: Expression) -> None:
         self.lhs = lhs
@@ -155,20 +183,16 @@ class Eq(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class FalseExpr(Expression):
-    kinds: int = _hidden()
+    __slots__ = ("kinds",)
 
     def __init__(self) -> None:
         self.kinds = FALSE_EXPR
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Implies(Expression):
-    lhs: Expression
-    rhs: Expression
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("lhs", "rhs", "kinds", "_free")
+    __match_args__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Expression, rhs: Expression) -> None:
         self.lhs = lhs
@@ -177,12 +201,9 @@ class Implies(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Forall(Expression):
-    var: str
-    body: Expression
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("var", "body", "kinds", "_free")
+    __match_args__ = ("var", "body")
 
     def __init__(self, var: str, body: Expression) -> None:
         self.var = var
@@ -191,11 +212,9 @@ class Forall(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Nabla(Expression):
-    body: Expression
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("body", "kinds", "_free")
+    __match_args__ = ("body",)
 
     def __init__(self, body: Expression) -> None:
         self.body = body
@@ -203,11 +222,9 @@ class Nabla(Expression):
         self._free = None
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class Prime(Expression):
-    body: Expression
-    kinds: int = _hidden()
-    _free: Optional[tuple[str, ...]] = _hidden()
+    __slots__ = ("body", "kinds", "_free")
+    __match_args__ = ("body",)
 
     def __init__(self, body: Expression) -> None:
         self.body = body
@@ -510,8 +527,7 @@ def alpha_equal(e1: Expression, e2: Expression) -> bool:
     return alpha_key(e1) == alpha_key(e2)
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(Record):
     """An operator definition d(x1..xn) == body.
 
     Parameters are pairwise-distinct rigid variable names; the body's free
@@ -519,19 +535,29 @@ class Definition:
     operators declared or defined earlier.
     """
 
-    name: str
-    params: tuple[str, ...]
-    body: Expression
+    __slots__ = __match_args__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple[str, ...],
+                 body: Expression) -> None:
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass(frozen=True)
-class DefinitionEnvironment:
+class DefinitionEnvironment(Record):
     """Declared signature: primitive operators, variables, definitions."""
 
-    ops: Mapping[str, int]
-    rigid_vars: tuple[str, ...] = ()
-    flex_vars: tuple[str, ...] = ()
-    definitions: tuple[Definition, ...] = ()
+    __slots__ = __match_args__ = ("ops", "rigid_vars", "flex_vars",
+                                  "definitions")
+
+    def __init__(self, ops: Mapping[str, int],
+                 rigid_vars: tuple[str, ...] = (),
+                 flex_vars: tuple[str, ...] = (),
+                 definitions: tuple[Definition, ...] = ()) -> None:
+        self.ops = ops
+        self.rigid_vars = rigid_vars
+        self.flex_vars = flex_vars
+        self.definitions = definitions
 
     @staticmethod
     def build(
@@ -634,6 +660,7 @@ class DefinitionEnvironment:
         return env
 
 
+# A dataclass: bench/checks.py rebuilds one with `dataclasses.replace`.
 @dataclass(frozen=True)
 class Obligation:
     """A sequent: hypotheses (holding at all states) entail the goal."""

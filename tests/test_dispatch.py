@@ -1,12 +1,14 @@
 """Node-kind dispatch: the exact-type walkers against the class-pattern
 ones they replaced (`reference_syntax`), what every dispatcher does with a
 node kind it does not know, and scans of the package's source that keep
-class patterns, hand-written hashes, writes to node fields, unused
-top-level definitions and recursing passes out of it."""
+class patterns, hashes other than `Record`'s, dataclasses other than four,
+writes to record fields, unused top-level definitions and recursing
+passes out of it."""
 import ast
 import functools
+import importlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -175,17 +177,19 @@ def test_no_class_pattern_dispatch_in_the_package():
 
 
 def test_nodes_hash_by_their_fields_without_a_dict():
-    # Each node kind is a slots dataclass, which hashes by its compared
-    # fields: no class of the package defines or installs a `__hash__`,
-    # and a base class without `__slots__` would give every node a dict.
+    # Each node kind is a slotted record, which hashes by its compared
+    # fields: no class of the package but `Record` defines or installs a
+    # `__hash__`, and a base class without `__slots__` would give every
+    # node a dict.
     found = [f"{module}:{node.lineno}"
              for module, tree in _package_trees().items()
              for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.name == "__hash__"
              or isinstance(node, ast.Name) and node.id == "__hash__"
              or isinstance(node, ast.Attribute) and node.attr == "__hash__"]
-    assert found == []
-    assert Expression.__slots__ == ()
+    assert found == [
+        f"syntax.py:{syntax.Record.__hash__.__code__.co_firstlineno}"]
+    assert Expression.__slots__ == syntax.Record.__slots__ == ()
     x = RigidVar("x")
     nodes = [x, FlexVar("v"), OpApp("f", (x,)), DefApp("d", (x,)),
              Eq(x, x), FALSE, Implies(FALSE, FALSE), Forall("a", FALSE),
@@ -196,18 +200,57 @@ def test_nodes_hash_by_their_fields_without_a_dict():
     assert [e for e in nodes if hasattr(e, "__dict__")] == []
 
 
-# The only places that assign a node's field: the constructors, and the
-# free-variable cache.
-NODE_FIELD_WRITERS = {f"syntax.py:{kind.__name__}.__init__"
-                      for kind in syntax.KIND} | {"syntax.py:_fill_free"}
+def _package_classes() -> list[type]:
+    """The classes defined at the top of the package's modules."""
+    mods = [importlib.import_module(f"foml.{path.stem}")
+            for path in sorted(SRC.glob("*.py"))]
+    return [obj for mod in mods for obj in vars(mod).values()
+            if isinstance(obj, type) and obj.__module__ == mod.__name__]
+
+
+# The package's dataclasses, each rebuilt with `dataclasses.replace` by a
+# caller outside the package.
+DATACLASSES = {"Obligation", "KripkeModel", "CoalescedFol", "CoalescedMl"}
+
+
+def test_records_are_slotted_classes_over_record():
+    # `@dataclass` compiles its methods at import, for each class; a
+    # record subclasses `Record` instead, which has them written once.
+    decorated = {node.name for tree in _package_trees().values()
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for d in node.decorator_list
+                 if "dataclass" in ast.unparse(d)}
+    assert decorated == DATACLASSES
+    # A class has fields when it names its value's parts in
+    # `__match_args__` or declares them as annotations.
+    with_fields = [c for c in _package_classes()
+                   if (getattr(c, "__match_args__", ())
+                       or "__annotations__" in vars(c))
+                   and c.__name__ not in DATACLASSES
+                   and not issubclass(c, tuple)]
+    assert len(with_fields) >= 30
+    assert [c for c in with_fields if not issubclass(c, syntax.Record)
+            or any("__slots__" not in vars(k) or "__dict__" in k.__slots__
+                   for k in c.__mro__[:-1])] == []
+
+
+# The writes to a record's field outside the `__init__` of its class: the
+# free-variable cache of nodes, and the fuzz report's count.
+FIELD_WRITERS = {"syntax.py:_fill_free": {"_free"},
+                 "gen.py:run_fuzz": {"iterations"}}
 
 
 def test_node_fields_are_assigned_only_where_nodes_are_built():
-    # Nodes are not frozen (a frozen constructor costs about twice as
-    # much), so this scan keeps every other write to a node field, and
-    # every `setattr`, out of the package.
-    names = {f.name for kind in syntax.KIND for f in fields(kind)}
-    writers, found = set(), []
+    # Records are not frozen (a frozen constructor costs about twice as
+    # much), so this scan keeps every other write to a record's field,
+    # and every `setattr`, out of the package: a class's `__init__`
+    # assigns `self`'s attributes, and no other code assigns a name that
+    # is a field of a record, save FIELD_WRITERS.
+    records = [cls for cls in _package_classes()
+               if issubclass(cls, syntax.Record) and cls.__slots__]
+    names = {name for cls in records for name in cls.__slots__}
+    inits: dict[str, set[str]] = {}
+    elsewhere, found = set(), []
 
     def scan(node: ast.AST, module: str, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
@@ -216,8 +259,15 @@ def test_node_fields_are_assigned_only_where_nodes_are_built():
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif (isinstance(child, ast.Attribute) and child.attr in names
                   and isinstance(child.ctx, (ast.Store, ast.Del))):
-                writers.add(f"{module}:{scope}")
-                if f"{module}:{scope}" not in NODE_FIELD_WRITERS:
+                where = f"{module}:{scope}"
+                if (scope.endswith(".__init__")
+                        and isinstance(child.ctx, ast.Store)
+                        and isinstance(child.value, ast.Name)
+                        and child.value.id == "self"):
+                    inits.setdefault(where, set()).add(child.attr)
+                elif child.attr in FIELD_WRITERS.get(where, ()):
+                    elsewhere.add(where)
+                else:
                     found.append(f"{module}:{child.lineno}")
             elif (isinstance(child, ast.Name)
                   and child.id in ("setattr", "delattr")
@@ -229,7 +279,13 @@ def test_node_fields_are_assigned_only_where_nodes_are_built():
     for module, tree in _package_trees().items():
         scan(tree, module, "")
     assert found == []
-    assert writers == NODE_FIELD_WRITERS
+    assert elsewhere == set(FIELD_WRITERS)
+    # each record's `__init__` assigns every field of its class
+    module = {cls: cls.__module__.rsplit(".", 1)[1] + ".py"
+              for cls in records}
+    assert {cls: inits.get(f"{module[cls]}:{cls.__qualname__}.__init__")
+            for cls in records} == {cls: set(cls.__slots__)
+                                    for cls in records}
 
 
 # Top-level definitions of the package that nothing in it names, each

@@ -20,7 +20,14 @@ from foml import (
     syntax,
 )
 from foml.actions import PrimedVars, coalesce_action, distribute_prime
-from foml.coalesce import SymbolTable, coalesce_fol, rewrite_rigid_box
+from foml.cli import RECURSION_LIMIT
+from foml.coalesce import (
+    DefKey,
+    ModalKey,
+    SymbolTable,
+    coalesce_fol,
+    rewrite_rigid_box,
+)
 from foml.coalesce_ml import AtomTable, coalesce_ml
 from foml.gen import (
     random_action_formula,
@@ -34,6 +41,7 @@ from foml.emit import parse_mlseq, stratify
 from foml.models import parse_model, serialize_model
 from foml.parser import ProblemError, parse_expr, parse_file
 from foml.printer import print_problem
+from foml.search import SearchBounds
 from foml.syntax import (
     FALSE,
     KIND,
@@ -1169,3 +1177,65 @@ class TestSignature:
     def test_cases(self, text, want):
         ob = parse_problem(text)
         assert self._agree(ob.all_exprs(), ob.env) == want
+
+
+def _nabla_chain(n):
+    e = FlexVar("v")
+    for _ in range(n):
+        e = Nabla(e)
+    return e
+
+
+class TestRecord:
+    """The methods `syntax.Record` gives every record in place of those
+    `@dataclass` generated."""
+
+    KEY = alpha_key(Forall("y", Eq(RigidVar("x"), RigidVar("y"))), ("x",))
+
+    def test_repr_names_the_fresh_symbols_as_before(self):
+        # `Interner` hashes these strings into every fresh symbol's name;
+        # they are the dataclass reprs of the same keys.
+        assert repr(ModalKey("nabla", 1, self.KEY)) == (
+            "ModalKey(kind='nabla', nvars=1, body=('all', ('eq', ('b', 1),"
+            " ('b', 0))))")
+        assert repr(DefKey("d", 1, (("star",), self.KEY))) == (
+            "DefKey(op='d', nvars=1, entries=(('star',), ('all', ('eq',"
+            " ('b', 1), ('b', 0)))))")
+
+    def test_records_of_different_classes_differ(self):
+        assert ModalKey("nabla", 0, self.KEY) != DefKey("nabla", 0, self.KEY)
+        assert Nabla(FALSE) != Prime(FALSE)
+        assert RigidVar("x") != FlexVar("x")
+        assert (ModalKey("nabla", 0, self.KEY)
+                != ("nabla", 0, self.KEY))
+
+    def test_equal_records_hash_equal(self):
+        for make in (lambda: ModalKey("prime", 2, self.KEY),
+                     lambda: DefKey("d", 0, (("star",),)),
+                     lambda: SearchBounds(3, 2),
+                     lambda: Forall("a", OpApp("f", (RigidVar("a"),))),
+                     FalseExpr):
+            a, b = make(), make()
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert hash(a) == hash(tuple(
+                getattr(a, name) for name in a.__match_args__))
+
+    def test_deep_chains_within_the_cli_limit(self):
+        # `main` allows RECURSION_LIMIT frames above its caller.  The
+        # dataclass methods reached 665 (==), 997 (hash) and 664 (repr)
+        # nested nablas there; a record takes no more per level, and its
+        # repr, one frame per level, reaches as far as its hash.
+        limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        sys.setrecursionlimit(depth + RECURSION_LIMIT)
+        try:
+            a, b = _nabla_chain(650), _nabla_chain(650)
+            assert a == b and not a != b
+            a, b = _nabla_chain(980), _nabla_chain(980)
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b) == (
+                "Nabla(body=" * 980 + "FlexVar(name='v')" + ")" * 980)
+        finally:
+            sys.setrecursionlimit(limit)

@@ -27,7 +27,7 @@ from .leibniz import compute_leibniz, format_table
 from .models import parse_model, serialize_model
 from .parser import (
     ProblemError,
-    _leading_tokens,
+    _tokens,
     parse_file,
     parse_problem,
 )
@@ -122,10 +122,11 @@ def cmd_coalesce_ml(args) -> int:
 def _load_sequent(text: str) -> MLSequent:
     """The sequent of an mlseq text, or of a problem text after modal
     coalescing; the first two tokens, comments dropped, tell which the
-    text is."""
-    if _leading_tokens(text, 2) == ["(", "mlseq"]:
-        return parse_mlseq(text)
-    res = coalesce_obligation_ml(parse_problem(text))
+    text is, and the reader picked takes the same tokens."""
+    toks = _tokens(text)
+    if toks[:2] == ["(", "mlseq"]:
+        return parse_mlseq(text, toks)
+    res = coalesce_obligation_ml(parse_problem(text, toks))
     return MLSequent(res.hypotheses + res.stability, res.goal)
 
 

@@ -366,10 +366,11 @@ _ML_BAD_ATOMS = {"true", "nabla", "prime", "=>"}
 def _ml_expression(text: str, toks: list[str], i: int,
                    counts: _Counts) -> tuple[Expression, int]:
     """The modal formula at toks[i], and the index after it; built with an
-    explicit stack of (first token, argument count, constructor, arguments
-    so far) frames.  With `counts`, each form's argument count is checked
-    where it opens."""
+    explicit stack of (first token, argument count, constructor, outer
+    arguments) frames, the innermost form's arguments so far in `args`.
+    With `counts`, each form's argument count is checked where it opens."""
     stack: list = []
+    args: list = []
     while True:
         tok = toks[i]
         if tok == "(":
@@ -379,18 +380,19 @@ def _ml_expression(text: str, toks: list[str], i: int,
                     and counts[i] != form[0] + 1:
                 raise _error(text, "malformed formula" if h == "(" or h == ")"
                              else f"unknown modal form {h!r}", i)
-            stack.append((i, form[0], form[1], []))
+            stack.append((i, form[0], form[1], args))
+            args = []
             i += 2
             continue
         if tok == ")":
             if not stack:
                 raise _error(text, "expected a formula", i)
-            start, count, make, args = stack[-1]
+            start, count, make, outer = stack.pop()
             if len(args) != count:
                 raise _error(text, f"unknown modal form {toks[start + 1]!r}",
                              start)
-            stack.pop()
             value = make(*args)
+            args = outer
         elif tok == "false":
             value = FALSE
         elif tok in _ML_BAD_ATOMS:
@@ -400,12 +402,14 @@ def _ml_expression(text: str, toks: list[str], i: int,
         i += 1
         if not stack:
             return value, i
-        stack[-1][3].append(value)
+        args.append(value)
 
 
-def parse_mlseq(text: str) -> MLSequent:
-    """The sequent of an mlseq text."""
-    toks = _tokens(text)
+def parse_mlseq(text: str,
+                toks: Optional[list[str]] = None) -> MLSequent:
+    """The sequent of an mlseq text; `toks`, when given, are its tokens."""
+    if toks is None:
+        toks = _tokens(text)
     return _reading(partial(_mlseq, text, toks), text, toks)
 
 

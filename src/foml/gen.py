@@ -51,6 +51,7 @@ from .search import SearchBounds, find_fol_countermodel, fol_signature_of
 from .semantics import eval_expr, eval_fol, eval_ml
 from .syntax import (
     FALSE,
+    PRIME,
     DefApp,
     Definition,
     DefinitionEnvironment,
@@ -69,7 +70,6 @@ from .syntax import (
     free_rigid_vars,
     fresh_name,
     is_rigid,
-    signature,
 )
 
 
@@ -324,12 +324,20 @@ class FuzzReport(Record):
         return not self.discrepancies
 
 
+def _needs_prime(exprs: Sequence[Expression],
+                 env: DefinitionEnvironment) -> bool:
+    """Whether a prime occurs in exprs or in any definition body, as
+    `signature(exprs, env).prime` says, read from their `kinds`."""
+    return any(e.kinds & PRIME for e in exprs) \
+        or any(d.body.kinds & PRIME for d in env.definitions)
+
+
 def _witness_opening(rng: random.Random, sizes: tuple[int, int],
                      env: DefinitionEnvironment) -> tuple:
     """An expression of depth 3 over the environment and a model of at most
     `sizes` = (universe, states) to evaluate it in."""
     e = random_expr(rng, env, depth=3)
-    need_prime = signature((e,), env).prime
+    need_prime = _needs_prime((e,), env)
     m = random_model(rng, env, *sizes, need_prime=need_prime)
     return env, e, need_prime, m
 
@@ -442,7 +450,7 @@ def _argument_lemma_check(rng, env, dname, args, i) -> Optional[str]:
     for a in args:
         free.update(free_rigid_vars(a))
     fresh = fresh_name("w", free | env.all_names())
-    need_prime = signature(args, env).prime
+    need_prime = _needs_prime(args, env)
     m = random_model(rng, env, need_prime=need_prime)
     w = m.states[_below(rng.getrandbits, len(m.states))]
     val = eval_expr(m, w, args[i], env)

@@ -1,6 +1,9 @@
 """Finite models: Kripke models, first-order structures, and the
 s-expression model-file format, read in the one token pass of
-`foml.parser` (positions are computed only for an error).
+`foml.parser` (positions are computed only for an error) and by its one
+error rule: read once; on an error, read again with every list's item
+count and raise the first error met (an unbalanced parenthesis, then a
+second top-level form, then the first error of the one model form).
 
 Universe elements and states are plain atoms (ints or strings).  The
 interpretation of the modality is not stored: it is fixed by its defining
@@ -12,10 +15,10 @@ A propositional model is a Kripke model over the universe {tt, ff}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, Optional, Union
 
-from .parser import ProblemError, _check_parens, _error, _items, _tokens
+from .parser import ProblemError, _Counts, _error, _items, _reading, _tokens
 from .syntax import FomlError, Record
 
 Value = Union[int, str]
@@ -167,13 +170,17 @@ def serialize_model(m: KripkeModel) -> str:
 
 
 def parse_model(text: str) -> KripkeModel:
-    """The model of a model file.  The text is read in one token pass, as
-    `foml.parser` reads every input; a node is the index of its first
-    token, and a position is computed only for an error."""
+    """The model of a model file, read by the parser's one error rule."""
     toks = _tokens(text)
-    _check_parens(text, toks)
-    if len(_items(toks, -1)[0]) != 1:
-        raise ProblemError("model file must contain exactly one (model ...)")
+    return _reading(partial(_model, text, toks), text, toks)
+
+
+def _model(text: str, toks: list[str], counts: _Counts) -> KripkeModel:
+    """The model whose tokens are toks; a node is the index of its first
+    token."""
+    message = "model file must contain exactly one (model ...)"
+    if counts is not None and counts[-1] != 1:
+        raise ProblemError(message)
 
     def atom(k: int, what: str) -> str:
         if toks[k] == "(":
@@ -195,7 +202,12 @@ def parse_model(text: str) -> KripkeModel:
             return v
         return n if str(n) == v else v
 
-    top = items(0, "(model ...)")
+    if toks[0] != "(":
+        raise _error(text, "expected (model ...)", 0)
+    top, after = _items(toks, 0)
+    if after != len(toks):
+        # another top-level form or a stray ")": the checked read says which
+        raise ProblemError(message)
     if not top or atom(top[0], "model") != "model":
         raise _error(text, "model file must start with (model ...)", 0)
 

@@ -21,12 +21,12 @@ spot, so parsed ASTs contain only core nodes.
 
 Every input text (problem files, `parse_expr` text, mlseq sequents in
 `foml.emit` and model files in `foml.models`) is read in one token pass:
-one `findall` turns the text into a flat list of parentheses and atoms,
-comments dropped, and the parser builds its result straight from that
-list.  Expressions are built with an explicit stack, so nesting depth
-costs no Python recursion.  Tokens carry no position: a line and a column
-are computed only when an error is raised, by scanning the text again up
-to the offending token.
+the text, comments dropped, is split into a flat list of parentheses and
+atoms by `str.replace` and `str.split`, and the parser builds its result
+straight from that list.  Expressions are built with an explicit stack,
+so nesting depth costs no Python recursion.  Tokens carry no position: a
+line and a column are computed only when an error is raised, by finding
+each token in turn with `str.find` up to the offending one.
 
 The first error of an input is the one reported: an unbalanced
 parenthesis anywhere comes first, and a form's argument count is checked
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import islice
 from typing import Callable, Optional
 
 from .syntax import (
@@ -83,11 +82,9 @@ class ProblemError(FomlError):
         super().__init__(message)
 
 
-# One match per token: a parenthesis or an atom.  Whitespace is stepped
-# over by the scan itself; `\s` is the same set as `str.isspace`, and only
-# "\n" ends a line.  A comment runs from ";" to the end of its line, so
-# dropping comments moves no token to another line or column.
-_TOKEN = re.compile(r"[()]|[^\s();]+")
+# Only "\n" ends a line.  A comment runs from ";" to the end of its line,
+# so dropping comments moves no token to another line or column, and no
+# ";" is left after it.
 _COMMENT = re.compile(r";[^\n]*")
 
 
@@ -96,20 +93,21 @@ def _uncommented(text: str) -> str:
 
 
 def _tokens(text: str) -> list[str]:
-    """The parentheses and atoms of text, in order, comments dropped."""
-    return _TOKEN.findall(_uncommented(text))
-
-
-def _leading_tokens(text: str, n: int) -> list[str]:
-    """The first n tokens of text (fewer if it has fewer)."""
-    return [m.group() for m in
-            islice(_TOKEN.finditer(_uncommented(text)), n)]
+    """The parentheses and atoms of text, in order, comments dropped:
+    one C-level pass that spaces out the parentheses and splits at the
+    characters `str.isspace` accepts."""
+    return _uncommented(text).replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _position(text: str, k: int) -> tuple[int, int]:
-    """Line and column, both counted from 1, of the k-th token of text."""
+    """Line and column, both counted from 1, of the k-th token of text.
+    Only whitespace lies between two tokens, so each token is the first
+    match of its text after the one before it."""
     text = _uncommented(text)
-    start = next(islice(_TOKEN.finditer(text), k, None)).start()
+    start = end = 0
+    for tok in _tokens(text)[:k + 1]:
+        start = text.find(tok, end)
+        end = start + len(tok)
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
@@ -135,8 +133,8 @@ def _check_parens(text: str, toks: list[str]) -> None:
 
 def _items(toks: list[str], s: int) -> tuple[list[int], int]:
     """The token indices of the items of the list that opens at toks[s],
-    and the index after its ')'.  s = -1 reads the top level, to the end.
-    Raises IndexError when the list is not closed."""
+    and the index after its ')'.  Raises IndexError when the list is not
+    closed."""
     items: list[int] = []
     depth = 0
     k, end = s + 1, len(toks)
@@ -152,9 +150,7 @@ def _items(toks: list[str], s: int) -> tuple[list[int], int]:
             if tok == "(":
                 depth += 1
         k += 1
-    if s >= 0:
-        raise IndexError(s)
-    return items, k
+    raise IndexError(s)
 
 
 # The item count, head included, of every list of an input by the index
@@ -271,9 +267,11 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
 
     Each open form is a frame on `stack`: its first token, the number of
     arguments it collects (None: any), its constructor and, for an
-    operator application, the operator; its arguments so far; and the
-    bound variables and prime flag outside it."""
+    operator application, the operator; and the argument list, bound
+    variables and prime flag outside it.  `args` holds the arguments of
+    the innermost open form so far."""
     stack: list = []
+    args: list = []
     in_prime = False
     while True:
         tok = toks[i]
@@ -283,8 +281,9 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
             h = toks[i + 1]
             connective = CONNECTIVES.get(h)
             if connective is not None:
-                stack.append((i, connective[0], connective[1], None, [],
+                stack.append((i, connective[0], connective[1], None, args,
                               bound, in_prime))
+                args = []
                 i += 2
                 continue
             binder = _BINDERS.get(h)
@@ -299,23 +298,26 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
                 if names.get(var, ("",))[0] == "flex":
                     raise _error(text, "cannot quantify over flexible "
                                  f"variable {var!r}", i + 2)
-                stack.append((i, 1, partial(binder, var), None, [],
+                stack.append((i, 1, partial(binder, var), None, args,
                               bound, in_prime))
+                args = []
                 bound = (var,) + bound
                 i += 3
                 continue
             if h == "prime":
                 if in_prime:
                     raise _error(text, "prime cannot be nested", i)
-                stack.append((i, 1, Prime, None, [], bound, in_prime))
+                stack.append((i, 1, Prime, None, args, bound, in_prime))
+                args = []
                 in_prime = True
                 i += 2
                 continue
             entry = names.get(h)
             if entry is not None and (entry[0] == "op" or entry[0] == "def"):
                 stack.append((i, entry[1],
-                              OpApp if entry[0] == "op" else DefApp, h, [],
+                              OpApp if entry[0] == "op" else DefApp, h, args,
                               bound, in_prime))
+                args = []
                 i += 2
                 continue
             if h == "false" or h == "true":
@@ -333,13 +335,12 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
         if tok == ")":
             if not stack:
                 raise _error(text, "expected an expression", i)
-            start, count, make, op, args, outer, outer_prime = stack[-1]
+            start, count, make, op, outer, bound, in_prime = stack.pop()
             if count is not None and len(args) != count:
                 # the second read reports this where the form opens
                 raise _error(text, "wrong argument count", start)
-            stack.pop()
             value = make(*args) if op is None else make(op, tuple(args))
-            bound, in_prime = outer, outer_prime
+            args = outer
         elif bound and tok in bound:
             value = RigidVar(tok)
         else:
@@ -358,7 +359,7 @@ def _expression(text: str, toks: list[str], i: int, names: _Names,
         i += 1
         if not stack:
             return value, i
-        stack[-1][4].append(value)
+        args.append(value)
 
 
 class ProblemFile(Record):
@@ -410,8 +411,11 @@ _FORM_USAGE = {
 }
 
 
-def parse_file(text: str) -> ProblemFile:
-    toks = _tokens(text)
+def parse_file(text: str,
+               toks: Optional[list[str]] = None) -> ProblemFile:
+    """The forms of a problem file; `toks`, when given, are its tokens."""
+    if toks is None:
+        toks = _tokens(text)
     return _reading(partial(_problem_file, text, toks), text, toks)
 
 
@@ -576,9 +580,10 @@ def _problem_file(text: str, toks: list[str],
     )
 
 
-def parse_problem(text: str) -> Obligation:
+def parse_problem(text: str,
+                  toks: Optional[list[str]] = None) -> Obligation:
     """Parse a problem file into an obligation.  Requires a (goal ...)."""
-    return parse_file(text).obligation()
+    return parse_file(text, toks).obligation()
 
 
 def parse_expr(text: str, env: DefinitionEnvironment) -> Expression:

@@ -10,7 +10,14 @@ every odd one, zero to two hypotheses of depth 2 and a goal of depth 3,
 written with `print_problem`.  The commands are `coalesce-fol` (plain,
 with `--canonical-order=appearance`, and with `--rewrite-rigid-box`
 general and reflexive), `coalesce-ml`, `emit --emit=smt|tptp|mlseq`,
-`leibniz` and `prove-ml` on every input, and `safety` on `demo/swap.foml`.
+`leibniz` and `prove-ml` on every input, `check-model` on every input
+against a model drawn for its environment (`random_model` from
+`rng_for(6161, k)` for input k, prime relation included, written with
+`serialize_model`), and `safety` on `demo/swap.foml`.  A malformed pass
+then runs `coalesce-fol` on each input, and `check-model` on each model
+with its input, each text cut at half its length and, apart, with its
+first ")" deleted, so the readers' errors and their positions enter a
+digest too.
 
 It prints one SHA-256 per command over each run's input, exit code,
 stdout and stderr (and, for `safety`, the files it writes), with the
@@ -25,7 +32,9 @@ import tempfile
 from pathlib import Path
 
 from foml import cli
-from foml.gen import random_env, random_expr, rng_for
+from foml.gen import random_env, random_expr, random_model, rng_for
+from foml.models import serialize_model
+from foml.parser import parse_file
 from foml.printer import print_problem
 from foml.syntax import Obligation
 
@@ -44,8 +53,8 @@ COMMANDS = (
 )
 
 
-def problems() -> list[tuple[str, str]]:
-    """(a name, the text) of every input, in order."""
+def problems() -> list[tuple[str, str, str]]:
+    """(a name, the text, a model text for it) of every input, in order."""
     out = [(path.name, path.read_text())
            for path in sorted(DEMO.glob("*.foml"))]
     for i in range(300):
@@ -57,7 +66,14 @@ def problems() -> list[tuple[str, str]]:
         goal = random_expr(rng, env, 3, allow_prime=prime)
         out.append((f"random{i}.foml",
                     print_problem(Obligation(hyps, goal, env))))
-    return out
+    return [(name, text, serialize_model(random_model(
+                rng_for(6161, k), parse_file(text).env, need_prime=True)))
+            for k, (name, text) in enumerate(out)]
+
+
+def malformed(text: str) -> tuple[str, str]:
+    """text cut at half its length, and text with its first ")" deleted."""
+    return text[:len(text) // 2], text.replace(")", "", 1)
 
 
 def run(argv: list[str], tmp: str) -> bytes:
@@ -72,19 +88,46 @@ def run(argv: list[str], tmp: str) -> bytes:
         tmp, "<tmp>").encode()
 
 
+def digest_runs(label: str, runs: list[tuple[str, list[str]]],
+                tmp: str) -> None:
+    """Print one digest over (input text, argv) runs."""
+    digest = hashlib.sha256()
+    for text, argv in runs:
+        digest.update(text.encode())
+        digest.update(run(argv, tmp))
+    print(f"{label}: {digest.hexdigest()}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
-        for name, text in problems():
+        for name, text, model in problems():
             path = Path(tmp, name)
             path.write_text(text)
-            paths.append((path, text))
+            model_path = Path(tmp, f"{path.stem}.model")
+            model_path.write_text(model)
+            paths.append((path, text, model_path, model))
         for command in COMMANDS:
-            digest = hashlib.sha256()
-            for path, text in paths:
-                digest.update(text.encode())
-                digest.update(run([command[0], str(path), *command[1:]], tmp))
-            print(f"{' '.join(command)}: {digest.hexdigest()}")
+            digest_runs(" ".join(command), [
+                (text, [command[0], str(path), *command[1:]])
+                for path, text, _, _ in paths], tmp)
+        digest_runs("check-model", [
+            (model + text, ["check-model", str(model_path), str(path)])
+            for path, text, model_path, model in paths], tmp)
+        bad_problems, bad_models = [], []
+        for path, text, model_path, model in paths:
+            for k, (bad_text, bad_model) in enumerate(
+                    zip(malformed(text), malformed(model))):
+                bad_path = Path(tmp, f"bad{k}-{path.name}")
+                bad_path.write_text(bad_text)
+                bad_problems.append(
+                    (bad_text, ["coalesce-fol", str(bad_path)]))
+                bad_model_path = Path(tmp, f"bad{k}-{model_path.name}")
+                bad_model_path.write_text(bad_model)
+                bad_models.append((bad_model + text, [
+                    "check-model", str(bad_model_path), str(path)]))
+        digest_runs("malformed coalesce-fol", bad_problems, tmp)
+        digest_runs("malformed check-model", bad_models, tmp)
         out = Path(tmp, "safety")
         swap = Path(tmp, "swap.foml")
         digest = hashlib.sha256(swap.read_bytes())

@@ -33,6 +33,8 @@ SWAP = """(declare-op 0 0)
 (inductive-invariant (= x y))
 """
 
+SEQ = "(mlseq (global-hypotheses a) (goal (nabla a)))"
+
 
 @pytest.fixture
 def box_file(tmp_path):
@@ -81,16 +83,27 @@ class TestSubcommands:
         assert run(capsys, "prove-ml", str(path))[0] == 1
         assert run(capsys, "prove-ml", str(path), "--frame=t")[0] == 0
 
-    def test_mlseq_after_a_comment(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "; written by hand\n\n" + SEQ + "\n",
+        "; (goal false) is a comment, not a form\n" + SEQ,
+        "(; the head comes after this comment\n" + SEQ[1:],
+    ])
+    def test_mlseq_after_a_comment(self, capsys, tmp_path, text):
         # the head of the first form, not the first characters, tells an
         # mlseq file from a problem file
-        seq = "(mlseq (global-hypotheses a) (goal (nabla a)))"
         path = tmp_path / "commented.mlseq"
-        path.write_text("; written by hand\n\n" + seq + "\n")
+        path.write_text(text)
         assert run(capsys, "prove-ml", str(path)) == (0, "proved\n", "")
         code, out, err = run(capsys, "emit", str(path), "--emit=mlseq")
         assert (code, err) == (0, "")
-        assert out == emit_mlseq(parse_mlseq(seq))
+        assert out == emit_mlseq(parse_mlseq(SEQ))
+
+    def test_problem_after_an_mlseq_comment(self, capsys, tmp_path):
+        path = tmp_path / "commented.foml"
+        path.write_text("; (mlseq (goal p))\n" + BOX)
+        code, out, err = run(capsys, "prove-ml", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith("countermodel")
 
     @pytest.mark.parametrize("section, text", [
         ("global-hypotheses",

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from foml import gen
+from foml.syntax import signature
 
 NAMES = tuple(gen.CHECKS)
 SEEDS = range(20)
@@ -163,3 +164,18 @@ def test_an_empty_range_raises_before_drawing(n):
 
     with pytest.raises(ValueError, match="empty range"):
         gen._below(no_draw, n)
+
+
+def test_needs_prime_is_the_prime_of_the_signature():
+    # what the witness and argument-lemma openings ask of `random_model`,
+    # read from `kinds` in place of a `signature` walk
+    seen = set()
+    for i in range(5000):
+        rng = gen.rng_for(3434, i)
+        env = gen.random_env(rng, with_defs=i % 3 != 0)
+        exprs = tuple(gen.random_expr(rng, env, depth=3 - k % 2)
+                      for k in range(1 + i % 3))
+        want = signature(exprs, env).prime
+        assert gen._needs_prime(exprs, env) == want, (exprs, env)
+        seen.add(want)
+    assert seen == {False, True}

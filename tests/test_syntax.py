@@ -39,7 +39,13 @@ from foml.gen import (
 )
 from foml.emit import parse_mlseq, stratify
 from foml.models import parse_model, serialize_model
-from foml.parser import ProblemError, parse_expr, parse_file
+from foml.parser import (
+    ProblemError,
+    _position,
+    _tokens,
+    parse_expr,
+    parse_file,
+)
 from foml.printer import print_problem
 from foml.search import SearchBounds
 from foml.syntax import (
@@ -208,6 +214,31 @@ def _assert_front_ends_agree(text):
             or (want.line, want.col) > (got.line, got.col), (text, want)
 
 
+# Texts for the tokenizer oracle: parentheses, comments, atoms (heads of
+# forms among them) and the harder whitespace: U+001C-U+001F, U+0085,
+# U+2028, U+3000, "\r\n" and a lone "\r".  U+200B and U+FEFF are not
+# whitespace, so they stay inside atoms.
+TOKENIZER_PIECES = ["(", ")", "(", ")", "; c (", ";", "\n", " ", "a", "v'",
+                    "12", "goal", "mlseq", "model", "universe", "\u200b",
+                    "\ufeff", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                    "\u2028", "\u3000", "\r\n", "\r"]
+tokenizer_texts = st.lists(st.sampled_from(TOKENIZER_PIECES),
+                           max_size=40).map("".join)
+
+
+def _regex_tokens(text):
+    """(token, line, column) of each parenthesis and atom of text, as the
+    regex reader of the reference front end (`read_sexprs`) scans it."""
+    out, line, newline = [], 1, -1
+    for m in reference._TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, newline = line + 1, m.start()
+        elif tok[0] != ";":
+            out.append((tok, line, m.start() - newline))
+    return out
+
+
 def _first_error(parse, text):
     with pytest.raises(ProblemError) as exc:
         parse(text)
@@ -235,6 +266,16 @@ class TestReader:
         first = tokens[0]
         message = _first_error(parse_file, text)
         assert message.startswith(f"line {first.line}, col {first.col}: ")
+
+    @given(tokenizer_texts)
+    @settings(max_examples=150, deadline=None)
+    def test_tokens_match_the_regex_reader(self, text):
+        want = _regex_tokens(text)
+        assert _tokens(text) == [tok for tok, _, _ in want]
+        assert [_position(text, k) for k in range(len(want))] \
+            == [(line, col) for _, line, col in want]
+        # and so every reader's error, line and column included
+        _assert_front_ends_agree(text)
 
     @pytest.mark.parametrize("text,msg", [
         ("(a\n (b)", "line 1, col 1: unclosed '('"),
@@ -307,6 +348,31 @@ class TestReader:
         text = f"(mlseq (goal {goal}))"
         for parse in FRONT_ENDS["parse_mlseq"]:
             assert _first_error(parse, text) == f"line 1, {msg}"
+
+    MODEL = "(model (universe 0 1) (tt 1) (ff 0) (states s) (R (s s)))"
+
+    @pytest.mark.parametrize("text,msg", [
+        # a second top-level form comes after the parentheses and before
+        # any error of the model form, even when the model is valid
+        (MODEL + " (x)", "model file must contain exactly one (model ...)"),
+        (MODEL + " " + MODEL, "model file must contain exactly one "
+         "(model ...)"),
+        (MODEL + " x", "model file must contain exactly one (model ...)"),
+        ("(x) " + MODEL, "model file must contain exactly one (model ...)"),
+        (MODEL.replace("(tt 1)", "(tt 1 2)") + " (x)",
+         "model file must contain exactly one (model ...)"),
+        ("", "model file must contain exactly one (model ...)"),
+        (MODEL + ")", "line 1, col 58: unmatched ')'"),
+        (MODEL.replace("(tt 1)", "(tt 1 2)") + " (",
+         "line 1, col 61: unclosed '('"),
+        (MODEL.replace("(tt 1)", "(tt 1 2)"), "line 1, col 23: (tt value)"),
+        ("(universe 0 1)",
+         "line 1, col 1: model file must start with (model ...)"),
+        ("x", "line 1, col 1: expected (model ...)"),
+    ])
+    def test_model_file_errors(self, text, msg):
+        for parse in FRONT_ENDS["parse_model"]:
+            assert _first_error(parse, text) == msg
 
 
 class TestAgainstReferenceFrontEnd:

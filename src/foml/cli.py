@@ -47,13 +47,11 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
-# The rewriting passes keep their own stack, but `alpha_key`, `is_rigid`,
-# the printers and the evaluators still take one stack frame per tree
-# level, so commands run with this many frames on top of the ones the
-# caller already has: about 1,990 levels of nesting, from any caller.
-# An `alpha_key` on its own stack would not remove the need: `==` between
-# two equal keys (a hit in `Interner.entry`) and `repr` of a key (its
-# name digest) recurse in Python too, one frame per level.
+# The rewriting passes, `alpha_key` and `print_expr` keep their own stack,
+# but `is_rigid`, `emit._render` (SMT and TPTP output), the evaluators and
+# node `==` and `hash` still take one stack frame per tree level, so
+# commands run with this many frames on top of the ones the caller
+# already has: about 1,990 levels of nesting, from any caller.
 RECURSION_LIMIT = 2000
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .leibniz import STAR, classify_args, compute_leibniz
 from .models import FOLStructure, KripkeModel, Value
@@ -48,38 +48,19 @@ from .syntax import (
 )
 
 
-class ModalKey(Record):
-    __slots__ = __match_args__ = ("kind", "nvars", "body")
-
-    def __init__(self, kind: str, nvars: int, body: tuple) -> None:
-        self.kind = kind  # "nabla" | "prime"
-        self.nvars = nvars
-        self.body = body
-
-
-class DefKey(Record):
-    __slots__ = __match_args__ = ("op", "nvars", "entries")
-
-    def __init__(self, op: str, nvars: int, entries: tuple) -> None:
-        self.op = op
-        self.nvars = nvars
-        self.entries = entries  # ("star",) or alpha key per argument position
-
-
 class SymbolEntry(Record):
     """Interned fresh symbol plus a representative of its key, kept for
     witness construction and pretty-printing."""
 
-    __slots__ = __match_args__ = ("name", "arity", "key", "zvars", "node",
-                                  "op", "entries")
+    __slots__ = __match_args__ = ("name", "arity", "zvars", "node", "op",
+                                  "entries")
 
-    def __init__(self, name: str, arity: int, key: Union[ModalKey, DefKey],
-                 zvars: tuple[str, ...], node: Optional[Expression] = None,
+    def __init__(self, name: str, arity: int, zvars: tuple[str, ...],
+                 node: Optional[Expression] = None,
                  op: Optional[str] = None,
                  entries: Optional[tuple] = None) -> None:
         self.name = name
         self.arity = arity
-        self.key = key
         self.zvars = zvars
         self.node = node  # modal keys: the nabla/prime node
         self.op = op  # def keys: the defined operator
@@ -151,28 +132,26 @@ def _coalesce_pre(e: Expression, ctx: tuple) -> Any:
         binders, env, table, order = ctx
         kind = "nabla" if t is Nabla else "prime"
         z = _select_zvars(binders, free_rigid_vars(e.body), order)
-        key = ModalKey(kind, len(z), alpha_key(e, z))
+        # a symbol's name digests its key, so these texts are fixed
+        key = (f"ModalKey(kind={kind!r}, nvars={len(z)}, "
+               f"body={alpha_key(e, z)})")
         entry = table.entry(key, lambda name: SymbolEntry(
-            name, len(z), key, z, node=e))
+            name, len(z), z, node=e))
         return OpApp(entry.name, tuple(RigidVar(x) for x in z))
     if t is DefApp:
         binders, env, table, order = ctx
         op = e.op
         eps = classify_args(op, e.args, table.leibniz, env)
-        concrete_free: list[str] = []
-        for ent in eps:
-            if ent is not STAR:
-                for x in free_rigid_vars(ent):
-                    if x not in concrete_free:
-                        concrete_free.append(x)
+        concrete_free = dict.fromkeys(
+            x for ent in eps if ent is not STAR for x in free_rigid_vars(ent))
         z = _select_zvars(binders, tuple(concrete_free), order)
-        canon = tuple(
-            ("star",) if ent is STAR
-            else alpha_key(ent, z)
-            for ent in eps)
-        key = DefKey(op, len(z), canon)
+        canon = ", ".join(["('star',)" if ent is STAR else alpha_key(ent, z)
+                           for ent in eps])
+        if len(eps) == 1:
+            canon += ","  # a 1-tuple's repr
+        key = f"DefKey(op={op!r}, nvars={len(z)}, entries=({canon}))"
         entry = table.entry(key, lambda name: SymbolEntry(
-            name, len(eps) + len(z), key, z, op=op, entries=eps))
+            name, len(eps) + len(z), z, op=op, entries=eps))
         zvars = tuple(RigidVar(x) for x in z)
         return ctx, lambda app: OpApp(entry.name, app.args + zvars)
     return None

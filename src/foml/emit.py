@@ -363,7 +363,7 @@ _ML_FORMS = {"=>": (2, Implies), "nabla": (1, Nabla), "prime": (1, Prime)}
 _ML_BAD_ATOMS = {"true", "nabla", "prime", "=>"}
 
 
-def _ml_expression(text: str, toks: list[str], i: int,
+def _ml_expression(text: Optional[str], toks: list[str], i: int,
                    counts: _Counts) -> tuple[Expression, int]:
     """The modal formula at toks[i], and the index after it; built with an
     explicit stack of (first token, argument count, constructor, outer
@@ -410,10 +410,11 @@ def parse_mlseq(text: str,
     """The sequent of an mlseq text; `toks`, when given, are its tokens."""
     if toks is None:
         toks = _tokens(text)
-    return _reading(partial(_mlseq, text, toks), text, toks)
+    return _reading(partial(_mlseq, toks), text, toks)
 
 
-def _mlseq(text: str, toks: list[str], counts: _Counts) -> MLSequent:
+def _mlseq(toks: list[str], text: Optional[str],
+           counts: _Counts) -> MLSequent:
     """The sequent whose tokens are toks, read section by section."""
     message = "expected exactly one (mlseq ...) form"
     if not toks or toks[0] != "(" or counts is not None and counts[-1] != 1:

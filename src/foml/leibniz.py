@@ -25,12 +25,11 @@ from .syntax import (
     DefinitionEnvironment,
     Expression,
     FomlError,
-    Forall,
     Nabla,
     Prime,
-    children,
     free_rigid_vars,
     is_rigid,
+    nodes,
 )
 
 
@@ -48,22 +47,15 @@ def _vars_in_non_leibniz_positions(
     """Free rigid variables of e having an occurrence inside some
     non-Leibniz argument position: only a nabla, a prime or a DefApp
     makes one."""
-    if not e.kinds & _NON_LEIBNIZ:
-        return set()
-    t = type(e)
-    if t is Nabla or t is Prime:
-        return set(free_rigid_vars(e.body))
-    if t is Forall:
-        return _vars_in_non_leibniz_positions(e.body, computed) - {e.var}
     bad: set[str] = set()
-    if t is DefApp:
-        for leib, a in zip(computed[e.op], e.args):
-            bad |= _vars_in_non_leibniz_positions(a, computed)
-            if not leib:
-                bad |= set(free_rigid_vars(a))
-        return bad
-    for c in children(e):
-        bad |= _vars_in_non_leibniz_positions(c, computed)
+    for n, bound in nodes(e) if e.kinds & _NON_LEIBNIZ else ():
+        t = type(n)
+        if t is Nabla or t is Prime:
+            bad |= set(free_rigid_vars(n.body)) - bound
+        elif t is DefApp:
+            for leib, a in zip(computed[n.op], n.args):
+                if not leib:
+                    bad |= set(free_rigid_vars(a)) - bound
     return bad
 
 

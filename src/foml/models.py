@@ -172,10 +172,11 @@ def serialize_model(m: KripkeModel) -> str:
 def parse_model(text: str) -> KripkeModel:
     """The model of a model file, read by the parser's one error rule."""
     toks = _tokens(text)
-    return _reading(partial(_model, text, toks), text, toks)
+    return _reading(partial(_model, toks), text, toks)
 
 
-def _model(text: str, toks: list[str], counts: _Counts) -> KripkeModel:
+def _model(toks: list[str], text: Optional[str],
+           counts: _Counts) -> KripkeModel:
     """The model whose tokens are toks; a node is the index of its first
     token."""
     message = "model file must contain exactly one (model ...)"

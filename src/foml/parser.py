@@ -25,16 +25,17 @@ the text, comments dropped, is split into a flat list of parentheses and
 atoms by `str.replace` and `str.split`, and the parser builds its result
 straight from that list.  Expressions are built with an explicit stack,
 so nesting depth costs no Python recursion.  Tokens carry no position: a
-line and a column are computed only when an error is raised, by finding
-each token in turn with `str.find` up to the offending one.
+line and a column are computed only for the error an input reports, by
+finding each token in turn with `str.find` up to the offending one.
 
 The first error of an input is the one reported: an unbalanced
 parenthesis anywhere comes first, and a form's argument count is checked
 before its arguments are read.  Every reader keeps that order by one rule
 (`_reading`): read once; on an error, read again with every list's item
 count and raise the first error met.  Valid input is read once, with no
-count checks; on the second read each form checks its count where it
-opens, so the first error raised is the input's first.
+count checks.  The first read places no error; on the second read each
+form checks its count where it opens, so the first error raised is the
+input's first, and it is the one error placed.
 """
 from __future__ import annotations
 
@@ -111,8 +112,12 @@ def _position(text: str, k: int) -> tuple[int, int]:
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _error(text: str, message: str, at: int) -> ProblemError:
-    """A ProblemError at the token with index `at`."""
+def _error(text: Optional[str], message: str, at: int) -> ProblemError:
+    """A ProblemError at the token with index `at` of text; with no text
+    (a read that only tells valid input from invalid), one without a
+    position."""
+    if text is None:
+        return ProblemError(message)
     return ProblemError(message, *_position(text, at))
 
 
@@ -174,16 +179,17 @@ def _item_counts(toks: list[str]) -> dict[int, int]:
 
 
 def _reading(read: Callable, text: str, toks: list[str]):
-    """read(None), the one read valid input takes.  When it fails (an
-    IndexError is a list that runs past the last token), the input's first
-    error is raised: an unbalanced parenthesis, or else the first error
-    read(counts) meets, each form checking its count where it opens."""
+    """read(None, None), the one read valid input takes, which computes no
+    error position.  When it fails (an IndexError is a list that runs past
+    the last token), the input's first error is raised: an unbalanced
+    parenthesis, or else the first error read(text, counts) meets, each
+    form checking its count where it opens."""
     try:
-        return read(None)
+        return read(None, None)
     except (ProblemError, IndexError):
         pass
     _check_parens(text, toks)
-    return read(_item_counts(toks))
+    return read(text, _item_counts(toks))
 
 
 RESERVED = {
@@ -238,7 +244,7 @@ def _env_names(env: DefinitionEnvironment) -> _Names:
     return names
 
 
-def _check_arguments(text: str, toks: list[str], names: _Names,
+def _check_arguments(text: Optional[str], toks: list[str], names: _Names,
                      s: int, n: int) -> None:
     """Raise when the list at toks[s], which has n arguments, is an
     expression form that takes another number."""
@@ -256,7 +262,7 @@ def _check_arguments(text: str, toks: list[str], names: _Names,
                      f"got {n} argument(s)", s)
 
 
-def _expression(text: str, toks: list[str], i: int, names: _Names,
+def _expression(text: Optional[str], toks: list[str], i: int, names: _Names,
                 bound: tuple[str, ...] = (),
                 counts: _Counts = None) -> tuple[Expression, int]:
     """The expression at toks[i], and the index of the token after it.
@@ -416,10 +422,10 @@ def parse_file(text: str,
     """The forms of a problem file; `toks`, when given, are its tokens."""
     if toks is None:
         toks = _tokens(text)
-    return _reading(partial(_problem_file, text, toks), text, toks)
+    return _reading(partial(_problem_file, toks), text, toks)
 
 
-def _declared(text: str, toks: list[str], names: _Names, k: int,
+def _declared(text: Optional[str], toks: list[str], names: _Names, k: int,
               what: str) -> str:
     """The new name at toks[k], which must be neither reserved nor
     already declared."""
@@ -432,9 +438,10 @@ def _declared(text: str, toks: list[str], names: _Names, k: int,
     return name
 
 
-def _problem_file(text: str, toks: list[str],
+def _problem_file(toks: list[str], text: Optional[str],
                   counts: _Counts) -> ProblemFile:
-    """The problem file whose tokens are toks, read form by form."""
+    """The problem file whose tokens are toks, read form by form; errors
+    are placed in text (see `_error`)."""
     ops: dict[str, int] = {}
     rigid: list[str] = []
     flex: list[str] = []
@@ -592,7 +599,7 @@ def parse_expr(text: str, env: DefinitionEnvironment) -> Expression:
     names = _env_names(env)
     message = "expected exactly one expression"
 
-    def read(counts: _Counts) -> Expression:
+    def read(text: Optional[str], counts: _Counts) -> Expression:
         if not toks or counts is not None and counts[-1] != 1:
             raise ProblemError(message)
         e, i = _expression(text, toks, 0, names, (), counts)

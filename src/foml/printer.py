@@ -24,26 +24,38 @@ from .syntax import (
 
 
 def print_expr(e: Expression) -> str:
-    t = type(e)
-    if t is Implies:
-        return f"(=> {print_expr(e.lhs)} {print_expr(e.rhs)})"
-    if t is OpApp or t is DefApp:
-        if not e.args:
-            return e.op
-        return f"({e.op} {' '.join([print_expr(a) for a in e.args])})"
-    if t is RigidVar or t is FlexVar:
-        return e.name
-    if t is FalseExpr:
-        return "false"
-    if t is Eq:
-        return f"(= {print_expr(e.lhs)} {print_expr(e.rhs)})"
-    if t is Forall:
-        return f"(forall {e.var} {print_expr(e.body)})"
-    if t is Nabla:
-        return f"(nabla {print_expr(e.body)})"
-    if t is Prime:
-        return f"(prime {print_expr(e.body)})"
-    raise InternalError(f"unknown expression node {e!r}")
+    """The s-expression of e, built on an explicit stack, so at any
+    depth."""
+    out: list[str] = []
+    put = out.append
+    todo: list = [e]  # nodes to print and text to emit, next on top
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is str:
+            put(e)
+        elif t is Implies or t is Eq:
+            put("(=> " if t is Implies else "(= ")
+            todo += (")", e.rhs, " ", e.lhs)
+        elif t is OpApp or t is DefApp:
+            if e.args:
+                put("(" + e.op)
+                todo.append(")")
+                for a in reversed(e.args):
+                    todo += (a, " ")
+            else:
+                put(e.op)
+        elif t is RigidVar or t is FlexVar:
+            put(e.name)
+        elif t is FalseExpr:
+            put("false")
+        elif t is Forall or t is Nabla or t is Prime:
+            put(f"(forall {e.var} " if t is Forall
+                else "(nabla " if t is Nabla else "(prime ")
+            todo += (")", e.body)
+        else:
+            raise InternalError(f"unknown expression node {e!r}")
+    return "".join(out)
 
 
 def print_env(env: DefinitionEnvironment) -> str:

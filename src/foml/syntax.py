@@ -30,12 +30,15 @@ pass built on them has no nesting limit of its own.  A new node kind gets
 a bit in `KIND` and is added to those three functions first, then to
 every dispatcher that renders or interprets each kind exactly:
 `alpha_key`, the printer, `semantics._evaluate` and `semantics._lanes`.
+The two renderers keep their own stack too.
 Dispatch is on the exact class, `type(e) is Implies`, never on
 `isinstance` or a class pattern: an exact test costs about half as much
 per node, and a node of a kind a dispatcher does not know ends in its
 `InternalError`, not in a silent fallback.
 
-Fresh symbols of the translations are named by one `Interner`.
+Fresh symbols of the translations are named by one `Interner`, keyed by
+text: `alpha_key` renders a subterm up to the renaming of its bound
+variables, and the digest in a symbol's name is a hash of that text.
 """
 from __future__ import annotations
 
@@ -74,8 +77,7 @@ class Record:
     - equality holds only between records of the same class, and compares
       the field tuples, which test each pair of fields for identity first;
     - the hash is the hash of the field tuple;
-    - the repr is `Qualname(field=value!r, ...)`, which names the fresh
-      symbols of the translations (see `Interner`)."""
+    - the repr is `Qualname(field=value!r, ...)`."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -487,40 +489,58 @@ def _substitute_pre(e: Expression, sigma: dict[str, Expression]) -> Any:
     return live, lambda f: Forall(var2, f.body)
 
 
-def alpha_key(e: Expression, binders: tuple[str, ...] = ()) -> tuple:
-    """Canonical de Bruijn rendering of e.
+def alpha_key(e: Expression, binders: tuple[str, ...] = ()) -> str:
+    """Canonical de Bruijn rendering of e, as text, built on an explicit
+    stack, so at any depth.
 
     Bound rigid variables become indices (innermost binder is 0); free rigid
     and flexible variables keep their names.  `binders` (innermost first)
     lets callers treat additional variables as abstracted, which is how
     coalescing keys are formed.  Two expressions are alpha-equivalent iff
-    their keys are equal.
+    their keys are equal.  The text is the repr of a nested tuple, one per
+    node: `('imp', lhs, rhs)`, `('eq', lhs, rhs)`, `('all', body)`,
+    `('nabla', body)`, `('prime', body)`, `('op', name, *args)`,
+    `('def', name, *args)`, `('b', index)`, `('x', name)`, `('v', name)`
+    and `('false',)`; every fresh symbol's name digests it (see
+    `Interner`).
     """
-    t = type(e)
-    if t is Implies:
-        return ("imp", alpha_key(e.lhs, binders), alpha_key(e.rhs, binders))
-    if t is RigidVar:
-        name = e.name
-        if name in binders:
-            return ("b", binders.index(name))
-        return ("x", name)
-    if t is OpApp:
-        return ("op", e.op, *[alpha_key(a, binders) for a in e.args])
-    if t is Eq:
-        return ("eq", alpha_key(e.lhs, binders), alpha_key(e.rhs, binders))
-    if t is FalseExpr:
-        return ("false",)
-    if t is FlexVar:
-        return ("v", e.name)
-    if t is Forall:
-        return ("all", alpha_key(e.body, (e.var,) + binders))
-    if t is Nabla:
-        return ("nabla", alpha_key(e.body, binders))
-    if t is Prime:
-        return ("prime", alpha_key(e.body, binders))
-    if t is DefApp:
-        return ("def", e.op, *[alpha_key(a, binders) for a in e.args])
-    raise InternalError(f"unknown expression node {e!r}")
+    out: list[str] = []
+    put = out.append
+    # nodes to render and text to emit, next on top, and the binders to
+    # restore on leaving a Forall's body
+    todo: list = [e]
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is str:
+            put(e)
+        elif t is Implies or t is Eq:
+            put("('imp', " if t is Implies else "('eq', ")
+            todo += (")", e.rhs, ", ", e.lhs)
+        elif t is RigidVar:
+            put(f"('b', {binders.index(e.name)})" if e.name in binders
+                else f"('x', {e.name!r})")
+        elif t is OpApp or t is DefApp:
+            put(f"('op', {e.op!r}" if t is OpApp else f"('def', {e.op!r}")
+            todo.append(")")
+            for a in reversed(e.args):
+                todo += (a, ", ")
+        elif t is FalseExpr:
+            put("('false',)")
+        elif t is FlexVar:
+            put(f"('v', {e.name!r})")
+        elif t is Forall:
+            put("('all', ")
+            todo += (")", binders, e.body)
+            binders = (e.var,) + binders
+        elif t is Nabla or t is Prime:
+            put("('nabla', " if t is Nabla else "('prime', ")
+            todo += (")", e.body)
+        elif t is tuple:
+            binders = e
+        else:
+            raise InternalError(f"unknown expression node {e!r}")
+    return "".join(out)
 
 
 def alpha_equal(e1: Expression, e2: Expression) -> bool:
@@ -677,8 +697,9 @@ class Obligation:
 class Interner:
     """Table from keys to entries named by fresh symbols.
 
-    The n-th key interned (from 0) is named `<prefix><n>__<digest>`, the
-    digest being a 4-byte blake2b of `repr(key)`.  When the environment
+    A key is text (an `alpha_key`, or one built from alpha keys).  The n-th
+    key interned (from 0) is named `<prefix><n>__<digest>`, the digest
+    being a 4-byte blake2b of the key text.  When the environment
     already declares that name, `_1`, `_2`, ... is appended until it does
     not.  The number keeps the names of one table pairwise distinct.
     """
@@ -686,14 +707,13 @@ class Interner:
     def __init__(self, prefix: str, env: DefinitionEnvironment):
         self.prefix = prefix
         self.env = env
-        self.entries: dict = {}
+        self.entries: dict[str, Any] = {}
 
-    def entry(self, key, make: Callable[[str], Any]) -> Any:
+    def entry(self, key: str, make: Callable[[str], Any]) -> Any:
         """The entry under key; on first sight, make(fresh name)."""
         entry = self.entries.get(key)
         if entry is None:
-            digest = hashlib.blake2b(repr(key).encode(),
-                                     digest_size=4).hexdigest()
+            digest = hashlib.blake2b(key.encode(), digest_size=4).hexdigest()
             base = f"{self.prefix}{len(self.entries)}__{digest}"
             name = base
             k = 1

@@ -577,11 +577,11 @@ class TestExitCodes:
 
 class TestNestingReach:
     """The nesting reach README states ("Exit codes and flags"): the
-    rewriting passes keep their own stack, but `alpha_key`, `is_rigid`,
-    the printers and the evaluators recurse, one frame per tree level, so
-    a pass that adds a frame per level shows here.  `main` adds its margin
-    to the frames its caller already has, so what the test runner has on
-    the stack does not shorten the reach."""
+    rewriting passes, `alpha_key` and `print_expr` keep their own stack,
+    but `is_rigid`, the SMT and TPTP renderers and the evaluators recurse,
+    one frame per tree level, so a pass that adds a frame per level shows
+    here.  `main` adds its margin to the frames its caller already has, so
+    what the test runner has on the stack does not shorten the reach."""
 
     DECLS = ("(declare-op 0 0) "
              + " ".join(f"(declare-flex v{i})" for i in range(4)) + "\n")
@@ -593,7 +593,8 @@ class TestNestingReach:
         path.write_text(f"{self.DECLS}(goal {goal})\n")
 
         def nested(n):
-            return nested(n - 1) if n else main([command, str(path)])
+            return nested(n - 1) if n else main([*command.split(),
+                                                 str(path)])
 
         return nested(extra_frames), capsys.readouterr().err
 
@@ -614,6 +615,24 @@ class TestNestingReach:
         # prove-ml stays at 980 above: its type enumeration is quadratic
         # in the nesting depth
         goal = "(nabla " * 1950 + "v0" + ")" * 1950
+        code, err = self.run_deep(capsys, tmp_path, command, goal)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", [
+        "coalesce-fol", "coalesce-ml", "emit --emit=smt", "emit --emit=tptp",
+        "emit --emit=mlseq"])
+    def test_nabla_chains_have_no_nesting_limit(self, capsys, tmp_path,
+                                                command):
+        goal = "(nabla " * 20_000 + "v0" + ")" * 20_000
+        code, err = self.run_deep(capsys, tmp_path, command, goal)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", [
+        "coalesce-fol", "coalesce-ml", "emit --emit=mlseq"])
+    def test_wide_conjunctions_have_no_nesting_limit(self, capsys, tmp_path,
+                                                     command):
+        # `emit --emit=smt|tptp` still renders a deep (and ...) by recursion
+        goal = "(and " + " ".join(f"(= v{i % 4} 0)" for i in range(3000)) + ")"
         code, err = self.run_deep(capsys, tmp_path, command, goal)
         assert (code, err) == (0, "")
 

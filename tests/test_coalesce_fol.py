@@ -12,7 +12,6 @@ from foml import (
     parse_problem,
     rewrite_rigid_box,
 )
-from foml.coalesce import DefKey
 from foml.leibniz import STAR
 from foml.gen import random_env, random_expr, random_model, rng_for
 from foml.models import KripkeModel
@@ -95,7 +94,7 @@ class TestGoldenShapes:
             "(goal (=> (= u v) (iff (cst u) (cst v))))")
         entries = res.table.in_order()
         assert len(entries) == 2
-        assert all(isinstance(e.key, DefKey) for e in entries)
+        assert all(e.node is None for e in entries)
         (e1, e2) = entries
         assert e1.entries == (FlexVar("u"),)
         assert e2.entries == (FlexVar("v"),)
@@ -219,7 +218,7 @@ class TestEpsilonBinders:
             "(goal (forall a (cst (f a v))))")
         res = coalesce_obligation_fol(ob)
         entry = res.table.in_order()[0]
-        assert isinstance(entry.key, DefKey)
+        assert entry.node is None
         assert entry.zvars == ("a",)
         assert entry.arity == 2  # original argument plus the binder
         app = fresh_symbols(res.goal, res.table)[0]

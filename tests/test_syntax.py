@@ -15,6 +15,7 @@ from foml import (
     free_rigid_vars,
     is_rigid,
     parse_problem,
+    parser,
     print_expr,
     substitute,
     syntax,
@@ -22,10 +23,9 @@ from foml import (
 from foml.actions import PrimedVars, coalesce_action, distribute_prime
 from foml.cli import RECURSION_LIMIT
 from foml.coalesce import (
-    DefKey,
-    ModalKey,
     SymbolTable,
     coalesce_fol,
+    coalesce_obligation_fol,
     rewrite_rigid_box,
 )
 from foml.coalesce_ml import AtomTable, coalesce_ml
@@ -60,6 +60,7 @@ from foml.syntax import (
     Forall,
     Implies,
     InternalError,
+    Interner,
     Nabla,
     OpApp,
     Prime,
@@ -80,7 +81,12 @@ from foml.syntax import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_front_end as reference  # noqa: E402
-from reference_syntax import map_children, needs_prime, walk  # noqa: E402
+from reference_syntax import (  # noqa: E402
+    alpha_key as reference_alpha_key,
+    map_children,
+    needs_prime,
+    walk,
+)
 from test_cli import (  # noqa: E402
     mutated_problems,
     mutated_sequents_and_models,
@@ -266,6 +272,26 @@ class TestReader:
         first = tokens[0]
         message = _first_error(parse_file, text)
         assert message.startswith(f"line {first.line}, col {first.col}: ")
+
+    @pytest.mark.parametrize("name,text", [
+        ("parse_file", "(declare-op 0 0)\n(goal (= 0 nope))"),
+        ("parse_expr", "(and a\n nope)"),
+        ("parse_mlseq", "(mlseq (goal (=> p\n true)))"),
+        ("parse_model", "(model (universe 0 1)\n (nope))"),
+    ])
+    def test_a_failing_read_places_its_error_once(self, monkeypatch, name,
+                                                  text):
+        # The read that tells valid input from invalid places no error; the
+        # read that reports the first error places only that one.
+        calls = []
+
+        def counted(text, k):
+            calls.append(k)
+            return _position(text, k)
+
+        monkeypatch.setattr(parser, "_position", counted)
+        assert _first_error(FRONT_ENDS[name][0], text).startswith("line 2, ")
+        assert len(calls) == 1
 
     @given(tokenizer_texts)
     @settings(max_examples=150, deadline=None)
@@ -1245,6 +1271,63 @@ class TestSignature:
         assert self._agree(ob.all_exprs(), ob.env) == want
 
 
+# Names a key quotes by its repr: quotes, a backslash, non-ASCII letters,
+# and characters repr escapes.
+KEY_NAMES = st.text(alphabet="xy'\"\\é∀\n\x85\u2028", min_size=1,
+                    max_size=3)
+
+
+def _key_exprs(children):
+    names = KEY_NAMES
+    return st.one_of(
+        st.builds(Implies, children, children),
+        st.builds(Eq, children, children),
+        st.builds(Forall, names, children),
+        st.builds(Nabla, children),
+        st.builds(Prime, children),
+        st.builds(OpApp, names, st.lists(children, max_size=3).map(tuple)),
+        st.builds(DefApp, names, st.lists(children, max_size=3).map(tuple)))
+
+
+key_exprs = st.recursive(
+    st.one_of(st.builds(RigidVar, KEY_NAMES), st.builds(FlexVar, KEY_NAMES),
+              st.just(FALSE), st.builds(OpApp, KEY_NAMES)),
+    _key_exprs, max_leaves=12)
+
+
+class TestAlphaKeyText:
+    @given(key_exprs, st.lists(KEY_NAMES, max_size=3).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_key_is_the_repr_of_the_reference_key(self, e, binders):
+        assert alpha_key(e, binders) == repr(reference_alpha_key(e, binders))
+
+    def test_deep_keys_and_prints_need_no_recursion(self):
+        # 20,000 levels at Python's default limit: the renderers keep their
+        # own stack, and an interner compares and hashes the key text.
+        def chain():
+            e = Eq(RigidVar("y"), RigidVar("x"))
+            for _ in range(10_000):
+                e = Nabla(Forall("y", e))
+            return e
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            a, b = chain(), chain()
+            key = alpha_key(a, ("x",))
+            assert key == ("('nabla', ('all', " * 10_000
+                           + "('eq', ('b', 0), ('b', 10000))" + "))" * 10_000)
+            assert print_expr(a) == ("(nabla (forall y " * 10_000
+                                     + "(= y x)" + "))" * 10_000)
+            table = Interner("c", DefinitionEnvironment.build())
+            first = table.entry(key, lambda name: name)
+            assert table.entry(alpha_key(b, ("x",)), lambda name: None) \
+                == first
+            assert table.in_order() == (first,)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 def _nabla_chain(n):
     e = FlexVar("v")
     for _ in range(n):
@@ -1256,28 +1339,38 @@ class TestRecord:
     """The methods `syntax.Record` gives every record in place of those
     `@dataclass` generated."""
 
-    KEY = alpha_key(Forall("y", Eq(RigidVar("x"), RigidVar("y"))), ("x",))
-
-    def test_repr_names_the_fresh_symbols_as_before(self):
-        # `Interner` hashes these strings into every fresh symbol's name;
-        # they are the dataclass reprs of the same keys.
-        assert repr(ModalKey("nabla", 1, self.KEY)) == (
-            "ModalKey(kind='nabla', nvars=1, body=('all', ('eq', ('b', 1),"
-            " ('b', 0))))")
-        assert repr(DefKey("d", 1, (("star",), self.KEY))) == (
-            "DefKey(op='d', nvars=1, entries=(('star',), ('all', ('eq',"
-            " ('b', 1), ('b', 0)))))")
+    def test_symbol_keys_name_the_fresh_symbols(self):
+        # The keys are text, and a symbol's name digests its key, so these
+        # pins fix the names of every translation: a modal key, and
+        # definition keys with no, one and two epsilon entries.
+        table = coalesce_obligation_fol(parse_problem(
+            "(declare-op 0 0) (declare-flex v)"
+            " (define (k) (nabla (= v 0))) (define (d p) (nabla (= p 0)))"
+            " (define (e p q) (nabla (= p q)))"
+            " (goal (forall x (=> (nabla (forall y (= x y)))"
+            " (=> k (=> (d (= x v)) (e 0 (= x v)))))))")).table
+        assert {key: e.name for key, e in table.entries.items()} == {
+            "ModalKey(kind='nabla', nvars=1, body=('nabla', ('all', ('eq',"
+            " ('b', 1), ('b', 0)))))": "c0__ab8b0841",
+            "DefKey(op='k', nvars=0, entries=())": "c1__01411de8",
+            "DefKey(op='d', nvars=1, entries=(('eq', ('b', 0),"
+            " ('v', 'v')),))": "c2__baf4a501",
+            "DefKey(op='e', nvars=1, entries=(('star',), ('eq', ('b', 0),"
+            " ('v', 'v'))))": "c3__6bb0c0ec",
+        }
+        for key, e in table.entries.items():
+            assert e.name.endswith(hashlib.blake2b(
+                key.encode(), digest_size=4).hexdigest())
 
     def test_records_of_different_classes_differ(self):
-        assert ModalKey("nabla", 0, self.KEY) != DefKey("nabla", 0, self.KEY)
+        assert OpApp("f", ()) != DefApp("f", ())
         assert Nabla(FALSE) != Prime(FALSE)
         assert RigidVar("x") != FlexVar("x")
-        assert (ModalKey("nabla", 0, self.KEY)
-                != ("nabla", 0, self.KEY))
+        assert SearchBounds(3, 2) != (3, 2, 2_000_000)
 
     def test_equal_records_hash_equal(self):
-        for make in (lambda: ModalKey("prime", 2, self.KEY),
-                     lambda: DefKey("d", 0, (("star",),)),
+        for make in (lambda: Definition("d", ("x",), Nabla(RigidVar("x"))),
+                     lambda: DefApp("d", (FALSE, RigidVar("x"))),
                      lambda: SearchBounds(3, 2),
                      lambda: Forall("a", OpApp("f", (RigidVar("a"),))),
                      FalseExpr):

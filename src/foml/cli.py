@@ -47,11 +47,11 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
-# The rewriting passes, `alpha_key` and `print_expr` keep their own stack,
-# but `is_rigid`, `emit._render` (SMT and TPTP output), the evaluators and
-# node `==` and `hash` still take one stack frame per tree level, so
-# commands run with this many frames on top of the ones the caller
-# already has: about 1,990 levels of nesting, from any caller.
+# The rewriting passes, `alpha_key`, `is_rigid` and the renderers keep
+# their own stack, but the evaluators and node `==` and `hash` still take
+# one stack frame per tree level, so commands run with this many frames
+# on top of the ones the caller already has: about 1,990 levels of
+# nesting, from any caller.
 RECURSION_LIMIT = 2000
 
 
@@ -275,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="foml",
                 description="first-order modal logic workbench")
     sub = p.add_subparsers(dest="command", required=True)
+    # the command parsers by name, so `main` can hand a line to its command
+    p.commands = sub.choices
 
     def add(name, func, **kw):
         sp = sub.add_parser(name, **kw)
@@ -349,8 +351,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of a command line, read once.  A line that starts
+    with a command is read by that command's parser alone, as the tree
+    would hand it on; any other line, and one that leaves words over, is
+    read by the whole tree, so help, usage and every error are the tree's
+    own."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
     while frame is not None:
         depth += 1

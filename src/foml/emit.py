@@ -208,27 +208,29 @@ _TPTP_RESERVED = {"tt", "ff", "fof", "axiom", "conjecture"}
 
 
 class _Spelling(NamedTuple):
-    """How one first-order format spells formulas and terms; `implies`,
-    `eq` and `neg` are format templates."""
+    """How one first-order format spells formulas and terms: `implies` and
+    `eq` are the texts before, between and after the two sides, `app` the
+    format of an application's text before its first argument (the
+    operator's name filled in), and every application and quantifier ends
+    with ")"."""
 
     false: str
     var: str  # bound-variable prefix, numbered by binder depth
-    implies: str
-    eq: str
-    neg: str
-    app: Callable[[str, list[str]], str]  # operator, arguments
-    forall: Callable[[list[str], str], str]  # bound variables, body
+    implies: tuple[str, str, str]
+    eq: tuple[str, str, str]
+    neg: str  # a format template
+    app: str
+    sep: str  # between the arguments of an application
+    forall: Callable[[list[str]], str]  # bound variables -> text before body
 
 
 _SMT = _Spelling(
-    "false", "bv", "(=> {} {})", "(= {} {})", "(not {})",
-    lambda op, args: f"({op} {' '.join(args)})",
-    lambda vs, body: f"(forall ({' '.join(f'({v} U)' for v in vs)}) {body})")
+    "false", "bv", ("(=> ", " ", ")"), ("(= ", " ", ")"), "(not {})",
+    "({} ", " ", lambda vs: f"(forall ({' '.join(f'({v} U)' for v in vs)}) ")
 
 _TPTP = _Spelling(
-    "$false", "X", "({} => {})", "({} = {})", "~{}",
-    lambda op, args: f"{op}({','.join(args)})",
-    lambda vs, body: f"(! [{','.join(vs)}] : {body})")
+    "$false", "X", ("(", " => ", ")"), ("(", " = ", ")"), "~{}",
+    "{}(", ",", lambda vs: f"(! [{','.join(vs)}] : ")
 
 
 def _render(ir: FolIR, sp: _Spelling,
@@ -236,49 +238,102 @@ def _render(ir: FolIR, sp: _Spelling,
     """The definitional axioms, the hypotheses and the goal of `ir`,
     spelled by `sp`.  Symbols reach `sym` in order of first use, with the
     arguments of a term before its operator."""
+    imp_open, imp_mid, imp_close = sp.implies
+    eq_open, eq_mid, eq_close = sp.eq
+    is_tt = f"{eq_mid}tt{eq_close}"
+    end_eq, end_tt = (eq_close,), (is_tt,)
+    app, sep = sp.app, sp.sep
 
     def form(e: Expression, bound: dict[str, str], depth: int) -> str:
-        t = type(e)
-        if t is Implies:
-            return sp.implies.format(form(e.lhs, bound, depth),
-                                     form(e.rhs, bound, depth))
-        if t is Eq:
-            return sp.eq.format(term(e.lhs, bound), term(e.rhs, bound))
-        if t is FalseExpr:
-            return sp.false
-        if t is Forall:
-            bv = f"{sp.var}{depth}"
-            return sp.forall(
-                [bv], form(e.body, {**bound, e.var: bv}, depth + 1))
-        return sp.eq.format(term(e, bound), "tt")
-
-    def term(e: Expression, bound: dict[str, str]) -> str:
-        t = type(e)
-        if t is OpApp:
-            if not e.args:
-                return sym[e.op]
-            inner = [term(a, bound) for a in e.args]  # before sym[op]
-            return sp.app(sym[e.op], inner)
-        if t is RigidVar:
-            name = e.name
-            return bound[name] if name in bound else sym[name]
-        if t is FlexVar:
-            return sym[e.name]
-        if t is FalseExpr:
-            return "ff"
-        raise InternalError(f"unstratified node in term position: {e}")
+        """The formula e, built on an explicit stack, so at any depth."""
+        out: list[str] = []
+        put = out.append
+        # Nodes to spell and text to emit, next on top, with markers: a
+        # 1-tuple holds the text that ends a term position (an equality's
+        # sides, or a term standing as a formula); an int is the index in
+        # out of an application's operator, spelled once its arguments
+        # are; (variable, its outer binding, depth) restores the binders
+        # on leaving a Forall's body.
+        todo: list = [e]
+        in_term = False
+        while todo:
+            e = todo.pop()
+            t = type(e)
+            if t is str:
+                put(e)
+                continue
+            if not in_term:
+                if t is Implies:
+                    put(imp_open)
+                    todo += (imp_close, e.rhs, imp_mid, e.lhs)
+                    continue
+                if t is Eq:
+                    put(eq_open)
+                    todo += (end_eq, e.rhs, eq_mid, e.lhs)
+                    in_term = True
+                    continue
+                if t is FalseExpr:
+                    put(sp.false)
+                    continue
+                if t is Forall:
+                    bv = f"{sp.var}{depth}"
+                    put(sp.forall([bv]))
+                    todo += (")", (e.var, bound.get(e.var), depth), e.body)
+                    bound[e.var] = bv
+                    depth += 1
+                    continue
+                if t is tuple:
+                    var, outer, depth = e
+                    if outer is None:
+                        del bound[var]
+                    else:
+                        bound[var] = outer
+                    continue
+                # a term standing as a formula: it equals tt
+                put(eq_open)
+                todo.append(end_tt)
+                in_term = True
+            if t is RigidVar:
+                name = e.name
+                put(bound[name] if name in bound else sym[name])
+            elif t is OpApp:
+                args = e.args
+                if args:
+                    todo.append(len(out))
+                    put(e.op)
+                    for i in range(len(args) - 1, 0, -1):
+                        todo += (args[i], sep)
+                    todo.append(args[0])
+                else:
+                    put(sym[e.op])
+            elif t is FlexVar:
+                put(sym[e.name])
+            elif t is int:
+                out[e] = app.format(sym[out[e]])
+                put(")")
+            elif t is tuple:
+                put(e[0])
+                in_term = False
+            elif t is FalseExpr:
+                put("ff")
+            else:
+                raise InternalError(
+                    f"unstratified node in term position: {e}")
+        return "".join(out)
 
     axioms = []
     for d in ir.defs:
         bound = {p: f"{sp.var}{i}" for i, p in enumerate(d.params)}
         body = form(d.body, bound, len(d.params))
-        app = term(OpApp(d.name, tuple(RigidVar(p) for p in d.params)),
-                   bound)
-        for ax in (sp.implies.format(body, sp.eq.format(app, "tt")),
-                   sp.implies.format(sp.neg.format(body),
-                                     sp.eq.format(app, "ff"))):
-            axioms.append(
-                sp.forall(list(bound.values()), ax) if d.params else ax)
+        head = sym[d.name]
+        if d.params:
+            head = f"{app.format(head)}{sep.join(bound.values())})"
+        for ax in (f"{imp_open}{body}{imp_mid}{eq_open}{head}{is_tt}"
+                   f"{imp_close}",
+                   f"{imp_open}{sp.neg.format(body)}{imp_mid}{eq_open}{head}"
+                   f"{eq_mid}ff{eq_close}{imp_close}"):
+            axioms.append(f"{sp.forall(list(bound.values()))}{ax})"
+                          if d.params else ax)
     return (axioms, [form(h, {}, 0) for h in ir.hypotheses],
             form(ir.goal, {}, 0))
 

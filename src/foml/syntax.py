@@ -19,8 +19,9 @@ fields, outside its equality, hash and repr:
   rejects, and `contains_node` and `is_rigid` answer from it.  A node of a
   kind not listed here has every bit, `UNKNOWN` too, so nothing skips it.
 - `_free` (on the seven kinds with children), the free rigid variables of
-  its subtree, filled bottom-up once per node the first time
-  `free_rigid_vars` asks.
+  its subtree, filled the first time `free_rigid_vars` asks, at the node
+  asked and at each Forall, Nabla and Prime below it; the nodes between
+  them are scanned, not filled, and a filled node is never scanned again.
 
 `children`, `rewrite` and `nodes` are the single place that knows the shape
 of every node kind.  A pass tests only the kinds it treats specially:
@@ -419,26 +420,40 @@ def free_rigid_vars(e: Expression) -> tuple[str, ...]:
 
 
 def _fill_free(root: Expression) -> None:
-    """Fill the free-variable cache of root and of every node below it that
-    holds a rigid variable and has no cache yet, on an explicit stack: a
-    node is filled once, from its children's variables in first-occurrence
-    order, when none of its children waits to be filled."""
-    todo = [root]
+    """Fill the free-variable cache of root and of each Forall, Nabla and
+    Prime below it that has none yet, on an explicit stack.  The nodes
+    between them keep no cache: each filled node's subtree is scanned in
+    first-occurrence order into one ordered dict, which a cached node
+    below joins without being walked, and a Forall's dict drops its
+    variable before it joins the dict of the node above."""
+    free: dict[str, None] = {}
+    # nodes to scan, next on top, and under the nodes below each node
+    # being filled, (that node, the dict of the node above it)
+    todo: list = [(root, free)]
+    todo.extend(reversed(children(root)))
     while todo:
-        e = todo[-1]
-        free: tuple[str, ...] = ()
-        for c in children(e):
-            if c.kinds & RIGID_VAR:
-                f = (c.name,) if type(c) is RigidVar else c._free
-                if f is None:  # e is filled after c
-                    todo.append(c)
-                    break
-                free = tuple(dict.fromkeys(free + f)) if free else f
+        e = todo.pop()
+        if type(e) is tuple:
+            e, outer = e
+            if type(e) is Forall:
+                free.pop(e.var, None)
+            e._free = tuple(free)
+            if outer is not free:
+                outer.update(free)
+                free = outer
+            continue
+        if not e.kinds & RIGID_VAR:
+            continue
+        t = type(e)
+        if t is RigidVar:
+            free[e.name] = None
+        elif e._free is not None:
+            free.update(dict.fromkeys(e._free))
+        elif t is Forall or t is Nabla or t is Prime:
+            todo += ((e, free), e.body)
+            free = {}
         else:
-            todo.pop()
-            if type(e) is Forall and e.var in free:
-                free = tuple([x for x in free if x != e.var])
-            e._free = free
+            todo.extend(reversed(children(e)))
 
 
 def free_flex_vars(e: Expression) -> tuple[str, ...]:
@@ -755,37 +770,67 @@ def is_rigid(e: Expression, env: DefinitionEnvironment) -> bool:
     variable and no nabla/prime node.
 
     Read from `kinds` where no DefApp lies below.  Otherwise computed
-    without building the expansion: a DefApp is scanned through its body
-    with each parameter standing for the rigidity of the corresponding
-    argument (substitution preserves every other node of the body).  A
-    body's free rigid variables are its parameters, so its verdict depends
-    only on the definition and its arguments' rigidity, and each such pair
-    is scanned once per call.
+    without building the expansion, on an explicit stack, so at any depth:
+    a DefApp is scanned through its body with each parameter standing for
+    the rigidity of the corresponding argument (substitution preserves
+    every other node of the body).  A body's free rigid variables are its
+    parameters, so its verdict depends only on the definition and its
+    arguments' rigidity, and each such pair is scanned once per call.
     """
     bodies: dict[tuple[str, tuple[bool, ...]], bool] = {}
-
-    # loose: the parameters in scope whose argument is not rigid
-    def go(e: Expression, loose: frozenset[str]) -> bool:
-        k = e.kinds
-        if not k & DEF_APP and not (loose and k & RIGID_VAR):
-            return not k & _NOT_RIGID
-        t = type(e)
-        if t is RigidVar:
-            return e.name not in loose
-        if t is FlexVar or t is Nabla or t is Prime:
-            return False
-        if t is Forall:
-            return go(e.body, loose - {e.var})
-        if t is DefApp:
-            key = (e.op, tuple(go(a, loose) for a in e.args))
-            if key not in bodies:
-                d = env.definition(e.op)
-                bodies[key] = go(d.body, frozenset(
-                    p for p, rigid in zip(d.params, key[1]) if not rigid))
-            return bodies[key]
-        return all(go(c, loose) for c in children(e))
-
-    return go(e, frozenset())
+    # (node, loose) pairs to check, loose holding the parameters in scope
+    # whose argument is not rigid.  Below the pairs of a DefApp's argument
+    # or body lies [the DefApp, its loose, its arguments' verdicts, its
+    # key once they are all in].  Each argument and each body is a
+    # conjunction: `rigid` is the verdict of the last node checked in the
+    # innermost one, and once it is False the rest of that conjunction is
+    # dropped, so on reaching the marker below it, it is the verdict.
+    todo: list = [(e, frozenset())]
+    rigid = True
+    while todo:
+        item = todo.pop()
+        if type(item) is list:  # an argument or body of item's DefApp is in
+            app, loose, verdicts, key = item
+            if key is not None:
+                bodies[key] = rigid
+            else:
+                args = app.args
+                if args:  # one of them is in
+                    verdicts.append(rigid)
+                if len(verdicts) < len(args):
+                    todo += (item, (args[len(verdicts)], loose))
+                    continue
+                item[3] = key = (app.op, tuple(verdicts))
+                if key not in bodies:
+                    d = env.definition(app.op)
+                    todo += (item, (d.body, frozenset(
+                        p for p, r in zip(d.params, verdicts) if not r)))
+                    continue
+                rigid = bodies[key]
+        else:
+            e, loose = item
+            k = e.kinds
+            t = type(e)
+            if not k & DEF_APP and not (loose and k & RIGID_VAR):
+                rigid = not k & _NOT_RIGID
+            elif t is RigidVar:
+                rigid = e.name not in loose
+            elif t is FlexVar or t is Nabla or t is Prime:
+                rigid = False
+            else:
+                if t is Forall:
+                    todo.append((e.body, loose - {e.var}))
+                elif t is DefApp:
+                    todo.append([e, loose, [], None])
+                    if e.args:
+                        todo.append((e.args[0], loose))
+                else:
+                    todo.extend([(c, loose) for c in reversed(children(e))])
+                continue
+        if not rigid:
+            while todo and type(todo[-1]) is not list:
+                todo.pop()
+    return rigid
 
 
 def contains_node(e: Expression, *kinds: type) -> bool:

@@ -17,7 +17,8 @@ against a model drawn for its environment (`random_model` from
 then runs `coalesce-fol` on each input, and `check-model` on each model
 with its input, each text cut at half its length and, apart, with its
 first ")" deleted, so the readers' errors and their positions enter a
-digest too.
+digest too.  Last, the `usage` digest runs the command lines of
+`COMMAND_LINES`, so help, usage text and usage errors enter one as well.
 
 It prints one SHA-256 per command over each run's input, exit code,
 stdout and stderr (and, for `safety`, the files it writes), with the
@@ -27,6 +28,7 @@ a test module: pytest does not collect it.
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +53,84 @@ COMMANDS = (
     ("leibniz",),
     ("prove-ml",),
 )
+
+# Every command with valid arguments, then help, usage errors and odd
+# spellings: abbreviations, "--", repeated and missing option values,
+# words left over.  A word in braces names a file `command_lines` writes.
+COMMAND_LINES = (
+    "coalesce-fol {box}",
+    "coalesce-fol {box} --canonical-order=appearance --rewrite-rigid-box",
+    "coalesce-fol --rewrite-rigid-box=reflexive {box}",
+    "coalesce-ml {box}",
+    "prove-ml {box}",
+    "prove-ml {box} --frame t",
+    "prove-ml --frame=k4 --prime-frame s4 {box}",
+    "leibniz {box}",
+    "action {action}",
+    "safety {swap} --out {out}",
+    "check-model {model} {box}",
+    "fuzz --seed 3 --iters 5 --bounds 2,1 --checks=fol-witness",
+    "emit {box}",
+    "emit {box} --emit tptp -o {emitted}",
+    "emit --emit=mlseq {box}",
+    "",
+    "-h",
+    "--help",
+    "-h coalesce-fol {box}",
+    "--version",
+    "-x coalesce-fol {box}",
+    "-- coalesce-fol {box}",
+    "no-such-command",
+    "coal {box}",
+    "coalesce-fol",
+    "coalesce-fol -h",
+    "coalesce-fol {box} -h",
+    "emit --he",
+    "coalesce-fol {box} extra",
+    "coalesce-fol {box} {box}",
+    "coalesce-fol {box} --rewrite",
+    "coalesce-fol {box} --can appearance",
+    "coalesce-fol {box} --canonical-order",
+    "coalesce-fol {box} --canonical-order=nope",
+    "coalesce-fol -- {box}",
+    "coalesce-fol {box} --",
+    "coalesce-fol -",
+    "leibniz {box} -- extra",
+    "prove-ml {box} --frame bogus",
+    "prove-ml {box} --frame k --frame t",
+    "fuzz --seed -3 --iters 1",
+    "fuzz --seed x",
+    "fuzz --bounds 3",
+    "fuzz --iters=-1",
+    "fuzz extra",
+    "emit {box} --bogus",
+    "emit {box} -o",
+    "emit {box} --emit=mlseq --solver x",
+    "check-model {model}",
+    "safety {swap} --out",
+)
+
+
+def command_lines(tmp: str) -> list[list[str]]:
+    """The argv of each of COMMAND_LINES, with the files it names written
+    under `tmp`."""
+    box = (DEMO / "box.foml").read_text()
+    texts = {
+        "box": box,
+        "action": "(declare-op 0 0) (declare-flex v)"
+                  "(goal (= (prime v) 0)) (mode action)\n",
+        "swap": (DEMO / "swap.foml").read_text(),
+        "model": serialize_model(random_model(
+            rng_for(6161, 0), parse_file(box).env, need_prime=True)),
+    }
+    paths = {"out": str(Path(tmp, "out")),
+             "emitted": str(Path(tmp, "emitted.p"))}
+    for name, text in texts.items():
+        path = Path(tmp, f"{name}.txt")
+        path.write_text(text)
+        paths[name] = str(path)
+    return [[word.format(**paths) for word in line.split()]
+            for line in COMMAND_LINES]
 
 
 def problems() -> list[tuple[str, str, str]]:
@@ -136,6 +216,12 @@ def main() -> None:
             digest.update(written.name.encode() + written.read_bytes()
                           .replace(tmp.encode(), b"<tmp>"))
         print(f"safety: {digest.hexdigest()}")
+        usage = Path(tmp, "usage")
+        usage.mkdir()
+        # help text wraps at the terminal's width
+        os.environ["COLUMNS"] = "80"
+        digest_runs("usage", list(zip(COMMAND_LINES,
+                                      command_lines(str(usage)))), tmp)
 
 
 if __name__ == "__main__":

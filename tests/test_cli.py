@@ -22,6 +22,9 @@ from foml.parser import parse_problem
 from foml.prover import FRAMES, MLSequent
 from foml.semantics import eval_ml
 
+sys.path.insert(0, str(Path(__file__).parent))
+from cli_digest import COMMAND_LINES, command_lines  # noqa: E402
+
 BOX = ("(declare-op 0 0)\n(declare-flex v)\n"
        "(goal (=> (= v 0) (nabla (= v 0))))\n")
 
@@ -457,6 +460,48 @@ class TestRepeatedCalls:
         assert self.exits(capsys, *argv) == fresh
 
 
+class TestDispatch:
+    """A command line that starts with a command is read by that
+    command's parser alone; every line prints what reading it with the
+    whole parser tree prints."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("line", COMMAND_LINES)
+    def test_main_reads_a_line_as_the_tree_does(self, capsys, tmp_path,
+                                                monkeypatch, line):
+        argv = command_lines(str(tmp_path))[COMMAND_LINES.index(line)]
+        got = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse", cli._parser().parse_args)
+        assert got == self.outcome(capsys, argv)
+
+    @pytest.mark.parametrize("line,tree_reads", [
+        ("coalesce-fol {box}", 0),
+        ("prove-ml {box} --frame t", 0),
+        ("coalesce-fol {box} extra", 1),
+    ])
+    def test_the_tree_reads_only_what_a_command_cannot(
+            self, capsys, tmp_path, monkeypatch, line, tree_reads):
+        argv = command_lines(str(tmp_path))[COMMAND_LINES.index(line)]
+        parser = cli._parser()
+        command = parser.commands[argv[0]]
+        reads = {parser: 0, command: 0}
+        for reader in reads:
+            def counted(*args, reader=reader, parse=reader.parse_known_args):
+                reads[reader] += 1
+                return parse(*args)
+            monkeypatch.setattr(reader, "parse_known_args", counted)
+        self.outcome(capsys, argv)
+        assert reads == {parser: tree_reads, command: 1 + tree_reads}
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -577,20 +622,21 @@ class TestExitCodes:
 
 class TestNestingReach:
     """The nesting reach README states ("Exit codes and flags"): the
-    rewriting passes, `alpha_key` and `print_expr` keep their own stack,
-    but `is_rigid`, the SMT and TPTP renderers and the evaluators recurse,
-    one frame per tree level, so a pass that adds a frame per level shows
-    here.  `main` adds its margin to the frames its caller already has, so
-    what the test runner has on the stack does not shorten the reach."""
+    rewriting passes, `alpha_key`, `is_rigid` and the renderers keep their
+    own stack, but the evaluators recurse, one frame per tree level, so a
+    pass that adds a frame per level shows here.  `main` adds its margin
+    to the frames its caller already has, so what the test runner has on
+    the stack does not shorten the reach."""
 
     DECLS = ("(declare-op 0 0) "
              + " ".join(f"(declare-flex v{i})" for i in range(4)) + "\n")
 
-    def run_deep(self, capsys, tmp_path, command, goal, extra_frames=0):
-        """`main` on a file with this goal, under `extra_frames` more
-        frames than the test has."""
+    def run_deep(self, capsys, tmp_path, command, goal, extra_frames=0,
+                 defs=""):
+        """`main` on a file with these definitions and this goal, under
+        `extra_frames` more frames than the test has."""
         path = tmp_path / "deep.foml"
-        path.write_text(f"{self.DECLS}(goal {goal})\n")
+        path.write_text(f"{self.DECLS}{defs}(goal {goal})\n")
 
         def nested(n):
             return nested(n - 1) if n else main([*command.split(),
@@ -628,12 +674,22 @@ class TestNestingReach:
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("command", [
-        "coalesce-fol", "coalesce-ml", "emit --emit=mlseq"])
+        "coalesce-fol", "coalesce-ml", "emit --emit=smt", "emit --emit=tptp",
+        "emit --emit=mlseq"])
     def test_wide_conjunctions_have_no_nesting_limit(self, capsys, tmp_path,
                                                      command):
-        # `emit --emit=smt|tptp` still renders a deep (and ...) by recursion
         goal = "(and " + " ".join(f"(= v{i % 4} 0)" for i in range(3000)) + ")"
         code, err = self.run_deep(capsys, tmp_path, command, goal)
+        assert (code, err) == (0, "")
+
+    def test_nested_applications_have_no_nesting_limit(self, capsys,
+                                                       tmp_path):
+        # `is_rigid` walks the applications down to v0; the translation is
+        # one atom.  coalesce-fol is left out: its output grows with the
+        # square of the depth here.
+        goal = "(= " + "(d " * 3000 + "v0" + ")" * 3000 + " 0)"
+        code, err = self.run_deep(capsys, tmp_path, "coalesce-ml", goal,
+                                  defs="(define (d p) (nabla (= p 0)))\n")
         assert (code, err) == (0, "")
 
     def test_reach_does_not_shrink_under_a_deep_caller(self, capsys,

@@ -327,10 +327,10 @@ def test_every_top_level_definition_has_a_user():
 # by the functions they are nested in: the walkers that still take a
 # stack frame per tree level.  Every rewriting pass and every scan runs on
 # `syntax.rewrite` or `syntax.nodes` instead, which keep their own stack,
-# as do the two renderers, `alpha_key` and `print_expr`.
+# as do `alpha_key`, `is_rigid` and the renderers (`print_expr` and the
+# SMT and TPTP `emit._render`).
 RECURSIVE = {
-    "is_rigid.go", "_render.form", "_render.term", "_evaluate", "_lanes",
-    "random_expr.draw", "random_ml_formula", "_open",
+    "_evaluate", "_lanes", "random_expr.draw", "random_ml_formula", "_open",
 }
 
 

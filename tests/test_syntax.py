@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import reference_front_end as reference  # noqa: E402
 from reference_syntax import (  # noqa: E402
     alpha_key as reference_alpha_key,
+    free_rigid_vars as reference_free_rigid_vars,
     map_children,
     needs_prime,
     walk,
@@ -467,6 +469,40 @@ class TestFreeVars:
             e = random_expr(rng, env, depth=3)
             assert set(free_rigid_vars(e)) == set(
                 free_rigid_vars(expand_definitions(e, env)))
+
+    def test_queries_in_any_order_match_the_reference(self):
+        # A query caches its answer at the node asked and at each forall,
+        # nabla and prime below it, so asking every subterm of a fresh draw
+        # in a random order meets cached and uncached nodes at every level
+        queries = 0
+        for k in range(1500):
+            rng = rng_for(47, k)
+            env = random_env(rng, with_defs=k % 3 != 0)
+            e = random_expr(rng, env, depth=2 + k % 5,
+                            binders=("a",) if k % 2 else ())
+            subterms = list(walk(e))
+            rng.shuffle(subterms)
+            for sub in subterms:
+                assert free_rigid_vars(sub) == reference_free_rigid_vars(sub)
+            queries += len(subterms)
+        assert queries > 10_000
+
+    def test_a_wide_body_is_cached_once(self):
+        # a nabla over 4,000 conjoined equalities, each on its own rigid
+        # variable: a tuple at every node of the (and ...) spine would
+        # hold about 4,000^2 names
+        n = 4000
+        ob = parse_problem(
+            "".join(f"(declare-rigid x{i})" for i in range(n))
+            + "(declare-op 0 0)(goal (nabla (and "
+            + " ".join(f"(= x{i} 0)" for i in range(n)) + ")))")
+        tracemalloc.start()
+        try:
+            coalesce_obligation_fol(ob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSubstitution:

@@ -14,8 +14,7 @@ A propositional model is a Kripke model over the universe {tt, ff}
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Mapping, Optional, Union
 
 from .parser import ProblemError, _Counts, _error, _items, _reading, _tokens
@@ -31,25 +30,47 @@ def _successor_table(relation: frozenset) -> dict[Value, tuple[Value, ...]]:
     that has it, so a sweep that runs the point evaluator over many models
     (`enumerate_models` in the tests, `fuzz`) sorts each relation once per
     process rather than once per model; every relation on at most three
-    states fits in the bound.  The point interpreter reads it directly."""
+    states fits in the bound.  The point interpreter reads it directly,
+    and `KripkeModel.__init__` reads primeR's to set `prime_is_function`,
+    so primeR is sorted once when a model is built rather than when prime
+    is first evaluated."""
     lists: dict[Value, list[Value]] = {}
     for (s, t) in sorted(relation, key=str):
         lists.setdefault(s, []).append(t)
     return {s: tuple(ts) for s, ts in lists.items()}
 
 
-# A dataclass: tests/test_{cli,search,semantics}.py `dataclasses.replace` it.
-@dataclass(frozen=True, eq=True)
-class KripkeModel:
-    universe: tuple[Value, ...]
-    tt: Value
-    ff: Value
-    op_interp: Mapping[str, Mapping[tuple[Value, ...], Value]]
-    xi: Mapping[str, Value]
-    states: tuple[Value, ...]
-    R: frozenset[tuple[Value, Value]]
-    zeta: Mapping[tuple[str, Value], Value]
-    primeR: Optional[frozenset[tuple[Value, Value]]] = None
+class KripkeModel(Record):
+    """A Kripke model over a first-order universe.  `prime_is_function`
+    is not part of its value: it is read from primeR's successor table
+    once, when the model is built."""
+
+    __slots__ = ("universe", "tt", "ff", "op_interp", "xi", "states", "R",
+                 "zeta", "primeR", "prime_is_function")
+    __match_args__ = __slots__[:-1]
+
+    def __init__(self, universe: tuple[Value, ...], tt: Value, ff: Value,
+                 op_interp: Mapping[str, Mapping[tuple[Value, ...], Value]],
+                 xi: Mapping[str, Value], states: tuple[Value, ...],
+                 R: frozenset[tuple[Value, Value]],
+                 zeta: Mapping[tuple[str, Value], Value],
+                 primeR: Optional[frozenset[tuple[Value, Value]]] = None
+                 ) -> None:
+        self.universe = universe
+        self.tt = tt
+        self.ff = ff
+        self.op_interp = op_interp
+        self.xi = xi
+        self.states = states
+        self.R = R
+        self.zeta = zeta
+        self.primeR = primeR
+        # True iff primeR is a total function on states (TLA next-state
+        # reading, under which term-level prime is evaluated directly).
+        # A pair from an undeclared state is `validate`'s to report.
+        table = {} if primeR is None else _successor_table(primeR)
+        self.prime_is_function = primeR is not None and all(
+            len(table.get(w, ())) == 1 for w in states)
 
     @staticmethod
     def propositional(states, R, zeta, primeR=None) -> KripkeModel:
@@ -103,17 +124,6 @@ class KripkeModel:
             if val not in udom:
                 raise FomlError(f"zeta gives {v} at state {w} the "
                                 f"value {val}, outside the universe")
-
-    @cached_property
-    def prime_is_function(self) -> bool:
-        """True iff primeR is a total function on states (TLA next-state
-        reading, under which term-level prime is evaluated directly)."""
-        if self.primeR is None:
-            return False
-        counts = {w: 0 for w in self.states}
-        for (s, _) in self.primeR:
-            counts[s] += 1
-        return all(c == 1 for c in counts.values())
 
     def prime_successor(self, w: Value) -> Value:
         for t in _successor_table(self.primeR).get(w, ()):

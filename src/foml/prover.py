@@ -27,19 +27,20 @@ hypotheses plus a need mask) and without bit b.  The candidates come
 from one search tree that all keys share: a node sets the free bits
 (atoms and boxes) up to some point in closure order, and is grown once,
 with a three-valued pass over the implications above its last bit that
-cuts the children breaking a hypothesis or the reflexivity law.  A key
-walks the tree depth first with 0 before 1, skipping the nodes that
-already break its requirement, so its candidates come in enumeration
-order.  One key is shared by every type that has the requirement, on
-either modality, and its live candidate is the first one not known to
-be dead.  The search starts at the root key (the hypotheses, without
-the goal) and expands only the live candidates of keys it reaches; a
-type dies when one of its keys runs out of candidates, and a death
-moves on every key whose live candidate it was, which can kill more
-types.  The sequent is provable iff the root key runs out.  A type
-only dies when it has no surviving witness, and the live expanded types
-are closed under live candidates, so each key's live candidate is its
-first surviving type.
+cuts the children breaking a hypothesis or the reflexivity law.  Each
+key keeps its own walk of the tree, a stack of the nodes still to
+visit: depth first with 0 before 1, skipping the nodes that already
+break its requirement, so its candidates come in enumeration order, and
+moving the key on resumes its walk where it stopped.  One key is shared
+by every type that has the requirement, on either modality, and its
+live candidate is the first one not known to be dead.  The search
+starts at the root key (the hypotheses, without the goal) and expands
+only the live candidates of keys it reaches; a type dies when one of
+its keys runs out of candidates, and a death moves on every key whose
+live candidate it was, which can kill more types.  The sequent is
+provable iff the root key runs out.  A type only dies when it has no
+surviving witness, and the live expanded types are closed under live
+candidates, so each key's live candidate is its first surviving type.
 
 A countermodel is not the canonical model but a witness model grown from
 the root key's live candidate: each falsified box of a state gets one
@@ -199,13 +200,16 @@ class _OutOfLimits(Exception):
 
 
 class _Key:
-    """A requirement's candidate generator, its live candidate (None once
-    every candidate is dead), and the expanded types that need it."""
+    """A requirement, the types with every bit of `must` and without bit
+    `must_not`; its own walk over the shared tree, a stack of (depth,
+    node) still to visit; its live candidate (None once every candidate
+    is dead); and the expanded types that need it."""
 
-    __slots__ = ("gen", "live", "deps")
+    __slots__ = ("must", "must_not", "stack", "live", "deps")
 
-    def __init__(self, gen):
-        self.gen = gen
+    def __init__(self, must: int, must_not: int, tree: list) -> None:
+        self.must, self.must_not = must, must_not
+        self.stack = [(0, tree)]
         self.live: Optional[int] = None
         self.deps: list[int] = []
 
@@ -216,9 +220,11 @@ class _Search:
     the (bit, lhs, rhs) implications whose value can change when free
     bit i is set, children first; `bodies[i]` the body of free bit i
     when it is a box on a reflexive frame, else 0.  `tree` is the root
-    of the search tree that every key walks: a node at depth i is
-    [T, F, kids], the (true, false) masks known once the first i free
-    bits are set and its children, None until grown."""
+    of the search tree that every key walks, each on its own stack: a
+    node at depth i is [T, F, kids], the (true, false) masks known once
+    the first i free bits are set and its children, None until grown.
+    Keys hold only nodes, never the search, so nothing here is a cycle
+    and a finished search is freed by reference counting."""
 
     __slots__ = ("free", "up", "bodies", "hyps", "mods", "max_types",
                  "max_steps", "steps", "tree", "built", "dead", "keys",
@@ -238,25 +244,6 @@ class _Search:
         # per expanded type and modality: the need mask and the bodies
         # of the falsified boxes
         self.reqs: dict[int, list[tuple[int, int]]] = {}
-
-    def types(self, must: int, must_not: int):
-        """The types with every bit of `must` and none of `must_not`, in
-        enumeration order: depth first over the tree, 0 before 1."""
-        n = len(self.free)
-        stack = [(0, self.tree)]
-        while stack:
-            i, node = stack.pop()
-            T, F, kids = node
-            if F & must or T & must_not:
-                continue
-            if i == n:
-                yield T
-                continue
-            if kids is None:
-                kids = node[2] = self.grow(i, T, F)
-            i += 1
-            for kid in kids:  # the 0-child last, so it comes out first
-                stack.append((i, kid))
 
     def grow(self, i: int, T: int, F: int) -> list:
         """The children of a node at depth i: free bit i set to 1, then
@@ -282,35 +269,43 @@ class _Search:
                 kids.append([T, F, None])
         return kids
 
-    def close(self) -> None:
-        """Free the tree now: each generator's frame refers back to the
-        search, a cycle that would otherwise wait for the collector."""
-        for key in self.keys.values():
-            key.gen.close()
-
     def key(self, must: int, b: int) -> _Key:
         key = self.keys.get((must, b))
         if key is None:
-            key = self.keys[must, b] = _Key(self.types(must, b))
+            key = self.keys[must, b] = _Key(must, b, self.tree)
             self.advance(key)
         return key
 
     def advance(self, key: _Key) -> None:
-        """Move `key` to its next candidate not known to be dead."""
-        dead, built = self.dead, self.built
-        for c in key.gen:
-            if c in dead:
+        """Move `key` to its next candidate not known to be dead: its walk
+        goes on depth first over the tree, 0 before 1, so the candidates
+        come in enumeration order."""
+        dead, built, stack = self.dead, self.built, key.stack
+        must, must_not, n = key.must, key.must_not, len(self.free)
+        while stack:
+            i, node = stack.pop()
+            T, F, kids = node
+            if F & must or T & must_not:
                 continue
-            if c not in built:
-                built.add(c)
+            if i < n:
+                if kids is None:
+                    kids = node[2] = self.grow(i, T, F)
+                i += 1
+                for kid in kids:  # the 0-child last, so it comes out first
+                    stack.append((i, kid))
+                continue
+            if T in dead:  # a leaf: T is a type
+                continue
+            if T not in built:
+                built.add(T)
                 if len(built) > self.max_types:
                     raise _OutOfLimits(
                         f"more than {self.max_types} candidate types "
                         f"(after {self.steps} search steps)")
-            key.live = c
-            self.watch.setdefault(c, []).append(key)
-            if c not in self.reqs:
-                self.queue.append(c)
+            key.live = T
+            self.watch.setdefault(T, []).append(key)
+            if T not in self.reqs:
+                self.queue.append(T)
             return
         key.live = None
 
@@ -418,8 +413,6 @@ def prove_ml(
                 s.expand(t)
     except _OutOfLimits as out:
         return ResourceOut(str(out))
-    finally:
-        s.close()
     if root.live is None:
         return Proved()
 

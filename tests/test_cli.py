@@ -2,7 +2,6 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +23,7 @@ from foml.semantics import eval_ml
 
 sys.path.insert(0, str(Path(__file__).parent))
 from cli_digest import COMMAND_LINES, command_lines  # noqa: E402
+from rebuild import rebuild  # noqa: E402
 
 BOX = ("(declare-op 0 0)\n(declare-flex v)\n"
        "(goal (=> (= v 0) (nabla (= v 0))))\n")
@@ -762,7 +762,7 @@ CHECK_PROBLEM = ("(declare-op 0 0) (declare-op f 1) (declare-rigid x)"
 
 
 def _rename_states(m: KripkeModel, names: dict) -> KripkeModel:
-    return replace(
+    return rebuild(
         m, states=tuple(names[w] for w in m.states),
         R=frozenset((names[s], names[t]) for s, t in m.R),
         primeR=frozenset((names[s], names[t]) for s, t in m.primeR),
@@ -780,20 +780,20 @@ def mutated_models(draw):
         stray = draw(st.sampled_from((7, -1, "w")))
         section = draw(st.sampled_from(("xi", "zeta", "op")))
         if section == "xi":
-            bad = replace(m, xi={"x": stray})
+            bad = rebuild(m, xi={"x": stray})
         elif section == "zeta":
             key = draw(st.sampled_from(sorted(m.zeta)))
-            bad = replace(m, zeta={**m.zeta, key: stray})
+            bad = rebuild(m, zeta={**m.zeta, key: stray})
         else:
             args = draw(st.sampled_from(sorted(m.op_interp["f"])))
-            bad = replace(m, op_interp={
+            bad = rebuild(m, op_interp={
                 **m.op_interp, "f": {**m.op_interp["f"], args: stray}})
         return kind, serialize_model(m), serialize_model(bad)
     if kind.startswith("rename"):
         pool = draw(st.permutations(list(m.states) + ["s0", "s1", "s2"]))
         names = dict(zip(m.states, pool))
         bad = (_rename_states(m, names) if kind == "rename-all"
-               else replace(m, states=tuple(names[w] for w in m.states)))
+               else rebuild(m, states=tuple(names[w] for w in m.states)))
         return kind, serialize_model(m), serialize_model(bad)
     text = serialize_model(m)
     sections = text[len("(model\n  "):-len(")\n")].split("\n  ")

@@ -1,3 +1,4 @@
+import gc
 import sys
 from collections import Counter
 from itertools import compress, product
@@ -19,6 +20,7 @@ from foml.prover import (
     Proved,
     ProverLimits,
     ResourceOut,
+    _Search,
     _closure,
     _extract_model,
     _verify,
@@ -374,6 +376,23 @@ class TestLimits:
             "more than 4 candidate types (after 57 search steps)")
         assert isinstance(prove_ml(s, ProverLimits(max_types=5)),
                           Countermodel)
+
+
+def test_a_search_is_freed_without_the_cycle_collector():
+    # A search holds no reference cycle, so reference counting frees it
+    # as soon as `prove_ml` returns, whatever the verdict.
+    runs = [(chain(5, drop=None), ProverLimits(), Proved),
+            (chain(6, drop=3), ProverLimits(), Countermodel),
+            (chain(5, drop=None), ProverLimits(max_steps=100), ResourceOut)]
+    gc.collect()
+    gc.disable()
+    try:
+        for s, limits, verdict in runs:
+            assert isinstance(prove_ml(s, limits), verdict)
+            assert [o for o in gc.get_objects()
+                    if isinstance(o, _Search)] == []
+    finally:
+        gc.enable()
 
 
 def _reference_closure(s: MLSequent) -> list[Expression]:

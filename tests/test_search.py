@@ -17,7 +17,6 @@ import hashlib
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
 
@@ -63,6 +62,7 @@ from foml.syntax import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+from rebuild import rebuild  # noqa: E402
 from reference_search import orbit_leaders, runs  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -160,7 +160,7 @@ def test_leaders_of_all_permutations_are_unlabelled_digraphs(nstates,
 
 def _renamed(m, p):
     """m with each state w renamed p[w]."""
-    return replace(
+    return rebuild(
         m, R=frozenset((p[s], p[t]) for s, t in m.R),
         primeR=None if m.primeR is None
         else frozenset((p[s], p[t]) for s, t in m.primeR),
@@ -685,12 +685,12 @@ def _random_lanes(rng: random.Random, env, prime: bool):
                              run + q)
         start = at
         for zeta, (_, r, block, _) in segments:
-            m = replace(first, xi=xi, op_interp=op_interp, zeta=zeta)
+            m = rebuild(first, xi=xi, op_interp=op_interp, zeta=zeta)
             for lane in rng.sample(range(1 << low), 2):
                 rel = _relation(n, block << low | lane)
                 models[at + lane * n] = \
-                    replace(m, R=_relation(n, r), primeR=rel) if prime \
-                    else replace(m, R=rel, primeR=None)
+                    rebuild(m, R=_relation(n, r), primeR=rel) if prime \
+                    else rebuild(m, R=rel, primeR=None)
             at += _segment_lanes(n)
         # xi and the tables one-hot over this run's lanes
         lanes = (1 << at) - (1 << start)

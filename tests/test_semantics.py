@@ -1,7 +1,7 @@
-import dataclasses
 import hashlib
 import sys
 from collections import Counter
+from itertools import compress, product
 from pathlib import Path
 
 import pytest
@@ -62,6 +62,7 @@ from foml.syntax import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
+from rebuild import rebuild  # noqa: E402
 from reference_syntax import map_children, walk  # noqa: E402
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -495,8 +496,8 @@ class TestPointOutcomes:
             del xi[rng.choice(sorted(xi))]
         if i % 17 == 0:
             del ops[rng.choice(sorted(ops))]
-        m = dataclasses.replace(m, xi=xi, op_interp=ops, zeta=zeta,
-                                ff=m.tt if i % 11 == 0 else m.ff)
+        m = rebuild(m, xi=xi, op_interp=ops, zeta=zeta,
+                    ff=m.tt if i % 11 == 0 else m.ff)
         k = KripkeModel.propositional(
             m.states, m.R, {key: "tt" if v == m.tt else "ff"
                             for key, v in zeta.items()}, m.primeR)
@@ -549,6 +550,49 @@ class TestSuccessorTables:
             _successor_table(frozenset({(n, n + 1), (n + 1, n)}))
             assert _successor_table.cache_info().currsize <= bound
         assert _successor_table.cache_info().currsize == bound
+
+
+class TestPrimeIsFunction:
+    """`prime_is_function` is set once, when a model is built, from
+    primeR's successor table; it is not part of the model's value."""
+
+    def test_every_relation_on_up_to_three_states(self):
+        for n in (1, 2, 3):
+            states = tuple(range(n))
+            pairs = list(product(states, repeat=2))
+            for bits in product((0, 1), repeat=len(pairs)):
+                rel = frozenset(compress(pairs, bits))
+                m = KripkeModel.propositional(states, frozenset(), {}, rel)
+                want = all(sum(s == w for s, _ in rel) == 1 for w in states)
+                assert m.prime_is_function is want, rel
+
+    def test_false_without_primeR(self):
+        m = KripkeModel.propositional((0,), frozenset({(0, 0)}), {})
+        assert m.prime_is_function is False
+
+    def test_not_part_of_equality_or_repr(self):
+        m = KripkeModel.propositional((0, 1), frozenset(), {},
+                                      frozenset({(0, 1), (1, 0)}))
+        other = rebuild(m)
+        other.prime_is_function = False
+        assert m.prime_is_function and m == other
+        assert repr(m) == repr(other) == (
+            "KripkeModel(universe=('tt', 'ff'), tt='tt', ff='ff', "
+            "op_interp={}, xi={}, states=(0, 1), R=frozenset(), "
+            f"zeta={{}}, primeR={m.primeR!r})")
+        assert not hasattr(m, "__dict__")
+
+    def test_an_undeclared_state_is_reported_by_validate(self):
+        # built without raising; validate names the state, so a model
+        # file with it is rejected (check-model exits 65)
+        m = KripkeModel.propositional(
+            ("s0",), frozenset({("s0", "s0")}), {},
+            frozenset({("s0", "s0"), ("s9", "s0")}))
+        message = "primeR names undeclared state 's9'"
+        with pytest.raises(FomlError, match=message):
+            m.validate()
+        with pytest.raises(FomlError, match=message):
+            parse_model(serialize_model(m))
 
 
 class TestModelFiles:

@@ -26,7 +26,13 @@ fewer calls per draw; the pinned digests of `TestRandomDraws` guard this.
 The tables of what a `random_expr` node may draw are a pure function of
 the signature (rigid pool, flexible variables, operators, whether there
 are definitions, `allow_nabla`) and the frame flags, and are cached per
-signature; only the binders' part of a frame is built per call.
+signature; only the binders' part of a frame is built per call.  A
+model's shape (its universe, states, state pairs and each operator's
+table rows) is cached likewise, per universe size, state count and arity.
+
+Generation leaves no reference cycle: an iteration's draws and its
+generator are freed by reference counting when it ends, so a fuzz run
+gives the cycle collector nothing to find.
 """
 from __future__ import annotations
 
@@ -173,6 +179,23 @@ def _kinds(nary: bool, defs: bool, allow_nabla: bool, allow_prime: bool,
 _PRIME_BODY = (False, False, True)
 
 
+# a shape grows with the sizes a run asks for, so only a few are kept;
+# the default sizes, at most (3, 3), need six of each
+@lru_cache(maxsize=16)
+def _shape(universe: int, states: int) -> tuple:
+    """The shape of a `random_model` of a universe size and a state count:
+    (universe, states, pairs), the universe and the states as ranges and
+    every pair of states in the order their relations draw them."""
+    u, w = tuple(range(universe)), tuple(range(states))
+    return u, w, tuple((s, t) for s in w for t in w)
+
+
+@lru_cache(maxsize=16)
+def _rows(universe: int, arity: int) -> tuple:
+    """The argument tuples of an operator's table over a universe size."""
+    return tuple(product(range(universe), repeat=arity))
+
+
 def random_expr(
     rng: random.Random,
     env: DefinitionEnvironment,
@@ -237,8 +260,11 @@ def random_expr(
             return Nabla(draw(d, sub))
         return Prime(draw(d, prime))
 
-    return draw(depth, (tuple(binders),
-                        (allow_prime, allow_defapp, under_prime)))
+    try:
+        return draw(depth, (tuple(binders),
+                            (allow_prime, allow_defapp, under_prime)))
+    finally:
+        del draw  # its closure cell refers to it: break the cycle
 
 
 def random_model(
@@ -250,17 +276,15 @@ def random_model(
     functional_prime: bool = False,
 ) -> KripkeModel:
     getrandbits, uniform = rng.getrandbits, rng.random
-    universe = tuple(range(2 + _below(getrandbits, max_universe - 1)))
-    states = tuple(range(1 + _below(getrandbits, max_states)))
+    u = 2 + _below(getrandbits, max_universe - 1)
+    universe, states, pairs = _shape(u, 1 + _below(getrandbits, max_states))
     # the universe and the states are range(n): a value is its own index
-    u = len(universe)
     op_interp = {op: {args: _below(getrandbits, u)
-                      for args in product(universe, repeat=arity)}
+                      for args in _rows(u, arity)}
                  for op, arity in env.ops.items()}
     xi = {x: _below(getrandbits, u) for x in env.rigid_vars}
     zeta = {(v, w): _below(getrandbits, u)
             for v in env.flex_vars for w in states}
-    pairs = [(s, t) for s in states for t in states]
     R = frozenset(p for p in pairs if uniform() < 0.5)
     primeR = None
     if need_prime:

@@ -330,7 +330,11 @@ def test_every_top_level_definition_has_a_user():
 # as do `alpha_key`, `is_rigid` and the renderers (`print_expr` and the
 # SMT and TPTP `emit._render`).
 RECURSIVE = {
-    "_evaluate", "_lanes", "random_expr.draw", "random_ml_formula", "_open",
+    # the evaluator and its lane compiler: ROADMAP item 18
+    "_evaluate", "_lanes",
+    # the generators: each draws to a bounded depth (an expression's
+    # `depth`, a formula's `depth`, an opening's one parent)
+    "random_expr.draw", "random_ml_formula", "_open",
 }
 
 

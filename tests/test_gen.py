@@ -135,7 +135,7 @@ def _draws(rng: random.Random, rounds: int, reverse: bool = False) -> list:
 
 
 def test_draws_do_not_depend_on_the_frame_caches():
-    caches = (gen._leaves, gen._kinds)
+    caches = (gen._leaves, gen._kinds, gen._shape, gen._rows)
     for cache in caches:
         cache.cache_clear()
     cold = _draws(random.Random(5), 40)
